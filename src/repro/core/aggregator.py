@@ -19,6 +19,7 @@ reporting station so as to maximise the sum without exceeding 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -266,3 +267,158 @@ class SimilarityRanker:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return results.top(k)
+
+    def open_ranking(self) -> "IncrementalRanking":
+        """An empty Algorithm-3 ranking maintained under per-station updates."""
+        return IncrementalRanking(self)
+
+
+class IncrementalRanking:
+    """Algorithm 3 kept up to date as stations replace their reports.
+
+    ``results(k)`` always equals :meth:`SimilarityRanker.aggregate` over the
+    concatenation of every station's current reports, but an update costs
+    only the ``(user, query)`` groups it touches: their best weight sums are
+    re-decided, the touched users' best surviving scores recomputed, and each
+    user whose score moved is re-placed in a sorted key list by bisection.
+    Untouched groups, users and cached :class:`RankedUser` entries are reused,
+    and so is the previous :class:`RankedResults` when no score moved.
+
+    Work is deferred to :meth:`results`, so a station removed and re-added
+    with the same reports between two reads moves nothing.
+    """
+
+    def __init__(self, ranker: SimilarityRanker) -> None:
+        self._ranker = ranker
+        #: ``(user, query) -> sending station -> {(report station, weight)}``.
+        self._groups: dict[tuple[str, str], dict[str, set[tuple[str, Fraction]]]] = {}
+        #: The groups each sending station currently contributes to.
+        self._station_groups: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._user_queries: dict[str, set[str]] = {}
+        #: Best weight sum per group (``None``: every assignment over-matches).
+        self._sums: dict[tuple[str, str], Fraction | None] = {}
+        self._scores: dict[str, Fraction] = {}
+        #: ``(-float(score), -score, user_id)`` ascending, i.e. rank order; the
+        #: float decides most comparisons and never contradicts the exact one.
+        self._keys: list[tuple[float, Fraction, str]] = []
+        #: The :class:`RankedUser` of every key, at the same index.
+        self._entries: list[RankedUser] = []
+        self._touched: set[tuple[str, str]] = set()
+        self._results: RankedResults | None = RankedResults(())
+
+    def replace(self, station_id: str, reports: Sequence[MatchReport]) -> None:
+        """Make ``reports`` the whole current contribution of ``station_id``.
+
+        Raises :class:`MatchingError` — leaving the ranking untouched — on a
+        non-:class:`MatchReport` entry or a report without a weight.
+        """
+        grouped: dict[tuple[str, str], set[tuple[str, Fraction]]] = {}
+        for report in reports:
+            if not isinstance(report, MatchReport):
+                raise MatchingError("ranking received non-MatchReport entries")
+            if report.weight is None:
+                raise MatchingError(
+                    f"report for user {report.user_id!r} carries no weight; "
+                    "SimilarityRanker requires weighted reports"
+                )
+            grouped.setdefault((report.user_id, report.query_id), set()).add(
+                (report.station_id, report.weight)
+            )
+        self.remove(station_id)
+        for key, options in grouped.items():
+            group = self._groups.get(key)
+            if group is None:
+                group = self._groups[key] = {}
+                self._user_queries.setdefault(key[0], set()).add(key[1])
+            group[station_id] = options
+        if grouped:
+            self._station_groups[station_id] = tuple(grouped)
+            self._touched.update(grouped)
+
+    def remove(self, station_id: str) -> None:
+        """Drop every report ``station_id`` contributed (a no-op if none)."""
+        for key in self._station_groups.pop(station_id, ()):
+            group = self._groups[key]
+            del group[station_id]
+            if not group:
+                del self._groups[key]
+                queries = self._user_queries[key[0]]
+                queries.discard(key[1])
+                if not queries:
+                    del self._user_queries[key[0]]
+            self._touched.add(key)
+
+    def results(self, k: int | None = None) -> RankedResults:
+        """The current ranked top-``k`` (every surviving user for ``None``)."""
+        if k is not None and k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        if self._touched:
+            self._settle()
+        if self._results is None:
+            self._results = RankedResults(tuple(self._entries))
+        return self._results if k is None else self._results.top(k)
+
+    def _settle(self) -> None:
+        """Re-decide the touched groups and re-place every user whose score moved."""
+        touched, self._touched = self._touched, set()
+        users: set[str] = set()
+        for key in touched:
+            group = self._groups.get(key)
+            if group is None:
+                self._sums.pop(key, None)
+            else:
+                self._sums[key] = self._ranker.best_weight_sum(_options(group))
+            users.add(key[0])
+        moved: list[tuple[str, Fraction | None, Fraction | None]] = []
+        for user_id in users:
+            best: Fraction | None = None
+            for query_id in self._user_queries.get(user_id, ()):
+                weight_sum = self._sums[(user_id, query_id)]
+                if weight_sum is not None and (best is None or weight_sum > best):
+                    best = weight_sum
+            old = self._scores.get(user_id)
+            if best != old:
+                moved.append((user_id, old, best))
+        if not moved:
+            return
+        self._results = None
+        scores, keys, entries = self._scores, self._keys, self._entries
+        if 2 * len(moved) > len(keys):
+            # Most of the ranking moved (a rotation): one sort beats bisection.
+            ranked = dict(zip((key[2] for key in keys), entries))
+            for user_id, _old, new in moved:
+                ranked.pop(user_id, None)
+                if new is None:
+                    del scores[user_id]
+                else:
+                    scores[user_id] = new
+                    ranked[user_id] = RankedUser(user_id=user_id, score=float(new))
+            keys[:] = sorted(
+                (-ranked[user_id].score, -score, user_id)
+                for user_id, score in scores.items()
+            )
+            entries[:] = [ranked[key[2]] for key in keys]
+            return
+        for user_id, old, new in moved:
+            if old is not None:
+                index = bisect_left(keys, (-float(old), -old, user_id))
+                del keys[index]
+                del entries[index]
+            if new is None:
+                del scores[user_id]
+                continue
+            scores[user_id] = new
+            entry = RankedUser(user_id=user_id, score=float(new))
+            key = (-entry.score, -new, user_id)
+            index = bisect_left(keys, key)
+            keys.insert(index, key)
+            entries.insert(index, entry)
+
+
+def _options(group: Mapping[str, set[tuple[str, Fraction]]]) -> dict[str, set[Fraction]]:
+    """One group's candidate weights per *reporting* station, across senders."""
+    options: dict[str, set[Fraction]] = {}
+    for pairs in group.values():
+        for station_id, weight in pairs:
+            options.setdefault(station_id, set()).add(weight)
+    return options

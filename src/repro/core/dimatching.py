@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.aggregator import SimilarityRanker
+from repro.core.aggregator import IncrementalRanking, SimilarityRanker
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
@@ -70,6 +70,10 @@ class DIMatchingProtocol(MatchingProtocol):
         if len(typed_reports) != len(reports):
             raise MatchingError("DI-matching aggregation received non-MatchReport entries")
         return self._ranker.aggregate(typed_reports, k)
+
+    def open_ranking(self) -> IncrementalRanking:
+        """Algorithm 3 maintained incrementally under per-station updates."""
+        return self._ranker.open_ranking()
 
 
 def run_dimatching(

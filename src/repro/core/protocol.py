@@ -17,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Protocol, Sequence
 
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
@@ -101,3 +101,48 @@ class MatchingProtocol(ABC):
     @abstractmethod
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Combine all stations' reports into the final ranked top-K result."""
+
+    def open_ranking(self) -> "StationRanking":
+        """An empty center-side ranking kept per station.
+
+        ``results(k)`` equals :meth:`aggregate` over every station's current
+        reports.  This default re-aggregates them in full on each read;
+        protocols with an incremental Algorithm 3 override it.
+        """
+        return ReportRanking(self)
+
+
+class StationRanking(Protocol):
+    """A ranking over per-station reports, as :meth:`MatchingProtocol.open_ranking` opens it."""
+
+    def replace(self, station_id: str, reports: Sequence[object]) -> None:
+        """Make ``reports`` the whole current contribution of ``station_id``."""
+
+    def remove(self, station_id: str) -> None:
+        """Drop every report ``station_id`` contributed (a no-op if none)."""
+
+    def results(self, k: int | None = None) -> RankedResults:
+        """The ranked top-``k`` over every station's current reports."""
+
+
+class ReportRanking:
+    """Per-station report lists, re-aggregated in full by ``results``.
+
+    Reports are concatenated in the order stations first entered (a replaced
+    station keeps its place), which is the order :meth:`aggregate` sees.
+    """
+
+    def __init__(self, protocol: MatchingProtocol) -> None:
+        self._protocol = protocol
+        self._reports: dict[str, list[object]] = {}
+
+    def replace(self, station_id: str, reports: Sequence[object]) -> None:
+        self._reports[station_id] = list(reports)
+
+    def remove(self, station_id: str) -> None:
+        self._reports.pop(station_id, None)
+
+    def results(self, k: int | None = None) -> RankedResults:
+        return self._protocol.aggregate(
+            [report for reports in self._reports.values() for report in reports], k
+        )

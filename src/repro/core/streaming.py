@@ -106,6 +106,14 @@ class ContinuousMatchingSession:
         return list(self._reports_by_station)
 
     @property
+    def station_count(self) -> int:
+        """Number of stations that have reported data so far."""
+        return len(self._reports_by_station)
+
+    def __contains__(self, station_id: object) -> bool:
+        return str(station_id) in self._reports_by_station
+
+    @property
     def update_count(self) -> int:
         """Number of station updates applied."""
         return self._update_count

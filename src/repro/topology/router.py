@@ -343,11 +343,8 @@ def ship_two_tier_deltas(
     """
     from repro.distributed.events import RoundTimeoutError
 
-    dirty_regions = [
-        region
-        for region in tier_map.regions
-        if any(sid in deltas for sid in region.station_ids)
-    ]
+    dirty_names = {tier_map.region_of(sid).name for sid in deltas}
+    dirty_regions = [region for region in tier_map.regions if region.name in dirty_names]
     aggregators = {
         region.name: RegionalAggregator(region) for region in dirty_regions
     }

@@ -12,6 +12,7 @@ the aggregation phase sees the same input sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.exceptions import ConfigurationError
@@ -41,12 +42,16 @@ class TierMap:
     #: Negotiated version of the aggregator↔center trunk hop.
     trunk_wire_version: int = WIRE_VERSION
 
+    @cached_property
+    def _region_by_station(self) -> dict[str, Region]:
+        return {sid: region for region in self.regions for sid in region.station_ids}
+
     def region_of(self, station_id: str) -> Region:
         """The region serving ``station_id``."""
-        for region in self.regions:
-            if station_id in region.station_ids:
-                return region
-        raise KeyError(f"station {station_id!r} belongs to no region")
+        region = self._region_by_station.get(station_id)
+        if region is None:
+            raise KeyError(f"station {station_id!r} belongs to no region")
+        return region
 
     @property
     def aggregator_ids(self) -> tuple[str, ...]:

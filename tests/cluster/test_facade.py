@@ -1,6 +1,8 @@
 """Behavior of the ``Cluster`` facade verbs and the unified session handle."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -10,8 +12,34 @@ from repro.cluster import (
     RoundOptions,
     RoundReport,
 )
+from repro.core.config import DIMatchingConfig
 from repro.core.exceptions import ConfigurationError
+from repro.datagen import SourceSpec
+from repro.datagen.workload import build_dataset, build_query_workload
 from repro.timeseries.pattern import PatternSet
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tiny_dataset_spec):
+    return build_dataset(tiny_dataset_spec)
+
+
+def _streaming_cluster() -> Cluster:
+    """A lazily served cluster: its source caps residency at two stations."""
+    spec = SourceSpec(
+        kind="streaming", station_count=4, users_per_station=3, max_resident=2, seed=7
+    )
+    return Cluster(
+        ClusterSpec(
+            name="lazy",
+            protocol=ProtocolSpec(
+                method="wbf",
+                epsilon=0,
+                config=DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4),
+            ),
+            source=spec,
+        )
+    )
 
 
 class TestRoundOptions:
@@ -126,9 +154,97 @@ class TestPublishSubscribe:
         report = cluster.round()
         assert report.active_station_count == len(cluster.station_ids)
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_retire_unknown_station_rejected_like_publish(self, cluster, lazy):
+        deployed = _streaming_cluster() if lazy else cluster
+        with deployed:
+            before = deployed.station_ids
+            with pytest.raises(ValueError, match="unknown station id") as published:
+                deployed.publish("bs-nowhere", PatternSet([]))
+            with pytest.raises(ValueError, match="unknown station id") as retired:
+                deployed.retire("bs-nowhere")
+            assert str(retired.value) == str(published.value)
+            assert deployed.station_ids == before
+
+    def test_retiring_an_unpublished_station_is_a_no_op(self, cluster, queries):
+        victim, other = cluster.station_ids[:2]
+        cluster.retire(victim)
+        after_first = cluster.station_ids
+        with cluster.open_session(mode="deltas") as session:
+            session.subscribe(queries)
+            session.publish(other, cluster.dataset.local_patterns_at(other))
+            session.retire(victim)
+            assert session.active_station_ids == (other,)
+        assert cluster.station_ids == after_first
+
     def test_subscribe_requires_queries(self, cluster):
         with pytest.raises(ValueError):
             cluster.subscribe([])
+
+
+class TestPublishOrder:
+    """publish() and retire() are O(1) dict writes; every reader that
+    observes order still sees dataset order, and rounds cannot tell."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(["publish", "retire"]), st.integers(0, 3)),
+            max_size=10,
+        ),
+        first_check=st.sampled_from(["round", "station_ids", "stations", "snapshot"]),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_any_interleaving_reads_and_rounds_in_dataset_order(
+        self, wbf_spec, tiny_dataset, ops, first_check
+    ):
+        spec = wbf_spec.with_updates(dataset=None)
+        queries = list(
+            build_query_workload(tiny_dataset, query_count=3, epsilon=0, seed=5).queries
+        )
+        with Cluster(spec, dataset=tiny_dataset) as mutated, Cluster(
+            spec, dataset=tiny_dataset
+        ) as fresh:
+            bearing = mutated.station_ids
+            live = set(bearing)
+            # Retiring the first station and publishing it again at the end
+            # always leaves it last in insertion order.
+            for verb, index in [("retire", 0), *ops, ("publish", 0)]:
+                station_id = bearing[index % len(bearing)]
+                if verb == "publish":
+                    mutated.publish(station_id, tiny_dataset.local_patterns_at(station_id))
+                    live.add(station_id)
+                else:
+                    mutated.retire(station_id)
+                    live.discard(station_id)
+            final = [sid for sid in bearing if sid in live]
+
+            def round_order():
+                """The stations a round served, checked against a fresh
+                cluster that holds the same final stations."""
+                for station_id in set(bearing) - live:
+                    fresh.retire(station_id)
+                reports = []
+                for deployed in (mutated, fresh):
+                    deployed.subscribe(queries)
+                    reports.append(deployed.round(net_seed=3))
+                assert reports[0].transcript_bytes() == reports[1].transcript_bytes()
+                assert reports[0].results == reports[1].results
+                return final
+
+            orders = {
+                "round": round_order,
+                "station_ids": lambda: list(mutated.station_ids),
+                "stations": lambda: [station.node_id for station in mutated.stations],
+                "snapshot": lambda: [sid for sid, _ in mutated.snapshot().patterns],
+            }
+            # Every reader must restore order itself: whichever runs first
+            # cannot lean on another having re-sorted the stations.
+            for order in [orders.pop(first_check), *orders.values()]:
+                assert order() == final
 
 
 class TestSessionHandle:

@@ -138,3 +138,23 @@ class TestDeterminism:
         if method != "local":  # local-only serves no center rankings here
             assert outcomes["flat"][0]
         assert outcomes["two-tier"] == outcomes["flat"]
+
+    @pytest.mark.parametrize("topology", [None, TWO_TIER], ids=["flat", "two-tier"])
+    @pytest.mark.parametrize("method", ["wbf", "bf", "local", "naive"])
+    def test_delta_steps_match_a_full_drive(self, dataset, queries, method, topology):
+        """Fault-free, a delta step serves exactly the ranking a full wire
+        round computes over the same stations — also after a station
+        vanishes and returns."""
+        station = dataset.station_ids[0]
+        with open_cluster(dataset, method=method, topology=topology) as cluster:
+            cluster.subscribe(queries)
+            with cluster.open_session(mode="deltas") as session:
+                _publish_all(session, dataset)
+                first = session.step().results
+                session.retire(station)
+                session.step()
+                session.publish(station, dataset.local_patterns_at(station))
+                returned = session.step().results
+            full = cluster.drive(cluster.protocol, queries).results
+        assert first == full
+        assert returned == full
