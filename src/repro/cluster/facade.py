@@ -1,13 +1,14 @@
 """The ``Cluster`` facade: one typed, handle-based API for the whole system.
 
-This module owns the round engine that used to live in
-``repro.distributed.simulator``: the data center encodes the query batch and
-broadcasts the artifact to every participating base station (downlink), the
-stations run their matching phase through a pluggable sharded executor, and
-their reports travel back over the deterministic event-driven transport
-(uplink) to be aggregated into the ranked top-K.  All traffic moves as
-*encoded wire bytes* exposed to the round's seeded fault plan, so a surviving
-round is always exactly correct and byte counts are real encoded lengths.
+This module drives the round engine: the data center encodes the query
+batch, :func:`repro.topology.router.run_two_tier_round` broadcasts the
+artifact to every participating base station (downlink), runs their matching
+phase through a pluggable sharded executor and carries their reports back
+(uplink) over the deployment's tier map — the star is its trunkless
+one-level case — and the center aggregates them into the ranked top-K.  All
+traffic moves as *encoded wire bytes* exposed to the round's seeded fault
+plan, so a surviving round is always exactly correct and byte counts are
+real encoded lengths.
 
 Around that engine the :class:`Cluster` presents the system's one public
 surface:
@@ -49,9 +50,9 @@ from repro.datagen.source import DatasetStationSource, StationSource
 from repro.datagen.workload import build_dataset
 from repro.distributed.basestation import BaseStationNode
 from repro.distributed.datacenter import DataCenterNode
-from repro.distributed.executor import ShardedStationRunner, merge_shard_outcomes
+from repro.distributed.executor import ShardedStationRunner
 from repro.distributed.faults import FaultPlan, resolve_fault_plan
-from repro.distributed.messages import Message, MessageKind, estimated_size_fallbacks
+from repro.distributed.messages import estimated_size_fallbacks
 from repro.distributed.metrics import CostReport
 from repro.distributed.network import NetworkConfig, SimulatedNetwork
 from repro.distributed.transport.base import Transport
@@ -62,14 +63,14 @@ from repro.distributed.simulator import (
 )
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
-from repro.distributed.events import RoundTimeoutError
 from repro.topology.router import (
     REGION_SEED_LABEL,
     TRUNK_SEED_LABEL,
     run_two_tier_round,
     ship_two_tier_deltas,
 )
-from repro.topology.tiers import TierMap, build_tier_map
+from repro.topology.spec import TopologySpec
+from repro.topology.tiers import build_tier_map
 from repro.utils.rng import derive_seed
 from repro.utils.validation import require_non_empty
 
@@ -143,11 +144,8 @@ class Cluster:
             fault_plan=spec.faults.profile,
             net_seed=spec.faults.net_seed,
             allow_partial=spec.faults.allow_partial,
+            topology=spec.topology,
         )
-        if spec.topology is not None and spec.topology.is_hierarchical:
-            # The tier map is a pure function of spec + station order, so it
-            # is built once here and never snapshotted: restore() keeps it.
-            self._tier_map = build_tier_map(self._station_order, spec.topology)
 
     @classmethod
     def adopt(
@@ -204,6 +202,7 @@ class Cluster:
         fault_plan: FaultPlan | str | None,
         net_seed: int | None,
         allow_partial: bool,
+        topology: TopologySpec | None = None,
     ) -> None:
         if not isinstance(source, StationSource):
             raise ConfigurationError(
@@ -251,7 +250,10 @@ class Cluster:
         self._transcripts: list[bytes] = []
         self._session: "ClusterSession | None" = None
         self._epoch = 0
-        self._tier_map: TierMap | None = None
+        # The tier map is a pure function of topology + station order, so it
+        # is built once here and never snapshotted: restore() keeps it.  No
+        # topology is the star, the trunkless one-level map.
+        self._tier_map = build_tier_map(self._station_order, topology or TopologySpec())
 
     # -- introspection ---------------------------------------------------------
 
@@ -447,23 +449,6 @@ class Cluster:
             self._runners[key] = runner
         return runner
 
-    def _network_for(
-        self, protocol: MatchingProtocol, net_seed: int | None = None
-    ) -> Transport:
-        """Fresh per-round transport, faults resolved like the executor knobs.
-
-        The backend is whatever the deployment's :class:`TransportSpec`
-        selected: the deterministic simulator, or real localhost sockets with
-        station worker processes (whose long-lived manager is created lazily
-        on the first round and torn down by :meth:`close`).
-        """
-        plan, net_seed = self._resolved_faults(protocol, net_seed)
-        return self._build_transport(
-            plan,
-            net_seed,
-            decode_backend=getattr(getattr(protocol, "config", None), "bit_backend", "auto"),
-        )
-
     def _resolved_faults(
         self, protocol: MatchingProtocol, net_seed: int | None
     ) -> tuple[FaultPlan, int]:
@@ -492,10 +477,13 @@ class Cluster:
     ) -> Transport:
         """One transport on the deployment's backend (``force_sim`` overrides).
 
-        The trunk hop of a two-tier deployment always rides the simulator —
-        aggregators are co-resident with the center, a sanctioned divergence
-        documented in ``docs/topology.md`` — which is what ``force_sim``
-        expresses.
+        The backend is whatever the deployment's :class:`TransportSpec`
+        selected: the deterministic simulator, or real localhost sockets with
+        station worker processes (whose long-lived manager is created lazily
+        on the first round and torn down by :meth:`close`).  The trunk hop of
+        a two-tier deployment always rides the simulator — aggregators are
+        co-resident with the center, a sanctioned divergence documented in
+        ``docs/topology.md`` — which is what ``force_sim`` expresses.
         """
         if self._transport_spec.transport == "tcp" and not force_sim:
             if self._tcp_manager is None:
@@ -525,25 +513,28 @@ class Cluster:
 
     def _tier_transports(
         self, protocol: MatchingProtocol, net_seed: int | None
-    ) -> tuple[Transport, dict[str, Transport], FaultPlan, int]:
-        """Fresh per-round transports for every tier of a two-tier deployment.
+    ) -> tuple[Transport | None, dict[str, Transport], FaultPlan, int]:
+        """Fresh per-round transports for every tier of the tier map.
 
-        Each tier derives its own seed from the round's net seed through a
-        stable label, so a hierarchical round replays exactly like a flat
-        one; a region with a degraded-profile override resolves its own
-        fault plan, every other tier inherits the deployment's.
+        Faults resolve like the executor knobs.  The star's one hop runs on
+        the round's own net seed; in a tree each tier derives its own seed
+        from it through a stable label, so a hierarchical round replays
+        exactly like a flat one.  A region with a degraded-profile override
+        resolves its own fault plan, every other tier inherits the
+        deployment's.  The trunk is ``None`` when the map has none.
         """
-        assert self._tier_map is not None
         plan, net_seed = self._resolved_faults(protocol, net_seed)
         decode_backend = getattr(
             getattr(protocol, "config", None), "bit_backend", "auto"
         )
-        trunk = self._build_transport(
-            plan,
-            derive_seed(net_seed, TRUNK_SEED_LABEL),
-            decode_backend=decode_backend,
-            force_sim=True,
-        )
+        trunk = None
+        if self._tier_map.has_trunk:
+            trunk = self._build_transport(
+                plan,
+                derive_seed(net_seed, TRUNK_SEED_LABEL),
+                decode_backend=decode_backend,
+                force_sim=True,
+            )
         regional: dict[str, Transport] = {}
         for region in self._tier_map.regions:
             region_plan = (
@@ -553,7 +544,11 @@ class Cluster:
             )
             regional[region.name] = self._build_transport(
                 region_plan,
-                derive_seed(net_seed, REGION_SEED_LABEL, region.name),
+                (
+                    net_seed
+                    if trunk is None
+                    else derive_seed(net_seed, REGION_SEED_LABEL, region.name)
+                ),
                 decode_backend=decode_backend,
             )
         return trunk, regional, plan, net_seed
@@ -642,146 +637,6 @@ class Cluster:
         options = options or RoundOptions()
         if k is None:
             k = options.k
-        if self._tier_map is not None:
-            return self._drive_two_tier(protocol, queries, k, options)
-        fallbacks_before = estimated_size_fallbacks()
-        participants = self._participants(options.station_ids)
-        self._last_participant_count = len(participants)
-        network = self._network_for(protocol, options.net_seed)
-        self._center.clear_inbox()
-        for station in self._nodes.values():
-            station.clear_inbox()
-
-        # Phase 1: encoding at the data center, then reliable dissemination —
-        # every station decodes the artifact from the wire bytes it received.
-        encode_start = time.perf_counter()
-        artifact = self._center.encode(protocol, queries)
-        encode_time = time.perf_counter() - encode_start
-
-        downlink_sends: list[tuple[Message, BaseStationNode]] = []
-        for station in participants:
-            message = Message(
-                sender=self._center.node_id,
-                recipient=station.node_id,
-                # The naive method distributes no artifact: stations receive
-                # only a tiny control trigger.
-                kind=(
-                    MessageKind.FILTER_DISSEMINATION
-                    if artifact is not None
-                    else MessageKind.CONTROL
-                ),
-                payload=artifact,
-            )
-            downlink_sends.append((message, station))
-        downlink = network.broadcast(downlink_sends)
-        lost_stations = set(downlink.failed_ids)
-        active_stations = [s for s in participants if s.node_id not in lost_stations]
-
-        # The matching phase runs against what actually crossed the wire: the
-        # artifact one surviving station decoded.  All surviving copies are
-        # equal by the transport's integrity guarantee (checksum + canonical
-        # codec), so one decoded instance is shared across shards rather than
-        # shipping N copies to process workers.
-        matching_artifact = (
-            active_stations[0].latest_artifact() if active_stations else artifact
-        )
-
-        # Phase 2: sharded per-station matching; simulated wall time is the
-        # maximum over shards (shards run concurrently, a shard sequentially).
-        runner = self._runner_for(protocol)
-        shard_outcomes = runner.run(protocol, active_stations, matching_artifact)
-        reports_by_station = merge_shard_outcomes(shard_outcomes)
-        shard_times = [outcome.elapsed_s for outcome in shard_outcomes]
-
-        # Phase 3a: reliable uplink in deterministic station order (frames
-        # serialize at the center's ingress independently of shard layout).
-        uplink_sends: list[tuple[Message, DataCenterNode]] = []
-        for station in active_stations:
-            reports = reports_by_station[station.node_id]
-            message = Message(
-                sender=station.node_id,
-                recipient=self._center.node_id,
-                kind=MessageKind.MATCH_REPORT,
-                payload=reports,
-            )
-            uplink_sends.append((message, self._center))
-        uplink = network.gather(uplink_sends)
-        lost_stations.update(uplink.failed_ids)
-
-        # Phase 3b: aggregation over the reports the center actually decoded,
-        # consumed in canonical station order so delivery reordering can never
-        # change the ranking.
-        decoded_by_sender = self._center.reports_by_sender()
-        uplink_payload_bytes = 0
-        all_reports: list[object] = []
-        for message, _receiver in uplink_sends:
-            if message.sender in decoded_by_sender:
-                uplink_payload_bytes += message.payload_bytes()
-                all_reports.extend(decoded_by_sender[message.sender])
-        aggregate_start = time.perf_counter()
-        results = self._center.aggregate(protocol, all_reports, k)
-        aggregate_time = time.perf_counter() - aggregate_start
-
-        stats = network.frame_stats()
-        artifact_bytes = _artifact_size_bytes(artifact)
-        costs = CostReport(
-            method=protocol.name,
-            downlink_bytes=network.downlink_bytes,
-            uplink_bytes=network.uplink_bytes,
-            message_count=network.message_count,
-            # The center keeps the artifact it built plus everything it received;
-            # every station keeps the artifact it received on top of its raw data.
-            storage_center_bytes=artifact_bytes + uplink_payload_bytes,
-            storage_station_bytes=artifact_bytes * len(active_stations),
-            encode_time_s=encode_time,
-            station_time_s=max(shard_times) if shard_times else 0.0,
-            aggregate_time_s=aggregate_time,
-            transmission_time_s=network.transmission_time_s(),
-            report_count=len(all_reports),
-            executor=runner.executor,
-            shard_count=len(shard_outcomes),
-            fault_profile=network.fault_plan.name,
-            net_seed=network.seed,
-            retransmit_count=stats.retransmit_count,
-            dropped_frame_count=stats.frames_dropped,
-            duplicate_frame_count=stats.frames_duplicate,
-            corrupt_frame_count=stats.frames_corrupt,
-            lost_station_count=len(lost_stations),
-            goodput_fraction=stats.goodput_fraction,
-            # How many times this round's byte accounting fell back to the
-            # estimate model (0 = every charged byte is a real codec byte).
-            extra=(
-                {"estimated_size_fallbacks": float(fallback_count)}
-                if (fallback_count := estimated_size_fallbacks() - fallbacks_before)
-                else {}
-            ),
-        )
-        outcome = SimulationOutcome(
-            method=protocol.name,
-            results=results,
-            costs=costs,
-            transcript=network.transcript,
-        )
-        # A lazy round is generate → encode → match → release: transient
-        # nodes go back to the source's LRU before the next round's touch set.
-        self._release_transient()
-        return outcome
-
-    def _drive_two_tier(
-        self,
-        protocol: MatchingProtocol,
-        queries: Sequence[QueryPattern],
-        k: int | None,
-        options: RoundOptions,
-    ) -> SimulationOutcome:
-        """One hierarchical round: the router runs the tree, this accounts it.
-
-        Phase structure and cost semantics live in
-        :func:`repro.topology.router.run_two_tier_round`; this wrapper keeps
-        exactly the flat engine's responsibilities — participant resolution,
-        encode/aggregate timing, storage accounting, lazy-node release — so
-        the two paths stay symmetrical.
-        """
         fallbacks_before = estimated_size_fallbacks()
         participants = self._participants(options.station_ids)
         self._last_participant_count = len(participants)
@@ -792,6 +647,10 @@ class Cluster:
         for station in self._nodes.values():
             station.clear_inbox()
 
+        # Phase 1: encoding at the data center.  The router then runs the
+        # rest of the round over the tier map: dissemination (every station
+        # decodes the artifact from the wire bytes it received), sharded
+        # matching, and the uplink to the center.
         encode_start = time.perf_counter()
         artifact = self._center.encode(protocol, queries)
         encode_time = time.perf_counter() - encode_start
@@ -808,6 +667,8 @@ class Cluster:
             runner=runner,
         )
 
+        # Phase 3: aggregation over the reports the center actually decoded,
+        # in canonical order, so delivery reordering never changes the ranking.
         aggregate_start = time.perf_counter()
         results = self._center.aggregate(protocol, routed.all_reports, k)
         aggregate_time = time.perf_counter() - aggregate_start
@@ -818,11 +679,13 @@ class Cluster:
             downlink_bytes=routed.downlink_bytes,
             uplink_bytes=routed.uplink_bytes,
             message_count=routed.message_count,
-            # The center keeps its artifact plus the decoded summaries; every
-            # station still keeps one artifact copy on top of its raw data.
-            storage_center_bytes=artifact_bytes + routed.summary_payload_bytes,
+            # The center keeps the artifact it built plus every payload that
+            # landed at it; every station keeps the artifact it received on
+            # top of its raw data.
+            storage_center_bytes=artifact_bytes + routed.center_payload_bytes,
             storage_station_bytes=artifact_bytes * len(routed.active_stations),
             encode_time_s=encode_time,
+            # Shards run concurrently, a shard sequentially.
             station_time_s=max(routed.shard_times) if routed.shard_times else 0.0,
             aggregate_time_s=aggregate_time,
             transmission_time_s=routed.transmission_time_s,
@@ -838,6 +701,8 @@ class Cluster:
             lost_station_count=routed.lost_station_count,
             goodput_fraction=routed.goodput_fraction,
             tiers=routed.tier_costs,
+            # How many times this round's byte accounting fell back to the
+            # estimate model (0 = every charged byte is a real codec byte).
             extra=(
                 {"estimated_size_fallbacks": float(fallback_count)}
                 if (fallback_count := estimated_size_fallbacks() - fallbacks_before)
@@ -850,6 +715,8 @@ class Cluster:
             costs=costs,
             transcript=routed.transcript,
         )
+        # A lazy round is generate → encode → match → release: transient
+        # nodes go back to the source's LRU before the next round's touch set.
         self._release_transient()
         return outcome
 
@@ -1170,6 +1037,13 @@ class ClusterSession:
             self._artifact_bytes = _artifact_size_bytes(self._inner.artifact)
 
     def _step_deltas(self, options: RoundOptions) -> RoundReport:
+        """One delta step: ship the dirty stations' deltas up the tier map.
+
+        A station is settled — marked clean and its reports served by the
+        center's ranking — only when its delta reached the center; a delta
+        that did not stays dirty and re-ships next step.  A strict-network
+        timeout settles what did arrive first, then raises.
+        """
         if options.station_ids is not None:
             raise ValueError(
                 "station_ids does not apply to a delta session; express churn "
@@ -1178,117 +1052,35 @@ class ClusterSession:
         inner = self._ensure_inner()
         cluster = self._cluster
         protocol = cluster._require_protocol()
-        active_count = inner.station_count
-        if cluster._tier_map is not None:
-            return self._step_deltas_two_tier(options, inner, protocol, active_count)
         # Downlink is charged when the artifact changed (rotation: every
         # active station re-downloads it) and for stations that joined since
         # the last step (they receive the current artifact before matching).
-        if self._refreshed:
-            downlink_bytes = self._artifact_bytes * active_count
-        else:
-            downlink_bytes = self._artifact_bytes * len(self._newly_published)
-        network = cluster._network_for(protocol, options.net_seed)
-        self._center.clear_inbox()
-        delivered = inner.ship_deltas(network, self._center)
-        for sender, reports in self._center.reports_by_sender().items():
-            self._ranking.replace(sender, reports)
-        stats = network.frame_stats()
-        report = RoundReport(
-            round_index=cluster._round_index,
-            mode="delta",
-            results=self._ranking.results(options.k),
-            query_count=len(cluster.queries),
-            active_station_count=active_count,
-            downlink_bytes=downlink_bytes,
-            uplink_bytes=network.uplink_bytes,
-            latency_s=network.transmission_time_s(),
-            goodput_fraction=stats.goodput_fraction,
-            retransmit_count=stats.retransmit_count,
-            lost_station_count=len(inner.dirty_station_ids),
-            transcript=network.transcript,
-            delivered_station_ids=tuple(delivered),
-        )
-        self._refreshed = False
-        self._newly_published.clear()
-        cluster._record(report.transcript_bytes())
-        return report
-
-    def _step_deltas_two_tier(
-        self,
-        options: RoundOptions,
-        inner: ContinuousMatchingSession,
-        protocol: MatchingProtocol,
-        active_count: int,
-    ) -> RoundReport:
-        """One delta step routed through the two-tier tree.
-
-        The dirty stations' deltas ride
-        :func:`repro.topology.router.ship_two_tier_deltas`; a station is
-        marked clean — and the center's view of it refreshed — only when its
-        region's trunk summary delivered, so a delta stranded at an
-        aggregator stays dirty and retries next step.
-        """
-        cluster = self._cluster
-        tier_map = cluster._tier_map
-        assert tier_map is not None
-        # Artifact refreshes fan down the tree: once per affected region's
-        # trunk hop, then once per affected station on the regional hop.
-        if self._refreshed:
-            affected = inner.station_ids
-        else:
-            affected = [sid for sid in self._newly_published if sid in inner]
-        affected_regions = {tier_map.region_of(sid).name for sid in affected}
-        downlink_bytes = self._artifact_bytes * (
-            len(affected) + len(affected_regions)
+        affected = inner.station_ids if self._refreshed else self._newly_published
+        downlink_bytes = self._artifact_bytes * cluster._tier_map.artifact_copies(
+            affected
         )
 
         trunk, regional, _plan, _net_seed = cluster._tier_transports(
             protocol, options.net_seed
         )
-        deltas = {
-            station_id: inner.reports_for(station_id)
-            for station_id in inner.dirty_station_ids
-        }
-        self._center.clear_inbox()
-        try:
-            shipped = ship_two_tier_deltas(
-                center=self._center,
-                tier_map=tier_map,
-                deltas=deltas,
-                trunk_transport=trunk,
-                regional_transports=regional,
-            )
-        except RoundTimeoutError as error:
-            # Regions whose summary landed before the trunk failed already
-            # delivered their stations' deltas: settle those exactly-once,
-            # then surface the failure like the flat path does.
-            inner.mark_delivered(
-                {
-                    station_id: len(
-                        Message(
-                            sender=station_id,
-                            recipient=self._center.node_id,
-                            kind=MessageKind.MATCH_REPORT,
-                            payload=deltas[station_id],
-                            wire_version=tier_map.region_of(station_id).wire_version,
-                        ).payload_wire()
-                    )
-                    for station_id in error.delivered_ids
-                }
-            )
-            raise
+        shipped = ship_two_tier_deltas(
+            center=self._center,
+            tier_map=cluster._tier_map,
+            deltas={sid: inner.reports_for(sid) for sid in inner.dirty_station_ids},
+            trunk_transport=trunk,
+            regional_transports=regional,
+        )
         inner.mark_delivered(shipped.payload_bytes_by_station)
-        for station_id in shipped.delivered_station_ids:
-            self._ranking.replace(
-                station_id, shipped.reports_by_station.get(station_id, [])
-            )
+        for station_id, reports in shipped.reports_by_station.items():
+            self._ranking.replace(station_id, reports)
+        if shipped.error is not None:
+            raise shipped.error
         report = RoundReport(
             round_index=cluster._round_index,
             mode="delta",
             results=self._ranking.results(options.k),
             query_count=len(cluster.queries),
-            active_station_count=active_count,
+            active_station_count=inner.station_count,
             downlink_bytes=downlink_bytes,
             uplink_bytes=shipped.uplink_bytes,
             latency_s=shipped.transmission_time_s,

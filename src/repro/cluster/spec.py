@@ -264,7 +264,7 @@ class ClusterSpec:
     executor: ExecutorSpec = field(default_factory=ExecutorSpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
     #: Tier layout; ``None`` (and ``kind="star"``) is the paper's flat star —
-    #: both drive the exact flat round engine, byte-identically.
+    #: both run the round engine's trunkless one-level map, byte-identically.
     topology: TopologySpec | None = None
 
     def __post_init__(self) -> None:

@@ -205,9 +205,10 @@ class ContinuousMatchingSession:
         """Mark stations clean after an *external* transport shipped their deltas.
 
         ``delivered`` maps station id to the payload wire bytes that reached
-        the center — the two-tier router ships deltas through its own tree of
-        transports and settles the session's dirty/shipped ledger through
-        this verb, exactly like :meth:`ship_deltas` settles the flat path.
+        the center — the cluster facade ships deltas through the router's
+        tier map of transports and settles the session's dirty/shipped
+        ledger through this verb, exactly like :meth:`ship_deltas` settles
+        its own single-transport shipment.
         """
         for station_id, payload_bytes in delivered.items():
             self._dirty.pop(station_id, None)

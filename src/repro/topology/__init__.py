@@ -10,9 +10,10 @@ fault-free round still ranks byte-identically to the flat star (the parity
 suite pins this across all four protocols).
 
 Layering: ``topology`` sits between ``distributed`` (whose transports,
-messages and nodes it routes) and ``cluster`` (whose facade drives
-:func:`run_two_tier_round` when a :class:`TopologySpec` asks for it); the
-workload layer above binds tenants and scenarios to it.
+messages and nodes it routes) and ``cluster`` (whose facade drives every
+round through :func:`run_two_tier_round` and every delta step through
+:func:`ship_two_tier_deltas` — the flat star is the trunkless one-level tier
+map); the workload layer above binds tenants and scenarios to it.
 """
 
 from repro.topology.aggregator import RegionalAggregator, dedupe_weighted_reports

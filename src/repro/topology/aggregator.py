@@ -62,10 +62,10 @@ class RegionalAggregator(DataCenterNode):
         """Union the inbox's decoded reports into one upstream payload.
 
         ``sender_order`` is the canonical station order of this region's
-        round participants; consuming the inbox in that order (never in
-        delivery order) keeps the summary — and therefore the center's
-        aggregation input — independent of network reordering, exactly like
-        the flat engine's uplink consumption.
+        round participants, or a delta shipment's send order; consuming the
+        inbox in that order (never in delivery order) keeps the summary —
+        and therefore the center's aggregation input — independent of
+        network reordering, exactly like a star's uplink consumption.
         """
         grouped = self.reports_by_sender()
         merged: list[object] = []

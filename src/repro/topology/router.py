@@ -1,15 +1,15 @@
-"""The two-tier round engine: center ⇄ regional aggregators ⇄ stations.
+"""The round engine: center ⇄ (regional aggregators ⇄) stations over a tier map.
 
-:func:`run_two_tier_round` drives one hierarchical matching round over the
-same :class:`~repro.distributed.transport.base.Transport` contract the flat
-engine uses — one trunk transport for the aggregator↔center hop and one
-transport per region for the aggregator↔stations hop — without changing the
-frame protocol: every hop moves ordinary
+:func:`run_two_tier_round` drives one matching round over the
+:class:`~repro.topology.tiers.TierMap` and the
+:class:`~repro.distributed.transport.base.Transport` contract — one
+transport per region for the region's hop, plus a trunk transport for the
+aggregator↔center hop when the map has a trunk — without changing the frame
+protocol: every hop moves ordinary
 :class:`~repro.distributed.messages.Message` envelopes, so both backends
-(deterministic simulator and real TCP sockets) carry the regional tier
-unmodified.
+(deterministic simulator and real TCP sockets) carry every tier unmodified.
 
-Phase order (the reverse tree of the flat round's two phases)::
+Phase order (the reverse tree of the paper's two phases)::
 
     trunk downlink   center      → aggregators   (artifact, once per region)
     regional downlink aggregator → stations      (artifact fan-out)
@@ -17,16 +17,21 @@ Phase order (the reverse tree of the flat round's two phases)::
     regional uplink   stations   → aggregator    (per-station reports)
     trunk uplink      aggregator → center        (one deduplicated summary)
 
+The star is the trunkless one-level map: its one region's parent is the
+center itself, so only the two regional phases run, on the round's own
+transport — which is exactly the paper's flat round, phase markers of empty
+phases included.
+
 Regions are contiguous slices of the station order and every inbox is
 consumed in canonical station/region order, so a fault-free two-tier round
 feeds the aggregation phase exactly the flat round's report sequence — the
 ranking-parity invariant the test suite pins across all four protocols.
 
 Latency composes as ``trunk_down + max(regional_down) + max(regional_up) +
-trunk_up``: the regional subtrees run in parallel (each region has its own
-ingress link), while the trunk serializes at the center's ingress — which is
-also why ``center_ingress_bytes`` (the trunk uplink) is the headline
-quantity the hierarchy exists to shrink.
+trunk_up`` (absent trunk terms are ``0.0``): the regional subtrees run in
+parallel (each region has its own ingress link), while the trunk serializes
+at the center's ingress — which is also why ``center_ingress_bytes`` (the
+trunk uplink) is the headline quantity the hierarchy exists to shrink.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.distributed.events import RoundTimeoutError
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.metrics import TierCost
 from repro.topology.aggregator import RegionalAggregator
@@ -47,16 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.executor import ShardedStationRunner
     from repro.distributed.transport.base import Transport
 
-#: Seed-derivation labels for the per-tier transports: every tier draws its
-#: fault randomness from the round's net seed through its own label, so a
-#: two-tier round is exactly as replayable as a flat one.
+#: Seed-derivation labels for the per-tier transports of a map with a trunk:
+#: every tier draws its fault randomness from the round's net seed through
+#: its own label, so a two-tier round is exactly as replayable as a flat one.
 TRUNK_SEED_LABEL = "topology-trunk"
 REGION_SEED_LABEL = "topology-region"
 
 
 @dataclass
 class TwoTierRoundResult:
-    """Everything the facade needs to account one hierarchical round."""
+    """Everything the facade needs to account one routed round."""
 
     all_reports: list[object]
     active_stations: list["BaseStationNode"]
@@ -72,8 +78,9 @@ class TwoTierRoundResult:
     goodput_fraction: float
     transmission_time_s: float
     transcript: tuple["TranscriptEntry", ...]
-    #: Decoded summary payload bytes that landed at the center (storage).
-    summary_payload_bytes: int
+    #: Decoded payload bytes that landed at the center (storage): the
+    #: trunk summaries, or the station reports of a star.
+    center_payload_bytes: int
     shard_times: list[float] = field(default_factory=list)
     shard_count: int = 0
 
@@ -82,7 +89,7 @@ def _artifact_message(
     sender: str, recipient: str, artifact: object | None, wire_version: int
 ) -> Message:
     # The naive method distributes no artifact: stations receive only a tiny
-    # control trigger, exactly like the flat engine's downlink.
+    # control trigger.
     return Message(
         sender=sender,
         recipient=recipient,
@@ -96,6 +103,31 @@ def _artifact_message(
     )
 
 
+def _report_message(
+    sender: str, head: "DataCenterNode", reports: object, wire_version: int
+) -> tuple[Message, "DataCenterNode"]:
+    return (
+        Message(
+            sender=sender,
+            recipient=head.node_id,
+            kind=MessageKind.MATCH_REPORT,
+            payload=reports,
+            wire_version=wire_version,
+        ),
+        head,
+    )
+
+
+def _heads(
+    regions: Sequence[Region], center: "DataCenterNode", trunked: bool
+) -> dict[str, "DataCenterNode"]:
+    """The node each region's hop terminates at: its aggregator, or the center."""
+    return {
+        region.name: RegionalAggregator(region) if trunked else center
+        for region in regions
+    }
+
+
 def run_two_tier_round(
     *,
     protocol: "MatchingProtocol",
@@ -103,18 +135,18 @@ def run_two_tier_round(
     tier_map: TierMap,
     participants: Sequence["BaseStationNode"],
     artifact: object | None,
-    trunk_transport: "Transport",
+    trunk_transport: "Transport | None",
     regional_transports: Mapping[str, "Transport"],
     runner: "ShardedStationRunner",
 ) -> TwoTierRoundResult:
-    """Drive one full two-tier round and return its routed outcome.
+    """Drive one full round over ``tier_map`` and return its routed outcome.
 
     ``participants`` is the round's station set in the cluster's canonical
     order; ``regional_transports`` maps region names to the fresh per-round
-    transports their hop runs over.  Raises
-    :class:`~repro.distributed.events.RoundTimeoutError` exactly like the
-    flat engine when a transfer exhausts its budget and the transports do
-    not allow partial phases.
+    transports their hop runs over, and ``trunk_transport`` is ``None``
+    exactly when the map has no trunk.  Raises
+    :class:`~repro.distributed.events.RoundTimeoutError` when a transfer
+    exhausts its budget and the transports do not allow partial phases.
     """
     from repro.distributed.executor import merge_shard_outcomes
 
@@ -122,107 +154,108 @@ def run_two_tier_round(
     for station in participants:
         region = tier_map.region_of(station.node_id)
         by_region.setdefault(region.name, []).append(station)
-    # Regions participate in region order; a region none of whose stations
-    # joined the round is skipped entirely (its cell is offline this round).
+    # A region none of whose stations joined the round is skipped entirely
+    # (its cell is offline this round).  A trunkless map's one region is the
+    # round itself, so its hop runs even when it carries nothing.
     active_regions: list[Region] = [
-        region for region in tier_map.regions if by_region.get(region.name)
+        region
+        for region in tier_map.regions
+        if by_region.get(region.name) or trunk_transport is None
     ]
-
     center.clear_inbox()
-    aggregators = {
-        region.name: RegionalAggregator(region) for region in active_regions
-    }
+    heads = _heads(active_regions, center, trunk_transport is not None)
 
     # Phase 1a: trunk downlink — the artifact travels once per region, not
     # once per station; this hop always terminates at co-resident aggregators.
-    trunk_down = trunk_transport.broadcast(
-        [
-            (
-                _artifact_message(
-                    center.node_id,
-                    region.aggregator_id,
-                    artifact,
-                    tier_map.trunk_wire_version,
-                ),
-                aggregators[region.name],
-            )
+    lost_station_count = 0
+    trunk_down_s = 0.0
+    served_regions = active_regions
+    if trunk_transport is not None:
+        trunk_down = trunk_transport.broadcast(
+            [
+                (
+                    _artifact_message(
+                        center.node_id,
+                        region.aggregator_id,
+                        artifact,
+                        tier_map.trunk_wire_version,
+                    ),
+                    heads[region.name],
+                )
+                for region in active_regions
+            ]
+        )
+        trunk_down_s = trunk_down.duration_s
+        lost_aggregators = set(trunk_down.failed_ids)
+        lost_station_count = sum(
+            len(by_region[region.name])
             for region in active_regions
+            if region.aggregator_id in lost_aggregators
+        )
+        served_regions = [
+            region
+            for region in active_regions
+            if region.aggregator_id not in lost_aggregators
         ]
-    )
-    lost_aggregators = set(trunk_down.failed_ids)
-    lost_station_count = sum(
-        len(by_region[region.name])
-        for region in active_regions
-        if region.aggregator_id in lost_aggregators
-    )
-    served_regions = [
-        region
-        for region in active_regions
-        if region.aggregator_id not in lost_aggregators
-    ]
 
-    # Phase 1b: regional downlink — each surviving aggregator fans the
-    # artifact it decoded out to its region's stations, in parallel across
+    # Phase 1b: regional downlink — each served region's head fans the
+    # artifact it holds out to the region's stations, in parallel across
     # regions (each region runs on its own transport with its own ingress).
     region_down_durations: list[float] = []
+    survivors: dict[str, list["BaseStationNode"]] = {}
     active_stations: list["BaseStationNode"] = []
     for region in served_regions:
-        aggregator = aggregators[region.name]
-        relayed = _relayed_artifact(aggregator, artifact)
+        head = heads[region.name]
+        relayed = _relayed_artifact(head, artifact)
+        members = by_region.get(region.name, [])
         outcome = regional_transports[region.name].broadcast(
             [
                 (
                     _artifact_message(
-                        region.aggregator_id,
-                        station.node_id,
-                        relayed,
-                        region.wire_version,
+                        head.node_id, station.node_id, relayed, region.wire_version
                     ),
                     station,
                 )
-                for station in by_region[region.name]
+                for station in members
             ]
         )
         region_down_durations.append(outcome.duration_s)
         lost = set(outcome.failed_ids)
         lost_station_count += len(lost)
-        active_stations.extend(
-            station
-            for station in by_region[region.name]
-            if station.node_id not in lost
-        )
+        survivors[region.name] = [
+            station for station in members if station.node_id not in lost
+        ]
+        active_stations.extend(survivors[region.name])
 
     # Phase 2: sharded matching against one decoded artifact instance, over
     # the concatenation of the regions' survivors — which, because regions
-    # are contiguous slices, is the flat engine's global station order.
+    # are contiguous slices, is the global station order.  All surviving
+    # copies are equal by the transport's integrity guarantee, so one
+    # decoded instance is shared across shards.
     matching_artifact = (
         active_stations[0].latest_artifact() if active_stations else artifact
     )
     shard_outcomes = runner.run(protocol, active_stations, matching_artifact)
     reports_by_station = merge_shard_outcomes(shard_outcomes)
     shard_times = [outcome.elapsed_s for outcome in shard_outcomes]
-    active_ids = {station.node_id for station in active_stations}
 
     # Phase 3a: regional uplink — per-station reports into the region's
-    # aggregator ingress, again in parallel across regions.
+    # head, again in parallel across regions.
     region_up_durations: list[float] = []
+    center_sends: list[tuple[Message, "DataCenterNode"]] = []
     for region in served_regions:
-        aggregator = aggregators[region.name]
         sends = [
-            (
-                Message(
-                    sender=station.node_id,
-                    recipient=region.aggregator_id,
-                    kind=MessageKind.MATCH_REPORT,
-                    payload=reports_by_station[station.node_id],
-                    wire_version=region.wire_version,
-                ),
-                aggregator,
+            _report_message(
+                station.node_id,
+                heads[region.name],
+                reports_by_station[station.node_id],
+                region.wire_version,
             )
-            for station in by_region[region.name]
-            if station.node_id in active_ids
+            for station in survivors[region.name]
         ]
-        if not sends:
+        if trunk_transport is None:
+            center_sends = sends
+        elif not sends:
             continue
         outcome = regional_transports[region.name].gather(sends)
         region_up_durations.append(outcome.duration_s)
@@ -230,50 +263,47 @@ def run_two_tier_round(
 
     # Phase 3b: trunk uplink — one deduplicated summary per region, consumed
     # at the center in region order so reordering can never change rankings.
-    summary_sends: list[tuple[Message, "DataCenterNode"]] = []
-    for region in served_regions:
-        summary = aggregators[region.name].summarize(
-            [station.node_id for station in by_region[region.name]]
-        )
-        summary_sends.append(
-            (
-                Message(
-                    sender=region.aggregator_id,
-                    recipient=center.node_id,
-                    kind=MessageKind.MATCH_REPORT,
-                    payload=summary,
-                    wire_version=tier_map.trunk_wire_version,
-                ),
+    trunk_up_s = 0.0
+    if trunk_transport is not None:
+        center_sends = [
+            _report_message(
+                region.aggregator_id,
                 center,
+                heads[region.name].summarize(
+                    [station.node_id for station in by_region[region.name]]
+                ),
+                tier_map.trunk_wire_version,
             )
-        )
-    trunk_up = trunk_transport.gather(summary_sends) if summary_sends else None
-    failed_summaries = set(trunk_up.failed_ids) if trunk_up is not None else set()
-    for region in served_regions:
-        if region.aggregator_id in failed_summaries:
-            # The whole region's reports never reached the center this round.
+            for region in served_regions
+        ]
+        if center_sends:
+            trunk_up = trunk_transport.gather(center_sends)
+            trunk_up_s = trunk_up.duration_s
+            # A failed summary loses the whole region's reports this round.
+            failed_summaries = set(trunk_up.failed_ids)
             lost_station_count += sum(
-                1
-                for station in by_region[region.name]
-                if station.node_id in active_ids
+                len(survivors[region.name])
+                for region in served_regions
+                if region.aggregator_id in failed_summaries
             )
 
+    # Aggregation input: what the center decoded, in canonical send order.
     decoded_by_sender = center.reports_by_sender()
     all_reports: list[object] = []
-    summary_payload_bytes = 0
-    for message, _receiver in summary_sends:
+    center_payload_bytes = 0
+    for message, _receiver in center_sends:
         if message.sender in decoded_by_sender:
-            summary_payload_bytes += message.payload_bytes()
+            center_payload_bytes += message.payload_bytes()
             all_reports.extend(decoded_by_sender[message.sender])
 
     tier_costs, totals = _tier_ledger(
         tier_map, served_regions, trunk_transport, regional_transports
     )
     transmission_time_s = (
-        trunk_down.duration_s
+        trunk_down_s
         + max(region_down_durations, default=0.0)
         + max(region_up_durations, default=0.0)
-        + (trunk_up.duration_s if trunk_up is not None else 0.0)
+        + trunk_up_s
     )
     return TwoTierRoundResult(
         all_reports=all_reports,
@@ -284,7 +314,7 @@ def run_two_tier_round(
         transcript=_composed_transcript(
             trunk_transport, [regional_transports[r.name] for r in served_regions]
         ),
-        summary_payload_bytes=summary_payload_bytes,
+        center_payload_bytes=center_payload_bytes,
         shard_times=shard_times,
         shard_count=len(shard_outcomes),
         **totals,
@@ -293,13 +323,14 @@ def run_two_tier_round(
 
 @dataclass
 class TwoTierDeltaResult:
-    """Everything a delta session needs to settle one hierarchical shipment."""
+    """Everything a delta session needs to settle one routed shipment."""
 
-    #: Stations whose delta reached the *center* (regional hop delivered AND
-    #: the region's trunk summary delivered) — only these are marked clean.
+    #: Stations whose delta reached the *center* (in a tree: the regional hop
+    #: delivered AND the region's trunk summary delivered), in send order —
+    #: only these are settled.
     delivered_station_ids: tuple[str, ...]
-    #: Per delivered station, the reports the aggregator decoded off the
-    #: regional wire — the center-side state attribution for those stations.
+    #: Per delivered station, the reports decoded off the regional wire — the
+    #: center-side state attribution for those stations.
     reports_by_station: dict[str, list[object]]
     #: Per delivered station, the payload wire bytes its delta occupied on
     #: the regional hop — what the session's shipped-bytes ledger records.
@@ -315,148 +346,130 @@ class TwoTierDeltaResult:
     transmission_time_s: float
     transcript: tuple["TranscriptEntry", ...]
     lost_station_count: int
+    #: The timeout that stopped the shipment, or ``None``.  The stations
+    #: above were delivered before it; the caller settles them, then raises.
+    error: RoundTimeoutError | None = None
 
 
 def ship_two_tier_deltas(
     *,
     center: "DataCenterNode",
     tier_map: TierMap,
-    deltas: Mapping[str, Sequence[object]],
-    trunk_transport: "Transport",
+    deltas: Mapping[str, list[object]],
+    trunk_transport: "Transport | None",
     regional_transports: Mapping[str, "Transport"],
 ) -> TwoTierDeltaResult:
-    """Ship dirty stations' delta reports up the two-tier tree.
+    """Ship dirty stations' delta reports up the tier map.
 
     The uplink half of :func:`run_two_tier_round`, for continuous sessions:
-    each dirty station's cached reports travel to its regional aggregator,
-    every region that received at least one delta re-encodes one deduplicated
-    summary onto the trunk, and a station counts as *delivered* only when its
-    region's summary reached the center — a delta stranded at an aggregator
-    by a trunk fault stays dirty and re-ships next step, so the tree never
-    silently loses an update.
+    each dirty station's cached reports travel, in ``deltas`` (update) order,
+    to its region's head.  In a tree every region that received at least one
+    delta re-encodes one deduplicated summary onto the trunk, and a station
+    counts as *delivered* only when its region's summary reached the center —
+    a delta stranded at an aggregator by a trunk fault stays dirty and
+    re-ships next step, so the tree never silently loses an update.
 
-    Raises :class:`~repro.distributed.events.RoundTimeoutError` like the flat
-    :meth:`~repro.core.streaming.ContinuousMatchingSession.ship_deltas`; on a
-    trunk-phase timeout the re-raised error's ``delivered_ids`` are *station*
-    ids (the regions whose summary landed before the failure), so callers can
-    settle exactly-once semantics at station granularity.
+    A strict transport that cannot converge does not raise here: the result
+    carries the :class:`~repro.distributed.events.RoundTimeoutError` in
+    ``error``, next to the stations that reached the center before it, so
+    the caller can settle those exactly once before raising.
     """
-    from repro.distributed.events import RoundTimeoutError
-
-    dirty_names = {tier_map.region_of(sid).name for sid in deltas}
-    dirty_regions = [region for region in tier_map.regions if region.name in dirty_names]
-    aggregators = {
-        region.name: RegionalAggregator(region) for region in dirty_regions
-    }
+    dirty: dict[str, list[str]] = {}
+    for station_id in deltas:
+        dirty.setdefault(tier_map.region_of(station_id).name, []).append(station_id)
+    # As in a round, a trunkless map's one hop runs even when it is empty.
+    regions = [
+        region
+        for region in tier_map.regions
+        if region.name in dirty or trunk_transport is None
+    ]
+    heads = _heads(regions, center, trunk_transport is not None)
     center.clear_inbox()
 
-    # Phase 1: regional uplink — deltas into each region's aggregator, in
-    # canonical station order within the region.  A strict-network timeout
-    # here aborts the shipment with nothing at the center, so no station is
-    # marked delivered.
+    # Phase 1: regional uplink — deltas into each region's head.  In a tree
+    # a timeout here aborts the shipment with nothing at the center yet.
+    error: RoundTimeoutError | None = None
     region_up_durations: list[float] = []
-    regional_sends: dict[str, list[tuple[Message, RegionalAggregator]]] = {}
-    regional_delivered: dict[str, list[str]] = {}
-    for region in dirty_regions:
-        aggregator = aggregators[region.name]
-        sends = [
-            (
-                Message(
-                    sender=station_id,
-                    recipient=region.aggregator_id,
-                    kind=MessageKind.MATCH_REPORT,
-                    payload=list(deltas[station_id]),
-                    wire_version=region.wire_version,
-                ),
-                aggregator,
+    regional_sends: dict[str, list[tuple[Message, "DataCenterNode"]]] = {}
+    landed: dict[str, tuple[str, ...]] = {}
+    for region in regions:
+        sends = regional_sends[region.name] = [
+            _report_message(
+                station_id, heads[region.name], deltas[station_id], region.wire_version
             )
-            for station_id in region.station_ids
-            if station_id in deltas
+            for station_id in dirty.get(region.name, ())
         ]
-        regional_sends[region.name] = sends
         try:
             outcome = regional_transports[region.name].gather(sends)
-        except RoundTimeoutError as error:
-            raise RoundTimeoutError(
-                f"regional delta uplink failed in {region.name}: {error}",
-                failed_transfers=error.failed_transfers,
-                delivered_ids=(),
-            ) from error
+        except RoundTimeoutError as failure:
+            if trunk_transport is None:
+                error = failure
+                landed[region.name] = failure.delivered_ids
+            else:
+                error = _relabelled(
+                    failure, f"regional delta uplink failed in {region.name}", ()
+                )
+                landed.clear()
+            break
         region_up_durations.append(outcome.duration_s)
-        delivered = set(outcome.delivered_ids)
-        regional_delivered[region.name] = [
-            message.sender for message, _ in sends if message.sender in delivered
-        ]
+        landed[region.name] = outcome.delivered_ids
 
-    # Phase 2: trunk uplink — one summary per region that received anything.
-    summary_sends: list[tuple[Message, "DataCenterNode"]] = []
-    stations_by_aggregator: dict[str, list[str]] = {}
-    for region in dirty_regions:
-        delivered_sids = regional_delivered[region.name]
-        if not delivered_sids:
-            continue
-        summary = aggregators[region.name].summarize(delivered_sids)
-        stations_by_aggregator[region.aggregator_id] = delivered_sids
-        summary_sends.append(
-            (
-                Message(
-                    sender=region.aggregator_id,
-                    recipient=center.node_id,
-                    kind=MessageKind.MATCH_REPORT,
-                    payload=summary,
-                    wire_version=tier_map.trunk_wire_version,
-                ),
-                center,
-            )
-        )
+    # Phase 2: trunk uplink — one summary per region that received anything;
+    # a region's stations reach the center only with its summary.
     trunk_duration = 0.0
-    trunk_failed: set[str] = set()
-    if summary_sends:
-        try:
-            trunk_up = trunk_transport.gather(summary_sends)
-        except RoundTimeoutError as error:
-            raise RoundTimeoutError(
-                f"trunk delta uplink failed: {error}",
-                failed_transfers=error.failed_transfers,
-                delivered_ids=tuple(
-                    station_id
-                    for aggregator_id in error.delivered_ids
-                    for station_id in stations_by_aggregator.get(aggregator_id, ())
-                ),
-            ) from error
-        trunk_duration = trunk_up.duration_s
-        trunk_failed = set(trunk_up.failed_ids)
+    if trunk_transport is not None and error is None:
+        summary_sends = [
+            _report_message(
+                region.aggregator_id,
+                center,
+                heads[region.name].summarize(landed[region.name]),
+                tier_map.trunk_wire_version,
+            )
+            for region in regions
+            if landed[region.name]
+        ]
+        if summary_sends:
+            try:
+                trunk_up = trunk_transport.gather(summary_sends)
+            except RoundTimeoutError as failure:
+                error = failure
+                summarized = set(failure.delivered_ids)
+            else:
+                trunk_duration = trunk_up.duration_s
+                summarized = set(trunk_up.delivered_ids)
+            landed = {
+                name: ids
+                for name, ids in landed.items()
+                if heads[name].node_id in summarized
+            }
+            if error is not None:
+                error = _relabelled(
+                    error,
+                    "trunk delta uplink failed",
+                    tuple(sid for ids in landed.values() for sid in ids),
+                )
 
-    decoded_summaries = center.reports_by_sender()
-    delivered_station_ids: list[str] = []
     reports_by_station: dict[str, list[object]] = {}
     payload_bytes_by_station: dict[str, int] = {}
-    for region in dirty_regions:
-        aggregator_id = region.aggregator_id
-        if (
-            aggregator_id not in stations_by_aggregator
-            or aggregator_id in trunk_failed
-            or aggregator_id not in decoded_summaries
-        ):
+    for region in regions:
+        delivered = set(landed.get(region.name, ()))
+        if not delivered:
             continue
-        decoded_regional = aggregators[region.name].reports_by_sender()
-        payload_sizes = {
-            message.sender: message.payload_bytes()
-            for message, _ in regional_sends[region.name]
-        }
-        for station_id in stations_by_aggregator[aggregator_id]:
-            delivered_station_ids.append(station_id)
-            reports_by_station[station_id] = list(
-                decoded_regional.get(station_id, [])
-            )
-            payload_bytes_by_station[station_id] = payload_sizes[station_id]
+        decoded = heads[region.name].reports_by_sender()
+        for message, _receiver in regional_sends[region.name]:
+            if message.sender in delivered:
+                reports_by_station[message.sender] = decoded.get(message.sender, [])
+                payload_bytes_by_station[message.sender] = message.payload_bytes()
 
     tier_costs, totals = _tier_ledger(
-        tier_map, dirty_regions, trunk_transport, regional_transports
+        tier_map, regions, trunk_transport, regional_transports
     )
     totals.pop("downlink_bytes")
+    hops = [regional_transports[r.name] for r in regions]
+    if trunk_transport is not None:
+        hops.append(trunk_transport)
     return TwoTierDeltaResult(
-        delivered_station_ids=tuple(delivered_station_ids),
+        delivered_station_ids=tuple(reports_by_station),
         reports_by_station=reports_by_station,
         payload_bytes_by_station=payload_bytes_by_station,
         tier_costs=tier_costs,
@@ -464,29 +477,37 @@ def ship_two_tier_deltas(
             max(region_up_durations, default=0.0) + trunk_duration
         ),
         # Chronological for the uplink-only tree: regions first, trunk last.
-        transcript=tuple(
-            entry
-            for transport in (
-                [regional_transports[r.name] for r in dirty_regions]
-                + [trunk_transport]
-            )
-            for entry in transport.transcript
-        ),
-        lost_station_count=len(deltas) - len(delivered_station_ids),
+        transcript=tuple(entry for hop in hops for entry in hop.transcript),
+        lost_station_count=len(deltas) - len(reports_by_station),
+        error=error,
         **totals,
     )
 
 
+def _relabelled(
+    failure: RoundTimeoutError, where: str, delivered_ids: tuple[str, ...]
+) -> RoundTimeoutError:
+    """``failure`` prefixed with the tree hop it happened on."""
+    error = RoundTimeoutError(
+        f"{where}: {failure}",
+        failed_transfers=failure.failed_transfers,
+        delivered_ids=delivered_ids,
+    )
+    error.__cause__ = failure
+    return error
+
+
 def _relayed_artifact(
-    aggregator: RegionalAggregator, artifact: object | None
+    head: "DataCenterNode", artifact: object | None
 ) -> object | None:
-    """The artifact instance the aggregator actually decoded off the trunk.
+    """The artifact instance the region's head actually decoded off the trunk.
 
     Fault-free this equals the center's artifact byte-for-byte (the transport
     guarantees integrity), and sharing the decoded instance keeps the
-    regional fan-out's encode memoized exactly like the flat broadcast.
+    regional fan-out's encode memoized exactly like a one-hop broadcast.  A
+    star's head is the center, whose inbox holds no artifact: it sends its own.
     """
-    for message in reversed(aggregator.inbox):
+    for message in reversed(head.inbox):
         if message.kind is MessageKind.FILTER_DISSEMINATION:
             return message.payload
     return artifact
@@ -495,14 +516,18 @@ def _relayed_artifact(
 def _tier_ledger(
     tier_map: TierMap,
     served_regions: Sequence[Region],
-    trunk_transport: "Transport",
+    trunk_transport: "Transport | None",
     regional_transports: Mapping[str, "Transport"],
 ) -> tuple[tuple[TierCost, ...], dict[str, object]]:
-    """Per-tier cost breakdown plus the cross-tier totals."""
+    """Per-tier cost breakdown plus the cross-tier totals.
+
+    A trunkless map reports no tier rows (``CostReport.tiers == ()`` is the
+    flat-star contract); its totals are its one transport's ledger.
+    """
     tiers: list[TierCost] = []
-    transports: list[tuple[str, int, "Transport"]] = [
-        ("trunk", tier_map.trunk_wire_version, trunk_transport)
-    ]
+    transports: list[tuple[str, int, "Transport"]] = []
+    if trunk_transport is not None:
+        transports.append(("trunk", tier_map.trunk_wire_version, trunk_transport))
     transports.extend(
         (region.name, region.wire_version, regional_transports[region.name])
         for region in served_regions
@@ -542,20 +567,22 @@ def _tier_ledger(
     totals["goodput_fraction"] = (
         payload_delivered / payload_sent if payload_sent else 1.0
     )
-    return tuple(tiers), totals
+    return (tuple(tiers) if trunk_transport is not None else ()), totals
 
 
 def _composed_transcript(
-    trunk_transport: "Transport", regional: Sequence["Transport"]
+    trunk_transport: "Transport | None", regional: Sequence["Transport"]
 ) -> tuple["TranscriptEntry", ...]:
     """One deterministic transcript for the whole tree.
 
-    Composition order is trunk first, then each served region in region
-    order — phase markers inside each transport's slice keep the downlink
-    and uplink halves readable, and the order is a pure function of the tier
-    map, never of delivery timing.
+    Composition order is the trunk (if any) first, then each served region
+    in region order — phase markers inside each transport's slice keep the
+    downlink and uplink halves readable, and the order is a pure function of
+    the tier map, never of delivery timing.
     """
-    entries: list["TranscriptEntry"] = list(trunk_transport.transcript)
+    entries: list["TranscriptEntry"] = (
+        list(trunk_transport.transcript) if trunk_transport is not None else []
+    )
     for transport in regional:
         entries.extend(transport.transcript)
     return tuple(entries)

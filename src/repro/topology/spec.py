@@ -13,7 +13,7 @@ state — the concrete station partition is computed against a station order by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.config import FAULT_PROFILE_CHOICES
 from repro.core.exceptions import ConfigurationError
@@ -21,6 +21,14 @@ from repro.wire import SUPPORTED_WIRE_VERSIONS
 
 #: Tier layouts the facade can deploy.
 TOPOLOGY_KINDS = ("star", "two-tier")
+
+#: Fields that only shape a regional tier; a star must leave them at default.
+_REGIONAL_FIELDS = (
+    "stations_per_region",
+    "legacy_regions",
+    "degraded_regions",
+    "wire_version",
+)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -43,9 +51,9 @@ class TopologySpec:
 
     ``kind="star"`` is the paper's flat layout and the default everywhere —
     a star deployment behaves byte-identically to a spec with no topology at
-    all.  ``kind="two-tier"`` partitions the station order into ``regions``
-    contiguous slices (balanced, or ``stations_per_region`` wide), each
-    served by a regional aggregator.  ``tenant_count`` declares how many
+    all, and rejects every regional knob.  ``kind="two-tier"`` partitions
+    the station order into ``regions`` contiguous slices (balanced, or
+    ``stations_per_region`` wide), each served by a regional aggregator.  ``tenant_count`` declares how many
     independent query streams share the deployment (the workload layer binds
     one :class:`~repro.workloads.spec.TenantSpec` per slot).
 
@@ -130,6 +138,18 @@ class TopologySpec:
                 not unknown,
                 f"{field_name} names unknown region(s) {unknown!r}; this "
                 f"topology declares {sorted(region_names)}",
+            )
+        if self.kind == "star":
+            regional = [
+                spec_field.name
+                for spec_field in fields(self)
+                if spec_field.name in _REGIONAL_FIELDS
+                and getattr(self, spec_field.name) != spec_field.default
+            ]
+            _require(
+                not regional,
+                f"a star topology has no regional tier; {', '.join(regional)} "
+                f"must keep the default",
             )
 
     @property

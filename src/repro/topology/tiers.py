@@ -1,21 +1,24 @@
 """The tier map: a concrete partition of one station order into regions.
 
 :func:`build_tier_map` turns a :class:`~repro.topology.spec.TopologySpec`
-plus the cluster's declared station order into the routing table a
-hierarchical round runs over.  Regions are *contiguous slices* of the
-station order — this is what makes two-tier rounds ranking-identical to
-flat-star rounds: concatenating the regions' per-station report streams in
-region order reproduces exactly the flat round's global station order, so
-the aggregation phase sees the same input sequence.
+plus the cluster's declared station order into the routing table every
+round runs over.  The star is the one-level map: one region holding every
+station, whose parent is the center itself, and no trunk.  A two-tier map
+cuts the order into *contiguous slices* behind regional aggregators — this
+is what makes two-tier rounds ranking-identical to flat-star rounds:
+concatenating the regions' per-station report streams in region order
+reproduces exactly the flat round's global station order, so the
+aggregation phase sees the same input sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.core.exceptions import ConfigurationError
+from repro.distributed.datacenter import DATA_CENTER_NODE_ID
 from repro.topology.spec import TopologySpec
 from repro.wire import WIRE_VERSION, negotiate_wire_version
 
@@ -25,6 +28,7 @@ class Region:
     """One regional slice: an aggregator and the stations behind it."""
 
     name: str
+    #: The region's parent node: its aggregator, or the center in a star.
     aggregator_id: str
     #: The region's stations, a contiguous slice of the cluster order.
     station_ids: tuple[str, ...]
@@ -36,11 +40,17 @@ class Region:
 
 @dataclass(frozen=True)
 class TierMap:
-    """The full routing table of a two-tier deployment."""
+    """The full routing table of a deployment."""
 
     regions: tuple[Region, ...]
-    #: Negotiated version of the aggregator↔center trunk hop.
-    trunk_wire_version: int = WIRE_VERSION
+    #: Negotiated version of the aggregator↔center trunk hop; ``None`` for a
+    #: map without a trunk, the star's one region under the center.
+    trunk_wire_version: int | None = WIRE_VERSION
+
+    @property
+    def has_trunk(self) -> bool:
+        """Whether regional aggregators forward summaries to the center."""
+        return self.trunk_wire_version is not None
 
     @cached_property
     def _region_by_station(self) -> dict[str, Region]:
@@ -57,6 +67,17 @@ class TierMap:
     def aggregator_ids(self) -> tuple[str, ...]:
         """Every aggregator id, in region order."""
         return tuple(region.aggregator_id for region in self.regions)
+
+    def artifact_copies(self, station_ids: Collection[str]) -> int:
+        """Artifact copies it costs to bring ``station_ids`` a new artifact.
+
+        One per station, plus, with a trunk, one per affected region's
+        aggregator.
+        """
+        copies = len(station_ids)
+        if self.has_trunk:
+            copies += len({self.region_of(sid).name for sid in station_ids})
+        return copies
 
 
 def region_slices(station_count: int, spec: TopologySpec) -> list[tuple[int, int]]:
@@ -95,19 +116,22 @@ def region_slices(station_count: int, spec: TopologySpec) -> list[tuple[int, int
 def build_tier_map(
     station_order: Sequence[str], spec: TopologySpec
 ) -> TierMap:
-    """Partition ``station_order`` into the spec's regional tier.
+    """Partition ``station_order`` into the spec's tier map.
 
-    Each region's hop version is negotiated between the version the upgraded
-    components write and what the region's stations can read (legacy regions
-    advertise only version 1); the trunk hop runs at the upgraded version,
-    since center and aggregators upgrade together.
+    A star is one region of every station under the center, with no trunk.
+    For a two-tier spec each region's hop version is negotiated between the
+    version the upgraded components write and what the region's stations can
+    read (legacy regions advertise only version 1); the trunk hop runs at the
+    upgraded version, since center and aggregators upgrade together.
     """
-    if not spec.is_hierarchical:
-        raise ConfigurationError(
-            f"a {spec.kind!r} topology has no tier map; only two-tier "
-            "deployments route through regions"
-        )
     order = [str(station_id) for station_id in station_order]
+    if not spec.is_hierarchical:
+        region = Region(
+            name=spec.region_name(0),
+            aggregator_id=DATA_CENTER_NODE_ID,
+            station_ids=tuple(order),
+        )
+        return TierMap(regions=(region,), trunk_wire_version=None)
     regions = []
     for index, (start, stop) in enumerate(region_slices(len(order), spec)):
         name = spec.region_name(index)

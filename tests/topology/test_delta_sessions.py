@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import Cluster
+from repro.cluster.spec import TransportSpec
+from repro.distributed.events import RoundTimeoutError
 from repro.topology import TopologySpec
 
-from .conftest import open_cluster
+from .conftest import make_spec, open_cluster
 
 TWO_TIER = TopologySpec(kind="two-tier", regions=2)
 
@@ -158,3 +161,36 @@ class TestDeterminism:
             full = cluster.drive(cluster.protocol, queries).results
         assert first == full
         assert returned == full
+
+
+class TestTimeoutSettlement:
+    @pytest.mark.parametrize(
+        ("topology", "failure"),
+        [(None, "uplink transfer"), (TWO_TIER, "trunk delta uplink failed: ")],
+        ids=["flat", "two-tier"],
+    )
+    def test_a_timed_out_step_still_ranks_what_delivered(
+        self, dataset, queries, topology, failure
+    ):
+        """A strict-network timeout settles the stations whose delta reached
+        the center — in the dirty ledger *and* in the ranking — before it
+        raises, so the retry ships only the rest and the final ranking is
+        the fault-free one."""
+        with open_cluster(dataset, topology=topology) as reference:
+            reference.subscribe(queries)
+            expected = _ranking(reference.round())
+        spec = make_spec(topology=topology, profile="lossy").with_updates(
+            transport=TransportSpec(max_attempts=1)
+        )
+        with Cluster(spec, dataset=dataset) as cluster:
+            cluster.subscribe(queries)
+            with cluster.open_session(mode="deltas") as session:
+                _publish_all(session, dataset)
+                with pytest.raises(RoundTimeoutError, match=failure):
+                    session.step(net_seed=0)
+                pending = session.dirty_station_ids
+                assert 0 < len(pending) < len(dataset.station_ids)
+                retry = session.step(net_seed=1)
+                assert set(retry.delivered_station_ids) == set(pending)
+                assert session.dirty_station_ids == ()
+        assert _ranking(retry) == expected

@@ -9,14 +9,18 @@ sequence, for all four protocols.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.cluster.spec import PROTOCOL_METHODS
+from repro.distributed.events import transcript_to_bytes
+from repro.distributed.faults import FaultPlan
 from repro.topology import TopologySpec
 
-from .conftest import open_cluster
+from .conftest import make_spec, open_cluster
 
 TWO_TIER = TopologySpec(kind="two-tier", regions=2)
 
@@ -61,6 +65,43 @@ class TestRankingParity:
         second = _run_round(dataset, queries, topology=TWO_TIER)
         assert second.transcript == first.transcript
         assert _det_costs(second.costs) == _det_costs(first.costs)
+
+
+def _digest(transcript) -> str:
+    return hashlib.sha256(transcript_to_bytes(list(transcript))).hexdigest()
+
+
+class TestEmptyHops:
+    """A flat round runs its downlink and uplink phases even when they carry
+    nothing, and the empty phase markers are part of the replay token.  The
+    digests were recorded from the original flat engine."""
+
+    def test_a_round_without_participants_keeps_its_phase_markers(
+        self, dataset, queries
+    ):
+        with open_cluster(dataset) as cluster:
+            cluster.subscribe(queries)
+            report = cluster.round(station_ids=[])
+        assert report.active_station_count == 0
+        assert _digest(report.transcript) == (
+            "142bab8a7433f8412d8b0ebe04f7b2191d6421ee87124119cdb7aac66e6a523d"
+        )
+
+    def test_a_round_whose_downlink_is_blacked_out_keeps_its_uplink_marker(
+        self, dataset, queries
+    ):
+        blackout = FaultPlan(
+            name="custom",
+            blackout_probability=1.0,
+            blackout_start_s=0.0,
+            blackout_end_s=600.0,
+        )
+        with Cluster.adopt(dataset, fault_plan=blackout, allow_partial=True) as cluster:
+            outcome = cluster.drive(make_spec().protocol.build(), queries)
+        assert outcome.costs.lost_station_count == len(dataset.station_ids)
+        assert _digest(outcome.transcript) == (
+            "3949257265c0d3cf8a0ad40a7f447a978e99a1c06b3120c0de40a5d7ddf2b0ff"
+        )
 
 
 class TestTierAccounting:

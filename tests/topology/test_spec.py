@@ -35,6 +35,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="no regional tier"):
             TopologySpec(kind="star", regions=2)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"stations_per_region": 3},
+            {"legacy_regions": ("region-0",)},
+            {"degraded_regions": ("region-0",), "degraded_profile": "chaos"},
+            {"wire_version": 2},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_rejects_star_with_regional_knobs(self, knob):
+        with pytest.raises(ConfigurationError, match="no regional tier") as excinfo:
+            TopologySpec(kind="star", **knob)
+        assert next(iter(knob)) in str(excinfo.value)
+
     @pytest.mark.parametrize("regions", [0, -1, True, 1.5])
     def test_rejects_bad_region_counts(self, regions):
         with pytest.raises(ConfigurationError, match="regions must be"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.distributed.datacenter import DATA_CENTER_NODE_ID
 from repro.topology import TopologySpec, build_tier_map, region_slices
 from repro.wire import WIRE_VERSION, WIRE_VERSION_EXT
 
@@ -56,9 +57,16 @@ class TestBuildTierMap:
         with pytest.raises(KeyError):
             tier_map.region_of("s99")
 
-    def test_star_topologies_have_no_tier_map(self):
-        with pytest.raises(ConfigurationError, match="no tier map"):
-            build_tier_map(STATIONS, TopologySpec())
+    def test_a_star_is_one_trunkless_region_under_the_center(self):
+        tier_map = build_tier_map(STATIONS, TopologySpec())
+        assert not tier_map.has_trunk
+        (region,) = tier_map.regions
+        assert region.station_ids == STATIONS
+        assert region.aggregator_id == DATA_CENTER_NODE_ID
+        assert region.fault_profile is None
+        assert region.wire_version == WIRE_VERSION
+        assert tier_map.region_of("s4") is region
+        assert build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2)).has_trunk
 
     def test_degraded_region_carries_its_profile(self):
         tier_map = build_tier_map(
