@@ -77,7 +77,7 @@ try:
         RoundReport,
         TransportSpec,
     )
-    from repro.distributed import DistributedSimulation, NetworkConfig, SimulationOutcome
+    from repro.distributed import NetworkConfig, SimulationOutcome
     from repro.evaluation import (
         effectiveness_study,
         evaluate_retrieval,
@@ -152,7 +152,6 @@ if HAS_DATAGEN:
         "build_dataset",
         "build_ground_truth_cohort",
         "build_query_workload",
-        "DistributedSimulation",
         "NetworkConfig",
         "SimulationOutcome",
         "effectiveness_study",

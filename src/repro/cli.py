@@ -313,10 +313,8 @@ def _run_compare(args: argparse.Namespace) -> str:
         sample_count=args.sample_count,
         bit_backend=args.bit_backend,
     )
-    # The simulation-level override applies the chosen executor and fault
-    # profile uniformly to every method (the naive/local baselines carry no
-    # DIMatchingConfig); library users can instead set
-    # DIMatchingConfig.executor / fault_profile / net_seed per protocol.
+    # The executor and fault profile are deployment knobs: they apply
+    # uniformly to every method's round (the protocol config carries none).
     result = run_comparison(
         dataset,
         workload,

@@ -15,10 +15,11 @@ through the :class:`Cluster` facade's verbs::
         cluster.subscribe(queries)
         report = cluster.round(RoundOptions(k=10))
 
-Everything that used to require picking one of four entry points —
-``DistributedSimulation``, ``ContinuousMatchingSession``, the workload
-engine's drive modes, hand-wired CLI runs — goes through this surface now;
-see ``docs/api.md`` for the verb table and migration notes.
+Every round enters through this surface: the method-comparison harness
+(``Cluster.adopt(...).drive(...)``), the workload engine's drive modes and
+both CLI drive paths.  Deployment knobs (executor, fault profile, net seed)
+are set on :class:`ExecutorSpec` / :class:`FaultSpec` or ``Cluster.adopt``
+and nowhere else; see ``docs/api.md`` for the verb table and migration notes.
 """
 
 from repro.cluster.facade import (

@@ -28,7 +28,7 @@ surface:
   like :meth:`repro.workloads.result.WorkloadResult.transcript_bytes`;
 * ``drive(protocol, queries, ...)`` — the low-level escape hatch that runs an
   arbitrary protocol through one round (what the method-comparison harness
-  and the deprecated ``DistributedSimulation`` shim delegate to).
+  uses).
 
 Executor choice never changes results, byte counts or the network transcript
 — only measured wall-clock; the fault plan and network seed never change what
@@ -42,7 +42,7 @@ import zlib
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.report import ClusterSnapshot, RoundReport
-from repro.cluster.spec import ClusterSpec, TransportSpec
+from repro.cluster.spec import ClusterSpec, ExecutorSpec, TransportSpec
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import MatchingProtocol, StationRanking
 from repro.core.streaming import ContinuousMatchingSession
@@ -138,9 +138,7 @@ class Cluster:
         self._setup(
             source,
             transport_spec=spec.transport,
-            executor=spec.executor.kind,
-            shard_count=spec.executor.shard_count,
-            max_workers=spec.executor.max_workers,
+            executor=spec.executor,
             fault_plan=spec.faults.profile,
             net_seed=spec.faults.net_seed,
             allow_partial=spec.faults.allow_partial,
@@ -152,25 +150,27 @@ class Cluster:
         cls,
         dataset: "DistributedDataset | None" = None,
         network_config: NetworkConfig | None = None,
-        executor: str | None = None,
-        shard_count: int | None = None,
+        executor: str = "serial",
+        shard_count: int = 0,
         max_workers: int | None = None,
-        fault_plan: FaultPlan | str | None = None,
-        net_seed: int | None = None,
+        fault_plan: FaultPlan | str = "none",
+        net_seed: int = 0,
         allow_partial: bool = False,
         *,
         source: StationSource | None = None,
     ) -> "Cluster":
-        """Wrap a pre-built dataset (or station source) with legacy knob semantics.
+        """Wrap a pre-built dataset (or station source) without a spec.
 
-        This is the compatibility spine the deprecated shims and the
-        method-comparison harness stand on: every ``None`` defers to the
-        driven protocol's own configuration, exactly like the old
-        ``DistributedSimulation`` constructor.  ``Cluster.adopt(source=...)``
-        adopts a live :class:`~repro.datagen.source.StationSource` instead —
-        a capped source is served lazily, batch by batch, exactly as under a
+        The knobs mean what their :class:`ExecutorSpec` /
+        :class:`~repro.cluster.spec.FaultSpec` namesakes mean, except that
+        ``fault_plan`` may also be a custom
+        :class:`~repro.distributed.faults.FaultPlan`; a bad executor or
+        profile fails here.  ``Cluster.adopt(source=...)`` adopts a live
+        :class:`~repro.datagen.source.StationSource` instead — a capped
+        source is served lazily, batch by batch, exactly as under a
         spec-built cluster.  No protocol is bound, so only :meth:`drive` is
-        available (the typed verbs need a spec).
+        available (the typed verbs need a spec); this is what the
+        method-comparison harness drives its per-method protocols through.
         """
         if (dataset is None) == (source is None):
             raise ConfigurationError(
@@ -182,9 +182,9 @@ class Cluster:
         cluster._setup(
             source if source is not None else DatasetStationSource(dataset),
             transport_spec=TransportSpec.from_network_config(network_config),
-            executor=executor,
-            shard_count=shard_count,
-            max_workers=max_workers,
+            executor=ExecutorSpec(
+                kind=executor, shard_count=shard_count, max_workers=max_workers
+            ),
             fault_plan=fault_plan,
             net_seed=net_seed,
             allow_partial=allow_partial,
@@ -196,11 +196,9 @@ class Cluster:
         source: StationSource,
         *,
         transport_spec: TransportSpec,
-        executor: str | None,
-        shard_count: int | None,
-        max_workers: int | None,
-        fault_plan: FaultPlan | str | None,
-        net_seed: int | None,
+        executor: ExecutorSpec,
+        fault_plan: FaultPlan | str,
+        net_seed: int,
         allow_partial: bool,
         topology: TopologySpec | None = None,
     ) -> None:
@@ -227,13 +225,16 @@ class Cluster:
         self._transport_spec = transport_spec
         self._network_config = transport_spec.network_config()
         self._tcp_manager: "TcpTransportManager | None" = None
-        self._executor = executor
-        self._shard_count = shard_count
-        self._max_workers = max_workers
-        self._fault_plan = fault_plan
+        # One runner for the cluster's lifetime, so a sweep of many rounds
+        # reuses one worker pool instead of re-spawning workers per round.
+        self._runner = ShardedStationRunner(
+            executor=executor.kind,
+            shard_count=executor.shard_count,
+            max_workers=executor.max_workers,
+        )
+        self._fault_plan = resolve_fault_plan(fault_plan)
         self._net_seed = net_seed
         self._allow_partial = bool(allow_partial)
-        self._runners: dict[tuple[str, int], ShardedStationRunner] = {}
         self._center = DataCenterNode()
         self._patterns: dict[str, PatternSet] = {}
         if not self._lazy:
@@ -426,47 +427,6 @@ class Cluster:
 
     # -- the round engine ------------------------------------------------------
 
-    def _runner_for(self, protocol: MatchingProtocol) -> ShardedStationRunner:
-        """Resolve the station runner from spec/adopted knobs, protocol config, defaults.
-
-        Runners (and therefore their worker pools) are memoized per effective
-        ``(executor, shard_count)``, so a sweep of many rounds through one
-        cluster reuses one pool instead of re-spawning workers per round.
-        """
-        config = getattr(protocol, "config", None)
-        executor = self._executor or getattr(config, "executor", "serial")
-        shard_count = (
-            self._shard_count
-            if self._shard_count is not None
-            else getattr(config, "shard_count", 0)
-        )
-        key = (executor, shard_count)
-        runner = self._runners.get(key)
-        if runner is None:
-            runner = ShardedStationRunner(
-                executor=executor, shard_count=shard_count, max_workers=self._max_workers
-            )
-            self._runners[key] = runner
-        return runner
-
-    def _resolved_faults(
-        self, protocol: MatchingProtocol, net_seed: int | None
-    ) -> tuple[FaultPlan, int]:
-        """Resolve the effective fault plan and network seed for one round."""
-        config = getattr(protocol, "config", None)
-        plan = resolve_fault_plan(
-            self._fault_plan
-            if self._fault_plan is not None
-            else getattr(config, "fault_profile", "none")
-        )
-        if net_seed is None:
-            net_seed = (
-                self._net_seed
-                if self._net_seed is not None
-                else getattr(config, "net_seed", 0)
-            )
-        return plan, net_seed
-
     def _build_transport(
         self,
         plan: FaultPlan,
@@ -513,17 +473,20 @@ class Cluster:
 
     def _tier_transports(
         self, protocol: MatchingProtocol, net_seed: int | None
-    ) -> tuple[Transport | None, dict[str, Transport], FaultPlan, int]:
+    ) -> tuple[Transport | None, dict[str, Transport], int]:
         """Fresh per-round transports for every tier of the tier map.
 
-        Faults resolve like the executor knobs.  The star's one hop runs on
-        the round's own net seed; in a tree each tier derives its own seed
-        from it through a stable label, so a hierarchical round replays
-        exactly like a flat one.  A region with a degraded-profile override
-        resolves its own fault plan, every other tier inherits the
-        deployment's.  The trunk is ``None`` when the map has none.
+        ``net_seed`` is the round's override (``None`` = the deployment's
+        seed).  The star's one hop runs on the round's own net seed; in a
+        tree each tier derives its own seed from it through a stable label,
+        so a hierarchical round replays exactly like a flat one.  A region
+        with a degraded-profile override resolves its own fault plan, every
+        other tier inherits the deployment's.  The trunk is ``None`` when the
+        map has none.  Returns the transports and the round's net seed.
         """
-        plan, net_seed = self._resolved_faults(protocol, net_seed)
+        plan = self._fault_plan
+        if net_seed is None:
+            net_seed = self._net_seed
         decode_backend = getattr(
             getattr(protocol, "config", None), "bit_backend", "auto"
         )
@@ -551,7 +514,7 @@ class Cluster:
                 ),
                 decode_backend=decode_backend,
             )
-        return trunk, regional, plan, net_seed
+        return trunk, regional, net_seed
 
     def _participants(self, station_ids: Sequence[str] | None) -> list[BaseStationNode]:
         """Resolve one round's participating stations (``None`` = all of them).
@@ -628,21 +591,17 @@ class Cluster:
 
         This is the low-level engine verb: it binds no state, records no
         transcript and accepts any protocol — what a method-comparison sweep
-        needs, and what the deprecated ``DistributedSimulation.run`` delegates
-        to.  Facade users normally call :meth:`round` instead.  Raises
+        needs.  Facade users normally call :meth:`round` instead.  The cutoff
+        travels either as ``k`` or as ``options.k`` (not both).  Raises
         :class:`~repro.distributed.events.RoundTimeoutError` when a transfer
         exhausts its retransmission budget and the deployment does not allow
         partial rounds.
         """
-        options = options or RoundOptions()
-        if k is None:
-            k = options.k
+        options = RoundOptions.merge(options, k=k)
         fallbacks_before = estimated_size_fallbacks()
         participants = self._participants(options.station_ids)
         self._last_participant_count = len(participants)
-        trunk, regional, plan, net_seed = self._tier_transports(
-            protocol, options.net_seed
-        )
+        trunk, regional, net_seed = self._tier_transports(protocol, options.net_seed)
         self._center.clear_inbox()
         for station in self._nodes.values():
             station.clear_inbox()
@@ -655,7 +614,6 @@ class Cluster:
         artifact = self._center.encode(protocol, queries)
         encode_time = time.perf_counter() - encode_start
 
-        runner = self._runner_for(protocol)
         routed = run_two_tier_round(
             protocol=protocol,
             center=self._center,
@@ -664,13 +622,13 @@ class Cluster:
             artifact=artifact,
             trunk_transport=trunk,
             regional_transports=regional,
-            runner=runner,
+            runner=self._runner,
         )
 
         # Phase 3: aggregation over the reports the center actually decoded,
         # in canonical order, so delivery reordering never changes the ranking.
         aggregate_start = time.perf_counter()
-        results = self._center.aggregate(protocol, routed.all_reports, k)
+        results = self._center.aggregate(protocol, routed.all_reports, options.k)
         aggregate_time = time.perf_counter() - aggregate_start
 
         artifact_bytes = _artifact_size_bytes(artifact)
@@ -690,9 +648,9 @@ class Cluster:
             aggregate_time_s=aggregate_time,
             transmission_time_s=routed.transmission_time_s,
             report_count=len(routed.all_reports),
-            executor=runner.executor,
+            executor=self._runner.executor,
             shard_count=routed.shard_count,
-            fault_profile=plan.name,
+            fault_profile=self._fault_plan.name,
             net_seed=net_seed,
             retransmit_count=routed.retransmit_count,
             dropped_frame_count=routed.dropped_frame_count,
@@ -740,7 +698,7 @@ class Cluster:
         protocol = self._require_protocol()
         if not self._queries:
             raise ClusterStateError("subscribe() a query batch before running a round")
-        outcome = self.drive(protocol, self._queries, merged.k, options=merged)
+        outcome = self.drive(protocol, self._queries, options=merged)
         costs = outcome.costs
         report = RoundReport(
             round_index=self._round_index,
@@ -873,9 +831,7 @@ class Cluster:
 
     def close(self) -> None:
         """Shut down worker pools and sockets, detach any open session handle."""
-        for runner in self._runners.values():
-            runner.close()
-        self._runners.clear()
+        self._runner.close()
         if self._tcp_manager is not None:
             self._tcp_manager.shutdown()
             self._tcp_manager = None
@@ -1008,7 +964,7 @@ class ClusterSession:
                     "subscribe() a query batch before publishing to a delta session"
                 )
             protocol = self._cluster._require_protocol()
-            self._inner = ContinuousMatchingSession._internal(protocol, queries)
+            self._inner = ContinuousMatchingSession(protocol, queries)
             self._ranking = protocol.open_ranking()
             self._artifact_bytes = _artifact_size_bytes(self._inner.artifact)
         return self._inner
@@ -1060,9 +1016,7 @@ class ClusterSession:
             affected
         )
 
-        trunk, regional, _plan, _net_seed = cluster._tier_transports(
-            protocol, options.net_seed
-        )
+        trunk, regional, _net_seed = cluster._tier_transports(protocol, options.net_seed)
         shipped = ship_two_tier_deltas(
             center=self._center,
             tier_map=cluster._tier_map,

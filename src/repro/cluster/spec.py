@@ -10,10 +10,10 @@ Like :class:`~repro.workloads.spec.WorkloadSpec` every field is validated at
 construction with :class:`~repro.core.exceptions.ConfigurationError`, so a
 mis-built deployment fails before any traffic moves.
 
-Sub-spec fields that default to ``None`` mean *defer to the protocol's own*
-:class:`~repro.core.config.DIMatchingConfig` — the same resolution order the
-legacy ``DistributedSimulation`` constructor used, so specs compiled from
-older call sites behave identically.
+The executor and fault knobs are set here (or through the same-named
+``Cluster.adopt`` keywords) and nowhere else: the protocol's
+:class:`~repro.core.config.DIMatchingConfig` says what the filter means, the
+deployment says how the round runs.
 """
 
 from __future__ import annotations
@@ -188,24 +188,24 @@ class TransportSpec:
 class ExecutorSpec:
     """Station-execution backend of the matching phase.
 
-    ``kind=None`` / ``shard_count=None`` defer to the protocol's
-    :class:`DIMatchingConfig` (``executor`` / ``shard_count``), exactly like
-    the legacy simulator constructor's ``None`` defaults.
+    ``kind`` is ``"serial"`` (one in-process shard per station), ``"thread"``
+    or ``"process"``; ``shard_count=0`` (auto) means one shard per station
+    when serial, one per worker otherwise; ``max_workers=None`` means the CPU
+    count.  Results and byte counts never depend on these knobs.
     """
 
-    kind: str | None = None
-    shard_count: int | None = None
+    kind: str = "serial"
+    shard_count: int = 0
     max_workers: int | None = None
 
     def __post_init__(self) -> None:
         _require(
-            self.kind is None or self.kind in EXECUTOR_CHOICES,
-            f"executor kind must be one of {EXECUTOR_CHOICES} or None, got {self.kind!r}",
+            self.kind in EXECUTOR_CHOICES,
+            f"executor kind must be one of {EXECUTOR_CHOICES}, got {self.kind!r}",
         )
         _require(
-            self.shard_count is None
-            or (isinstance(self.shard_count, int) and self.shard_count >= 0),
-            f"shard_count must be a non-negative integer (0 = auto) or None, "
+            isinstance(self.shard_count, int) and self.shard_count >= 0,
+            f"shard_count must be a non-negative integer (0 = auto), "
             f"got {self.shard_count!r}",
         )
         _require(
@@ -219,25 +219,25 @@ class ExecutorSpec:
 class FaultSpec:
     """Seeded fault environment of the deployment's transport.
 
-    ``profile=None`` / ``net_seed=None`` defer to the protocol's
-    configuration (``fault_profile`` / ``net_seed``).  ``allow_partial`` lets
+    ``profile`` names a plan of :data:`repro.distributed.faults.FAULT_PROFILES`
+    and ``net_seed`` seeds its injector; together with the dataset seed they
+    fully determine a round's event transcript.  ``allow_partial`` lets
     rounds survive stations that exhaust their retransmission budget.
     """
 
-    profile: str | None = None
-    net_seed: int | None = None
+    profile: str = "none"
+    net_seed: int = 0
     allow_partial: bool = False
 
     def __post_init__(self) -> None:
         _require(
-            self.profile is None or self.profile in FAULT_PROFILE_CHOICES,
-            f"fault profile must be one of {FAULT_PROFILE_CHOICES} or None, "
+            self.profile in FAULT_PROFILE_CHOICES,
+            f"fault profile must be one of {FAULT_PROFILE_CHOICES}, "
             f"got {self.profile!r}",
         )
         _require(
-            self.net_seed is None
-            or (isinstance(self.net_seed, int) and not isinstance(self.net_seed, bool)),
-            f"net_seed must be an integer or None, got {self.net_seed!r}",
+            isinstance(self.net_seed, int) and not isinstance(self.net_seed, bool),
+            f"net_seed must be an integer, got {self.net_seed!r}",
         )
         _require(
             isinstance(self.allow_partial, bool),
@@ -311,8 +311,8 @@ class ClusterSpec:
         cls,
         workload: "WorkloadSpec",
         *,
-        executor: str | None = None,
-        shard_count: int | None = None,
+        executor: str = "serial",
+        shard_count: int = 0,
         bit_backend: str = "auto",
         network_config: NetworkConfig | None = None,
         transport: str = "sim",
@@ -347,11 +347,7 @@ class ClusterSpec:
                 noise_level=shape.noise_level,
                 seed=shape.seed if shape.seed is not None else derived_seed,
             )
-        config = DIMatchingConfig(
-            epsilon=workload.epsilon,
-            bit_backend=bit_backend,
-            fault_profile=workload.fault_profile,
-        )
+        config = DIMatchingConfig(epsilon=workload.epsilon, bit_backend=bit_backend)
         return cls(
             name=workload.name,
             dataset=dataset,

@@ -18,15 +18,15 @@ from dataclasses import dataclass, replace
 from repro.core.exceptions import ConfigurationError
 from repro.utils.validation import require_non_negative, require_positive
 
-#: Station-execution backends accepted by ``DIMatchingConfig.executor`` and the
-#: distributed simulator (see :mod:`repro.distributed.executor`).
+#: Station-execution backends accepted by ``ExecutorSpec.kind``,
+#: ``Cluster.adopt`` and the CLI (see :mod:`repro.distributed.executor`).
 EXECUTOR_CHOICES = ("serial", "thread", "process")
 
-#: Named fault profiles accepted by ``DIMatchingConfig.fault_profile``, the
-#: distributed simulator and the CLI.  The plans themselves live in
+#: Named fault profiles accepted by ``FaultSpec.profile``, ``Cluster.adopt``,
+#: ``WorkloadSpec.fault_profile`` and the CLI.  The plans themselves live in
 #: :data:`repro.distributed.faults.FAULT_PROFILES` (which asserts its keys
 #: match this tuple); only the names live here so the dependency-light core
-#: package can validate configurations without importing the simulator.
+#: package can validate specs without importing the simulator.
 FAULT_PROFILE_CHOICES = (
     "none",
     "lossy",
@@ -49,9 +49,9 @@ TRANSPORT_CHOICES = ("sim", "tcp")
 
 #: Drive modes of the declarative workload engine (:mod:`repro.workloads`):
 #: "simulation" replays every round through the full event-driven transport
-#: (:class:`~repro.distributed.simulator.DistributedSimulation`), "session"
-#: drives an incremental :class:`~repro.core.streaming.ContinuousMatchingSession`
-#: and ships only per-round deltas, and "open" is the open-system mode where
+#: (a ``rounds`` session of the :class:`repro.cluster.Cluster` facade),
+#: "session" drives the facade's incremental ``deltas`` session and ships only
+#: per-round deltas, and "open" is the open-system mode where
 #: query-batch admissions are offered by arrival *time* (a rate-driven
 #: virtual-clock queue, see ``WorkloadSpec.offered``) instead of closed-loop
 #: round barriers.  Like the fault-profile names above, the choices live in
@@ -86,26 +86,6 @@ class DIMatchingConfig:
     #: throughput — filters are bit-identical and wire-compatible across
     #: backends, so center and stations may even disagree on it.
     bit_backend: str = "auto"
-    #: Station-execution backend for the distributed simulator: "serial" (one
-    #: in-process shard per station, the historical behavior), "thread" or
-    #: "process" (shards dispatched through ``concurrent.futures``).  Like
-    #: ``bit_backend`` this is a local runtime knob: results and byte counts
-    #: are identical across executors, only wall-clock changes, and the wire
-    #: codec never ships it.
-    executor: str = "serial"
-    #: Number of station shards for the executor; 0 (auto) means one shard per
-    #: station when serial, one per worker otherwise.
-    shard_count: int = 0
-    #: Fault profile of the simulated network (see
-    #: :data:`repro.distributed.faults.FAULT_PROFILES`).  Like ``executor``
-    #: this is a local simulation knob: it never travels on the wire and only
-    #: affects which transport faults a round is exposed to, never what a
-    #: surviving round computes.
-    fault_profile: str = "none"
-    #: Seed of the network fault injector.  Together with the dataset seed and
-    #: the fault profile it fully determines the round's event transcript, so
-    #: any simulated failure replays from these three values.
-    net_seed: int = 0
     #: Hash ``(time index, accumulated value)`` tuples rather than bare values.  The
     #: accumulation transform already embeds order, but including the index removes
     #: residual cross-position collisions; the paper hashes values only, so this is
@@ -150,21 +130,6 @@ class DIMatchingConfig:
                 "bit_backend must be 'auto', 'python' or 'numpy', "
                 f"got {self.bit_backend!r}"
             )
-        if self.executor not in EXECUTOR_CHOICES:
-            raise ConfigurationError(
-                f"executor must be one of {EXECUTOR_CHOICES}, got {self.executor!r}"
-            )
-        if not isinstance(self.shard_count, int) or self.shard_count < 0:
-            raise ConfigurationError(
-                f"shard_count must be a non-negative integer (0 = auto), got {self.shard_count!r}"
-            )
-        if self.fault_profile not in FAULT_PROFILE_CHOICES:
-            raise ConfigurationError(
-                f"fault_profile must be one of {FAULT_PROFILE_CHOICES}, "
-                f"got {self.fault_profile!r}"
-            )
-        if not isinstance(self.net_seed, int) or isinstance(self.net_seed, bool):
-            raise ConfigurationError(f"net_seed must be an integer, got {self.net_seed!r}")
         if self.epsilon_tolerance_mode not in ("interval", "accumulated"):
             raise ConfigurationError(
                 "epsilon_tolerance_mode must be 'interval' or 'accumulated', "

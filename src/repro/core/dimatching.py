@@ -84,9 +84,9 @@ def run_dimatching(
 ) -> RankedResults:
     """Convenience entry point: run DI-matching over a dataset without the simulator.
 
-    Iterates the stations sequentially in-process; use
-    :class:`repro.distributed.simulator.DistributedSimulation` when communication,
-    storage and timing costs are needed.
+    Iterates the stations sequentially in-process; drive a round through the
+    :class:`repro.cluster.Cluster` facade when communication, storage and timing
+    costs are needed.
     """
     protocol = DIMatchingProtocol(config)
     artifact = protocol.encode(queries)

@@ -8,8 +8,8 @@ Every matching method is expressed as three phases matching the paper's Figure 2
    (matched ``(id, weight)`` pairs, matched ids, or the raw local patterns);
 3. ``aggregate`` — at the data center, combine all reports into a ranked top-K.
 
-The :class:`repro.distributed.simulator.DistributedSimulation` drives any protocol
-through these phases while accounting for communication, storage and time.
+The :class:`repro.cluster.Cluster` facade drives any protocol through these
+phases while accounting for communication, storage and time.
 """
 
 from __future__ import annotations

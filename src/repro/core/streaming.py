@@ -11,7 +11,6 @@ re-running only the cheap aggregation step to refresh the ranking.
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping, Sequence
 
 from repro.core.protocol import MatchingProtocol, RankedResults
@@ -23,11 +22,9 @@ from repro.utils.validation import require_non_empty
 class ContinuousMatchingSession:
     """Incrementally maintained matching round for one query batch.
 
-    .. deprecated::
-        Direct construction emits a :class:`DeprecationWarning`; the
-        ``repro.cluster.Cluster`` facade opens the same incremental machinery
-        behind its session handle (``cluster.open_session(mode="deltas")``)
-        and is the supported surface.
+    The ``repro.cluster.Cluster`` facade drives one of these behind its delta
+    session handle (``cluster.open_session(mode="deltas")``), which adds
+    transport shipping, downlink accounting and typed step reports.
 
     The session encodes the query batch once, then accepts per-station data updates
     (replacing that station's stored pattern set) and serves the current ranked
@@ -42,25 +39,6 @@ class ContinuousMatchingSession:
     """
 
     def __init__(self, protocol: MatchingProtocol, queries: Sequence[QueryPattern]) -> None:
-        warnings.warn(
-            "constructing ContinuousMatchingSession directly is deprecated; "
-            "open one through the repro.cluster.Cluster facade instead "
-            '(cluster.open_session(mode="deltas"))',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(protocol, queries)
-
-    @classmethod
-    def _internal(
-        cls, protocol: MatchingProtocol, queries: Sequence[QueryPattern]
-    ) -> "ContinuousMatchingSession":
-        """Construct without the deprecation warning (facade-internal path)."""
-        session = object.__new__(cls)
-        session._init(protocol, queries)
-        return session
-
-    def _init(self, protocol: MatchingProtocol, queries: Sequence[QueryPattern]) -> None:
         if not isinstance(protocol, MatchingProtocol):
             raise TypeError(
                 f"protocol must be a MatchingProtocol, got {type(protocol).__name__}"

@@ -30,14 +30,10 @@ and NumPy availability — the same determinism contract as the eager builders.
 from __future__ import annotations
 
 import random
-import warnings
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.datagen.mobility import UserMobility
-from repro.datagen.scale import SCALE_CATEGORY
 from repro.datagen.source import StationSourceBase
-from repro.datagen.workload import DistributedDataset, UserProfile
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
 from repro.utils.rng import derive_seed
@@ -271,74 +267,6 @@ class StreamingStationSource(StationSourceBase):
     def eviction_count(self) -> int:
         """How many resident batches the LRU cap pushed out."""
         return self._evicted
-
-    # -- eager bridge ------------------------------------------------------------
-
-    def materialize(
-        self, station_ids: "Sequence[str] | None" = None
-    ) -> DistributedDataset:
-        """Deprecated bridge: an eager :class:`DistributedDataset` snapshot.
-
-        .. deprecated::
-            The facade and the workload engine consume streaming sources
-            directly through the :class:`repro.datagen.source.StationSource`
-            boundary (``Cluster(spec, source=...)`` /
-            ``Cluster.adopt(source=...)``); materializing defeats the
-            bounded-resident-set contract.  Only the ``station_ids``-subset
-            form remains useful for offline inspection.
-        """
-        warnings.warn(
-            "StreamingStationSource.materialize() is deprecated: pass the "
-            "source itself to Cluster(spec, source=...) / Cluster.adopt("
-            "source=...) instead of materializing it into an eager dataset",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._materialize(station_ids)
-
-    def _materialize(
-        self, station_ids: "Sequence[str] | None" = None
-    ) -> DistributedDataset:
-        """The eager snapshot itself, warning-free for internal/test use.
-
-        Only the named stations' batches are built (all of them when
-        ``station_ids`` is None), and every user with a fragment on an
-        included station is profiled.  Fragments pointing at excluded
-        stations are left out, exactly as a drive that never contacts those
-        cells would see the city.
-        """
-        chosen = list(station_ids) if station_ids is not None else self.station_ids
-        for station_id in chosen:
-            if station_id not in self._station_index:
-                raise KeyError(f"unknown station {station_id!r}")
-        local: dict[str, dict[str, LocalPattern]] = {}
-        users: dict[str, UserProfile] = {}
-        for station_id in chosen:
-            batch = self._build_batch(station_id)
-            local[station_id] = dict(batch)
-            for user_id in batch:
-                if user_id not in users:
-                    users[user_id] = self._profile_of(user_id)
-        return DistributedDataset(
-            station_ids=chosen,
-            users=users,
-            local_patterns=local,
-            pattern_length=self._pattern_length,
-            intervals_per_day=self._intervals_per_day,
-        )
-
-    def _profile_of(self, user_id: str) -> UserProfile:
-        fragments = self.fragments_of(user_id)
-        stations = [fragment.station_id for fragment in fragments]
-        mobility = UserMobility(
-            user_id=user_id,
-            home_station=stations[0],
-            work_station=stations[min(1, len(stations) - 1)],
-            other_station=stations[-1],
-        )
-        return UserProfile(
-            user_id=user_id, category_name=SCALE_CATEGORY, mobility=mobility
-        )
 
 
 def iter_station_batches(

@@ -40,11 +40,7 @@ from repro.distributed.network import (
     SimulatedNetwork,
 )
 from repro.distributed.node import Node
-from repro.distributed.simulator import (
-    DistributedSimulation,
-    RoundOptions,
-    SimulationOutcome,
-)
+from repro.distributed.simulator import RoundOptions, SimulationOutcome
 
 __all__ = [
     "BaseStationNode",
@@ -70,7 +66,6 @@ __all__ = [
     "PhaseOutcome",
     "SimulatedNetwork",
     "Node",
-    "DistributedSimulation",
     "RoundOptions",
     "SimulationOutcome",
 ]

@@ -1,41 +1,30 @@
-"""Round-based simulation of one distributed matching round (legacy surface).
+"""Typed values of one distributed matching round.
 
 The round engine itself lives behind the :class:`repro.cluster.Cluster`
 facade (:mod:`repro.cluster.facade`), which drives any
 :class:`~repro.core.protocol.MatchingProtocol` through the three phases of
 Figure 2 over a :class:`~repro.datagen.workload.DistributedDataset` on the
-deterministic event-driven transport.  This module keeps the pieces of the
-pre-facade public surface that remain first-class:
+deterministic event-driven transport.  This module holds the values that
+engine takes and returns:
 
 * :class:`SimulationOutcome` — the typed result of one full wire round;
 * :class:`RoundOptions` — the single bag of per-round overrides (station
-  subset, transport seed, ranking cutoff) accepted by both
-  :meth:`Cluster.round` and the legacy shim below;
-* :class:`DistributedSimulation` — a thin **deprecated** shim over the facade
-  kept so existing call sites continue to work unchanged; it emits one
-  :class:`DeprecationWarning` at construction and delegates every round to
-  the same engine the facade drives.
+  subset, transport seed, ranking cutoff) accepted by
+  :meth:`Cluster.round`, :meth:`Cluster.drive` and
+  :meth:`ClusterSession.step`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro import wire
-from repro.core.protocol import MatchingProtocol, RankedResults
-from repro.distributed.basestation import BaseStationNode
-from repro.distributed.datacenter import DataCenterNode
+from repro.core.protocol import RankedResults
 from repro.distributed.events import TranscriptEntry, transcript_to_bytes
-from repro.distributed.faults import FaultPlan
-from repro.distributed.network import NetworkConfig
-from repro.timeseries.query import QueryPattern
 from repro.utils.serialization import estimate_size_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
-    from repro.cluster.facade import Cluster
-    from repro.datagen.workload import DistributedDataset
     from repro.distributed.metrics import CostReport
 
 
@@ -70,9 +59,7 @@ class RoundOptions:
     artifact nor uploads a report); ``net_seed`` overrides the transport seed
     for this round only, so a workload driver can derive one deterministic
     seed per round from a single scenario seed; ``k`` is the ranking cutoff
-    (``None`` = the protocol's natural cutoff).  Accepted by both
-    :meth:`repro.cluster.Cluster.round` and the deprecated
-    :meth:`DistributedSimulation.run` shim.
+    (``None`` = the protocol's natural cutoff).
     """
 
     station_ids: tuple[str, ...] | None = None
@@ -101,7 +88,7 @@ class RoundOptions:
         net_seed: int | None = None,
         k: int | None = None,
     ) -> "RoundOptions":
-        """Fold legacy keyword overrides and an options bag into one value.
+        """Fold loose keyword overrides and an options bag into one value.
 
         Passing both an ``options`` object and any loose keyword is an error —
         the caller must pick one spelling per round.
@@ -131,109 +118,3 @@ def _artifact_size_bytes(artifact: object | None) -> int:
         return wire.encoded_size(artifact)
     except wire.UnsupportedWireTypeError:
         return estimate_size_bytes(artifact)
-
-
-class DistributedSimulation:
-    """Deprecated constructor-style driver, kept as a shim over the facade.
-
-    .. deprecated::
-        Construct a :class:`repro.cluster.Cluster` instead (adopt an existing
-        dataset with ``Cluster(spec, dataset=...)``) and call
-        :meth:`~repro.cluster.Cluster.round` /
-        :meth:`~repro.cluster.Cluster.drive`.  This shim emits one
-        :class:`DeprecationWarning` at construction and forwards every call to
-        the same engine the facade drives, so behavior (results, byte counts,
-        transcripts) is identical.
-
-    ``executor`` / ``shard_count`` / ``max_workers`` select how the station
-    phase runs (see :mod:`repro.distributed.executor`).  ``fault_plan`` (a
-    :class:`~repro.distributed.faults.FaultPlan` or profile name) and
-    ``net_seed`` select what the simulated transport may do to the round's
-    frames.  When any of these is ``None`` the simulation defers to the
-    protocol's configuration (``DIMatchingConfig.executor`` /
-    ``fault_profile`` / ``net_seed``) and falls back to fault-free serial
-    execution for protocols without one.  ``allow_partial=True`` lets a round
-    survive transfers that exhaust their retransmission budget.
-    """
-
-    def __init__(
-        self,
-        dataset: "DistributedDataset",
-        network_config: NetworkConfig | None = None,
-        executor: str | None = None,
-        shard_count: int | None = None,
-        max_workers: int | None = None,
-        fault_plan: FaultPlan | str | None = None,
-        net_seed: int | None = None,
-        allow_partial: bool = False,
-    ) -> None:
-        warnings.warn(
-            "DistributedSimulation is deprecated; drive rounds through the "
-            "repro.cluster.Cluster facade instead (Cluster(spec, dataset=...)"
-            ".drive(...) is the drop-in equivalent of run(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.cluster.facade import Cluster
-
-        self._cluster = Cluster.adopt(
-            dataset,
-            network_config=network_config,
-            executor=executor,
-            shard_count=shard_count,
-            max_workers=max_workers,
-            fault_plan=fault_plan,
-            net_seed=net_seed,
-            allow_partial=allow_partial,
-        )
-
-    @property
-    def cluster(self) -> "Cluster":
-        """The facade instance this shim delegates to."""
-        return self._cluster
-
-    @property
-    def dataset(self) -> "DistributedDataset":
-        """The dataset the simulation runs over."""
-        return self._cluster.dataset
-
-    @property
-    def stations(self) -> list[BaseStationNode]:
-        """The base-station nodes that store at least one pattern."""
-        return self._cluster.stations
-
-    @property
-    def center(self) -> DataCenterNode:
-        """The data-center node."""
-        return self._cluster.center
-
-    def close(self) -> None:
-        """Shut down any worker pools the simulation spun up."""
-        self._cluster.close()
-
-    def __enter__(self) -> "DistributedSimulation":
-        return self
-
-    def __exit__(self, *_exc_info: object) -> None:
-        self.close()
-
-    def run(
-        self,
-        protocol: MatchingProtocol,
-        queries: Sequence[QueryPattern],
-        k: int | None = None,
-        *,
-        options: RoundOptions | None = None,
-        station_ids: Sequence[str] | None = None,
-        net_seed: int | None = None,
-    ) -> SimulationOutcome:
-        """Execute one full matching round and return results plus costs.
-
-        Per-round overrides travel either as one :class:`RoundOptions` or as
-        the legacy ``station_ids`` / ``net_seed`` keywords (not both).  Raises
-        :class:`~repro.distributed.events.RoundTimeoutError` when a transfer
-        cannot be delivered within the retransmission budget and the
-        simulation was not constructed with ``allow_partial=True``.
-        """
-        merged = RoundOptions.merge(options, station_ids=station_ids, net_seed=net_seed, k=k)
-        return self._cluster.drive(protocol, queries, options=merged)

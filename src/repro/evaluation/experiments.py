@@ -124,10 +124,10 @@ def run_comparison(
     methods: Sequence[str] = DEFAULT_METHODS,
     k: int | None = None,
     network_config: NetworkConfig | None = None,
-    executor: str | None = None,
-    shard_count: int | None = None,
-    fault_plan: FaultPlan | str | None = None,
-    net_seed: int | None = None,
+    executor: str = "serial",
+    shard_count: int = 0,
+    fault_plan: FaultPlan | str = "none",
+    net_seed: int = 0,
     allow_partial: bool = False,
 ) -> ComparisonResult:
     """Run every requested method on one query batch and score it against ground truth.
@@ -138,17 +138,15 @@ def run_comparison(
     methods (results and byte counts are executor-invariant); ``fault_plan`` /
     ``net_seed`` select the seeded transport faults every method's round is
     exposed to (a surviving round's results are fault-invariant — faults change
-    costs, never answers).  When None, each protocol's own configuration
-    decides.
+    costs, never answers).
     """
     config = config or DIMatchingConfig(epsilon=int(workload.epsilon))
     queries = list(workload.queries)
     truth = ground_truth_users(dataset, queries, workload.epsilon)
     cutoff = k if k is not None else len(truth)
     outcomes: dict[str, MethodOutcome] = {}
-    # Every method's round runs through the same cluster facade engine; the
-    # adopted form keeps the legacy knob semantics (None = defer to each
-    # protocol's own configuration).
+    # Every method's round runs through the same adopted cluster, so all
+    # methods share one deployment: executor, fault plan and net seed.
     with Cluster.adopt(
         dataset,
         network_config,
@@ -183,10 +181,10 @@ def sweep_query_counts(
     methods: Sequence[str] = DEFAULT_METHODS,
     seed: int = 11,
     network_config: NetworkConfig | None = None,
-    executor: str | None = None,
-    shard_count: int | None = None,
-    fault_plan: FaultPlan | str | None = None,
-    net_seed: int | None = None,
+    executor: str = "serial",
+    shard_count: int = 0,
+    fault_plan: FaultPlan | str = "none",
+    net_seed: int = 0,
     allow_partial: bool = False,
 ) -> list[ComparisonResult]:
     """Figure 4: run the method comparison for increasing numbers of query patterns."""

@@ -15,10 +15,9 @@ bytes, sparse positions ascend).  That property is what lets the test battery
 assert byte-identical output across the NumPy and bytearray backends, and what
 makes the golden fixtures stable.
 
-Runtime knobs never travel on the wire: ``DIMatchingConfig.bit_backend``,
-``executor`` and ``shard_count`` are local materialization/execution choices,
-so :func:`decode` accepts a ``backend`` argument and restores those fields to
-it (respectively their defaults).
+Runtime knobs never travel on the wire: ``DIMatchingConfig.bit_backend`` is
+a local materialization choice, so :func:`decode` accepts a ``backend``
+argument and restores the field to it.
 
 Decoding a malformed buffer — bad magic, unknown version or tag, truncation,
 out-of-range indices, corrupt zlib body, trailing bytes — always raises
@@ -253,8 +252,8 @@ def _read_wbf_body(reader: ByteReader, backend: str) -> WeightedBloomFilter:
 
 
 #: ``DIMatchingConfig`` fields serialized on the wire, in order.  The runtime
-#: knobs (``bit_backend``, ``executor``, ``shard_count``) are deliberately
-#: absent: they describe how a node runs locally, not what the filter means.
+#: knob ``bit_backend`` is deliberately absent: it describes how a node runs
+#: locally, not what the filter means.
 _CONFIG_WIRE_FIELDS = (
     "sample_count",
     "hash_count",

@@ -281,8 +281,8 @@ def run_workload(
     spec: WorkloadSpec,
     *,
     drive: str = "simulation",
-    executor: str | None = None,
-    shard_count: int | None = None,
+    executor: str = "serial",
+    shard_count: int = 0,
     bit_backend: str = "auto",
     network_config: NetworkConfig | None = None,
     transport: str = "sim",
@@ -339,7 +339,7 @@ def run_workload(
         fault_profile=spec.fault_profile,
         # The session drive matches in-process and never constructs an
         # executor runner; recording the knob there would misstate the run.
-        executor=(executor or "serial") if drive != "session" else "serial",
+        executor=executor if drive != "session" else "serial",
     )
     tenant_providers: dict[str, _EagerProvider] | None = None
     if spec.tenants:

@@ -1,5 +1,7 @@
 """Behavior of the ``Cluster`` facade verbs and the unified session handle."""
 
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.cluster import (
     RoundOptions,
     RoundReport,
 )
+from repro.core import ContinuousMatchingSession, DIMatchingProtocol
 from repro.core.config import DIMatchingConfig
 from repro.core.exceptions import ConfigurationError
 from repro.datagen import SourceSpec
@@ -81,6 +84,12 @@ class TestClusterConstruction:
         assert 0 < len(cluster.stations) <= cluster.dataset.station_count
         for station in cluster.stations:
             assert station.stored_pattern_count > 0
+
+    def test_adopt_rejects_bad_knobs_before_any_round(self, small_dataset):
+        with pytest.raises(ConfigurationError, match="executor kind"):
+            Cluster.adopt(small_dataset, executor="gpu")
+        with pytest.raises(ValueError, match="unknown fault profile"):
+            Cluster.adopt(small_dataset, fault_plan="meteor-strike")
 
 
 class TestRounds:
@@ -351,19 +360,97 @@ class TestSessionHandle:
         assert replay.startswith(b"== round 0 ==")
 
 
-class TestDriveParityWithLegacyShim:
-    def test_drive_matches_the_deprecated_simulation(self, cluster, queries, wbf_spec):
-        report = None
+class TestDriveParityWithRound:
+    def test_round_matches_an_adopted_drive(self, cluster, queries, wbf_spec):
         cluster.subscribe(queries)
         report = cluster.round(RoundOptions(net_seed=5, k=6))
-        with pytest.warns(DeprecationWarning):
-            legacy = __import__(
-                "repro.distributed.simulator", fromlist=["DistributedSimulation"]
-            ).DistributedSimulation(cluster.dataset)
-        outcome = legacy.run(
-            wbf_spec.protocol.build(), queries, options=RoundOptions(net_seed=5, k=6)
-        )
+        with Cluster.adopt(cluster.dataset) as adopted:
+            outcome = adopted.drive(
+                wbf_spec.protocol.build(), queries, options=RoundOptions(net_seed=5, k=6)
+            )
         assert outcome.results == report.results
         assert outcome.costs.downlink_bytes == report.downlink_bytes
         assert outcome.costs.uplink_bytes == report.uplink_bytes
         assert outcome.transcript_bytes() == report.transcript_bytes()
+
+    def test_drive_rejects_mixed_override_spellings(
+        self, small_dataset, small_workload, exact_config
+    ):
+        cluster = Cluster.adopt(small_dataset)
+        # The cutoff is an override like any other: k alongside options is
+        # rejected, never silently dropped.
+        with pytest.raises(ValueError, match="not both"):
+            cluster.drive(
+                DIMatchingProtocol(exact_config),
+                list(small_workload.queries),
+                3,
+                options=RoundOptions(k=10),
+            )
+
+
+class TestNoDeprecationWarnings:
+    def test_method_comparison_does_not_warn(self, small_dataset, small_workload):
+        from repro.evaluation.experiments import run_comparison
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_comparison(small_dataset, small_workload, methods=("wbf",))
+
+    def test_facade_delta_session_does_not_warn(
+        self, small_dataset, small_workload, exact_config
+    ):
+        spec = ClusterSpec(
+            name="no-warn",
+            protocol=ProtocolSpec(method="wbf", epsilon=0, config=exact_config),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with Cluster(spec, dataset=small_dataset) as deployed:
+                session = deployed.open_session(mode="deltas")
+                session.subscribe(list(small_workload.queries))
+                for station_id in deployed.station_ids:
+                    session.publish(
+                        station_id, deployed.dataset.local_patterns_at(station_id)
+                    )
+                session.step(RoundOptions(net_seed=1))
+
+
+class TestDeltaStepParityWithDirectSession:
+    def test_direct_session_ranks_like_a_facade_delta_step(
+        self, small_dataset, small_workload, exact_config
+    ):
+        queries = list(small_workload.queries)
+        direct = ContinuousMatchingSession(DIMatchingProtocol(exact_config), queries)
+        for station_id in small_dataset.station_ids:
+            patterns = small_dataset.local_patterns_at(station_id)
+            if len(patterns) > 0:
+                direct.update_station(station_id, patterns)
+
+        spec = ClusterSpec(
+            name="parity",
+            protocol=ProtocolSpec(method="wbf", epsilon=0, config=exact_config),
+        )
+        with Cluster(spec, dataset=small_dataset) as deployed:
+            session = deployed.open_session(mode="deltas")
+            session.subscribe(queries)
+            for station_id in deployed.station_ids:
+                session.publish(
+                    station_id, deployed.dataset.local_patterns_at(station_id)
+                )
+            report = session.step(RoundOptions(net_seed=0))
+        assert direct.current_results(None) == report.results
+
+class TestDriveCutoff:
+    def test_options_cutoff_ranks_like_the_positional_one(
+        self, small_dataset, small_workload, exact_config
+    ):
+        queries = list(small_workload.queries)
+        with Cluster.adopt(small_dataset) as cluster:
+            positional = cluster.drive(DIMatchingProtocol(exact_config), queries, 3)
+            via_options = cluster.drive(
+                DIMatchingProtocol(exact_config), queries, options=RoundOptions(k=3)
+            )
+            uncut = cluster.drive(DIMatchingProtocol(exact_config), queries)
+        assert 0 < len(via_options.results) <= 3
+        assert via_options.results == positional.results
+        assert via_options.results.user_ids() == uncut.results.user_ids()[:3]

@@ -9,7 +9,7 @@ from repro.cluster import (
     ProtocolSpec,
     TransportSpec,
 )
-from repro.core.config import DIMatchingConfig
+from repro.core.config import DIMatchingConfig, FAULT_PROFILE_CHOICES
 from repro.core.exceptions import ConfigurationError
 from repro.datagen.workload import DatasetSpec
 from repro.distributed.network import NetworkConfig
@@ -63,17 +63,20 @@ class TestTransportSpec:
 
 
 class TestExecutorSpec:
-    def test_none_defers_to_protocol_config(self):
+    def test_defaults_are_serial_and_auto_sharded(self):
         spec = ExecutorSpec()
-        assert spec.kind is None and spec.shard_count is None
+        assert (spec.kind, spec.shard_count, spec.max_workers) == ("serial", 0, None)
+        assert ExecutorSpec(kind="process", shard_count=3).shard_count == 3
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("kind", ["gpu", None])
+    def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ConfigurationError, match="executor kind"):
-            ExecutorSpec(kind="gpu")
+            ExecutorSpec(kind=kind)
 
-    def test_negative_shards_rejected(self):
+    @pytest.mark.parametrize("shard_count", [-1, None])
+    def test_negative_shards_rejected(self, shard_count):
         with pytest.raises(ConfigurationError, match="shard_count"):
-            ExecutorSpec(shard_count=-1)
+            ExecutorSpec(shard_count=shard_count)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="max_workers"):
@@ -81,13 +84,23 @@ class TestExecutorSpec:
 
 
 class TestFaultSpec:
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ConfigurationError, match="fault profile"):
-            FaultSpec(profile="meteor-strike")
+    def test_defaults_are_fault_free(self):
+        spec = FaultSpec()
+        assert (spec.profile, spec.net_seed, spec.allow_partial) == ("none", 0, False)
 
-    def test_bool_net_seed_rejected(self):
+    def test_known_profiles_accepted(self):
+        for profile in FAULT_PROFILE_CHOICES:
+            assert FaultSpec(profile=profile).profile == profile
+
+    @pytest.mark.parametrize("profile", ["meteor-strike", None])
+    def test_unknown_profile_rejected(self, profile):
+        with pytest.raises(ConfigurationError, match="fault profile"):
+            FaultSpec(profile=profile)
+
+    @pytest.mark.parametrize("net_seed", [True, "zero", None])
+    def test_non_integer_net_seed_rejected(self, net_seed):
         with pytest.raises(ConfigurationError, match="net_seed"):
-            FaultSpec(net_seed=True)
+            FaultSpec(net_seed=net_seed)
 
     def test_non_bool_allow_partial_rejected(self):
         with pytest.raises(ConfigurationError, match="allow_partial"):
@@ -131,3 +144,14 @@ class TestClusterSpec:
         assert spec.dataset.seed == derive_seed(
             workload.seed, "workload-dataset", workload.name
         )
+
+    def test_from_workload_sets_deployment_knobs_on_the_specs_only(self):
+        workload = get_scenario("degraded-network")
+        spec = ClusterSpec.from_workload(workload)
+        # The fault profile lands on FaultSpec alone; the protocol config is
+        # exactly what the workload's filter means.
+        assert spec.faults == FaultSpec(
+            profile=workload.fault_profile, allow_partial=workload.allow_partial
+        )
+        assert spec.executor == ExecutorSpec()
+        assert spec.protocol.config == DIMatchingConfig(epsilon=workload.epsilon)

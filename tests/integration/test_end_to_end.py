@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol, run_dimatching
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
-from repro.distributed.simulator import DistributedSimulation
 from repro.evaluation.experiments import ground_truth_users, run_comparison
 
 
@@ -27,8 +27,8 @@ class TestExactMatchingEndToEnd:
     def test_simulation_and_in_process_run_agree(self, small_dataset, small_workload, exact_config):
         queries = list(small_workload.queries)
         in_process = run_dimatching(small_dataset, queries, exact_config, k=None)
-        simulated = DistributedSimulation(small_dataset).run(
-            DIMatchingProtocol(exact_config), queries, k=None
+        simulated = Cluster.adopt(small_dataset).drive(
+            DIMatchingProtocol(exact_config), queries
         )
         assert in_process.user_ids() == simulated.results.user_ids()
 
@@ -153,11 +153,11 @@ class TestExecutorParity:
             else:
                 assert snapshot == reference
 
-    def test_executor_from_protocol_config(self, small_dataset, small_workload):
-        config = DIMatchingConfig(epsilon=0, executor="thread", shard_count=2)
-        simulated = DistributedSimulation(small_dataset).run(
-            DIMatchingProtocol(config), list(small_workload.queries), k=None
-        )
+    def test_executor_from_the_deployment(self, small_dataset, small_workload, exact_config):
+        with Cluster.adopt(small_dataset, executor="thread", shard_count=2) as cluster:
+            simulated = cluster.drive(
+                DIMatchingProtocol(exact_config), list(small_workload.queries)
+            )
         assert simulated.costs.executor == "thread"
         assert simulated.costs.shard_count == 2
 

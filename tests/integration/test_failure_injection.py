@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.core.aggregator import SimilarityRanker
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
@@ -22,7 +23,6 @@ from repro.core.matcher import BaseStationMatcher
 from repro.core.protocol import MatchReport
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
 from repro.distributed.faults import FaultPlan
-from repro.distributed.simulator import DistributedSimulation
 from repro.evaluation.experiments import ground_truth_users
 from repro.timeseries.pattern import PatternSet
 
@@ -46,10 +46,10 @@ def environment():
 
 def _run(environment, fault_plan, net_seed, allow_partial=False):
     dataset, workload, config = environment
-    simulation = DistributedSimulation(
+    cluster = Cluster.adopt(
         dataset, fault_plan=fault_plan, net_seed=net_seed, allow_partial=allow_partial
     )
-    return simulation.run(DIMatchingProtocol(config), list(workload.queries), k=None)
+    return cluster.drive(DIMatchingProtocol(config), list(workload.queries))
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ class TestLostReports:
         assert len(outcome.results) == 0
         assert outcome.costs.report_count == 0
         assert outcome.costs.lost_station_count == len(
-            DistributedSimulation(environment[0]).stations
+            Cluster.adopt(environment[0]).stations
         )
 
     def test_recoverable_loss_retransmits_and_loses_nothing(self, environment, reference):

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
 from repro.distributed.faults import FaultPlan
-from repro.distributed.simulator import DistributedSimulation, SimulationOutcome
+from repro.distributed.simulator import SimulationOutcome
 
 #: Workload size shared by every harness round — small enough that the fault
 #: grid stays fast, large enough that every station stores patterns and every
@@ -68,14 +69,14 @@ def run_round(
 ) -> SimulationOutcome:
     """Run one full DI-matching round under the given deterministic triple."""
     env = environment_for(dataset_seed)
-    with DistributedSimulation(
+    with Cluster.adopt(
         env.dataset,
         executor=executor,
         fault_plan=profile,
         net_seed=net_seed,
         allow_partial=allow_partial,
-    ) as simulation:
-        return simulation.run(DIMatchingProtocol(env.config), list(env.queries), k=None)
+    ) as cluster:
+        return cluster.drive(DIMatchingProtocol(env.config), list(env.queries))
 
 
 @pytest.fixture(scope="session")

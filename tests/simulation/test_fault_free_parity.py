@@ -13,10 +13,10 @@ import pytest
 
 from repro.baselines.bf_matching import BloomFilterProtocol
 from repro.baselines.naive import NaiveProtocol
+from repro.cluster import Cluster
 from repro.core.dimatching import DIMatchingProtocol
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import NetworkConfig
-from repro.distributed.simulator import DistributedSimulation
 
 from .conftest import environment_for
 
@@ -69,8 +69,8 @@ def _legacy_model(method, env):
 def test_zero_fault_plan_reproduces_legacy_numbers_exactly(method):
     env = environment_for(31)
     legacy = _legacy_model(method, env)
-    outcome = DistributedSimulation(env.dataset, fault_plan="none", net_seed=0).run(
-        _protocol(method, env.config), list(env.queries), k=None
+    outcome = Cluster.adopt(env.dataset, fault_plan="none", net_seed=0).drive(
+        _protocol(method, env.config), list(env.queries)
     )
     assert outcome.costs.downlink_bytes == legacy["downlink_bytes"]
     assert outcome.costs.uplink_bytes == legacy["uplink_bytes"]

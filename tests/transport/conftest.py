@@ -49,8 +49,8 @@ def batch_b(dataset):
 def make_spec(
     transport: str,
     *,
-    profile: str | None = None,
-    net_seed: int | None = None,
+    profile: str = "none",
+    net_seed: int = 0,
     allow_partial: bool = False,
     max_attempts: int = 8,
 ) -> ClusterSpec:

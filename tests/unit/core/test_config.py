@@ -1,8 +1,10 @@
 """Unit tests for DIMatchingConfig."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core.config import DIMatchingConfig, FAULT_PROFILE_CHOICES
+from repro.core.config import DIMatchingConfig
 from repro.core.exceptions import ConfigurationError
 
 
@@ -75,28 +77,20 @@ class TestWithUpdates:
             DIMatchingConfig().with_updates(sample_count=-1)
 
 
-class TestFaultKnobs:
-    def test_defaults_are_fault_free(self):
-        config = DIMatchingConfig()
-        assert config.fault_profile == "none"
-        assert config.net_seed == 0
-
-    def test_known_profiles_accepted(self):
-        for profile in FAULT_PROFILE_CHOICES:
-            assert DIMatchingConfig(fault_profile=profile).fault_profile == profile
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DIMatchingConfig(fault_profile="catastrophic")
-
-    def test_net_seed_must_be_an_integer(self):
-        with pytest.raises(ConfigurationError):
-            DIMatchingConfig(net_seed="zero")
-        with pytest.raises(ConfigurationError):
-            DIMatchingConfig(net_seed=True)
-
-    def test_fault_knobs_never_travel_on_the_wire(self):
+class TestConfigBoundary:
+    def test_holds_only_the_wire_fields_and_the_bit_backend(self):
+        # Deployment knobs (executor, shards, fault profile, net seed) live on
+        # the cluster specs; the protocol config is what the filter means.
         from repro.wire.codec import _CONFIG_WIRE_FIELDS
 
-        assert "fault_profile" not in _CONFIG_WIRE_FIELDS
-        assert "net_seed" not in _CONFIG_WIRE_FIELDS
+        names = {field.name for field in fields(DIMatchingConfig)}
+        assert names == set(_CONFIG_WIRE_FIELDS) | {"bit_backend"}
+
+    @pytest.mark.parametrize("knob", ["executor", "shard_count", "fault_profile", "net_seed"])
+    def test_deployment_knobs_are_refused(self, knob):
+        # A caller still spelling a deployment knob on the protocol config
+        # gets a loud error instead of a setting that silently does nothing.
+        with pytest.raises(TypeError, match=knob):
+            DIMatchingConfig(**{knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            DIMatchingConfig().with_updates(**{knob: 1})

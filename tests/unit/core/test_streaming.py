@@ -1,5 +1,7 @@
 """Unit tests for the continuous (incremental) matching session."""
 
+import warnings
+
 import pytest
 
 from repro.baselines.bf_matching import BloomFilterProtocol
@@ -40,6 +42,14 @@ class TestConstruction:
     def test_rejects_empty_queries(self):
         with pytest.raises(ValueError):
             ContinuousMatchingSession(DIMatchingProtocol(), [])
+
+    def test_plain_constructor_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            session = ContinuousMatchingSession(
+                DIMatchingProtocol(DIMatchingConfig(sample_count=4)), [_query()]
+            )
+        assert session.update_count == 0
 
 
 class TestUpdates:

@@ -1,4 +1,4 @@
-"""Lazy station-batch generation: determinism, the resident cap, the bridge."""
+"""Lazy station-batch generation: determinism and the resident cap."""
 
 import pytest
 
@@ -170,38 +170,3 @@ class TestDeterminism:
         for fragment in query.local_patterns:
             stored = source.station_batch(fragment.station_id)["u0000003"]
             assert stored.values == fragment.values
-
-
-class TestMaterialize:
-    def test_materialize_is_deprecated_in_favor_of_source_adoption(self):
-        source = _source()
-        with pytest.warns(DeprecationWarning, match="Cluster\\(spec, source="):
-            dataset = source.materialize()
-        assert dataset.station_ids == source.station_ids
-
-    def test_full_materialization_matches_the_lazy_view(self):
-        source = _source()
-        with pytest.warns(DeprecationWarning):
-            dataset = source.materialize()
-        assert dataset.station_ids == source.station_ids
-        assert len(dataset.user_ids) == source.user_count
-        for station_id in source.station_ids:
-            lazy = source.local_patterns_at(station_id)
-            eager = dataset.local_patterns_at(station_id)
-            assert {p.user_id: p.values for p in lazy} == {
-                p.user_id: p.values for p in eager
-            }
-
-    def test_subset_materialization_only_builds_the_subset(self):
-        source = _source()
-        chosen = source.station_ids[:3]
-        with pytest.warns(DeprecationWarning):
-            dataset = source.materialize(chosen)
-        assert dataset.station_ids == chosen
-        # Users appear iff they store a fragment on an included station, and
-        # only those fragments are present.
-        for user_id in dataset.user_ids:
-            stations = {f.station_id for f in source.fragments_of(user_id)}
-            assert stations & set(chosen)
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-            source.materialize(["nope"])

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.config import DIMatchingConfig
+from repro.cluster import Cluster
 from repro.core.dimatching import DIMatchingProtocol
 from repro.distributed.executor import (
     ShardedStationRunner,
@@ -69,20 +69,15 @@ class TestRunnerConfiguration:
 
 
 class TestRunnerExecution:
-    def _simulation(self, small_dataset):
-        from repro.distributed.simulator import DistributedSimulation
-
-        return DistributedSimulation(small_dataset)
-
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_outcomes_cover_every_station(self, small_dataset, exact_config, executor, small_workload):
-        simulation = self._simulation(small_dataset)
+        stations = Cluster.adopt(small_dataset).stations
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
         runner = ShardedStationRunner(executor=executor, max_workers=2)
-        outcomes = runner.run(protocol, simulation.stations, artifact)
+        outcomes = runner.run(protocol, stations, artifact)
         merged = merge_shard_outcomes(outcomes)
-        assert sorted(merged) == sorted(s.node_id for s in simulation.stations)
+        assert sorted(merged) == sorted(s.node_id for s in stations)
         assert all(outcome.elapsed_s >= 0 for outcome in outcomes)
 
     def test_empty_station_list(self, exact_config):
@@ -95,23 +90,12 @@ class TestProcessExecutorPicklability:
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
         # Warm the matcher cache, then pickle: the cache must not travel.
-        station = None
-        from repro.distributed.simulator import DistributedSimulation
-
-        simulation = DistributedSimulation(small_dataset)
-        station = simulation.stations[0]
+        station = Cluster.adopt(small_dataset).stations[0]
         before = station.run_matching(protocol, artifact)
         clone = pickle.loads(pickle.dumps(protocol))
         assert clone._matchers._matchers == {}
         after = clone.station_match(station.node_id, station.patterns, artifact)
         assert after == before
-
-    def test_config_executor_validation(self):
-        with pytest.raises(Exception):
-            DIMatchingConfig(executor="bogus")
-        with pytest.raises(Exception):
-            DIMatchingConfig(shard_count=-2)
-        assert DIMatchingConfig(executor="process", shard_count=3).shard_count == 3
 
 
 class TestSharedArtifactHandoff:
@@ -176,18 +160,12 @@ class TestSharedArtifactHandoff:
         assert export_shared_artifact(object()) is None
 
     def test_process_round_matches_serial(self, small_dataset, small_workload, exact_config):
-        from repro.distributed.simulator import DistributedSimulation
-
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
-        simulation = DistributedSimulation(small_dataset)
+        stations = Cluster.adopt(small_dataset).stations
         serial = merge_shard_outcomes(
-            ShardedStationRunner(executor="serial").run(
-                protocol, simulation.stations, artifact
-            )
+            ShardedStationRunner(executor="serial").run(protocol, stations, artifact)
         )
         with ShardedStationRunner(executor="process", max_workers=2) as runner:
-            shared = merge_shard_outcomes(
-                runner.run(protocol, simulation.stations, artifact)
-            )
+            shared = merge_shard_outcomes(runner.run(protocol, stations, artifact))
         assert shared == serial

@@ -1,92 +1,98 @@
-"""Unit tests for the distributed simulation driver."""
+"""Unit tests for one distributed round driven through an adopted cluster."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 from repro.baselines.bf_matching import BloomFilterProtocol
 from repro.baselines.naive import NaiveProtocol
+from repro.cluster import Cluster, RoundOptions
 from repro.core.dimatching import DIMatchingProtocol
 from repro.distributed.network import NetworkConfig
-from repro.distributed.simulator import DistributedSimulation, SimulationOutcome
+from repro.distributed.simulator import SimulationOutcome
 
 
-class TestDistributedSimulation:
+class TestAdoptedDrive:
     def test_builds_station_nodes_for_non_empty_stations(self, small_dataset):
-        simulation = DistributedSimulation(small_dataset)
-        assert 0 < len(simulation.stations) <= small_dataset.station_count
-        assert simulation.dataset is small_dataset
+        cluster = Cluster.adopt(small_dataset)
+        assert 0 < len(cluster.stations) <= small_dataset.station_count
+        assert cluster.dataset is small_dataset
 
     def test_wbf_run_produces_outcome_with_costs(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(
             DIMatchingProtocol(exact_config), list(small_workload.queries), k=None
         )
         assert isinstance(outcome, SimulationOutcome)
         assert outcome.method == "wbf"
         assert outcome.costs.downlink_bytes > 0
         assert outcome.costs.uplink_bytes > 0
-        assert outcome.costs.message_count >= 2 * len(simulation.stations)
+        assert outcome.costs.message_count >= 2 * len(cluster.stations)
         assert outcome.costs.total_time_s > 0
         assert outcome.costs.report_count >= len(outcome.results)
 
     def test_naive_run_has_no_filter_downlink(self, small_dataset, small_workload):
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
         # Naive downlink is only the per-station control trigger.
-        per_station_overhead = outcome.costs.downlink_bytes / len(simulation.stations)
+        per_station_overhead = outcome.costs.downlink_bytes / len(cluster.stations)
         assert per_station_overhead < 100
 
     def test_naive_uplink_carries_whole_dataset(self, small_dataset, small_workload):
         from repro import wire
 
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
         # Every stored local pattern crosses the uplink, charged at its real
         # encoded size (varint-packed, so smaller than the estimate model).
         encoded_dataset_bytes = sum(
-            len(wire.encode(list(simulation.dataset.local_patterns_at(s.node_id))))
-            for s in simulation.stations
+            len(wire.encode(list(cluster.dataset.local_patterns_at(s.node_id))))
+            for s in cluster.stations
         )
         assert outcome.costs.uplink_bytes >= encoded_dataset_bytes
 
     def test_wbf_uplink_much_smaller_than_naive(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
-        naive = simulation.run(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
-        wbf = simulation.run(DIMatchingProtocol(exact_config), list(small_workload.queries), k=None)
+        cluster = Cluster.adopt(small_dataset)
+        naive = cluster.drive(NaiveProtocol(epsilon=0), list(small_workload.queries), k=None)
+        wbf = cluster.drive(DIMatchingProtocol(exact_config), list(small_workload.queries), k=None)
         assert wbf.costs.uplink_bytes < naive.costs.uplink_bytes / 2
 
     def test_bf_run(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(
             BloomFilterProtocol(exact_config), list(small_workload.queries), k=None
         )
         assert outcome.method == "bf"
         assert outcome.retrieved_user_ids
 
     def test_network_config_scales_transmission_time(self, small_dataset, small_workload):
-        slow = DistributedSimulation(
+        slow = Cluster.adopt(
             small_dataset, NetworkConfig(bandwidth_bytes_per_s=10_000, latency_s=0.0)
         )
-        fast = DistributedSimulation(
+        fast = Cluster.adopt(
             small_dataset, NetworkConfig(bandwidth_bytes_per_s=10_000_000, latency_s=0.0)
         )
         queries = list(small_workload.queries)
-        slow_outcome = slow.run(NaiveProtocol(epsilon=0), queries, k=None)
-        fast_outcome = fast.run(NaiveProtocol(epsilon=0), queries, k=None)
+        slow_outcome = slow.drive(NaiveProtocol(epsilon=0), queries, k=None)
+        fast_outcome = fast.drive(NaiveProtocol(epsilon=0), queries, k=None)
         assert (
             slow_outcome.costs.transmission_time_s
             > 10 * fast_outcome.costs.transmission_time_s
         )
 
     def test_k_cutoff_respected(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(
-            DIMatchingProtocol(exact_config), list(small_workload.queries), k=3
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(
+            DIMatchingProtocol(exact_config),
+            list(small_workload.queries),
+            options=RoundOptions(k=3),
         )
         assert len(outcome.results) <= 3
 
     def test_storage_accounting_present(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
-        outcome = simulation.run(
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(
             DIMatchingProtocol(exact_config), list(small_workload.queries), k=None
         )
         assert outcome.costs.storage_center_bytes > 0
@@ -97,13 +103,15 @@ class TestPerRoundOverrides:
     """Multi-round driving: per-round station subsets and transport seeds."""
 
     def test_station_subset_restricts_the_round(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
+        cluster = Cluster.adopt(small_dataset)
         queries = list(small_workload.queries)
-        all_ids = [station.node_id for station in simulation.stations]
+        all_ids = [station.node_id for station in cluster.stations]
         subset = all_ids[:2]
-        full = simulation.run(DIMatchingProtocol(exact_config), queries, k=None)
-        partial = simulation.run(
-            DIMatchingProtocol(exact_config), queries, k=None, station_ids=subset
+        full = cluster.drive(DIMatchingProtocol(exact_config), queries)
+        partial = cluster.drive(
+            DIMatchingProtocol(exact_config),
+            queries,
+            options=RoundOptions(station_ids=subset),
         )
         assert partial.costs.downlink_bytes < full.costs.downlink_bytes
         senders = {entry.sender for entry in partial.transcript} | {
@@ -115,36 +123,60 @@ class TestPerRoundOverrides:
     def test_station_subset_equal_to_all_matches_default(
         self, small_dataset, small_workload, exact_config
     ):
-        simulation = DistributedSimulation(small_dataset)
+        cluster = Cluster.adopt(small_dataset)
         queries = list(small_workload.queries)
-        all_ids = [station.node_id for station in simulation.stations]
-        default = simulation.run(DIMatchingProtocol(exact_config), queries, k=None)
-        explicit = simulation.run(
-            DIMatchingProtocol(exact_config), queries, k=None, station_ids=all_ids
+        all_ids = [station.node_id for station in cluster.stations]
+        default = cluster.drive(DIMatchingProtocol(exact_config), queries)
+        explicit = cluster.drive(
+            DIMatchingProtocol(exact_config),
+            queries,
+            options=RoundOptions(station_ids=all_ids),
         )
         assert default.transcript_bytes() == explicit.transcript_bytes()
         assert default.results == explicit.results
 
     def test_unknown_station_id_rejected(self, small_dataset, small_workload, exact_config):
-        simulation = DistributedSimulation(small_dataset)
+        cluster = Cluster.adopt(small_dataset)
         with pytest.raises(ValueError, match="unknown station ids"):
-            simulation.run(
+            cluster.drive(
                 DIMatchingProtocol(exact_config),
                 list(small_workload.queries),
-                station_ids=["bs-on-the-moon"],
+                options=RoundOptions(station_ids=["bs-on-the-moon"]),
             )
 
     def test_per_round_net_seed_overrides_the_construction_seed(
         self, small_dataset, small_workload, exact_config
     ):
-        simulation = DistributedSimulation(
+        cluster = Cluster.adopt(
             small_dataset, fault_plan="chaos", net_seed=0, allow_partial=True
         )
         queries = list(small_workload.queries)
         protocol = DIMatchingProtocol(exact_config)
-        base = simulation.run(protocol, queries, k=None)
-        replayed = simulation.run(protocol, queries, k=None, net_seed=0)
-        reseeded = simulation.run(protocol, queries, k=None, net_seed=123)
+        base = cluster.drive(protocol, queries)
+        replayed = cluster.drive(protocol, queries, options=RoundOptions(net_seed=0))
+        reseeded = cluster.drive(protocol, queries, options=RoundOptions(net_seed=123))
         assert base.transcript_bytes() == replayed.transcript_bytes()
         assert reseeded.transcript_bytes() != base.transcript_bytes()
         assert reseeded.costs.net_seed == 123
+
+
+class TestLayering:
+    def test_distributed_never_imports_the_cluster_facade(self):
+        # The facade sits above the transport layer; an upward import would
+        # give a round a second entry point below it.
+        import repro.distributed
+
+        offenders = []
+        for path in sorted(Path(repro.distributed.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    prefix = "." * node.level
+                    modules = [prefix + (node.module or "")]
+                else:
+                    continue
+                for module in modules:
+                    if module.startswith(("repro.cluster", "..cluster")):
+                        offenders.append(f"{path.name}: {module}")
+        assert offenders == []
