@@ -15,6 +15,7 @@ probes, matching the paper's complexity analysis.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
@@ -73,20 +74,16 @@ class BaseStationMatcher:
     ) -> None:
         self._config = config
         self._station_id = str(station_id)
-        self._patterns = patterns
         self._encoder = PatternEncoder(config)
-        # Candidate probe items are query-independent: accumulated + sampled once.
-        self._candidate_items: list[tuple[str, list[object]]] = []
-        for pattern in patterns:
-            encoded_values = (
-                accumulate(pattern.values) if config.use_accumulation else list(pattern.values)
-            )
-            items = self._encoder.items_for_accumulated(encoded_values)
-            self._candidate_items.append((pattern.user_id, items))
-        # Bit positions depend only on (m, k, seed); cache them per item for reuse
-        # across all candidates sharing a value (e.g. zero-activity intervals).
-        self._position_cache: dict[object, list[int]] = {}
-        self._cached_for: tuple[int, int, int] | None = None
+        # The candidates as of construction (patterns are immutable).
+        self._candidates: list[Pattern] = list(patterns)
+        # Every candidate's position rows, packed for the filter's row test,
+        # and how many rows each candidate owns.  Positions depend only on
+        # the hash family, so both are built for the first filter of a family
+        # and reused until one of another family arrives (see _probe_for).
+        self._probe: Sequence[Sequence[int]] = []
+        self._row_counts: list[int] = []
+        self._probe_key: tuple | None = None
 
     @property
     def station_id(self) -> str:
@@ -96,37 +93,53 @@ class BaseStationMatcher:
     @property
     def candidate_count(self) -> int:
         """Number of locally stored patterns."""
-        return len(self._candidate_items)
+        return len(self._candidates)
 
-    # -- position caching ---------------------------------------------------------
+    # -- the packed probe -----------------------------------------------------------
 
-    def _cache_for(self, filter_: WeightedBloomFilter | BloomFilter) -> dict[object, list[int]]:
+    def _probe_items(self, pattern: Pattern) -> list[object]:
+        """The items ``pattern`` probes: its accumulated values at the sample indices."""
+        values = pattern.values
+        accumulated = accumulate(values) if self._config.use_accumulation else list(values)
+        return self._encoder.items_for_accumulated(accumulated)
+
+    def _probe_for(
+        self,
+        filter_: WeightedBloomFilter | BloomFilter,
+        pack: Callable[[list[list[int]]], Sequence[Sequence[int]]],
+    ) -> Sequence[Sequence[int]]:
+        """All candidates' position rows for ``filter_``, in order, packed by ``pack``.
+
+        Built once per hash family ``(m, k, seed)`` and bit backend, then
+        reused by every later round.  Only the packed form and the row counts
+        are kept — not the probe items, nor their rows as lists; the
+        candidates that pass the bit test read their rows back out of it.
+        """
         family = filter_.hash_family
-        signature = (family.value_range, family.hash_count, family.seed)
-        if self._cached_for != signature:
-            self._position_cache = {}
-            self._cached_for = signature
-        return self._position_cache
+        key = (family.value_range, family.hash_count, family.seed, filter_.backend_name)
+        if self._probe_key != key:
+            candidates = [self._probe_items(pattern) for pattern in self._candidates]
+            items = [item for candidate in candidates for item in candidate]
+            # Candidates share many values (e.g. zero-activity intervals):
+            # hash each distinct item once.
+            unique = list(dict.fromkeys(items))
+            rows = dict(zip(unique, family.indices_batch(unique)))
+            self._probe = pack([rows[item] for item in items])
+            self._row_counts = [len(candidate) for candidate in candidates]
+            self._probe_key = key
+        return self._probe
 
-    def _positions_for(self, item: object, filter_: WeightedBloomFilter | BloomFilter) -> list[int]:
-        cache = self._cache_for(filter_)
-        positions = cache.get(item)
-        if positions is None:
-            positions = filter_.hash_family.positions(item)
-            cache[item] = positions
-        return positions
-
-    def _rows_for_items(
-        self, items: list[object], filter_: WeightedBloomFilter | BloomFilter
-    ) -> list[list[int]]:
-        """Positions for every item, computing cache misses in one batched call."""
-        cache = self._cache_for(filter_)
-        missing = [item for item in items if item not in cache]
-        if missing:
-            unique = list(dict.fromkeys(missing))
-            for item, row in zip(unique, filter_.hash_family.indices_batch(unique)):
-                cache[item] = row
-        return [cache[item] for item in items]
+    def _passing_candidates(
+        self, probe: Sequence[Sequence[int]], passed: list[bool]
+    ) -> Iterator[tuple[str, list[list[int]]]]:
+        """``(user id, position rows)`` of each candidate whose bits all passed."""
+        offset = 0
+        for pattern, row_count in zip(self._candidates, self._row_counts):
+            end = offset + row_count
+            if all(passed[offset:end]):
+                rows = probe[offset:end]
+                yield pattern.user_id, rows if rows.__class__ is list else rows.tolist()
+            offset = end
 
     # -- weighted matching (Algorithm 2) --------------------------------------------
 
@@ -142,18 +155,8 @@ class BaseStationMatcher:
         indistinguishable through the filter — the data center resolves that
         ambiguity during aggregation.
         """
-        encoded_values = (
-            accumulate(pattern.values)
-            if self._config.use_accumulation
-            else list(pattern.values)
-        )
-        items = self._encoder.items_for_accumulated(encoded_values)
-        return self._match_items(items, wbf)
-
-    def _match_items(
-        self, items: list[object], wbf: WeightedBloomFilter
-    ) -> dict[str, frozenset[Fraction]]:
-        return self._match_rows(self._rows_for_items(items, wbf), wbf)
+        items = self._probe_items(pattern)
+        return self._match_rows(wbf.hash_family.indices_batch(items), wbf)
 
     def _match_rows(
         self,
@@ -213,20 +216,10 @@ class BaseStationMatcher:
                 "center and stations must share the configuration"
             )
         wbf = encoded.wbf
-        candidate_rows = [
-            (user_id, self._rows_for_items(items, wbf))
-            for user_id, items in self._candidate_items
-        ]
-        flat_rows = [row for _, rows in candidate_rows for row in rows]
-        passed = wbf.bits_all_set_rows(flat_rows)
+        probe = self._probe_for(wbf, wbf.pack_rows)
+        passed = wbf.bits_all_set_rows(probe)
         reports: list[MatchReport] = []
-        offset = 0
-        for user_id, rows in candidate_rows:
-            row_count = len(rows)
-            bits_ok = all(passed[offset : offset + row_count])
-            offset += row_count
-            if not bits_ok:
-                continue
+        for user_id, rows in self._passing_candidates(probe, passed):
             matched = self._match_rows(rows, wbf, bits_checked=True)
             for query_id, weights in matched.items():
                 for weight in weights:
@@ -249,19 +242,9 @@ class BaseStationMatcher:
         are (possibly falsely) present; no weight is available.  All candidates'
         probes run as a single vectorized row-test against the filter.
         """
-        candidate_rows = [
-            (user_id, self._rows_for_items(items, bloom))
-            for user_id, items in self._candidate_items
+        bits = bloom.bits
+        probe = self._probe_for(bloom, bits.pack_rows)
+        return [
+            MatchReport(user_id=user_id, station_id=self._station_id, weight=None)
+            for user_id, _rows in self._passing_candidates(probe, bits.all_set_rows(probe))
         ]
-        flat_rows = [row for _, rows in candidate_rows for row in rows]
-        passed = bloom.bits.all_set_rows(flat_rows)
-        reports: list[MatchReport] = []
-        offset = 0
-        for user_id, rows in candidate_rows:
-            row_count = len(rows)
-            if all(passed[offset : offset + row_count]):
-                reports.append(
-                    MatchReport(user_id=user_id, station_id=self._station_id, weight=None)
-                )
-            offset += row_count
-        return reports

@@ -295,6 +295,10 @@ class WeightedBloomFilter:
         """
         return self._bits.all_set_rows(rows)
 
+    def pack_rows(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """``rows`` in the bit backend's fastest :meth:`bits_all_set_rows` form."""
+        return self._bits.pack_rows(rows)
+
     def query_many_at(self, rows: Sequence[Sequence[int]]) -> list[frozenset]:
         """Same as :meth:`query_many` but for precomputed position rows."""
         passed = self._bits.all_set_rows(rows)

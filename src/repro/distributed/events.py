@@ -1,20 +1,21 @@
 """Virtual-clock discrete-event machinery behind the simulated network.
 
 The :class:`EventLoop` is a plain monotonic heap of ``(time, sequence,
-callback)`` entries: time is *virtual* (seconds of simulated transmission,
-never wall clock), and the sequence number makes ordering of simultaneous
-events total and deterministic.  Everything the loop does is recorded by the
-transport as :class:`TranscriptEntry` rows; the canonical byte rendering of a
-transcript (:func:`transcript_to_bytes`) is what the seed-replay harness
-compares across runs and executors — two runs are "the same" exactly when
-their transcripts are byte-identical.
+callback, args)`` entries: time is *virtual* (seconds of simulated
+transmission, never wall clock), and the sequence number makes ordering of
+simultaneous events total and deterministic.  Carrying the callback's
+arguments in the entry spares the transport a closure per scheduled frame.
+Everything the loop does is recorded by the transport as
+:class:`TranscriptEntry` rows; the canonical byte rendering of a transcript
+(:func:`transcript_to_bytes`) is what the seed-replay harness compares across
+runs and executors — two runs are "the same" exactly when their transcripts
+are byte-identical.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Callable
+from heapq import heappop, heappush
+from typing import Callable, NamedTuple
 
 from repro.core.exceptions import ReproError
 
@@ -49,7 +50,7 @@ class EventLoop:
     """A deterministic single-threaded discrete-event loop on a virtual clock."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[float], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._sequence = 0
         self._now = 0.0
 
@@ -58,22 +59,23 @@ class EventLoop:
         """The current virtual time in seconds."""
         return self._now
 
-    def schedule(self, time_s: float, callback: Callable[[float], None]) -> None:
-        """Schedule ``callback(fire_time)`` at virtual time ``time_s``.
+    def schedule(self, time_s: float, callback: Callable[..., None], *args: object) -> None:
+        """Schedule ``callback(fire_time, *args)`` at virtual time ``time_s``.
 
         Events scheduled for the past fire at the current clock instead (the
         loop never travels backwards); ties break by scheduling order.
         """
-        fire_at = time_s if time_s >= self._now else self._now
-        heapq.heappush(self._heap, (fire_at, self._sequence, callback))
+        now = self._now
+        heappush(self._heap, (time_s if time_s >= now else now, self._sequence, callback, args))
         self._sequence += 1
 
     def run(self) -> float:
         """Run until the event heap drains; return the final virtual time."""
-        while self._heap:
-            time_s, _sequence, callback = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time_s, _sequence, callback, args = heappop(heap)
             self._now = time_s
-            callback(time_s)
+            callback(time_s, *args)
         return self._now
 
     def reset(self, time_s: float = 0.0) -> None:
@@ -82,14 +84,15 @@ class EventLoop:
         self._now = time_s
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     """One row of the deterministic event transcript.
 
     The fields are everything replay needs to compare two executions: virtual
     time, a total order, the event type, the frame's identity and routing, its
     size and attempt number.  Wall-clock timings never appear here — they are
-    measurements, not behaviour.
+    measurements, not behaviour.  A named tuple rather than a dataclass
+    because the simulator builds one per frame event: construction is a
+    single tuple allocation, and entries stay immutable.
     """
 
     sequence: int

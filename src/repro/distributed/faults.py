@@ -204,6 +204,11 @@ class FrameFaults:
     jitter_s: float
 
 
+#: The one decision every frame gets under a fault-free plan, shared instead
+#: of allocated per frame.
+NO_FRAME_FAULTS = FrameFaults(False, False, False, 0.0, 0.0)
+
+
 class FaultInjector:
     """Deterministic per-frame and per-station fault decisions.
 
@@ -218,6 +223,7 @@ class FaultInjector:
             raise TypeError(f"seed must be an integer, got {seed!r}")
         self._plan = plan
         self._seed = seed
+        self._fault_free = plan.is_fault_free
 
     @property
     def plan(self) -> FaultPlan:
@@ -236,9 +242,9 @@ class FaultInjector:
         reorder, jitter) so adding a new fault type to the *end* preserves all
         existing decisions for a given seed.
         """
+        if self._fault_free:
+            return NO_FRAME_FAULTS
         plan = self._plan
-        if plan.is_fault_free:
-            return FrameFaults(False, False, False, 0.0, 0.0)
         rng = _mixed_rng(self._seed, frame_id, attempt)
         drop = rng.random() < plan.drop_probability
         duplicate = rng.random() < plan.duplicate_probability

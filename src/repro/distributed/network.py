@@ -44,8 +44,18 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.distributed.events import EventLoop, RoundTimeoutError, TranscriptEntry
-from repro.distributed.faults import FaultInjector, FaultPlan, resolve_fault_plan
+from repro.distributed.events import (
+    EventLoop,
+    RoundTimeoutError,
+    TranscriptEntry,
+    transcript_to_bytes,
+)
+from repro.distributed.faults import (
+    NO_FRAME_FAULTS,
+    FaultInjector,
+    FaultPlan,
+    resolve_fault_plan,
+)
 from repro.distributed.messages import Message
 from repro.distributed.node import Node
 from repro.distributed.transport.base import FrameStats, PhaseOutcome, Transport
@@ -128,7 +138,8 @@ class _Transfer:
         "direction",
         "payload",
         "size",
-        "crc",
+        "occupancy",
+        "kind",
         "link",
         "station",
         "attempts",
@@ -143,6 +154,7 @@ class _Transfer:
         message: Message,
         receiver: Node | None,
         direction: str,
+        config: NetworkConfig,
     ) -> None:
         self.frame_id = frame_id
         self.message = message
@@ -154,7 +166,9 @@ class _Transfer:
             payload = None
         self.payload = payload
         self.size = len(payload) if payload is not None else message.size_bytes()
-        self.crc = zlib.crc32(payload) if payload is not None else 0
+        # The size never changes, so neither does the unstretched link time.
+        self.occupancy = config.transfer_time_s(self.size)
+        self.kind = message.kind.value
         if direction == "downlink":
             self.link = f"downlink:{message.recipient}"
             self.station = message.recipient
@@ -186,6 +200,7 @@ class SimulatedNetwork(Transport):
         self._config = config or NetworkConfig()
         self._plan = resolve_fault_plan(fault_plan)
         self._injector = FaultInjector(self._plan, seed)
+        self._fault_free = self._plan.is_fault_free
         self._decode_backend = decode_backend
         self._allow_partial = bool(allow_partial)
         self._loop = EventLoop()
@@ -260,8 +275,6 @@ class SimulatedNetwork(Transport):
 
     def transcript_bytes(self) -> bytes:
         """Canonical byte rendering of the transcript (the replay token)."""
-        from repro.distributed.events import transcript_to_bytes
-
         return transcript_to_bytes(self._transcript)
 
     def delivered_payloads(self, direction: str) -> dict[str, tuple[bytes, ...]]:
@@ -352,38 +365,21 @@ class SimulatedNetwork(Transport):
 
     # -- the phase engine ---------------------------------------------------------
 
-    def _record(
-        self,
-        time_s: float,
-        event: str,
-        transfer: _Transfer | None,
-        attempt: int | None = None,
-    ) -> None:
-        if transfer is None:
-            entry = TranscriptEntry(
-                sequence=len(self._transcript),
-                time_s=time_s,
-                event=event,
-                frame_id=-1,
-                attempt=attempt or 0,
-                sender="-",
-                recipient="-",
-                kind="-",
-                size_bytes=0,
+    def _record(self, time_s: float, event: str, transfer: _Transfer, attempt: int) -> None:
+        message = transfer.message
+        self._transcript.append(
+            TranscriptEntry(
+                len(self._transcript),
+                time_s,
+                event,
+                transfer.frame_id,
+                attempt,
+                message.sender,
+                message.recipient,
+                transfer.kind,
+                transfer.size,
             )
-        else:
-            entry = TranscriptEntry(
-                sequence=len(self._transcript),
-                time_s=time_s,
-                event=event,
-                frame_id=transfer.frame_id,
-                attempt=attempt if attempt is not None else transfer.attempts,
-                sender=transfer.message.sender,
-                recipient=transfer.message.recipient,
-                kind=transfer.message.kind.value,
-                size_bytes=transfer.size,
-            )
-        self._transcript.append(entry)
+        )
 
     def _run_phase(
         self, sends: list[tuple[Message, Node | None]], direction: str
@@ -392,7 +388,7 @@ class SimulatedNetwork(Transport):
         self._link_free.clear()
         transfers: list[_Transfer] = []
         for message, receiver in sends:
-            transfer = _Transfer(self._next_frame_id, message, receiver, direction)
+            transfer = _Transfer(self._next_frame_id, message, receiver, direction, self._config)
             self._next_frame_id += 1
             self._message_count += 1
             transfers.append(transfer)
@@ -409,7 +405,7 @@ class SimulatedNetwork(Transport):
         )
         self._transcript.append(phase_marker)
         for transfer in transfers:
-            self._schedule_attempt(transfer, 0.0, retransmit=False)
+            self._schedule_attempt(0.0, transfer, False)
         self._loop.run()
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:
@@ -444,38 +440,54 @@ class SimulatedNetwork(Transport):
         else:
             self._uplink_bytes += transfer.size
 
-    def _schedule_attempt(self, transfer: _Transfer, time_s: float, retransmit: bool) -> None:
+    def _schedule_attempt(self, time_s: float, transfer: _Transfer, retransmit: bool) -> None:
+        """Send the next attempt of ``transfer`` (also the retransmit timer's callback).
+
+        An intact frame that lands no later than its timer would fire resolves
+        the transfer first (the arrival is scheduled first, so it also wins a
+        tie), and a timer on a resolved transfer does nothing — so such a
+        frame gets no timer, and a fault-free phase runs one event per frame.
+        """
         if transfer.delivered or transfer.failed:
             return
-        if transfer.attempts >= self._config.max_attempts:
+        config = self._config
+        if transfer.attempts >= config.max_attempts:
             transfer.failed = True
             transfer.resolved_at = time_s
             self._timeout_count += 1
-            self._record(time_s, "timeout", transfer)
+            self._record(time_s, "timeout", transfer, transfer.attempts)
             return
         transfer.attempts += 1
         attempt = transfer.attempts
         if retransmit:
             self._retransmit_count += 1
-            self._record(time_s, "retransmit", transfer, attempt=attempt)
-        faults = self._injector.frame_faults(transfer.frame_id, attempt)
-        multiplier = self._injector.straggler_multiplier(transfer.station)
+            self._record(time_s, "retransmit", transfer, attempt)
+        occupancy = transfer.occupancy
+        if self._fault_free:
+            injector = None
+            faults = NO_FRAME_FAULTS
+        else:
+            injector = self._injector
+            faults = injector.frame_faults(transfer.frame_id, attempt)
+            multiplier = injector.straggler_multiplier(transfer.station)
+            if multiplier != 1.0:
+                occupancy *= multiplier
         start = max(time_s, self._link_free.get(transfer.link, 0.0))
-        occupancy = self._config.transfer_time_s(transfer.size)
-        if multiplier != 1.0:
-            occupancy *= multiplier
         self._link_free[transfer.link] = start + occupancy
         self._charge(transfer)
-        self._record(start, "send", transfer, attempt=attempt)
+        self._record(start, "send", transfer, attempt)
 
-        blackout = self._injector.blackout_window(transfer.station)
-        lost_to_blackout = blackout is not None and blackout[0] <= start < blackout[1]
+        lost_to_blackout = False
+        if injector is not None:
+            blackout = injector.blackout_window(transfer.station)
+            lost_to_blackout = blackout is not None and blackout[0] <= start < blackout[1]
         # Corruption needs bytes to flip; a payload outside the codec's
         # vocabulary travels as an opaque object, so the fault degrades to loss.
         lost_to_fault = faults.drop or (faults.corrupt and transfer.payload is None)
+        arrival = None
         if lost_to_blackout or lost_to_fault:
             self._frames_dropped += 1
-            self._record(start, "blackout" if lost_to_blackout else "drop", transfer, attempt=attempt)
+            self._record(start, "blackout" if lost_to_blackout else "drop", transfer, attempt)
         else:
             arrival = start + occupancy
             if faults.jitter_s:
@@ -483,52 +495,44 @@ class SimulatedNetwork(Transport):
             if faults.reorder_delay_s:
                 arrival += faults.reorder_delay_s
             data = transfer.payload
-            if faults.corrupt and data is not None:
-                data = self._injector.corrupt_bytes(data, transfer.frame_id, attempt)
-            self._loop.schedule(
-                arrival,
-                lambda t, tr=transfer, d=data: self._on_arrival(tr, d, t),
-            )
+            if faults.corrupt:
+                data = injector.corrupt_bytes(data, transfer.frame_id, attempt)
+            self._loop.schedule(arrival, self._on_arrival, transfer, data)
             if faults.duplicate:
                 # A network-generated duplicate: a pristine second copy
                 # trailing the original by one propagation delay.
                 self._charge(transfer)
-                self._record(start, "dup-send", transfer, attempt=attempt)
+                self._record(start, "dup-send", transfer, attempt)
                 self._loop.schedule(
-                    arrival + self._config.latency_s,
-                    lambda t, tr=transfer: self._on_arrival(tr, tr.payload, t),
+                    arrival + config.latency_s, self._on_arrival, transfer, transfer.payload
                 )
 
-        rto = self._config.retransmit_timeout_s
+        rto = config.retransmit_timeout_s
         if rto is None:
-            rto = occupancy + 2.0 * self._config.latency_s + self._plan.jitter_s
-        if attempt >= self._config.max_attempts:
+            rto = occupancy + 2.0 * config.latency_s + self._plan.jitter_s
+        if attempt >= config.max_attempts:
             # Final attempt: give reordered frames time to land before the
             # transfer is declared dead.
-            rto += self._plan.reorder_delay_s + self._config.latency_s
-        self._loop.schedule(start + rto, lambda t, tr=transfer: self._on_timer(tr, t))
+            rto += self._plan.reorder_delay_s + config.latency_s
+        timer_at = start + rto
+        if arrival is None or faults.corrupt or arrival > timer_at:
+            self._loop.schedule(timer_at, self._schedule_attempt, transfer, True)
 
-    def _on_timer(self, transfer: _Transfer, time_s: float) -> None:
-        if transfer.delivered or transfer.failed:
-            return
-        self._schedule_attempt(transfer, time_s, retransmit=True)
-
-    def _on_arrival(
-        self, transfer: _Transfer, data: bytes | None, time_s: float
-    ) -> None:
+    def _on_arrival(self, time_s: float, transfer: _Transfer, data: bytes | None) -> None:
         if transfer.delivered or transfer.failed:
             # A duplicate emission, a spurious retransmission, or a reordered
             # frame landing after the transfer was resolved.
             self._frames_duplicate += 1
-            self._record(time_s, "duplicate", transfer)
+            self._record(time_s, "duplicate", transfer, transfer.attempts)
             return
-        if data is not None and zlib.crc32(data) != transfer.crc:
-            # The frame checksum is verified on every arrival, so in-flight
-            # corruption is detected independently of how it was injected.
-            # The receiver still runs the real decode on the corrupt bytes —
-            # the codec's typed-error contract is exercised for real — and the
-            # checksum is the backstop for corruptions the codec cannot see,
-            # so a corrupt frame can never be accepted.
+        if data is not transfer.payload and zlib.crc32(data) != zlib.crc32(transfer.payload):
+            # Frames arrive either as the sender's own (immutable) payload
+            # object or as a corrupted copy, and only a copy needs its
+            # checksum verified.  The receiver still runs the real decode on
+            # the corrupt bytes — the codec's typed-error contract is
+            # exercised for real — and the checksum is the backstop for
+            # corruptions the codec cannot see, so a corrupt frame can never
+            # be accepted.
             try:
                 Message.from_wire(data, backend=self._decode_backend)
             except WireFormatError:
@@ -536,7 +540,7 @@ class SimulatedNetwork(Transport):
             else:
                 self._corrupt_caught_by_checksum += 1
             self._frames_corrupt += 1
-            self._record(time_s, "corrupt", transfer)
+            self._record(time_s, "corrupt", transfer, transfer.attempts)
             return
         if transfer.receiver is not None:
             if data is not None:
@@ -555,4 +559,4 @@ class SimulatedNetwork(Transport):
                 (transfer.direction, transfer.station), []
             ).append(transfer.payload)
         self._log.append(delivered)
-        self._record(time_s, "deliver", transfer)
+        self._record(time_s, "deliver", transfer, transfer.attempts)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import weakref
 import zlib
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.bloom.backend import iter_set_bits_in_bytes
 from repro.bloom.standard import BloomFilter
@@ -53,6 +53,9 @@ from repro.wire.primitives import (
     write_uvarint,
 )
 from repro.wire.values import encode_value, read_value, write_value
+
+if TYPE_CHECKING:
+    from repro.distributed.messages import Message, MessageKind
 
 #: Magic bytes opening every encoded artifact ("DI-Matching Wire").
 MAGIC = b"DIMW"
@@ -111,26 +114,32 @@ TAG_VALUE = 0x0B
 
 _HEADER_SIZE = 7
 
-_KIND_CODES: dict[str, int] = {}
-_KIND_NAMES: dict[int, str] = {}
+#: The envelope vocabulary of :mod:`repro.distributed.messages`, bound once
+#: by :func:`_bind_message_types` on first use — this module must not import
+#: :mod:`repro.distributed` at load time, which itself imports this codec.
+_MESSAGE_TYPE: "type[Message] | None" = None
+#: ``MessageKind`` members by wire code, and wire codes by member.
+_KINDS_BY_CODE: "tuple[MessageKind, ...]" = ()
+_KIND_CODES: "dict[MessageKind, int]" = {}
 
 
-def _kind_tables() -> tuple[dict[str, int], dict[int, str]]:
-    """Message-kind wire codes, derived from ``MessageKind`` declaration order.
+def _bind_message_types() -> "type[Message]":
+    """Resolve ``Message`` and the message-kind wire codes; returns ``Message``.
 
-    Deriving (instead of hand-maintaining a parallel table) means a new kind
-    can never be encodable-but-undecodable; the flip side is that kinds must
-    only ever be *appended* to the enum — reordering or removing one changes
-    existing codes and requires a ``WIRE_VERSION`` bump.  Populated lazily to
-    keep this module import-free of :mod:`repro.distributed`.
+    Kind codes are derived from ``MessageKind`` declaration order.  Deriving
+    (instead of hand-maintaining a parallel table) means a new kind can never
+    be encodable-but-undecodable; the flip side is that kinds must only ever
+    be *appended* to the enum — reordering or removing one changes existing
+    codes and requires a ``WIRE_VERSION`` bump.
     """
-    if not _KIND_CODES:
-        from repro.distributed.messages import MessageKind
+    global _MESSAGE_TYPE, _KINDS_BY_CODE
+    from repro.distributed.messages import Message, MessageKind
 
-        for code, kind in enumerate(MessageKind):
-            _KIND_CODES[kind.value] = code
-            _KIND_NAMES[code] = kind.value
-    return _KIND_CODES, _KIND_NAMES
+    _KINDS_BY_CODE = tuple(MessageKind)
+    _KIND_CODES.update((kind, code) for code, kind in enumerate(_KINDS_BY_CODE))
+    _WRITERS_BY_TYPE[Message] = (TAG_MESSAGE, _write_message_body)
+    _MESSAGE_TYPE = Message
+    return Message
 
 
 # -- body encoders ---------------------------------------------------------------
@@ -488,39 +497,31 @@ def _read_report_columnar(reader: ByteReader) -> list:
     return reports
 
 
-def _write_message_body(out: bytearray, message: object) -> None:
-    from repro.distributed.messages import Message
-
-    if not isinstance(message, Message):  # pragma: no cover - guarded by dispatch
-        raise UnsupportedWireTypeError(f"expected Message, got {type(message).__name__}")
-    kind_codes, _ = _kind_tables()
+def _write_message_body(out: bytearray, message: "Message") -> None:
     write_str(out, message.sender)
     write_str(out, message.recipient)
-    write_u8(out, kind_codes[message.kind.value])
+    out.append(_KIND_CODES[message.kind])
     # The message memoizes its payload encoding, so cost accounting and
     # envelope construction within one round share a single payload encode.
     write_bytes(out, message.payload_wire())
 
 
-def _read_message_body(reader: ByteReader, backend: str):
-    from repro.distributed.messages import Message, MessageKind
-
+def _read_message_body(reader: ByteReader, backend: str) -> "Message":
+    message_type = _MESSAGE_TYPE or _bind_message_types()
     sender = reader.str_()
     recipient = reader.str_()
     kind_code = reader.u8()
-    _, kind_names = _kind_tables()
-    if kind_code not in kind_names:
+    if kind_code >= len(_KINDS_BY_CODE):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     payload_block = reader.bytes_()
-    payload = _decode_payload_cached(payload_block, backend)
-    return Message(
-        sender=sender,
-        recipient=recipient,
-        kind=MessageKind(kind_names[kind_code]),
-        payload=payload,
+    return message_type(
+        sender,
+        recipient,
+        _KINDS_BY_CODE[kind_code],
+        _decode_payload_cached(payload_block, backend),
         # Recover the hop's negotiated payload-frame version so a decoded
         # message compares equal to the one the sender built.
-        wire_version=payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
+        payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
     )
 
 
@@ -595,34 +596,40 @@ _READERS: dict[int, Callable[[ByteReader, str], object]] = {
 }
 
 
+def _write_nothing(out: bytearray, obj: None) -> None:
+    pass
+
+
+#: Class -> (tag, body writer).  :func:`_dispatch` takes the first entry on
+#: an object's MRO, so the artifacts a round sends resolve in one lookup and a
+#: subclass (``GlobalPattern``, a ``list`` subclass) encodes as its nearest
+#: registered base.  ``Message`` joins on first use (see
+#: :func:`_bind_message_types`).
+_WRITERS_BY_TYPE: dict[type, tuple[int, Callable[[bytearray, object], None]]] = {
+    type(None): (TAG_NONE, _write_nothing),
+    WeightedBloomFilter: (TAG_WBF, _write_wbf_body),
+    BloomFilter: (TAG_BLOOM_FILTER, _write_bloom_body),
+    EncodedQueryBatch: (TAG_ENCODED_BATCH, _write_batch_body),
+    MatchReport: (TAG_MATCH_REPORT, _write_report_body),
+    LocalPattern: (TAG_LOCAL_PATTERN, _write_local_pattern_body),
+    Pattern: (TAG_PATTERN, _write_pattern_body),
+    QueryPattern: (TAG_QUERY_PATTERN, _write_query_body),
+    list: (TAG_OBJECT_LIST, _write_object_list_body),
+}
+
+
 def _dispatch(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
     """Map an object to its wire tag and body writer."""
-    if obj is None:
-        return TAG_NONE, lambda out, _obj: None
-    if isinstance(obj, WeightedBloomFilter):
-        return TAG_WBF, _write_wbf_body
-    if isinstance(obj, BloomFilter):
-        return TAG_BLOOM_FILTER, _write_bloom_body
-    if isinstance(obj, EncodedQueryBatch):
-        return TAG_ENCODED_BATCH, _write_batch_body
-    if isinstance(obj, MatchReport):
-        return TAG_MATCH_REPORT, _write_report_body
-    if isinstance(obj, LocalPattern):
-        return TAG_LOCAL_PATTERN, _write_local_pattern_body
-    if isinstance(obj, Pattern):
-        return TAG_PATTERN, _write_pattern_body
-    if isinstance(obj, QueryPattern):
-        return TAG_QUERY_PATTERN, _write_query_body
+    for cls in type(obj).__mro__:
+        entry = _WRITERS_BY_TYPE.get(cls)
+        if entry is not None:
+            return entry
     if isinstance(obj, tuple) and obj and all(isinstance(q, QueryPattern) for q in obj):
         return TAG_QUERY_BATCH, _write_query_batch_body
-    if isinstance(obj, list):
-        return TAG_OBJECT_LIST, _write_object_list_body
     type_name = type(obj).__name__
-    if type_name == "Message":  # lazy: avoid importing repro.distributed at module load
-        from repro.distributed.messages import Message
-
-        if isinstance(obj, Message):
-            return TAG_MESSAGE, _write_message_body
+    # By name first: avoid importing repro.distributed for unrelated objects.
+    if type_name == "Message" and isinstance(obj, _MESSAGE_TYPE or _bind_message_types()):
+        return TAG_MESSAGE, _write_message_body
     if isinstance(obj, (bool, int, float, str, bytes, bytearray, Fraction, tuple)):
         return TAG_VALUE, _write_value_body
     raise UnsupportedWireTypeError(f"no wire encoding for objects of type {type_name}")
@@ -669,21 +676,20 @@ def encode(
             f"{WIRE_VERSION_EXT} or later"
         )
     tag, writer = _dispatch(obj)
-    body = bytearray()
-    writer(body, obj)
-    flags = 0
-    payload = bytes(body)
-    if compress:
-        flags |= FLAG_ZLIB
-        payload = zlib.compress(payload, level=6)
     frame = bytearray(MAGIC)
     frame.append(version)
-    frame.append(flags)
+    frame.append(FLAG_ZLIB if compress else 0)
     frame.append(tag)
     if version >= WIRE_VERSION_EXT:
         write_uvarint(frame, len(extension))
         frame += extension
-    frame += payload
+    if compress:
+        body = bytearray()
+        writer(body, obj)
+        frame += zlib.compress(body, level=6)
+    else:
+        # Uncompressed bodies are written in place after the header.
+        writer(frame, obj)
     return bytes(frame)
 
 

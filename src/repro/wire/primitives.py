@@ -25,6 +25,10 @@ _U64_MAX = (1 << 64) - 1
 
 def write_uvarint(out: bytearray, value: int) -> None:
     """Append ``value`` as an unsigned LEB128 varint."""
+    if 0 <= value < 0x80:
+        # Lengths, counts and table indices are almost always one byte.
+        out.append(value)
+        return
     if value < 0:
         raise ValueError(f"uvarint value must be >= 0, got {value}")
     if value > _U64_MAX:
@@ -66,7 +70,9 @@ def write_bytes(out: bytearray, data: bytes) -> None:
 
 def write_str(out: bytearray, text: str) -> None:
     """Append a length-prefixed UTF-8 string."""
-    write_bytes(out, text.encode("utf-8"))
+    data = text.encode("utf-8")
+    write_uvarint(out, len(data))
+    out += data
 
 
 def write_bool(out: bytearray, value: bool) -> None:
@@ -110,7 +116,7 @@ class ByteReader:
     :class:`memoryview` rather than copied, so decoding a payload embedded in
     a larger frame never duplicates the frame.  Bytes are materialized only at
     the accessors that must hand out ``bytes`` (:meth:`raw` and everything
-    built on it).
+    built on it); :meth:`str_` decodes straight from the buffer.
     """
 
     __slots__ = ("_data", "_offset")
@@ -134,18 +140,24 @@ class ByteReader:
         """Number of unread bytes."""
         return len(self._data) - self._offset
 
-    def raw(self, count: int) -> bytes:
-        """Read exactly ``count`` raw bytes."""
+    def _take(self, count: int) -> "bytes | memoryview":
+        """The next ``count`` bytes as a slice of the buffer; advances past them."""
         if count < 0:
             raise WireFormatError(f"cannot read a negative byte count ({count})")
-        if self.remaining < count:
-            raise WireFormatError(
-                f"buffer truncated: needed {count} bytes at offset {self._offset}, "
-                f"only {self.remaining} remain"
-            )
+        data = self._data
         start = self._offset
-        self._offset += count
-        chunk = self._data[start : self._offset]
+        end = start + count
+        if end > len(data):
+            raise WireFormatError(
+                f"buffer truncated: needed {count} bytes at offset {start}, "
+                f"only {len(data) - start} remain"
+            )
+        self._offset = end
+        return data[start:end]
+
+    def raw(self, count: int) -> bytes:
+        """Read exactly ``count`` raw bytes."""
+        chunk = self._take(count)
         return chunk if chunk.__class__ is bytes else bytes(chunk)
 
     def u8(self) -> int:
@@ -164,6 +176,9 @@ class ByteReader:
         data = self._data
         offset = self._offset
         length = len(data)
+        if offset < length and data[offset] < 0x80:
+            self._offset = offset + 1
+            return data[offset]
         result = 0
         shift = 0
         consumed = 0
@@ -203,8 +218,9 @@ class ByteReader:
 
     def str_(self) -> str:
         """Read a length-prefixed UTF-8 string."""
+        chunk = self._take(self.uvarint())
         try:
-            return self.bytes_().decode("utf-8")
+            return str(chunk, "utf-8")
         except UnicodeDecodeError as error:
             raise WireFormatError(f"invalid UTF-8 string at offset {self._offset}") from error
 

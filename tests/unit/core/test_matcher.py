@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.bloom.backend import HAS_NUMPY
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.exceptions import MatchingError
@@ -117,6 +118,31 @@ class TestMatchAgainst:
         second = matcher.match_against(large)
         assert {r.user_id for r in first} == {"bob"}
         assert {r.user_id for r in second} == {"bob"}
+
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both bit backends")
+    def test_probe_follows_the_filter_backend_and_family(self, config):
+        from repro import wire
+
+        batch = PatternEncoder(config).encode_batch([_query()])
+        on_python = wire.decode(wire.encode(batch), backend="python")
+        on_numpy = wire.decode(wire.encode(batch), backend="numpy")
+        other_family = PatternEncoder(config.with_updates(bits_per_element=64)).encode_batch(
+            [_query()]
+        )
+        patterns = PatternSet(
+            [
+                LocalPattern("match-global", [2, 4, 5, 3], "bs-9"),
+                LocalPattern("no-match", [9, 9, 9, 9], "bs-9"),
+            ]
+        )
+        matcher = BaseStationMatcher(config, "bs-9", patterns)
+        expected = matcher.match_against(on_numpy)
+        assert [r.user_id for r in expected] == ["match-global"]
+        # The probe is reused, rebuilt for another backend or hash family,
+        # and rebuilt again on the way back: every round answers the same.
+        for encoded in (on_numpy, on_python, other_family, on_numpy, on_python):
+            assert matcher.match_against(encoded) == expected
 
 
 class TestPlainMatching:

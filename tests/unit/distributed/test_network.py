@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.events import RoundTimeoutError
+from repro.distributed.events import EventLoop, RoundTimeoutError
 from repro.distributed.faults import FaultPlan
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import NetworkConfig, SimulatedNetwork
@@ -184,6 +184,23 @@ class TestReliability:
         # The duplicate emissions were charged on the wire.
         assert stats.payload_bytes_sent == 2 * stats.payload_bytes_delivered
 
+    def test_frame_held_past_its_timer_still_retransmits(self):
+        # Fault-free, but the 1 ms timer fires long before the 20 ms link
+        # delivers: the intact first frame must keep its timer, so the
+        # transfer retransmits once and the late copy lands as a duplicate.
+        center = Node("center")
+        message = Message("bs-1", "center", MessageKind.MATCH_REPORT, payload=[1])
+        network = SimulatedNetwork(NetworkConfig(retransmit_timeout_s=0.001))
+        outcome = network.gather([(message, center)])
+        stats = network.frame_stats()
+        assert outcome.delivered_ids == ("bs-1",)
+        assert len(center.inbox) == 1
+        assert stats.retransmit_count == 1
+        assert stats.frames_sent == 2
+        assert stats.frames_duplicate == 1
+        events = [entry.event for entry in network.transcript]
+        assert events == ["phase", "send", "retransmit", "send", "deliver", "duplicate"]
+
     def test_straggler_multiplier_slows_the_link(self):
         fast = SimulatedNetwork(NetworkConfig())
         slow = SimulatedNetwork(
@@ -201,3 +218,24 @@ class TestReliability:
         events = [entry.event for entry in network.transcript]
         assert events == ["phase", "send", "deliver"]
         assert network.transcript_bytes().count(b"\n") == 2
+
+
+def test_fault_free_phase_schedules_one_event_per_frame(monkeypatch):
+    scheduled = []
+    schedule = EventLoop.schedule
+
+    def counting_schedule(loop, time_s, callback, *args):
+        scheduled.append(callback.__name__)
+        schedule(loop, time_s, callback, *args)
+
+    monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
+    frames = 6
+    network = SimulatedNetwork()
+    outcome = network.broadcast(
+        [(_message(recipient=f"bs-{i}"), Node(f"bs-{i}")) for i in range(frames)]
+    )
+    # An intact frame lands before its retransmit timer would fire, so the
+    # phase needs only the arrivals: no timer is ever scheduled.
+    assert scheduled == ["_on_arrival"] * frames
+    assert len(outcome.delivered_ids) == frames
+    assert network.frame_stats().retransmit_count == 0

@@ -12,7 +12,7 @@ from repro.core.encoder import PatternEncoder
 from repro.core.protocol import MatchReport
 from repro.core.wbf import WeightedBloomFilter
 from repro.distributed.messages import Message, MessageKind
-from repro.timeseries.pattern import LocalPattern, Pattern
+from repro.timeseries.pattern import GlobalPattern, LocalPattern, Pattern
 from repro.timeseries.query import QueryPattern
 
 BACKENDS = available_backends()
@@ -108,6 +108,15 @@ class TestRoundTrips:
         assert wire.decode(wire.encode(plain)) == plain
         assert wire.decode(wire.encode(queries[0])) == queries[0]
         assert wire.decode(wire.encode(queries)) == queries
+
+    def test_subclasses_encode_as_their_nearest_registered_base(self):
+        assert wire.encode(GlobalPattern("u3", [1, 4])) == wire.encode(Pattern("u3", [1, 4]))
+
+        class ReportList(list):
+            pass
+
+        reports = [MatchReport(user_id="u1", station_id="s1")]
+        assert wire.encode(ReportList(reports)) == wire.encode(reports)
 
     def test_none_and_scalars(self):
         assert wire.decode(wire.encode(None)) is None
