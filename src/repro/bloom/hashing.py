@@ -25,6 +25,9 @@ except ImportError:  # pragma: no cover - the CI matrix covers the no-NumPy leg
 
 _MASK_64 = (1 << 64) - 1
 
+_pack_u32 = struct.Struct(">I").pack
+_unpack_u64_pair = struct.Struct(">QQ").unpack_from
+
 #: Below this batch size the NumPy round-trip costs more than the Python loop.
 _VECTORIZE_THRESHOLD = 4
 
@@ -46,17 +49,21 @@ def canonical_item_bytes(item: object) -> bytes:
     if isinstance(item, (bytes, bytearray)):
         return b"y" + bytes(item)
     if isinstance(item, tuple):
-        parts = [canonical_item_bytes(part) for part in item]
-        return b"t" + struct.pack(">I", len(parts)) + b"".join(
-            struct.pack(">I", len(part)) + part for part in parts
-        )
+        # Plain-int parts (the matcher's (index, value) probe items) are
+        # encoded inline, exactly as the int branch above would; bools and
+        # every other part take the recursive path.
+        out = [b"t", _pack_u32(len(item))]
+        for part in item:
+            encoded = b"i%d" % part if part.__class__ is int else canonical_item_bytes(part)
+            out += (_pack_u32(len(encoded)), encoded)
+        return b"".join(out)
     raise TypeError(f"cannot hash item of type {type(item).__name__}")
 
 
 class HashFamily:
     """A seeded family of ``k`` hash functions onto ``[0, m)`` via double hashing."""
 
-    __slots__ = ("_hash_count", "_range", "_seed")
+    __slots__ = ("_hash_count", "_range", "_seed", "_suffix")
 
     def __init__(self, hash_count: int, value_range: int, seed: int = 0) -> None:
         require_positive(hash_count, "hash_count")
@@ -64,6 +71,8 @@ class HashFamily:
         self._hash_count = int(hash_count)
         self._range = int(value_range)
         self._seed = int(seed)
+        # The seed tag every hashed payload ends with.
+        self._suffix = b"|" + str(self._seed).encode("ascii")
 
     @property
     def hash_count(self) -> int:
@@ -81,13 +90,11 @@ class HashFamily:
         return self._seed
 
     def _base_hashes(self, item: object) -> tuple[int, int]:
-        payload = canonical_item_bytes(item) + b"|" + str(self._seed).encode("ascii")
-        digest = hashlib.sha256(payload).digest()
-        h1 = int.from_bytes(digest[:8], "big") & _MASK_64
-        h2 = int.from_bytes(digest[8:16], "big") & _MASK_64
+        payload = canonical_item_bytes(item) + self._suffix
+        # h1 and h2 are the digest's first two big-endian 64-bit words.
+        h1, h2 = _unpack_u64_pair(hashlib.sha256(payload).digest())
         # h2 must be odd so successive probes do not collapse onto a short cycle.
-        h2 |= 1
-        return h1, h2
+        return h1, h2 | 1
 
     def positions(self, item: object) -> list[int]:
         """Return the ``k`` bit positions for ``item``."""

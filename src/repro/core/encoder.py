@@ -79,6 +79,9 @@ class PatternEncoder:
 
     def __init__(self, config: DIMatchingConfig | None = None) -> None:
         self._config = config or DIMatchingConfig()
+        # Pattern length -> sampled indices: the same few lengths recur for
+        # every pattern, so each is sampled once per encoder.
+        self._sample_indices: dict[int, tuple[int, ...]] = {}
 
     @property
     def config(self) -> DIMatchingConfig:
@@ -133,9 +136,13 @@ class PatternEncoder:
 
     # -- item enumeration ---------------------------------------------------------
 
-    def sample_indices(self, pattern_length: int) -> list[int]:
+    def sample_indices(self, pattern_length: int) -> tuple[int, ...]:
         """The shared sampled time indices for patterns of the given length."""
-        return uniform_sample_indices(pattern_length, self._config.sample_count)
+        indices = self._sample_indices.get(pattern_length)
+        if indices is None:
+            indices = tuple(uniform_sample_indices(pattern_length, self._config.sample_count))
+            self._sample_indices[pattern_length] = indices
+        return indices
 
     def items_for_accumulated(self, accumulated: Sequence[int]) -> list[object]:
         """The hashable items a *candidate* pattern probes (no ε expansion).
@@ -144,11 +151,10 @@ class PatternEncoder:
         locally stored pattern; the encoder applies the ε expansion on the insert
         side only, so candidates probe their exact values.
         """
-        items: list[object] = []
-        for index in self.sample_indices(len(accumulated)):
-            value = accumulated[index]
-            items.append((index, value) if self._config.include_sample_index else value)
-        return items
+        indices = self.sample_indices(len(accumulated))
+        if self._config.include_sample_index:
+            return [(index, accumulated[index]) for index in indices]
+        return [accumulated[index] for index in indices]
 
     def _insert_items_for_pattern(
         self, combined: CombinedQueryPattern

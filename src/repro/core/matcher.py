@@ -14,6 +14,7 @@ probes, matching the paper's complexity analysis.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -24,7 +25,6 @@ from repro.core.exceptions import MatchingError
 from repro.core.protocol import MatchReport
 from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.pattern import Pattern, PatternSet
-from repro.timeseries.transform import accumulate
 
 
 class StationMatcherCache:
@@ -40,6 +40,9 @@ class StationMatcherCache:
 
     def __init__(self, config: DIMatchingConfig) -> None:
         self._config = config
+        # One encoder serves every station's matcher, so the sampled indices
+        # are held once per protocol rather than once per station.
+        self._encoder = PatternEncoder(config)
         self._matchers: dict[str, tuple[PatternSet, int, "BaseStationMatcher"]] = {}
 
     def __getstate__(self) -> dict:
@@ -49,8 +52,7 @@ class StationMatcherCache:
         return {"_config": self._config}
 
     def __setstate__(self, state: dict) -> None:
-        self._config = state["_config"]
-        self._matchers = {}
+        self.__init__(state["_config"])
 
     def matcher_for(self, station_id: str, patterns: PatternSet) -> "BaseStationMatcher":
         cached = self._matchers.get(station_id)
@@ -58,23 +60,28 @@ class StationMatcherCache:
             cached_patterns, cached_length, matcher = cached
             if cached_patterns is patterns and cached_length == len(patterns):
                 return matcher
-        matcher = BaseStationMatcher(self._config, station_id, patterns)
+        matcher = BaseStationMatcher(self._config, station_id, patterns, self._encoder)
         self._matchers[station_id] = (patterns, len(patterns), matcher)
         return matcher
 
 
 class BaseStationMatcher:
-    """Implements the base-station side of DI-matching for one station."""
+    """Implements the base-station side of DI-matching for one station.
+
+    ``encoder`` must be built from ``config``; passing one lets many
+    stations' matchers share its sampled-index table.
+    """
 
     def __init__(
         self,
         config: DIMatchingConfig,
         station_id: str,
         patterns: PatternSet,
+        encoder: PatternEncoder | None = None,
     ) -> None:
         self._config = config
         self._station_id = str(station_id)
-        self._encoder = PatternEncoder(config)
+        self._encoder = PatternEncoder(config) if encoder is None else encoder
         # The candidates as of construction (patterns are immutable).
         self._candidates: list[Pattern] = list(patterns)
         # Every candidate's position rows, packed for the filter's row test,
@@ -98,10 +105,15 @@ class BaseStationMatcher:
     # -- the packed probe -----------------------------------------------------------
 
     def _probe_items(self, pattern: Pattern) -> list[object]:
-        """The items ``pattern`` probes: its accumulated values at the sample indices."""
+        """The items ``pattern`` probes: its accumulated values at the sample indices.
+
+        ``Pattern`` validated its values when it was built, so the running sum
+        is taken directly rather than through the checking ``accumulate()``.
+        """
         values = pattern.values
-        accumulated = accumulate(values) if self._config.use_accumulation else list(values)
-        return self._encoder.items_for_accumulated(accumulated)
+        if self._config.use_accumulation:
+            values = list(itertools.accumulate(values))
+        return self._encoder.items_for_accumulated(values)
 
     def _probe_for(
         self,

@@ -36,7 +36,7 @@ from typing import Iterable
 from repro.datagen.source import StationSourceBase
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, seed_deriver
 from repro.utils.validation import require_positive
 
 
@@ -83,8 +83,6 @@ class StreamingStationSource(StationSourceBase):
         self._users_per_station = users_per_station
         self._pattern_length = pattern_length
         self._intervals_per_day = intervals_per_day
-        self._fragments_per_user = fragments_per_user
-        self._active_intervals = active_intervals
         self._seed = seed
         self._max_resident = max_resident
         self._station_ids = [f"s{index:05d}" for index in range(station_count)]
@@ -97,6 +95,16 @@ class StreamingStationSource(StationSourceBase):
         while len(offsets) < fragments_per_user:
             offsets.append(candidates.pop(offset_rng.randrange(len(candidates))))
         self._offsets = tuple(offsets)
+        # Fragment j covers steps bounds[j]..bounds[j+1] of a user's active
+        # run, the last one taking the remainder; an empty span means
+        # fragment j never holds activity, for any user.
+        per_fragment = max(1, active_intervals // fragments_per_user)
+        bounds = [
+            min(active_intervals, index * per_fragment)
+            for index in range(fragments_per_user)
+        ] + [active_intervals]
+        self._spans = tuple(range(begin, end) for begin, end in zip(bounds, bounds[1:]))
+        self._user_seed = seed_deriver(seed, "stream-user")
         self._resident: "OrderedDict[str, dict[str, LocalPattern]]" = OrderedDict()
         self._built = 0
         self._evicted = 0
@@ -128,36 +136,44 @@ class StreamingStationSource(StationSourceBase):
 
     # -- per-user generation (no station state touched) -------------------------
 
+    def _activity(self, user_id: str, rng: random.Random) -> tuple[int, int]:
+        """``(phase, base value)``: the first draws of ``user_id``'s private stream.
+
+        ``rng`` is re-seeded here, so one generator serves a whole batch.
+        """
+        rng.seed(self._user_seed(user_id))
+        return rng.randrange(self._pattern_length), 1 + rng.randrange(7)
+
+    def _fragment_values(self, span: range, phase: int, base_value: int) -> list[int]:
+        """One fragment's values: ``base_value`` on the span's slots of the active run."""
+        values = [0] * self._pattern_length
+        for step in span:
+            values[(phase + step) % self._pattern_length] = base_value
+        return values
+
     def fragments_of(self, user_id: str) -> list[LocalPattern]:
-        """All local fragments of one user, derived without any station batch."""
-        user_index = int(user_id[1:])
-        if not 0 <= user_index < self.user_count:
+        """All local fragments of one user, derived without any station batch.
+
+        Only the canonical id spelling ``f"u{index:07d}"`` of a declared user
+        is accepted; anything else raises ``KeyError``.
+        """
+        try:
+            user_index = int(user_id[1:])
+        except (TypeError, ValueError):
+            raise KeyError(f"unknown user {user_id!r}") from None
+        if not 0 <= user_index < self.user_count or user_id != f"u{user_index:07d}":
             raise KeyError(f"unknown user {user_id!r}")
         home = user_index % self._station_count
-        rng = random.Random(derive_seed(self._seed, "stream-user", user_id))
-        phase = rng.randrange(self._pattern_length)
-        base_value = 1 + rng.randrange(7)
-        slots = [
-            (phase + step) % self._pattern_length
-            for step in range(self._active_intervals)
-        ]
-        per_fragment = max(1, self._active_intervals // self._fragments_per_user)
-        fragments: list[LocalPattern] = []
-        for fragment_index, offset in enumerate(self._offsets):
-            begin = fragment_index * per_fragment
-            end = (
-                self._active_intervals
-                if fragment_index == len(self._offsets) - 1
-                else min(self._active_intervals, begin + per_fragment)
+        phase, base_value = self._activity(user_id, random.Random())
+        return [
+            LocalPattern(
+                user_id,
+                self._fragment_values(span, phase, base_value),
+                self._station_ids[(home + offset) % self._station_count],
             )
-            values = [0] * self._pattern_length
-            for slot in slots[begin:end]:
-                values[slot] = base_value
-            if not any(values):
-                continue
-            station_id = self._station_ids[(home + offset) % self._station_count]
-            fragments.append(LocalPattern(user_id, values, station_id))
-        return fragments
+            for offset, span in zip(self._offsets, self._spans)
+            if span
+        ]
 
     def query_for(self, user_id: str) -> QueryPattern:
         """A query whose local patterns are ``user_id``'s fragments.
@@ -210,16 +226,21 @@ class StreamingStationSource(StationSourceBase):
 
     def _build_batch(self, station_id: str) -> dict[str, LocalPattern]:
         target = self._station_index[station_id]
+        rng = random.Random()
         batch: dict[str, LocalPattern] = {}
         # Fragment j at station `target` comes from users homed at
-        # (target - offset_j) mod S — arithmetic, not a scan.
-        for offset in self._offsets:
+        # (target - offset_j) mod S — arithmetic, not a scan — and only that
+        # fragment of theirs is derived.
+        for offset, span in zip(self._offsets, self._spans):
+            if not span:
+                continue
             home = (target - offset) % self._station_count
-            for step in range(self._users_per_station):
-                user_id = f"u{home + step * self._station_count:07d}"
-                for fragment in self.fragments_of(user_id):
-                    if fragment.station_id == station_id:
-                        batch[user_id] = fragment
+            for user_index in range(home, self.user_count, self._station_count):
+                user_id = f"u{user_index:07d}"
+                phase, base_value = self._activity(user_id, rng)
+                batch[user_id] = LocalPattern(
+                    user_id, self._fragment_values(span, phase, base_value), station_id
+                )
         return batch
 
     def station_batch(self, station_id: str) -> dict[str, LocalPattern]:

@@ -8,6 +8,7 @@ helpers so that experiments are exactly reproducible.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 try:
     # The generators are NumPy ones; seed derivation below stays pure-Python so
@@ -17,6 +18,14 @@ except ImportError:  # pragma: no cover - covered by the no-NumPy CI leg
     np = None
 
 
+def _absorb(digest: "hashlib._Hash", labels: tuple) -> "hashlib._Hash":
+    # The one home of the label framing: a 0x1f separator, then the repr.
+    for label in labels:
+        digest.update(b"\x1f")
+        digest.update(repr(label).encode("utf-8"))
+    return digest
+
+
 def derive_seed(base_seed: int, *labels: object) -> int:
     """Derive a child seed from ``base_seed`` and a sequence of labels.
 
@@ -24,12 +33,23 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     rather than ``hash()``), so two runs with the same base seed and labels produce
     identical streams.
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(base_seed)).encode("utf-8"))
-    for label in labels:
-        digest.update(b"\x1f")
-        digest.update(repr(label).encode("utf-8"))
+    digest = _absorb(hashlib.sha256(str(int(base_seed)).encode("utf-8")), labels)
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def seed_deriver(base_seed: int, *labels: object) -> Callable[[object], int]:
+    """Return ``last -> derive_seed(base_seed, *labels, last)`` for many ``last``.
+
+    The shared ``(base_seed, *labels)`` prefix is hashed once and each call only
+    absorbs its own label into a copy, so deriving one seed per user of a large
+    population does not rehash the constant part every time.
+    """
+    prefix = _absorb(hashlib.sha256(str(int(base_seed)).encode("utf-8")), labels)
+
+    def derive(last: object) -> int:
+        return int.from_bytes(_absorb(prefix.copy(), (last,)).digest()[:8], "big")
+
+    return derive
 
 
 def make_rng(seed: int, *labels: object) -> "np.random.Generator":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sized
 
+_PLAIN_INT = frozenset({int})
+
 
 def require_positive(value: float, name: str) -> float:
     """Return ``value`` if it is strictly positive, else raise ``ValueError``."""
@@ -73,9 +75,9 @@ def require_all_integers(values: Iterable[Any], name: str) -> list[int]:
     """
     out = list(values)
     # Fast path first: the per-element loop below only runs to build the error
-    # message, so valid inputs (the overwhelmingly common case on the encoder
-    # and matcher hot paths) pay a single C-level all() scan.
-    if all(type(value) is int for value in out):
+    # message (or to narrow int subclasses), so valid inputs — every Pattern
+    # built on the hot paths — pay one C-level pass collecting element types.
+    if set(map(type, out)) <= _PLAIN_INT:
         return out
     for index, value in enumerate(out):
         if isinstance(value, bool) or not isinstance(value, (int,)):

@@ -10,6 +10,7 @@ from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import EncodingError
 from repro.timeseries.pattern import LocalPattern
 from repro.timeseries.query import QueryPattern
+from repro.timeseries.sampling import uniform_sample_indices
 
 
 def _query(query_id="q0"):
@@ -99,6 +100,15 @@ class TestItemEnumeration:
     def test_sample_indices_respect_sample_count(self):
         encoder = PatternEncoder(DIMatchingConfig(sample_count=3))
         assert len(encoder.sample_indices(100)) == 3
+
+    @pytest.mark.parametrize("sample_count", range(1, 17))
+    def test_cached_sample_indices_equal_uniform_sampling(self, sample_count):
+        encoder = PatternEncoder(DIMatchingConfig(sample_count=sample_count))
+        for length in range(1, 65):
+            indices = encoder.sample_indices(length)
+            assert list(indices) == uniform_sample_indices(length, sample_count)
+            # Sampled once per length: later calls return the held tuple.
+            assert encoder.sample_indices(length) is indices
 
     def test_candidate_items_include_index_by_default(self):
         encoder = PatternEncoder(DIMatchingConfig(sample_count=2))

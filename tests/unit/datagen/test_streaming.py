@@ -47,6 +47,33 @@ class TestValidation:
         with pytest.raises(KeyError):
             source.fragments_of("u9999999")
 
+    @pytest.mark.parametrize(
+        "user_id",
+        [
+            "u1",  # unpadded
+            "x0000001",  # wrong prefix
+            "u+0000001",  # signed
+            "u 1",  # padded with a space
+            "u0000001 ",  # trailing space
+            "u00000001",  # over-padded
+            "u0_000001",  # digit separator
+            "uabc",  # not a number
+            "u",
+            "",
+            "u-000001",
+            "u0000040",  # one past the 40 declared users
+        ],
+    )
+    def test_only_canonical_user_ids_are_known(self, user_id):
+        # Only the canonical spelling names a user.  A near-miss spelling of
+        # a declared index would place fragments at that user's stations
+        # with values from another seed stream: a query no station stores.
+        source = _source()
+        with pytest.raises(KeyError):
+            source.fragments_of(user_id)
+        with pytest.raises(KeyError):
+            source.query_for(user_id)
+
 
 class TestLazyBatches:
     def test_nothing_is_resident_until_touched(self):
@@ -76,6 +103,42 @@ class TestLazyBatches:
                 for fragment in source.fragments_of(user_id):
                     by_user[(user_id, fragment.station_id)] = fragment.values
         assert by_station == by_user
+
+    @pytest.mark.parametrize("fragments_per_user", [1, 2, 3])
+    @pytest.mark.parametrize("users_per_station", [1, 2, 3])
+    @pytest.mark.parametrize("active_intervals", [1, 2, 5])
+    def test_batches_equal_filtered_fragments_in_order(
+        self, fragments_per_user, users_per_station, active_intervals
+    ):
+        # Batch order is candidate order, hence report order: a station's
+        # batch must equal, key for key and in insertion order, the reference
+        # that derives every fragment of each touching user and keeps the one
+        # stored here.  With active_intervals < fragments_per_user some
+        # fragments are empty and skipped.
+        source = _source(
+            station_count=5,
+            users_per_station=users_per_station,
+            fragments_per_user=fragments_per_user,
+            active_intervals=active_intervals,
+        )
+        station_ids = source.station_ids
+        for target, station_id in enumerate(station_ids):
+            reference = {}
+            for offset in source._offsets:
+                home = station_ids[(target - offset) % len(station_ids)]
+                for user_id in source.user_ids_for(home):
+                    for fragment in source.fragments_of(user_id):
+                        if fragment.station_id == station_id:
+                            reference[user_id] = fragment
+            batch = source.station_batch(station_id)
+            assert [(u, f.user_id, f.station_id, f.values) for u, f in batch.items()] == [
+                (u, f.user_id, f.station_id, f.values) for u, f in reference.items()
+            ]
+        stored = sum(len(source.station_batch(s)) for s in station_ids)
+        if active_intervals < fragments_per_user:
+            assert stored == source.user_count * active_intervals
+        else:
+            assert stored == source.user_count * fragments_per_user
 
     def test_resident_set_is_bounded_and_lru(self):
         source = _source(max_resident=3)

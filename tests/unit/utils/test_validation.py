@@ -1,5 +1,7 @@
 """Unit tests for repro.utils.validation."""
 
+import enum
+
 import pytest
 
 from repro.utils.validation import (
@@ -11,6 +13,11 @@ from repro.utils.validation import (
     require_probability,
     require_type,
 )
+
+try:
+    import numpy
+except ImportError:  # the no-NumPy leg runs this file too
+    numpy = None
 
 
 class TestRequirePositive:
@@ -119,3 +126,26 @@ class TestRequireAllIntegers:
 
     def test_empty_list_allowed(self):
         assert require_all_integers([], "values") == []
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "bad, type_name",
+        [(True, "bool"), (1.5, "float"), ("3", "str"), (None, "NoneType")]
+        + ([(numpy.int64(3), "int64")] if numpy is not None else []),
+    )
+    def test_rejection_names_the_offending_index(self, bad, type_name, index):
+        values = [1, 2, 3, 4, 5]
+        values[index] = bad
+        with pytest.raises(TypeError) as info:
+            require_all_integers(values, "values")
+        assert str(info.value) == (
+            f"values[{index}] must be an integer, got {type_name}: {bad!r}"
+        )
+
+    def test_int_subclasses_are_accepted_as_plain_ints(self):
+        class Level(enum.IntEnum):
+            HIGH = 7
+
+        out = require_all_integers((1, Level.HIGH, 3), "values")
+        assert out == [1, 7, 3]
+        assert [type(value) for value in out] == [int, int, int]
