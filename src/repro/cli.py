@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -198,8 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--users-per-category", type=_positive_int, default=None,
-        help="Override the synthetic population density (on streaming-source "
-        "scenarios this is a deprecated alias for --users-per-station).",
+        help="Eager-dataset scenarios: override the synthetic population "
+        "density (streaming-source scenarios take --users-per-station).",
     )
     run.add_argument(
         "--users-per-station", type=_positive_int, default=None,
@@ -509,6 +508,12 @@ def _run_workload_run(args: argparse.Namespace) -> str:
             "streaming-source scenarios (this scenario materializes an eager "
             "dataset; use --users-per-category)"
         )
+    if streaming and args.users_per_category is not None:
+        raise SystemExit(
+            "workload run: --users-per-category applies only to eager-dataset "
+            "scenarios (this scenario streams its users from a source; use "
+            "--users-per-station)"
+        )
     source_updates: dict[str, object] = {}
     if args.stations is not None:
         if source is not None:
@@ -525,30 +530,10 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         # Scaling a churny scenario below its floor clamps the floor with it.
         if spec.churn.min_active > args.stations:
             overrides["churn"] = replace(spec.churn, min_active=args.stations)
-    users_per_station = args.users_per_station
     if args.users_per_category is not None:
-        if streaming:
-            warnings.warn(
-                "workload run: --users-per-category on a streaming-source "
-                "scenario is a deprecated alias for --users-per-station",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if (
-                users_per_station is not None
-                and users_per_station != args.users_per_category
-            ):
-                raise SystemExit(
-                    "workload run: the population density is spelled twice "
-                    f"and disagrees: --users-per-category "
-                    f"{args.users_per_category} vs --users-per-station "
-                    f"{users_per_station}"
-                )
-            users_per_station = args.users_per_category
-        else:
-            overrides["users_per_category"] = args.users_per_category
-    if users_per_station is not None:
-        source_updates["users_per_station"] = users_per_station
+        overrides["users_per_category"] = args.users_per_category
+    if args.users_per_station is not None:
+        source_updates["users_per_station"] = args.users_per_station
     if args.max_resident is not None:
         source_updates["max_resident"] = args.max_resident
     if source_updates:

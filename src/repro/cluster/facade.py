@@ -18,7 +18,8 @@ surface:
 * ``subscribe(queries)`` — query-batch registration, incrementally re-encoded
   when a continuous session is open;
 * ``round(...)`` — one full wire round, returning a typed
-  :class:`~repro.cluster.report.RoundReport`;
+  :class:`~repro.cluster.report.RoundReport`; the subscribed batch is encoded
+  on the first round and its artifact reused while the subscription holds;
 * ``open_session(mode)`` — a :class:`ClusterSession` handle that unifies the
   two drive styles (full per-round wire rounds vs continuous delta shipping)
   behind one ``step()`` verb;
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.report import ClusterSnapshot, RoundReport
 from repro.cluster.spec import ClusterSpec, ExecutorSpec, TransportSpec
@@ -73,6 +74,7 @@ from repro.topology.spec import TopologySpec
 from repro.topology.tiers import build_tier_map
 from repro.utils.rng import derive_seed
 from repro.utils.validation import require_non_empty
+from repro.wire import object_revision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.workload import DistributedDataset
@@ -247,6 +249,9 @@ class Cluster:
             for station_id, patterns in self._patterns.items()
         }
         self._queries: tuple[QueryPattern, ...] = ()
+        #: The subscribed batch's artifact and the revision it was encoded at
+        #: (see _subscribed_artifact); None until a round encodes it.
+        self._held_artifact: tuple[object | None, object] | None = None
         self._round_index = 0
         self._transcripts: list[bytes] = []
         self._session: "ClusterSession | None" = None
@@ -416,12 +421,14 @@ class Cluster:
     def subscribe(self, queries: Sequence[QueryPattern]) -> None:
         """Register the query batch the deployment answers.
 
-        Re-subscribing rotates the batch; an open delta session re-encodes
-        the artifact once and incrementally re-matches every station it has
-        seen (exactly :meth:`ContinuousMatchingSession.replace_queries`).
+        Re-subscribing rotates the batch: the next :meth:`round` encodes it
+        afresh, and an open delta session re-encodes the artifact once and
+        incrementally re-matches every station it has seen (exactly
+        :meth:`ContinuousMatchingSession.replace_queries`).
         """
         require_non_empty(queries, "queries")
         self._queries = tuple(queries)
+        self._held_artifact = None
         if self._session is not None:
             self._session._on_subscribe(self._queries)
 
@@ -589,15 +596,48 @@ class Cluster:
     ) -> SimulationOutcome:
         """Execute one full matching round of an arbitrary protocol.
 
-        This is the low-level engine verb: it binds no state, records no
-        transcript and accepts any protocol — what a method-comparison sweep
-        needs.  Facade users normally call :meth:`round` instead.  The cutoff
+        This is the low-level engine verb: it encodes ``queries`` on every
+        call, records no transcript and accepts any protocol — what a
+        method-comparison sweep needs (fig4b times that encode).  Facade
+        users normally call :meth:`round` instead.  Driving the cluster's own
+        protocol drops the artifact :meth:`round` holds, because a protocol
+        may keep what it last encoded (``NaiveProtocol`` ranks against that
+        batch); the next round encodes the subscription again.  The cutoff
         travels either as ``k`` or as ``options.k`` (not both).  Raises
         :class:`~repro.distributed.events.RoundTimeoutError` when a transfer
         exhausts its retransmission budget and the deployment does not allow
         partial rounds.
         """
         options = RoundOptions.merge(options, k=k)
+        if protocol is self._protocol:
+            self._held_artifact = None
+        return self._run(
+            protocol, options, lambda: self._center.encode(protocol, queries)
+        )
+
+    def _subscribed_artifact(self) -> object | None:
+        """The subscribed batch's artifact, encoded once and then reused.
+
+        Rounds on an unchanged subscription send the same artifact object, so
+        the codec's identity cache serves its wire bytes too.  The held
+        artifact is reused only while its revision is the one it was encoded
+        at; :meth:`subscribe`, :meth:`restore` and a :meth:`drive` of the
+        cluster's own protocol drop it.
+        """
+        held = self._held_artifact
+        if held is not None and object_revision(held[0]) == held[1]:
+            return held[0]
+        artifact = self._center.encode(self._require_protocol(), self._queries)
+        self._held_artifact = (artifact, object_revision(artifact))
+        return artifact
+
+    def _run(
+        self,
+        protocol: MatchingProtocol,
+        options: RoundOptions,
+        encode: "Callable[[], object | None]",
+    ) -> SimulationOutcome:
+        """One wire round of ``protocol`` on the artifact ``encode()`` returns."""
         fallbacks_before = estimated_size_fallbacks()
         participants = self._participants(options.station_ids)
         self._last_participant_count = len(participants)
@@ -611,7 +651,7 @@ class Cluster:
         # decodes the artifact from the wire bytes it received), sharded
         # matching, and the uplink to the center.
         encode_start = time.perf_counter()
-        artifact = self._center.encode(protocol, queries)
+        artifact = encode()
         encode_time = time.perf_counter() - encode_start
 
         routed = run_two_tier_round(
@@ -698,7 +738,7 @@ class Cluster:
         protocol = self._require_protocol()
         if not self._queries:
             raise ClusterStateError("subscribe() a query batch before running a round")
-        outcome = self.drive(protocol, self._queries, options=merged)
+        outcome = self._run(protocol, merged, self._subscribed_artifact)
         costs = outcome.costs
         report = RoundReport(
             round_index=self._round_index,
@@ -813,6 +853,7 @@ class Cluster:
         self._epoch += 1
         self._session = None
         self._queries = snapshot.queries
+        self._held_artifact = None
         self._patterns = dict(snapshot.patterns)
         self._nodes = {
             station_id: BaseStationNode(station_id, patterns)

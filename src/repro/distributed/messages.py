@@ -16,7 +16,6 @@ from enum import Enum
 
 from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES, estimate_size_bytes
 from repro.wire.codec import (
-    WIRE_VERSION,
     decode,
     encode,
     encode_cached,
@@ -133,7 +132,9 @@ class Message:
         The envelope encoder embeds exactly these bytes, so building the
         envelope and charging ``payload_bytes()`` in the same round encodes the
         payload once even for list payloads (which the codec's weak-ref cache
-        cannot hold).  Raises
+        cannot hold).  Artifacts come from that cache, which keeps one
+        encoding per wire version, so a broadcast writes its payload once per
+        artifact at every negotiated hop version.  Raises
         :class:`~repro.wire.errors.UnsupportedWireTypeError` for payloads
         outside the codec's vocabulary.
         """
@@ -141,13 +142,7 @@ class Message:
         cached = getattr(self, "_payload_wire_cache", None)
         if cached is not None and cached[0] == revision:
             return cached[1]
-        if self.wire_version == WIRE_VERSION:
-            data = encode_cached(self.payload)
-        else:
-            # Negotiated non-default hop: the codec's identity cache only
-            # holds default-version encodings, so encode afresh (the
-            # per-message memo below still makes repeat charges O(1)).
-            data = encode(self.payload, version=self.wire_version)
+        data = encode_cached(self.payload, self.wire_version)
         object.__setattr__(self, "_payload_wire_cache", (revision, data))
         return data
 

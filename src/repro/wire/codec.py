@@ -201,19 +201,36 @@ def _write_wbf_body(out: bytearray, wbf: WeightedBloomFilter) -> None:
             "(a set bit without weights, or weights on a clear bit); "
             "cannot encode canonically"
         )
-    encoded_by_weight = {
-        weight: encode_value(weight) for _, weights in entries for weight in weights
-    }
+    # A filter holds few distinct weight sets over many set bits, so the sets
+    # are collected once, ordered by the highest bit carrying each.  Equal
+    # weights of different types (1, True, Fraction(1)) share one table
+    # entry, spelled as the weight on the highest bit carrying one of them,
+    # so spellings are taken from the sets in that order, highest first.
+    last_carriers: dict[frozenset, None] = {}
+    for _position, weights in entries:
+        last_carriers.pop(weights, None)
+        last_carriers[weights] = None
+    latest: dict = {}
+    for weights in reversed(last_carriers):
+        for weight in weights:
+            latest.setdefault(weight, weight)
+    # Each distinct weight is encoded once, and each distinct set's index
+    # block built once and appended at every set bit that carries the set.
+    encoded_by_weight = {weight: encode_value(last) for weight, last in latest.items()}
     encoded_weights = sorted(set(encoded_by_weight.values()))
     table_index = {data: index for index, data in enumerate(encoded_weights)}
     write_uvarint(out, len(encoded_weights))
     for data in encoded_weights:
         out += data
-    for _position, weights in entries:
+    blocks: dict[frozenset, bytearray] = {}
+    for weights in last_carriers:
         indices = sorted(table_index[encoded_by_weight[weight]] for weight in weights)
-        write_uvarint(out, len(indices))
+        block = blocks[weights] = bytearray()
+        write_uvarint(block, len(indices))
         for index in indices:
-            write_uvarint(out, index)
+            write_uvarint(block, index)
+    for _position, weights in entries:
+        out += blocks[weights]
 
 
 def _read_wbf_body(reader: ByteReader, backend: str) -> WeightedBloomFilter:
@@ -742,13 +759,17 @@ def decode(
     return obj
 
 
-#: id -> (weakref, revision, encoded bytes).  Keyed by identity so unhashable
-#: artifacts (filters define ``__eq__`` without ``__hash__``) can still be
-#: cached; the weakref callback evicts entries when the artifact is
-#: garbage-collected, and the revision guards against post-encode mutation.
-_ENCODE_CACHE: dict[int, tuple[weakref.ref, object, bytes]] = {}
+#: (id, wire version) -> (weakref, revision, encoded bytes).  Keyed by
+#: identity so unhashable artifacts (filters define ``__eq__`` without
+#: ``__hash__``) can still be cached; the weakref callback evicts entries
+#: when the artifact is garbage-collected, and the revision guards against
+#: post-encode mutation.
+_ENCODE_CACHE: dict[tuple[int, int], tuple[weakref.ref, object, bytes]] = {}
 
-_NONE_ENCODING = MAGIC + bytes((WIRE_VERSION, 0, TAG_NONE))
+#: ``None`` cannot be weakly referenced, so its encodings are kept here.
+_NONE_ENCODINGS = {
+    version: encode(None, version=version) for version in SUPPORTED_WIRE_VERSIONS
+}
 
 
 def object_revision(obj: object) -> object:
@@ -765,24 +786,25 @@ def object_revision(obj: object) -> object:
     return revision
 
 
-def encode_cached(obj: object) -> bytes:
-    """Encode with per-object memoization (uncompressed encodings only).
+def encode_cached(obj: object, version: int = WIRE_VERSION) -> bytes:
+    """Encode with per-object, per-version memoization (uncompressed only).
 
     The broadcast phase encodes the *same* artifact object once per station;
-    this cache makes every send after the first O(1).  Cached entries are
-    invalidated when a filter's mutation :func:`object_revision` changes, so
-    encode → mutate → encode never serves stale bytes.  Objects that cannot
-    hold weak references (tuples, lists) are encoded afresh each call.
+    this cache makes every send after the first O(1), at each wire version
+    a hop speaks.  Cached entries are invalidated when a filter's mutation
+    :func:`object_revision` changes, so encode → mutate → encode never
+    serves stale bytes.  Objects that cannot hold weak references (tuples,
+    lists) are encoded afresh each call.
     """
     if obj is None:
-        return _NONE_ENCODING
-    key = id(obj)
+        return _NONE_ENCODINGS.get(version) or encode(None, version=version)
+    key = (id(obj), version)
     entry = _ENCODE_CACHE.get(key)
     if entry is not None:
         ref, revision, data = entry
         if ref() is obj and revision == object_revision(obj):
             return data
-    data = encode(obj)
+    data = encode(obj, version=version)
     try:
         ref = weakref.ref(obj, lambda _ref, _key=key: _ENCODE_CACHE.pop(_key, None))
     except TypeError:

@@ -49,6 +49,24 @@ class TestMessage:
         message = Message("bs", "center", MessageKind.MATCH_REPORT, payload=[pattern])
         assert Message.from_wire(message.to_wire()) == message
 
+    def test_a_version_2_broadcast_encodes_its_payload_once(self):
+        from fractions import Fraction
+
+        from repro.core.wbf import WeightedBloomFilter
+
+        wbf = WeightedBloomFilter(64, 3, seed=1, backend="python")
+        wbf.add("item", ("q1", Fraction(1, 3)))
+        messages = [
+            Message("agg", f"s{i}", MessageKind.FILTER_DISSEMINATION, wbf, wire_version=2)
+            for i in range(3)
+        ]
+        payloads = [message.payload_wire() for message in messages]
+        assert payloads[0] == wire.encode(wbf, version=2)
+        assert all(payload is payloads[0] for payload in payloads)
+        for message in messages:
+            assert message.size_bytes() == len(message.to_wire())
+            assert Message.from_wire(message.to_wire()) == message
+
     def test_from_wire_rejects_non_message_buffers(self):
         with pytest.raises(wire.WireFormatError):
             Message.from_wire(wire.encode([LocalPattern("u", [1], "bs")]))

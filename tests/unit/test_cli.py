@@ -260,6 +260,14 @@ class TestWorkloadCommand:
                  "--drive", "simulation", "--arrival-rate", "4"]
             )
 
+    def test_each_density_flag_is_refused_on_the_other_kind_of_city(self):
+        # Streaming sources take --users-per-station only; the old alias
+        # exits naming the flag to use, as eager scenarios do the other way.
+        with pytest.raises(SystemExit, match="use --users-per-station"):
+            main(["workload", "run", "open-soak-1m", "--users-per-category", "3"])
+        with pytest.raises(SystemExit, match="use --users-per-category"):
+            main(["workload", "run", "steady-state", "--users-per-station", "3"])
+
     def test_rejects_open_drive_without_an_offered_load(self):
         with pytest.raises(SystemExit, match="offered load"):
             main(["workload", "run", "steady-state", *self.TINY, "--drive", "open"])

@@ -96,6 +96,41 @@ class TestGoldenFrames:
             wire.encode(golden_reports(), version=9)
 
 
+def small_wbf():
+    from repro.core.wbf import WeightedBloomFilter
+
+    wbf = WeightedBloomFilter(64, 3, seed=5, backend="python")
+    wbf.add("item", ("q1", Fraction(1, 2)))
+    return wbf
+
+
+class TestEncodeCachePerVersion:
+    @pytest.mark.parametrize("version", SUPPORTED_WIRE_VERSIONS)
+    def test_none_encodes_like_the_plain_encoder(self, version):
+        assert wire.encode_cached(None, version) == wire.encode(None, version=version)
+
+    def test_none_at_an_unknown_version_is_unwritable(self):
+        with pytest.raises(WireFormatError, match="cannot write"):
+            wire.encode_cached(None, 9)
+
+    def test_each_version_is_cached_once_per_artifact(self):
+        wbf = small_wbf()
+        v1, v2 = wire.encode_cached(wbf), wire.encode_cached(wbf, WIRE_VERSION_EXT)
+        assert v1 == wire.encode(wbf)
+        assert v2 == wire.encode(wbf, version=WIRE_VERSION_EXT)
+        assert wire.encode_cached(wbf, WIRE_VERSION) is v1
+        assert wire.encode_cached(wbf, WIRE_VERSION_EXT) is v2
+
+    def test_a_mutation_invalidates_every_version(self):
+        wbf = small_wbf()
+        before = [wire.encode_cached(wbf, v) for v in SUPPORTED_WIRE_VERSIONS]
+        wbf.add("other", ("q2", Fraction(1, 4)))
+        for version, stale in zip(SUPPORTED_WIRE_VERSIONS, before):
+            fresh = wire.encode_cached(wbf, version)
+            assert fresh != stale
+            assert fresh == wire.encode(wbf, version=version)
+
+
 class TestNegotiation:
     def test_lowest_advertised_version_wins(self):
         assert negotiate_wire_version([2, 1, 2]) == 1
