@@ -16,7 +16,7 @@ from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.exceptions import MatchingError
-from repro.core.matcher import StationMatcherCache
+from repro.core.matcher import StationMatcherCache, match_plain
 from repro.core.protocol import MatchingProtocol, MatchReport, RankedResults, RankedUser
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
@@ -50,12 +50,24 @@ class BloomFilterProtocol(MatchingProtocol):
         self, station_id: str, patterns: PatternSet, artifact: object | None
     ) -> list[MatchReport]:
         """Report every user whose sampled values are all present in the filter."""
+        return self.match_stations([(station_id, patterns)], artifact)[0]
+
+    def match_stations(
+        self, stations: Sequence[tuple[str, PatternSet]], artifact: object | None
+    ) -> list[list[MatchReport]]:
+        """The membership-only Algorithm 2 at every station, in one pass over their probes."""
+        if not stations:
+            return []
         if not isinstance(artifact, BloomFilter):
             raise MatchingError(
-                f"station {station_id!r} received {type(artifact).__name__}, "
+                f"station {stations[0][0]!r} received {type(artifact).__name__}, "
                 "expected a BloomFilter"
             )
-        return self._matchers.matcher_for(station_id, patterns).match_against_plain(artifact)
+        matcher_for = self._matchers.matcher_for
+        return match_plain(
+            [matcher_for(station_id, patterns) for station_id, patterns in stations],
+            artifact,
+        )
 
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Rank users by how many stations reported them (no weights available)."""

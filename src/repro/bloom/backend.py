@@ -117,16 +117,6 @@ class BitBackend(ABC):
         """
         return [all(self.get(index) for index in row) for row in rows]
 
-    def pack_rows(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-        """``rows`` in the form :meth:`all_set_rows` tests fastest.
-
-        Callers that probe the same rows again and again (a station matching
-        every round) pack them once and pass the packed form from then on.
-        Slicing the packed form selects rows.  The generic form is the rows
-        themselves.
-        """
-        return rows
-
     # -- aggregate operations --------------------------------------------------
 
     @abstractmethod
@@ -336,37 +326,14 @@ class NumpyBackend(BitBackend):
         bits = (self._words[idx >> 6] >> (idx & 63).astype("<u8")) & _np.uint64(1)
         return bits.astype(bool).tolist()
 
-    def pack_rows(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-        """Uniform rows as one ``n × k`` index array; ragged rows stay as given.
-
-        Rows of in-range indices on a filter of up to 2^31 bits pack as int32,
-        half the memory of int64 for a probe kept across rounds.  Any other
-        uniform rows pack as int64, so :meth:`all_set_rows` still reports an
-        out-of-range index instead of testing a wrapped one.
-        """
-        try:
-            idx = _np.asarray(rows, dtype=_np.int64)
-        except ValueError:
-            return rows
-        if idx.ndim != 2:
-            return rows
-        if self._length <= 2**31 and (
-            not idx.size or (idx.min() >= 0 and idx.max() < self._length)
-        ):
-            return idx.astype(_np.int32)
-        return idx
-
     def all_set_rows(self, rows: Sequence[Sequence[int]]) -> list[bool]:
         if not len(rows):
             return []
-        if isinstance(rows, _np.ndarray):
-            idx = rows  # already packed
-        else:
-            try:
-                idx = _np.asarray(rows, dtype=_np.int64)
-            except ValueError:
-                # Ragged rows (differing hash counts) fall back to the generic path.
-                return super().all_set_rows(rows)
+        try:
+            idx = _np.asarray(rows, dtype=_np.int64)
+        except ValueError:
+            # Ragged rows (differing hash counts) fall back to the generic path.
+            return super().all_set_rows(rows)
         if idx.ndim != 2:
             return super().all_set_rows(rows)
         if idx.size and (idx.min() < 0 or idx.max() >= self._length):

@@ -107,10 +107,6 @@ class BitArray:
         """For each row of indices, True iff every bit of the row is set."""
         return self._backend.all_set_rows(rows)
 
-    def pack_rows(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-        """``rows`` in the backend's fastest :meth:`all_set_rows` form."""
-        return self._backend.pack_rows(rows)
-
     def __getitem__(self, index: int) -> bool:
         return self._backend.get(index)
 

@@ -15,7 +15,7 @@ from repro.core.aggregator import IncrementalRanking, SimilarityRanker
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
-from repro.core.matcher import StationMatcherCache
+from repro.core.matcher import StationMatcherCache, match_weighted
 from repro.core.protocol import MatchingProtocol, MatchReport, RankedResults
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
@@ -56,13 +56,25 @@ class DIMatchingProtocol(MatchingProtocol):
     def station_match(
         self, station_id: str, patterns: PatternSet, artifact: object | None
     ) -> list[MatchReport]:
-        """Algorithm 2 at one base station."""
+        """Algorithm 2 at one base station: the one-station case of :meth:`match_stations`."""
+        return self.match_stations([(station_id, patterns)], artifact)[0]
+
+    def match_stations(
+        self, stations: Sequence[tuple[str, PatternSet]], artifact: object | None
+    ) -> list[list[MatchReport]]:
+        """Algorithm 2 at every station, in one pass over their probes."""
+        if not stations:
+            return []
         if not isinstance(artifact, EncodedQueryBatch):
             raise MatchingError(
-                f"station {station_id!r} received {type(artifact).__name__}, "
+                f"station {stations[0][0]!r} received {type(artifact).__name__}, "
                 "expected an EncodedQueryBatch"
             )
-        return self._matchers.matcher_for(station_id, patterns).match_against(artifact)
+        matcher_for = self._matchers.matcher_for
+        return match_weighted(
+            [matcher_for(station_id, patterns) for station_id, patterns in stations],
+            artifact,
+        )
 
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Algorithm 3 at the data center."""
@@ -84,16 +96,20 @@ def run_dimatching(
 ) -> RankedResults:
     """Convenience entry point: run DI-matching over a dataset without the simulator.
 
-    Iterates the stations sequentially in-process; drive a round through the
-    :class:`repro.cluster.Cluster` facade when communication, storage and timing
-    costs are needed.
+    Matches every pattern-bearing station in one in-process pass; drive a
+    round through the :class:`repro.cluster.Cluster` facade when
+    communication, storage and timing costs are needed.
     """
     protocol = DIMatchingProtocol(config)
     artifact = protocol.encode(queries)
-    reports: list[MatchReport] = []
-    for station_id in dataset.station_ids:
-        patterns = dataset.local_patterns_at(station_id)
-        if len(patterns) == 0:
-            continue
-        reports.extend(protocol.station_match(station_id, patterns, artifact))
+    stations = [
+        (station_id, patterns)
+        for station_id in dataset.station_ids
+        if len(patterns := dataset.local_patterns_at(station_id))
+    ]
+    reports = [
+        report
+        for station_reports in protocol.match_stations(stations, artifact)
+        for report in station_reports
+    ]
     return protocol.aggregate(reports, k)

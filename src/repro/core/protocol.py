@@ -6,6 +6,7 @@ Every matching method is expressed as three phases matching the paper's Figure 2
    distribute (a WBF, a plain BF, or nothing for the naive method);
 2. ``station_match`` — at each base station, produce the reports to send back
    (matched ``(id, weight)`` pairs, matched ids, or the raw local patterns);
+   ``match_stations`` runs it for many stations against one artifact;
 3. ``aggregate`` — at the data center, combine all reports into a ranked top-K.
 
 The :class:`repro.cluster.Cluster` facade drives any protocol through these
@@ -97,6 +98,21 @@ class MatchingProtocol(ABC):
         self, station_id: str, patterns: PatternSet, artifact: object | None
     ) -> list[object]:
         """Run the per-station phase and return the reports to send to the center."""
+
+    def match_stations(
+        self, stations: Sequence[tuple[str, PatternSet]], artifact: object | None
+    ) -> list[list[object]]:
+        """Run the per-station phase for every ``(station_id, patterns)`` pair.
+
+        Returns one report list per pair, in order, each equal to what
+        :meth:`station_match` returns for that station.  This default loops;
+        protocols whose stations can share one pass over the artifact (the
+        filter-based ones) override it.
+        """
+        return [
+            self.station_match(station_id, patterns, artifact)
+            for station_id, patterns in stations
+        ]
 
     @abstractmethod
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:

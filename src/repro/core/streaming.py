@@ -143,7 +143,8 @@ class ContinuousMatchingSession:
         campaigns end and new ones arrive.  Rotation re-encodes the artifact
         once, re-runs the matching phase of every station whose patterns the
         session has seen (their stored pattern sets are retained across
-        updates), and marks them all dirty — the next
+        updates) in one :meth:`~repro.core.protocol.MatchingProtocol.match_stations`
+        call, and marks them all dirty — the next
         :meth:`collect_deltas`/:meth:`ship_deltas` re-ships the whole round,
         exactly as a real redeployment would after a fresh dissemination.
         """
@@ -151,12 +152,13 @@ class ContinuousMatchingSession:
         self._queries = tuple(queries)
         self._artifact = self._protocol.encode(list(queries))
         self._batch_encodings += 1
-        for key, patterns in self._patterns_by_station.items():
-            reports = self._protocol.station_match(key, patterns, self._artifact)
+        stations = list(self._patterns_by_station.items())
+        matched = self._protocol.match_stations(stations, self._artifact)
+        for (key, _patterns), reports in zip(stations, matched):
             self._reports_by_station[key] = list(reports)
-            self._matching_runs += 1
             self._dirty[key] = None
             self._encoded_reports.pop(key, None)
+        self._matching_runs += len(stations)
 
     # -- wire deltas -------------------------------------------------------------
 

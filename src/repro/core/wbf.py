@@ -50,9 +50,9 @@ class WeightedBloomFilter:
         self._weights: dict[int, "set[Hashable] | frozenset"] = {}
         self._item_count = 0
         self._revision = 0
-        # revision -> (weights tuple, position mask dict, mask->frozenset memo);
-        # see _weight_mask_index.
-        self._mask_index: tuple[int, tuple, dict[int, int], dict[int, frozenset]] | None = None
+        # revision -> (weights tuple, position table list, mask->frozenset memo,
+        # position table array or None); see _weight_mask_index.
+        self._mask_index: tuple[int, tuple, list[int], dict[int, frozenset], object] | None = None
 
     # -- properties ------------------------------------------------------------
 
@@ -245,31 +245,20 @@ class WeightedBloomFilter:
         """
         return self.query_weights_at(self._hashes.positions(item))
 
-    def query_weights_at(
-        self, positions: Iterable[int], *, bits_checked: bool = False
-    ) -> frozenset:
+    def query_weights_at(self, positions: Iterable[int]) -> frozenset:
         """Same as :meth:`query_weights` but for precomputed bit positions.
 
         Base stations probing one filter with many candidate patterns precompute the
         positions once per candidate (they depend only on ``m``, ``k`` and the seed)
-        and reuse them; this method is the fast path for that case.  Callers that
-        already verified all bits through a vectorized
-        :meth:`bits_all_set_rows` pre-check pass ``bits_checked=True`` to skip the
-        per-position scalar re-probe (a bit with an attached weight is set by
-        construction, so the intersection alone is sufficient then).
+        and reuse them.
         """
         common: set[Hashable] | None = None
         weights = self._weights
         empty: frozenset = frozenset()
         for position in positions:
-            if bits_checked:
-                attached = weights.get(position)
-                if attached is None:
-                    return empty
-            else:
-                if not self._bits.get(position):
-                    return empty
-                attached = weights.get(position, set())
+            if not self._bits.get(position):
+                return empty
+            attached = weights.get(position, set())
             common = set(attached) if common is None else (common & attached)
             if not common:
                 return empty
@@ -285,19 +274,6 @@ class WeightedBloomFilter:
         items = list(items)
         rows = self._hashes.indices_batch(items)
         return self.query_many_at(rows)
-
-    def bits_all_set_rows(self, rows: Sequence[Sequence[int]]) -> list[bool]:
-        """For each row of bit positions, True iff every bit is set.
-
-        The vectorized pre-check used by the batched station matcher: most
-        candidates fail on bits, and this rejects them all in one backend call
-        without touching the weight map.
-        """
-        return self._bits.all_set_rows(rows)
-
-    def pack_rows(self, rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-        """``rows`` in the bit backend's fastest :meth:`bits_all_set_rows` form."""
-        return self._bits.pack_rows(rows)
 
     def query_many_at(self, rows: Sequence[Sequence[int]]) -> list[frozenset]:
         """Same as :meth:`query_many` but for precomputed position rows."""
@@ -318,31 +294,35 @@ class WeightedBloomFilter:
             results.append(frozenset(common) if common else empty)
         return results
 
-    # -- batched consistency probe (mask index) ------------------------------------
+    # -- batched consistency probe (mask index, position table) --------------------
 
-    #: Class-level switch for the integer-mask probe index.  Benchmarks flip it
-    #: off to measure the per-row set-intersection path; results are identical
-    #: either way (see :meth:`consistent_weights_over`).
+    #: Class-level switch for the integer-mask probe index and the position
+    #: table built on it.  Benchmarks flip it off to measure the per-row
+    #: set-intersection path; results are identical either way.
     MASK_INDEX_ENABLED = True
 
     def _weight_mask_index(
         self,
-    ) -> tuple[int, tuple, dict[int, int], dict[int, frozenset]]:
+    ) -> tuple[int, tuple, list[int], dict[int, frozenset], object]:
         """Lazily built probe index: each position's weight set as an int bitmask.
 
-        Distinct weights get consecutive bit numbers; a position's mask has the
-        bits of its attached weights set.  Intersecting weight sets across many
+        Distinct weights get consecutive bit numbers; a set bit's mask has the
+        bits of its attached weights set, and every other position's is 0
+        (see :meth:`position_masks`).  Intersecting weight sets across many
         positions then collapses to integer ``&``.  The index is keyed on
-        :attr:`revision` so any insertion invalidates it, and the final
+        :attr:`revision` so any insertion invalidates it, and the
         ``mask -> frozenset`` memo interns result sets so repeated matches of
-        the same weight combination return one shared object.
+        the same weight combination return one shared object.  The last
+        field caches :meth:`position_table`.
         """
         index = self._mask_index
         if index is not None and index[0] == self._revision:
             return index
         weight_bits: dict[Hashable, int] = {}
         weight_list: list[Hashable] = []
-        masks: dict[int, int] = {}
+        table = [0] * self.bit_count
+        # from_state filters may attach weights to a clear bit.
+        set_bits = set(self._bits.iter_set_bits())
         for position, attached in self._weights.items():
             mask = 0
             for weight in attached:
@@ -352,51 +332,67 @@ class WeightedBloomFilter:
                     weight_bits[weight] = bit
                     weight_list.append(weight)
                 mask |= 1 << bit
-            masks[position] = mask
-        index = (self._revision, tuple(weight_list), masks, {0: frozenset()})
+            if position in set_bits:
+                table[position] = mask
+        index = (self._revision, tuple(weight_list), table, {0: frozenset()}, None)
         self._mask_index = index
         return index
 
-    def consistent_weights_over(self, positions: Iterable[int]) -> frozenset:
-        """Weights attached at **every** one of ``positions`` (bits assumed set).
+    def weights_of_mask(self, mask: int) -> frozenset:
+        """The weights whose bits are set in ``mask``, as one interned frozenset.
 
-        Equivalent to intersecting :meth:`query_weights_at` (with
-        ``bits_checked=True``) over all the positions at once: a position with
-        no attached weights, or an empty cross-position intersection, yields
-        the empty frozenset.  An empty ``positions`` iterable also yields the
-        empty frozenset — matching the matcher's "no rows → no match" rule.
-        The caller must have verified bit membership (e.g. via
-        :meth:`bits_all_set_rows`) first.
+        ``mask`` numbers weights as the mask index does (bit ``i`` is the
+        ``i``-th distinct weight), so it is an AND of position-table entries.
+        Equal masks return the same object, and 0 the empty frozenset.
         """
-        revision, weight_list, masks, memo = self._weight_mask_index()
-        empty: frozenset = frozenset()
-        acc = -1
-        get = masks.get
-        for position in positions:
-            mask = get(position)
-            if mask is None:
-                return empty
-            acc &= mask
-            if not acc:
-                return empty
-        if acc == -1:
-            return empty
-        result = memo.get(acc)
+        _revision, weight_list, _table, memo, _array = self._weight_mask_index()
+        result = memo.get(mask)
         if result is None:
             members = []
-            remaining = acc
+            remaining = mask
             while remaining:
                 low = remaining & -remaining
                 members.append(weight_list[low.bit_length() - 1])
                 remaining ^= low
             result = frozenset(members)
-            memo[acc] = result
+            memo[mask] = result
         return result
+
+    def position_masks(self) -> list[int]:
+        """The position table: entry ``p`` is bit ``p``'s weight mask, 0 if the bit is clear.
+
+        Masks come from the mask index.  AND-ing the entries of a candidate's
+        sampled positions decides both of Algorithm 2's conditions at once:
+        the result is non-zero iff every bit is set and the positions share
+        at least one weight (a clear bit, a set bit without weights and an
+        empty intersection all yield 0).  Built once per :attr:`revision`.
+        """
+        return self._weight_mask_index()[2]
+
+    def position_table(self):
+        """:meth:`position_masks` as an ``m × ⌈W/64⌉`` NumPy array of ``<u8`` words.
+
+        ``W`` is the number of distinct weights; word ``j`` of a row holds
+        mask bits ``64·j`` to ``64·j + 63``.  For the benchmark's 4,608-bit,
+        32-weight filter that is 37 KB.  Requires NumPy; built once per
+        :attr:`revision`.
+        """
+        index = self._weight_mask_index()
+        array = index[4]
+        if array is None:
+            import numpy
+
+            width = 8 * max(1, (len(index[1]) + 63) // 64)
+            array = numpy.frombuffer(
+                b"".join(mask.to_bytes(width, "little") for mask in index[2]), dtype="<u8"
+            ).reshape(self.bit_count, width // 8)
+            self._mask_index = index[:4] + (array,)
+        return array
 
     # -- pickling ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the derived mask index: it is bulky and rebuilt on demand."""
+        """Drop the derived mask index and its position table: both are rebuilt on demand."""
         state = dict(self.__dict__)
         state["_mask_index"] = None
         return state

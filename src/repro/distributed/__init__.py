@@ -20,9 +20,8 @@ from repro.distributed.events import (
     transcript_to_bytes,
 )
 from repro.distributed.executor import (
+    MatchingOutcome,
     ShardedStationRunner,
-    ShardOutcome,
-    merge_shard_outcomes,
     partition_round_robin,
 )
 from repro.distributed.faults import (
@@ -50,9 +49,8 @@ __all__ = [
     "TranscriptEntry",
     "TransportError",
     "transcript_to_bytes",
+    "MatchingOutcome",
     "ShardedStationRunner",
-    "ShardOutcome",
-    "merge_shard_outcomes",
     "partition_round_robin",
     "FAULT_PROFILES",
     "FaultInjector",

@@ -1,8 +1,7 @@
-"""Base-station node: stores local patterns and runs the per-station matching phase."""
+"""Base-station node: stores a station's local patterns and the artifacts it received."""
 
 from __future__ import annotations
 
-from repro.core.protocol import MatchingProtocol
 from repro.distributed.node import Node
 from repro.timeseries.pattern import PatternSet
 
@@ -44,14 +43,3 @@ class BaseStationNode(Node):
             if message.kind in (MessageKind.FILTER_DISSEMINATION, MessageKind.CONTROL):
                 return message.payload
         raise LookupError(f"station {self.node_id!r} never received a dissemination")
-
-    def run_matching(self, protocol: MatchingProtocol, artifact: object | None) -> list[object]:
-        """Execute the protocol's per-station phase against the local patterns.
-
-        The WBF/BF protocols probe all local candidates through the batched
-        vectorized path (one bit row-test per station, see
-        :meth:`repro.core.matcher.BaseStationMatcher.match_against`) and cache
-        the station's matcher across rounds, so repeated broadcasts to the same
-        node reuse the precomputed candidate items and bit positions.
-        """
-        return protocol.station_match(self.node_id, self._patterns, artifact)

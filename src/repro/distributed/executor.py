@@ -3,23 +3,29 @@
 The paper models base stations as running their matching phase concurrently
 (one thread per station), so the phase's wall time is the maximum over
 stations.  This module makes that model executable: stations are partitioned
-into *shards*, each shard runs the protocol's ``station_match`` for its
-stations, and shards execute through a pluggable backend —
+into *shards*, each shard is one unit of sequential work, and shards execute
+through a pluggable backend —
 
-* ``"serial"`` — in-process loop, one shard per station by default (exactly
-  the historical behavior, and the per-station timing the latency model uses);
-* ``"thread"`` — :class:`concurrent.futures.ThreadPoolExecutor`; effective
-  when matching releases the GIL (NumPy row-tests) or stations are I/O-bound;
-* ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`; true
-  parallelism for CPU-bound pure-Python matching.  Protocols, pattern sets and
-  artifacts are pickled to the workers, so matcher caches are rebuilt there.
+* ``"serial"`` — in-process.  The whole round is one
+  :meth:`~repro.core.protocol.MatchingProtocol.match_stations` call, so the
+  filter-based protocols match every station in one vectorized pass.  Each
+  shard (one per station by default) is charged that call's wall time in
+  proportion to its station count, so the latency model's per-shard times
+  are the concurrent-stations share of the work actually done;
+* ``"thread"`` — :class:`concurrent.futures.ThreadPoolExecutor`, one
+  ``match_stations`` call per shard; effective when matching releases the
+  GIL (NumPy) or stations are I/O-bound;
+* ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`, one call
+  per shard; true parallelism for CPU-bound pure-Python matching.
+  Protocols, pattern sets and artifacts are pickled to the workers, so
+  matcher caches are rebuilt there.
 
 Results are returned keyed by station id and are *identical* across executors
 (matching is deterministic and aggregation happens in station order at the
 caller), which the integration suite asserts; only the timing differs.  The
-per-shard elapsed times feed the existing max-over-stations latency model: a
-shard is the unit that runs sequentially, so the simulated station phase costs
-``max`` over shard times.
+per-shard times feed the max-over-stations latency model: a shard is the unit
+that runs sequentially, so the simulated station phase costs ``max`` over
+shard times.
 """
 
 from __future__ import annotations
@@ -41,14 +47,13 @@ if TYPE_CHECKING:  # pragma: no cover - import for type checking only
 
 
 @dataclass(frozen=True)
-class ShardOutcome:
-    """Reports and timing of one shard's sequential run."""
+class MatchingOutcome:
+    """Every station's reports and each shard's charged time for one matching phase."""
 
-    shard_index: int
-    #: ``(station_id, reports)`` in shard order — tuples, so process workers
-    #: return a compact picklable structure.
-    reports_by_station: tuple[tuple[str, tuple[object, ...]], ...]
-    elapsed_s: float
+    #: ``station_id -> reports``, in station order.
+    reports: dict[str, list[object]]
+    #: One charged wall time per (non-empty) shard, so ``len`` is the shard count.
+    shard_times: list[float]
 
 
 def partition_round_robin(count: int, shard_count: int) -> list[list[int]]:
@@ -65,22 +70,14 @@ def partition_round_robin(count: int, shard_count: int) -> list[list[int]]:
 
 
 def _match_shard(
-    shard_index: int,
     protocol: MatchingProtocol,
     stations: Sequence[tuple[str, PatternSet]],
     artifact: object | None,
-) -> ShardOutcome:
-    """Run one shard sequentially; module-level so process pools can pickle it."""
+) -> tuple[list[list[object]], float]:
+    """One ``match_stations`` call and its wall time (module-level: pools pickle it)."""
     start = time.perf_counter()
-    results = tuple(
-        (station_id, tuple(protocol.station_match(station_id, patterns, artifact)))
-        for station_id, patterns in stations
-    )
-    return ShardOutcome(
-        shard_index=shard_index,
-        reports_by_station=results,
-        elapsed_s=time.perf_counter() - start,
-    )
+    reports = protocol.match_stations(stations, artifact)
+    return reports, time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -203,13 +200,12 @@ def _load_shared_artifact(token: SharedArtifactToken) -> object:
 
 
 def _match_shard_shared(
-    shard_index: int,
     protocol: MatchingProtocol,
     stations: Sequence[tuple[str, PatternSet]],
     token: SharedArtifactToken,
-) -> ShardOutcome:
+) -> tuple[list[list[object]], float]:
     """Worker entry point for the shared-memory artifact handoff."""
-    return _match_shard(shard_index, protocol, stations, _load_shared_artifact(token))
+    return _match_shard(protocol, stations, _load_shared_artifact(token))
 
 
 class ShardedStationRunner:
@@ -257,9 +253,10 @@ class ShardedStationRunner:
         """Effective shard count for ``station_count`` stations.
 
         ``shard_count == 0`` (auto) means one shard per station under the
-        serial executor — reproducing the paper's one-thread-per-station
-        latency model exactly — and one shard per worker under the pool
-        executors, so each worker receives one contiguous stream of work.
+        serial executor — the paper's one-thread-per-station latency model,
+        each station charged an equal share of the round's one call — and
+        one shard per worker under the pool executors, so each worker
+        receives one contiguous stream of work.
         """
         if station_count == 0:
             return 0
@@ -274,21 +271,28 @@ class ShardedStationRunner:
         protocol: MatchingProtocol,
         stations: "Sequence[BaseStationNode]",
         artifact: object | None,
-    ) -> list[ShardOutcome]:
-        """Match every station and return one outcome per (non-empty) shard."""
-        shard_count = self.resolve_shard_count(len(stations))
-        if shard_count == 0:
-            return []
+    ) -> MatchingOutcome:
+        """Match every station: one ``match_stations`` call per unit of sequential work."""
+        count = len(stations)
+        if not count:
+            return MatchingOutcome({}, [])
+        shard_count = self.resolve_shard_count(count)
         payload = [(station.node_id, station.patterns) for station in stations]
-        shards = [
-            [payload[index] for index in indices]
-            for indices in partition_round_robin(len(payload), shard_count)
-        ]
+        station_ids = [station_id for station_id, _patterns in payload]
         if self._executor == "serial":
-            return [
-                _match_shard(index, protocol, shard, artifact)
-                for index, shard in enumerate(shards)
-            ]
+            # The shards run back to back in-process, so they are one call:
+            # each is charged the call's wall time in proportion to its
+            # round-robin share of the stations.
+            reports, elapsed = _match_shard(protocol, payload, artifact)
+            return MatchingOutcome(
+                dict(zip(station_ids, reports)),
+                [
+                    elapsed * len(range(index, count, shard_count)) / count
+                    for index in range(shard_count)
+                ],
+            )
+        shards = partition_round_robin(count, shard_count)
+        jobs = [[payload[index] for index in indices] for indices in shards]
         pool = self._ensure_pool()
         exported = (
             export_shared_artifact(artifact)
@@ -301,21 +305,24 @@ class ShardedStationRunner:
             token, segment = exported
             try:
                 futures = [
-                    pool.submit(_match_shard_shared, index, protocol, shard, token)
-                    for index, shard in enumerate(shards)
+                    pool.submit(_match_shard_shared, protocol, job, token) for job in jobs
                 ]
-                outcomes = [future.result() for future in futures]
+                results = [future.result() for future in futures]
             finally:
                 segment.close()
                 segment.unlink()
-            return outcomes
-        futures = [
-            pool.submit(_match_shard, index, protocol, shard, artifact)
-            for index, shard in enumerate(shards)
-        ]
-        # Collect in submission order: determinism comes from station ids,
-        # not completion order.
-        return [future.result() for future in futures]
+        else:
+            futures = [pool.submit(_match_shard, protocol, job, artifact) for job in jobs]
+            # Collect in submission order: determinism comes from station
+            # ids, not completion order.
+            results = [future.result() for future in futures]
+        ordered: list = [None] * count
+        for indices, (reports, _elapsed) in zip(shards, results):
+            for index, station_reports in zip(indices, reports):
+                ordered[index] = station_reports
+        return MatchingOutcome(
+            dict(zip(station_ids, ordered)), [elapsed for _reports, elapsed in results]
+        )
 
     def _ensure_pool(self) -> Executor:
         if self._pool is None:
@@ -337,12 +344,3 @@ class ShardedStationRunner:
 
     def __exit__(self, *_exc_info: object) -> None:
         self.close()
-
-
-def merge_shard_outcomes(outcomes: Sequence[ShardOutcome]) -> dict[str, list[object]]:
-    """Flatten shard outcomes into ``station_id -> reports`` for aggregation."""
-    merged: dict[str, list[object]] = {}
-    for outcome in outcomes:
-        for station_id, reports in outcome.reports_by_station:
-            merged[station_id] = list(reports)
-    return merged

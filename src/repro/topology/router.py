@@ -148,8 +148,6 @@ def run_two_tier_round(
     :class:`~repro.distributed.events.RoundTimeoutError` when a transfer
     exhausts its budget and the transports do not allow partial phases.
     """
-    from repro.distributed.executor import merge_shard_outcomes
-
     by_region: dict[str, list["BaseStationNode"]] = {}
     for station in participants:
         region = tier_map.region_of(station.node_id)
@@ -235,9 +233,8 @@ def run_two_tier_round(
     matching_artifact = (
         active_stations[0].latest_artifact() if active_stations else artifact
     )
-    shard_outcomes = runner.run(protocol, active_stations, matching_artifact)
-    reports_by_station = merge_shard_outcomes(shard_outcomes)
-    shard_times = [outcome.elapsed_s for outcome in shard_outcomes]
+    matched = runner.run(protocol, active_stations, matching_artifact)
+    reports_by_station = matched.reports
 
     # Phase 3a: regional uplink — per-station reports into the region's
     # head, again in parallel across regions.
@@ -315,8 +312,8 @@ def run_two_tier_round(
             trunk_transport, [regional_transports[r.name] for r in served_regions]
         ),
         center_payload_bytes=center_payload_bytes,
-        shard_times=shard_times,
-        shard_count=len(shard_outcomes),
+        shard_times=matched.shard_times,
+        shard_count=len(matched.shard_times),
         **totals,
     )
 

@@ -1,11 +1,12 @@
-"""Property tests: the WBF's mask-index probe equals per-query set probing.
+"""Property tests: the WBF's position-table probe equals per-query set probing.
 
-The batched matcher intersects weight sets across all sampled bit positions
-through an integer-mask index (:meth:`WeightedBloomFilter.consistent_weights_over`);
-these properties pin it to the reference semantics — per-position
-:meth:`query_weights_at` intersection — including across mutations (the index
-is revision-keyed) and across a wire round-trip (decoded filters share
-interned frozensets).
+The station matcher ANDs the position table's entries (each set bit's
+weight mask from the mask index, 0 for a clear bit) across all sampled
+positions and reads the result back through
+:meth:`WeightedBloomFilter.weights_of_mask`; these properties pin that to
+the reference semantics — per-position :meth:`query_weights_at`
+intersection — including across mutations (the table is revision-keyed)
+and across a wire round-trip (decoded filters share interned frozensets).
 """
 
 from fractions import Fraction
@@ -30,7 +31,7 @@ def reference_intersection(wbf: WeightedBloomFilter, rows) -> frozenset:
     """Per-row set-intersection semantics the matcher used before the mask index."""
     common = None
     for row in rows:
-        weights = wbf.query_weights_at(row, bits_checked=True)
+        weights = wbf.query_weights_at(row)
         if not weights:
             return frozenset()
         common = set(weights) if common is None else (common & weights)
@@ -39,11 +40,13 @@ def reference_intersection(wbf: WeightedBloomFilter, rows) -> frozenset:
     return frozenset(common) if common else frozenset()
 
 
-def probed_rows(wbf: WeightedBloomFilter, items) -> list[list[int]]:
-    """Position rows of items that pass the all-bits-set pre-check."""
-    rows = [wbf.hash_family.positions(item) for item in items]
-    passed = wbf.bits_all_set_rows(rows)
-    return [row for row, ok in zip(rows, passed) if ok]
+def table_weights(wbf: WeightedBloomFilter, positions) -> frozenset:
+    """The position-table probe: AND every position's entry, read the mask back."""
+    table = wbf.position_masks()
+    mask = -1 if positions else 0
+    for position in positions:
+        mask &= table[position]
+    return wbf.weights_of_mask(mask)
 
 
 class TestMaskProbeEquivalence:
@@ -53,10 +56,9 @@ class TestMaskProbeEquivalence:
         wbf = WeightedBloomFilter(1024, 4)
         for item, weight in entries:
             wbf.add(item, weight)
-        rows = probed_rows(wbf, probes)
+        rows = [wbf.hash_family.positions(item) for item in probes]
         flat = [position for row in rows for position in row]
-        expected = reference_intersection(wbf, rows) if rows else frozenset()
-        assert wbf.consistent_weights_over(flat) == expected
+        assert table_weights(wbf, flat) == reference_intersection(wbf, rows)
 
     @given(entries=entries_strategy)
     @settings(max_examples=60, deadline=None)
@@ -66,7 +68,7 @@ class TestMaskProbeEquivalence:
             wbf.add(item, weight)
         for item, weight in entries:
             positions = wbf.hash_family.positions(item)
-            assert weight in wbf.consistent_weights_over(positions)
+            assert weight in table_weights(wbf, positions)
 
     @given(entries=entries_strategy, extra=st.tuples(st.integers(0, 400), weights_strategy))
     @settings(max_examples=40, deadline=None)
@@ -74,17 +76,15 @@ class TestMaskProbeEquivalence:
         wbf = WeightedBloomFilter(1024, 4)
         for item, weight in entries:
             wbf.add(item, weight)
-        # Build the index, then mutate, then re-probe: results must follow the
-        # mutation (the index is keyed on the filter's revision counter).
+        # Build the table, then mutate, then re-probe: results must follow the
+        # mutation (the table is keyed on the filter's revision counter).
         first_item = entries[0][0]
-        wbf.consistent_weights_over(wbf.hash_family.positions(first_item))
+        table_weights(wbf, wbf.hash_family.positions(first_item))
         extra_item, extra_weight = extra
         wbf.add(extra_item, extra_weight)
-        rows = probed_rows(wbf, [item for item, _ in entries] + [extra_item])
-        for row in rows:
-            assert wbf.consistent_weights_over(row) == reference_intersection(
-                wbf, [row]
-            )
+        for item in [item for item, _ in entries] + [extra_item]:
+            row = wbf.hash_family.positions(item)
+            assert table_weights(wbf, row) == reference_intersection(wbf, [row])
 
     @given(entries=entries_strategy)
     @settings(max_examples=40, deadline=None)
@@ -95,9 +95,7 @@ class TestMaskProbeEquivalence:
         decoded = wire.decode(wire.encode(wbf))
         for item, _ in entries:
             positions = wbf.hash_family.positions(item)
-            assert decoded.consistent_weights_over(
-                positions
-            ) == wbf.consistent_weights_over(positions)
+            assert table_weights(decoded, positions) == table_weights(wbf, positions)
 
     @given(entries=entries_strategy, extra=st.tuples(st.integers(0, 400), weights_strategy))
     @settings(max_examples=40, deadline=None)

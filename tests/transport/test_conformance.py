@@ -179,8 +179,10 @@ class TestDeliveredWireBytes:
                             sender=station.node_id,
                             recipient=center.node_id,
                             kind=MessageKind.MATCH_REPORT,
-                            payload=station.run_matching(
-                                protocol, station.latest_artifact()
+                            payload=protocol.station_match(
+                                station.node_id,
+                                station.patterns,
+                                station.latest_artifact(),
                             ),
                         ),
                         center,

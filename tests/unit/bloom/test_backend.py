@@ -127,18 +127,6 @@ class TestSingleBackendBehaviour:
         # answer them (generic fallback) with identical verdicts.
         assert bits.all_set_rows([[1, 2], [3], [1, 4, 2]]) == [True, True, False]
 
-    def test_packed_rows_give_the_same_verdicts(self, backend):
-        bits = BitArray(100, backend=backend)
-        bits.set_many([1, 2, 3, 10, 11])
-        rows = [[1, 2, 3], [1, 10, 11], [1, 2, 4]]
-        packed = bits.pack_rows(rows)
-        assert bits.all_set_rows(packed) == [True, True, False]
-        # Slicing the packed form selects rows, as the station matcher does.
-        assert bits.all_set_rows(packed[1:]) == [True, False]
-        assert bits.all_set_rows(bits.pack_rows([])) == []
-        ragged = [[1, 2], [3], [1, 4, 2]]
-        assert bits.all_set_rows(bits.pack_rows(ragged)) == [True, True, False]
-
     def test_iter_set_bits_and_size(self, backend):
         bits = BitArray(77, backend=backend)
         bits.set_many([0, 8, 63, 64, 76])
@@ -186,19 +174,17 @@ def test_cross_backend_union_and_equality():
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
-def test_numpy_packed_rows_are_int32_and_keep_the_bounds_check():
+def test_numpy_row_test_keeps_the_bounds_check():
     bits = BitArray(32, backend="numpy")
     bits.set_many([0, 31])
-    packed = bits.pack_rows([[0, 31], [31, 0]])
-    assert packed.dtype.name == "int32" and packed.shape == (2, 2)
-    assert bits.all_set_rows(packed) == [True, True]
+    assert bits.all_set_rows([[0, 31], [31, 0]]) == [True, True]
     with pytest.raises(IndexError):
-        bits.all_set_rows(bits.pack_rows([[0, 32]]))
+        bits.all_set_rows([[0, 32]])
     with pytest.raises(IndexError):
-        bits.all_set_rows(bits.pack_rows([[-1, 0]]))
+        bits.all_set_rows([[-1, 0]])
     # An index past int32 range is reported, never wrapped into range.
     with pytest.raises(IndexError):
-        bits.all_set_rows(bits.pack_rows([[0, 2**32]]))
+        bits.all_set_rows([[0, 2**32]])
 
 
 @pytest.mark.parametrize("trial", range(5))

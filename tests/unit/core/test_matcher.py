@@ -121,7 +121,7 @@ class TestMatchAgainst:
 
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="needs both bit backends")
-    def test_probe_follows_the_filter_backend_and_family(self, config):
+    def test_probe_is_shared_across_backends_and_rebuilt_per_family(self, config):
         from repro import wire
 
         batch = PatternEncoder(config).encode_batch([_query()])
@@ -139,10 +139,15 @@ class TestMatchAgainst:
         matcher = BaseStationMatcher(config, "bs-9", patterns)
         expected = matcher.match_against(on_numpy)
         assert [r.user_id for r in expected] == ["match-global"]
-        # The probe is reused, rebuilt for another backend or hash family,
-        # and rebuilt again on the way back: every round answers the same.
-        for encoded in (on_numpy, on_python, other_family, on_numpy, on_python):
+        probe = matcher._probe
+        # The probe is reused across bit backends, rebuilt only for another
+        # hash family, and rebuilt again on the way back: every round
+        # answers the same.
+        assert matcher.match_against(on_python) == expected
+        assert matcher._probe is probe
+        for encoded in (other_family, on_numpy, on_python):
             assert matcher.match_against(encoded) == expected
+        assert matcher._probe is not probe
 
 
 class TestPlainMatching:

@@ -1,6 +1,7 @@
 """Unit tests for the sharded station executor."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.cluster import Cluster
 from repro.core.dimatching import DIMatchingProtocol
 from repro.distributed.executor import (
     ShardedStationRunner,
-    merge_shard_outcomes,
     partition_round_robin,
 )
 
@@ -75,14 +75,96 @@ class TestRunnerExecution:
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
         runner = ShardedStationRunner(executor=executor, max_workers=2)
-        outcomes = runner.run(protocol, stations, artifact)
-        merged = merge_shard_outcomes(outcomes)
-        assert sorted(merged) == sorted(s.node_id for s in stations)
-        assert all(outcome.elapsed_s >= 0 for outcome in outcomes)
+        outcome = runner.run(protocol, stations, artifact)
+        assert list(outcome.reports) == [s.node_id for s in stations]
+        assert all(elapsed >= 0 for elapsed in outcome.shard_times)
 
     def test_empty_station_list(self, exact_config):
         runner = ShardedStationRunner()
-        assert runner.run(DIMatchingProtocol(exact_config), [], None) == []
+        outcome = runner.run(DIMatchingProtocol(exact_config), [], None)
+        assert outcome.reports == {}
+        assert outcome.shard_times == []
+
+
+class CountingProtocol(DIMatchingProtocol):
+    """Records how many stations each ``match_stations`` call received."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.calls = []
+
+    def match_stations(self, stations, artifact):
+        self.calls.append(len(stations))
+        return super().match_stations(stations, artifact)
+
+
+class TestRoundAccounting:
+    """One ``match_stations`` call per unit of sequential work, same shard counts."""
+
+    @pytest.mark.parametrize(
+        "executor, shard_count, max_workers, expected",
+        [
+            ("serial", 0, None, None),  # auto: one shard per participant
+            ("serial", 3, None, 3),
+            ("serial", 99, None, None),  # capped at the participant count
+            ("thread", 0, 2, 2),  # auto: one shard per worker
+            ("thread", 3, 2, 3),
+        ],
+    )
+    def test_shard_count_is_unchanged(
+        self, small_dataset, small_workload, exact_config,
+        executor, shard_count, max_workers, expected,
+    ):
+        protocol = CountingProtocol(exact_config)
+        with Cluster.adopt(
+            small_dataset, executor=executor, shard_count=shard_count, max_workers=max_workers
+        ) as cluster:
+            participants = len(cluster.stations)
+            outcome = cluster.drive(protocol, list(small_workload.queries))
+        shards = participants if expected is None else expected
+        assert outcome.costs.shard_count == shards
+        if executor == "serial":
+            assert protocol.calls == [participants]
+        else:
+            sizes = [len(shard) for shard in partition_round_robin(participants, shards)]
+            assert sorted(protocol.calls) == sorted(sizes)
+
+    @pytest.mark.parametrize("shard_count", [0, 3])
+    def test_serial_shards_share_the_one_call_by_station_count(
+        self, small_dataset, small_workload, exact_config, monkeypatch, shard_count
+    ):
+        import repro.distributed.executor as executor_module
+
+        clock = iter([10.0, 12.5])
+        monkeypatch.setattr(
+            executor_module, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        protocol = CountingProtocol(exact_config)
+        stations = Cluster.adopt(small_dataset).stations
+        runner = ShardedStationRunner(executor="serial", shard_count=shard_count)
+        outcome = runner.run(protocol, stations, protocol.encode(list(small_workload.queries)))
+        assert protocol.calls == [len(stations)]
+        assert sum(outcome.shard_times) == pytest.approx(2.5)
+        sizes = [len(shard) for shard in partition_round_robin(
+            len(stations), runner.resolve_shard_count(len(stations))
+        )]
+        assert outcome.shard_times == pytest.approx([2.5 * size / len(stations) for size in sizes])
+
+    def test_serial_station_time_is_the_largest_share(
+        self, small_dataset, small_workload, exact_config, monkeypatch
+    ):
+        import repro.distributed.executor as executor_module
+
+        clock = iter([10.0, 12.5])
+        monkeypatch.setattr(
+            executor_module, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        with Cluster.adopt(small_dataset) as cluster:
+            participants = len(cluster.stations)
+            outcome = cluster.drive(
+                DIMatchingProtocol(exact_config), list(small_workload.queries)
+            )
+        assert outcome.costs.station_time_s == pytest.approx(2.5 / participants)
 
 
 class TestProcessExecutorPicklability:
@@ -91,7 +173,7 @@ class TestProcessExecutorPicklability:
         artifact = protocol.encode(list(small_workload.queries))
         # Warm the matcher cache, then pickle: the cache must not travel.
         station = Cluster.adopt(small_dataset).stations[0]
-        before = station.run_matching(protocol, artifact)
+        before = protocol.station_match(station.node_id, station.patterns, artifact)
         clone = pickle.loads(pickle.dumps(protocol))
         assert clone._matchers._matchers == {}
         after = clone.station_match(station.node_id, station.patterns, artifact)
@@ -163,9 +245,7 @@ class TestSharedArtifactHandoff:
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
         stations = Cluster.adopt(small_dataset).stations
-        serial = merge_shard_outcomes(
-            ShardedStationRunner(executor="serial").run(protocol, stations, artifact)
-        )
+        serial = ShardedStationRunner(executor="serial").run(protocol, stations, artifact)
         with ShardedStationRunner(executor="process", max_workers=2) as runner:
-            shared = merge_shard_outcomes(runner.run(protocol, stations, artifact))
-        assert shared == serial
+            shared = runner.run(protocol, stations, artifact)
+        assert shared.reports == serial.reports

@@ -50,12 +50,12 @@ class TestBaseStationNode:
         with pytest.raises(TypeError):
             BaseStationNode("bs-1", [LocalPattern("u", [1], "bs-1")])
 
-    def test_run_matching_with_wbf_protocol(self):
+    def test_station_patterns_match_with_wbf_protocol(self):
         protocol = DIMatchingProtocol(DIMatchingConfig(sample_count=4))
         artifact = protocol.encode([_query()])
         patterns = PatternSet([LocalPattern("alice", [1, 2, 3, 4], "bs-1")])
         station = BaseStationNode("bs-1", patterns)
-        reports = station.run_matching(protocol, artifact)
+        reports = protocol.station_match(station.node_id, station.patterns, artifact)
         assert [r.user_id for r in reports] == ["alice"]
 
 
