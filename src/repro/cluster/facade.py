@@ -551,9 +551,16 @@ class Cluster:
                 )
             if not self._lazy:
                 return [node for sid, node in self._nodes.items() if sid in wanted]
+        # A subset walks only itself, in dataset order; the full census
+        # walks every station.
+        order = (
+            self._station_order
+            if wanted is None
+            else sorted(wanted, key=self._station_index.__getitem__)
+        )
         nodes: list[BaseStationNode] = []
-        for sid in self._station_order:
-            if sid in self._withdrawn or (wanted is not None and sid not in wanted):
+        for sid in order:
+            if sid in self._withdrawn:
                 continue
             node = self._activate(sid)
             if node is not None:

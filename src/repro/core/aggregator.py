@@ -256,12 +256,21 @@ class SimilarityRanker:
         Ties are broken by user id so results are deterministic.
         """
         scores = self.user_scores(reports)
-        ordered = sorted(scores.items(), key=lambda entry: (-entry[1], entry[0]))
-        ranked = tuple(
-            RankedUser(user_id=user_id, score=float(weight_sum))
-            for user_id, weight_sum in ordered
-        )
-        results = RankedResults(ranked)
+        # Sorting users on (-score, user_id) compares Fractions at every tie,
+        # yet a round's distinct scores are few (star-10k ranks thousands of
+        # users on two).  The same order: each distinct score sorted once,
+        # descending, then the ids sharing it as plain strings.
+        by_score: dict[Fraction, list[str]] = {}
+        for user_id, weight_sum in scores.items():
+            by_score.setdefault(weight_sum, []).append(user_id)
+        ranked: list[RankedUser] = []
+        for weight_sum in sorted(by_score, reverse=True):
+            score = float(weight_sum)
+            ranked.extend(
+                RankedUser(user_id=user_id, score=score)
+                for user_id in sorted(by_score[weight_sum])
+            )
+        results = RankedResults(tuple(ranked))
         if k is None:
             return results
         if k < 0:

@@ -64,6 +64,11 @@ class EncodedQueryBatch:
     combined_pattern_count: int
     inserted_item_count: int
 
+    @property
+    def revision(self) -> int:
+        """The WBF's mutation revision: the batch changes exactly when its filter does."""
+        return self.wbf.revision
+
     def size_bytes(self) -> int:
         """Estimate-model size of the batch (the contained WBF's estimate).
 

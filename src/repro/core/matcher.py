@@ -43,6 +43,20 @@ except ImportError:  # pragma: no cover - the CI matrix covers the no-NumPy leg
     _np = None
 
 
+def _packed_rows(rows: list[list[int]], width: int, dtype) -> "_np.ndarray":
+    """``rows`` as one C-contiguous ``len(rows) × width`` array owning its data.
+
+    Packed flat straight from the rows, without converting each nested list,
+    then shaped in place — not reshaped: a reshaped view would keep a second
+    array header alive per station.
+    """
+    packed = _np.fromiter(
+        itertools.chain.from_iterable(rows), dtype, count=len(rows) * width
+    )
+    packed.shape = (len(rows), width)
+    return packed
+
+
 class _CachedMatcher(weakref.ref):
     """A matcher cache entry: a weak reference to the station's ``PatternSet``."""
 
@@ -180,13 +194,7 @@ class BaseStationMatcher:
             probe = [rows[item] for item in items]
             if _np is not None:
                 dtype = _np.int32 if family.value_range <= 2**31 else _np.int64
-                # Built 2-D directly, not reshaped: a reshaped view would keep
-                # a second array header alive per station.
-                probe = (
-                    _np.array(probe, dtype=dtype)
-                    if probe
-                    else _np.zeros((0, family.hash_count), dtype=dtype)
-                )
+                probe = _packed_rows(probe, family.hash_count, dtype)
             self._probe = probe
             self._row_counts = [len(candidate) for candidate in candidates]
             self._probe_key = key

@@ -18,8 +18,9 @@ from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES, estimate_size_byte
 from repro.wire.codec import (
     decode,
     encode,
-    encode_cached,
+    encode_cached_at,
     message_envelope_size,
+    message_frame,
     object_revision,
 )
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
@@ -95,21 +96,33 @@ class Message:
     payload: object | None = None
     wire_version: int = 1
 
+    #: Memos of :meth:`to_wire` and :meth:`payload_wire` with the payload
+    #: revision each was encoded at, set per instance on first use (not
+    #: fields).  Plain attributes, not ``(revision, bytes)`` tuples: a round
+    #: builds 20,000 messages, and every tuple is one more object for the
+    #: garbage collector to count.
+    _wire_cache = None
+    _wire_revision = None
+    _payload_wire_cache = None
+    _payload_wire_revision = None
+
     def to_wire(self, compress: bool = False) -> bytes:
         """The full binary encoding of this message (envelope plus payload).
 
         Raises :class:`~repro.wire.errors.UnsupportedWireTypeError` when the
         payload has no wire encoding; uncompressed encodings are memoized per
-        message instance.
+        message instance.  One read of the payload's revision validates both
+        memos and the codec's encode cache.
         """
         if compress:
             return encode(self, compress=True)
         revision = object_revision(self.payload)
-        cached = getattr(self, "_wire_cache", None)
-        if cached is not None and cached[0] == revision:
-            return cached[1]
-        data = encode(self)
-        object.__setattr__(self, "_wire_cache", (revision, data))
+        cached = self._wire_cache
+        if cached is not None and self._wire_revision == revision:
+            return cached
+        data = message_frame(self, self._payload_wire_at(revision))
+        object.__setattr__(self, "_wire_cache", data)
+        object.__setattr__(self, "_wire_revision", revision)
         return data
 
     @classmethod
@@ -138,12 +151,16 @@ class Message:
         :class:`~repro.wire.errors.UnsupportedWireTypeError` for payloads
         outside the codec's vocabulary.
         """
-        revision = object_revision(self.payload)
-        cached = getattr(self, "_payload_wire_cache", None)
-        if cached is not None and cached[0] == revision:
-            return cached[1]
-        data = encode_cached(self.payload, self.wire_version)
-        object.__setattr__(self, "_payload_wire_cache", (revision, data))
+        return self._payload_wire_at(object_revision(self.payload))
+
+    def _payload_wire_at(self, revision: object) -> bytes:
+        """:meth:`payload_wire`, given the payload's current revision."""
+        cached = self._payload_wire_cache
+        if cached is not None and self._payload_wire_revision == revision:
+            return cached
+        data = encode_cached_at(self.payload, self.wire_version, revision)
+        object.__setattr__(self, "_payload_wire_cache", data)
+        object.__setattr__(self, "_payload_wire_revision", revision)
         return data
 
     def payload_bytes(self) -> int:
@@ -183,7 +200,7 @@ class Message:
         # repr must stay cheap: show the real size when the payload encoding
         # is already cached, otherwise the estimate — never encode a large
         # artifact as a printing side effect.
-        if getattr(self, "_payload_wire_cache", None) is not None:
+        if self._payload_wire_cache is not None:
             size = self.size_bytes()
         else:
             try:

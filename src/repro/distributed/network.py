@@ -58,7 +58,12 @@ from repro.distributed.faults import (
 )
 from repro.distributed.messages import Message
 from repro.distributed.node import Node
-from repro.distributed.transport.base import FrameStats, PhaseOutcome, Transport
+from repro.distributed.transport.base import (
+    DeliveredFrames,
+    FrameStats,
+    PhaseOutcome,
+    Transport,
+)
 from repro.utils.validation import require_non_negative, require_positive
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 
@@ -71,6 +76,8 @@ __all__ = [
 
 #: All uplink transfers serialize on this shared link (the center's ingress).
 _UPLINK_INGRESS = "uplink:center-ingress"
+
+_new_row = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ class SimulatedNetwork(Transport):
         self._log: list[Message] = []
         self._log_view = _SequenceView(self._log)
         self._transcript: list[TranscriptEntry] = []
-        self._delivered: dict[tuple[str, str], list[bytes]] = {}
+        self._delivered = DeliveredFrames()
         self._next_frame_id = 0
         self._frames_sent = 0
         self._frames_delivered = 0
@@ -283,11 +290,7 @@ class SimulatedNetwork(Transport):
         The cross-transport conformance battery compares these against the
         TCP backend's: for fault-free plans the exact wire bytes must match.
         """
-        return {
-            station: tuple(payloads)
-            for (recorded_direction, station), payloads in self._delivered.items()
-            if recorded_direction == direction
-        }
+        return self._delivered.grouped(direction)
 
     def frame_stats(self) -> FrameStats:
         """Snapshot of the frame-level ledger."""
@@ -367,17 +370,23 @@ class SimulatedNetwork(Transport):
 
     def _record(self, time_s: float, event: str, transfer: _Transfer, attempt: int) -> None:
         message = transfer.message
-        self._transcript.append(
-            TranscriptEntry(
-                len(self._transcript),
-                time_s,
-                event,
-                transfer.frame_id,
-                attempt,
-                message.sender,
-                message.recipient,
-                transfer.kind,
-                transfer.size,
+        transcript = self._transcript
+        # The row is built as the tuple it is, without the named tuple's
+        # Python-level ``__new__``: one row per frame event adds up.
+        transcript.append(
+            _new_row(
+                TranscriptEntry,
+                (
+                    len(transcript),
+                    time_s,
+                    event,
+                    transfer.frame_id,
+                    attempt,
+                    message.sender,
+                    message.recipient,
+                    transfer.kind,
+                    transfer.size,
+                ),
             )
         )
 
@@ -555,8 +564,6 @@ class SimulatedNetwork(Transport):
         self._frames_delivered += 1
         self._payload_bytes_delivered += transfer.size
         if transfer.payload is not None:
-            self._delivered.setdefault(
-                (transfer.direction, transfer.station), []
-            ).append(transfer.payload)
+            self._delivered.record(transfer.direction, transfer.station, transfer.payload)
         self._log.append(delivered)
         self._record(time_s, "deliver", transfer, transfer.attempts)

@@ -33,6 +33,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.node import Node
 
 
+class DeliveredFrames:
+    """The delivered-frame ledger behind :meth:`Transport.delivered_payloads`.
+
+    Flat columns — direction, station endpoint and frame bytes per accepted
+    frame, in delivery order — grouped per station only when read, so a
+    round holds no container per frame or per station.
+    """
+
+    __slots__ = ("_directions", "_stations", "_frames")
+
+    def __init__(self) -> None:
+        self._directions: list[str] = []
+        self._stations: list[str] = []
+        self._frames: list[bytes] = []
+
+    def record(self, direction: str, station: str, frame: bytes) -> None:
+        """Append one accepted frame."""
+        self._directions.append(direction)
+        self._stations.append(station)
+        self._frames.append(frame)
+
+    def clear(self) -> None:
+        """Forget every recorded frame."""
+        self._directions.clear()
+        self._stations.clear()
+        self._frames.clear()
+
+    def grouped(self, direction: str) -> dict[str, tuple[bytes, ...]]:
+        """Each station's frames for ``direction``, in delivery order.
+
+        Stations appear in the order of their first delivered frame.
+        """
+        grouped: dict[str, list[bytes]] = {}
+        for recorded, station, frame in zip(self._directions, self._stations, self._frames):
+            if recorded == direction:
+                grouped.setdefault(station, []).append(frame)
+        return {station: tuple(frames) for station, frames in grouped.items()}
+
+
 @dataclass(frozen=True)
 class FrameStats:
     """Frame-level ledger of one network's activity.

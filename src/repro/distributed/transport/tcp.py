@@ -59,7 +59,12 @@ from repro.distributed.messages import Message
 from repro.distributed.network import NetworkConfig
 from repro.distributed.node import Node
 from repro.distributed.transport import protocol
-from repro.distributed.transport.base import FrameStats, PhaseOutcome, Transport
+from repro.distributed.transport.base import (
+    DeliveredFrames,
+    FrameStats,
+    PhaseOutcome,
+    Transport,
+)
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 from repro.wire.stream import FrameStreamDecoder, encode_stream_frame
 
@@ -483,7 +488,7 @@ class TcpTransport(Transport):
         self._uplink_durations: list[float] = []
         self._log: list[Message] = []
         self._transcript: list[TranscriptEntry] = []
-        self._delivered: dict[tuple[str, str], list[bytes]] = {}
+        self._delivered = DeliveredFrames()
         self._frames_sent = 0
         self._frames_delivered = 0
         self._frames_dropped = 0
@@ -548,11 +553,7 @@ class TcpTransport(Transport):
 
     def delivered_payloads(self, direction: str) -> dict[str, tuple[bytes, ...]]:
         """Unique delivered frame bytes per station for ``direction``."""
-        return {
-            station: tuple(payloads)
-            for (recorded_direction, station), payloads in self._delivered.items()
-            if recorded_direction == direction
-        }
+        return self._delivered.grouped(direction)
 
     def frame_stats(self) -> FrameStats:
         """Snapshot of the frame-level ledger."""
@@ -630,9 +631,7 @@ class TcpTransport(Transport):
             else:
                 delivered = transfer.message
             if transfer.payload is not None:
-                self._delivered.setdefault(
-                    (direction, transfer.station), []
-                ).append(transfer.payload)
+                self._delivered.record(direction, transfer.station, transfer.payload)
             self._log.append(delivered)
 
         failed = [t for t in transfers if not t.delivered]

@@ -43,9 +43,9 @@ from repro.timeseries.query import QueryPattern
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 from repro.wire.primitives import (
     ByteReader,
+    uvarint_bytes,
     uvarint_size,
     write_bool,
-    write_bytes,
     write_fraction,
     write_str,
     write_svarint,
@@ -118,9 +118,9 @@ _HEADER_SIZE = 7
 #: by :func:`_bind_message_types` on first use — this module must not import
 #: :mod:`repro.distributed` at load time, which itself imports this codec.
 _MESSAGE_TYPE: "type[Message] | None" = None
-#: ``MessageKind`` members by wire code, and wire codes by member.
+#: ``MessageKind`` members by wire code, and each member's one-byte code.
 _KINDS_BY_CODE: "tuple[MessageKind, ...]" = ()
-_KIND_CODES: "dict[MessageKind, int]" = {}
+_KIND_CODES: "dict[MessageKind, bytes]" = {}
 
 
 def _bind_message_types() -> "type[Message]":
@@ -136,7 +136,7 @@ def _bind_message_types() -> "type[Message]":
     from repro.distributed.messages import Message, MessageKind
 
     _KINDS_BY_CODE = tuple(MessageKind)
-    _KIND_CODES.update((kind, code) for code, kind in enumerate(_KINDS_BY_CODE))
+    _KIND_CODES.update((kind, bytes((code,))) for code, kind in enumerate(_KINDS_BY_CODE))
     _WRITERS_BY_TYPE[Message] = (TAG_MESSAGE, _write_message_body)
     _MESSAGE_TYPE = Message
     return Message
@@ -464,19 +464,25 @@ def _write_report_columnar(out: bytearray, reports: list) -> None:
     write_u8(out, _LIST_REPORT_COLUMNAR)
     write_uvarint(out, len(reports))
     table = sorted(
-        {r.user_id for r in reports}
-        | {r.station_id for r in reports}
-        | {r.query_id for r in reports}
+        {text for r in reports for text in (r.user_id, r.station_id, r.query_id)}
     )
-    index = {value: position for position, value in enumerate(table)}
     write_uvarint(out, len(table))
     for value in table:
         write_str(out, value)
+    # Every table index and every distinct weight object is encoded once, so
+    # a report costs one append of its four pre-encoded fields.
+    index = {value: uvarint_bytes(position) for position, value in enumerate(table)}
+    weights: dict[int, bytes] = {}
     for report in reports:
-        write_uvarint(out, index[report.user_id])
-        write_uvarint(out, index[report.station_id])
-        write_uvarint(out, index[report.query_id])
-        _write_optional_weight(out, report.weight)
+        weight = report.weight
+        block = weights.get(id(weight))
+        if block is None:
+            encoded = bytearray()
+            _write_optional_weight(encoded, weight)
+            block = weights[id(weight)] = bytes(encoded)
+        out += b"".join(
+            (index[report.user_id], index[report.station_id], index[report.query_id], block)
+        )
 
 
 def _read_object_list_body(reader: ByteReader, backend: str) -> list:
@@ -497,30 +503,69 @@ def _read_report_columnar(reader: ByteReader) -> list:
     count = reader.uvarint()
     table_count = reader.uvarint()
     table = [reader.str_() for _ in range(table_count)]
+    uvarint, bool_, fraction_terms = reader.uvarint, reader.bool_, reader.fraction_terms
+    # Reports with equal weight terms share one Fraction (it is immutable),
+    # built once per list.
+    weights: dict[tuple[int, int], Fraction] = {}
     reports = []
     for _ in range(count):
-        indices = (reader.uvarint(), reader.uvarint(), reader.uvarint())
-        if any(position >= table_count for position in indices):
+        user, station, query = uvarint(), uvarint(), uvarint()
+        if user >= table_count or station >= table_count or query >= table_count:
             raise WireFormatError("report string-table index out of range")
-        weight = _read_optional_weight(reader)
-        reports.append(
-            MatchReport(
-                user_id=table[indices[0]],
-                station_id=table[indices[1]],
-                weight=weight,
-                query_id=table[indices[2]],
-            )
-        )
+        weight = None
+        if bool_():
+            terms = fraction_terms()
+            weight = weights.get(terms)
+            if weight is None:
+                weight = weights[terms] = Fraction(*terms)
+        reports.append(MatchReport(table[user], table[station], weight, table[query]))
     return reports
 
 
+#: The header of every envelope :meth:`Message.to_wire` writes: the stable
+#: version, no flags.  The payload block inside carries its own header.
+_ENVELOPE_HEADER = MAGIC + bytes((WIRE_VERSION, 0, TAG_MESSAGE))
+
+
+def _envelope(message: "Message", payload: bytes, head: bytes = b"") -> bytes:
+    """``head``, then the envelope body around the payload block ``payload``.
+
+    The one definition of the envelope layout — sender, recipient, kind code,
+    payload block — joined in one pass.  :func:`message_envelope_size` sizes
+    it arithmetically (a unit test keeps the two in lockstep).
+    """
+    sender = message.sender.encode("utf-8")
+    recipient = message.recipient.encode("utf-8")
+    return b"".join(
+        (
+            head,
+            uvarint_bytes(len(sender)),
+            sender,
+            uvarint_bytes(len(recipient)),
+            recipient,
+            _KIND_CODES[message.kind],
+            uvarint_bytes(len(payload)),
+            payload,
+        )
+    )
+
+
 def _write_message_body(out: bytearray, message: "Message") -> None:
-    write_str(out, message.sender)
-    write_str(out, message.recipient)
-    out.append(_KIND_CODES[message.kind])
     # The message memoizes its payload encoding, so cost accounting and
     # envelope construction within one round share a single payload encode.
-    write_bytes(out, message.payload_wire())
+    out += _envelope(message, message.payload_wire())
+
+
+def message_frame(message: "Message", payload: bytes) -> bytes:
+    """``encode(message)`` in one join, given the message's payload block.
+
+    The uncompressed version-1 frame every transport sends:
+    :meth:`Message.to_wire` passes the payload block it memoized, so the
+    frame costs one join and no header or dispatch work.
+    """
+    if _MESSAGE_TYPE is None:
+        _bind_message_types()
+    return _envelope(message, payload, _ENVELOPE_HEADER)
 
 
 def _read_message_body(reader: ByteReader, backend: str) -> "Message":
@@ -530,7 +575,9 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
     kind_code = reader.u8()
     if kind_code >= len(_KINDS_BY_CODE):
         raise WireFormatError(f"unknown message kind code {kind_code}")
-    payload_block = reader.bytes_()
+    # Decoded in place: the block is a view of the frame, copied only into
+    # the decode cache's key.
+    payload_block = reader.blob_view()
     return message_type(
         sender,
         recipient,
@@ -563,13 +610,14 @@ _PAYLOAD_DECODE_TAGS = frozenset({TAG_WBF, TAG_ENCODED_BATCH, TAG_BLOOM_FILTER})
 PAYLOAD_DECODE_CACHE_ENABLED = True
 
 
-def _decode_payload_cached(data: bytes, backend: str) -> object:
+def _decode_payload_cached(block: "bytes | memoryview", backend: str) -> object:
     if (
         not PAYLOAD_DECODE_CACHE_ENABLED
-        or len(data) < _PAYLOAD_DECODE_MIN_BYTES
-        or data[6] not in _PAYLOAD_DECODE_TAGS
+        or len(block) < _PAYLOAD_DECODE_MIN_BYTES
+        or block[6] not in _PAYLOAD_DECODE_TAGS
     ):
-        return decode(data, backend=backend)
+        return decode(block, backend=backend)
+    data = bytes(block)
     key = (data, backend)
     entry = _PAYLOAD_DECODE_CACHE.get(key)
     if entry is not None:
@@ -742,7 +790,8 @@ def decode(
     if flags & ~_KNOWN_FLAGS:
         raise WireFormatError(f"unknown header flags 0x{flags:02x}")
     tag = data[6]
-    body: "bytes | memoryview" = memoryview(data)[_HEADER_SIZE:]
+    view = data if data.__class__ is memoryview else memoryview(data)
+    body: "bytes | memoryview" = view[_HEADER_SIZE:]
     if version >= WIRE_VERSION_EXT:
         header_reader = ByteReader(body)
         extension_size = header_reader.uvarint()
@@ -776,14 +825,11 @@ def object_revision(obj: object) -> object:
     """Mutation revision of an artifact, or None when it has no counter.
 
     Filters expose a ``revision`` bumped on every insertion; an
-    :class:`EncodedQueryBatch` inherits its WBF's.  Used to invalidate cached
+    :class:`EncodedQueryBatch` reports its WBF's.  Used to invalidate cached
     encodings of mutable artifacts — an object without a counter is cached on
     identity alone (immutable protocol objects).
     """
-    revision = getattr(obj, "revision", None)
-    if revision is None and isinstance(obj, EncodedQueryBatch):
-        revision = obj.wbf.revision
-    return revision
+    return getattr(obj, "revision", None)
 
 
 def encode_cached(obj: object, version: int = WIRE_VERSION) -> bytes:
@@ -796,20 +842,28 @@ def encode_cached(obj: object, version: int = WIRE_VERSION) -> bytes:
     serves stale bytes.  Objects that cannot hold weak references (tuples,
     lists) are encoded afresh each call.
     """
+    return encode_cached_at(obj, version, object_revision(obj))
+
+
+def encode_cached_at(obj: object, version: int, revision: object) -> bytes:
+    """:func:`encode_cached` for a caller that already read ``obj``'s revision."""
     if obj is None:
         return _NONE_ENCODINGS.get(version) or encode(None, version=version)
+    if obj.__class__ is list:
+        # A list can never be weakly referenced, so it is never cached.
+        return encode(obj, version=version)
     key = (id(obj), version)
     entry = _ENCODE_CACHE.get(key)
     if entry is not None:
-        ref, revision, data = entry
-        if ref() is obj and revision == object_revision(obj):
+        ref, cached_revision, data = entry
+        if ref() is obj and cached_revision == revision:
             return data
     data = encode(obj, version=version)
     try:
         ref = weakref.ref(obj, lambda _ref, _key=key: _ENCODE_CACHE.pop(_key, None))
     except TypeError:
         return data
-    _ENCODE_CACHE[key] = (ref, object_revision(obj), data)
+    _ENCODE_CACHE[key] = (ref, revision, data)
     return data
 
 
@@ -824,8 +878,8 @@ def message_envelope_size(sender: str, recipient: str, payload_size: int) -> int
     Computed arithmetically so cost accounting for a broadcast of N station
     messages sharing one artifact never materializes N copies of the envelope
     bytes — the simulator charges ``header + routing fields + payload block``
-    without building it.  Kept in lockstep with :func:`_write_message_body` by
-    a unit test asserting equality with ``len(encode(message))``.
+    without building it.  Kept in lockstep with :func:`_envelope` by a unit
+    test asserting equality with ``len(encode(message))``.
     """
     sender_bytes = sender.encode("utf-8")
     recipient_bytes = recipient.encode("utf-8")

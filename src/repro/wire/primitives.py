@@ -92,6 +92,20 @@ def write_fraction(out: bytearray, fraction: Fraction) -> None:
     write_uvarint(out, fraction.denominator)
 
 
+#: Every one-byte uvarint, pre-built: lengths and table indices are almost
+#: always below 128.
+_ONE_BYTE_UVARINTS = tuple(bytes((value,)) for value in range(0x80))
+
+
+def uvarint_bytes(value: int) -> bytes:
+    """The bytes :func:`write_uvarint` appends for ``value``."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE_UVARINTS[value]
+    out = bytearray()
+    write_uvarint(out, value)
+    return bytes(out)
+
+
 def uvarint_size(value: int) -> int:
     """Number of bytes :func:`write_uvarint` produces for ``value``."""
     if value < 0 or value > _U64_MAX:
@@ -111,20 +125,21 @@ class ByteReader:
     invalid — decoding a truncated or corrupted message can never escape as a
     low-level exception.
 
-    The reader is zero-copy at construction: ``bytes`` buffers are referenced
-    directly and ``bytearray``/``memoryview`` inputs are wrapped in a
+    The reader is zero-copy at construction: ``bytes`` and ``memoryview``
+    buffers are referenced directly and a ``bytearray`` is wrapped in a
     :class:`memoryview` rather than copied, so decoding a payload embedded in
     a larger frame never duplicates the frame.  Bytes are materialized only at
     the accessors that must hand out ``bytes`` (:meth:`raw` and everything
-    built on it); :meth:`str_` decodes straight from the buffer.
+    built on it); :meth:`str_` decodes straight from the buffer, and
+    :meth:`blob_view` hands out a slice of it.
     """
 
     __slots__ = ("_data", "_offset")
 
     def __init__(self, data: "bytes | bytearray | memoryview") -> None:
-        if type(data) is bytes:
+        if data.__class__ is bytes or data.__class__ is memoryview:
             self._data: "bytes | memoryview" = data
-        elif isinstance(data, (bytearray, memoryview)):
+        elif isinstance(data, bytearray):
             self._data = memoryview(data)
         else:
             self._data = bytes(data)
@@ -216,9 +231,27 @@ class ByteReader:
         """Read a length-prefixed byte blob."""
         return self.raw(self.uvarint())
 
+    def blob_view(self) -> "bytes | memoryview":
+        """Read a length-prefixed byte blob as a slice of the buffer.
+
+        Over a ``memoryview`` buffer the slice is a view, not a copy; it stays
+        valid as long as the buffer does.
+        """
+        return self._take(self.uvarint())
+
     def str_(self) -> str:
         """Read a length-prefixed UTF-8 string."""
-        chunk = self._take(self.uvarint())
+        data = self._data
+        offset = self._offset
+        if offset < len(data) and data[offset] < 0x80:
+            # A one-byte length (strings under 128 bytes): sliced in place.
+            end = offset + 1 + data[offset]
+            if end > len(data):
+                self._take(self.uvarint())  # raises the truncation error
+            self._offset = end
+            chunk = data[offset + 1 : end]
+        else:
+            chunk = self._take(self.uvarint())
         try:
             return str(chunk, "utf-8")
         except UnicodeDecodeError as error:
@@ -231,13 +264,20 @@ class ByteReader:
             raise WireFormatError(f"invalid boolean byte {value} at offset {self._offset}")
         return bool(value)
 
-    def fraction(self) -> Fraction:
-        """Read a :func:`write_fraction` pair; zero denominators are corrupt."""
+    def fraction_terms(self) -> tuple[int, int]:
+        """Read a :func:`write_fraction` pair as ``(numerator, denominator)``.
+
+        Zero denominators are corrupt.
+        """
         numerator = self.svarint()
         denominator = self.uvarint()
         if denominator == 0:
             raise WireFormatError(f"fraction with zero denominator at offset {self._offset}")
-        return Fraction(numerator, denominator)
+        return numerator, denominator
+
+    def fraction(self) -> Fraction:
+        """Read a :func:`write_fraction` pair as a :class:`~fractions.Fraction`."""
+        return Fraction(*self.fraction_terms())
 
     def expect_eof(self) -> None:
         """Raise unless the whole buffer has been consumed."""

@@ -12,6 +12,8 @@ The tentpole contract of the :class:`StationSource` boundary:
   byte-identically to a twin that never mutated.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cluster import (
@@ -85,6 +87,31 @@ class TestAdoption:
         with _streaming_cluster() as deployed:
             with pytest.raises(ClusterStateError, match="streaming"):
                 deployed.dataset
+
+
+#: Transcript digest of the subset round below: which stations take part, and
+#: in what order, is part of the replay.
+SUBSET_ROUND_SHA256 = "57980abc4b3b6d1d5484e1236911af97f53168c425bd432253f943dab284237d"
+
+
+class TestSubsetRounds:
+    def test_a_shuffled_subset_runs_in_dataset_order(self):
+        with _streaming_cluster() as deployed:
+            deployed.subscribe(_queries(deployed.source))
+            stations = list(deployed.station_ids)
+            deployed.retire(stations[3])
+            subset = [stations[4], stations[3], stations[0], stations[5], stations[2]]
+            report = deployed.round(RoundOptions(station_ids=subset, net_seed=5))
+            downlink = [
+                entry.recipient
+                for entry in report.transcript
+                if entry.event == "send" and entry.kind == "filter_dissemination"
+            ]
+            # Dataset order, and the withdrawn station is skipped.
+            assert downlink == [stations[0], stations[2], stations[4], stations[5]]
+            assert report.active_station_count == 4
+            digest = hashlib.sha256(report.transcript_bytes()).hexdigest()
+            assert digest == SUBSET_ROUND_SHA256
 
 
 class TestBoundedResidency:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregator import SimilarityRanker
-from repro.core.protocol import MatchReport
+from repro.core.protocol import MatchReport, RankedResults, RankedUser
 
 weight_strategy = st.fractions(min_value=Fraction(1, 100), max_value=1)
 
@@ -79,3 +79,52 @@ class TestRankerProperties:
             assert best == max(valid)
         else:
             assert best is None
+
+
+class _GivenScores(SimilarityRanker):
+    """A ranker whose Algorithm-3 scores are given, so only the ordering is tested."""
+
+    def __init__(self, scores: dict) -> None:
+        super().__init__()
+        self._given = scores
+
+    def user_scores(self, reports):
+        return dict(self._given)
+
+
+def reference_ranking(scores: dict, k):
+    """The ranking as one sort of every user on ``(-score, user_id)``."""
+    ordered = sorted(scores.items(), key=lambda entry: (-entry[1], entry[0]))
+    results = RankedResults(
+        tuple(RankedUser(user_id=user_id, score=float(score)) for user_id, score in ordered)
+    )
+    return results if k is None else results.top(k)
+
+
+#: Distinct Fractions closer together than a float can tell apart.
+_THIRD = Fraction(1, 3)
+_CLOSE = [_THIRD - Fraction(1, 10**30), _THIRD, _THIRD + Fraction(1, 10**30)]
+
+score_values = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), *_CLOSE]),
+    st.fractions(min_value=0, max_value=1, max_denominator=6),
+)
+score_maps = st.dictionaries(
+    st.text(alphabet="abAB0é", max_size=4), score_values, max_size=80
+)
+
+
+class TestRankingOrder:
+    def test_close_fractions_share_a_float(self):
+        assert len(set(_CLOSE)) == 3
+        assert len({float(score) for score in _CLOSE}) == 1
+
+    @given(scores=score_maps, k=st.one_of(st.none(), st.integers(0, 90)))
+    @settings(max_examples=200, deadline=None)
+    def test_aggregate_matches_the_reference_sort(self, scores, k):
+        assert _GivenScores(scores).aggregate([], k) == reference_ranking(scores, k)
+
+    def test_many_ties_on_two_scores(self):
+        scores = {f"u{i:04d}": Fraction(1, 2) if i % 3 else Fraction(1) for i in range(500)}
+        for k in (None, 0, 7, 400, 1000):
+            assert _GivenScores(scores).aggregate([], k) == reference_ranking(scores, k)

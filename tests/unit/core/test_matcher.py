@@ -8,7 +8,7 @@ from repro.bloom.backend import HAS_NUMPY
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.exceptions import MatchingError
-from repro.core.matcher import BaseStationMatcher
+from repro.core.matcher import BaseStationMatcher, _packed_rows
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
 
@@ -30,6 +30,39 @@ def encoded():
 @pytest.fixture()
 def config():
     return DIMatchingConfig(sample_count=4)
+
+
+class TestPackedProbe:
+    @pytest.mark.parametrize("row_count", [0, 1, 1600])
+    @pytest.mark.parametrize("dtype_name", ["int32", "int64"])
+    def test_packed_rows_equal_the_nested_conversion(self, row_count, dtype_name):
+        np = pytest.importorskip("numpy")
+        dtype = getattr(np, dtype_name)
+        rows = [[(7 * row + column) % 997 for column in range(4)] for row in range(row_count)]
+        packed = _packed_rows(rows, 4, dtype)
+        expected = np.array(rows, dtype=dtype).reshape(row_count, 4)
+        assert packed.dtype == dtype
+        assert packed.shape == (row_count, 4)
+        assert np.array_equal(packed, expected)
+        # One array that owns its data, not a view of another.
+        assert packed.base is None
+        assert packed.flags["C_CONTIGUOUS"]
+
+    def test_a_station_probe_is_packed_on_both_dtypes(self):
+        np = pytest.importorskip("numpy")
+        from repro.bloom.hashing import HashFamily
+
+        patterns = PatternSet(
+            [LocalPattern("u1", [1, 2, 0, 3], "bs"), LocalPattern("u2", [0, 0, 4, 1], "bs")]
+        )
+        for value_range, dtype in ((1 << 12, np.int32), ((1 << 31) + 1, np.int64)):
+            family = HashFamily(3, value_range, seed=5)
+            matcher = BaseStationMatcher(DIMatchingConfig(sample_count=4), "bs", patterns)
+            probe = matcher._probe_for(family)
+            items = [item for pattern in patterns for item in matcher._probe_items(pattern)]
+            assert probe.dtype == dtype
+            assert np.array_equal(probe, np.array(family.indices_batch(items), dtype=dtype))
+            assert probe.base is None
 
 
 class TestMatchPattern:

@@ -239,3 +239,48 @@ def test_fault_free_phase_schedules_one_event_per_frame(monkeypatch):
     assert scheduled == ["_on_arrival"] * frames
     assert len(outcome.delivered_ids) == frames
     assert network.frame_stats().retransmit_count == 0
+
+
+class TestDeliveredPayloads:
+    def test_frames_grouped_per_station_in_delivery_order(self):
+        plan = FaultPlan(
+            drop_probability=0.3,
+            duplicate_probability=0.5,
+            corrupt_probability=0.2,
+            reorder_probability=0.3,
+        )
+        network = SimulatedNetwork(fault_plan=plan, seed=11, allow_partial=True)
+        stations = [f"bs-{i}" for i in range(6)]
+        center = Node("center")
+        # Two downlink phases, so a station can hold two frames, then one uplink.
+        phases = [
+            ("downlink", [(_message([0, sid], "center", sid), Node(sid)) for sid in stations]),
+            ("downlink", [(_message([1, sid], "center", sid), Node(sid)) for sid in stations]),
+            ("uplink", [(_message([2, sid], sid, "center"), center) for sid in stations]),
+        ]
+        sent = []
+        for direction, sends in phases:
+            for message, _receiver in sends:
+                station = message.recipient if direction == "downlink" else message.sender
+                sent.append((direction, station, message.to_wire()))
+            (network.broadcast if direction == "downlink" else network.gather)(sends)
+
+        expected: dict[str, dict[str, list[bytes]]] = {"downlink": {}, "uplink": {}}
+        for entry in network.transcript:
+            if entry.event == "deliver":
+                direction, station, frame = sent[entry.frame_id]
+                expected[direction].setdefault(station, []).append(frame)
+        stats = network.frame_stats()
+        # The plan bit: frames were lost, duplicated and corrupted.
+        assert stats.frames_dropped and stats.frames_duplicate and stats.frames_corrupt
+        entries = 0
+        for direction, by_station in expected.items():
+            got = network.delivered_payloads(direction)
+            assert got == {station: tuple(frames) for station, frames in by_station.items()}
+            # Stations in the order of their first delivered frame.
+            assert list(got) == list(by_station)
+            entries += sum(len(frames) for frames in got.values())
+        # One entry per accepted frame: duplicates and corrupt copies add none.
+        assert entries == stats.frames_delivered
+        network.reset()
+        assert network.delivered_payloads("downlink") == {}

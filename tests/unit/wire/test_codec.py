@@ -169,6 +169,21 @@ class TestRoundTrips:
         assert message.size_bytes() > size_before
         assert message.size_bytes() == len(wire.encode(message))
 
+    def test_mutating_a_batch_filter_refreshes_the_message_frame(self):
+        batch = PatternEncoder(DIMatchingConfig(sample_count=4)).encode_batch(
+            list(make_queries())
+        )
+        # A batch changes exactly when its filter does.
+        assert wire.object_revision(batch) == batch.wbf.revision
+        message = Message("dc", "s1", MessageKind.FILTER_DISSEMINATION, batch)
+        frame = message.to_wire()
+        assert message.to_wire() is frame
+        batch.wbf.add(999, ("q9", Fraction(1, 7)))
+        fresh = message.to_wire()
+        assert fresh != frame
+        assert fresh == wire.encode(message)
+        assert Message.from_wire(fresh).payload == batch
+
 
 class TestBackendIdenticalBytes:
     @pytest.mark.skipif("numpy" not in BACKENDS, reason="NumPy backend unavailable")
