@@ -7,9 +7,14 @@ extends the single-round seed-replay contract of ``tests/simulation/`` to
 whole multi-round workloads.
 
 ``golden_transcripts.json`` pins the transcripts *across the facade
-refactor*: its digests were captured from the pre-``repro.cluster`` engine,
-so every scenario driven through ``Cluster``/``open_session()`` must still
-produce the exact bytes the four-entry-point era produced.
+refactor*: its closed-drive digests were captured from the pre-``repro.cluster``
+engine, so every scenario driven through ``Cluster``/``open_session()`` must
+still produce the exact bytes the four-entry-point era produced.  Its
+open-drive digests and every digest in ``golden_payloads.json`` (the
+metrics rows: churn attribution, active-station counts, refresh flags, queue
+delays, tenant tags) were captured at the parent of the change that folded
+the engine's five per-mode drive loops into one, so that loop must reproduce
+what the five produced.
 """
 
 import hashlib
@@ -18,28 +23,45 @@ from pathlib import Path
 
 import pytest
 
-from repro.workloads import scenario_names
+from repro.workloads import get_scenario, scenario_names
 
 from .conftest import run_tiny, tiny_spec
 
 ALL_SCENARIOS = scenario_names()
 
-#: sha256 of each (scenario, drive) tiny-scale transcript, captured from the
-#: pre-facade engine.  Update deliberately (never to paper over drift): rerun
-#: the suite, inspect the diff, and re-dump the digests.
+#: sha256 of each (scenario, drive) tiny-scale transcript and of its
+#: ``json.dumps(to_payload(), sort_keys=True)``.  Update deliberately (never
+#: to paper over drift): rerun the suite, inspect the diff, and re-dump the
+#: digests.
+_HERE = Path(__file__).parent
 GOLDEN_DIGESTS = json.loads(
-    (Path(__file__).parent / "golden_transcripts.json").read_text(encoding="utf-8")
+    (_HERE / "golden_transcripts.json").read_text(encoding="utf-8")
 )
+GOLDEN_PAYLOADS = json.loads((_HERE / "golden_payloads.json").read_text(encoding="utf-8"))
+
+#: Every drive each scenario supports: both closed drives everywhere, the
+#: open drive where the scenario declares an offered load.
+DRIVE_PAIRS = [
+    pytest.param(scenario, drive, id=f"{drive}-{scenario}")
+    for drive in ("simulation", "session", "open")
+    for scenario in ALL_SCENARIOS
+    if drive != "open" or get_scenario(scenario).offered is not None
+]
 
 
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-@pytest.mark.parametrize("drive", ["simulation", "session"])
+@pytest.mark.parametrize("scenario, drive", DRIVE_PAIRS)
 def test_facade_drive_matches_the_pre_refactor_engine(scenario, drive):
-    """Byte-identity with the engine as it existed before ``repro.cluster``."""
-    digest = hashlib.sha256(run_tiny(scenario, drive=drive).transcript_bytes()).hexdigest()
+    """Byte-identity of the transcript and the payload with the pinned engine."""
+    result = run_tiny(scenario, drive=drive)
+    digest = hashlib.sha256(result.transcript_bytes()).hexdigest()
     assert digest == GOLDEN_DIGESTS[scenario][drive], (
         f"{scenario}/{drive}: the facade-driven transcript no longer matches "
         "the pre-refactor engine's golden digest"
+    )
+    payload = json.dumps(result.to_payload(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_PAYLOADS[scenario][drive], (
+        f"{scenario}/{drive}: the payload's metrics rows no longer match the "
+        "pinned engine's"
     )
 
 
