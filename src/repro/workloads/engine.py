@@ -3,29 +3,34 @@
 The engine is a *traffic generator* over the :class:`repro.cluster.Cluster`
 facade: it compiles the spec into a :class:`~repro.cluster.spec.ClusterSpec`
 (:meth:`ClusterSpec.from_workload`), opens one
-:class:`~repro.cluster.facade.ClusterSession` in the requested drive style and
-feeds it churn, query rotations and per-round seeds.  Two drive modes
-(``repro.core.config.WORKLOAD_DRIVE_CHOICES``):
+:class:`~repro.cluster.facade.ClusterSession` and runs one drive loop over
+*ticks* × *streams*.  A stream is one query source: a single-stream run has
+one, a multi-tenant run one per :class:`~repro.workloads.spec.TenantSpec`,
+served round-robin in declaration order.  Each tick advances churn and the
+arrival process once, then serves every stream one session step.  The three
+drives (``repro.core.config.WORKLOAD_DRIVE_CHOICES``) differ only in the
+session mode and in where the ticks come from:
 
-* ``simulation`` — a ``mode="rounds"`` session: every step is a full wire
-  round (encode → broadcast to the round's *active* stations → sharded
-  matching → reliable uplink), churn expressed as per-step
-  ``RoundOptions.station_ids`` subsets.  Costs are the real per-round wire
-  bytes.
-* ``session`` — a ``mode="deltas"`` session: one continuous matching session
-  spans all rounds, query-batch rotations re-encode the artifact, churned
-  stations are published/retired incrementally, and only the dirty stations'
-  deltas ship through the seeded transport.  This is the steady-state serving
-  model, where per-round traffic is the *delta*, not the whole round.
-* ``open`` — the open-system mode: instead of a closed loop where each round
-  fully drains before the next starts, query batches are *admitted* by
-  arrival time on a virtual clock, drawn from the spec's
-  :class:`~repro.workloads.spec.OfferedLoad` (target QPS × ramp-phase
-  multipliers, Poisson or scheduled inter-arrival gaps).  Admissions feed a
-  single-server queue over the same ``mode="rounds"`` session: when service
-  time (the round's virtual transmission time) exceeds the inter-arrival
-  gap, queueing delay accrues into ``latency_s`` — saturation degrades
-  latency gracefully instead of erroring.
+* ``simulation`` — ``spec.rounds`` ticks over a ``mode="rounds"`` session:
+  every step is a full wire round (encode → broadcast to the round's
+  *active* stations → sharded matching → reliable uplink), churn expressed
+  as per-step ``RoundOptions.station_ids`` subsets.  Costs are the real
+  per-round wire bytes.
+* ``session`` — ``spec.rounds`` ticks over a ``mode="deltas"`` session: one
+  continuous matching session spans all rounds, query-batch rotations
+  re-encode the artifact, churned stations are published/retired
+  incrementally, and only the dirty stations' deltas ship through the seeded
+  transport.  This is the steady-state serving model, where per-round traffic
+  is the *delta*, not the whole round.
+* ``open`` — the open-system mode over a ``mode="rounds"`` session: instead
+  of a closed loop where each round fully drains before the next starts, each
+  tick is a query batch *admitted* by arrival time on a virtual clock, drawn
+  from the spec's :class:`~repro.workloads.spec.OfferedLoad` (target QPS ×
+  ramp-phase multipliers, Poisson or scheduled inter-arrival gaps).
+  Admissions feed a single-server queue: when service time (the round's
+  virtual transmission time) exceeds the inter-arrival gap, queueing delay
+  accrues into ``latency_s`` — saturation degrades latency gracefully instead
+  of erroring.
 
 Determinism: every stochastic decision of a run — the synthetic city, each
 round's query sample, the churn draws and the transport's fault schedule —
@@ -39,7 +44,8 @@ it against the pre-facade engine through committed golden digests.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from repro.cluster.facade import Cluster, ClusterSession
 from repro.cluster.spec import ClusterSpec
@@ -52,7 +58,7 @@ from repro.evaluation.metrics import evaluate_retrieval
 from repro.timeseries.query import QueryPattern
 from repro.utils.rng import derive_seed, make_rng
 from repro.workloads.result import RoundMetrics, WorkloadAggregator, WorkloadResult
-from repro.workloads.spec import RampPhase, WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 
 def _round_net_seed(spec: WorkloadSpec, round_index: int) -> int:
@@ -71,12 +77,12 @@ class _ChurnState:
     def __init__(self, spec: WorkloadSpec, station_ids: Sequence[str]) -> None:
         self._spec = spec
         self._all = sorted(str(station_id) for station_id in station_ids)
-        self._active = list(self._all)
+        self._active = tuple(self._all)
 
     @property
     def active(self) -> tuple[str, ...]:
         """The currently active stations, in sorted order."""
-        return tuple(self._active)
+        return self._active
 
     def step(self, round_index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Advance to ``round_index`` and return ``(joined, left)``.
@@ -100,22 +106,25 @@ class _ChurnState:
                     left.append(station_id)
             elif draw < churn.join_probability:
                 joined.append(station_id)
-        survivors = [s for s in self._active if s not in set(left)]
+        survivors = active.difference(left)
         # Keep at least min_active stations up by reviving leavers, in
         # sorted station order (the order `left` was collected in).
         while len(survivors) + len(joined) < churn.min_active and left:
-            revived = left.pop(0)
-            survivors = [s for s in self._all if s in set(survivors) | {revived}]
-        self._active = sorted(set(survivors) | set(joined))
+            survivors.add(left.pop(0))
+        self._active = tuple(sorted(survivors.union(joined)))
         return (tuple(joined), tuple(left))
 
 
-class _QuerySampler:
-    """Seeded, optionally Zipf-skewed exemplar sampling.
+class _EagerProvider:
+    """The materialized-dataset data plane of a workload run.
 
-    The hot-set *order* is drawn once from the workload identity (a seeded
-    permutation of the sorted non-decoy user pool); per-round draws then pick
-    ranks with weight ``1 / (rank + 1)^s``.  ``s = 0`` is uniform.
+    Queries are seeded, optionally Zipf-skewed exemplar draws: the hot-set
+    *order* is drawn once from the workload identity (a seeded permutation of
+    the sorted non-decoy user pool); per-round draws then pick ranks with
+    weight ``1 / (rank + 1)^s``, where ``s = 0`` is uniform.  Ground truth is
+    :func:`ground_truth_users` over the dataset.  Every draw is kept
+    byte-identical to the pre-:class:`StationSource` engine so every golden
+    transcript replays unchanged.
     """
 
     def __init__(self, spec: WorkloadSpec, dataset: DistributedDataset) -> None:
@@ -165,24 +174,6 @@ class _QuerySampler:
                 )
             )
         return queries
-
-
-class _EagerProvider:
-    """The materialized-dataset data plane of a workload run.
-
-    Thin glue over the classic pieces — :class:`_QuerySampler`,
-    :func:`ground_truth_users` and the dataset's pattern accessors — kept
-    byte-identical to the pre-:class:`StationSource` engine so every golden
-    transcript replays unchanged.
-    """
-
-    def __init__(self, spec: WorkloadSpec, dataset: DistributedDataset) -> None:
-        self._spec = spec
-        self._dataset = dataset
-        self._sampler = _QuerySampler(spec, dataset)
-
-    def sample(self, round_index: int, count: int) -> list[QueryPattern]:
-        return self._sampler.sample(round_index, count)
 
     def truth(self, queries: Sequence[QueryPattern]) -> frozenset[str]:
         return frozenset(
@@ -272,9 +263,18 @@ class _SourceProvider:
             "max_resident": int(self._max_resident),
             "stations_per_round": self._window,
             "peak_resident": int(self._peak_resident),
-            "built": int(getattr(self._source, "built_count", self._source.resident_count)),
-            "evictions": int(getattr(self._source, "eviction_count", 0)),
+            "built": int(self._source.built_count),
+            "evictions": int(self._source.eviction_count),
         }
+
+
+#: One query stream of a run: its tenant name ("" for a single-stream run)
+#: and the data plane that samples its batches.
+_Stream = tuple[str, "_EagerProvider | _SourceProvider"]
+
+#: One tick of the drive loop: its ramp-phase label and virtual arrival time
+#: under the open drive, ``("", None)`` for a closed-loop round.
+_Tick = tuple[str, "float | None"]
 
 
 def run_workload(
@@ -341,424 +341,158 @@ def run_workload(
         # executor runner; recording the knob there would misstate the run.
         executor=executor if drive != "session" else "serial",
     )
-    tenant_providers: dict[str, _EagerProvider] | None = None
+    streams: list[_Stream] = [("", provider)]
     if spec.tenants:
         # Tenants require an eager source (spec validation), so ``dataset``
         # is bound.  Each tenant samples through a tenant-qualified spec name
         # — its hot-set and per-round query streams derive from labels no
         # other tenant (and no single-stream run) shares.
-        tenant_providers = {
-            tenant.name: _EagerProvider(
-                spec.with_updates(name=f"{spec.name}#{tenant.name}", mix=tenant.mix),
-                dataset,
+        streams = []
+        for tenant in spec.tenants:
+            tenant_spec = spec.with_updates(
+                name=f"{spec.name}#{tenant.name}", mix=tenant.mix
             )
-            for tenant in spec.tenants
-        }
+            streams.append((tenant.name, _EagerProvider(tenant_spec, dataset)))
+    if drive == "open":
+        ticks: Iterable[_Tick] = _arrivals(spec, aggregator)
+    else:
+        ticks = repeat(("", None), spec.rounds)
     with cluster_cm as cluster:
-        session = cluster.open_session(
-            mode="deltas" if drive == "session" else "rounds"
-        )
-        if drive == "simulation":
-            if tenant_providers is not None:
-                _drive_rounds_tenants(
-                    spec, tenant_providers, cluster, session, aggregator
-                )
-            else:
-                _drive_rounds(spec, provider, cluster, session, aggregator)
-        elif drive == "open":
-            _drive_open(spec, provider, cluster, session, aggregator)
-        elif tenant_providers is not None:
-            _drive_deltas_tenants(spec, tenant_providers, cluster, session, aggregator)
-        else:
-            _drive_deltas(spec, provider, cluster, session, aggregator)
+        session = cluster.open_session(mode="deltas" if drive == "session" else "rounds")
+        churn = _ChurnState(spec, cluster.station_ids)
+        _drive(spec, streams, ticks, churn, session, aggregator)
     aggregator.set_source_stats(provider.stats())
     return aggregator.finish()
 
 
-def _drive_rounds(
-    spec: WorkloadSpec,
-    provider: _EagerProvider | _SourceProvider,
-    cluster: Cluster,
-    session: ClusterSession,
-    aggregator: WorkloadAggregator,
-) -> None:
-    """Full per-round wire rounds over churned station subsets."""
-    churn = _ChurnState(spec, cluster.station_ids)
-    queries: list[QueryPattern] = []
-    truth: frozenset[str] = frozenset()
-    for round_index in range(spec.rounds):
-        joined, left = churn.step(round_index)
-        refreshed = spec.arrival.refreshes_at(round_index)
-        if refreshed:
-            queries = provider.sample(round_index, spec.arrival.count_at(round_index))
-            # Ground truth is a pure function of the batch: recompute
-            # only on rotation, not per round.
-            truth = provider.truth(queries)
-            session.subscribe(queries)
-        round_stations = provider.round_station_ids(round_index, churn.active)
-        report = session.step(
-            RoundOptions(
-                station_ids=round_stations,
-                net_seed=_round_net_seed(spec, round_index),
-                k=len(truth),
-            )
-        )
-        provider.observe()
-        metrics = evaluate_retrieval(tuple(report.retrieved_user_ids), truth)
-        aggregator.add_round(
-            RoundMetrics(
-                round_index=round_index,
-                query_count=len(queries),
-                active_station_count=len(round_stations),
-                joined=joined,
-                left=left,
-                downlink_bytes=report.downlink_bytes,
-                uplink_bytes=report.uplink_bytes,
-                precision=metrics.precision,
-                recall=metrics.recall,
-                latency_s=report.latency_s,
-                goodput_fraction=report.goodput_fraction,
-                retransmit_count=report.retransmit_count,
-                lost_station_count=report.lost_station_count,
-                batch_refreshed=refreshed,
-                compute_time_s=report.costs.computation_time_s,
-            ),
-            report.transcript,
-        )
+def _arrivals(spec: WorkloadSpec, aggregator: WorkloadAggregator) -> Iterator[_Tick]:
+    """The open drive's ticks: one ``(phase label, arrival time)`` per admission.
 
-
-def _drive_rounds_tenants(
-    spec: WorkloadSpec,
-    providers: "dict[str, _EagerProvider]",
-    cluster: Cluster,
-    session: ClusterSession,
-    aggregator: WorkloadAggregator,
-) -> None:
-    """Round-robin tenant multiplexing over full wire rounds.
-
-    Every macro-round serves each tenant once, in declaration order: the
-    tenant's batch is (re-)subscribed, one wire round runs, and the round's
-    metrics are attributed to that tenant.  Churn advances once per
-    macro-round and is reported on its first slot, so the per-tenant byte and
-    query totals partition the run's totals exactly.
-    """
-    churn = _ChurnState(spec, cluster.station_ids)
-    queries: dict[str, list[QueryPattern]] = {t.name: [] for t in spec.tenants}
-    truth: dict[str, frozenset[str]] = {t.name: frozenset() for t in spec.tenants}
-    round_index = 0
-    for macro_round in range(spec.rounds):
-        joined, left = churn.step(macro_round)
-        refreshed = spec.arrival.refreshes_at(macro_round)
-        for slot, tenant in enumerate(spec.tenants):
-            provider = providers[tenant.name]
-            if refreshed:
-                queries[tenant.name] = provider.sample(
-                    macro_round, spec.arrival.count_at(macro_round)
-                )
-                truth[tenant.name] = provider.truth(queries[tenant.name])
-            # One physical deployment serves all tenants: each slot rotates
-            # the artifact to its tenant's batch before the round runs.
-            session.subscribe(queries[tenant.name])
-            round_stations = provider.round_station_ids(macro_round, churn.active)
-            report = session.step(
-                RoundOptions(
-                    station_ids=round_stations,
-                    net_seed=_round_net_seed(spec, round_index),
-                    k=len(truth[tenant.name]),
-                )
-            )
-            metrics = evaluate_retrieval(
-                tuple(report.retrieved_user_ids), truth[tenant.name]
-            )
-            aggregator.add_round(
-                RoundMetrics(
-                    round_index=round_index,
-                    query_count=len(queries[tenant.name]),
-                    active_station_count=len(round_stations),
-                    joined=joined if slot == 0 else (),
-                    left=left if slot == 0 else (),
-                    downlink_bytes=report.downlink_bytes,
-                    uplink_bytes=report.uplink_bytes,
-                    precision=metrics.precision,
-                    recall=metrics.recall,
-                    latency_s=report.latency_s,
-                    goodput_fraction=report.goodput_fraction,
-                    retransmit_count=report.retransmit_count,
-                    lost_station_count=report.lost_station_count,
-                    batch_refreshed=refreshed,
-                    compute_time_s=report.costs.computation_time_s,
-                    tenant=tenant.name,
-                ),
-                report.transcript,
-            )
-            round_index += 1
-
-
-def _drive_deltas_tenants(
-    spec: WorkloadSpec,
-    providers: "dict[str, _EagerProvider]",
-    cluster: Cluster,
-    session: ClusterSession,
-    aggregator: WorkloadAggregator,
-) -> None:
-    """Round-robin tenant multiplexing over one continuous delta session.
-
-    Rotating to a tenant's batch re-encodes the artifact and re-matches every
-    station (all stations go dirty), so each slot ships a full delta set —
-    the honest cost of serving several independent query streams through one
-    shared session.  Churn is applied on each macro-round's first slot.
-    """
-    churn = _ChurnState(spec, cluster.station_ids)
-    queries: dict[str, list[QueryPattern]] = {t.name: [] for t in spec.tenants}
-    truth: dict[str, frozenset[str]] = {t.name: frozenset() for t in spec.tenants}
-    started = False
-    round_index = 0
-    for macro_round in range(spec.rounds):
-        joined, left = churn.step(macro_round)
-        refreshed = spec.arrival.refreshes_at(macro_round)
-        for slot, tenant in enumerate(spec.tenants):
-            provider = providers[tenant.name]
-            if refreshed:
-                queries[tenant.name] = provider.sample(
-                    macro_round, spec.arrival.count_at(macro_round)
-                )
-                truth[tenant.name] = provider.truth(queries[tenant.name])
-            if not started:
-                session.subscribe(queries[tenant.name])
-                for station_id in churn.active:
-                    session.publish(station_id, provider.patterns_at(station_id))
-                started = True
-            else:
-                if slot == 0:
-                    # Departures first, exactly like the single-stream drive.
-                    for station_id in left:
-                        session.retire(station_id)
-                session.subscribe(queries[tenant.name])
-                if slot == 0:
-                    for station_id in joined:
-                        session.publish(
-                            station_id, provider.patterns_at(station_id)
-                        )
-            report = session.step(
-                RoundOptions(
-                    net_seed=_round_net_seed(spec, round_index),
-                    k=len(truth[tenant.name]),
-                )
-            )
-            metrics = evaluate_retrieval(
-                tuple(report.retrieved_user_ids), truth[tenant.name]
-            )
-            aggregator.add_round(
-                RoundMetrics(
-                    round_index=round_index,
-                    query_count=len(queries[tenant.name]),
-                    active_station_count=len(churn.active),
-                    joined=joined if slot == 0 else (),
-                    left=left if slot == 0 else (),
-                    downlink_bytes=report.downlink_bytes,
-                    uplink_bytes=report.uplink_bytes,
-                    precision=metrics.precision,
-                    recall=metrics.recall,
-                    latency_s=report.latency_s,
-                    goodput_fraction=report.goodput_fraction,
-                    retransmit_count=report.retransmit_count,
-                    lost_station_count=report.lost_station_count,
-                    batch_refreshed=refreshed,
-                    tenant=tenant.name,
-                ),
-                report.transcript,
-            )
-            round_index += 1
-
-
-def _phase_arrivals(
-    spec: WorkloadSpec,
-    phase: RampPhase,
-    phase_start: float,
-    budget: int,
-) -> list[float]:
-    """Virtual arrival times falling inside ``phase``, at most ``budget`` many.
-
-    Every gap is a pure function of ``(spec.name, spec.seed, phase.label)``:
-    the per-phase RNG stream is derived once and consumed in order, so the
-    schedule is identical across runs, executors and bit backends.  A
-    ``scheduled`` process emits exact ``1/rate`` gaps; ``poisson`` draws
-    exponential gaps at the same mean.
+    Walks ``offered.ramp`` in order and opens each phase's aggregator window
+    on reaching it, silent phases too.  Each phase draws its gaps in order
+    from its own RNG stream, a pure function of ``(spec.name, spec.seed,
+    phase.label)``: exact ``1/rate`` gaps when ``scheduled``, exponential
+    ones at that mean when ``poisson``.  ``max_arrivals``, not ``spec.rounds``,
+    caps the run.
     """
     offered = spec.offered
     assert offered is not None
-    rate = offered.rate_during(phase)
-    if rate <= 0.0 or budget <= 0:
-        return []
-    phase_end = phase_start + float(phase.duration_s)
-    rng = make_rng(spec.seed, "workload-arrivals", spec.name, phase.label)
-    arrivals: list[float] = []
-    clock = phase_start
-    mean_gap = 1.0 / rate
-    while len(arrivals) < budget:
-        if offered.process == "poisson":
-            gap = float(rng.exponential(mean_gap))
-        else:
-            gap = mean_gap
-        clock += gap
-        if clock >= phase_end:
-            break
-        arrivals.append(clock)
-    return arrivals
-
-
-def _drive_open(
-    spec: WorkloadSpec,
-    provider: _EagerProvider | _SourceProvider,
-    cluster: Cluster,
-    session: ClusterSession,
-    aggregator: WorkloadAggregator,
-) -> None:
-    """Rate-driven admissions through a single-server virtual-clock queue.
-
-    Each admitted query batch runs one full wire round (the same
-    ``mode="rounds"`` step the simulation drive uses); its *service time* is
-    the round's virtual transmission time.  The queue is work-conserving
-    single-server: an arrival starts at ``max(arrival, busy_until)``, so once
-    service time exceeds the inter-arrival gap the excess accrues as
-    ``queue_delay_s`` and ``latency_s = queue_delay + service`` degrades
-    gracefully — the saturation signal this drive exists to measure.
-    ``spec.rounds`` is ignored; the arrival schedule (phase durations, rates
-    and ``max_arrivals``) decides how many rounds run.
-    """
-    offered = spec.offered
-    assert offered is not None
-    churn = _ChurnState(spec, cluster.station_ids)
-    queries: list[QueryPattern] = []
-    truth: frozenset[str] = frozenset()
-    busy_until = 0.0
-    arrival_index = 0
+    admitted = 0
     phase_start = 0.0
     for phase in offered.ramp:
         rate = offered.rate_during(phase)
+        phase_end = phase_start + float(phase.duration_s)
         aggregator.begin_phase(
             phase.label, rate, float(phase.duration_s), start_s=phase_start
         )
-        arrivals = _phase_arrivals(
-            spec, phase, phase_start, offered.max_arrivals - arrival_index
-        )
-        phase_start += float(phase.duration_s)
-        for arrival_s in arrivals:
-            joined, left = churn.step(arrival_index)
-            refreshed = spec.arrival.refreshes_at(arrival_index)
-            if refreshed:
-                queries = provider.sample(
-                    arrival_index, spec.arrival.count_at(arrival_index)
-                )
-                truth = provider.truth(queries)
-                session.subscribe(queries)
-            round_stations = provider.round_station_ids(arrival_index, churn.active)
-            report = session.step(
-                RoundOptions(
-                    station_ids=round_stations,
-                    net_seed=_round_net_seed(spec, arrival_index),
-                    k=len(truth),
-                )
-            )
-            provider.observe()
-            service_s = report.latency_s
-            start_s = max(arrival_s, busy_until)
-            queue_delay_s = start_s - arrival_s
-            busy_until = start_s + service_s
-            metrics = evaluate_retrieval(tuple(report.retrieved_user_ids), truth)
-            aggregator.add_round(
-                RoundMetrics(
-                    round_index=arrival_index,
-                    query_count=len(queries),
-                    active_station_count=len(round_stations),
-                    joined=joined,
-                    left=left,
-                    downlink_bytes=report.downlink_bytes,
-                    uplink_bytes=report.uplink_bytes,
-                    precision=metrics.precision,
-                    recall=metrics.recall,
-                    latency_s=queue_delay_s + service_s,
-                    goodput_fraction=report.goodput_fraction,
-                    retransmit_count=report.retransmit_count,
-                    lost_station_count=report.lost_station_count,
-                    batch_refreshed=refreshed,
-                    compute_time_s=report.costs.computation_time_s,
-                    phase=phase.label,
-                    arrival_s=arrival_s,
-                    queue_delay_s=queue_delay_s,
-                ),
-                report.transcript,
-            )
-            arrival_index += 1
-    if arrival_index == 0:
+        if rate > 0.0:
+            rng = make_rng(spec.seed, "workload-arrivals", spec.name, phase.label)
+            mean_gap = 1.0 / rate
+            clock = phase_start
+            while admitted < offered.max_arrivals:
+                if offered.process == "poisson":
+                    clock += float(rng.exponential(mean_gap))
+                else:
+                    clock += mean_gap
+                if clock >= phase_end:
+                    break
+                admitted += 1
+                yield phase.label, clock
+        phase_start = phase_end
+    if admitted == 0:
         raise ValueError(
             "the offered load admitted no arrivals: every ramp phase is "
             "either zero-rate or shorter than one inter-arrival gap"
         )
 
 
-def _drive_deltas(
+def _drive(
     spec: WorkloadSpec,
-    provider: _EagerProvider | _SourceProvider,
-    cluster: Cluster,
+    streams: Sequence[_Stream],
+    ticks: Iterable[_Tick],
+    churn: _ChurnState,
     session: ClusterSession,
     aggregator: WorkloadAggregator,
 ) -> None:
-    """One continuous delta session across all rounds.
+    """Serve every stream once per tick through ``session``: the one drive loop.
 
-    Downlink is charged when the artifact changes (batch rotation — the
-    re-encoded artifact's wire size once per active station) and for every
-    station that joins mid-campaign; uplink is the real wire bytes of the
-    round's delta shipment.  The facade session owns that accounting and the
-    center-side "last delivered state" view — an undelivered delta leaves the
-    center serving the previous state, visible in the round's
-    precision/recall.
+    Churn and the arrival process advance once per tick.  Each slot is one
+    session step and one metrics record, whose running index seeds the
+    transport; churn is reported on a tick's first slot only, so per-tenant
+    totals partition the run's totals exactly.  One deployment serves every
+    stream: with several, each slot rotates the artifact to its own batch,
+    which in deltas mode re-ships every station.  Deltas mode publishes every
+    active station on the first record, then retires leavers before the
+    subscribe (a rotation never re-matches a leaving station) and publishes
+    joiners after it.  An open tick queues behind a single server: it starts
+    at ``max(arrival, busy_until)`` and its ``latency_s`` is that queueing
+    delay plus the round's virtual latency (its service time).
     """
-    churn = _ChurnState(spec, cluster.station_ids)
-    queries: list[QueryPattern] = []
-    truth: frozenset[str] = frozenset()
-    started = False
-    for round_index in range(spec.rounds):
-        joined, left = churn.step(round_index)
-        refreshed = spec.arrival.refreshes_at(round_index)
-        if refreshed:
-            queries = provider.sample(round_index, spec.arrival.count_at(round_index))
-            truth = provider.truth(queries)
-        if not started:
-            session.subscribe(queries)
-            for station_id in churn.active:
-                session.publish(station_id, provider.patterns_at(station_id))
-            started = True
-        else:
-            # Departures first, so a simultaneous rotation never re-matches
-            # stations that are leaving this round anyway.
-            for station_id in left:
-                session.retire(station_id)
+    deltas = session.mode == "deltas"
+    batches: dict[str, tuple[list[QueryPattern], frozenset[str]]] = {
+        tenant: ([], frozenset()) for tenant, _ in streams
+    }
+    busy_until = 0.0
+    record = 0
+    for tick, (phase, arrival_s) in enumerate(ticks):
+        joined, left = churn.step(tick)
+        refreshed = spec.arrival.refreshes_at(tick)
+        for slot, (tenant, provider) in enumerate(streams):
             if refreshed:
+                queries = provider.sample(tick, spec.arrival.count_at(tick))
+                # Ground truth is a pure function of the batch: recompute
+                # only on rotation, not per round.
+                batches[tenant] = (queries, provider.truth(queries))
+            queries, truth = batches[tenant]
+            if deltas and slot == 0:
+                for station_id in left:
+                    session.retire(station_id)
+            if refreshed or spec.tenants:
                 session.subscribe(queries)
-            for station_id in joined:
-                session.publish(station_id, provider.patterns_at(station_id))
-        report = session.step(
-            RoundOptions(net_seed=_round_net_seed(spec, round_index), k=len(truth))
-        )
-        provider.observe()
-        metrics = evaluate_retrieval(tuple(report.retrieved_user_ids), truth)
-        aggregator.add_round(
-            RoundMetrics(
-                round_index=round_index,
-                query_count=len(queries),
-                active_station_count=len(churn.active),
-                joined=joined,
-                left=left,
-                downlink_bytes=report.downlink_bytes,
-                uplink_bytes=report.uplink_bytes,
-                precision=metrics.precision,
-                recall=metrics.recall,
-                latency_s=report.latency_s,
-                goodput_fraction=report.goodput_fraction,
-                retransmit_count=report.retransmit_count,
-                lost_station_count=report.lost_station_count,
-                batch_refreshed=refreshed,
-            ),
-            report.transcript,
-        )
+            if deltas and slot == 0:
+                for station_id in churn.active if record == 0 else joined:
+                    session.publish(station_id, provider.patterns_at(station_id))
+            if deltas:
+                station_ids, active_count = None, len(churn.active)
+            else:
+                station_ids = provider.round_station_ids(tick, churn.active)
+                active_count = len(station_ids)
+            report = session.step(
+                RoundOptions(
+                    station_ids=station_ids,
+                    net_seed=_round_net_seed(spec, record),
+                    k=len(truth),
+                )
+            )
+            provider.observe()
+            latency_s, queue_delay_s = report.latency_s, 0.0
+            if arrival_s is not None:
+                start_s = max(arrival_s, busy_until)
+                queue_delay_s = start_s - arrival_s
+                busy_until = start_s + report.latency_s
+                latency_s = queue_delay_s + report.latency_s
+            metrics = evaluate_retrieval(tuple(report.retrieved_user_ids), truth)
+            aggregator.add_round(
+                RoundMetrics(
+                    round_index=record,
+                    query_count=len(queries),
+                    active_station_count=active_count,
+                    joined=joined if slot == 0 else (),
+                    left=left if slot == 0 else (),
+                    downlink_bytes=report.downlink_bytes,
+                    uplink_bytes=report.uplink_bytes,
+                    precision=metrics.precision,
+                    recall=metrics.recall,
+                    latency_s=latency_s,
+                    goodput_fraction=report.goodput_fraction,
+                    retransmit_count=report.retransmit_count,
+                    lost_station_count=report.lost_station_count,
+                    batch_refreshed=refreshed,
+                    phase=phase,
+                    arrival_s=0.0 if arrival_s is None else arrival_s,
+                    queue_delay_s=queue_delay_s,
+                    tenant=tenant,
+                ),
+                report.transcript,
+            )
+            record += 1

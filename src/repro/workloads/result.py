@@ -143,9 +143,8 @@ class RoundMetrics:
     """Everything one workload round reports upward.
 
     ``latency_s`` is the round's *virtual* transmission time (deterministic
-    under the seed contract); the wall-clock compute fields live in
-    ``compute_time_s`` and are excluded from replay comparisons and from the
-    perf-trajectory headline metrics.
+    under the seed contract); no field holds wall-clock time, so a row
+    replays exactly.
 
     The trailing three fields exist only under the open-system drive: the
     ramp-phase label the arrival fell in, the virtual arrival time, and the
@@ -169,7 +168,6 @@ class RoundMetrics:
     retransmit_count: int
     lost_station_count: int
     batch_refreshed: bool
-    compute_time_s: float = 0.0
     phase: str = ""
     arrival_s: float = 0.0
     queue_delay_s: float = 0.0
@@ -329,7 +327,7 @@ class WorkloadResult:
     def to_payload(self) -> dict:
         """The JSON-ready shape written as ``BENCH_workload_<scenario>.json``."""
         open_loop = bool(self.phases)
-        skip = ("compute_time_s",) if open_loop else ("compute_time_s",) + _OPEN_LOOP_FIELDS
+        skip = () if open_loop else _OPEN_LOOP_FIELDS
         if not self.tenants:
             skip = skip + ("tenant",)
         payload = {

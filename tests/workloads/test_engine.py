@@ -1,4 +1,4 @@
-"""Engine semantics: arrivals, churn, skew, faults and the two drive modes."""
+"""Engine semantics: arrivals, churn, skew, faults and the drive modes."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from repro.evaluation.benchjson import (
     workload_payload,
     write_bench_json,
 )
-from repro.workloads import run_workload
+from repro.utils.rng import make_rng
+from repro.workloads import ChurnProcess, WorkloadSpec, run_workload
+from repro.workloads.engine import _ChurnState
 
 from .conftest import run_tiny, tiny_spec
 
@@ -54,18 +56,18 @@ class TestSimulationDrive:
         uniform = skewed.with_updates(mix=skewed.mix.__class__(zipf_s=0.0))
         from repro.cluster.spec import ClusterSpec
         from repro.datagen.workload import build_dataset
-        from repro.workloads.engine import _QuerySampler
+        from repro.workloads.engine import _EagerProvider
 
         dataset = build_dataset(ClusterSpec.from_workload(skewed).dataset)
         skewed_users = [
             q.query_id.rsplit("-", 1)[-1]
             for r in range(20)
-            for q in _QuerySampler(skewed, dataset).sample(r, 5)
+            for q in _EagerProvider(skewed, dataset).sample(r, 5)
         ]
         uniform_users = [
             q.query_id.rsplit("-", 1)[-1]
             for r in range(20)
-            for q in _QuerySampler(uniform, dataset).sample(r, 5)
+            for q in _EagerProvider(uniform, dataset).sample(r, 5)
         ]
         def top_share(draws):
             counts = sorted(
@@ -163,3 +165,72 @@ class TestBenchJsonEmission:
 
         with pytest.raises(ValueError, match="missing required key"):
             workload_payload(Impostor())
+
+
+def _reference_churn(spec, station_ids, rounds):
+    """The membership schedule as the list-scanning engine computed it.
+
+    Yields ``(joined, left, active, revived)`` per round.  The schedule part
+    is the engine's original ``_ChurnState.step``, which rebuilt ``set(left)``
+    per active station and ``set(survivors)`` per revival; ``revived`` only
+    counts how often the ``min_active`` floor brought a leaver back.
+    """
+    all_ids = sorted(str(station_id) for station_id in station_ids)
+    active = list(all_ids)
+    churn = spec.churn
+    for round_index in range(rounds):
+        if round_index == 0 or churn.is_static and churn.join_probability == 1.0:
+            yield (), (), tuple(active), 0
+            continue
+        rng = make_rng(spec.seed, "workload-churn", spec.name, round_index)
+        joined, left = [], []
+        current = set(active)
+        for station_id in all_ids:
+            draw = float(rng.random())
+            if station_id in current:
+                if draw < churn.leave_probability:
+                    left.append(station_id)
+            elif draw < churn.join_probability:
+                joined.append(station_id)
+        survivors = [s for s in active if s not in set(left)]
+        revived_count = 0
+        while len(survivors) + len(joined) < churn.min_active and left:
+            revived = left.pop(0)
+            survivors = [s for s in all_ids if s in set(survivors) | {revived}]
+            revived_count += 1
+        active = sorted(set(survivors) | set(joined))
+        yield tuple(joined), tuple(left), tuple(active), revived_count
+
+
+class TestChurnState:
+    @pytest.mark.parametrize("station_count", [1, 7, 40])
+    @pytest.mark.parametrize(
+        "leave, join", [(0.3, 0.5), (0.7, 0.1)], ids=["heavy", "draining"]
+    )
+    def test_step_matches_the_list_scanning_reference(self, station_count, leave, join):
+        station_ids = [f"station-{index}" for index in reversed(range(station_count))]
+        floors = sorted({1, max(1, station_count // 2), max(1, station_count - 1),
+                         station_count})
+        revivals = 0
+        for seed in (0, 3, 11):
+            for min_active in floors:
+                spec = WorkloadSpec(
+                    name="churn-grid",
+                    seed=seed,
+                    station_count=station_count,
+                    churn=ChurnProcess(
+                        leave_probability=leave,
+                        join_probability=join,
+                        min_active=min_active,
+                    ),
+                )
+                state = _ChurnState(spec, station_ids)
+                for round_index, (joined, left, active, revived) in enumerate(
+                    _reference_churn(spec, station_ids, rounds=12)
+                ):
+                    assert state.step(round_index) == (joined, left)
+                    assert state.active == active
+                    assert len(active) >= min(min_active, station_count)
+                    revivals += revived
+        # A floor at (or near) the station count must bring leavers back.
+        assert revivals > 0
