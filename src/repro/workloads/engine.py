@@ -447,7 +447,7 @@ def _drive(
             if deltas and slot == 0:
                 for station_id in left:
                     session.retire(station_id)
-            if refreshed or spec.tenants:
+            if refreshed or len(streams) > 1:
                 session.subscribe(queries)
             if deltas and slot == 0:
                 for station_id in churn.active if record == 0 else joined:

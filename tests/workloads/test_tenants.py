@@ -14,7 +14,13 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.topology import TopologySpec
-from repro.workloads import QueryMix, TenantSpec, WorkloadSpec, run_workload
+from repro.workloads import (
+    ChurnProcess,
+    QueryMix,
+    TenantSpec,
+    WorkloadSpec,
+    run_workload,
+)
 from repro.workloads.spec import OfferedLoad, RampPhase
 
 from .conftest import run_tiny, tiny_spec
@@ -154,3 +160,21 @@ class TestIsolationAndDeterminism:
         )
         with pytest.raises(ValueError, match="closed-loop"):
             run_workload(spec, drive="open")
+
+
+class TestSingleTenant:
+    def test_one_tenant_session_ships_nothing_between_refreshes(self):
+        """A lone tenant's batch changes only on refresh, like a tenant-free run.
+
+        Re-subscribing an unchanged batch every step would dirty every station
+        and re-ship the artifact, so a quiet step must move zero bytes.
+        """
+        spec = tiny_spec("long-session", rounds=4, churn=ChurnProcess()).with_updates(
+            tenants=(TenantSpec("only", QueryMix()),),
+            topology=TopologySpec(tenant_count=1),
+        )
+        result = run_workload(spec, drive="session")
+        assert result.rounds[0].total_bytes > 0
+        for metrics in result.rounds[1:]:
+            assert not metrics.batch_refreshed
+            assert (metrics.downlink_bytes, metrics.uplink_bytes) == (0, 0)
