@@ -433,11 +433,11 @@ def _drive(
         tenant: ([], frozenset()) for tenant, _ in streams
     }
     busy_until = 0.0
-    record = 0
     for tick, (phase, arrival_s) in enumerate(ticks):
         joined, left = churn.step(tick)
         refreshed = spec.arrival.refreshes_at(tick)
         for slot, (tenant, provider) in enumerate(streams):
+            record = tick * len(streams) + slot
             if refreshed:
                 queries = provider.sample(tick, spec.arrival.count_at(tick))
                 # Ground truth is a pure function of the batch: recompute
@@ -450,7 +450,7 @@ def _drive(
             if refreshed or len(streams) > 1:
                 session.subscribe(queries)
             if deltas and slot == 0:
-                for station_id in churn.active if record == 0 else joined:
+                for station_id in churn.active if tick == 0 else joined:
                     session.publish(station_id, provider.patterns_at(station_id))
             if deltas:
                 station_ids, active_count = None, len(churn.active)
@@ -495,4 +495,3 @@ def _drive(
                 ),
                 report.transcript,
             )
-            record += 1
