@@ -142,9 +142,8 @@ class StreamingStat:
 class RoundMetrics:
     """Everything one workload round reports upward.
 
-    ``latency_s`` is the round's *virtual* transmission time (deterministic
-    under the seed contract); no field holds wall-clock time, so a row
-    replays exactly.
+    ``latency_s`` is the round's *virtual* transmission time, deterministic
+    under the seed contract.
 
     The trailing three fields exist only under the open-system drive: the
     ramp-phase label the arrival fell in, the virtual arrival time, and the
