@@ -10,9 +10,9 @@ and pins down two things:
   transcript digests), which the perf-trajectory gate tracks and the parity
   suites hold byte-identical across bit backends and executors;
 * the hot-path speedup: the same round is re-run with the optimization
-  switches off (payload-decode memoization, WBF mask probing, columnar
-  aggregation) and must come out at least 3x slower — locking in that round
-  cost scales with deltas, not cluster size.
+  switches off (payload-decode memoization, WBF mask probing) and must come
+  out at least 3x slower — locking in that round cost scales with deltas, not
+  cluster size.
 
 Wall-clock numbers are recorded in the JSON as informational context only;
 the gate never tracks them.
@@ -25,7 +25,6 @@ from conftest import write_json_result, write_report
 
 import repro.wire.codec as codec
 from repro.cluster import Cluster
-from repro.core.aggregator import SimilarityRanker
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
 from repro.core.wbf import WeightedBloomFilter
@@ -72,14 +71,12 @@ def test_figure_4_100x_scale(benchmark):
     # and the optimized run must clear the committed speedup bar.
     codec.PAYLOAD_DECODE_CACHE_ENABLED = False
     WeightedBloomFilter.MASK_INDEX_ENABLED = False
-    SimilarityRanker.COLUMNAR_ENABLED = False
     codec.clear_payload_decode_cache()
     try:
         unoptimized_s, reference = _drive(cluster, protocol, queries)
     finally:
         codec.PAYLOAD_DECODE_CACHE_ENABLED = True
         WeightedBloomFilter.MASK_INDEX_ENABLED = True
-        SimilarityRanker.COLUMNAR_ENABLED = True
 
     assert reference.results == outcome.results
     assert reference.costs.downlink_bytes == outcome.costs.downlink_bytes

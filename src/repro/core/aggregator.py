@@ -14,38 +14,27 @@ match of some query's global pattern).
 A base station may report more than one consistent weight for the same
 ``(user, query)`` when combinations of the query differ by less than ε at every
 sampled point; the ranker resolves the ambiguity by selecting exactly one weight per
-reporting station so as to maximise the sum without exceeding 1.
+reporting station so as to maximise the sum without exceeding 1.  That choice is a
+multiple-choice subset sum, solved exactly on integers.  The encoder writes every
+weight of query ``q`` as ``Fraction(sum(combination), D_q)``, ``D_q`` being the sum
+of ``q``'s global pattern, so within one ``(user, query)`` group every denominator
+divides ``D_q``: the group's weights and the bound are integers over one scale, the
+LCM of their denominators.  The search keeps the set of reachable partial sums and
+extends it one station at a time, dropping a partial sum as soon as even the least
+option of every later station would carry it past the bound.  Nothing is truncated
+or enumerated, and the set never outgrows either the assignment count or the
+integers between the least possible sum and the bound.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from repro.core.exceptions import MatchingError
 from repro.core.protocol import MatchReport, RankedResults, RankedUser
-
-try:  # pragma: no cover - exercised indirectly through the columnar path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI matrix covers the no-NumPy leg
-    _np = None
-
-#: Maximum number of per-station weight combinations enumerated exactly; beyond this
-#: the per-station option lists are truncated to their largest entries.
-_MAX_ASSIGNMENT_ENUMERATION = 4096
-#: Maximum options kept per station when truncating.
-_MAX_OPTIONS_PER_STATION = 4
-
-#: Reports below this count stay on the plain dict-merge path: interning and
-#: sorting overheads only pay off on bulk rounds.
-_COLUMNAR_MIN_REPORTS = 64
-#: Bits reserved per code component when packing (user·query, station, weight)
-#: triples into one int64 for the vectorized sort/dedup.
-_CODE_BITS = 21
-_CODE_LIMIT = 1 << _CODE_BITS
-_CODE_MASK = _CODE_LIMIT - 1
 
 
 class SimilarityRanker:
@@ -90,36 +79,31 @@ class SimilarityRanker:
         maximised subject to the bound.  ``None`` means every assignment exceeds the
         bound — the over-matching case Algorithm 3 deletes.
         """
-        if all(len(weights) == 1 for weights in options_by_station.values()):
-            # The overwhelmingly common case: one candidate weight per station
-            # means exactly one assignment — sum it directly instead of going
-            # through sorting and product enumeration.
-            total = sum(
-                (next(iter(weights)) for weights in options_by_station.values()),
-                Fraction(0),
-            )
-            return None if total > self._max_weight_sum else total
-        option_lists = [sorted(weights, reverse=True) for weights in options_by_station.values()]
-        combination_count = 1
-        for option_list in option_lists:
-            combination_count *= len(option_list)
-        if combination_count > _MAX_ASSIGNMENT_ENUMERATION:
-            option_lists = [
-                option_list[:_MAX_OPTIONS_PER_STATION] for option_list in option_lists
-            ]
-        best: Fraction | None = None
-        for assignment in product(*option_lists):
-            total = sum(assignment, Fraction(0))
-            if total > self._max_weight_sum:
-                continue
-            if best is None or total > best:
-                best = total
-        return best
-
-    #: Class-level switch for the columnar (NumPy) aggregation path.  Benchmarks
-    #: flip it off to measure the per-report dict-merge path; scores are
-    #: identical either way (see :meth:`_user_scores_columnar`).
-    COLUMNAR_ENABLED = True
+        bound = self._max_weight_sum
+        scale = bound.denominator
+        for weights in options_by_station.values():
+            for weight in weights:
+                if scale % weight.denominator:
+                    scale = lcm(scale, weight.denominator)
+        # Each station's options as sorted integers over ``scale``.  ``rest`` is
+        # the least the stations not yet added can contribute: a partial sum
+        # that it would carry past ``cap`` can never finish under it, whatever
+        # the signs of the weights.
+        scaled: list[list[int]] = []
+        rest = 0
+        for weights in options_by_station.values():
+            steps = sorted([w.numerator * (scale // w.denominator) for w in weights])
+            rest += steps[0]
+            scaled.append(steps)
+        cap = bound.numerator * (scale // bound.denominator)
+        sums = {0}
+        for steps in scaled:
+            rest -= steps[0]
+            room = cap - rest
+            sums = {total + step for total in sums for step in steps if total + step <= room}
+            if not sums:
+                return None
+        return Fraction(max(sums), scale)
 
     def user_scores(self, reports: Sequence[MatchReport]) -> dict[str, Fraction]:
         """Best surviving per-query weight sum for every reported user.
@@ -127,14 +111,6 @@ class SimilarityRanker:
         Per-query sums above :attr:`max_weight_sum` are deleted (over-matching); a
         user with no surviving sum is dropped entirely.
         """
-        if (
-            self.COLUMNAR_ENABLED
-            and _np is not None
-            and len(reports) >= _COLUMNAR_MIN_REPORTS
-        ):
-            columnar = self._user_scores_columnar(reports)
-            if columnar is not None:
-                return columnar
         best: dict[str, Fraction] = {}
         for (user_id, _query_id), per_station in self.weight_options(reports).items():
             weight_sum = self.best_weight_sum(per_station)
@@ -143,108 +119,6 @@ class SimilarityRanker:
             current = best.get(user_id)
             if current is None or weight_sum > current:
                 best[user_id] = weight_sum
-        return best
-
-    def _user_scores_columnar(
-        self, reports: Sequence[MatchReport]
-    ) -> dict[str, Fraction] | None:
-        """Columnar scoring: intern ids to codes, sort/dedup as one int64 array.
-
-        Produces exactly the scores of the dict-merge path: grouping happens by
-        packing ``(user·query, station, weight)`` codes into one integer and
-        sorting, station-singleton groups (the common case) sum their exact
-        :class:`Fraction` weights directly, and any group where a station
-        reported several candidate weights falls back to
-        :meth:`best_weight_sum` for the bounded assignment enumeration.
-        Returns ``None`` when a code space overflows its packed width — the
-        caller then uses the plain path.
-        """
-        uq_codes: dict[tuple[str, str], int] = {}
-        uq_list: list[tuple[str, str]] = []
-        station_codes: dict[str, int] = {}
-        station_list: list[str] = []
-        weight_codes: dict[Fraction, int] = {}
-        weight_list: list[Fraction] = []
-        count = len(reports)
-        uq_arr = _np.empty(count, dtype=_np.int64)
-        st_arr = _np.empty(count, dtype=_np.int64)
-        w_arr = _np.empty(count, dtype=_np.int64)
-        for index, report in enumerate(reports):
-            if report.weight is None:
-                raise MatchingError(
-                    f"report for user {report.user_id!r} carries no weight; "
-                    "SimilarityRanker requires weighted reports"
-                )
-            key = (report.user_id, report.query_id)
-            code = uq_codes.get(key)
-            if code is None:
-                code = len(uq_list)
-                uq_codes[key] = code
-                uq_list.append(key)
-            uq_arr[index] = code
-            station_code = station_codes.get(report.station_id)
-            if station_code is None:
-                station_code = len(station_list)
-                station_codes[report.station_id] = station_code
-                station_list.append(report.station_id)
-            st_arr[index] = station_code
-            weight_code = weight_codes.get(report.weight)
-            if weight_code is None:
-                weight_code = len(weight_list)
-                weight_codes[report.weight] = weight_code
-                weight_list.append(report.weight)
-            w_arr[index] = weight_code
-        if (
-            len(uq_list) >= _CODE_LIMIT
-            or len(station_list) >= _CODE_LIMIT
-            or len(weight_list) >= _CODE_LIMIT
-        ):
-            return None
-        packed = (uq_arr << (2 * _CODE_BITS)) | (st_arr << _CODE_BITS) | w_arr
-        unique = _np.unique(packed)  # sorted + deduplicated triples
-        uq_sorted = unique >> (2 * _CODE_BITS)
-        st_sorted = (unique >> _CODE_BITS) & _CODE_MASK
-        w_sorted = unique & _CODE_MASK
-        starts = _np.flatnonzero(
-            _np.r_[True, uq_sorted[1:] != uq_sorted[:-1]]
-        )
-        ends = _np.r_[starts[1:], len(unique)]
-        spans: dict[int, tuple[int, int]] = {
-            int(uq_sorted[start]): (int(start), int(end))
-            for start, end in zip(starts, ends)
-        }
-        best: dict[str, Fraction] = {}
-        bound = self._max_weight_sum
-        for code, (user_id, _query_id) in enumerate(uq_list):
-            start, end = spans[code]
-            station_slice = st_sorted[start:end]
-            weight_slice = w_sorted[start:end].tolist()
-            if end - start == 1 or bool(
-                (station_slice[1:] != station_slice[:-1]).all()
-            ):
-                # Every station reported one distinct weight: the single
-                # possible assignment, summed with exact Fractions.
-                total = sum(
-                    (weight_list[weight_code] for weight_code in weight_slice),
-                    Fraction(0),
-                )
-                if total > bound:
-                    continue
-            else:
-                per_station: dict[str, set[Fraction]] = {}
-                for station_code, weight_code in zip(
-                    station_slice.tolist(), weight_slice
-                ):
-                    per_station.setdefault(station_list[station_code], set()).add(
-                        weight_list[weight_code]
-                    )
-                maybe_total = self.best_weight_sum(per_station)
-                if maybe_total is None:
-                    continue
-                total = maybe_total
-            current = best.get(user_id)
-            if current is None or total > current:
-                best[user_id] = total
         return best
 
     def aggregate(

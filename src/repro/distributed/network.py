@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.distributed.events import (
     EventLoop,
@@ -106,33 +106,6 @@ class NetworkConfig:
         """Simulated time to move ``size_bytes`` over one link."""
         require_non_negative(size_bytes, "size_bytes")
         return self.latency_s + size_bytes / self.bandwidth_bytes_per_s
-
-
-class _SequenceView(Sequence):
-    """A zero-copy read-only view over a list (the ``message_log`` fix).
-
-    Property access in hot loops used to copy the full delivery log; this view
-    is O(1) to hand out while still supporting ``len``/indexing/iteration.
-    Callers that need a stable snapshot use
-    :meth:`SimulatedNetwork.copy_message_log`.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: list) -> None:
-        self._items = items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._items)
-
-    def __repr__(self) -> str:
-        return f"_SequenceView({self._items!r})"
 
 
 class _Transfer:
@@ -217,8 +190,6 @@ class SimulatedNetwork(Transport):
         self._message_count = 0
         self._downlink_durations: list[float] = []
         self._uplink_durations: list[float] = []
-        self._log: list[Message] = []
-        self._log_view = _SequenceView(self._log)
         self._transcript: list[TranscriptEntry] = []
         self._delivered = DeliveredFrames()
         self._next_frame_id = 0
@@ -265,15 +236,6 @@ class SimulatedNetwork(Transport):
     def message_count(self) -> int:
         """Logical messages offered to the transport."""
         return self._message_count
-
-    @property
-    def message_log(self) -> Sequence:
-        """Read-only view of delivered messages, in delivery order (no copy)."""
-        return self._log_view
-
-    def copy_message_log(self) -> list[Message]:
-        """A snapshot copy of the delivery log (the old ``message_log`` behavior)."""
-        return list(self._log)
 
     @property
     def transcript(self) -> tuple[TranscriptEntry, ...]:
@@ -326,7 +288,6 @@ class SimulatedNetwork(Transport):
         self._message_count = 0
         self._downlink_durations.clear()
         self._uplink_durations.clear()
-        self._log.clear()
         self._transcript.clear()
         self._delivered.clear()
         self._next_frame_id = 0
@@ -553,17 +514,13 @@ class SimulatedNetwork(Transport):
             return
         if transfer.receiver is not None:
             if data is not None:
-                delivered = transfer.receiver.receive_wire(data, backend=self._decode_backend)
+                transfer.receiver.receive_wire(data, backend=self._decode_backend)
             else:
                 transfer.receiver.receive(transfer.message)
-                delivered = transfer.message
-        else:
-            delivered = transfer.message
         transfer.delivered = True
         transfer.resolved_at = time_s
         self._frames_delivered += 1
         self._payload_bytes_delivered += transfer.size
         if transfer.payload is not None:
             self._delivered.record(transfer.direction, transfer.station, transfer.payload)
-        self._log.append(delivered)
         self._record(time_s, "deliver", transfer, transfer.attempts)

@@ -486,7 +486,6 @@ class TcpTransport(Transport):
         self._uplink_bytes = 0
         self._downlink_durations: list[float] = []
         self._uplink_durations: list[float] = []
-        self._log: list[Message] = []
         self._transcript: list[TranscriptEntry] = []
         self._delivered = DeliveredFrames()
         self._frames_sent = 0
@@ -536,15 +535,6 @@ class TcpTransport(Transport):
     def message_count(self) -> int:
         """Logical messages offered to the transport."""
         return self._message_count
-
-    @property
-    def message_log(self) -> Sequence:
-        """Delivered messages, in delivery (send) order."""
-        return tuple(self._log)
-
-    def copy_message_log(self) -> list[Message]:
-        """A snapshot copy of the delivery log."""
-        return list(self._log)
 
     @property
     def transcript(self) -> tuple[TranscriptEntry, ...]:
@@ -622,17 +612,13 @@ class TcpTransport(Transport):
                 continue
             if transfer.receiver is not None:
                 if transfer.payload is not None:
-                    delivered = transfer.receiver.receive_wire(
+                    transfer.receiver.receive_wire(
                         transfer.payload, backend=self._decode_backend
                     )
                 else:
                     transfer.receiver.receive(transfer.message)
-                    delivered = transfer.message
-            else:
-                delivered = transfer.message
             if transfer.payload is not None:
                 self._delivered.record(direction, transfer.station, transfer.payload)
-            self._log.append(delivered)
 
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:

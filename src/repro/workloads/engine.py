@@ -325,11 +325,23 @@ def run_workload(
         # Streaming city: the source *is* the dataset boundary — batches are
         # derived on demand and the whole population is never materialized.
         source = cluster_spec.source.build()
-        provider: _EagerProvider | _SourceProvider = _SourceProvider(spec, source)
+        streams: list[_Stream] = [("", _SourceProvider(spec, source))]
         cluster_cm = Cluster(cluster_spec, source=source)
     else:
         dataset = build_dataset(cluster_spec.dataset)
-        provider = _EagerProvider(spec, dataset)
+        if spec.tenants:
+            # Each tenant samples through a tenant-qualified spec name — its
+            # hot-set and per-round query streams derive from labels no other
+            # tenant (and no single-stream run) shares.  No tenant samples
+            # ``spec.mix``, so it gets no provider.
+            streams = []
+            for tenant in spec.tenants:
+                tenant_spec = spec.with_updates(
+                    name=f"{spec.name}#{tenant.name}", mix=tenant.mix
+                )
+                streams.append((tenant.name, _EagerProvider(tenant_spec, dataset)))
+        else:
+            streams = [("", _EagerProvider(spec, dataset))]
         cluster_cm = Cluster(cluster_spec, dataset=dataset)
     aggregator = WorkloadAggregator(
         scenario=spec.name,
@@ -341,18 +353,6 @@ def run_workload(
         # executor runner; recording the knob there would misstate the run.
         executor=executor if drive != "session" else "serial",
     )
-    streams: list[_Stream] = [("", provider)]
-    if spec.tenants:
-        # Tenants require an eager source (spec validation), so ``dataset``
-        # is bound.  Each tenant samples through a tenant-qualified spec name
-        # — its hot-set and per-round query streams derive from labels no
-        # other tenant (and no single-stream run) shares.
-        streams = []
-        for tenant in spec.tenants:
-            tenant_spec = spec.with_updates(
-                name=f"{spec.name}#{tenant.name}", mix=tenant.mix
-            )
-            streams.append((tenant.name, _EagerProvider(tenant_spec, dataset)))
     if drive == "open":
         ticks: Iterable[_Tick] = _arrivals(spec, aggregator)
     else:
@@ -361,7 +361,8 @@ def run_workload(
         session = cluster.open_session(mode="deltas" if drive == "session" else "rounds")
         churn = _ChurnState(spec, cluster.station_ids)
         _drive(spec, streams, ticks, churn, session, aggregator)
-    aggregator.set_source_stats(provider.stats())
+    if not spec.tenants:
+        aggregator.set_source_stats(streams[0][1].stats())
     return aggregator.finish()
 
 

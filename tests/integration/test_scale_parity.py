@@ -1,8 +1,8 @@
 """Byte-identity of a 10,000-station round across bit backends and executors.
 
-The hot-path work (payload-decode memoization, mask-index probing, columnar
-aggregation, shared-memory artifact handoff) is only admissible because the
-round outcome is *byte-identical* with every switch in every combination.
+The hot-path work (payload-decode memoization, mask-index probing,
+shared-memory artifact handoff) is only admissible because the round outcome
+is *byte-identical* with every switch in every combination.
 This suite pins that at the 100x-scale tier the benchmarks track: the same
 directly-constructed 10k-station dataset, driven once per configuration, must
 produce identical ranked results, identical real byte counts and identical

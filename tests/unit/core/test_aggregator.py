@@ -59,6 +59,28 @@ class TestBestWeightSum:
         ranker = SimilarityRanker(max_weight_sum=Fraction(2))
         assert ranker.best_weight_sum({"a": {Fraction(1)}, "b": {Fraction(1)}}) == Fraction(2)
 
+    def test_mixed_denominators_share_one_scale(self):
+        ranker = SimilarityRanker()
+        best = ranker.best_weight_sum(
+            {"a": {Fraction(1, 3)}, "b": {Fraction(1, 2), Fraction(5, 6)}}
+        )
+        assert best == Fraction(5, 6)
+
+    def test_a_later_negative_weight_can_pull_a_sum_under_the_bound(self):
+        # 5/4 alone exceeds the bound, but the only weight of the station
+        # after it is -1/4: pruning a partial sum at the bound itself would
+        # miss the best total 1 and return 3/4.
+        ranker = SimilarityRanker()
+        best = ranker.best_weight_sum(
+            {"a": {Fraction(1), Fraction(5, 4)}, "b": {Fraction(-1, 4)}}
+        )
+        assert best == Fraction(1)
+
+    def test_every_assignment_over_the_bound_returns_none(self):
+        ranker = SimilarityRanker(max_weight_sum=Fraction(1, 2))
+        options = {"a": {Fraction(1, 3), Fraction(2, 3)}, "b": {Fraction(1, 4)}}
+        assert ranker.best_weight_sum(options) is None
+
 
 class TestUserScores:
     def test_true_target_scores_one(self):
@@ -149,80 +171,3 @@ class TestConstruction:
 
     def test_bound_property(self):
         assert SimilarityRanker(Fraction(3, 2)).max_weight_sum == Fraction(3, 2)
-
-
-class TestColumnarParity:
-    """The NumPy columnar scorer must be indistinguishable from the plain path."""
-
-    def _bulk_reports(self):
-        # Enough reports to cross the columnar threshold, mixing:
-        # exact matchers, over-matchers (pruned), partial matchers, multi-query
-        # users, and multi-option station groups (ambiguous duplicate weights).
-        reports = []
-        for i in range(80):
-            user = f"u{i:03d}"
-            reports.append(_report(user, "a", Fraction(1, 2)))
-            reports.append(_report(user, "b", Fraction(1, 2), query="q1"))
-        for i in range(10):  # exact matches across two stations
-            user = f"x{i}"
-            reports.append(_report(user, "a", Fraction(1, 3)))
-            reports.append(_report(user, "b", Fraction(2, 3)))
-        for i in range(6):  # over-matchers: sum beyond the bound, pruned
-            user = f"o{i}"
-            reports.append(_report(user, "a", Fraction(1)))
-            reports.append(_report(user, "b", Fraction(1, 2)))
-        for i in range(6):  # multi-option groups: two weights at one station
-            user = f"m{i}"
-            reports.append(_report(user, "a", Fraction(1, 4)))
-            reports.append(_report(user, "a", Fraction(3, 4)))
-            reports.append(_report(user, "b", Fraction(1, 4)))
-        return reports
-
-    def _plain_scores(self, ranker, reports):
-        enabled = SimilarityRanker.COLUMNAR_ENABLED
-        SimilarityRanker.COLUMNAR_ENABLED = False
-        try:
-            return ranker.user_scores(reports)
-        finally:
-            SimilarityRanker.COLUMNAR_ENABLED = enabled
-
-    def test_scores_identical_to_plain_path(self):
-        pytest.importorskip("numpy")
-        ranker = SimilarityRanker()
-        reports = self._bulk_reports()
-        columnar = ranker.user_scores(reports)
-        plain = self._plain_scores(ranker, reports)
-        # Exact equality including dict insertion order and Fraction identity
-        # of values — byte-identical downstream rankings depend on both.
-        assert list(columnar.items()) == list(plain.items())
-        assert all(isinstance(score, Fraction) for score in columnar.values())
-
-    def test_ranking_identical_to_plain_path(self):
-        pytest.importorskip("numpy")
-        ranker = SimilarityRanker()
-        reports = self._bulk_reports()
-        enabled = SimilarityRanker.COLUMNAR_ENABLED
-        SimilarityRanker.COLUMNAR_ENABLED = False
-        try:
-            plain = ranker.aggregate(reports)
-        finally:
-            SimilarityRanker.COLUMNAR_ENABLED = enabled
-        assert ranker.aggregate(reports) == plain
-
-    def test_small_batches_skip_the_columnar_path(self):
-        # Below the threshold the plain path runs even with the flag on; the
-        # result contract is the same either way.
-        ranker = SimilarityRanker()
-        reports = [_report("u1", "a", Fraction(1))]
-        assert ranker.user_scores(reports) == {"u1": Fraction(1)}
-
-    def test_code_space_overflow_falls_back(self, monkeypatch):
-        pytest.importorskip("numpy")
-        import repro.core.aggregator as aggregator_module
-
-        # Shrink the packed-code space so the columnar path bails out and the
-        # dispatcher silently reruns the plain path.
-        monkeypatch.setattr(aggregator_module, "_CODE_LIMIT", 4)
-        ranker = SimilarityRanker()
-        reports = self._bulk_reports()
-        assert ranker.user_scores(reports) == self._plain_scores(ranker, reports)

@@ -142,6 +142,17 @@ class TestIsolationAndDeterminism:
         assert second.transcript_bytes() == first.transcript_bytes()
         assert second.to_payload() == first.to_payload()
 
+    def test_the_top_level_mix_is_neither_validated_nor_sampled(self):
+        """Tenants supply every stream, so ``spec.mix`` builds no provider.
+
+        A top-level mix naming a category the city lacks must not fail the
+        run, and the run must equal the one with the scenario's own mix.
+        """
+        base = run_workload(_tenant_spec())
+        unused = run_workload(_tenant_spec(mix=QueryMix(categories=("astronauts",))))
+        assert unused.transcript_bytes() == base.transcript_bytes()
+        assert unused.to_payload() == base.to_payload()
+
     def test_tenant_streams_are_independent_of_each_other(self):
         """Swapping one tenant's mix must not disturb the other's queries."""
         base = run_workload(_tenant_spec())
