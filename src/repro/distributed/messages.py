@@ -79,7 +79,7 @@ class MessageKind(str, Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """A single message with explicit sender, recipient, kind and payload.
 
@@ -96,34 +96,42 @@ class Message:
     payload: object | None = None
     wire_version: int = 1
 
-    #: Memos of :meth:`to_wire` and :meth:`payload_wire` with the payload
-    #: revision each was encoded at, set per instance on first use (not
-    #: fields).  Plain attributes, not ``(revision, bytes)`` tuples: a round
-    #: builds 20,000 messages, and every tuple is one more object for the
-    #: garbage collector to count.
-    _wire_cache = None
-    _wire_revision = None
+    #: Memo of :meth:`payload_wire` with the payload revision it was encoded
+    #: at, set per instance on first use (not fields).  Plain attributes, not
+    #: a ``(revision, bytes)`` tuple: a round builds 20,000 messages, and
+    #: every tuple is one more object for the garbage collector to count.
     _payload_wire_cache = None
     _payload_wire_revision = None
+
+    def __init__(
+        self,
+        sender: str,
+        recipient: str,
+        kind: MessageKind,
+        payload: object | None = None,
+        wire_version: int = 1,
+    ) -> None:
+        # One dict update instead of a frozen ``object.__setattr__`` per
+        # field: a round builds a message per frame and decodes one per
+        # delivery.
+        self.__dict__.update(
+            sender=sender,
+            recipient=recipient,
+            kind=kind,
+            payload=payload,
+            wire_version=wire_version,
+        )
 
     def to_wire(self, compress: bool = False) -> bytes:
         """The full binary encoding of this message (envelope plus payload).
 
         Raises :class:`~repro.wire.errors.UnsupportedWireTypeError` when the
-        payload has no wire encoding; uncompressed encodings are memoized per
-        message instance.  One read of the payload's revision validates both
-        memos and the codec's encode cache.
+        payload has no wire encoding.  The uncompressed frame is the envelope
+        head joined to the memoized payload block.
         """
         if compress:
             return encode(self, compress=True)
-        revision = object_revision(self.payload)
-        cached = self._wire_cache
-        if cached is not None and self._wire_revision == revision:
-            return cached
-        data = message_frame(self, self._payload_wire_at(revision))
-        object.__setattr__(self, "_wire_cache", data)
-        object.__setattr__(self, "_wire_revision", revision)
-        return data
+        return message_frame(self, self.payload_wire())
 
     @classmethod
     def from_wire(cls, data: bytes, backend: str = "auto") -> "Message":
@@ -151,10 +159,7 @@ class Message:
         :class:`~repro.wire.errors.UnsupportedWireTypeError` for payloads
         outside the codec's vocabulary.
         """
-        return self._payload_wire_at(object_revision(self.payload))
-
-    def _payload_wire_at(self, revision: object) -> bytes:
-        """:meth:`payload_wire`, given the payload's current revision."""
+        revision = object_revision(self.payload)
         cached = self._payload_wire_cache
         if cached is not None and self._payload_wire_revision == revision:
             return cached

@@ -30,7 +30,13 @@ accounting:
 Under the all-zero fault plan the event-driven execution reproduces the legacy
 accounting model *exactly*: identical byte counts and bit-identical
 transmission times (downlink = max over stations, uplink = sum at the ingress),
-which the simulation-test harness pins.
+which the simulation-test harness pins.  With the automatic retransmit timeout
+such a phase cannot lose a frame or fire a timer, so it runs in one pass over
+its frames instead of through the event loop, with the same transcript.
+
+A frame travels as its envelope head plus its payload block: every frame of a
+broadcast shares the one payload ``bytes`` object, which the receivers' decode
+cache finds the artifact by.  Only a corrupted copy is joined into one buffer.
 
 Every frame event is recorded as a
 :class:`~repro.distributed.events.TranscriptEntry`; the canonical transcript
@@ -65,6 +71,7 @@ from repro.distributed.transport.base import (
     Transport,
 )
 from repro.utils.validation import require_non_negative, require_positive
+from repro.wire.codec import envelope_head
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 
 __all__ = [
@@ -78,6 +85,10 @@ __all__ = [
 _UPLINK_INGRESS = "uplink:center-ingress"
 
 _new_row = tuple.__new__
+
+#: Stands for "no payload looked up yet" while a phase builds its frames
+#: (``None`` is a payload).
+_NO_PAYLOAD = object()
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,7 @@ class _Transfer:
         "message",
         "receiver",
         "direction",
+        "head",
         "payload",
         "size",
         "occupancy",
@@ -134,20 +146,19 @@ class _Transfer:
         message: Message,
         receiver: Node | None,
         direction: str,
-        config: NetworkConfig,
+        head: bytes | None,
+        payload: bytes | None,
+        size: int,
+        occupancy: float,
     ) -> None:
         self.frame_id = frame_id
         self.message = message
         self.receiver = receiver
         self.direction = direction
-        try:
-            payload: bytes | None = message.to_wire()
-        except UnsupportedWireTypeError:
-            payload = None
+        self.head = head
         self.payload = payload
-        self.size = len(payload) if payload is not None else message.size_bytes()
-        # The size never changes, so neither does the unstretched link time.
-        self.occupancy = config.transfer_time_s(self.size)
+        self.size = size
+        self.occupancy = occupancy
         self.kind = message.kind.value
         if direction == "downlink":
             self.link = f"downlink:{message.recipient}"
@@ -351,29 +362,78 @@ class SimulatedNetwork(Transport):
             )
         )
 
+    def _frames(
+        self, sends: list[tuple[Message, Node | None]]
+    ) -> tuple[list[bytes | None], list[bytes | None], list[int]]:
+        """Each send's envelope head, payload block and size, in send order.
+
+        Consecutive messages carrying one payload object at one wire version
+        — a broadcast's artifact — share its block, looked up once.  A payload
+        outside the wire vocabulary has no head or block; it travels as an
+        object and is charged its estimated size.
+        """
+        heads: list[bytes | None] = []
+        payloads: list[bytes | None] = []
+        sizes: list[int] = []
+        shared = _NO_PAYLOAD
+        shared_version = block = None
+        try:
+            for message, _receiver in sends:
+                if message.payload is not shared or message.wire_version != shared_version:
+                    try:
+                        block = message.payload_wire()
+                    except UnsupportedWireTypeError:
+                        sizes.append(message.size_bytes())
+                        heads.append(None)
+                        payloads.append(None)
+                        shared = _NO_PAYLOAD
+                        continue
+                    shared = message.payload
+                    shared_version = message.wire_version
+                head = envelope_head(message, len(block))
+                sizes.append(len(head) + len(block))
+                heads.append(head)
+                payloads.append(block)
+        finally:
+            # A message whose frame cannot be built ends the phase before it
+            # starts; those before it were offered.
+            self._message_count += len(sizes)
+            self._next_frame_id += len(sizes)
+        return heads, payloads, sizes
+
     def _run_phase(
         self, sends: list[tuple[Message, Node | None]], direction: str
     ) -> PhaseOutcome:
+        first_id = self._next_frame_id
+        heads, payloads, sizes = self._frames(sends)
+        self._transcript.append(
+            _new_row(
+                TranscriptEntry,
+                (len(self._transcript), 0.0, "phase", -1, len(sends), "-", "-", direction, 0),
+            )
+        )
+        config = self._config
+        if self._fault_free and config.retransmit_timeout_s is None:
+            return self._run_in_one_pass(sends, direction, first_id, heads, payloads, sizes)
         self._loop.reset(0.0)
         self._link_free.clear()
-        transfers: list[_Transfer] = []
-        for message, receiver in sends:
-            transfer = _Transfer(self._next_frame_id, message, receiver, direction, self._config)
-            self._next_frame_id += 1
-            self._message_count += 1
-            transfers.append(transfer)
-        phase_marker = TranscriptEntry(
-            sequence=len(self._transcript),
-            time_s=0.0,
-            event="phase",
-            frame_id=-1,
-            attempt=len(transfers),
-            sender="-",
-            recipient="-",
-            kind=direction,
-            size_bytes=0,
-        )
-        self._transcript.append(phase_marker)
+        latency = config.latency_s
+        bandwidth = config.bandwidth_bytes_per_s
+        transfers = [
+            _Transfer(
+                first_id + index,
+                message,
+                receiver,
+                direction,
+                heads[index],
+                payloads[index],
+                sizes[index],
+                # The size never changes, so neither does the unstretched
+                # link time.
+                latency + sizes[index] / bandwidth,
+            )
+            for index, (message, receiver) in enumerate(sends)
+        ]
         for transfer in transfers:
             self._schedule_attempt(0.0, transfer, False)
         self._loop.run()
@@ -402,6 +462,123 @@ class SimulatedNetwork(Transport):
             failed_ids=tuple(t.station for t in transfers if not t.delivered),
         )
 
+    def _run_in_one_pass(
+        self,
+        sends: list[tuple[Message, Node | None]],
+        direction: str,
+        first_id: int,
+        heads: list[bytes | None],
+        payloads: list[bytes | None],
+        sizes: list[int],
+    ) -> PhaseOutcome:
+        """Run a phase in which no frame can be lost: no transfer, no event.
+
+        Exact for a fault-free plan under the automatic retransmit timeout.
+        Every frame is sent once, at its link's free time (a station's own
+        downlink link, or the one uplink ingress, where a frame starts as the
+        previous one lands), and lands ``occupancy`` later; its timer would
+        fire at ``start + occupancy + 2 * latency`` or later, and float
+        addition is monotonic, so no timer fires before its frame lands.  The
+        event loop would therefore record every send in send order and then
+        every delivery in ``(arrival, send order)`` order — its heap's
+        ``(time, sequence)`` — which is what this does, counting each delivery
+        as it happens, so a receiver that raises leaves the same ledger.
+        """
+        config = self._config
+        latency = config.latency_s
+        bandwidth = config.bandwidth_bytes_per_s
+        transcript = self._transcript
+        downlink = direction == "downlink"
+        link_free: dict[str, float] = {}
+        ingress_free = 0.0
+        arrivals: list[float] = []
+        sent: list[TranscriptEntry] = []
+        sequence = len(transcript)
+        kind = kind_value = None
+        for index, (message, _receiver) in enumerate(sends):
+            size = sizes[index]
+            recipient = message.recipient
+            if downlink:
+                start = link_free.get(recipient, 0.0)
+                arrival = link_free[recipient] = start + (latency + size / bandwidth)
+            else:
+                start = ingress_free
+                arrival = ingress_free = start + (latency + size / bandwidth)
+            arrivals.append(arrival)
+            if message.kind is not kind:
+                kind = message.kind
+                kind_value = kind.value
+            sent.append(
+                _new_row(
+                    TranscriptEntry,
+                    (
+                        sequence + index,
+                        start,
+                        "send",
+                        first_id + index,
+                        1,
+                        message.sender,
+                        recipient,
+                        kind_value,
+                        size,
+                    ),
+                )
+            )
+        transcript.extend(sent)
+        sent_bytes = sum(sizes)
+        self._frames_sent += len(sizes)
+        self._payload_bytes_sent += sent_bytes
+        if downlink:
+            self._downlink_bytes += sent_bytes
+        else:
+            self._uplink_bytes += sent_bytes
+
+        backend = self._decode_backend
+        record = self._delivered.record
+        append = transcript.append
+        for index in sorted(range(len(arrivals)), key=arrivals.__getitem__):
+            _, _, _, frame_id, _, sender, recipient, kind_value, size = sent[index]
+            receiver = sends[index][1]
+            head = heads[index]
+            payload = payloads[index]
+            if receiver is not None:
+                if payload is not None:
+                    receiver.receive_frame(head, payload, backend)
+                else:
+                    receiver.receive(sends[index][0])
+            self._frames_delivered += 1
+            self._payload_bytes_delivered += size
+            if payload is not None:
+                record(direction, recipient if downlink else sender, head, payload)
+            append(
+                _new_row(
+                    TranscriptEntry,
+                    (
+                        len(transcript),
+                        arrivals[index],
+                        "deliver",
+                        frame_id,
+                        1,
+                        sender,
+                        recipient,
+                        kind_value,
+                        size,
+                    ),
+                )
+            )
+
+        duration = max(arrivals, default=0.0)
+        if downlink:
+            self._downlink_durations.append(duration)
+        else:
+            self._uplink_durations.append(duration)
+        return PhaseOutcome(
+            direction=direction,
+            duration_s=duration,
+            delivered_ids=tuple(row.recipient if downlink else row.sender for row in sent),
+            failed_ids=(),
+        )
+
     def _charge(self, transfer: _Transfer) -> None:
         self._frames_sent += 1
         self._payload_bytes_sent += transfer.size
@@ -416,7 +593,7 @@ class SimulatedNetwork(Transport):
         An intact frame that lands no later than its timer would fire resolves
         the transfer first (the arrival is scheduled first, so it also wins a
         tie), and a timer on a resolved transfer does nothing — so such a
-        frame gets no timer, and a fault-free phase runs one event per frame.
+        frame gets no timer.
         """
         if transfer.delivered or transfer.failed:
             return
@@ -466,7 +643,10 @@ class SimulatedNetwork(Transport):
                 arrival += faults.reorder_delay_s
             data = transfer.payload
             if faults.corrupt:
-                data = injector.corrupt_bytes(data, transfer.frame_id, attempt)
+                # Corruption flips bytes of the frame as one buffer.
+                data = injector.corrupt_bytes(
+                    transfer.head + data, transfer.frame_id, attempt
+                )
             self._loop.schedule(arrival, self._on_arrival, transfer, data)
             if faults.duplicate:
                 # A network-generated duplicate: a pristine second copy
@@ -495,14 +675,17 @@ class SimulatedNetwork(Transport):
             self._frames_duplicate += 1
             self._record(time_s, "duplicate", transfer, transfer.attempts)
             return
-        if data is not transfer.payload and zlib.crc32(data) != zlib.crc32(transfer.payload):
+        payload = transfer.payload
+        if data is not payload and zlib.crc32(data) != zlib.crc32(
+            payload, zlib.crc32(transfer.head)
+        ):
             # Frames arrive either as the sender's own (immutable) payload
-            # object or as a corrupted copy, and only a copy needs its
-            # checksum verified.  The receiver still runs the real decode on
-            # the corrupt bytes — the codec's typed-error contract is
-            # exercised for real — and the checksum is the backstop for
-            # corruptions the codec cannot see, so a corrupt frame can never
-            # be accepted.
+            # object or as a corrupted copy of the joined frame, and only a
+            # copy needs its checksum verified.  The receiver still runs the
+            # real decode on the corrupt bytes — the codec's typed-error
+            # contract is exercised for real — and the checksum is the
+            # backstop for corruptions the codec cannot see, so a corrupt
+            # frame can never be accepted.
             try:
                 Message.from_wire(data, backend=self._decode_backend)
             except WireFormatError:
@@ -512,15 +695,19 @@ class SimulatedNetwork(Transport):
             self._frames_corrupt += 1
             self._record(time_s, "corrupt", transfer, transfer.attempts)
             return
-        if transfer.receiver is not None:
-            if data is not None:
-                transfer.receiver.receive_wire(data, backend=self._decode_backend)
+        receiver = transfer.receiver
+        if receiver is not None:
+            if data is not payload:
+                # A copy the checksum passed is decoded in full.
+                receiver.receive_wire(data, backend=self._decode_backend)
+            elif payload is not None:
+                receiver.receive_frame(transfer.head, payload, self._decode_backend)
             else:
-                transfer.receiver.receive(transfer.message)
+                receiver.receive(transfer.message)
         transfer.delivered = True
         transfer.resolved_at = time_s
         self._frames_delivered += 1
         self._payload_bytes_delivered += transfer.size
-        if transfer.payload is not None:
-            self._delivered.record(transfer.direction, transfer.station, transfer.payload)
+        if payload is not None:
+            self._delivered.record(transfer.direction, transfer.station, transfer.head, payload)
         self._record(time_s, "deliver", transfer, transfer.attempts)

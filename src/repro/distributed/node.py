@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.distributed.messages import Message
+from repro.wire.codec import decode_frame
 
 
 class Node:
@@ -11,10 +12,12 @@ class Node:
     Nodes receive traffic in one of two forms: already-decoded
     :class:`~repro.distributed.messages.Message` objects (:meth:`receive`, the
     in-memory fallback for payloads outside the wire vocabulary) or raw wire
-    bytes (:meth:`receive_wire`, the path the event-driven transport uses —
-    every frame a node accepts has passed through the real binary decode, so a
-    corrupted frame surfaces as a typed
-    :class:`~repro.wire.errors.WireFormatError` here, never as wrong data).
+    bytes — a frame as an envelope head plus its payload block
+    (:meth:`receive_frame`, the path the simulated transport uses) or as one
+    buffer (:meth:`receive_wire`, the TCP backend's in-process replay).
+    Every frame a node accepts has passed through the real binary decode, so
+    a corrupted frame surfaces as a typed
+    :class:`~repro.wire.errors.WireFormatError` here, never as wrong data.
     """
 
     def __init__(self, node_id: str) -> None:
@@ -48,6 +51,17 @@ class Node:
         addressed to another node.  Returns the decoded message.
         """
         message = Message.from_wire(data, backend=backend)
+        self.receive(message)
+        return message
+
+    def receive_frame(self, head: bytes, payload: bytes, backend: str = "auto") -> Message:
+        """:meth:`receive_wire` of ``head + payload``, without joining them.
+
+        The frames of a broadcast share one ``payload`` object, which the
+        decode finds its artifact by (:func:`repro.wire.codec.decode_frame`).
+        Raises exactly what :meth:`receive_wire` raises for the joined frame.
+        """
+        message = decode_frame(head, payload, backend)
         self.receive(message)
         return message
 

@@ -36,29 +36,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DeliveredFrames:
     """The delivered-frame ledger behind :meth:`Transport.delivered_payloads`.
 
-    Flat columns — direction, station endpoint and frame bytes per accepted
-    frame, in delivery order — grouped per station only when read, so a
-    round holds no container per frame or per station.
+    Flat columns — direction, station endpoint, and each accepted frame as a
+    head plus a payload block, in delivery order — grouped per station and
+    joined only when read, so a round holds no container per frame or per
+    station, and the frames of a broadcast share their one payload block.
     """
 
-    __slots__ = ("_directions", "_stations", "_frames")
+    __slots__ = ("_directions", "_stations", "_heads", "_payloads")
 
     def __init__(self) -> None:
         self._directions: list[str] = []
         self._stations: list[str] = []
-        self._frames: list[bytes] = []
+        self._heads: list[bytes] = []
+        self._payloads: list[bytes] = []
 
-    def record(self, direction: str, station: str, frame: bytes) -> None:
-        """Append one accepted frame."""
+    def record(self, direction: str, station: str, head: bytes, payload: bytes = b"") -> None:
+        """Append one accepted frame: ``head + payload`` (a whole frame by default)."""
         self._directions.append(direction)
         self._stations.append(station)
-        self._frames.append(frame)
+        self._heads.append(head)
+        self._payloads.append(payload)
 
     def clear(self) -> None:
         """Forget every recorded frame."""
         self._directions.clear()
         self._stations.clear()
-        self._frames.clear()
+        self._heads.clear()
+        self._payloads.clear()
 
     def grouped(self, direction: str) -> dict[str, tuple[bytes, ...]]:
         """Each station's frames for ``direction``, in delivery order.
@@ -66,9 +70,11 @@ class DeliveredFrames:
         Stations appear in the order of their first delivered frame.
         """
         grouped: dict[str, list[bytes]] = {}
-        for recorded, station, frame in zip(self._directions, self._stations, self._frames):
+        for recorded, station, head, payload in zip(
+            self._directions, self._stations, self._heads, self._payloads
+        ):
             if recorded == direction:
-                grouped.setdefault(station, []).append(frame)
+                grouped.setdefault(station, []).append(head + payload)
         return {station: tuple(frames) for station, frames in grouped.items()}
 
 

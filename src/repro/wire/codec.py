@@ -527,12 +527,13 @@ def _read_report_columnar(reader: ByteReader) -> list:
 _ENVELOPE_HEADER = MAGIC + bytes((WIRE_VERSION, 0, TAG_MESSAGE))
 
 
-def _envelope(message: "Message", payload: bytes, head: bytes = b"") -> bytes:
-    """``head``, then the envelope body around the payload block ``payload``.
+def _envelope_fields(message: "Message", payload_size: int, head: bytes = b"") -> bytes:
+    """``head``, then the envelope body up to and including the payload length.
 
-    The one definition of the envelope layout — sender, recipient, kind code,
-    payload block — joined in one pass.  :func:`message_envelope_size` sizes
-    it arithmetically (a unit test keeps the two in lockstep).
+    The one definition of the envelope layout — sender, recipient, kind code
+    and payload length, which the payload block follows — joined in one
+    pass.  :func:`message_envelope_size` sizes it arithmetically (a unit test
+    keeps the two in lockstep).
     """
     sender = message.sender.encode("utf-8")
     recipient = message.recipient.encode("utf-8")
@@ -544,8 +545,7 @@ def _envelope(message: "Message", payload: bytes, head: bytes = b"") -> bytes:
             uvarint_bytes(len(recipient)),
             recipient,
             _KIND_CODES[message.kind],
-            uvarint_bytes(len(payload)),
-            payload,
+            uvarint_bytes(payload_size),
         )
     )
 
@@ -553,19 +553,67 @@ def _envelope(message: "Message", payload: bytes, head: bytes = b"") -> bytes:
 def _write_message_body(out: bytearray, message: "Message") -> None:
     # The message memoizes its payload encoding, so cost accounting and
     # envelope construction within one round share a single payload encode.
-    out += _envelope(message, message.payload_wire())
+    payload = message.payload_wire()
+    out += _envelope_fields(message, len(payload))
+    out += payload
 
 
-def message_frame(message: "Message", payload: bytes) -> bytes:
-    """``encode(message)`` in one join, given the message's payload block.
+def envelope_head(message: "Message", payload_size: int) -> bytes:
+    """The uncompressed version-1 frame of ``message`` up to its payload block.
 
-    The uncompressed version-1 frame every transport sends:
-    :meth:`Message.to_wire` passes the payload block it memoized, so the
-    frame costs one join and no header or dispatch work.
+    A frame is this head followed by the ``payload_size``-byte payload block,
+    so a transport can keep the two apart — every frame of a broadcast then
+    shares one payload object — and join them only where bytes must be
+    contiguous.
     """
     if _MESSAGE_TYPE is None:
         _bind_message_types()
-    return _envelope(message, payload, _ENVELOPE_HEADER)
+    return _envelope_fields(message, payload_size, _ENVELOPE_HEADER)
+
+
+def message_frame(message: "Message", payload: bytes) -> bytes:
+    """``encode(message)``, given the message's payload block."""
+    return envelope_head(message, len(payload)) + payload
+
+
+def decode_frame(head: bytes, payload: bytes, backend: str = "auto") -> "Message":
+    """``Message.from_wire(head + payload)``, without joining the two.
+
+    A head as :func:`envelope_head` writes it — one-byte sender and recipient
+    lengths, valid UTF-8, a known kind code, and the canonical length of
+    ``payload`` as its last bytes — is read by slicing, and ``payload`` itself
+    reaches the payload decode cache, so the frames of a broadcast find their
+    shared artifact by identity.  Any other pair is joined and decoded in
+    full, so it is accepted or rejected exactly as the joined frame would be,
+    with the same :class:`WireFormatError` message.
+    """
+    message_type = _MESSAGE_TYPE or _bind_message_types()
+    if head[:_HEADER_SIZE] == _ENVELOPE_HEADER and len(head) > _HEADER_SIZE:
+        sender_size = head[_HEADER_SIZE]
+        sender_end = _HEADER_SIZE + 1 + sender_size
+        if sender_size < 0x80 and sender_end < len(head):
+            recipient_size = head[sender_end]
+            recipient_end = sender_end + 1 + recipient_size
+            if (
+                recipient_size < 0x80
+                and recipient_end < len(head)
+                and head[recipient_end] < len(_KINDS_BY_CODE)
+                and head[recipient_end + 1 :] == uvarint_bytes(len(payload))
+            ):
+                try:
+                    sender = str(head[_HEADER_SIZE + 1 : sender_end], "utf-8")
+                    recipient = str(head[sender_end + 1 : recipient_end], "utf-8")
+                except UnicodeDecodeError:
+                    pass
+                else:
+                    return message_type(
+                        sender,
+                        recipient,
+                        _KINDS_BY_CODE[head[recipient_end]],
+                        _decode_payload_cached(payload, backend),
+                        payload[4] if len(payload) > 4 else WIRE_VERSION,
+                    )
+    return message_type.from_wire(head + payload, backend=backend)
 
 
 def _read_message_body(reader: ByteReader, backend: str) -> "Message":
@@ -576,7 +624,7 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
     if kind_code >= len(_KINDS_BY_CODE):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     # Decoded in place: the block is a view of the frame, copied only into
-    # the decode cache's key.
+    # the decode cache's key (``decode_frame`` hands in the block itself).
     payload_block = reader.blob_view()
     return message_type(
         sender,
@@ -595,7 +643,11 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
 #: size, not with the data).  The cache maps exact payload-block bytes (plus
 #: the backend) to the decoded artifact, so a broadcast decodes once and every
 #: further station reuses the instance — sharing that the round engine already
-#: sanctions by matching all shards against one decoded artifact.  Guard rails:
+#: sanctions by matching all shards against one decoded artifact.  A frame
+#: decoded by :func:`decode_frame` hands in the sender's own ``bytes`` object
+#: as the key: its hash is computed once and cached by the object, and a dict
+#: lookup compares identity before content, so a broadcast's stations find
+#: the artifact without copying or rehashing its block.  Guard rails:
 #: only large filter-bearing tags are cached (report lists are per-station
 #: unique; tiny payloads are cheaper to decode than to hash), and each hit is
 #: revalidated against the artifact's mutation revision so an instance mutated
@@ -617,6 +669,7 @@ def _decode_payload_cached(block: "bytes | memoryview", backend: str) -> object:
         or block[6] not in _PAYLOAD_DECODE_TAGS
     ):
         return decode(block, backend=backend)
+    # A view is copied; a ``bytes`` block is the key itself.
     data = bytes(block)
     key = (data, backend)
     entry = _PAYLOAD_DECODE_CACHE.get(key)
@@ -877,9 +930,10 @@ def message_envelope_size(sender: str, recipient: str, payload_size: int) -> int
 
     Computed arithmetically so cost accounting for a broadcast of N station
     messages sharing one artifact never materializes N copies of the envelope
-    bytes — the simulator charges ``header + routing fields + payload block``
-    without building it.  Kept in lockstep with :func:`_envelope` by a unit
-    test asserting equality with ``len(encode(message))``.
+    bytes — ``Message.size_bytes`` charges ``header + routing fields +
+    payload block`` without building it.  Kept in lockstep with :func:`_envelope_fields` by a
+    unit test asserting equality with ``len(encode(message))`` and with the
+    length of :func:`envelope_head` plus the payload block.
     """
     sender_bytes = sender.encode("utf-8")
     recipient_bytes = recipient.encode("utf-8")

@@ -101,6 +101,9 @@ def uvarint_bytes(value: int) -> bytes:
     """The bytes :func:`write_uvarint` appends for ``value``."""
     if 0 <= value < 0x80:
         return _ONE_BYTE_UVARINTS[value]
+    if 0x80 <= value < 0x4000:
+        # Two bytes: a payload block's length in every broadcast frame.
+        return bytes((value & 0x7F | 0x80, value >> 7))
     out = bytearray()
     write_uvarint(out, value)
     return bytes(out)

@@ -1,9 +1,10 @@
 """Message envelopes and report lists against the codec they replaced.
 
-``Message.to_wire`` builds a frame in one join, the envelope reader decodes
-the payload block in place, and match-report lists are written and read in
-one pass.  The references below are the field-by-field writers and readers
-those replaced, kept as they were.  Every message must encode to the same
+``Message.to_wire`` builds a frame as its envelope head plus the payload
+block, the envelope reader decodes the payload block in place, and
+match-report lists are written and read in one pass.  The references below
+are the field-by-field writers and readers those replaced, kept as they
+were.  Every message must encode to the same
 bytes and decode to an equal message; every truncation and single-byte flip
 of a frame must fail with the same :class:`WireFormatError` (message
 included) or decode to an equal value.
@@ -374,7 +375,7 @@ class TestEnvelopeEncode:
         want = outcome(reference_encode, message)
         assert outcome(lambda m: m.to_wire(), message) == want
         assert outcome(wire.encode, message) == want
-        # Memoized: a second call returns the same bytes.
+        # A second call, over the memoized payload block, returns the same bytes.
         assert outcome(lambda m: m.to_wire(), message) == want
         compressed = outcome(lambda m: reference_encode(m, compress=True), message)
         assert outcome(lambda m: wire.encode(m, compress=True), message) == compressed

@@ -1,11 +1,15 @@
 """Unit tests for the message layer."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import wire
 from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import LocalPattern
 from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES
+from repro.wire import codec
 
 
 class TestMessage:
@@ -25,7 +29,13 @@ class TestMessage:
         ]
         for payload in payloads:
             message = Message("sender-" + "s" * 130, "r", MessageKind.MATCH_REPORT, payload)
-            assert message.size_bytes() == len(wire.encode(message))
+            frame = wire.encode(message)
+            assert message.size_bytes() == len(frame)
+            # The simulated transport's frames: a head, then the payload block.
+            block = message.payload_wire()
+            head = codec.envelope_head(message, len(block))
+            assert head + block == frame == message.to_wire()
+            assert len(head) + len(block) == message.size_bytes()
 
     def test_estimated_size_keeps_legacy_overhead_model(self):
         message = Message("a", "b", MessageKind.CONTROL, payload=None)
@@ -79,6 +89,31 @@ class TestMessage:
         message = Message("a", "b", MessageKind.CONTROL, payload=Opaque())
         assert message.payload_bytes() == 123
         assert message.size_bytes() == MESSAGE_OVERHEAD_BYTES + 123
+
+    def test_stays_a_frozen_hashable_dataclass(self):
+        message = Message("bs", "center", MessageKind.MATCH_REPORT, (1, 2, 3), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            message.sender = "other"
+        twin = Message(
+            sender="bs",
+            recipient="center",
+            kind=MessageKind.MATCH_REPORT,
+            payload=(1, 2, 3),
+            wire_version=2,
+        )
+        assert twin == message and hash(twin) == hash(message)
+        assert Message("bs", "center", MessageKind.CONTROL) == Message(
+            "bs", "center", MessageKind.CONTROL, None, 1
+        )
+        moved = dataclasses.replace(message, recipient="agg")
+        assert (moved.recipient, moved.sender, moved.wire_version) == ("agg", "bs", 2)
+        assert moved != message
+        assert [field.name for field in dataclasses.fields(Message)] == [
+            "sender", "recipient", "kind", "payload", "wire_version",
+        ]
+        message.size_bytes()  # memoizes the payload block on the instance
+        restored = pickle.loads(pickle.dumps(message))
+        assert restored == message and restored.to_wire() == message.to_wire()
 
     def test_kinds_are_distinct(self):
         assert MessageKind.FILTER_DISSEMINATION != MessageKind.MATCH_REPORT

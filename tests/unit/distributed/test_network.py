@@ -202,7 +202,7 @@ class TestReliability:
         assert network.transcript_bytes().count(b"\n") == 2
 
 
-def test_fault_free_phase_schedules_one_event_per_frame(monkeypatch):
+def test_fault_free_phase_schedules_no_event(monkeypatch):
     scheduled = []
     schedule = EventLoop.schedule
 
@@ -212,14 +212,17 @@ def test_fault_free_phase_schedules_one_event_per_frame(monkeypatch):
 
     monkeypatch.setattr(EventLoop, "schedule", counting_schedule)
     frames = 6
+    receivers = [Node(f"bs-{i}") for i in range(frames)]
     network = SimulatedNetwork()
     outcome = network.broadcast(
-        [(_message(recipient=f"bs-{i}"), Node(f"bs-{i}")) for i in range(frames)]
+        [(_message(recipient=receiver.node_id), receiver) for receiver in receivers]
     )
-    # An intact frame lands before its retransmit timer would fire, so the
-    # phase needs only the arrivals: no timer is ever scheduled.
-    assert scheduled == ["_on_arrival"] * frames
+    # No frame can be lost, and none lands after its timer would fire, so
+    # the phase runs in one pass: no arrival or timer is ever scheduled.
+    assert scheduled == []
     assert len(outcome.delivered_ids) == frames
+    assert [len(receiver.inbox) for receiver in receivers] == [1] * frames
+    assert network.frame_stats().frames_delivered == frames
     assert network.frame_stats().retransmit_count == 0
 
 
