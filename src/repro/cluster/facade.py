@@ -53,7 +53,6 @@ from repro.distributed.basestation import BaseStationNode
 from repro.distributed.datacenter import DataCenterNode
 from repro.distributed.executor import ShardedStationRunner
 from repro.distributed.faults import FaultPlan, resolve_fault_plan
-from repro.distributed.messages import estimated_size_fallbacks
 from repro.distributed.metrics import CostReport
 from repro.distributed.network import NetworkConfig, SimulatedNetwork
 from repro.distributed.transport.base import Transport
@@ -645,7 +644,6 @@ class Cluster:
         encode: "Callable[[], object | None]",
     ) -> SimulationOutcome:
         """One wire round of ``protocol`` on the artifact ``encode()`` returns."""
-        fallbacks_before = estimated_size_fallbacks()
         participants = self._participants(options.station_ids)
         self._last_participant_count = len(participants)
         trunk, regional, net_seed = self._tier_transports(protocol, options.net_seed)
@@ -706,13 +704,6 @@ class Cluster:
             lost_station_count=routed.lost_station_count,
             goodput_fraction=routed.goodput_fraction,
             tiers=routed.tier_costs,
-            # How many times this round's byte accounting fell back to the
-            # estimate model (0 = every charged byte is a real codec byte).
-            extra=(
-                {"estimated_size_fallbacks": float(fallback_count)}
-                if (fallback_count := estimated_size_fallbacks() - fallbacks_before)
-                else {}
-            ),
         )
         outcome = SimulationOutcome(
             method=protocol.name,

@@ -70,11 +70,10 @@ class EncodedQueryBatch:
         return self.wbf.revision
 
     def size_bytes(self) -> int:
-        """Estimate-model size of the batch (the contained WBF's estimate).
+        """Storage-model size of the batch (the contained WBF's).
 
-        The simulator charges the *real* wire encoding
-        (``repro.wire.encoded_size``); this estimate remains as the
-        cross-checked baseline of the legacy cost model.
+        Messages are charged the *real* wire encoding
+        (``repro.wire.encoded_size``), never this.
         """
         return self.wbf.size_bytes()
 

@@ -430,8 +430,7 @@ class WeightedBloomFilter:
         marginally larger than a plain Bloom filter of the same length — the storage
         trade-off discussed with Figure 4(d).  The *real* encoded size charged by
         the simulator comes from ``repro.wire`` (same structure: canonical bits, a
-        sorted weight table, per-set-bit index lists); the test suite holds this
-        estimate within a documented factor of it.
+        sorted weight table, per-set-bit index lists).
         """
         weight_pointer_bytes = 2
         pointer_entries = sum(len(attached) for attached in self._weights.values())

@@ -107,20 +107,17 @@ def _artifact_bit_backend(artifact: object) -> str:
 
 def export_shared_artifact(
     artifact: object,
-) -> "tuple[SharedArtifactToken, shared_memory.SharedMemory] | None":
+) -> "tuple[SharedArtifactToken, shared_memory.SharedMemory]":
     """Encode ``artifact`` once and park the bytes in a shared-memory segment.
 
-    Returns ``None`` when the artifact has no wire encoding (raw in-memory
-    baselines) — the caller then falls back to pickling it per shard.  The
-    caller owns the returned segment and must ``close()`` + ``unlink()`` it
-    once every worker has finished the round.
+    Raises :class:`~repro.wire.errors.UnsupportedWireTypeError` when the
+    artifact has no wire encoding.  The caller owns the returned segment and
+    must ``close()`` + ``unlink()`` it once every worker has finished the
+    round.
     """
     from repro import wire
 
-    try:
-        data = wire.encode_cached(artifact)
-    except wire.UnsupportedWireTypeError:
-        return None
+    data = wire.encode_cached(artifact)
     segment = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
     segment.buf[: len(data)] = data
     token = SharedArtifactToken(
@@ -294,15 +291,10 @@ class ShardedStationRunner:
         shards = partition_round_robin(count, shard_count)
         jobs = [[payload[index] for index in indices] for indices in shards]
         pool = self._ensure_pool()
-        exported = (
-            export_shared_artifact(artifact)
-            if self._executor == "process" and artifact is not None
-            else None
-        )
-        if exported is not None:
+        if self._executor == "process" and artifact is not None:
             # Shared-memory handoff: one encode of the artifact total, a tiny
             # token per shard, instead of pickling the artifact per submission.
-            token, segment = exported
+            token, segment = export_shared_artifact(artifact)
             try:
                 futures = [
                     pool.submit(_match_shard_shared, protocol, job, token) for job in jobs

@@ -1,20 +1,17 @@
 """Messages exchanged between the data center and base stations.
 
-Since the wire codec (:mod:`repro.wire`) landed, a message's ``size_bytes()``
-is the length of its *actual* binary encoding — header, routing fields and the
-canonically encoded payload — not a per-field estimate.  The old estimate
-model survives as :meth:`Message.estimated_size_bytes`: it is cross-checked
-against the codec in the test suite and remains the fallback for payload
-objects outside the protocol vocabulary (raw in-memory baselines).
+A message's ``size_bytes()`` is the length of its actual binary encoding
+(:mod:`repro.wire`): header, routing fields and the canonically encoded
+payload.  The codec is the only byte model, so a payload outside its
+vocabulary has no size: charging or sending it raises
+:class:`~repro.wire.errors.UnsupportedWireTypeError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES, estimate_size_bytes
 from repro.wire.codec import (
     decode,
     encode,
@@ -23,49 +20,7 @@ from repro.wire.codec import (
     message_frame,
     object_revision,
 )
-from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
-
-#: Number of times byte accounting fell back from real codec bytes to the
-#: estimate model since the last :func:`reset_estimated_size_fallbacks`.
-_estimate_fallbacks = 0
-_fallback_warned = False
-
-
-def _note_estimate_fallback(payload: object) -> None:
-    """Record (and warn once about) an estimate-model fallback.
-
-    Mixing estimated and real bytes in one cost ledger is legitimate only for
-    payloads deliberately outside the wire vocabulary (raw in-memory
-    baselines); it must never happen silently, so the first fallback of a
-    process warns and every fallback increments a counter the round engine
-    copies onto its :class:`~repro.distributed.metrics.CostReport`.
-    """
-    global _estimate_fallbacks, _fallback_warned
-    _estimate_fallbacks += 1
-    if not _fallback_warned:
-        _fallback_warned = True
-        warnings.warn(
-            "Message byte accounting fell back to the estimate model for a "
-            f"{type(payload).__name__} payload with no wire encoding; real and "
-            "estimated bytes are now mixed in this process's cost ledgers "
-            "(reported once; see CostReport.extra['estimated_size_fallbacks'] "
-            "for per-round counts)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def estimated_size_fallbacks() -> int:
-    """Total estimate-model fallbacks recorded since the last reset."""
-    return _estimate_fallbacks
-
-
-def reset_estimated_size_fallbacks() -> int:
-    """Zero the fallback counter, returning the count it held."""
-    global _estimate_fallbacks
-    count = _estimate_fallbacks
-    _estimate_fallbacks = 0
-    return count
+from repro.wire.errors import WireFormatError
 
 
 class MessageKind(str, Enum):
@@ -169,12 +124,12 @@ class Message:
         return data
 
     def payload_bytes(self) -> int:
-        """Serialized size of the payload alone (real codec bytes when possible)."""
-        try:
-            return len(self.payload_wire())
-        except UnsupportedWireTypeError:
-            _note_estimate_fallback(self.payload)
-            return estimate_size_bytes(self.payload)
+        """Serialized size of the payload alone, in real codec bytes.
+
+        Raises :class:`~repro.wire.errors.UnsupportedWireTypeError` when the
+        payload has no wire encoding.
+        """
+        return len(self.payload_wire())
 
     def size_bytes(self) -> int:
         """Total on-the-wire size: the length of the actual binary encoding.
@@ -182,37 +137,23 @@ class Message:
         The envelope portion is computed arithmetically around the memoized
         payload encoding, so charging a broadcast of N station messages that
         share one artifact costs one payload encode total and never
-        materializes per-message envelope copies.  Falls back to the
-        estimate-based model (fixed envelope overhead plus per-field estimate)
-        only when the payload cannot be wire-encoded.
+        materializes per-message envelope copies.  Raises
+        :class:`~repro.wire.errors.UnsupportedWireTypeError` when the payload
+        has no wire encoding.
         """
-        try:
-            payload_size = len(self.payload_wire())
-        except UnsupportedWireTypeError:
-            _note_estimate_fallback(self.payload)
-            return self.estimated_size_bytes()
-        return message_envelope_size(self.sender, self.recipient, payload_size)
-
-    def estimated_size_bytes(self) -> int:
-        """The legacy constant-per-field cost model (envelope + payload estimate).
-
-        Kept as a cross-checked baseline: the test suite asserts it stays
-        within a documented factor of the real encoding for protocol payloads.
-        """
-        return MESSAGE_OVERHEAD_BYTES + estimate_size_bytes(self.payload)
+        return message_envelope_size(
+            self.sender, self.recipient, len(self.payload_wire())
+        )
 
     def __repr__(self) -> str:
-        # repr must stay cheap: show the real size when the payload encoding
-        # is already cached, otherwise the estimate — never encode a large
-        # artifact as a printing side effect.
+        # repr must stay cheap and never raise: it shows the real size only
+        # when the payload block is already memoized, and never encodes a
+        # large artifact (or trips on an unencodable payload) as a printing
+        # side effect.
+        size = ""
         if self._payload_wire_cache is not None:
-            size = self.size_bytes()
-        else:
-            try:
-                size = self.estimated_size_bytes()
-            except TypeError:
-                size = -1  # payload outside even the estimate model's shapes
+            size = f", bytes={self.size_bytes()}"
         return (
-            f"Message({self.sender!r} -> {self.recipient!r}, kind={self.kind.value}, "
-            f"bytes={size})"
+            f"Message({self.sender!r} -> {self.recipient!r}, "
+            f"kind={self.kind.value}{size})"
         )

@@ -9,7 +9,7 @@ report communication and storage as a fraction of the naive method, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class CostReport:
     #: region in tier-map order).  Empty for flat-star rounds, so flat
     #: payloads and ledgers keep their historical shape.
     tiers: tuple[TierCost, ...] = ()
-    extra: dict[str, float] = field(default_factory=dict)
 
     @property
     def communication_bytes(self) -> int:

@@ -37,6 +37,9 @@ its frames instead of through the event loop, with the same transcript.
 A frame travels as its envelope head plus its payload block: every frame of a
 broadcast shares the one payload ``bytes`` object, which the receivers' decode
 cache finds the artifact by.  Only a corrupted copy is joined into one buffer.
+A message whose payload has no wire encoding fails its phase with
+:class:`~repro.wire.errors.UnsupportedWireTypeError` before any frame of the
+phase is sent.
 
 Every frame event is recorded as a
 :class:`~repro.distributed.events.TranscriptEntry`; the canonical transcript
@@ -72,7 +75,7 @@ from repro.distributed.transport.base import (
 )
 from repro.utils.validation import require_non_negative, require_positive
 from repro.wire.codec import envelope_head
-from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
+from repro.wire.errors import WireFormatError
 
 __all__ = [
     "FrameStats",
@@ -146,8 +149,8 @@ class _Transfer:
         message: Message,
         receiver: Node | None,
         direction: str,
-        head: bytes | None,
-        payload: bytes | None,
+        head: bytes,
+        payload: bytes,
         size: int,
         occupancy: float,
     ) -> None:
@@ -364,30 +367,24 @@ class SimulatedNetwork(Transport):
 
     def _frames(
         self, sends: list[tuple[Message, Node | None]]
-    ) -> tuple[list[bytes | None], list[bytes | None], list[int]]:
+    ) -> tuple[list[bytes], list[bytes], list[int]]:
         """Each send's envelope head, payload block and size, in send order.
 
         Consecutive messages carrying one payload object at one wire version
         — a broadcast's artifact — share its block, looked up once.  A payload
-        outside the wire vocabulary has no head or block; it travels as an
-        object and is charged its estimated size.
+        outside the wire vocabulary raises
+        :class:`~repro.wire.errors.UnsupportedWireTypeError` here, before the
+        phase sends anything.
         """
-        heads: list[bytes | None] = []
-        payloads: list[bytes | None] = []
+        heads: list[bytes] = []
+        payloads: list[bytes] = []
         sizes: list[int] = []
         shared = _NO_PAYLOAD
         shared_version = block = None
         try:
             for message, _receiver in sends:
                 if message.payload is not shared or message.wire_version != shared_version:
-                    try:
-                        block = message.payload_wire()
-                    except UnsupportedWireTypeError:
-                        sizes.append(message.size_bytes())
-                        heads.append(None)
-                        payloads.append(None)
-                        shared = _NO_PAYLOAD
-                        continue
+                    block = message.payload_wire()
                     shared = message.payload
                     shared_version = message.wire_version
                 head = envelope_head(message, len(block))
@@ -467,8 +464,8 @@ class SimulatedNetwork(Transport):
         sends: list[tuple[Message, Node | None]],
         direction: str,
         first_id: int,
-        heads: list[bytes | None],
-        payloads: list[bytes | None],
+        heads: list[bytes],
+        payloads: list[bytes],
         sizes: list[int],
     ) -> PhaseOutcome:
         """Run a phase in which no frame can be lost: no transfer, no event.
@@ -542,14 +539,10 @@ class SimulatedNetwork(Transport):
             head = heads[index]
             payload = payloads[index]
             if receiver is not None:
-                if payload is not None:
-                    receiver.receive_frame(head, payload, backend)
-                else:
-                    receiver.receive(sends[index][0])
+                receiver.receive_frame(head, payload, backend)
             self._frames_delivered += 1
             self._payload_bytes_delivered += size
-            if payload is not None:
-                record(direction, recipient if downlink else sender, head, payload)
+            record(direction, recipient if downlink else sender, head, payload)
             append(
                 _new_row(
                     TranscriptEntry,
@@ -628,11 +621,8 @@ class SimulatedNetwork(Transport):
         if injector is not None:
             blackout = injector.blackout_window(transfer.station)
             lost_to_blackout = blackout is not None and blackout[0] <= start < blackout[1]
-        # Corruption needs bytes to flip; a payload outside the codec's
-        # vocabulary travels as an opaque object, so the fault degrades to loss.
-        lost_to_fault = faults.drop or (faults.corrupt and transfer.payload is None)
         arrival = None
-        if lost_to_blackout or lost_to_fault:
+        if lost_to_blackout or faults.drop:
             self._frames_dropped += 1
             self._record(start, "blackout" if lost_to_blackout else "drop", transfer, attempt)
         else:
@@ -668,7 +658,7 @@ class SimulatedNetwork(Transport):
         if arrival is None or faults.corrupt or arrival > timer_at:
             self._loop.schedule(timer_at, self._schedule_attempt, transfer, True)
 
-    def _on_arrival(self, time_s: float, transfer: _Transfer, data: bytes | None) -> None:
+    def _on_arrival(self, time_s: float, transfer: _Transfer, data: bytes) -> None:
         if transfer.delivered or transfer.failed:
             # A duplicate emission, a spurious retransmission, or a reordered
             # frame landing after the transfer was resolved.
@@ -700,14 +690,11 @@ class SimulatedNetwork(Transport):
             if data is not payload:
                 # A copy the checksum passed is decoded in full.
                 receiver.receive_wire(data, backend=self._decode_backend)
-            elif payload is not None:
-                receiver.receive_frame(transfer.head, payload, self._decode_backend)
             else:
-                receiver.receive(transfer.message)
+                receiver.receive_frame(transfer.head, payload, self._decode_backend)
         transfer.delivered = True
         transfer.resolved_at = time_s
         self._frames_delivered += 1
         self._payload_bytes_delivered += transfer.size
-        if payload is not None:
-            self._delivered.record(transfer.direction, transfer.station, transfer.head, payload)
+        self._delivered.record(transfer.direction, transfer.station, transfer.head, payload)
         self._record(time_s, "deliver", transfer, transfer.attempts)

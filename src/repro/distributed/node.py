@@ -9,14 +9,12 @@ from repro.wire.codec import decode_frame
 class Node:
     """A named participant in the simulated environment with an inbox.
 
-    Nodes receive traffic in one of two forms: already-decoded
-    :class:`~repro.distributed.messages.Message` objects (:meth:`receive`, the
-    in-memory fallback for payloads outside the wire vocabulary) or raw wire
-    bytes — a frame as an envelope head plus its payload block
-    (:meth:`receive_frame`, the path the simulated transport uses) or as one
-    buffer (:meth:`receive_wire`, the TCP backend's in-process replay).
-    Every frame a node accepts has passed through the real binary decode, so
-    a corrupted frame surfaces as a typed
+    Transports deliver raw wire bytes: a frame as an envelope head plus its
+    payload block (:meth:`receive_frame`, the path the simulated transport
+    uses) or as one buffer (:meth:`receive_wire`, the TCP backend's
+    in-process replay).  Both decode and then hand the message to
+    :meth:`receive`.  Every message a transport delivers has passed through
+    the real binary decode, so a corrupted frame surfaces as a typed
     :class:`~repro.wire.errors.WireFormatError` here, never as wrong data.
     """
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro import wire
 from repro.core.protocol import RankedResults
 from repro.distributed.events import TranscriptEntry, transcript_to_bytes
-from repro.utils.serialization import estimate_size_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checking only
     from repro.distributed.metrics import CostReport
@@ -111,10 +110,7 @@ class RoundOptions:
 
 
 def _artifact_size_bytes(artifact: object | None) -> int:
-    """Actual encoded size of a distributed artifact (estimate as fallback)."""
+    """Actual encoded size of a distributed artifact (0 when there is none)."""
     if artifact is None:
         return 0
-    try:
-        return wire.encoded_size(artifact)
-    except wire.UnsupportedWireTypeError:
-        return estimate_size_bytes(artifact)
+    return wire.encoded_size(artifact)

@@ -223,8 +223,8 @@ class Transport(abc.ABC):
         The conformance battery compares these across backends: for a
         fault-free plan the exact wire bytes each station's report (uplink) or
         artifact copy (downlink) delivered must be identical on the simulator
-        and over real sockets.  Messages outside the wire vocabulary (the
-        simulator's in-memory fallback path) contribute no entry.
+        and over real sockets.  Every delivered message is a frame: a payload
+        outside the wire vocabulary fails its phase before anything is sent.
         """
 
     # -- lifecycle ---------------------------------------------------------------

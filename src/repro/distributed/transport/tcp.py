@@ -65,7 +65,7 @@ from repro.distributed.transport.base import (
     PhaseOutcome,
     Transport,
 )
-from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
+from repro.wire.errors import WireFormatError
 from repro.wire.stream import FrameStreamDecoder, encode_stream_frame
 
 #: Socket read chunk size for the center server and the proxy pumps.
@@ -137,13 +137,9 @@ class _TcpTransfer:
         self.message = message
         self.receiver = receiver
         self.direction = direction
-        try:
-            payload: bytes | None = message.to_wire()
-        except UnsupportedWireTypeError:
-            payload = None
-        self.payload = payload
-        self.size = len(payload) if payload is not None else message.size_bytes()
-        self.crc = zlib.crc32(payload) if payload is not None else 0
+        self.payload = message.to_wire()
+        self.size = len(self.payload)
+        self.crc = zlib.crc32(self.payload)
         self.station = message.recipient if direction == "downlink" else message.sender
         self.attempts = 0
         self.delivered = False
@@ -611,14 +607,10 @@ class TcpTransport(Transport):
             if not transfer.delivered:
                 continue
             if transfer.receiver is not None:
-                if transfer.payload is not None:
-                    transfer.receiver.receive_wire(
-                        transfer.payload, backend=self._decode_backend
-                    )
-                else:
-                    transfer.receiver.receive(transfer.message)
-            if transfer.payload is not None:
-                self._delivered.record(direction, transfer.station, transfer.payload)
+                transfer.receiver.receive_wire(
+                    transfer.payload, backend=self._decode_backend
+                )
+            self._delivered.record(direction, transfer.station, transfer.payload)
 
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:
@@ -698,15 +690,20 @@ class TcpTransport(Transport):
     async def _phase(
         self, sends: list[tuple[Message, Node | None]], direction: str
     ) -> list[_TcpTransfer]:
+        # Every frame is built before anything is sent: a message whose
+        # payload has no wire encoding raises here, like the simulator's, and
+        # leaves only the messages before it counted as offered.
+        transfers: list[_TcpTransfer] = []
+        for message, receiver in sends:
+            transfers.append(
+                _TcpTransfer(self._next_frame_id, message, receiver, direction)
+            )
+            self._next_frame_id += 1
+            self._message_count += 1
         await self._manager.set_active(self)
         self._phase_started = time.monotonic()
         self._quiet = asyncio.Event()
-        transfers: list[_TcpTransfer] = []
-        for message, receiver in sends:
-            transfer = _TcpTransfer(self._next_frame_id, message, receiver, direction)
-            self._next_frame_id += 1
-            self._message_count += 1
-            transfers.append(transfer)
+        for transfer in transfers:
             self._transfers[transfer.frame_id] = transfer
         self._transcript.append(
             TranscriptEntry(
@@ -721,16 +718,10 @@ class TcpTransport(Transport):
                 size_bytes=0,
             )
         )
-        stations_needed = {t.station for t in transfers if t.payload is not None}
-        await self._manager.ensure_stations(stations_needed)
+        await self._manager.ensure_stations({t.station for t in transfers})
         tasks = []
         for transfer in transfers:
-            if transfer.payload is None:
-                # Messages outside the wire vocabulary cannot cross a socket;
-                # they resolve through the in-memory fallback with the same
-                # per-attempt fault accounting the simulator applies.
-                self._local_fallback(transfer)
-            elif direction == "downlink":
+            if direction == "downlink":
                 tasks.append(asyncio.ensure_future(self._drive_downlink(transfer)))
             else:
                 tasks.append(asyncio.ensure_future(self._drive_uplink(transfer)))
@@ -817,38 +808,6 @@ class TcpTransport(Transport):
             transfer.resolved_at = self._elapsed()
             self._timeout_count += 1
             self._record("timeout", transfer)
-
-    def _local_fallback(self, transfer: _TcpTransfer) -> None:
-        """In-memory delivery for non-wire payloads, with sim-parity accounting."""
-        for attempt in range(1, self._config.max_attempts + 1):
-            transfer.attempts = attempt
-            if attempt > 1:
-                self._retransmit_count += 1
-                self._record("retransmit", transfer, attempt=attempt)
-            self._charge(transfer.direction, transfer.size)
-            self._record("send", transfer, attempt=attempt)
-            faults = self._injector.frame_faults(transfer.frame_id, attempt)
-            # An opaque payload has no bytes to flip: corruption degrades to
-            # loss, exactly like the simulator's non-wire path.
-            if faults.drop or faults.corrupt:
-                self._frames_dropped += 1
-                self._record("drop", transfer, attempt=attempt)
-                continue
-            transfer.delivered = True
-            transfer.resolved_at = self._elapsed()
-            self._frames_delivered += 1
-            self._payload_bytes_delivered += transfer.size
-            self._record("deliver", transfer, attempt=attempt)
-            if faults.duplicate:
-                self._charge(transfer.direction, transfer.size)
-                self._record("dup-send", transfer, attempt=attempt)
-                self._frames_duplicate += 1
-                self._record("duplicate", transfer, attempt=attempt)
-            return
-        transfer.failed = True
-        transfer.resolved_at = self._elapsed()
-        self._timeout_count += 1
-        self._record("timeout", transfer)
 
     # -- the byte-level fault proxy (loop thread, called from the pumps) ---------
 

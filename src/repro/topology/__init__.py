@@ -27,7 +27,6 @@ from repro.topology.router import (
 )
 from repro.topology.spec import TOPOLOGY_KINDS, TopologySpec
 from repro.topology.tiers import Region, TierMap, build_tier_map, region_slices
-from repro.topology.versioning import RollingUpgrade
 
 __all__ = [
     "TOPOLOGY_KINDS",
@@ -38,7 +37,6 @@ __all__ = [
     "region_slices",
     "RegionalAggregator",
     "dedupe_weighted_reports",
-    "RollingUpgrade",
     "TwoTierDeltaResult",
     "TwoTierRoundResult",
     "run_two_tier_round",

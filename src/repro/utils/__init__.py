@@ -7,12 +7,7 @@ them without import cycles.
 # make_rng/spawn_rngs construct NumPy generators lazily, so this import works
 # without NumPy; only calling them then raises.
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
-from repro.utils.serialization import (
-    estimate_size_bytes,
-    sizeof_float,
-    sizeof_id,
-    sizeof_int,
-)
+from repro.utils.serialization import sizeof_float, sizeof_id, sizeof_int
 from repro.utils.validation import (
     require_in_range,
     require_non_empty,
@@ -26,7 +21,6 @@ __all__ = [
     "derive_seed",
     "make_rng",
     "spawn_rngs",
-    "estimate_size_bytes",
     "sizeof_float",
     "sizeof_id",
     "sizeof_int",

@@ -1,17 +1,13 @@
-"""Byte-size accounting used by the simulated distributed environment.
+"""Storage-size accounting for patterns, reports and filters.
 
-The paper reports communication and storage cost as message/data volume relative to
-the naive approach.  We model message sizes with a simple, explicit cost model: a
-fixed number of bytes per integer, per float and per identifier.  The model is
-deliberately simple — the experiments only depend on *relative* sizes (a WBF plus a
-handful of (id, weight) pairs versus full raw time series), which any reasonable
-constant-per-field model preserves.
+Message bytes on the backhaul are always real codec bytes
+(:meth:`repro.distributed.messages.Message.size_bytes`).  What stations and
+the center keep in memory is sized with a simple, explicit model instead: a
+fixed number of bytes per integer, per float and per identifier, which the
+``size_bytes()`` methods of patterns, reports and filters use.
 """
 
 from __future__ import annotations
-
-from enum import Enum
-from typing import Any, Iterable, Mapping
 
 #: Bytes charged for one integer field (e.g. a pattern value or a timestamp).
 INT_BYTES = 4
@@ -19,14 +15,6 @@ INT_BYTES = 4
 FLOAT_BYTES = 8
 #: Bytes charged for one identifier (user id, station id).
 ID_BYTES = 8
-#: Fixed per-message envelope overhead (headers, routing).
-MESSAGE_OVERHEAD_BYTES = 32
-
-#: Documented accuracy bound of the estimate model against the real codec: for
-#: protocol payloads (WBF dissemination batches, report lists), the estimate
-#: stays within this multiplicative factor of ``len(repro.wire.encode(x))`` in
-#: both directions.  Enforced by ``tests/unit/utils/test_serialization.py``.
-ESTIMATE_ACCURACY_FACTOR = 4.0
 
 
 def sizeof_int(count: int = 1) -> int:
@@ -42,41 +30,3 @@ def sizeof_float(count: int = 1) -> int:
 def sizeof_id(count: int = 1) -> int:
     """Size in bytes of ``count`` identifier fields."""
     return ID_BYTES * count
-
-
-def estimate_size_bytes(payload: Any) -> int:
-    """Recursively estimate the serialized size of a plain-data payload.
-
-    Supports the payload shapes used by the message layer: ``None``, bools, ints,
-    floats, strings, bytes and nested lists/tuples/dicts of those.  Objects exposing
-    a ``size_bytes()`` method (e.g. Bloom filters, patterns) are charged that size.
-    """
-    if payload is None:
-        return 0
-    if hasattr(payload, "size_bytes") and callable(payload.size_bytes):
-        return int(payload.size_bytes())
-    # Enum members subclass their value type (str-enums are str, int-enums are
-    # int), so they must be unwrapped *before* the bool/int/str chain below —
-    # otherwise a kind field would be charged as the length of its string value
-    # on one code path and as a plain int on another.  Like bool-before-int,
-    # order matters here.
-    if isinstance(payload, Enum):
-        return estimate_size_bytes(payload.value)
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return INT_BYTES
-    if isinstance(payload, float):
-        return FLOAT_BYTES
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, Mapping):
-        return sum(
-            estimate_size_bytes(key) + estimate_size_bytes(value)
-            for key, value in payload.items()
-        )
-    if isinstance(payload, Iterable):
-        return sum(estimate_size_bytes(item) for item in payload)
-    raise TypeError(f"cannot estimate size of {type(payload).__name__}")

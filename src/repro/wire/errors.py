@@ -18,6 +18,6 @@ class WireFormatError(ReproError):
 class UnsupportedWireTypeError(WireFormatError):
     """Raised when an object has no registered wire encoding.
 
-    Callers that accept arbitrary payloads (e.g. the message layer) catch this
-    and fall back to the estimate-based cost model.
+    The codec is the only byte model: the message layer and both transports
+    let this propagate, so such a payload is never charged or sent.
     """

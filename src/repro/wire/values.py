@@ -45,8 +45,8 @@ def write_value(out: bytearray, value: object) -> None:
 
     Raises :class:`UnsupportedWireTypeError` for types without a wire encoding
     *and* for integers / fraction components outside the wire's 64-bit numeric
-    range — both mean "this payload cannot travel in this format", and callers
-    (e.g. the message layer) fall back to the estimate model for either.
+    range — both mean "this payload cannot travel in this format", and a
+    message carrying either fails to size or send.
     """
     try:
         _write_value_checked(out, value)

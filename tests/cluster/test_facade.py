@@ -138,6 +138,30 @@ class TestRounds:
                 transcripts.append(deployed.transcript_bytes())
         assert transcripts[0] == transcripts[1]
 
+    def test_a_pattern_the_wire_cannot_carry_fails_the_round(self):
+        # A naive round uploads raw pattern values; one beyond the wire's
+        # 64-bit range has no encoding, so the round raises instead of
+        # charging the upload an estimate.
+        from repro.datagen.mobility import UserMobility
+        from repro.datagen.workload import DistributedDataset, UserProfile
+        from repro.timeseries.pattern import LocalPattern
+        from repro.timeseries.query import QueryPattern
+        from repro.wire.errors import UnsupportedWireTypeError
+
+        mobility = UserMobility("u", "bs-0", "bs-1", "bs-0")
+        local = {
+            "bs-0": {"u": LocalPattern("u", [1], "bs-0")},
+            "bs-1": {"u": LocalPattern("u", [2**70], "bs-1")},
+        }
+        dataset = DistributedDataset(
+            ["bs-0", "bs-1"], {"u": UserProfile("u", "student", mobility)}, local, 1, 24
+        )
+        spec = ClusterSpec(name="oversized", protocol=ProtocolSpec(method="naive"))
+        with Cluster(spec, dataset=dataset) as deployed:
+            deployed.subscribe([QueryPattern("q", [LocalPattern("u", [1], "bs-0")])])
+            with pytest.raises(UnsupportedWireTypeError, match="64-bit"):
+                deployed.round()
+
 
 class TestPublishSubscribe:
     def test_publish_replaces_a_station(self, cluster):

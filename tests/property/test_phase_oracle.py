@@ -9,8 +9,8 @@ automatic retransmit timeout in one pass, with no transfer or event.  Both
 must leave the same transcript, ledger, byte and message counts, delivered
 frames, decoded inboxes, phase outcomes and raised errors, over station
 counts at and around the matching kernel's 128-row threshold, both wire
-versions, receivers that are absent or raise, opaque payloads, two frames on
-one link, every fault profile and both partial modes.
+versions, receivers that are absent or raise, two frames on one link, every
+fault profile and both partial modes.
 
 ``decode_frame(head, payload)`` is checked against
 ``Message.from_wire(head + payload)`` on intact, truncated, flipped,
@@ -24,7 +24,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.distributed.messages as messages_module
 import repro.wire.codec as codec
 from repro.core.protocol import MatchReport
 from repro.core.wbf import WeightedBloomFilter
@@ -272,19 +271,6 @@ def _artifact() -> WeightedBloomFilter:
 ARTIFACT = _artifact()
 
 
-class _Opaque:
-    """A payload outside the wire vocabulary, charged by the estimate model."""
-
-    def __init__(self, tag: int) -> None:
-        self.tag = tag
-
-    def size_bytes(self) -> int:
-        return 40 + self.tag
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Opaque) and other.tag == self.tag
-
-
 def _station_ids(count: int) -> list[str]:
     # Ids of 6 down to 4 characters: longer frames are sent first, so a
     # downlink's arrival order differs from its send order.
@@ -331,7 +317,6 @@ def _observe(network_cls, phases, config=None, plan=None, seed=0, partial=False)
     ``phases`` is a list of ``(direction, build)`` pairs; ``build()`` returns
     fresh sends, so each path delivers into its own receivers.
     """
-    messages_module.reset_estimated_size_fallbacks()
     network = network_cls(config, fault_plan=plan, seed=seed, allow_partial=partial)
     outcomes, inboxes = [], []
     for direction, build in phases:
@@ -361,7 +346,6 @@ def _observe(network_cls, phases, config=None, plan=None, seed=0, partial=False)
         ),
         "outcomes": outcomes,
         "inboxes": inboxes,
-        "fallbacks": messages_module.reset_estimated_size_fallbacks(),
     }
 
 
@@ -371,14 +355,6 @@ def _assert_same(phases, **network_args):
     for key in want:
         assert got[key] == want[key], key
     return got
-
-
-@pytest.fixture(autouse=True)
-def quiet_fallback_warning():
-    warned = messages_module._fallback_warned
-    messages_module._fallback_warned = True
-    yield
-    messages_module._fallback_warned = warned
 
 
 # -- fault-free phases: the one-pass path ------------------------------------------
@@ -408,15 +384,14 @@ class TestFaultFreePhases:
         ]
         assert delivered == ["bs-2", "bs-4", "bs-30", "bs-100"]
 
-    def test_absent_receivers_and_opaque_payloads(self):
+    def test_absent_receivers(self):
         stations = _station_ids(9)
 
         def downlink():
             sends = []
             for index, station in enumerate(stations):
-                payload = _Opaque(index) if index % 4 == 1 else ARTIFACT
                 receiver = None if index % 3 == 2 else Node(station)
-                message = Message("dc", station, MessageKind.FILTER_DISSEMINATION, payload)
+                message = Message("dc", station, MessageKind.FILTER_DISSEMINATION, ARTIFACT)
                 sends.append((message, receiver))
             return sends
 
@@ -424,19 +399,14 @@ class TestFaultFreePhases:
             center = Node("dc")
             return [
                 (
-                    Message(
-                        station,
-                        "dc",
-                        MessageKind.MATCH_REPORT,
-                        _Opaque(index) if index % 2 else _reports(index),
-                    ),
+                    Message(station, "dc", MessageKind.MATCH_REPORT, _reports(index)),
                     None if index % 3 == 0 else center,
                 )
                 for index, station in enumerate(stations)
             ]
 
         got = _assert_same([("downlink", downlink), ("uplink", uplink)])
-        assert got["fallbacks"] > 0
+        assert got["stats"].frames_delivered == 2 * len(stations)
 
     def test_two_frames_on_one_link(self):
         stations = ["bs-1", "bs-2", "bs-1", "bs-3", "bs-2"]

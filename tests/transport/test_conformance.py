@@ -24,8 +24,16 @@ from repro.distributed.basestation import BaseStationNode
 from repro.distributed.datacenter import DataCenterNode
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import NetworkConfig, SimulatedNetwork
+from repro.wire.errors import UnsupportedWireTypeError
 from repro.workloads import get_scenario, run_workload
 
+from ..unit.distributed.test_unencodable_payloads import (
+    SENDS_BEFORE,
+    UNENCODABLE,
+    downlink_sends,
+    refused_phase_ledger,
+    uplink_sends,
+)
 from .conftest import open_cluster
 from .util import generous
 
@@ -230,6 +238,76 @@ class TestDeliveredWireBytes:
         assert tcp["stats"].frames_sent == tcp["stats"].frames_delivered
         assert tcp["downlink_bytes"] == sim["downlink_bytes"]
         assert tcp["uplink_bytes"] == sim["uplink_bytes"]
+
+
+class TestUnencodablePayloads:
+    """A payload the codec refuses fails its phase on TCP as on the simulator.
+
+    Both transports raise before any frame of the phase is sent and leave the
+    same ledger; the TCP transport then serves its next phase normally.
+    """
+
+    @pytest.fixture(scope="class")
+    def manager(self):
+        from repro.distributed.transport.tcp import TcpTransportManager
+
+        manager = TcpTransportManager(NetworkConfig(), connect_timeout_s=generous(30.0))
+        yield manager
+        manager.shutdown()
+
+    @staticmethod
+    def _refuse(network, direction, shape):
+        sends = (downlink_sends if direction == "downlink" else uplink_sends)(
+            UNENCODABLE[shape]()
+        )
+        run = network.broadcast if direction == "downlink" else network.gather
+        with pytest.raises(UnsupportedWireTypeError):
+            run(sends)
+        assert all(receiver.inbox == [] for _message, receiver in sends)
+
+    @pytest.mark.parametrize("direction", ["downlink", "uplink"])
+    @pytest.mark.parametrize("shape", sorted(UNENCODABLE))
+    def test_refused_phase_leaves_the_simulators_ledger(self, manager, shape, direction):
+        ledgers = {}
+        for backend, network in (
+            ("sim", SimulatedNetwork(fault_plan="none", seed=5)),
+            ("tcp", manager.create_transport(fault_plan="none", seed=5)),
+        ):
+            try:
+                self._refuse(network, direction, shape)
+                ledgers[backend] = refused_phase_ledger(network)
+            finally:
+                network.close()
+        assert ledgers["tcp"] == ledgers["sim"]
+        assert ledgers["tcp"]["message_count"] == SENDS_BEFORE
+        assert ledgers["tcp"]["transcript"] == ()
+
+    def test_the_next_phase_is_served_normally(self, manager):
+        seen = {}
+        for backend, network in (
+            ("sim", SimulatedNetwork(fault_plan="none", seed=5)),
+            ("tcp", manager.create_transport(fault_plan="none", seed=5)),
+        ):
+            try:
+                self._refuse(network, "downlink", "dict")
+                sends = uplink_sends([])[SENDS_BEFORE + 1 :]
+                outcome = network.gather(sends)
+                seen[backend] = {
+                    "delivered_ids": outcome.delivered_ids,
+                    "inbox": sends[0][1].inbox,
+                    "rows": [
+                        (row.event, row.frame_id, row.size_bytes)
+                        for row in network.transcript
+                    ],
+                    "message_count": network.message_count,
+                    "uplink_bytes": network.uplink_bytes,
+                    "stats": network.frame_stats(),
+                    "delivered": network.delivered_payloads("uplink"),
+                }
+            finally:
+                network.close()
+        assert seen["tcp"] == seen["sim"]
+        assert seen["tcp"]["delivered_ids"] == (f"bs-{SENDS_BEFORE + 1}",)
 
 
 class TestScenarioDrives:

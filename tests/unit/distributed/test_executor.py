@@ -236,10 +236,12 @@ class TestSharedArtifactHandoff:
             segment.close()
             segment.unlink()
 
-    def test_unencodable_artifact_falls_back_to_pickling(self):
+    def test_unencodable_artifact_raises(self):
         from repro.distributed.executor import export_shared_artifact
+        from repro.wire.errors import UnsupportedWireTypeError
 
-        assert export_shared_artifact(object()) is None
+        with pytest.raises(UnsupportedWireTypeError):
+            export_shared_artifact(object())
 
     def test_process_round_matches_serial(self, small_dataset, small_workload, exact_config):
         protocol = DIMatchingProtocol(exact_config)

@@ -8,7 +8,6 @@ import pytest
 from repro import wire
 from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import LocalPattern
-from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES
 from repro.wire import codec
 
 
@@ -36,16 +35,6 @@ class TestMessage:
             head = codec.envelope_head(message, len(block))
             assert head + block == frame == message.to_wire()
             assert len(head) + len(block) == message.size_bytes()
-
-    def test_estimated_size_keeps_legacy_overhead_model(self):
-        message = Message("a", "b", MessageKind.CONTROL, payload=None)
-        assert message.estimated_size_bytes() == MESSAGE_OVERHEAD_BYTES
-        pattern = LocalPattern("u", [1, 2, 3], "bs")
-        report = Message("bs", "center", MessageKind.MATCH_REPORT, payload=[pattern])
-        assert (
-            report.estimated_size_bytes()
-            == MESSAGE_OVERHEAD_BYTES + pattern.size_bytes()
-        )
 
     def test_payload_bytes_for_pattern_payload(self):
         pattern = LocalPattern("u", [1, 2, 3], "bs")
@@ -81,15 +70,6 @@ class TestMessage:
         with pytest.raises(wire.WireFormatError):
             Message.from_wire(wire.encode([LocalPattern("u", [1], "bs")]))
 
-    def test_unencodable_payload_falls_back_to_estimate(self):
-        class Opaque:
-            def size_bytes(self) -> int:
-                return 123
-
-        message = Message("a", "b", MessageKind.CONTROL, payload=Opaque())
-        assert message.payload_bytes() == 123
-        assert message.size_bytes() == MESSAGE_OVERHEAD_BYTES + 123
-
     def test_stays_a_frozen_hashable_dataclass(self):
         message = Message("bs", "center", MessageKind.MATCH_REPORT, (1, 2, 3), 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -123,70 +103,8 @@ class TestMessage:
         assert "'a'" in repr(message) and "'b'" in repr(message)
 
 
-class TestEstimateFallbackAccounting:
-    """Falling back from codec bytes to the estimate model is counted + warned."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_counter(self):
-        import repro.distributed.messages as messages_module
-
-        messages_module.reset_estimated_size_fallbacks()
-        warned = messages_module._fallback_warned
-        yield
-        messages_module.reset_estimated_size_fallbacks()
-        messages_module._fallback_warned = warned
-
-    def _opaque_message(self) -> Message:
-        class Opaque:
-            def size_bytes(self) -> int:
-                return 123
-
-        return Message("a", "b", MessageKind.CONTROL, payload=Opaque())
-
-    def test_encodable_payloads_never_count_as_fallbacks(self):
-        from repro.distributed.messages import estimated_size_fallbacks
-
-        message = Message(
-            "bs", "center", MessageKind.MATCH_REPORT,
-            payload=[LocalPattern("u", [1, 2, 3], "bs")],
-        )
-        message.size_bytes()
-        message.payload_bytes()
-        assert estimated_size_fallbacks() == 0
-
-    def test_each_fallback_increments_the_counter(self):
-        import repro.distributed.messages as messages_module
-        from repro.distributed.messages import estimated_size_fallbacks
-
-        messages_module._fallback_warned = True  # silence; warning tested below
-        message = self._opaque_message()
-        assert message.size_bytes() == MESSAGE_OVERHEAD_BYTES + 123
-        assert estimated_size_fallbacks() == 1
-        message.payload_bytes()
-        assert estimated_size_fallbacks() == 2
-
-    def test_reset_returns_and_zeroes_the_count(self):
-        import repro.distributed.messages as messages_module
-        from repro.distributed.messages import (
-            estimated_size_fallbacks,
-            reset_estimated_size_fallbacks,
-        )
-
-        messages_module._fallback_warned = True
-        self._opaque_message().size_bytes()
-        assert reset_estimated_size_fallbacks() == 1
-        assert estimated_size_fallbacks() == 0
-
-    def test_first_fallback_warns_once_per_process(self):
-        import warnings
-
-        import repro.distributed.messages as messages_module
-
-        messages_module._fallback_warned = False
-        message = self._opaque_message()
-        with pytest.warns(RuntimeWarning, match="estimate model.*Opaque"):
-            message.size_bytes()
-        # Subsequent fallbacks stay silent — the counter carries the tally.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            message.payload_bytes()
+    def test_repr_shows_the_size_only_once_memoized(self):
+        message = Message("a", "b", MessageKind.CONTROL, payload=[1, 2])
+        assert "bytes=" not in repr(message)
+        size = message.size_bytes()
+        assert repr(message).endswith(f", bytes={size})")

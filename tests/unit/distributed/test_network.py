@@ -85,16 +85,6 @@ class TestSimulatedNetwork:
         assert decoded == message
         assert decoded is not message
 
-    def test_opaque_payload_falls_back_to_object_delivery(self):
-        center = Node("center")
-        # Dicts are outside the wire vocabulary but inside the estimate model.
-        message = Message("bs-1", "center", MessageKind.MATCH_REPORT, payload={"a": 1})
-        network = SimulatedNetwork()
-        outcome = network.gather([(message, center)])
-        assert outcome.delivered_ids == ("bs-1",)
-        assert center.inbox[0] is message
-        assert network.uplink_bytes == message.estimated_size_bytes()
-
 
 class TestReliability:
     def test_dropped_frames_are_retransmitted_until_delivered(self):

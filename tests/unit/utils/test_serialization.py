@@ -1,16 +1,9 @@
-"""Unit tests for the byte-size cost model in repro.utils.serialization."""
-
-from enum import Enum, IntEnum
-from fractions import Fraction
-
-import pytest
+"""Unit tests for the storage-size helpers in repro.utils.serialization."""
 
 from repro.utils.serialization import (
-    ESTIMATE_ACCURACY_FACTOR,
     FLOAT_BYTES,
     ID_BYTES,
     INT_BYTES,
-    estimate_size_bytes,
     sizeof_float,
     sizeof_id,
     sizeof_int,
@@ -29,151 +22,3 @@ class TestSizeHelpers:
 
     def test_sizeof_id(self):
         assert sizeof_id(2) == 2 * ID_BYTES
-
-
-class TestEstimateSizeBytes:
-    def test_none_is_zero(self):
-        assert estimate_size_bytes(None) == 0
-
-    def test_bool(self):
-        assert estimate_size_bytes(True) == 1
-
-    def test_int(self):
-        assert estimate_size_bytes(7) == INT_BYTES
-
-    def test_float(self):
-        assert estimate_size_bytes(1.5) == FLOAT_BYTES
-
-    def test_string_utf8_length(self):
-        assert estimate_size_bytes("abc") == 3
-
-    def test_bytes(self):
-        assert estimate_size_bytes(b"\x00" * 10) == 10
-
-    def test_list_sums_elements(self):
-        assert estimate_size_bytes([1, 2, 3]) == 3 * INT_BYTES
-
-    def test_dict_sums_keys_and_values(self):
-        assert estimate_size_bytes({"ab": 1}) == 2 + INT_BYTES
-
-    def test_nested_structures(self):
-        payload = {"xs": [1, 2], "y": 0.5}
-        expected = 2 + 2 * INT_BYTES + 1 + FLOAT_BYTES
-        assert estimate_size_bytes(payload) == expected
-
-    def test_object_with_size_bytes_method(self):
-        class Sized:
-            def size_bytes(self):
-                return 123
-
-        assert estimate_size_bytes(Sized()) == 123
-
-    def test_list_of_sized_objects(self):
-        class Sized:
-            def size_bytes(self):
-                return 10
-
-        assert estimate_size_bytes([Sized(), Sized()]) == 20
-
-    def test_unsupported_type_raises(self):
-        with pytest.raises(TypeError):
-            estimate_size_bytes(object())
-
-    def test_str_enum_charged_as_its_string_value(self):
-        class Kind(str, Enum):
-            ALPHA = "alpha"
-            LONGER_NAME = "a-much-longer-value"
-
-        # Before the Enum branch, a str-enum fell through to the plain-str
-        # path via inheritance; now both paths agree by construction.
-        assert estimate_size_bytes(Kind.ALPHA) == len("alpha")
-        assert estimate_size_bytes(Kind.LONGER_NAME) == len("a-much-longer-value")
-        assert estimate_size_bytes(Kind.ALPHA) == estimate_size_bytes("alpha")
-
-    def test_int_enum_charged_as_int_not_str(self):
-        class Level(IntEnum):
-            LOW = 1
-            HIGH = 2
-
-        assert estimate_size_bytes(Level.LOW) == INT_BYTES
-        assert estimate_size_bytes(Level.HIGH) == estimate_size_bytes(2)
-
-    def test_plain_enum_charged_as_underlying_value(self):
-        class Mode(Enum):
-            A = "aa"
-            B = 3
-
-        assert estimate_size_bytes(Mode.A) == 2
-        assert estimate_size_bytes(Mode.B) == INT_BYTES
-
-    def test_enum_checked_before_bool_ordering_is_consistent(self):
-        class Flag(IntEnum):
-            OFF = 0
-            ON = 1
-
-        # An int-enum of 0/1 must charge as an int, exactly like bool-before-int
-        # keeps bools from being charged as 4-byte ints.
-        assert estimate_size_bytes(Flag.ON) == INT_BYTES
-        assert estimate_size_bytes(True) == 1
-
-    def test_enum_inside_containers(self):
-        class Kind(str, Enum):
-            X = "xy"
-
-        assert estimate_size_bytes({Kind.X: [Kind.X, Kind.X]}) == 3 * 2
-
-
-class TestEstimateVersusRealCodec:
-    """The estimate model must track the real wire codec within the documented
-    factor (``ESTIMATE_ACCURACY_FACTOR``) on WBF dissemination messages."""
-
-    def _dissemination_message(self, query_count: int):
-        from repro.core.config import DIMatchingConfig
-        from repro.core.encoder import PatternEncoder
-        from repro.distributed.messages import Message, MessageKind
-        from repro.timeseries.pattern import LocalPattern
-        from repro.timeseries.query import QueryPattern
-
-        queries = []
-        for index in range(query_count):
-            queries.append(
-                QueryPattern(
-                    f"query-{index:04d}",
-                    [
-                        LocalPattern(f"user-{index}", [1 + index, 2, 0, 3, 1, 0, 2, 1], "s1"),
-                        LocalPattern(f"user-{index}", [0, 1, 1, 0, 2, 1, 0, 0], "s2"),
-                    ],
-                )
-            )
-        config = DIMatchingConfig(sample_count=8, epsilon=1, bit_backend="python")
-        batch = PatternEncoder(config).encode_batch(queries)
-        return Message("data-center", "station-1", MessageKind.FILTER_DISSEMINATION, batch)
-
-    @pytest.mark.parametrize("query_count", [1, 4, 8])
-    def test_wbf_dissemination_estimate_within_documented_factor(self, query_count):
-        message = self._dissemination_message(query_count)
-        real = message.size_bytes()
-        estimate = message.estimated_size_bytes()
-        assert real > 0 and estimate > 0
-        ratio = real / estimate
-        assert 1 / ESTIMATE_ACCURACY_FACTOR <= ratio <= ESTIMATE_ACCURACY_FACTOR, (
-            f"estimate {estimate} vs real {real} bytes drifted beyond "
-            f"the documented ×{ESTIMATE_ACCURACY_FACTOR} band"
-        )
-
-    def test_report_upload_estimate_within_documented_factor(self):
-        from repro.core.protocol import MatchReport
-        from repro.distributed.messages import Message, MessageKind
-
-        reports = [
-            MatchReport(
-                user_id=f"user-{i:04d}",
-                station_id="station-1",
-                weight=Fraction(i + 1, 17),
-                query_id=f"query-{i % 3}",
-            )
-            for i in range(25)
-        ]
-        message = Message("station-1", "data-center", MessageKind.MATCH_REPORT, reports)
-        ratio = message.size_bytes() / message.estimated_size_bytes()
-        assert 1 / ESTIMATE_ACCURACY_FACTOR <= ratio <= ESTIMATE_ACCURACY_FACTOR

@@ -263,15 +263,16 @@ class TestErrorHandling:
         assert wire.decode(wire.encode(wbf)) == wbf
 
     def test_oversized_pattern_values_raise_typed_error(self):
-        # size_bytes() of a naive upload must fall back to the estimate, not
-        # crash, when a pattern value exceeds the wire's 64-bit range.
+        # A naive upload whose pattern value exceeds the wire's 64-bit range
+        # has no size: the codec is the only byte model.
         from repro.distributed.messages import Message, MessageKind
 
         oversized = [LocalPattern("u", [2**70], "bs")]
         with pytest.raises(wire.UnsupportedWireTypeError):
             wire.encode(oversized)
         message = Message("bs", "center", MessageKind.MATCH_REPORT, oversized)
-        assert message.size_bytes() == message.estimated_size_bytes()
+        with pytest.raises(wire.UnsupportedWireTypeError):
+            message.size_bytes()
 
     def test_corrupt_query_pattern_raises_typed_error(self):
         # A query whose local fragments name two different users (or differ in

@@ -14,9 +14,8 @@ from fractions import Fraction
 import pytest
 
 from repro import wire
-from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import MatchReport
-from repro.topology import RollingUpgrade, TopologySpec, build_tier_map
+from repro.topology import TopologySpec, build_tier_map
 from repro.wire import (
     SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
@@ -149,41 +148,7 @@ class TestNegotiation:
 
 
 class TestMixedVersionRegion:
-    """The rolling-upgrade schedule drives per-hop versions region by region."""
-
-    UPGRADE = RollingUpgrade(
-        station_order=STATIONS, from_version=1, to_version=2, duration_rounds=4
-    )
-    TIER_MAP = build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2))
-
-    def test_before_the_rollout_every_hop_speaks_the_old_version(self):
-        tier_map = self.UPGRADE.tier_map_at(0, self.TIER_MAP)
-        assert all(r.wire_version == 1 for r in tier_map.regions)
-        # Center and aggregators upgrade together, ahead of the stations.
-        assert tier_map.trunk_wire_version == 2
-
-    def test_a_mixed_region_negotiates_down_to_its_slowest_station(self):
-        # Round 1: ceil(4 * 1/4) = 1 station upgraded — region-0 holds s0
-        # (upgraded) and s1 (not), so its hop stays on version 1.
-        versions = self.UPGRADE.versions_at(1)
-        assert versions == {"s0": 2, "s1": 1, "s2": 1, "s3": 1}
-        tier_map = self.UPGRADE.tier_map_at(1, self.TIER_MAP)
-        assert [r.wire_version for r in tier_map.regions] == [1, 1]
-
-    def test_a_fully_upgraded_region_moves_up_while_its_neighbor_waits(self):
-        # Round 2: s0 and s1 upgraded — region-0 is homogeneous on version 2,
-        # region-1 (s2, s3) still entirely on version 1.
-        tier_map = self.UPGRADE.tier_map_at(2, self.TIER_MAP)
-        assert [r.wire_version for r in tier_map.regions] == [2, 1]
-
-    def test_after_the_rollout_every_hop_speaks_the_new_version(self):
-        tier_map = self.UPGRADE.tier_map_at(self.UPGRADE.duration_rounds, self.TIER_MAP)
-        assert all(r.wire_version == 2 for r in tier_map.regions)
-        assert tier_map.trunk_wire_version == 2
-
-    def test_upgrades_never_downgrade(self):
-        with pytest.raises(ConfigurationError, match="must not downgrade"):
-            RollingUpgrade(station_order=STATIONS, from_version=2, to_version=1)
+    """A mixed deployment's hops speak the versions their parties negotiate."""
 
     def test_legacy_region_frames_really_are_version_1_on_the_wire(self):
         """End to end: a mixed deployment's legacy hop writes v1 frames the
