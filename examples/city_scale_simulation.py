@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-from repro import DatasetSpec, DIMatchingConfig, build_dataset
+from repro import DatasetSpec, DIMatchingConfig, build_dataset, wire
 from repro.datagen.workload import build_query_workload
 from repro.evaluation import run_comparison
 from repro.utils.asciiplot import render_table
@@ -37,7 +37,11 @@ def main() -> None:
         )
     )
     print(f"synthetic city: {dataset}")
-    print(f"raw data volume at stations: {dataset.total_raw_size_bytes() / 1024:.0f} KiB")
+    raw_bytes = sum(
+        wire.encoded_size(list(dataset.local_patterns_at(station_id)))
+        for station_id in dataset.station_ids
+    )
+    print(f"raw data volume at stations: {raw_bytes / 1024:.0f} KiB")
 
     workload = build_query_workload(
         dataset, query_count=4 if TINY else 18, epsilon=0, seed=3

@@ -1,9 +1,9 @@
 """Bloom-filter substrate.
 
-This package provides the classic Bloom filter and several established variants
-(counting, scalable, spectral, partitioned), plus the bit-set and hashing layers they
-are built on.  The paper's own contribution — the Weighted Bloom Filter — lives in
-:mod:`repro.core.wbf` and is built on the same substrate.
+This package provides the classic Bloom filter that the plain-BF baseline uses,
+plus the bit-set and hashing layers it is built on.  The paper's own contribution —
+the Weighted Bloom Filter — lives in :mod:`repro.core.wbf` and is built on the
+same substrate.
 """
 
 from repro.bloom.analysis import (
@@ -25,11 +25,7 @@ from repro.bloom.backend import (
     resolve_backend_class,
 )
 from repro.bloom.bitset import BitArray
-from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import HashFamily
-from repro.bloom.partitioned import PartitionedBloomFilter
-from repro.bloom.scalable import ScalableBloomFilter
-from repro.bloom.spectral import SpectralBloomFilter
 from repro.bloom.standard import BloomFilter
 
 __all__ = [
@@ -44,11 +40,7 @@ __all__ = [
     "available_backends",
     "make_backend",
     "resolve_backend_class",
-    "CountingBloomFilter",
     "HashFamily",
-    "PartitionedBloomFilter",
-    "ScalableBloomFilter",
-    "SpectralBloomFilter",
     "expected_false_positive_rate",
     "fill_ratio",
     "optimal_bit_count",

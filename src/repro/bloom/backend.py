@@ -66,8 +66,8 @@ class BitBackend(ABC):
     """Abstract fixed-length bit store with batched operations.
 
     Concrete backends must keep the canonical byte layout of :meth:`to_bytes`
-    (bit ``i`` at byte ``i >> 3``, bit ``i & 7``) so that serialization, equality
-    and cost accounting are backend-independent.
+    (bit ``i`` at byte ``i >> 3``, bit ``i & 7``) so that serialization and
+    equality are backend-independent.
     """
 
     name: str = "abstract"
@@ -146,14 +146,6 @@ class BitBackend(ABC):
     @abstractmethod
     def from_bytes(cls, length: int, data: bytes) -> "BitBackend":
         """Reconstruct a backend from :meth:`to_bytes` output."""
-
-    def size_bytes(self) -> int:
-        """Serialized size charged by the communication/storage cost model.
-
-        Deliberately the canonical wire size, not the in-memory footprint, so the
-        cost model is identical across backends.
-        """
-        return (self._length + 7) // 8
 
     def iter_set_bits(self) -> Iterator[int]:
         """Yield indices of set bits in increasing order."""

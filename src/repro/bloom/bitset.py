@@ -1,12 +1,12 @@
-"""Compact bit array used as the backing store for every Bloom-filter variant.
+"""Compact bit array used as the backing store of the BF and the WBF.
 
 The paper's reproduction hint suggests the ``bitarray`` package; instead the
 storage is pluggable (see :mod:`repro.bloom.backend`): a dependency-free
 ``bytearray`` backend that is always available, and a vectorized NumPy
 ``uint64``-word backend used automatically when NumPy is installed.  The class
 supports the API the filters need — get/set/clear a bit, batched set/test,
-population count, union/intersection, and serialized size accounting for the
-communication-cost model — and delegates each operation to its backend.
+population count, union/intersection and the canonical byte serialization —
+and delegates each operation to its backend.
 """
 
 from __future__ import annotations
@@ -168,12 +168,8 @@ class BitArray:
             f"backend={self.backend_name!r})"
         )
 
-    # -- serialization and cost accounting ------------------------------------
+    # -- serialization ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Canonical serialization (backend-independent byte layout)."""
         return self._backend.to_bytes()
-
-    def size_bytes(self) -> int:
-        """Serialized size used by the communication/storage cost model."""
-        return self._backend.size_bytes()

@@ -183,10 +183,6 @@ class BloomFilter:
         ):
             raise ValueError("Bloom filters are not compatible (m, k or seed differ)")
 
-    def size_bytes(self) -> int:
-        """Serialized size used by the communication/storage cost model."""
-        return self._bits.size_bytes()
-
     def __repr__(self) -> str:
         return (
             f"BloomFilter(m={self.bit_count}, k={self.hash_count}, "

@@ -69,14 +69,6 @@ class EncodedQueryBatch:
         """The WBF's mutation revision: the batch changes exactly when its filter does."""
         return self.wbf.revision
 
-    def size_bytes(self) -> int:
-        """Storage-model size of the batch (the contained WBF's).
-
-        Messages are charged the *real* wire encoding
-        (``repro.wire.encoded_size``), never this.
-        """
-        return self.wbf.size_bytes()
-
 
 class PatternEncoder:
     """Implements the data-center side of DI-matching (Algorithm 1)."""

@@ -22,7 +22,6 @@ from typing import Protocol, Sequence
 
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
-from repro.utils.serialization import sizeof_float, sizeof_id
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,6 @@ class MatchReport:
     station_id: str
     weight: Fraction | None = None
     query_id: str = ""
-
-    def size_bytes(self) -> int:
-        """Uplink size: the user id plus (if present) one weight value and its query id."""
-        size = sizeof_id()
-        if self.weight is not None:
-            size += sizeof_float()
-        if self.query_id:
-            size += sizeof_id()
-        return size
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ class ContinuousMatchingSession:
     the cached reports of every station.
 
     The session also maintains *wire deltas*: each update marks its station
-    dirty, and :meth:`collect_deltas` re-encodes (through :mod:`repro.wire`)
-    and returns only the dirty stations' report payloads — the bytes a real
-    deployment would re-ship upstream.  Unchanged stations are neither
-    re-matched nor re-encoded.
+    dirty, and :meth:`ship_deltas` sends only the dirty stations' report
+    payloads through a transport — the bytes a real deployment would re-ship
+    upstream (the facade ships through its router and settles the ledger with
+    :meth:`mark_delivered`).  Unchanged stations are neither re-matched nor
+    re-shipped.
     """
 
     def __init__(self, protocol: MatchingProtocol, queries: Sequence[QueryPattern]) -> None:
@@ -54,12 +55,10 @@ class ContinuousMatchingSession:
         self._update_count = 0
         self._matching_runs = 0
         self._batch_encodings = 1
-        # Wire-delta state: stations changed since the last collect_deltas(),
-        # in update order, plus per-station encoded payload caches.
+        # Wire-delta state: stations changed since they last shipped, in
+        # update order.
         self._dirty: dict[str, None] = {}
-        self._encoded_reports: dict[str, bytes] = {}
         self._delta_bytes_shipped = 0
-        self._encoding_runs = 0
 
     # -- properties ------------------------------------------------------------
 
@@ -124,7 +123,6 @@ class ContinuousMatchingSession:
         self._update_count += 1
         self._matching_runs += 1
         self._dirty[key] = None
-        self._encoded_reports.pop(key, None)
         return len(reports)
 
     def remove_station(self, station_id: str) -> None:
@@ -134,7 +132,6 @@ class ContinuousMatchingSession:
         self._patterns_by_station.pop(key, None)
         self._update_count += 1
         self._dirty.pop(key, None)
-        self._encoded_reports.pop(key, None)
 
     def replace_queries(self, queries: Sequence[QueryPattern]) -> None:
         """Rotate the session to a new query batch, re-matching every station.
@@ -144,9 +141,8 @@ class ContinuousMatchingSession:
         once, re-runs the matching phase of every station whose patterns the
         session has seen (their stored pattern sets are retained across
         updates) in one :meth:`~repro.core.protocol.MatchingProtocol.match_stations`
-        call, and marks them all dirty — the next
-        :meth:`collect_deltas`/:meth:`ship_deltas` re-ships the whole round,
-        exactly as a real redeployment would after a fresh dissemination.
+        call, and marks them all dirty — the next shipment re-ships the whole
+        round, exactly as a real redeployment would after a fresh dissemination.
         """
         require_non_empty(queries, "queries")
         self._queries = tuple(queries)
@@ -157,25 +153,19 @@ class ContinuousMatchingSession:
         for (key, _patterns), reports in zip(stations, matched):
             self._reports_by_station[key] = list(reports)
             self._dirty[key] = None
-            self._encoded_reports.pop(key, None)
         self._matching_runs += len(stations)
 
     # -- wire deltas -------------------------------------------------------------
 
     @property
     def dirty_station_ids(self) -> tuple[str, ...]:
-        """Stations updated since the last :meth:`collect_deltas`, in update order."""
+        """Stations updated since they last shipped, in update order."""
         return tuple(self._dirty)
 
     @property
     def delta_bytes_shipped(self) -> int:
-        """Total wire bytes returned by :meth:`collect_deltas` so far."""
+        """Total payload wire bytes shipped or marked delivered so far."""
         return self._delta_bytes_shipped
-
-    @property
-    def encoding_runs(self) -> int:
-        """Number of per-station report encodings performed (encode-cache misses)."""
-        return self._encoding_runs
 
     def reports_for(self, station_id: str) -> list[object]:
         """A copy of one station's currently cached report list."""
@@ -193,32 +183,6 @@ class ContinuousMatchingSession:
         for station_id, payload_bytes in delivered.items():
             self._dirty.pop(station_id, None)
             self._delta_bytes_shipped += int(payload_bytes)
-
-    def encoded_reports_for(self, station_id: str) -> bytes:
-        """The wire encoding of one station's cached reports (memoized)."""
-        from repro import wire
-
-        key = str(station_id)
-        cached = self._encoded_reports.get(key)
-        if cached is None:
-            cached = wire.encode(list(self._reports_by_station.get(key, [])))
-            self._encoded_reports[key] = cached
-            self._encoding_runs += 1
-        return cached
-
-    def collect_deltas(self) -> dict[str, bytes]:
-        """Encode and return the payloads of stations changed since the last call.
-
-        Only dirty stations are (re-)encoded through the wire codec — a burst
-        of updates at one cell re-ships one station's reports, not the whole
-        round.  Returns ``station_id -> wire bytes`` in update order and clears
-        the dirty set; the returned bytes decode back to the report lists via
-        :func:`repro.wire.decode`.
-        """
-        deltas = {key: self.encoded_reports_for(key) for key in self._dirty}
-        self._dirty.clear()
-        self._delta_bytes_shipped += sum(len(data) for data in deltas.values())
-        return deltas
 
     def ship_deltas(self, network, center) -> dict[str, bytes]:
         """Ship the dirty stations' reports to ``center`` through a transport.

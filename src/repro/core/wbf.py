@@ -22,7 +22,6 @@ from typing import Hashable, Iterable, Sequence
 from repro.bloom.analysis import expected_false_positive_rate
 from repro.bloom.bitset import BitArray
 from repro.bloom.hashing import HashFamily
-from repro.utils.serialization import FLOAT_BYTES
 from repro.utils.validation import require_positive
 
 
@@ -420,26 +419,6 @@ class WeightedBloomFilter:
         for attached in self._weights.values():
             result |= attached
         return result
-
-    def size_bytes(self) -> int:
-        """Estimate-model serialized size of the WBF.
-
-        Models the bit array, a table of the distinct weights (8 bytes each —
-        weights are repeated across many bits, so they are stored once), and a
-        2-byte table index per (set bit, weight) pointer.  This is what makes the WBF
-        marginally larger than a plain Bloom filter of the same length — the storage
-        trade-off discussed with Figure 4(d).  The *real* encoded size charged by
-        the simulator comes from ``repro.wire`` (same structure: canonical bits, a
-        sorted weight table, per-set-bit index lists).
-        """
-        weight_pointer_bytes = 2
-        pointer_entries = sum(len(attached) for attached in self._weights.values())
-        distinct = len(self.distinct_weights())
-        return (
-            self._bits.size_bytes()
-            + distinct * FLOAT_BYTES
-            + pointer_entries * weight_pointer_bytes
-        )
 
     def __repr__(self) -> str:
         return (

@@ -37,12 +37,6 @@ class CallDetailRecord:
         require_non_negative(self.start_time_s, "start_time_s")
         require_non_negative(self.duration_s, "duration_s")
 
-    def size_bytes(self) -> int:
-        """Serialized size of one CDR under the cost model."""
-        from repro.utils.serialization import sizeof_id, sizeof_int
-
-        return sizeof_id(3) + sizeof_int(2) + 1
-
 
 @dataclass(frozen=True)
 class CellDetailListEntry:

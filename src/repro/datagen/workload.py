@@ -222,7 +222,7 @@ class DistributedDataset:
             )
         return self._global_cache[user_id]
 
-    # -- ground truth and cost helpers ------------------------------------------
+    # -- ground truth ----------------------------------------------------------
 
     def similar_users(self, pattern: Pattern, epsilon: float) -> set[str]:
         """Users whose *global* pattern is ε-similar (Eq. 2) to ``pattern``."""
@@ -231,14 +231,6 @@ class DistributedDataset:
             for user_id in self._users
             if pattern_epsilon_similar(self.global_pattern(user_id), pattern, epsilon)
         }
-
-    def total_raw_size_bytes(self) -> int:
-        """Total serialized size of all locally stored raw patterns (naive upload cost)."""
-        return sum(
-            pattern.size_bytes()
-            for per_station in self._local.values()
-            for pattern in per_station.values()
-        )
 
     def __repr__(self) -> str:
         return (

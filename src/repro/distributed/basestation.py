@@ -25,10 +25,6 @@ class BaseStationNode(Node):
         """Number of local patterns stored at this station."""
         return len(self._patterns)
 
-    def raw_storage_bytes(self) -> int:
-        """Serialized size of the raw local patterns (baseline station storage)."""
-        return self._patterns.size_bytes()
-
     def latest_artifact(self) -> object | None:
         """The payload of the most recent dissemination/control message.
 

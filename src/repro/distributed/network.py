@@ -329,18 +329,6 @@ class SimulatedNetwork(Transport):
         """Run one uplink phase: station reports into the center's ingress."""
         return self._run_phase(list(sends), "uplink")
 
-    def send_downlink(self, message: Message, receiver: Node | None = None) -> float:
-        """Deliver one center→station message; return its phase duration.
-
-        Kept for accounting-style callers; a full round should use
-        :meth:`broadcast` so the whole dissemination shares one phase clock.
-        """
-        return self.broadcast([(message, receiver)]).duration_s
-
-    def send_uplink(self, message: Message, receiver: Node | None = None) -> float:
-        """Deliver one station→center message; return its phase duration."""
-        return self.gather([(message, receiver)]).duration_s
-
     # -- the phase engine ---------------------------------------------------------
 
     def _record(self, time_s: float, event: str, transfer: _Transfer, attempt: int) -> None:

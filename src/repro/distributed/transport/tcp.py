@@ -422,6 +422,9 @@ class TcpTransportManager:
                 proc.wait(timeout=5.0)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join(timeout=10.0)
+        if not self._thread.is_alive():
+            # Closing a loop that still runs raises, so a hung thread keeps it.
+            self.loop.close()
         for handle in self._stderr_files.values():
             try:
                 handle.close()

@@ -79,12 +79,6 @@ class Pattern:
     def __add__(self, other: "Pattern") -> "Pattern":
         return self.add(other)
 
-    def size_bytes(self) -> int:
-        """Serialized size: the user id plus one integer per interval."""
-        from repro.utils.serialization import sizeof_id, sizeof_int
-
-        return sizeof_id() + sizeof_int(len(self.values))
-
     def __repr__(self) -> str:
         preview = ", ".join(str(v) for v in self.values[:6])
         suffix = ", ..." if len(self.values) > 6 else ""
@@ -100,12 +94,6 @@ class LocalPattern(Pattern):
     def __init__(self, user_id: str, values: Sequence[int], station_id: str) -> None:
         super().__init__(user_id, values)
         object.__setattr__(self, "station_id", str(station_id))
-
-    def size_bytes(self) -> int:
-        """Serialized size: base pattern plus the station identifier."""
-        from repro.utils.serialization import sizeof_id
-
-        return super().size_bytes() + sizeof_id()
 
     def __repr__(self) -> str:
         return (
@@ -170,10 +158,6 @@ class PatternSet:
 
     def __contains__(self, user_id: str) -> bool:
         return user_id in self._by_user
-
-    def size_bytes(self) -> int:
-        """Total serialized size of all contained patterns."""
-        return sum(p.size_bytes() for p in self._patterns)
 
     def __repr__(self) -> str:
         return f"PatternSet(patterns={len(self._patterns)}, users={len(self._by_user)})"

@@ -44,12 +44,6 @@ class QueryPattern:
         """Number of local fragments (the paper's ``l`` / ``e``)."""
         return len(self.local_patterns)
 
-    def size_bytes(self) -> int:
-        """Serialized size of the raw query (id plus all local fragments)."""
-        from repro.utils.serialization import sizeof_id
-
-        return sizeof_id() + sum(p.size_bytes() for p in self.local_patterns)
-
     def __repr__(self) -> str:
         return (
             f"QueryPattern(query_id={self.query_id!r}, stations={self.station_count}, "

@@ -1,4 +1,4 @@
-"""Shared utilities: validation, deterministic RNG, serialization sizing, ASCII plotting.
+"""Shared utilities: validation, deterministic RNG, ASCII plotting.
 
 These helpers are deliberately dependency-light so every other subpackage can use
 them without import cycles.
@@ -7,7 +7,6 @@ them without import cycles.
 # make_rng/spawn_rngs construct NumPy generators lazily, so this import works
 # without NumPy; only calling them then raises.
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
-from repro.utils.serialization import sizeof_float, sizeof_id, sizeof_int
 from repro.utils.validation import (
     require_in_range,
     require_non_empty,
@@ -21,9 +20,6 @@ __all__ = [
     "derive_seed",
     "make_rng",
     "spawn_rngs",
-    "sizeof_float",
-    "sizeof_id",
-    "sizeof_int",
     "require_in_range",
     "require_non_empty",
     "require_non_negative",

@@ -3,10 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.counting import CountingBloomFilter
 from repro.bloom.hashing import HashFamily
-from repro.bloom.scalable import ScalableBloomFilter
-from repro.bloom.spectral import SpectralBloomFilter
 from repro.bloom.standard import BloomFilter
 
 items_strategy = st.lists(
@@ -53,49 +50,6 @@ class TestBloomFilterProperties:
             current = bloom.fill_ratio()
             assert current >= previous
             previous = current
-
-
-class TestCountingBloomFilterProperties:
-    @given(items=st.lists(st.integers(0, 1000), max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_add_then_remove_restores_absence_safe(self, items):
-        cbf = CountingBloomFilter(2048, 4)
-        cbf.add_many(items)
-        for item in items:
-            assert cbf.contains(item)
-        for item in items:
-            cbf.remove(item)
-        # After removing everything that was added, remaining items may only be
-        # residue from saturation, and item_count must be zero.
-        assert cbf.item_count == 0
-
-    @given(items=st.lists(st.integers(0, 100), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_count_estimate_is_upper_bound(self, items):
-        cbf = CountingBloomFilter(2048, 4, counter_width_bits=8)
-        cbf.add_many(items)
-        for item in set(items):
-            assert cbf.count_estimate(item) >= items.count(item)
-
-
-class TestSpectralProperties:
-    @given(items=st.lists(st.integers(0, 50), min_size=1, max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_frequency_never_underestimates(self, items):
-        sbf = SpectralBloomFilter(2048, 4)
-        sbf.add_many(items)
-        for item in set(items):
-            assert sbf.frequency(item) >= items.count(item)
-
-
-class TestScalableProperties:
-    @given(items=st.lists(st.integers(), min_size=1, max_size=120, unique=True))
-    @settings(max_examples=30, deadline=None)
-    def test_no_false_negatives_under_growth(self, items):
-        sbf = ScalableBloomFilter(initial_capacity=8)
-        sbf.add_many(items)
-        assert all(item in sbf for item in items)
-        assert sbf.item_count == len(items)
 
 
 class TestHashFamilyProperties:

@@ -65,4 +65,3 @@ class TestWeightedBloomFilterProperties:
             wbf.add(item, weight)
         assert wbf.item_count == len(entries)
         assert 0.0 <= wbf.fill_ratio() <= 1.0
-        assert wbf.size_bytes() >= 1024 // 8

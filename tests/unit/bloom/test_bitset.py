@@ -116,10 +116,6 @@ class TestEqualityAndCopy:
         with pytest.raises(TypeError):
             hash(BitArray(8))
 
-    def test_size_bytes(self):
-        assert BitArray(64).size_bytes() == 8
-        assert BitArray(65).size_bytes() == 9
-
     def test_repr_mentions_count(self):
         bits = BitArray.from_indices(8, [0, 1])
         assert "set=2" in repr(bits)

@@ -53,9 +53,6 @@ class TestIntrospection:
         bloom.add_many(range(50))
         assert bloom.estimated_false_positive_rate() > empty_rate
 
-    def test_size_bytes(self):
-        assert BloomFilter(1024, 4).size_bytes() == 128
-
     def test_repr_mentions_parameters(self):
         assert "m=64" in repr(BloomFilter(64, 2))
 

@@ -185,10 +185,6 @@ class TestEncodeBatch:
         batch = PatternEncoder(config).encode_batch([_query()])
         assert batch.wbf.bit_count == 2048
 
-    def test_size_bytes_delegates_to_filter(self):
-        batch = PatternEncoder(DIMatchingConfig()).encode_batch([_query()])
-        assert batch.size_bytes() == batch.wbf.size_bytes()
-
     def test_encode_batch_plain_matches_item_enumeration(self):
         encoder = PatternEncoder(DIMatchingConfig())
         bloom = encoder.encode_batch_plain([_query()])

@@ -1,23 +1,11 @@
 """Unit tests for the protocol data types."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.core.protocol import MatchReport, RankedResults, RankedUser
 
 
 class TestMatchReport:
-    def test_weighted_report_size(self):
-        with_weight = MatchReport("u", "s", weight=Fraction(1), query_id="q")
-        without_weight = MatchReport("u", "s")
-        assert with_weight.size_bytes() > without_weight.size_bytes()
-
-    def test_weightless_report_size_is_id_only(self):
-        from repro.utils.serialization import sizeof_id
-
-        assert MatchReport("u", "s").size_bytes() == sizeof_id()
-
     def test_immutable(self):
         report = MatchReport("u", "s")
         with pytest.raises(AttributeError):

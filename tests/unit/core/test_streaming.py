@@ -125,38 +125,27 @@ class TestWireDeltas:
         session.update_station("bs-1", PatternSet([LocalPattern("bob", [1, 0, 2, 0], "bs-1")]))
         assert session.dirty_station_ids == ("bs-2", "bs-1")
 
-    def test_collect_deltas_returns_decodable_payloads_and_clears_dirty(self, session):
-        from repro import wire
-
-        session.update_station("bs-1", PatternSet([LocalPattern("alice", [1, 0, 2, 0], "bs-1")]))
-        deltas = session.collect_deltas()
-        assert set(deltas) == {"bs-1"}
-        decoded = wire.decode(deltas["bs-1"])
-        assert [r.user_id for r in decoded] == ["alice"]
-        assert session.dirty_station_ids == ()
-        assert session.delta_bytes_shipped == len(deltas["bs-1"])
-
-    def test_only_changed_stations_are_reencoded(self, session):
-        session.update_station("bs-1", PatternSet([LocalPattern("alice", [1, 0, 2, 0], "bs-1")]))
-        session.update_station("bs-2", PatternSet([LocalPattern("alice", [0, 3, 0, 4], "bs-2")]))
-        session.collect_deltas()
-        runs_after_first = session.encoding_runs
-        assert runs_after_first == 2
-        # One station changes: exactly one re-encode, one delta entry.
-        session.update_station("bs-1", PatternSet([LocalPattern("carol", [9, 9, 9, 9], "bs-1")]))
-        deltas = session.collect_deltas()
-        assert set(deltas) == {"bs-1"}
-        assert session.encoding_runs == runs_after_first + 1
-
     def test_no_updates_means_empty_delta(self, session):
+        from repro.distributed.network import SimulatedNetwork
+        from repro.distributed.node import Node
+
+        center = Node("data-center")
         session.update_station("bs-1", PatternSet([LocalPattern("alice", [1, 0, 2, 0], "bs-1")]))
-        session.collect_deltas()
-        assert session.collect_deltas() == {}
+        session.ship_deltas(SimulatedNetwork(), center)
+        shipped = session.delta_bytes_shipped
+        assert session.ship_deltas(SimulatedNetwork(), center) == {}
+        assert session.delta_bytes_shipped == shipped
+        assert len(center.inbox) == 1
 
     def test_removed_station_is_not_shipped(self, session):
+        from repro.distributed.network import SimulatedNetwork
+        from repro.distributed.node import Node
+
+        center = Node("data-center")
         session.update_station("bs-1", PatternSet([LocalPattern("alice", [1, 0, 2, 0], "bs-1")]))
         session.remove_station("bs-1")
-        assert session.collect_deltas() == {}
+        assert session.ship_deltas(SimulatedNetwork(), center) == {}
+        assert center.inbox == []
 
 
 class TestShipDeltas:
@@ -264,7 +253,8 @@ class TestReplaceQueries:
         session.update_station(
             "bs-2", PatternSet([LocalPattern("bob", [0, 1, 0, 2], "bs-2")])
         )
-        session.collect_deltas()  # drain the dirty set
+        # Drain the dirty set, as the facade does after shipping.
+        session.mark_delivered(dict.fromkeys(session.dirty_station_ids, 0))
         runs_before = session.matching_runs
         session.replace_queries([self._bob_query()])
         assert session.batch_encodings == 2
@@ -273,16 +263,6 @@ class TestReplaceQueries:
         assert set(session.dirty_station_ids) == {"bs-1", "bs-2"}
         assert session.current_results().user_ids() == ["bob"]
         assert session.queries[0].query_id == "q1"
-
-    def test_rotation_invalidates_encoded_report_caches(self, session):
-        session.update_station(
-            "bs-1", PatternSet([LocalPattern("bob", [2, 0, 1, 0], "bs-1")])
-        )
-        before = dict(session.collect_deltas())
-        session.replace_queries([self._bob_query()])
-        after = dict(session.collect_deltas())
-        assert set(after) == {"bs-1"}
-        assert after["bs-1"] != before["bs-1"]
 
     def test_removed_stations_stay_removed_across_rotations(self, session):
         session.update_station(

@@ -105,12 +105,6 @@ class TestIntrospection:
         wbf.add("c", Fraction(1, 3))
         assert wbf.distinct_weights() == {Fraction(1, 2), Fraction(1, 3)}
 
-    def test_size_bytes_exceeds_plain_bit_array(self):
-        wbf = WeightedBloomFilter(1024, 4)
-        empty_size = wbf.size_bytes()
-        wbf.add_many(range(50), Fraction(1, 2))
-        assert wbf.size_bytes() > empty_size
-
     def test_seed_property(self):
         assert WeightedBloomFilter(64, 2, seed=5).seed == 5
 

@@ -10,6 +10,8 @@ from repro.datagen.workload import (
 )
 from repro.timeseries.pattern import LocalPattern
 
+from ...complexity import CountingId
+
 
 class TestDatasetSpec:
     def test_defaults_are_valid(self):
@@ -178,9 +180,6 @@ class TestBuildDataset:
         similar = small_dataset.similar_users(small_dataset.global_pattern(user_id), 0)
         assert user_id in similar
 
-    def test_total_raw_size_positive(self, small_dataset):
-        assert small_dataset.total_raw_size_bytes() > 0
-
 
 class TestDistributedDatasetValidation:
     def test_rejects_unknown_station_reference(self):
@@ -195,32 +194,21 @@ class TestDistributedDatasetValidation:
             DistributedDataset(["bs-a"], users, local, 1, 24)
 
 
-class _CountingId(str):
-    """A station id that counts the equality tests made on it."""
-
-    comparisons = 0
-    __hash__ = str.__hash__
-
-    def __eq__(self, other):
-        _CountingId.comparisons += 1
-        return str.__eq__(self, other)
-
-
 class TestStationLookupsStayConstant:
     def _comparisons_per_station(self, count: int) -> float:
         from repro.datagen.mobility import UserMobility
         from repro.datagen.workload import UserProfile
 
-        stations = [_CountingId(f"bs-{index}") for index in range(count)]
+        stations = [CountingId(f"bs-{index}") for index in range(count)]
         mobility = UserMobility("u", "bs-0", "bs-0", "bs-0")
         users = {"u": UserProfile("u", "student", mobility)}
         local = {station: {"u": LocalPattern("u", [1], station)} for station in stations}
-        _CountingId.comparisons = 0
+        CountingId.comparisons = 0
         dataset = DistributedDataset(stations, users, local, 1, 24)
         for station in stations:
             # An equal id that is not the same object, as a caller would pass.
-            dataset.local_patterns_at(_CountingId(str(station)))
-        return _CountingId.comparisons / count
+            dataset.local_patterns_at(CountingId(str(station)))
+        return CountingId.comparisons / count
 
     def test_build_and_lookups_do_constant_work_per_station(self):
         # A list scan per check made this grow with the station count.

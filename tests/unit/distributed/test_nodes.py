@@ -44,7 +44,6 @@ class TestBaseStationNode:
         patterns = PatternSet([LocalPattern("u", [1, 2, 3, 4], "bs-1")])
         station = BaseStationNode("bs-1", patterns)
         assert station.stored_pattern_count == 1
-        assert station.raw_storage_bytes() == patterns.size_bytes()
 
     def test_rejects_non_pattern_set(self):
         with pytest.raises(TypeError):

@@ -56,11 +56,6 @@ class TestPattern:
         with pytest.raises(AttributeError):
             pattern.user_id = "u2"
 
-    def test_size_bytes_scales_with_length(self):
-        short = Pattern("u1", [1] * 4)
-        long = Pattern("u1", [1] * 16)
-        assert long.size_bytes() > short.size_bytes()
-
     def test_repr_truncates_long_patterns(self):
         pattern = Pattern("u1", list(range(20)))
         assert "..." in repr(pattern)
@@ -71,11 +66,6 @@ class TestLocalPattern:
         local = LocalPattern("u1", [1, 2], "bs-1")
         assert local.station_id == "bs-1"
         assert isinstance(local, Pattern)
-
-    def test_size_bytes_larger_than_plain_pattern(self):
-        plain = Pattern("u1", [1, 2])
-        local = LocalPattern("u1", [1, 2], "bs-1")
-        assert local.size_bytes() > plain.size_bytes()
 
     def test_repr_mentions_station(self):
         assert "bs-9" in repr(LocalPattern("u1", [1], "bs-9"))
@@ -134,10 +124,6 @@ class TestPatternSet:
     def test_rejects_non_pattern(self):
         with pytest.raises(TypeError):
             PatternSet(["not-a-pattern"])
-
-    def test_size_bytes_sums_members(self):
-        a, b = Pattern("u1", [1]), Pattern("u2", [1, 2])
-        assert PatternSet([a, b]).size_bytes() == a.size_bytes() + b.size_bytes()
 
     def test_iteration_preserves_order(self):
         items = [Pattern("u1", [1]), Pattern("u2", [2])]

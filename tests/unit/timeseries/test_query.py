@@ -35,10 +35,6 @@ class TestQueryPattern:
         with pytest.raises(ValueError):
             QueryPattern("q1", locals_)
 
-    def test_size_bytes_includes_all_locals(self):
-        query = QueryPattern("q1", self._locals())
-        assert query.size_bytes() > sum(p.size_bytes() for p in self._locals()) - 1
-
     def test_repr(self):
         assert "q1" in repr(QueryPattern("q1", self._locals()))
 
