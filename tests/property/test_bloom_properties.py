@@ -52,6 +52,40 @@ class TestBloomFilterProperties:
             previous = current
 
 
+    @given(items=st.lists(st.integers(), min_size=1, max_size=120, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_no_false_negatives_past_the_sized_capacity(self, items):
+        # m and k sized for 8 items at 1%; up to 15x that many only raises
+        # the false-positive rate.
+        bloom = BloomFilter(77, 7)
+        bloom.add_many(items)
+        assert all(item in bloom for item in items)
+        assert bloom.item_count == len(items)
+
+    @given(first=items_strategy, second=items_strategy)
+    @settings(max_examples=30, deadline=None)
+    def test_union_equals_the_filter_of_both_sets(self, first, second):
+        a = BloomFilter(1024, 3, seed=6)
+        b = BloomFilter(1024, 3, seed=6)
+        both = BloomFilter(1024, 3, seed=6)
+        a.add_many(first)
+        b.add_many(second)
+        both.add_many(first + second)
+        assert a.union(b) == both
+
+    @given(items=items_strategy)
+    @settings(max_examples=30, deadline=None)
+    def test_state_round_trip_preserves_membership(self, items):
+        bloom = BloomFilter(700, 4, seed=3)
+        bloom.add_many(items)
+        rebuilt = BloomFilter.from_state(
+            700, 4, 3, bloom.bits.to_bytes(), bloom.item_count, backend="python"
+        )
+        assert rebuilt == bloom
+        probes = items + list(range(50))
+        assert rebuilt.contains_many(probes) == bloom.contains_many(probes)
+
+
 class TestHashFamilyProperties:
     @given(
         item=st.one_of(st.integers(), st.text(max_size=30), st.tuples(st.integers(), st.integers())),

@@ -119,3 +119,31 @@ class TestEqualityAndCopy:
     def test_repr_mentions_count(self):
         bits = BitArray.from_indices(8, [0, 1])
         assert "set=2" in repr(bits)
+
+
+class TestSerialization:
+    def test_to_bytes_length(self):
+        assert len(BitArray(64).to_bytes()) == 8
+        assert len(BitArray(65).to_bytes()) == 9
+
+    def test_canonical_layout_is_least_significant_bit_first(self):
+        bits = BitArray.from_indices(10, [0, 3, 9])
+        assert bits.to_bytes() == bytes([0b0000_1001, 0b0000_0010])
+
+    def test_from_bytes_round_trips(self):
+        bits = BitArray.from_indices(77, [0, 8, 63, 64, 76])
+        rebuilt = BitArray.from_bytes(77, bits.to_bytes())
+        assert rebuilt == bits
+        assert list(rebuilt.iter_set_bits()) == [0, 8, 63, 64, 76]
+
+    def test_from_bytes_does_not_alias_its_input(self):
+        data = bytearray(BitArray.from_indices(16, [2]).to_bytes())
+        bits = BitArray.from_bytes(16, data)
+        bits.set(5)
+        assert data == bytearray([0b100, 0])
+
+    def test_from_bytes_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError):
+            BitArray.from_bytes(16, b"\x00")
+        with pytest.raises(ValueError):
+            BitArray.from_bytes(16, b"\x00\x00\x00")

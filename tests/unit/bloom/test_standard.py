@@ -56,6 +56,68 @@ class TestIntrospection:
     def test_repr_mentions_parameters(self):
         assert "m=64" in repr(BloomFilter(64, 2))
 
+    def test_repr_reports_items_and_fill(self):
+        bloom = BloomFilter(64, 2)
+        bloom.add("x")
+        assert "items=1" in repr(bloom)
+        assert f"fill={bloom.fill_ratio():.3f}" in repr(bloom)
+
+    def test_membership_reads_the_hash_family_positions(self):
+        bloom = BloomFilter(256, 3, seed=2)
+        # ``bits`` is the live array: setting an item's positions by hand
+        # makes it a member without an insertion being counted.
+        bloom.bits.set_many(bloom.hash_family.positions("hand-set"))
+        assert "hand-set" in bloom
+        assert bloom.item_count == 0
+        assert bloom.revision == 0
+
+
+class TestStateAndEquality:
+    def test_from_state_rebuilds_an_equal_filter(self):
+        bloom = BloomFilter(300, 3, seed=7)
+        bloom.add_many(range(25))
+        rebuilt = BloomFilter.from_state(
+            300, 3, 7, bloom.bits.to_bytes(), bloom.item_count, backend="python"
+        )
+        assert rebuilt == bloom
+        assert rebuilt.backend_name == "python"
+        assert all(value in rebuilt for value in range(25))
+
+    def test_equality_compares_seed_item_count_and_bits(self):
+        def build(seed=1, items=("a", "b")):
+            bloom = BloomFilter(128, 3, seed=seed)
+            bloom.add_many(items)
+            return bloom
+
+        assert build() == build()
+        assert build() != build(seed=2)
+        assert build() != build(items=("a", "b", "a"))  # same bits, one more insertion
+        assert build() != build(items=("a", "c"))
+
+    def test_equality_with_another_type_is_not_implemented(self):
+        assert BloomFilter(64, 2).__eq__(object()) is NotImplemented
+        assert BloomFilter(64, 2) != "BloomFilter(m=64, k=2)"
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(BloomFilter(64, 2))
+
+    def test_revision_counts_insertion_calls(self):
+        bloom = BloomFilter(128, 2)
+        bloom.add("a")
+        bloom.add_many(["b", "c", "d"])
+        assert bloom.revision == 2
+        assert bloom.item_count == 4
+
+    def test_add_many_matches_repeated_add(self):
+        items = [f"user-{i}" for i in range(40)] + [3, (1, 2)]
+        batched = BloomFilter(1024, 4, seed=5)
+        batched.add_many(items)
+        scalar = BloomFilter(1024, 4, seed=5)
+        for item in items:
+            scalar.add(item)
+        assert batched == scalar
+
 
 class TestUnion:
     def test_union_contains_both_sets(self):
@@ -76,3 +138,14 @@ class TestUnion:
     def test_union_rejects_other_types(self):
         with pytest.raises(TypeError):
             BloomFilter(64, 2).union(object())
+
+    def test_union_keeps_the_backend_and_leaves_operands_unchanged(self):
+        a = BloomFilter(256, 3, seed=4, backend="python")
+        b = BloomFilter(256, 3, seed=4, backend="python")
+        a.add_many(range(5))
+        b.add_many(range(5, 10))
+        a_bytes, b_bytes = a.bits.to_bytes(), b.bits.to_bytes()
+        merged = a.union(b)
+        assert merged.backend_name == "python"
+        assert (a.bits.to_bytes(), b.bits.to_bytes()) == (a_bytes, b_bytes)
+        assert (a.item_count, b.item_count) == (5, 5)

@@ -1,5 +1,6 @@
 """Unit tests for the Weighted Bloom Filter."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,25 @@ class TestInsertionAndMembership:
             WeightedBloomFilter(0, 2)
         with pytest.raises(ValueError):
             WeightedBloomFilter(16, 0)
+
+    def test_add_many_rejects_an_unhashable_weight(self):
+        wbf = WeightedBloomFilter(256, 3)
+        with pytest.raises(TypeError):
+            wbf.add_many(["a", "b"], {"not": "hashable"})
+        assert wbf.item_count == 0
+        assert wbf.fill_ratio() == 0.0
+
+    def test_inserting_nothing_changes_nothing(self):
+        wbf = WeightedBloomFilter(256, 3)
+        wbf.insert_many([], Fraction(1))
+        assert (wbf.item_count, wbf.revision, wbf.fill_ratio()) == (0, 0, 0.0)
+
+    def test_revision_counts_insertion_calls(self):
+        wbf = WeightedBloomFilter(256, 3)
+        wbf.add("a", Fraction(1))
+        wbf.add_many(["b", "c"], Fraction(1, 2))
+        assert wbf.revision == 2
+        assert wbf.item_count == 3
 
 
 class TestWeightedQueries:
@@ -110,3 +130,68 @@ class TestIntrospection:
 
     def test_repr(self):
         assert "WeightedBloomFilter" in repr(WeightedBloomFilter(64, 2))
+
+
+class TestStateAndEquality:
+    def _filled(self, backend="auto"):
+        wbf = WeightedBloomFilter(512, 3, seed=11, backend=backend)
+        wbf.add_many(range(12), ("q1", Fraction(1, 3)))
+        wbf.add_many(range(8, 20), ("q1", Fraction(2, 3)))
+        return wbf
+
+    def test_weight_entries_ascend_and_ignore_insertion_order(self):
+        forward = WeightedBloomFilter(512, 3)
+        forward.add("a", Fraction(1, 2))
+        forward.add("b", Fraction(1, 3))
+        backward = WeightedBloomFilter(512, 3)
+        backward.add("b", Fraction(1, 3))
+        backward.add("a", Fraction(1, 2))
+        entries = forward.weight_entries()
+        assert [position for position, _ in entries] == sorted(p for p, _ in entries)
+        assert entries == backward.weight_entries()
+
+    def test_from_state_rebuilds_an_equal_filter(self):
+        wbf = self._filled()
+        rebuilt = WeightedBloomFilter.from_state(
+            512,
+            3,
+            11,
+            wbf._bits.to_bytes(),
+            dict(wbf.weight_entries()),
+            wbf.item_count,
+            backend="python",
+        )
+        assert rebuilt == wbf
+        assert rebuilt.backend_name == "python"
+        assert rebuilt.query_many(range(20)) == wbf.query_many(range(20))
+
+    def test_equality_ignores_the_backend(self):
+        assert self._filled("python") == self._filled("auto")
+
+    def test_equality_compares_weights_not_only_bits(self):
+        a = WeightedBloomFilter(256, 3)
+        b = WeightedBloomFilter(256, 3)
+        a.add("x", Fraction(1, 2))
+        b.add("x", Fraction(1, 3))
+        assert a._bits == b._bits
+        assert a != b
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(WeightedBloomFilter(64, 2))
+
+    def test_pickling_drops_the_probe_index_and_keeps_the_filter(self):
+        wbf = self._filled()
+        masks = wbf.position_masks()
+        assert wbf.__getstate__()["_mask_index"] is None
+        restored = pickle.loads(pickle.dumps(wbf))
+        assert restored == wbf
+        assert restored.position_masks() == masks
+
+    def test_position_masks_are_zero_exactly_on_clear_bits(self):
+        wbf = self._filled()
+        set_bits = {position for position, _ in wbf.weight_entries()}
+        masks = wbf.position_masks()
+        assert len(masks) == wbf.bit_count
+        assert {p for p, mask in enumerate(masks) if mask} == set_bits

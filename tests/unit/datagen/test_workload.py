@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import wire
 from repro.datagen.workload import (
     DatasetSpec,
     DistributedDataset,
@@ -94,6 +95,21 @@ class TestBuildDataset:
                 for index, value in enumerate(fragment.values):
                     summed[index] += value
             assert list(small_dataset.global_pattern(user_id).values) == summed
+
+    def test_station_storage_round_trips_through_the_codec(self, small_dataset):
+        # A station's raw-data storage is its pattern list's wire size.
+        stored = 0
+        for station_id in small_dataset.station_ids:
+            patterns = list(small_dataset.local_patterns_at(station_id))
+            assert wire.decode(wire.encode(patterns)) == patterns
+            stored += wire.encoded_size(patterns)
+        # Every stored interval takes at least one byte.
+        intervals = sum(
+            len(fragment)
+            for user_id in small_dataset.user_ids
+            for fragment in small_dataset.local_patterns_for(user_id)
+        )
+        assert stored > intervals
 
     def test_fragments_stored_at_distinct_stations(self, small_dataset):
         for user_id in small_dataset.user_ids[:10]:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import wire
 from repro.baselines.bf_matching import BloomFilterProtocol
+from repro.baselines.local_match import LocalOnlyProtocol
 from repro.baselines.naive import NaiveProtocol
 from repro.cluster import Cluster, RoundOptions
 from repro.core.dimatching import DIMatchingProtocol
@@ -97,6 +99,44 @@ class TestAdoptedDrive:
         )
         assert outcome.costs.storage_center_bytes > 0
         assert outcome.costs.storage_station_bytes > 0
+
+
+_PROTOCOLS = {
+    "wbf": lambda config: DIMatchingProtocol(config),
+    "bf": lambda config: BloomFilterProtocol(config),
+    "local": lambda config: LocalOnlyProtocol(epsilon=0),
+    "naive": lambda config: NaiveProtocol(epsilon=0),
+}
+
+
+class TestStorageIsCodecBytes:
+    """Storage figures are encoded sizes: the artifact once per holder, plus landed payloads."""
+
+    @pytest.mark.parametrize("method", sorted(_PROTOCOLS))
+    def test_each_station_stores_the_encoded_artifact(
+        self, method, small_dataset, small_workload, exact_config
+    ):
+        queries = list(small_workload.queries)
+        artifact = _PROTOCOLS[method](exact_config).encode(queries)
+        artifact_bytes = 0 if artifact is None else wire.encoded_size(artifact)
+        cluster = Cluster.adopt(small_dataset)
+        outcome = cluster.drive(_PROTOCOLS[method](exact_config), queries, k=None)
+        assert outcome.method == method
+        assert outcome.costs.storage_station_bytes == artifact_bytes * len(cluster.stations)
+
+    @pytest.mark.parametrize("method", sorted(_PROTOCOLS))
+    def test_the_center_stores_the_artifact_and_the_uploaded_payloads(
+        self, method, small_dataset, small_workload, exact_config
+    ):
+        queries = list(small_workload.queries)
+        artifact = _PROTOCOLS[method](exact_config).encode(queries)
+        artifact_bytes = 0 if artifact is None else wire.encoded_size(artifact)
+        outcome = Cluster.adopt(small_dataset).drive(
+            _PROTOCOLS[method](exact_config), queries, k=None
+        )
+        landed = outcome.costs.storage_center_bytes - artifact_bytes
+        # Payloads without the envelopes that carried them up.
+        assert 0 < landed < outcome.costs.uplink_bytes
 
 
 class TestPerRoundOverrides:
