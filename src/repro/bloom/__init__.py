@@ -6,13 +6,7 @@ the Weighted Bloom Filter — lives in :mod:`repro.core.wbf` and is built on the
 same substrate.
 """
 
-from repro.bloom.analysis import (
-    expected_false_positive_rate,
-    fill_ratio,
-    optimal_bit_count,
-    optimal_hash_count,
-    optimal_parameters,
-)
+from repro.bloom.analysis import expected_false_positive_rate, fill_ratio
 from repro.bloom.backend import (
     BACKEND_CHOICES,
     HAS_NUMPY,
@@ -43,7 +37,4 @@ __all__ = [
     "HashFamily",
     "expected_false_positive_rate",
     "fill_ratio",
-    "optimal_bit_count",
-    "optimal_hash_count",
-    "optimal_parameters",
 ]

@@ -1,4 +1,4 @@
-"""False-positive analysis and parameter sizing for Bloom filters.
+"""False-positive analysis for Bloom filters.
 
 These are the standard closed-form results: for a filter of ``m`` bits, ``k`` hash
 functions and ``n`` inserted items, the probability that a particular bit is still 0
@@ -8,9 +8,7 @@ is ``p = (1 - 1/m)^(kn) ≈ e^(-kn/m)`` and the false-positive probability is
 
 from __future__ import annotations
 
-import math
-
-from repro.utils.validation import require_non_negative, require_positive, require_probability
+from repro.utils.validation import require_non_negative, require_positive
 
 
 def probability_bit_zero(bit_count: int, hash_count: int, item_count: int) -> float:
@@ -29,26 +27,3 @@ def fill_ratio(bit_count: int, hash_count: int, item_count: int) -> float:
 def expected_false_positive_rate(bit_count: int, hash_count: int, item_count: int) -> float:
     """Expected false-positive probability ``(1 - p)^k``."""
     return fill_ratio(bit_count, hash_count, item_count) ** hash_count
-
-
-def optimal_hash_count(bit_count: int, item_count: int) -> int:
-    """Optimal number of hash functions ``k = (m/n) ln 2`` (at least 1)."""
-    require_positive(bit_count, "bit_count")
-    require_positive(item_count, "item_count")
-    return max(1, round((bit_count / item_count) * math.log(2)))
-
-
-def optimal_bit_count(item_count: int, target_false_positive_rate: float) -> int:
-    """Minimum filter size ``m = -n ln(f) / (ln 2)^2`` for a target FP rate ``f``."""
-    require_positive(item_count, "item_count")
-    require_probability(target_false_positive_rate, "target_false_positive_rate")
-    if target_false_positive_rate in (0.0, 1.0):
-        raise ValueError("target_false_positive_rate must be strictly between 0 and 1")
-    bits = -item_count * math.log(target_false_positive_rate) / (math.log(2) ** 2)
-    return max(1, math.ceil(bits))
-
-
-def optimal_parameters(item_count: int, target_false_positive_rate: float) -> tuple[int, int]:
-    """Return ``(m, k)`` sized for ``item_count`` items at the target FP rate."""
-    bit_count = optimal_bit_count(item_count, target_false_positive_rate)
-    return bit_count, optimal_hash_count(bit_count, item_count)

@@ -25,8 +25,9 @@ surface:
   behind one ``step()`` verb;
 * ``snapshot()`` / ``restore()`` — freeze and reinstall the cluster's mutable
   state for warm starts and failover experiments;
-* ``transcript_bytes()`` — the cluster-level replay token, framed exactly
-  like :meth:`repro.workloads.result.WorkloadResult.transcript_bytes`;
+* ``transcript_digest()`` — the cluster-level replay token: the sha256 of
+  every recorded round's transcript, framed exactly like
+  :meth:`repro.workloads.result.WorkloadResult.transcript_bytes`;
 * ``drive(protocol, queries, ...)`` — the low-level escape hatch that runs an
   arbitrary protocol through one round (what the method-comparison harness
   uses).
@@ -38,8 +39,8 @@ a *surviving* round computes, only what it costs.
 
 from __future__ import annotations
 
+import hashlib
 import time
-import zlib
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.report import ClusterSnapshot, RoundReport
@@ -252,7 +253,8 @@ class Cluster:
         #: (see _subscribed_artifact); None until a round encodes it.
         self._held_artifact: tuple[object | None, object] | None = None
         self._round_index = 0
-        self._transcripts: list[bytes] = []
+        #: The running sha256 of every recorded round's framed transcript.
+        self._transcript_hash = hashlib.sha256()
         self._session: "ClusterSession | None" = None
         self._epoch = 0
         # The tier map is a pure function of topology + station order, so it
@@ -759,27 +761,24 @@ class Cluster:
         return report
 
     def _record(self, transcript: bytes) -> None:
-        # Every transcript is kept for the cluster's lifetime, so it is stored
-        # compressed: level 1 shrinks a 10k-station round's 4 MB transcript
-        # about 7x, for under 2% of that round's time.  Readers decompress.
-        self._transcripts.append(zlib.compress(transcript, 1))
+        # The replay token is a running digest, so a cluster keeps nothing
+        # per round: sha256 fed round by round equals sha256 of the rounds'
+        # concatenation.
+        self._transcript_hash.update(b"== round %d ==\n" % self._round_index)
+        self._transcript_hash.update(transcript)
+        self._transcript_hash.update(b"\n")
         self._round_index += 1
 
-    def transcript_bytes(self) -> bytes:
-        """The cluster-level replay token.
+    def transcript_digest(self) -> str:
+        """The cluster-level replay token, as a sha256 hex digest.
 
-        Every facade-recorded round's canonical transcript under a
-        ``== round N ==`` header — the same framing as
+        The digest of every facade-recorded round's canonical transcript
+        under a ``== round N ==`` header — the same framing as
         :meth:`repro.workloads.result.WorkloadResult.transcript_bytes`, so a
-        scenario driven by hand through the facade compares byte-for-byte
-        against an engine-driven run.
+        scenario driven by hand through the facade compares against an
+        engine-driven run through ``hashlib.sha256(result.transcript_bytes())``.
         """
-        parts: list[bytes] = []
-        for index, transcript in enumerate(self._transcripts):
-            parts.append(b"== round %d ==\n" % index)
-            parts.append(zlib.decompress(transcript))
-            parts.append(b"\n")
-        return b"".join(parts)
+        return self._transcript_hash.hexdigest()
 
     # -- sessions --------------------------------------------------------------
 
@@ -810,7 +809,7 @@ class Cluster:
         """Freeze the cluster's restorable state.
 
         The snapshot captures the subscription, every station's published
-        patterns, the round counter and the recorded transcripts.  For a lazy
+        patterns, the round counter and the transcript digest.  For a lazy
         (capped-source) cluster only the *pinned* (explicitly published)
         stations' patterns are captured, plus the withdrawn set — transient
         batches are a pure function of the source and re-derive on demand, so
@@ -832,7 +831,7 @@ class Cluster:
             queries=self._queries,
             patterns=patterns,
             round_index=self._round_index,
-            transcripts=tuple(zlib.decompress(t) for t in self._transcripts),
+            transcript_hash=self._transcript_hash.copy(),
             withdrawn=tuple(sorted(self._withdrawn)),
         )
 
@@ -842,7 +841,7 @@ class Cluster:
         After restoring, the cluster continues exactly as if the intervening
         mutations never happened: the same subscription, published patterns
         and round counter, so subsequent rounds extend the restored
-        transcript byte-identically.
+        transcript digest exactly as they would have extended the original.
         """
         if not isinstance(snapshot, ClusterSnapshot):
             raise TypeError(
@@ -864,7 +863,7 @@ class Cluster:
                 sid for sid in snapshot.withdrawn if sid in self._station_index
             }
         self._round_index = snapshot.round_index
-        self._transcripts = [zlib.compress(t, 1) for t in snapshot.transcripts]
+        self._transcript_hash = snapshot.transcript_hash.copy()
 
     # -- lifecycle -------------------------------------------------------------
 

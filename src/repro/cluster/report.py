@@ -18,6 +18,7 @@ transcript, which ``tests/cluster/test_snapshot.py`` pins property-style.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.core.protocol import RankedResults
@@ -91,7 +92,12 @@ class ClusterSnapshot:
     #: stations appear — transient batches are re-derivable from the source.
     patterns: tuple[tuple[str, PatternSet], ...]
     round_index: int
-    transcripts: tuple[bytes, ...] = field(repr=False, default=())
+    #: A copy of the cluster's running transcript digest (a ``hashlib``
+    #: sha256 object, which cannot be pickled); :meth:`Cluster.restore`
+    #: installs a copy of it.
+    transcript_hash: "hashlib._Hash" = field(
+        repr=False, compare=False, default_factory=hashlib.sha256
+    )
     #: Source-backed clusters: stations withdrawn via ``retire`` (the source
     #: still declares them, but rounds must not serve them after restore).
     withdrawn: tuple[str, ...] = ()

@@ -188,7 +188,7 @@ class ContinuousMatchingSession:
         """Ship the dirty stations' reports to ``center`` through a transport.
 
         Each dirty station's cached reports travel as one encoded
-        ``MATCH_REPORT`` message through the event-driven
+        ``MATCH_REPORT`` frame through the event-driven
         :class:`~repro.distributed.network.SimulatedNetwork` — exposed to its
         fault plan, retransmitted on loss/corruption, decoded by the center
         from real wire bytes.  Stations whose transfer completed are marked
@@ -201,35 +201,36 @@ class ContinuousMatchingSession:
         # Imported lazily: core must not depend on distributed at module load
         # (distributed imports core).
         from repro.distributed.events import RoundTimeoutError
-        from repro.distributed.messages import Message, MessageKind
+        from repro.distributed.messages import MessageKind
+        from repro.distributed.transport.base import Frames
 
-        sends = []
+        frames = Frames()
         for station_id in self._dirty:
-            message = Message(
-                sender=station_id,
-                recipient=center.node_id,
-                kind=MessageKind.MATCH_REPORT,
-                payload=list(self._reports_by_station.get(station_id, [])),
+            frames.add(
+                station_id,
+                center.node_id,
+                MessageKind.MATCH_REPORT,
+                list(self._reports_by_station.get(station_id, [])),
+                center,
             )
-            sends.append((message, center))
         try:
-            outcome = network.gather(sends)
+            outcome = network.gather(frames)
         except RoundTimeoutError as error:
             # Stations that delivered before the phase failed already sit
             # decoded in the center's inbox: mark them clean so a retry after
             # the error cannot re-ship them (exactly-once to the application).
-            self._mark_shipped(sends, error.delivered_ids)
+            self._mark_shipped(frames, error.delivered_ids)
             raise
-        return self._mark_shipped(sends, outcome.delivered_ids)
+        return self._mark_shipped(frames, outcome.delivered_ids)
 
-    def _mark_shipped(self, sends, delivered_ids) -> dict[str, bytes]:
+    def _mark_shipped(self, frames, delivered_ids) -> dict[str, bytes]:
         """Clear dirty flags and account bytes for the delivered stations."""
+        delivered_set = set(delivered_ids)
         delivered: dict[str, bytes] = {}
-        for message, _receiver in sends:
-            if message.sender in delivered_ids:
-                payload = message.payload_wire()
-                delivered[message.sender] = payload
-                self._dirty.pop(message.sender, None)
+        for station_id, payload in zip(frames.senders, frames.blocks()):
+            if station_id in delivered_set:
+                delivered[station_id] = payload
+                self._dirty.pop(station_id, None)
                 self._delta_bytes_shipped += len(payload)
         return delivered
 

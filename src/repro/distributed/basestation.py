@@ -24,18 +24,3 @@ class BaseStationNode(Node):
     def stored_pattern_count(self) -> int:
         """Number of local patterns stored at this station."""
         return len(self._patterns)
-
-    def latest_artifact(self) -> object | None:
-        """The payload of the most recent dissemination/control message.
-
-        This is what the station actually decoded off the wire — the artifact
-        the matching phase should run against.  Raises :class:`LookupError`
-        when no dissemination reached this station (e.g. its downlink timed
-        out in a partial round).
-        """
-        from repro.distributed.messages import MessageKind
-
-        for message in reversed(self._inbox):
-            if message.kind in (MessageKind.FILTER_DISSEMINATION, MessageKind.CONTROL):
-                return message.payload
-        raise LookupError(f"station {self.node_id!r} never received a dissemination")

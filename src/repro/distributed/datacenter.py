@@ -34,7 +34,9 @@ class DataCenterNode(Node):
         These are the reports that actually crossed the uplink — decoded from
         wire bytes by the transport, deduplicated at the frame layer.  The
         simulator aggregates them in canonical station order so delivery
-        reordering can never change the ranking.
+        reordering can never change the ranking.  A station that delivered
+        one report frame maps to that frame's decoded list itself, not a
+        copy: callers read the lists and never change them.
 
         Every protocol's ``MATCH_REPORT`` payload is a list (possibly empty);
         anything else in the inbox is a protocol violation and raises
@@ -46,15 +48,17 @@ class DataCenterNode(Node):
         from repro.wire.errors import WireFormatError
 
         grouped: dict[str, list[object]] = {}
-        for message in self._inbox:
-            if message.kind is not MessageKind.MATCH_REPORT:
+        for sender, kind, payload in zip(self._senders, self._kinds, self._payloads):
+            if kind is not MessageKind.MATCH_REPORT:
                 continue
-            payload = message.payload
             if not isinstance(payload, list):
                 raise WireFormatError(
-                    f"MATCH_REPORT from {message.sender!r} carries a "
+                    f"MATCH_REPORT from {sender!r} carries a "
                     f"{type(payload).__name__} payload; every protocol encodes "
                     "match reports as a list"
                 )
-            grouped.setdefault(message.sender, []).extend(payload)
+            earlier = grouped.get(sender)
+            # A second frame from one sender joins into a new list, so no
+            # decoded payload is ever extended in place.
+            grouped[sender] = payload if earlier is None else earlier + payload
         return grouped

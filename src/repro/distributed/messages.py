@@ -53,8 +53,8 @@ class Message:
 
     #: Memo of :meth:`payload_wire` with the payload revision it was encoded
     #: at, set per instance on first use (not fields).  Plain attributes, not
-    #: a ``(revision, bytes)`` tuple: a round builds 20,000 messages, and
-    #: every tuple is one more object for the garbage collector to count.
+    #: a ``(revision, bytes)`` tuple, which would be one more object for the
+    #: garbage collector to count.
     _payload_wire_cache = None
     _payload_wire_revision = None
 
@@ -67,8 +67,7 @@ class Message:
         wire_version: int = 1,
     ) -> None:
         # One dict update instead of a frozen ``object.__setattr__`` per
-        # field: a round builds a message per frame and decodes one per
-        # delivery.
+        # field: the TCP backend's replay decodes a message per delivery.
         self.__dict__.update(
             sender=sender,
             recipient=recipient,

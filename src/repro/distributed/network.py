@@ -7,9 +7,9 @@ per-station links; uplink transfers serialize at the center) — but executes
 them as a discrete-event simulation on a virtual clock instead of closed-form
 accounting:
 
-* every logical :class:`~repro.distributed.messages.Message` is encoded to its
-  real wire bytes and transmitted as a *frame* over a link with queueing,
-  latency and transfer time;
+* every frame of a phase's :class:`~repro.distributed.transport.base.Frames`
+  is encoded to its real wire bytes and transmitted over a link with
+  queueing, latency and transfer time;
 * a seeded :class:`~repro.distributed.faults.FaultPlan` may drop, duplicate,
   corrupt, delay (reorder) or black out frames at send time — every decision a
   pure function of ``(net seed, frame id, attempt)``, so runs replay exactly;
@@ -37,7 +37,10 @@ its frames instead of through the event loop, with the same transcript.
 A frame travels as its envelope head plus its payload block: every frame of a
 broadcast shares the one payload ``bytes`` object, which the receivers' decode
 cache finds the artifact by.  Only a corrupted copy is joined into one buffer.
-A message whose payload has no wire encoding fails its phase with
+Both engines read the phase's columns, and receivers parse each head into
+their columnar inboxes, so an intact frame builds no
+:class:`~repro.distributed.messages.Message` at either end.  A frame whose
+payload has no wire encoding fails its phase with
 :class:`~repro.wire.errors.UnsupportedWireTypeError` before any frame of the
 phase is sent.
 
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.distributed.events import (
     EventLoop,
@@ -69,8 +71,10 @@ from repro.distributed.messages import Message
 from repro.distributed.node import Node
 from repro.distributed.transport.base import (
     DeliveredFrames,
+    Frames,
     FrameStats,
     PhaseOutcome,
+    Sends,
     Transport,
 )
 from repro.utils.validation import require_non_negative, require_positive
@@ -78,6 +82,7 @@ from repro.wire.codec import envelope_head
 from repro.wire.errors import WireFormatError
 
 __all__ = [
+    "Frames",
     "FrameStats",
     "NetworkConfig",
     "PhaseOutcome",
@@ -88,10 +93,6 @@ __all__ = [
 _UPLINK_INGRESS = "uplink:center-ingress"
 
 _new_row = tuple.__new__
-
-#: Stands for "no payload looked up yet" while a phase builds its frames
-#: (``None`` is a payload).
-_NO_PAYLOAD = object()
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,19 @@ class NetworkConfig:
 
 
 class _Transfer:
-    """One logical message's reliable delivery state."""
+    """One frame's reliable delivery state."""
 
     __slots__ = (
         "frame_id",
-        "message",
+        "sender",
+        "recipient",
+        "kind",
         "receiver",
         "direction",
         "head",
         "payload",
         "size",
         "occupancy",
-        "kind",
         "link",
         "station",
         "attempts",
@@ -146,7 +148,9 @@ class _Transfer:
     def __init__(
         self,
         frame_id: int,
-        message: Message,
+        sender: str,
+        recipient: str,
+        kind: str,
         receiver: Node | None,
         direction: str,
         head: bytes,
@@ -155,20 +159,21 @@ class _Transfer:
         occupancy: float,
     ) -> None:
         self.frame_id = frame_id
-        self.message = message
+        self.sender = sender
+        self.recipient = recipient
+        self.kind = kind
         self.receiver = receiver
         self.direction = direction
         self.head = head
         self.payload = payload
         self.size = size
         self.occupancy = occupancy
-        self.kind = message.kind.value
         if direction == "downlink":
-            self.link = f"downlink:{message.recipient}"
-            self.station = message.recipient
+            self.link = f"downlink:{recipient}"
+            self.station = recipient
         else:
             self.link = _UPLINK_INGRESS
-            self.station = message.sender
+            self.station = sender
         self.attempts = 0
         self.delivered = False
         self.failed = False
@@ -319,20 +324,17 @@ class SimulatedNetwork(Transport):
 
     # -- sending -----------------------------------------------------------------
 
-    def broadcast(
-        self, sends: Sequence[tuple[Message, Node | None]]
-    ) -> PhaseOutcome:
-        """Run one downlink phase: the center's messages to many stations."""
-        return self._run_phase(list(sends), "downlink")
+    def broadcast(self, sends: Sends) -> PhaseOutcome:
+        """Run one downlink phase: the center's frames to many stations."""
+        return self._run_phase(Frames.of(sends), "downlink")
 
-    def gather(self, sends: Sequence[tuple[Message, Node | None]]) -> PhaseOutcome:
+    def gather(self, sends: Sends) -> PhaseOutcome:
         """Run one uplink phase: station reports into the center's ingress."""
-        return self._run_phase(list(sends), "uplink")
+        return self._run_phase(Frames.of(sends), "uplink")
 
     # -- the phase engine ---------------------------------------------------------
 
     def _record(self, time_s: float, event: str, transfer: _Transfer, attempt: int) -> None:
-        message = transfer.message
         transcript = self._transcript
         # The row is built as the tuple it is, without the named tuple's
         # Python-level ``__new__``: one row per frame event adds up.
@@ -345,70 +347,59 @@ class SimulatedNetwork(Transport):
                     event,
                     transfer.frame_id,
                     attempt,
-                    message.sender,
-                    message.recipient,
+                    transfer.sender,
+                    transfer.recipient,
                     transfer.kind,
                     transfer.size,
                 ),
             )
         )
 
-    def _frames(
-        self, sends: list[tuple[Message, Node | None]]
-    ) -> tuple[list[bytes], list[bytes], list[int]]:
-        """Each send's envelope head, payload block and size, in send order.
+    def _wire(self, frames: Frames) -> tuple[list[bytes], list[bytes], list[int]]:
+        """Each frame's envelope head, payload block and size, in frame order.
 
-        Consecutive messages carrying one payload object at one wire version
-        — a broadcast's artifact — share its block, looked up once.  A payload
-        outside the wire vocabulary raises
+        A payload outside the wire vocabulary raises
         :class:`~repro.wire.errors.UnsupportedWireTypeError` here, before the
-        phase sends anything.
+        phase sends anything; the frames before it count as offered.
         """
-        heads: list[bytes] = []
-        payloads: list[bytes] = []
-        sizes: list[int] = []
-        shared = _NO_PAYLOAD
-        shared_version = block = None
         try:
-            for message, _receiver in sends:
-                if message.payload is not shared or message.wire_version != shared_version:
-                    block = message.payload_wire()
-                    shared = message.payload
-                    shared_version = message.wire_version
-                head = envelope_head(message, len(block))
-                sizes.append(len(head) + len(block))
-                heads.append(head)
-                payloads.append(block)
+            blocks = frames.blocks()
         finally:
-            # A message whose frame cannot be built ends the phase before it
-            # starts; those before it were offered.
-            self._message_count += len(sizes)
-            self._next_frame_id += len(sizes)
-        return heads, payloads, sizes
+            offered = frames.encoded_count
+            self._message_count += offered
+            self._next_frame_id += offered
+        heads = list(
+            map(envelope_head, frames.senders, frames.recipients, frames.kinds, map(len, blocks))
+        )
+        return heads, blocks, [len(head) + len(block) for head, block in zip(heads, blocks)]
 
-    def _run_phase(
-        self, sends: list[tuple[Message, Node | None]], direction: str
-    ) -> PhaseOutcome:
+    def _run_phase(self, frames: Frames, direction: str) -> PhaseOutcome:
         first_id = self._next_frame_id
-        heads, payloads, sizes = self._frames(sends)
+        heads, payloads, sizes = self._wire(frames)
+        count = len(sizes)
         self._transcript.append(
             _new_row(
                 TranscriptEntry,
-                (len(self._transcript), 0.0, "phase", -1, len(sends), "-", "-", direction, 0),
+                (len(self._transcript), 0.0, "phase", -1, count, "-", "-", direction, 0),
             )
         )
         config = self._config
         if self._fault_free and config.retransmit_timeout_s is None:
-            return self._run_in_one_pass(sends, direction, first_id, heads, payloads, sizes)
+            return self._run_in_one_pass(frames, direction, first_id, heads, payloads, sizes)
         self._loop.reset(0.0)
         self._link_free.clear()
         latency = config.latency_s
         bandwidth = config.bandwidth_bytes_per_s
+        senders, recipients, kinds, receivers = (
+            frames.senders, frames.recipients, frames.kinds, frames.receivers
+        )
         transfers = [
             _Transfer(
                 first_id + index,
-                message,
-                receiver,
+                senders[index],
+                recipients[index],
+                kinds[index].value,
+                receivers[index],
                 direction,
                 heads[index],
                 payloads[index],
@@ -417,16 +408,14 @@ class SimulatedNetwork(Transport):
                 # link time.
                 latency + sizes[index] / bandwidth,
             )
-            for index, (message, receiver) in enumerate(sends)
+            for index in range(count)
         ]
         for transfer in transfers:
             self._schedule_attempt(0.0, transfer, False)
         self._loop.run()
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:
-            labels = tuple(
-                f"{t.message.sender}->{t.message.recipient}" for t in failed
-            )
+            labels = tuple(f"{t.sender}->{t.recipient}" for t in failed)
             raise RoundTimeoutError(
                 f"{len(failed)} {direction} transfer(s) exhausted "
                 f"{self._config.max_attempts} attempts under fault plan "
@@ -449,7 +438,7 @@ class SimulatedNetwork(Transport):
 
     def _run_in_one_pass(
         self,
-        sends: list[tuple[Message, Node | None]],
+        frames: Frames,
         direction: str,
         first_id: int,
         heads: list[bytes],
@@ -474,15 +463,17 @@ class SimulatedNetwork(Transport):
         bandwidth = config.bandwidth_bytes_per_s
         transcript = self._transcript
         downlink = direction == "downlink"
+        senders, recipients, kinds, receivers = (
+            frames.senders, frames.recipients, frames.kinds, frames.receivers
+        )
         link_free: dict[str, float] = {}
         ingress_free = 0.0
         arrivals: list[float] = []
         sent: list[TranscriptEntry] = []
         sequence = len(transcript)
         kind = kind_value = None
-        for index, (message, _receiver) in enumerate(sends):
-            size = sizes[index]
-            recipient = message.recipient
+        for index, size in enumerate(sizes):
+            recipient = recipients[index]
             if downlink:
                 start = link_free.get(recipient, 0.0)
                 arrival = link_free[recipient] = start + (latency + size / bandwidth)
@@ -490,8 +481,8 @@ class SimulatedNetwork(Transport):
                 start = ingress_free
                 arrival = ingress_free = start + (latency + size / bandwidth)
             arrivals.append(arrival)
-            if message.kind is not kind:
-                kind = message.kind
+            if kinds[index] is not kind:
+                kind = kinds[index]
                 kind_value = kind.value
             sent.append(
                 _new_row(
@@ -502,7 +493,7 @@ class SimulatedNetwork(Transport):
                         "send",
                         first_id + index,
                         1,
-                        message.sender,
+                        senders[index],
                         recipient,
                         kind_value,
                         size,
@@ -521,16 +512,17 @@ class SimulatedNetwork(Transport):
         backend = self._decode_backend
         record = self._delivered.record
         append = transcript.append
+        stations = recipients if downlink else senders
         for index in sorted(range(len(arrivals)), key=arrivals.__getitem__):
             _, _, _, frame_id, _, sender, recipient, kind_value, size = sent[index]
-            receiver = sends[index][1]
+            receiver = receivers[index]
             head = heads[index]
             payload = payloads[index]
             if receiver is not None:
                 receiver.receive_frame(head, payload, backend)
             self._frames_delivered += 1
             self._payload_bytes_delivered += size
-            record(direction, recipient if downlink else sender, head, payload)
+            record(direction, stations[index], head, payload)
             append(
                 _new_row(
                     TranscriptEntry,
@@ -556,7 +548,7 @@ class SimulatedNetwork(Transport):
         return PhaseOutcome(
             direction=direction,
             duration_s=duration,
-            delivered_ids=tuple(row.recipient if downlink else row.sender for row in sent),
+            delivered_ids=tuple(stations),
             failed_ids=(),
         )
 

@@ -14,23 +14,130 @@ byte accounting are backend-invariant for fault-free plans (the conformance
 suite under ``tests/transport/`` pins this), while latencies are virtual on
 the simulator and measured wall clock over real sockets.
 
+A phase's input is one :class:`Frames`: its frames as columns, so a phase of
+10,000 frames builds no :class:`~repro.distributed.messages.Message` and no
+send pair per frame.  ``broadcast`` and ``gather`` also accept a list of
+``(Message, receiver)`` pairs, which they turn into columns once.
+
 This module is dependency-light on purpose: it defines only the interface and
-the shared value types (:class:`FrameStats`, :class:`PhaseOutcome`), so both
-backends — and the simulator module itself — can import it without cycles.
+the shared value types (:class:`Frames`, :class:`FrameStats`,
+:class:`PhaseOutcome`), so both backends — and the simulator module itself —
+can import it without cycles.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Union
+
+from repro.wire.codec import encode_cached
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.events import TranscriptEntry
     from repro.distributed.faults import FaultPlan
-    from repro.distributed.messages import Message
+    from repro.distributed.messages import Message, MessageKind
     from repro.distributed.network import NetworkConfig
     from repro.distributed.node import Node
+
+#: Stands for "no payload encoded yet" while :meth:`Frames.blocks` runs
+#: (``None`` is a payload).
+_NO_PAYLOAD = object()
+
+
+class Frames:
+    """One phase's frames as columns.
+
+    Per frame: a sender, a recipient, a kind, a wire version, a payload (the
+    frames of a broadcast repeat one object) and the node that receives it
+    (``None`` delivers to no node).  :meth:`blocks` encodes each payload
+    once and keeps the blocks, so whoever built the frames reads the bytes
+    that were sent.
+    """
+
+    __slots__ = ("senders", "recipients", "kinds", "versions", "payloads", "receivers", "_blocks")
+
+    def __init__(self) -> None:
+        self.senders: list[str] = []
+        self.recipients: list[str] = []
+        self.kinds: list["MessageKind"] = []
+        self.versions: list[int] = []
+        self.payloads: list[object] = []
+        self.receivers: list["Node | None"] = []
+        self._blocks: list[bytes] = []
+
+    @classmethod
+    def of(cls, sends: "Frames | Iterable[tuple[Message, Node | None]]") -> "Frames":
+        """``sends`` itself when it is :class:`Frames`, else its pairs as columns."""
+        if isinstance(sends, cls):
+            return sends
+        frames = cls()
+        for message, receiver in sends:
+            frames.add(
+                message.sender,
+                message.recipient,
+                message.kind,
+                message.payload,
+                receiver,
+                message.wire_version,
+            )
+        return frames
+
+    def add(
+        self,
+        sender: str,
+        recipient: str,
+        kind: "MessageKind",
+        payload: object,
+        receiver: "Node | None",
+        version: int = 1,
+    ) -> None:
+        """Append one frame."""
+        self.senders.append(sender)
+        self.recipients.append(recipient)
+        self.kinds.append(kind)
+        self.versions.append(version)
+        self.payloads.append(payload)
+        self.receivers.append(receiver)
+
+    def __len__(self) -> int:
+        return len(self.senders)
+
+    @property
+    def encoded_count(self) -> int:
+        """How many leading frames :meth:`blocks` has encoded.
+
+        After :meth:`blocks` raised, these are the frames before the refused
+        one.
+        """
+        return len(self._blocks)
+
+    def blocks(self) -> list[bytes]:
+        """Each frame's payload block, in frame order.
+
+        A run of frames carrying one payload object at one version shares
+        one block, and an artifact's block comes from the codec's encode
+        cache, so a broadcast encodes its artifact once.  Raises
+        :class:`~repro.wire.errors.UnsupportedWireTypeError` at the first
+        frame whose payload the wire cannot carry; the blocks before it stay.
+        """
+        blocks = self._blocks
+        payloads, versions = self.payloads, self.versions
+        shared = _NO_PAYLOAD
+        shared_version = block = None
+        for index in range(len(blocks), len(payloads)):
+            payload = payloads[index]
+            version = versions[index]
+            if payload is not shared or version != shared_version:
+                block = encode_cached(payload, version)
+                shared = payload
+                shared_version = version
+            blocks.append(block)
+        return blocks
+
+
+#: What :meth:`Transport.broadcast` and :meth:`Transport.gather` take.
+Sends = Union[Frames, "Iterable[tuple[Message, Node | None]]"]
 
 
 class DeliveredFrames:
@@ -146,22 +253,12 @@ class Transport(abc.ABC):
     # -- sending -----------------------------------------------------------------
 
     @abc.abstractmethod
-    def broadcast(
-        self, sends: Sequence[tuple["Message", "Node | None"]]
-    ) -> PhaseOutcome:
-        """Run one downlink phase: the center's messages to many stations."""
+    def broadcast(self, sends: Sends) -> PhaseOutcome:
+        """Run one downlink phase: the center's frames to many stations."""
 
     @abc.abstractmethod
-    def gather(self, sends: Sequence[tuple["Message", "Node | None"]]) -> PhaseOutcome:
+    def gather(self, sends: Sends) -> PhaseOutcome:
         """Run one uplink phase: station reports into the center's ingress."""
-
-    def send_downlink(self, message: "Message", receiver: "Node | None" = None) -> float:
-        """Deliver one center→station message; return its phase duration."""
-        return self.broadcast([(message, receiver)]).duration_s
-
-    def send_uplink(self, message: "Message", receiver: "Node | None" = None) -> float:
-        """Deliver one station→center message; return its phase duration."""
-        return self.gather([(message, receiver)]).duration_s
 
     # -- configuration -----------------------------------------------------------
 

@@ -50,7 +50,6 @@ import time
 import zlib
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
-from typing import Sequence
 
 import repro
 from repro.distributed.events import RoundTimeoutError, TranscriptEntry
@@ -61,10 +60,13 @@ from repro.distributed.node import Node
 from repro.distributed.transport import protocol
 from repro.distributed.transport.base import (
     DeliveredFrames,
+    Frames,
     FrameStats,
     PhaseOutcome,
+    Sends,
     Transport,
 )
+from repro.wire.codec import envelope_head
 from repro.wire.errors import WireFormatError
 from repro.wire.stream import FrameStreamDecoder, encode_stream_frame
 
@@ -112,11 +114,13 @@ class _FrameWriter:
 
 
 class _TcpTransfer:
-    """One logical message's reliable delivery state (the sim's ``_Transfer``)."""
+    """One frame's reliable delivery state (the sim's ``_Transfer``)."""
 
     __slots__ = (
         "frame_id",
-        "message",
+        "sender",
+        "recipient",
+        "kind",
         "receiver",
         "direction",
         "payload",
@@ -131,16 +135,25 @@ class _TcpTransfer:
     )
 
     def __init__(
-        self, frame_id: int, message: Message, receiver: Node | None, direction: str
+        self,
+        frame_id: int,
+        sender: str,
+        recipient: str,
+        kind: str,
+        receiver: Node | None,
+        direction: str,
+        frame: bytes,
     ) -> None:
         self.frame_id = frame_id
-        self.message = message
+        self.sender = sender
+        self.recipient = recipient
+        self.kind = kind
         self.receiver = receiver
         self.direction = direction
-        self.payload = message.to_wire()
-        self.size = len(self.payload)
-        self.crc = zlib.crc32(self.payload)
-        self.station = message.recipient if direction == "downlink" else message.sender
+        self.payload = frame
+        self.size = len(frame)
+        self.crc = zlib.crc32(frame)
+        self.station = recipient if direction == "downlink" else sender
         self.attempts = 0
         self.delivered = False
         self.failed = False
@@ -571,26 +584,22 @@ class TcpTransport(Transport):
 
     # -- sending (caller thread) -------------------------------------------------
 
-    def broadcast(
-        self, sends: Sequence[tuple[Message, Node | None]]
-    ) -> PhaseOutcome:
-        """Run one downlink phase: the center's messages to many stations."""
-        return self._run_phase(list(sends), "downlink")
+    def broadcast(self, sends: Sends) -> PhaseOutcome:
+        """Run one downlink phase: the center's frames to many stations."""
+        return self._run_phase(Frames.of(sends), "downlink")
 
-    def gather(self, sends: Sequence[tuple[Message, Node | None]]) -> PhaseOutcome:
+    def gather(self, sends: Sends) -> PhaseOutcome:
         """Run one uplink phase: station reports into the center's ingress."""
-        return self._run_phase(list(sends), "uplink")
+        return self._run_phase(Frames.of(sends), "uplink")
 
     def _phase_deadline(self, transfer_count: int) -> float:
         per_transfer = self._config.max_attempts * (self._ack_timeout + 0.25)
         return (per_transfer + 15.0 + 0.05 * transfer_count) * deadline_multiplier()
 
-    def _run_phase(
-        self, sends: list[tuple[Message, Node | None]], direction: str
-    ) -> PhaseOutcome:
-        deadline = self._phase_deadline(len(sends))
+    def _run_phase(self, frames: Frames, direction: str) -> PhaseOutcome:
+        deadline = self._phase_deadline(len(frames))
         future = asyncio.run_coroutine_threadsafe(
-            self._phase(sends, direction), self._manager.loop
+            self._phase(frames, direction), self._manager.loop
         )
         try:
             transfers = future.result(timeout=deadline)
@@ -598,7 +607,7 @@ class TcpTransport(Transport):
             future.cancel()
             raise RuntimeError(
                 f"TCP {direction} phase did not converge within {deadline:.1f}s "
-                f"({len(sends)} transfer(s), fault plan {self._plan.name!r}, "
+                f"({len(frames)} transfer(s), fault plan {self._plan.name!r}, "
                 f"seed {self._injector.seed})\n{self._manager.diagnostics()}"
             ) from None
 
@@ -617,9 +626,7 @@ class TcpTransport(Transport):
 
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:
-            labels = tuple(
-                f"{t.message.sender}->{t.message.recipient}" for t in failed
-            )
+            labels = tuple(f"{t.sender}->{t.recipient}" for t in failed)
             raise RoundTimeoutError(
                 f"{len(failed)} {direction} transfer(s) exhausted "
                 f"{self._config.max_attempts} attempts under fault plan "
@@ -671,9 +678,9 @@ class TcpTransport(Transport):
                 event=event,
                 frame_id=transfer.frame_id,
                 attempt=attempt if attempt is not None else transfer.attempts,
-                sender=transfer.message.sender,
-                recipient=transfer.message.recipient,
-                kind=transfer.message.kind.value,
+                sender=transfer.sender,
+                recipient=transfer.recipient,
+                kind=transfer.kind,
                 size_bytes=transfer.size,
             )
         self._transcript.append(entry)
@@ -690,19 +697,32 @@ class TcpTransport(Transport):
         else:
             self._uplink_bytes += size
 
-    async def _phase(
-        self, sends: list[tuple[Message, Node | None]], direction: str
-    ) -> list[_TcpTransfer]:
-        # Every frame is built before anything is sent: a message whose
-        # payload has no wire encoding raises here, like the simulator's, and
-        # leaves only the messages before it counted as offered.
+    async def _phase(self, frames: Frames, direction: str) -> list[_TcpTransfer]:
+        # Every frame is built before anything is sent: a payload with no
+        # wire encoding raises here, like the simulator's, and leaves only the
+        # frames before it counted as offered.
+        first_id = self._next_frame_id
+        try:
+            blocks = frames.blocks()
+        finally:
+            self._message_count += frames.encoded_count
+            self._next_frame_id += frames.encoded_count
         transfers: list[_TcpTransfer] = []
-        for message, receiver in sends:
+        for index, block in enumerate(blocks):
+            sender = frames.senders[index]
+            recipient = frames.recipients[index]
+            kind = frames.kinds[index]
             transfers.append(
-                _TcpTransfer(self._next_frame_id, message, receiver, direction)
+                _TcpTransfer(
+                    first_id + index,
+                    sender,
+                    recipient,
+                    kind.value,
+                    frames.receivers[index],
+                    direction,
+                    envelope_head(sender, recipient, kind, len(block)) + block,
+                )
             )
-            self._next_frame_id += 1
-            self._message_count += 1
         await self._manager.set_active(self)
         self._phase_started = time.monotonic()
         self._quiet = asyncio.Event()

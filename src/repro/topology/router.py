@@ -5,9 +5,10 @@
 :class:`~repro.distributed.transport.base.Transport` contract — one
 transport per region for the region's hop, plus a trunk transport for the
 aggregator↔center hop when the map has a trunk — without changing the frame
-protocol: every hop moves ordinary
-:class:`~repro.distributed.messages.Message` envelopes, so both backends
-(deterministic simulator and real TCP sockets) carry every tier unmodified.
+protocol: every hop moves ordinary message envelopes, handed to the
+transport as one :class:`~repro.distributed.transport.base.Frames` per
+phase, so both backends (deterministic simulator and real TCP sockets) carry
+every tier unmodified.
 
 Phase order (the reverse tree of the paper's two phases)::
 
@@ -40,8 +41,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.distributed.events import RoundTimeoutError
-from repro.distributed.messages import Message, MessageKind
+from repro.distributed.messages import MessageKind
 from repro.distributed.metrics import TierCost
+from repro.distributed.transport.base import Frames
 from repro.topology.aggregator import RegionalAggregator
 from repro.topology.tiers import Region, TierMap
 
@@ -85,37 +87,36 @@ class TwoTierRoundResult:
     shard_count: int = 0
 
 
-def _artifact_message(
-    sender: str, recipient: str, artifact: object | None, wire_version: int
-) -> Message:
+def _artifact_frames(
+    sender: str,
+    receivers: Sequence["DataCenterNode | BaseStationNode"],
+    artifact: object | None,
+    wire_version: int,
+) -> Frames:
+    """One frame of ``artifact`` from ``sender`` to each receiver."""
     # The naive method distributes no artifact: stations receive only a tiny
     # control trigger.
-    return Message(
-        sender=sender,
-        recipient=recipient,
-        kind=(
-            MessageKind.FILTER_DISSEMINATION
-            if artifact is not None
-            else MessageKind.CONTROL
-        ),
-        payload=artifact,
-        wire_version=wire_version,
+    kind = (
+        MessageKind.FILTER_DISSEMINATION if artifact is not None else MessageKind.CONTROL
     )
+    frames = Frames()
+    for receiver in receivers:
+        frames.add(sender, receiver.node_id, kind, artifact, receiver, wire_version)
+    return frames
 
 
-def _report_message(
-    sender: str, head: "DataCenterNode", reports: object, wire_version: int
-) -> tuple[Message, "DataCenterNode"]:
-    return (
-        Message(
-            sender=sender,
-            recipient=head.node_id,
-            kind=MessageKind.MATCH_REPORT,
-            payload=reports,
-            wire_version=wire_version,
-        ),
-        head,
-    )
+def _report_frames(
+    senders: Sequence[str],
+    payloads: Sequence[object],
+    head: "DataCenterNode",
+    wire_version: int,
+) -> Frames:
+    """One report frame from each sender into ``head``."""
+    frames = Frames()
+    recipient = head.node_id
+    for sender, payload in zip(senders, payloads):
+        frames.add(sender, recipient, MessageKind.MATCH_REPORT, payload, head, wire_version)
+    return frames
 
 
 def _heads(
@@ -170,18 +171,12 @@ def run_two_tier_round(
     served_regions = active_regions
     if trunk_transport is not None:
         trunk_down = trunk_transport.broadcast(
-            [
-                (
-                    _artifact_message(
-                        center.node_id,
-                        region.aggregator_id,
-                        artifact,
-                        tier_map.trunk_wire_version,
-                    ),
-                    heads[region.name],
-                )
-                for region in active_regions
-            ]
+            _artifact_frames(
+                center.node_id,
+                [heads[region.name] for region in active_regions],
+                artifact,
+                tier_map.trunk_wire_version,
+            )
         )
         trunk_down_s = trunk_down.duration_s
         lost_aggregators = set(trunk_down.failed_ids)
@@ -207,15 +202,7 @@ def run_two_tier_round(
         relayed = _relayed_artifact(head, artifact)
         members = by_region.get(region.name, [])
         outcome = regional_transports[region.name].broadcast(
-            [
-                (
-                    _artifact_message(
-                        head.node_id, station.node_id, relayed, region.wire_version
-                    ),
-                    station,
-                )
-                for station in members
-            ]
+            _artifact_frames(head.node_id, members, relayed, region.wire_version)
         )
         region_down_durations.append(outcome.duration_s)
         lost = set(outcome.failed_ids)
@@ -239,22 +226,20 @@ def run_two_tier_round(
     # Phase 3a: regional uplink — per-station reports into the region's
     # head, again in parallel across regions.
     region_up_durations: list[float] = []
-    center_sends: list[tuple[Message, "DataCenterNode"]] = []
+    center_frames = Frames()
     for region in served_regions:
-        sends = [
-            _report_message(
-                station.node_id,
-                heads[region.name],
-                reports_by_station[station.node_id],
-                region.wire_version,
-            )
-            for station in survivors[region.name]
-        ]
+        station_ids = [station.node_id for station in survivors[region.name]]
+        frames = _report_frames(
+            station_ids,
+            [reports_by_station[station_id] for station_id in station_ids],
+            heads[region.name],
+            region.wire_version,
+        )
         if trunk_transport is None:
-            center_sends = sends
-        elif not sends:
+            center_frames = frames
+        elif not frames:
             continue
-        outcome = regional_transports[region.name].gather(sends)
+        outcome = regional_transports[region.name].gather(frames)
         region_up_durations.append(outcome.duration_s)
         lost_station_count += len(outcome.failed_ids)
 
@@ -262,19 +247,19 @@ def run_two_tier_round(
     # at the center in region order so reordering can never change rankings.
     trunk_up_s = 0.0
     if trunk_transport is not None:
-        center_sends = [
-            _report_message(
-                region.aggregator_id,
-                center,
+        center_frames = _report_frames(
+            [region.aggregator_id for region in served_regions],
+            [
                 heads[region.name].summarize(
                     [station.node_id for station in by_region[region.name]]
-                ),
-                tier_map.trunk_wire_version,
-            )
-            for region in served_regions
-        ]
-        if center_sends:
-            trunk_up = trunk_transport.gather(center_sends)
+                )
+                for region in served_regions
+            ],
+            center,
+            tier_map.trunk_wire_version,
+        )
+        if center_frames:
+            trunk_up = trunk_transport.gather(center_frames)
             trunk_up_s = trunk_up.duration_s
             # A failed summary loses the whole region's reports this round.
             failed_summaries = set(trunk_up.failed_ids)
@@ -284,14 +269,16 @@ def run_two_tier_round(
                 if region.aggregator_id in failed_summaries
             )
 
-    # Aggregation input: what the center decoded, in canonical send order.
+    # Aggregation input: what the center decoded, in canonical send order,
+    # charged at the payload blocks that were sent.
     decoded_by_sender = center.reports_by_sender()
     all_reports: list[object] = []
     center_payload_bytes = 0
-    for message, _receiver in center_sends:
-        if message.sender in decoded_by_sender:
-            center_payload_bytes += message.payload_bytes()
-            all_reports.extend(decoded_by_sender[message.sender])
+    for sender, block in zip(center_frames.senders, center_frames.blocks()):
+        decoded = decoded_by_sender.get(sender)
+        if decoded is not None:
+            center_payload_bytes += len(block)
+            all_reports.extend(decoded)
 
     tier_costs, totals = _tier_ledger(
         tier_map, served_regions, trunk_transport, regional_transports
@@ -387,17 +374,18 @@ def ship_two_tier_deltas(
     # a timeout here aborts the shipment with nothing at the center yet.
     error: RoundTimeoutError | None = None
     region_up_durations: list[float] = []
-    regional_sends: dict[str, list[tuple[Message, "DataCenterNode"]]] = {}
+    regional_frames: dict[str, Frames] = {}
     landed: dict[str, tuple[str, ...]] = {}
     for region in regions:
-        sends = regional_sends[region.name] = [
-            _report_message(
-                station_id, heads[region.name], deltas[station_id], region.wire_version
-            )
-            for station_id in dirty.get(region.name, ())
-        ]
+        station_ids = dirty.get(region.name, [])
+        frames = regional_frames[region.name] = _report_frames(
+            station_ids,
+            [deltas[station_id] for station_id in station_ids],
+            heads[region.name],
+            region.wire_version,
+        )
         try:
-            outcome = regional_transports[region.name].gather(sends)
+            outcome = regional_transports[region.name].gather(frames)
         except RoundTimeoutError as failure:
             if trunk_transport is None:
                 error = failure
@@ -415,19 +403,19 @@ def ship_two_tier_deltas(
     # a region's stations reach the center only with its summary.
     trunk_duration = 0.0
     if trunk_transport is not None and error is None:
-        summary_sends = [
-            _report_message(
-                region.aggregator_id,
-                center,
-                heads[region.name].summarize(landed[region.name]),
-                tier_map.trunk_wire_version,
-            )
-            for region in regions
-            if landed[region.name]
-        ]
-        if summary_sends:
+        summarized_regions = [region for region in regions if landed[region.name]]
+        summary_frames = _report_frames(
+            [region.aggregator_id for region in summarized_regions],
+            [
+                heads[region.name].summarize(landed[region.name])
+                for region in summarized_regions
+            ],
+            center,
+            tier_map.trunk_wire_version,
+        )
+        if summary_frames:
             try:
-                trunk_up = trunk_transport.gather(summary_sends)
+                trunk_up = trunk_transport.gather(summary_frames)
             except RoundTimeoutError as failure:
                 error = failure
                 summarized = set(failure.delivered_ids)
@@ -453,10 +441,12 @@ def ship_two_tier_deltas(
         if not delivered:
             continue
         decoded = heads[region.name].reports_by_sender()
-        for message, _receiver in regional_sends[region.name]:
-            if message.sender in delivered:
-                reports_by_station[message.sender] = decoded.get(message.sender, [])
-                payload_bytes_by_station[message.sender] = message.payload_bytes()
+        frames = regional_frames[region.name]
+        # Charged at the payload blocks the regional hop sent.
+        for sender, block in zip(frames.senders, frames.blocks()):
+            if sender in delivered:
+                reports_by_station[sender] = decoded.get(sender, [])
+                payload_bytes_by_station[sender] = len(block)
 
     tier_costs, totals = _tier_ledger(
         tier_map, regions, trunk_transport, regional_transports
@@ -504,10 +494,10 @@ def _relayed_artifact(
     regional fan-out's encode memoized exactly like a one-hop broadcast.  A
     star's head is the center, whose inbox holds no artifact: it sends its own.
     """
-    for message in reversed(head.inbox):
-        if message.kind is MessageKind.FILTER_DISSEMINATION:
-            return message.payload
-    return artifact
+    try:
+        return head.latest_artifact()
+    except LookupError:
+        return artifact
 
 
 def _tier_ledger(

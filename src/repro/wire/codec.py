@@ -527,7 +527,9 @@ def _read_report_columnar(reader: ByteReader) -> list:
 _ENVELOPE_HEADER = MAGIC + bytes((WIRE_VERSION, 0, TAG_MESSAGE))
 
 
-def _envelope_fields(message: "Message", payload_size: int, head: bytes = b"") -> bytes:
+def _envelope_fields(
+    sender: str, recipient: str, kind: "MessageKind", payload_size: int, head: bytes = b""
+) -> bytes:
     """``head``, then the envelope body up to and including the payload length.
 
     The one definition of the envelope layout — sender, recipient, kind code
@@ -535,16 +537,16 @@ def _envelope_fields(message: "Message", payload_size: int, head: bytes = b"") -
     pass.  :func:`message_envelope_size` sizes it arithmetically (a unit test
     keeps the two in lockstep).
     """
-    sender = message.sender.encode("utf-8")
-    recipient = message.recipient.encode("utf-8")
+    sender_bytes = sender.encode("utf-8")
+    recipient_bytes = recipient.encode("utf-8")
     return b"".join(
         (
             head,
-            uvarint_bytes(len(sender)),
-            sender,
-            uvarint_bytes(len(recipient)),
-            recipient,
-            _KIND_CODES[message.kind],
+            uvarint_bytes(len(sender_bytes)),
+            sender_bytes,
+            uvarint_bytes(len(recipient_bytes)),
+            recipient_bytes,
+            _KIND_CODES[kind],
             uvarint_bytes(payload_size),
         )
     )
@@ -554,12 +556,12 @@ def _write_message_body(out: bytearray, message: "Message") -> None:
     # The message memoizes its payload encoding, so cost accounting and
     # envelope construction within one round share a single payload encode.
     payload = message.payload_wire()
-    out += _envelope_fields(message, len(payload))
+    out += _envelope_fields(message.sender, message.recipient, message.kind, len(payload))
     out += payload
 
 
-def envelope_head(message: "Message", payload_size: int) -> bytes:
-    """The uncompressed version-1 frame of ``message`` up to its payload block.
+def envelope_head(sender: str, recipient: str, kind: "MessageKind", payload_size: int) -> bytes:
+    """The uncompressed version-1 frame of an envelope up to its payload block.
 
     A frame is this head followed by the ``payload_size``-byte payload block,
     so a transport can keep the two apart — every frame of a broadcast then
@@ -568,52 +570,72 @@ def envelope_head(message: "Message", payload_size: int) -> bytes:
     """
     if _MESSAGE_TYPE is None:
         _bind_message_types()
-    return _envelope_fields(message, payload_size, _ENVELOPE_HEADER)
+    return _envelope_fields(sender, recipient, kind, payload_size, _ENVELOPE_HEADER)
 
 
 def message_frame(message: "Message", payload: bytes) -> bytes:
     """``encode(message)``, given the message's payload block."""
-    return envelope_head(message, len(payload)) + payload
+    return envelope_head(message.sender, message.recipient, message.kind, len(payload)) + payload
+
+
+def read_frame(
+    head: bytes, payload: bytes, backend: str = "auto"
+) -> "tuple[str, str, MessageKind, object, int] | None":
+    """A canonical frame's sender, recipient, kind, decoded payload and version.
+
+    A canonical head is one :func:`envelope_head` writes: one-byte sender and
+    recipient lengths, valid UTF-8, a known kind code, and the canonical
+    length of ``payload`` as its last bytes.  It is read by slicing, and
+    ``payload`` itself reaches the payload decode cache, so the frames of a
+    broadcast find their shared artifact by identity.  Any other head gives
+    ``None``: the caller decodes ``head + payload`` in full.  Raises
+    :class:`WireFormatError` when the payload block does not decode.
+    """
+    if _MESSAGE_TYPE is None:
+        _bind_message_types()
+    if head[:_HEADER_SIZE] != _ENVELOPE_HEADER or len(head) <= _HEADER_SIZE:
+        return None
+    sender_size = head[_HEADER_SIZE]
+    sender_end = _HEADER_SIZE + 1 + sender_size
+    if sender_size >= 0x80 or sender_end >= len(head):
+        return None
+    recipient_size = head[sender_end]
+    recipient_end = sender_end + 1 + recipient_size
+    if (
+        recipient_size >= 0x80
+        or recipient_end >= len(head)
+        or head[recipient_end] >= len(_KINDS_BY_CODE)
+        or head[recipient_end + 1 :] != uvarint_bytes(len(payload))
+    ):
+        return None
+    try:
+        sender = str(head[_HEADER_SIZE + 1 : sender_end], "utf-8")
+        recipient = str(head[sender_end + 1 : recipient_end], "utf-8")
+    except UnicodeDecodeError:
+        return None
+    return (
+        sender,
+        recipient,
+        _KINDS_BY_CODE[head[recipient_end]],
+        _decode_payload_cached(payload, backend),
+        # The hop's negotiated payload-frame version, as the sender built it.
+        payload[4] if len(payload) > 4 else WIRE_VERSION,
+    )
 
 
 def decode_frame(head: bytes, payload: bytes, backend: str = "auto") -> "Message":
-    """``Message.from_wire(head + payload)``, without joining the two.
+    """``Message.from_wire(head + payload)``, without joining a canonical frame.
 
-    A head as :func:`envelope_head` writes it — one-byte sender and recipient
-    lengths, valid UTF-8, a known kind code, and the canonical length of
-    ``payload`` as its last bytes — is read by slicing, and ``payload`` itself
-    reaches the payload decode cache, so the frames of a broadcast find their
-    shared artifact by identity.  Any other pair is joined and decoded in
-    full, so it is accepted or rejected exactly as the joined frame would be,
-    with the same :class:`WireFormatError` message.
+    The message is built around :func:`read_frame`'s fields; any other pair
+    is joined and decoded in full, so it is accepted or rejected exactly as
+    the joined frame would be, with the same :class:`WireFormatError`
+    message.
     """
     message_type = _MESSAGE_TYPE or _bind_message_types()
-    if head[:_HEADER_SIZE] == _ENVELOPE_HEADER and len(head) > _HEADER_SIZE:
-        sender_size = head[_HEADER_SIZE]
-        sender_end = _HEADER_SIZE + 1 + sender_size
-        if sender_size < 0x80 and sender_end < len(head):
-            recipient_size = head[sender_end]
-            recipient_end = sender_end + 1 + recipient_size
-            if (
-                recipient_size < 0x80
-                and recipient_end < len(head)
-                and head[recipient_end] < len(_KINDS_BY_CODE)
-                and head[recipient_end + 1 :] == uvarint_bytes(len(payload))
-            ):
-                try:
-                    sender = str(head[_HEADER_SIZE + 1 : sender_end], "utf-8")
-                    recipient = str(head[sender_end + 1 : recipient_end], "utf-8")
-                except UnicodeDecodeError:
-                    pass
-                else:
-                    return message_type(
-                        sender,
-                        recipient,
-                        _KINDS_BY_CODE[head[recipient_end]],
-                        _decode_payload_cached(payload, backend),
-                        payload[4] if len(payload) > 4 else WIRE_VERSION,
-                    )
-    return message_type.from_wire(head + payload, backend=backend)
+    fields = read_frame(head, payload, backend)
+    if fields is None:
+        return message_type.from_wire(head + payload, backend=backend)
+    return message_type(*fields)
 
 
 def _read_message_body(reader: ByteReader, backend: str) -> "Message":
@@ -624,7 +646,7 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
     if kind_code >= len(_KINDS_BY_CODE):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     # Decoded in place: the block is a view of the frame, copied only into
-    # the decode cache's key (``decode_frame`` hands in the block itself).
+    # the decode cache's key (``read_frame`` hands in the block itself).
     payload_block = reader.blob_view()
     return message_type(
         sender,
@@ -644,7 +666,7 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
 #: the backend) to the decoded artifact, so a broadcast decodes once and every
 #: further station reuses the instance — sharing that the round engine already
 #: sanctions by matching all shards against one decoded artifact.  A frame
-#: decoded by :func:`decode_frame` hands in the sender's own ``bytes`` object
+#: read by :func:`read_frame` hands in the sender's own ``bytes`` object
 #: as the key: its hash is computed once and cached by the object, and a dict
 #: lookup compares identity before content, so a broadcast's stations find
 #: the artifact without copying or rehashing its block.  Guard rails:

@@ -1,5 +1,6 @@
 """Behavior of the ``Cluster`` facade verbs and the unified session handle."""
 
+import hashlib
 import warnings
 
 import pytest
@@ -112,11 +113,20 @@ class TestRounds:
 
     def test_rounds_accumulate_the_replay_token(self, cluster, queries):
         cluster.subscribe(queries)
-        cluster.round()
-        cluster.round()
-        replay = cluster.transcript_bytes()
+        first = cluster.round()
+        second = cluster.round()
         assert cluster.round_index == 2
-        assert b"== round 0 ==" in replay and b"== round 1 ==" in replay
+        # The digest of both rounds' transcripts under their round headers.
+        replay = b"".join(
+            (
+                b"== round 0 ==\n",
+                first.transcript_bytes(),
+                b"\n== round 1 ==\n",
+                second.transcript_bytes(),
+                b"\n",
+            )
+        )
+        assert cluster.transcript_digest() == hashlib.sha256(replay).hexdigest()
 
     def test_round_accepts_loose_keywords(self, cluster, queries):
         cluster.subscribe(queries)
@@ -135,7 +145,7 @@ class TestRounds:
             with Cluster(wbf_spec) as deployed:
                 deployed.subscribe(queries)
                 deployed.round(RoundOptions(net_seed=3))
-                transcripts.append(deployed.transcript_bytes())
+                transcripts.append(deployed.transcript_digest())
         assert transcripts[0] == transcripts[1]
 
     def test_a_pattern_the_wire_cannot_carry_fails_the_round(self):
@@ -379,9 +389,9 @@ class TestSessionHandle:
                 session.publish(
                     station_id, deployed.dataset.local_patterns_at(station_id)
                 )
-            session.step(RoundOptions(net_seed=1))
-            replay = deployed.transcript_bytes()
-        assert replay.startswith(b"== round 0 ==")
+            report = session.step(RoundOptions(net_seed=1))
+            replay = b"== round 0 ==\n" + report.transcript_bytes() + b"\n"
+            assert deployed.transcript_digest() == hashlib.sha256(replay).hexdigest()
 
 
 class TestDriveParityWithRound:

@@ -169,10 +169,10 @@ class TestBoundedResidency:
 
 class TestRestoreParity:
     def test_restore_erases_mutations_byte_for_byte(self):
-        def tail(deployed: Cluster) -> bytes:
+        def tail(deployed: Cluster) -> str:
             for index in range(2):
                 deployed.round(RoundOptions(net_seed=50 + index))
-            return deployed.transcript_bytes()
+            return deployed.transcript_digest()
 
         with _streaming_cluster() as mutated, _streaming_cluster() as control:
             for deployed in (mutated, control):
@@ -202,7 +202,7 @@ class TestEagerEquivalence:
                 deployed.subscribe(queries)
                 deployed.round(RoundOptions(net_seed=11))
                 deployed.round(RoundOptions(net_seed=12))
-                transcripts.append(deployed.transcript_bytes())
+                transcripts.append(deployed.transcript_digest())
         assert transcripts[0] == transcripts[1]
 
     def test_spec_declared_eager_source_matches_dataset_spec(
@@ -237,5 +237,5 @@ class TestEagerEquivalence:
             with Cluster(cluster_spec) as deployed:
                 deployed.subscribe(queries)
                 deployed.round(RoundOptions(net_seed=21))
-                transcripts.append(deployed.transcript_bytes())
+                transcripts.append(deployed.transcript_digest())
         assert transcripts[0] == transcripts[1]

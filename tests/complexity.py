@@ -4,7 +4,8 @@ A guard builds its stations from :class:`CountingId` and hands each verb an
 equal id that is not the same object, as callers pass.  A dict or set probe
 then costs a constant number of equality tests per station, and a list scan a
 number that grows with the station count, so a guard asserts that the count
-per station is the same at two station counts.
+per station is the same at two station counts.  :class:`KeptId` also
+survives ``str()``, so a path that normalizes ids keeps counting them.
 """
 
 from __future__ import annotations
@@ -19,3 +20,10 @@ class CountingId(str):
     def __eq__(self, other):
         CountingId.comparisons += 1
         return str.__eq__(self, other)
+
+
+class KeptId(CountingId):
+    """A :class:`CountingId` that ``str()`` returns unchanged."""
+
+    def __str__(self) -> str:
+        return self

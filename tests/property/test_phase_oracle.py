@@ -88,7 +88,16 @@ class _ReferenceTransfer:
 
 
 class ReferenceNetwork(SimulatedNetwork):
-    """The simulated transport with its per-frame phase engine."""
+    """The simulated transport with its per-frame phase engine.
+
+    It takes a phase as its ``(Message, receiver)`` pairs, as that engine did.
+    """
+
+    def broadcast(self, sends):
+        return self._run_phase(list(sends), "downlink")
+
+    def gather(self, sends):
+        return self._run_phase(list(sends), "uplink")
 
     def _record(self, time_s, event, transfer, attempt):
         message = transfer.message
@@ -538,7 +547,7 @@ def _decoded(decode):
 
 def _frame_parts(message: Message) -> tuple[bytes, bytes]:
     payload = message.payload_wire()
-    return envelope_head(message, len(payload)), payload
+    return envelope_head(message.sender, message.recipient, message.kind, len(payload)), payload
 
 
 FRAME_MESSAGES = [
@@ -603,6 +612,8 @@ def test_decode_frame_finds_a_shared_payload_by_identity():
     keys = [key for key, _entry in codec._PAYLOAD_DECODE_CACHE.items()]
     assert [key[0] is payload for key in keys] == [True]
     other = Message("dc", "bs-2", message.kind, ARTIFACT)
-    second = decode_frame(envelope_head(other, len(payload)), payload)
+    second = decode_frame(
+        envelope_head(other.sender, other.recipient, other.kind, len(payload)), payload
+    )
     assert second.payload is first.payload
     codec.clear_payload_decode_cache()

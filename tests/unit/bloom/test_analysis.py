@@ -1,4 +1,4 @@
-"""Unit tests for Bloom-filter sizing and false-positive analysis."""
+"""Unit tests for Bloom-filter false-positive analysis."""
 
 import math
 from fractions import Fraction
@@ -8,9 +8,6 @@ import pytest
 from repro.bloom.analysis import (
     expected_false_positive_rate,
     fill_ratio,
-    optimal_bit_count,
-    optimal_hash_count,
-    optimal_parameters,
     probability_bit_zero,
 )
 from repro.bloom.standard import BloomFilter
@@ -76,36 +73,9 @@ class TestClosedForms:
 
 
 class TestSizing:
-    def test_optimal_hash_count_formula(self):
-        assert optimal_hash_count(1000, 100) == round(10 * math.log(2))
-
-    def test_optimal_hash_count_at_least_one(self):
-        assert optimal_hash_count(10, 1000) == 1
-
-    def test_optimal_bit_count_one_percent(self):
-        bits = optimal_bit_count(1000, 0.01)
-        assert 9000 < bits < 10_000
-
-    def test_optimal_bit_count_rejects_degenerate_rates(self):
-        with pytest.raises(ValueError):
-            optimal_bit_count(10, 0.0)
-        with pytest.raises(ValueError):
-            optimal_bit_count(10, 1.0)
-
-    def test_optimal_parameters_achieve_target_empirically(self):
-        item_count, target = 500, 0.02
-        bit_count, hash_count = optimal_parameters(item_count, target)
-        bloom = BloomFilter(bit_count, hash_count)
-        bloom.add_many(range(item_count))
-        probes = range(100_000, 105_000)
-        measured = sum(1 for v in probes if v in bloom) / len(probes)
-        assert measured < 3 * target
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             probability_bit_zero(0, 1, 1)
-        with pytest.raises(ValueError):
-            optimal_hash_count(0, 10)
 
     def test_negative_item_count_rejected(self):
         with pytest.raises(ValueError):

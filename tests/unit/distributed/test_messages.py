@@ -32,7 +32,9 @@ class TestMessage:
             assert message.size_bytes() == len(frame)
             # The simulated transport's frames: a head, then the payload block.
             block = message.payload_wire()
-            head = codec.envelope_head(message, len(block))
+            head = codec.envelope_head(
+                message.sender, message.recipient, message.kind, len(block)
+            )
             assert head + block == frame == message.to_wire()
             assert len(head) + len(block) == message.size_bytes()
 

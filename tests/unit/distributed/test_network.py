@@ -40,8 +40,8 @@ class TestNetworkConfig:
 class TestSimulatedNetwork:
     def test_byte_accounting(self):
         network = SimulatedNetwork(NetworkConfig())
-        network.send_downlink(_message(payload=[1, 2, 3]))
-        network.send_uplink(_message(payload="abcd"))
+        network.broadcast([(_message(payload=[1, 2, 3]), None)])
+        network.gather([(_message(payload="abcd"), None)])
         assert network.downlink_bytes > 0
         assert network.uplink_bytes > 0
         assert network.message_count == 2
@@ -60,7 +60,7 @@ class TestSimulatedNetwork:
 
     def test_reset(self):
         network = SimulatedNetwork()
-        network.send_uplink(_message())
+        network.gather([(_message(), None)])
         network.reset()
         assert network.message_count == 0
         assert network.uplink_bytes == 0
@@ -70,7 +70,7 @@ class TestSimulatedNetwork:
 
     def test_send_returns_transfer_time(self):
         network = SimulatedNetwork(NetworkConfig(latency_s=0.1))
-        assert network.send_downlink(_message()) >= 0.1
+        assert network.broadcast([(_message(), None)]).duration_s >= 0.1
 
     def test_delivery_decodes_real_wire_bytes_into_the_receiver(self):
         center = Node("center")
@@ -110,7 +110,7 @@ class TestReliability:
             NetworkConfig(max_attempts=3), fault_plan=plan, seed=0
         )
         with pytest.raises(RoundTimeoutError) as excinfo:
-            network.send_uplink(_message(sender="bs-1", recipient="center"))
+            network.gather([(_message(sender="bs-1", recipient="center"), None)])
         assert excinfo.value.failed_transfers == ("bs-1->center",)
         assert network.frame_stats().timeout_count == 1
         assert network.frame_stats().frames_sent == 3
@@ -182,11 +182,14 @@ class TestReliability:
             ),
         )
         message = _message(payload=list(range(100)))
-        assert slow.send_downlink(message) > 4 * fast.send_downlink(message)
+        assert (
+            slow.broadcast([(message, None)]).duration_s
+            > 4 * fast.broadcast([(message, None)]).duration_s
+        )
 
     def test_transcript_records_phase_send_deliver(self):
         network = SimulatedNetwork()
-        network.send_downlink(_message())
+        network.broadcast([(_message(), None)])
         events = [entry.event for entry in network.transcript]
         assert events == ["phase", "send", "deliver"]
         assert network.transcript_bytes().count(b"\n") == 2
