@@ -47,7 +47,10 @@ phase is sent.
 Every frame event is recorded as a
 :class:`~repro.distributed.events.TranscriptEntry`; the canonical transcript
 bytes are the replay token the seed-replay tests compare across runs and
-executors.
+executors.  The ledger, the transcript and the failure rule are
+:class:`~repro.distributed.transport.base.Transport`'s, shared with the TCP
+backend; this module supplies the link model, the fault draws and the event
+loop.
 """
 
 from __future__ import annotations
@@ -55,31 +58,17 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from repro.distributed.events import (
-    EventLoop,
-    RoundTimeoutError,
-    TranscriptEntry,
-    transcript_to_bytes,
-)
-from repro.distributed.faults import (
-    NO_FRAME_FAULTS,
-    FaultInjector,
-    FaultPlan,
-    resolve_fault_plan,
-)
-from repro.distributed.messages import Message
-from repro.distributed.node import Node
+from repro.distributed.events import EventLoop, TranscriptEntry
+from repro.distributed.faults import NO_FRAME_FAULTS, FaultPlan
 from repro.distributed.transport.base import (
-    DeliveredFrames,
     Frames,
     FrameStats,
     PhaseOutcome,
     Sends,
+    Transfer,
     Transport,
 )
 from repro.utils.validation import require_non_negative, require_positive
-from repro.wire.codec import envelope_head
-from repro.wire.errors import WireFormatError
 
 __all__ = [
     "Frames",
@@ -123,63 +112,6 @@ class NetworkConfig:
         return self.latency_s + size_bytes / self.bandwidth_bytes_per_s
 
 
-class _Transfer:
-    """One frame's reliable delivery state."""
-
-    __slots__ = (
-        "frame_id",
-        "sender",
-        "recipient",
-        "kind",
-        "receiver",
-        "direction",
-        "head",
-        "payload",
-        "size",
-        "occupancy",
-        "link",
-        "station",
-        "attempts",
-        "delivered",
-        "failed",
-        "resolved_at",
-    )
-
-    def __init__(
-        self,
-        frame_id: int,
-        sender: str,
-        recipient: str,
-        kind: str,
-        receiver: Node | None,
-        direction: str,
-        head: bytes,
-        payload: bytes,
-        size: int,
-        occupancy: float,
-    ) -> None:
-        self.frame_id = frame_id
-        self.sender = sender
-        self.recipient = recipient
-        self.kind = kind
-        self.receiver = receiver
-        self.direction = direction
-        self.head = head
-        self.payload = payload
-        self.size = size
-        self.occupancy = occupancy
-        if direction == "downlink":
-            self.link = f"downlink:{recipient}"
-            self.station = recipient
-        else:
-            self.link = _UPLINK_INGRESS
-            self.station = sender
-        self.attempts = 0
-        self.delivered = False
-        self.failed = False
-        self.resolved_at = 0.0
-
-
 class SimulatedNetwork(Transport):
     """Event-driven reliable transport with seeded fault injection.
 
@@ -196,131 +128,12 @@ class SimulatedNetwork(Transport):
         decode_backend: str = "auto",
         allow_partial: bool = False,
     ) -> None:
-        self._config = config or NetworkConfig()
-        self._plan = resolve_fault_plan(fault_plan)
-        self._injector = FaultInjector(self._plan, seed)
+        super().__init__(
+            config or NetworkConfig(), fault_plan, seed, decode_backend, allow_partial
+        )
         self._fault_free = self._plan.is_fault_free
-        self._decode_backend = decode_backend
-        self._allow_partial = bool(allow_partial)
         self._loop = EventLoop()
         self._link_free: dict[str, float] = {}
-        self._downlink_bytes = 0
-        self._uplink_bytes = 0
-        self._message_count = 0
-        self._downlink_durations: list[float] = []
-        self._uplink_durations: list[float] = []
-        self._transcript: list[TranscriptEntry] = []
-        self._delivered = DeliveredFrames()
-        self._next_frame_id = 0
-        self._frames_sent = 0
-        self._frames_delivered = 0
-        self._frames_dropped = 0
-        self._frames_corrupt = 0
-        self._frames_duplicate = 0
-        self._retransmit_count = 0
-        self._timeout_count = 0
-        self._corrupt_caught_by_codec = 0
-        self._corrupt_caught_by_checksum = 0
-        self._payload_bytes_sent = 0
-        self._payload_bytes_delivered = 0
-
-    # -- configuration and accounting -------------------------------------------
-
-    @property
-    def config(self) -> NetworkConfig:
-        """The link parameters in use."""
-        return self._config
-
-    @property
-    def fault_plan(self) -> FaultPlan:
-        """The fault plan frames are exposed to."""
-        return self._plan
-
-    @property
-    def seed(self) -> int:
-        """The network seed all fault decisions derive from."""
-        return self._injector.seed
-
-    @property
-    def downlink_bytes(self) -> int:
-        """Bytes put on center→station links (retransmits and duplicates included)."""
-        return self._downlink_bytes
-
-    @property
-    def uplink_bytes(self) -> int:
-        """Bytes put on the station→center ingress (retransmits included)."""
-        return self._uplink_bytes
-
-    @property
-    def message_count(self) -> int:
-        """Logical messages offered to the transport."""
-        return self._message_count
-
-    @property
-    def transcript(self) -> tuple[TranscriptEntry, ...]:
-        """The deterministic event transcript recorded so far."""
-        return tuple(self._transcript)
-
-    def transcript_bytes(self) -> bytes:
-        """Canonical byte rendering of the transcript (the replay token)."""
-        return transcript_to_bytes(self._transcript)
-
-    def delivered_payloads(self, direction: str) -> dict[str, tuple[bytes, ...]]:
-        """Unique delivered frame bytes per station for ``direction``.
-
-        The cross-transport conformance battery compares these against the
-        TCP backend's: for fault-free plans the exact wire bytes must match.
-        """
-        return self._delivered.grouped(direction)
-
-    def frame_stats(self) -> FrameStats:
-        """Snapshot of the frame-level ledger."""
-        return FrameStats(
-            frames_sent=self._frames_sent,
-            frames_delivered=self._frames_delivered,
-            frames_dropped=self._frames_dropped,
-            frames_corrupt=self._frames_corrupt,
-            frames_duplicate=self._frames_duplicate,
-            retransmit_count=self._retransmit_count,
-            timeout_count=self._timeout_count,
-            corrupt_caught_by_codec=self._corrupt_caught_by_codec,
-            corrupt_caught_by_checksum=self._corrupt_caught_by_checksum,
-            payload_bytes_sent=self._payload_bytes_sent,
-            payload_bytes_delivered=self._payload_bytes_delivered,
-        )
-
-    def transmission_time_s(self) -> float:
-        """Aggregate simulated transmission time.
-
-        Downlink phases run on parallel per-station links (max over phases,
-        one phase per round); uplink phases serialize at the ingress (sum).
-        """
-        downlink = max(self._downlink_durations) if self._downlink_durations else 0.0
-        return downlink + sum(self._uplink_durations)
-
-    def reset(self) -> None:
-        """Clear all recorded traffic, the transcript and the ledger."""
-        self._loop.reset(0.0)
-        self._link_free.clear()
-        self._downlink_bytes = 0
-        self._uplink_bytes = 0
-        self._message_count = 0
-        self._downlink_durations.clear()
-        self._uplink_durations.clear()
-        self._transcript.clear()
-        self._delivered.clear()
-        self._next_frame_id = 0
-        self._frames_sent = 0
-        self._frames_delivered = 0
-        self._frames_dropped = 0
-        self._frames_corrupt = 0
-        self._frames_duplicate = 0
-        self._retransmit_count = 0
-        self._timeout_count = 0
-        self._corrupt_caught_by_codec = 0
-        self._corrupt_caught_by_checksum = 0
-        self._payload_bytes_sent = 0
-        self._payload_bytes_delivered = 0
 
     # -- sending -----------------------------------------------------------------
 
@@ -334,107 +147,17 @@ class SimulatedNetwork(Transport):
 
     # -- the phase engine ---------------------------------------------------------
 
-    def _record(self, time_s: float, event: str, transfer: _Transfer, attempt: int) -> None:
-        transcript = self._transcript
-        # The row is built as the tuple it is, without the named tuple's
-        # Python-level ``__new__``: one row per frame event adds up.
-        transcript.append(
-            _new_row(
-                TranscriptEntry,
-                (
-                    len(transcript),
-                    time_s,
-                    event,
-                    transfer.frame_id,
-                    attempt,
-                    transfer.sender,
-                    transfer.recipient,
-                    transfer.kind,
-                    transfer.size,
-                ),
-            )
-        )
-
-    def _wire(self, frames: Frames) -> tuple[list[bytes], list[bytes], list[int]]:
-        """Each frame's envelope head, payload block and size, in frame order.
-
-        A payload outside the wire vocabulary raises
-        :class:`~repro.wire.errors.UnsupportedWireTypeError` here, before the
-        phase sends anything; the frames before it count as offered.
-        """
-        try:
-            blocks = frames.blocks()
-        finally:
-            offered = frames.encoded_count
-            self._message_count += offered
-            self._next_frame_id += offered
-        heads = list(
-            map(envelope_head, frames.senders, frames.recipients, frames.kinds, map(len, blocks))
-        )
-        return heads, blocks, [len(head) + len(block) for head, block in zip(heads, blocks)]
-
     def _run_phase(self, frames: Frames, direction: str) -> PhaseOutcome:
-        first_id = self._next_frame_id
-        heads, payloads, sizes = self._wire(frames)
-        count = len(sizes)
-        self._transcript.append(
-            _new_row(
-                TranscriptEntry,
-                (len(self._transcript), 0.0, "phase", -1, count, "-", "-", direction, 0),
-            )
-        )
-        config = self._config
-        if self._fault_free and config.retransmit_timeout_s is None:
-            return self._run_in_one_pass(frames, direction, first_id, heads, payloads, sizes)
+        opened = self._open_phase(frames, direction)
+        if self._fault_free and self._config.retransmit_timeout_s is None:
+            return self._run_in_one_pass(frames, direction, *opened)
         self._loop.reset(0.0)
         self._link_free.clear()
-        latency = config.latency_s
-        bandwidth = config.bandwidth_bytes_per_s
-        senders, recipients, kinds, receivers = (
-            frames.senders, frames.recipients, frames.kinds, frames.receivers
-        )
-        transfers = [
-            _Transfer(
-                first_id + index,
-                senders[index],
-                recipients[index],
-                kinds[index].value,
-                receivers[index],
-                direction,
-                heads[index],
-                payloads[index],
-                sizes[index],
-                # The size never changes, so neither does the unstretched
-                # link time.
-                latency + sizes[index] / bandwidth,
-            )
-            for index in range(count)
-        ]
+        transfers = Transfer.per_frame(frames, direction, *opened)
         for transfer in transfers:
             self._schedule_attempt(0.0, transfer, False)
         self._loop.run()
-        failed = [t for t in transfers if not t.delivered]
-        if failed and not self._allow_partial:
-            labels = tuple(f"{t.sender}->{t.recipient}" for t in failed)
-            raise RoundTimeoutError(
-                f"{len(failed)} {direction} transfer(s) exhausted "
-                f"{self._config.max_attempts} attempts under fault plan "
-                f"{self._plan.name!r} (seed {self._injector.seed}): "
-                + ", ".join(labels),
-                failed_transfers=labels,
-                delivered_ids=tuple(t.station for t in transfers if t.delivered),
-            )
-        duration = max((t.resolved_at for t in transfers), default=0.0)
-        if direction == "downlink":
-            self._downlink_durations.append(duration)
-        else:
-            self._uplink_durations.append(duration)
-        return PhaseOutcome(
-            direction=direction,
-            duration_s=duration,
-            delivered_ids=tuple(t.station for t in transfers if t.delivered),
-            failed_ids=tuple(t.station for t in transfers if not t.delivered),
-        )
+        return self._settle(transfers, direction)
 
     def _run_in_one_pass(
         self,
@@ -540,27 +263,9 @@ class SimulatedNetwork(Transport):
                 )
             )
 
-        duration = max(arrivals, default=0.0)
-        if downlink:
-            self._downlink_durations.append(duration)
-        else:
-            self._uplink_durations.append(duration)
-        return PhaseOutcome(
-            direction=direction,
-            duration_s=duration,
-            delivered_ids=tuple(stations),
-            failed_ids=(),
-        )
+        return self._close_phase(direction, max(arrivals, default=0.0), tuple(stations), ())
 
-    def _charge(self, transfer: _Transfer) -> None:
-        self._frames_sent += 1
-        self._payload_bytes_sent += transfer.size
-        if transfer.direction == "downlink":
-            self._downlink_bytes += transfer.size
-        else:
-            self._uplink_bytes += transfer.size
-
-    def _schedule_attempt(self, time_s: float, transfer: _Transfer, retransmit: bool) -> None:
+    def _schedule_attempt(self, time_s: float, transfer: Transfer, retransmit: bool) -> None:
         """Send the next attempt of ``transfer`` (also the retransmit timer's callback).
 
         An intact frame that lands no later than its timer would fire resolves
@@ -572,17 +277,14 @@ class SimulatedNetwork(Transport):
             return
         config = self._config
         if transfer.attempts >= config.max_attempts:
-            transfer.failed = True
-            transfer.resolved_at = time_s
-            self._timeout_count += 1
-            self._record(time_s, "timeout", transfer, transfer.attempts)
+            self._mark_failed(time_s, transfer, transfer.attempts)
             return
         transfer.attempts += 1
         attempt = transfer.attempts
         if retransmit:
             self._retransmit_count += 1
             self._record(time_s, "retransmit", transfer, attempt)
-        occupancy = transfer.occupancy
+        occupancy = config.latency_s + transfer.size / config.bandwidth_bytes_per_s
         if self._fault_free:
             injector = None
             faults = NO_FRAME_FAULTS
@@ -592,9 +294,12 @@ class SimulatedNetwork(Transport):
             multiplier = injector.straggler_multiplier(transfer.station)
             if multiplier != 1.0:
                 occupancy *= multiplier
-        start = max(time_s, self._link_free.get(transfer.link, 0.0))
-        self._link_free[transfer.link] = start + occupancy
-        self._charge(transfer)
+        # A phase runs one way: a downlink frame has its station's own link,
+        # and every uplink frame shares the ingress.
+        link = transfer.station if transfer.direction == "downlink" else _UPLINK_INGRESS
+        start = max(time_s, self._link_free.get(link, 0.0))
+        self._link_free[link] = start + occupancy
+        self._charge(transfer.direction, transfer.size)
         self._record(start, "send", transfer, attempt)
 
         lost_to_blackout = False
@@ -621,7 +326,7 @@ class SimulatedNetwork(Transport):
             if faults.duplicate:
                 # A network-generated duplicate: a pristine second copy
                 # trailing the original by one propagation delay.
-                self._charge(transfer)
+                self._charge(transfer.direction, transfer.size)
                 self._record(start, "dup-send", transfer, attempt)
                 self._loop.schedule(
                     arrival + config.latency_s, self._on_arrival, transfer, transfer.payload
@@ -638,7 +343,7 @@ class SimulatedNetwork(Transport):
         if arrival is None or faults.corrupt or arrival > timer_at:
             self._loop.schedule(timer_at, self._schedule_attempt, transfer, True)
 
-    def _on_arrival(self, time_s: float, transfer: _Transfer, data: bytes) -> None:
+    def _on_arrival(self, time_s: float, transfer: Transfer, data: bytes) -> None:
         if transfer.delivered or transfer.failed:
             # A duplicate emission, a spurious retransmission, or a reordered
             # frame landing after the transfer was resolved.
@@ -651,30 +356,12 @@ class SimulatedNetwork(Transport):
         ):
             # Frames arrive either as the sender's own (immutable) payload
             # object or as a corrupted copy of the joined frame, and only a
-            # copy needs its checksum verified.  The receiver still runs the
-            # real decode on the corrupt bytes — the codec's typed-error
-            # contract is exercised for real — and the checksum is the
-            # backstop for corruptions the codec cannot see, so a corrupt
-            # frame can never be accepted.
-            try:
-                Message.from_wire(data, backend=self._decode_backend)
-            except WireFormatError:
-                self._corrupt_caught_by_codec += 1
-            else:
-                self._corrupt_caught_by_checksum += 1
-            self._frames_corrupt += 1
-            self._record(time_s, "corrupt", transfer, transfer.attempts)
+            # copy needs its checksum verified.  A copy has one byte flipped,
+            # which the checksum always catches, so a frame that passes is
+            # the sender's own and is handed over as its head and block.
+            self._count_corrupt(
+                time_s, transfer, transfer.attempts, self._caught_by_codec(data)
+            )
             return
-        receiver = transfer.receiver
-        if receiver is not None:
-            if data is not payload:
-                # A copy the checksum passed is decoded in full.
-                receiver.receive_wire(data, backend=self._decode_backend)
-            else:
-                receiver.receive_frame(transfer.head, payload, self._decode_backend)
-        transfer.delivered = True
-        transfer.resolved_at = time_s
-        self._frames_delivered += 1
-        self._payload_bytes_delivered += transfer.size
-        self._delivered.record(transfer.direction, transfer.station, transfer.head, payload)
-        self._record(time_s, "deliver", transfer, transfer.attempts)
+        self._hand_over(transfer)
+        self._mark_delivered(time_s, transfer, transfer.attempts)

@@ -12,11 +12,11 @@ _ARTIFACT_KINDS = (MessageKind.FILTER_DISSEMINATION, MessageKind.CONTROL)
 class Node:
     """A named participant in the simulated environment with an inbox.
 
-    Transports deliver raw wire bytes: a frame as an envelope head plus its
-    payload block (:meth:`receive_frame`, the path the simulated transport
-    uses) or as one buffer (:meth:`receive_wire`, the TCP backend's
-    in-process replay).  Every message a transport delivers has passed
-    through the real binary decode, so a corrupted frame surfaces as a typed
+    Both transports deliver raw wire bytes through :meth:`receive_frame`: a
+    frame as its envelope head plus its payload block.  :meth:`receive_wire`
+    takes a frame as one buffer; a head that :meth:`receive_frame` cannot
+    read by slicing falls back to it.  Every message a transport delivers has passed through
+    the real binary decode, so a corrupted frame surfaces as a typed
     :class:`~repro.wire.errors.WireFormatError` here, never as wrong data.
 
     The inbox is kept as columns — sender, kind, decoded payload and wire

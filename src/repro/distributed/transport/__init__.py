@@ -12,9 +12,9 @@ exist today:
 
 Select a backend with ``TransportSpec(transport="sim" | "tcp")`` on a
 :class:`~repro.cluster.spec.ClusterSpec`; every facade verb works unchanged
-on both.  This package's ``__init__`` imports only the interface module so
-the simulator can depend on :mod:`.base` without a cycle — the TCP stack
-loads lazily on first use.
+on both.  This package's ``__init__`` imports only :mod:`.base`, the
+interface and the one round ledger both backends run on, so the simulator can
+depend on it without a cycle — the TCP stack loads lazily on first use.
 """
 
 from repro.core.config import TRANSPORT_CHOICES

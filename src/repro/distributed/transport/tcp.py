@@ -18,12 +18,13 @@ contract over real sockets:
   mirroring the simulator's "acks are link-layer fictions" rule, and only
   ``DATA`` bodies enter the byte ledger.
 
-Ledger parity with :class:`~repro.distributed.network.SimulatedNetwork` is the
-design anchor: fault decisions key on the same ``(seed, frame id, attempt)``
-tuples, frame ids restart per round transport exactly like the simulator's
-per-instance counter (a ``RESET`` control frame clears worker dedup state
-between rounds), sender-side counters (frames sent, bytes, retransmits, drops)
-are charged at the proxy, and receiver-side counters travel back as
+The ledger is the one :class:`~repro.distributed.transport.base.Transport`
+keeps for :class:`~repro.distributed.network.SimulatedNetwork` too; this
+module supplies only the byte mover.  Fault decisions key on the same
+``(seed, frame id, attempt)`` tuples, frame ids restart per round transport
+exactly like the simulator's (a ``RESET`` control frame clears worker dedup
+state between rounds), sender-side counters (frames sent, bytes, retransmits,
+drops) are charged at the proxy, and receiver-side counters travel back as
 ``ACK``/``CORRUPT`` control frames.  A quiescence barrier holds each phase
 open until every emitted frame copy is accounted for, so ``frame_stats()`` is
 complete — not racing in-flight duplicates — the moment a phase returns.
@@ -32,10 +33,11 @@ are identical across backends (the conformance suite pins this); wall-clock
 timings are measured, not modeled, so transcripts and durations differ.
 
 Station *matching* stays in the driving process behind the executor seam:
-after a phase's socket traffic resolves, delivered payloads are replayed into
-the in-process :class:`~repro.distributed.node.Node` receivers on the caller
-thread, in send order, which keeps results deterministic and byte-identical
-to the simulator.
+after a phase's socket traffic resolves, each delivered frame reaches its
+in-process :class:`~repro.distributed.node.Node` through
+:meth:`~repro.distributed.node.Node.receive_frame`, as its envelope head plus
+its payload block, on the caller thread and in send order — the simulator's
+delivery call, which keeps results deterministic and byte-identical to it.
 """
 
 from __future__ import annotations
@@ -52,21 +54,16 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 
 import repro
-from repro.distributed.events import RoundTimeoutError, TranscriptEntry
-from repro.distributed.faults import FaultInjector, FaultPlan, resolve_fault_plan
-from repro.distributed.messages import Message
+from repro.distributed.faults import FaultPlan
 from repro.distributed.network import NetworkConfig
-from repro.distributed.node import Node
 from repro.distributed.transport import protocol
 from repro.distributed.transport.base import (
-    DeliveredFrames,
     Frames,
-    FrameStats,
     PhaseOutcome,
     Sends,
+    Transfer,
     Transport,
 )
-from repro.wire.codec import envelope_head
 from repro.wire.errors import WireFormatError
 from repro.wire.stream import FrameStreamDecoder, encode_stream_frame
 
@@ -113,52 +110,25 @@ class _FrameWriter:
             pass
 
 
-class _TcpTransfer:
-    """One frame's reliable delivery state (the sim's ``_Transfer``)."""
+class _TcpTransfer(Transfer):
+    """One frame's reliable delivery state, with its checksum and resolution event."""
 
-    __slots__ = (
-        "frame_id",
-        "sender",
-        "recipient",
-        "kind",
-        "receiver",
-        "direction",
-        "payload",
-        "size",
-        "crc",
-        "station",
-        "attempts",
-        "delivered",
-        "failed",
-        "resolved_at",
-        "resolved",
-    )
+    __slots__ = ("crc", "resolved")
 
-    def __init__(
-        self,
-        frame_id: int,
-        sender: str,
-        recipient: str,
-        kind: str,
-        receiver: Node | None,
-        direction: str,
-        frame: bytes,
-    ) -> None:
-        self.frame_id = frame_id
-        self.sender = sender
-        self.recipient = recipient
-        self.kind = kind
-        self.receiver = receiver
-        self.direction = direction
-        self.payload = frame
-        self.size = len(frame)
-        self.crc = zlib.crc32(frame)
-        self.station = recipient if direction == "downlink" else sender
-        self.attempts = 0
-        self.delivered = False
-        self.failed = False
-        self.resolved_at = 0.0
+    def __init__(self, *fields: object) -> None:
+        super().__init__(*fields)
+        self.crc = zlib.crc32(self.payload, zlib.crc32(self.head))
         self.resolved = asyncio.Event()
+
+    @property
+    def frame(self) -> bytes:
+        """The frame as one buffer, as it crosses the socket."""
+        return self.head + self.payload
+
+
+#: Stands for a frame id this transport never sent: its transcript rows carry
+#: frame id -1 and no endpoints.
+_STRAY = Transfer(-1, "-", "-", "-", None, "uplink", b"", b"", 0)
 
 
 class TcpTransportManager:
@@ -462,8 +432,8 @@ class TcpTransportManager:
 class TcpTransport(Transport):
     """One round's reliable transport over the manager's real sockets.
 
-    Mirrors :class:`~repro.distributed.network.SimulatedNetwork` verb for verb
-    and counter for counter; see the module docstring for the parity rules.
+    The ledger is :class:`~repro.distributed.transport.base.Transport`'s, as
+    on the simulator; see the module docstring for how the sockets feed it.
     """
 
     def __init__(
@@ -477,110 +447,20 @@ class TcpTransport(Transport):
         ack_timeout_s: float | None = None,
         delay_scale: float = 1.0,
     ) -> None:
+        super().__init__(manager.config, fault_plan, seed, decode_backend, allow_partial)
         self._manager = manager
-        self._config = manager.config
-        self._plan = resolve_fault_plan(fault_plan)
-        self._injector = FaultInjector(self._plan, seed)
-        self._decode_backend = decode_backend
-        self._allow_partial = bool(allow_partial)
         self._delay_scale = float(delay_scale)
-        mult = deadline_multiplier()
         base_timeout = (
             ack_timeout_s
             if ack_timeout_s is not None
             else (self._config.retransmit_timeout_s or DEFAULT_ACK_TIMEOUT_S)
         )
-        self._ack_timeout = float(base_timeout) * mult
+        self._ack_timeout = float(base_timeout) * deadline_multiplier()
         self._transfers: dict[int, _TcpTransfer] = {}
-        self._next_frame_id = 0
-        self._message_count = 0
-        self._downlink_bytes = 0
-        self._uplink_bytes = 0
-        self._downlink_durations: list[float] = []
-        self._uplink_durations: list[float] = []
-        self._transcript: list[TranscriptEntry] = []
-        self._delivered = DeliveredFrames()
-        self._frames_sent = 0
-        self._frames_delivered = 0
-        self._frames_dropped = 0
-        self._frames_corrupt = 0
-        self._frames_duplicate = 0
-        self._retransmit_count = 0
-        self._timeout_count = 0
-        self._corrupt_caught_by_codec = 0
-        self._corrupt_caught_by_checksum = 0
-        self._payload_bytes_sent = 0
-        self._payload_bytes_delivered = 0
         self._outstanding = 0
         self._quiet: asyncio.Event | None = None
         self._degraded = False
         self._phase_started = time.monotonic()
-
-    # -- configuration and accounting (the SimulatedNetwork surface) -------------
-
-    @property
-    def config(self) -> NetworkConfig:
-        """The link/reliability parameters in use."""
-        return self._config
-
-    @property
-    def fault_plan(self) -> FaultPlan:
-        """The fault plan the proxy draws decisions from."""
-        return self._plan
-
-    @property
-    def seed(self) -> int:
-        """The network seed all fault decisions derive from."""
-        return self._injector.seed
-
-    @property
-    def downlink_bytes(self) -> int:
-        """Bytes put on center→station links (retransmits and duplicates included)."""
-        return self._downlink_bytes
-
-    @property
-    def uplink_bytes(self) -> int:
-        """Bytes put on the station→center ingress (retransmits included)."""
-        return self._uplink_bytes
-
-    @property
-    def message_count(self) -> int:
-        """Logical messages offered to the transport."""
-        return self._message_count
-
-    @property
-    def transcript(self) -> tuple[TranscriptEntry, ...]:
-        """The event transcript (wall-clock times — not comparable to sim's)."""
-        return tuple(self._transcript)
-
-    def delivered_payloads(self, direction: str) -> dict[str, tuple[bytes, ...]]:
-        """Unique delivered frame bytes per station for ``direction``."""
-        return self._delivered.grouped(direction)
-
-    def frame_stats(self) -> FrameStats:
-        """Snapshot of the frame-level ledger."""
-        return FrameStats(
-            frames_sent=self._frames_sent,
-            frames_delivered=self._frames_delivered,
-            frames_dropped=self._frames_dropped,
-            frames_corrupt=self._frames_corrupt,
-            frames_duplicate=self._frames_duplicate,
-            retransmit_count=self._retransmit_count,
-            timeout_count=self._timeout_count,
-            corrupt_caught_by_codec=self._corrupt_caught_by_codec,
-            corrupt_caught_by_checksum=self._corrupt_caught_by_checksum,
-            payload_bytes_sent=self._payload_bytes_sent,
-            payload_bytes_delivered=self._payload_bytes_delivered,
-        )
-
-    def transmission_time_s(self) -> float:
-        """Aggregate measured wall time, aggregated like the simulator's.
-
-        Downlink phases run on parallel per-station links (max over phases);
-        uplink phases serialize at the center's ingress (sum).
-        """
-        downlink = max(self._downlink_durations) if self._downlink_durations else 0.0
-        return downlink + sum(self._uplink_durations)
 
     # -- sending (caller thread) -------------------------------------------------
 
@@ -612,135 +492,34 @@ class TcpTransport(Transport):
             ) from None
 
         # The socket traffic decided *whether* each transfer delivered; the
-        # delivered payloads are now replayed into the in-process receivers on
-        # the caller thread, in send order — deterministic, and byte-identical
-        # to what the worker decoded (corrupt copies were never acked).
+        # delivered frames now reach the in-process receivers on the caller
+        # thread, in send order — deterministic, and byte-identical to what
+        # the worker decoded (corrupt copies were never acked).
         for transfer in transfers:
-            if not transfer.delivered:
-                continue
-            if transfer.receiver is not None:
-                transfer.receiver.receive_wire(
-                    transfer.payload, backend=self._decode_backend
-                )
-            self._delivered.record(direction, transfer.station, transfer.payload)
-
-        failed = [t for t in transfers if not t.delivered]
-        if failed and not self._allow_partial:
-            labels = tuple(f"{t.sender}->{t.recipient}" for t in failed)
-            raise RoundTimeoutError(
-                f"{len(failed)} {direction} transfer(s) exhausted "
-                f"{self._config.max_attempts} attempts under fault plan "
-                f"{self._plan.name!r} (seed {self._injector.seed}): "
-                + ", ".join(labels),
-                failed_transfers=labels,
-                delivered_ids=tuple(t.station for t in transfers if t.delivered),
-            )
-        duration = max((t.resolved_at for t in transfers), default=0.0)
-        if direction == "downlink":
-            self._downlink_durations.append(duration)
-        else:
-            self._uplink_durations.append(duration)
-        return PhaseOutcome(
-            direction=direction,
-            duration_s=duration,
-            delivered_ids=tuple(t.station for t in transfers if t.delivered),
-            failed_ids=tuple(t.station for t in transfers if not t.delivered),
-        )
+            if transfer.delivered:
+                self._hand_over(transfer)
+        return self._settle(transfers, direction)
 
     # -- the phase engine (loop thread) ------------------------------------------
 
     def _elapsed(self) -> float:
         return time.monotonic() - self._phase_started
 
-    def _record(
-        self,
-        event: str,
-        transfer: _TcpTransfer | None,
-        attempt: int | None = None,
-    ) -> None:
-        time_s = self._elapsed()
-        if transfer is None:
-            entry = TranscriptEntry(
-                sequence=len(self._transcript),
-                time_s=time_s,
-                event=event,
-                frame_id=-1,
-                attempt=attempt or 0,
-                sender="-",
-                recipient="-",
-                kind="-",
-                size_bytes=0,
-            )
-        else:
-            entry = TranscriptEntry(
-                sequence=len(self._transcript),
-                time_s=time_s,
-                event=event,
-                frame_id=transfer.frame_id,
-                attempt=attempt if attempt is not None else transfer.attempts,
-                sender=transfer.sender,
-                recipient=transfer.recipient,
-                kind=transfer.kind,
-                size_bytes=transfer.size,
-            )
-        self._transcript.append(entry)
-
     def _signal_quiet(self) -> None:
         if self._quiet is not None:
             self._quiet.set()
-
-    def _charge(self, direction: str, size: int) -> None:
-        self._frames_sent += 1
-        self._payload_bytes_sent += size
-        if direction == "downlink":
-            self._downlink_bytes += size
-        else:
-            self._uplink_bytes += size
 
     async def _phase(self, frames: Frames, direction: str) -> list[_TcpTransfer]:
         # Every frame is built before anything is sent: a payload with no
         # wire encoding raises here, like the simulator's, and leaves only the
         # frames before it counted as offered.
-        first_id = self._next_frame_id
-        try:
-            blocks = frames.blocks()
-        finally:
-            self._message_count += frames.encoded_count
-            self._next_frame_id += frames.encoded_count
-        transfers: list[_TcpTransfer] = []
-        for index, block in enumerate(blocks):
-            sender = frames.senders[index]
-            recipient = frames.recipients[index]
-            kind = frames.kinds[index]
-            transfers.append(
-                _TcpTransfer(
-                    first_id + index,
-                    sender,
-                    recipient,
-                    kind.value,
-                    frames.receivers[index],
-                    direction,
-                    envelope_head(sender, recipient, kind, len(block)) + block,
-                )
-            )
+        opened = self._open_phase(frames, direction)
+        transfers = _TcpTransfer.per_frame(frames, direction, *opened)
         await self._manager.set_active(self)
         self._phase_started = time.monotonic()
         self._quiet = asyncio.Event()
         for transfer in transfers:
             self._transfers[transfer.frame_id] = transfer
-        self._transcript.append(
-            TranscriptEntry(
-                sequence=len(self._transcript),
-                time_s=0.0,
-                event="phase",
-                frame_id=-1,
-                attempt=len(transfers),
-                sender="-",
-                recipient="-",
-                kind=direction,
-                size_bytes=0,
-            )
-        )
         await self._manager.ensure_stations({t.station for t in transfers})
         tasks = []
         for transfer in transfers:
@@ -780,7 +559,7 @@ class TcpTransport(Transport):
                 transfer.frame_id,
                 attempt,
                 protocol.DOWNLINK,
-                transfer.payload,
+                transfer.frame,
                 crc=transfer.crc,
             )
             try:
@@ -797,10 +576,7 @@ class TcpTransport(Transport):
             except asyncio.TimeoutError:
                 continue
         if not transfer.delivered and not transfer.failed:
-            transfer.failed = True
-            transfer.resolved_at = self._elapsed()
-            self._timeout_count += 1
-            self._record("timeout", transfer)
+            self._mark_failed(self._elapsed(), transfer, transfer.attempts)
 
     async def _drive_uplink(self, transfer: _TcpTransfer) -> None:
         """Hand the body to the station worker; it transmits under stop-and-wait."""
@@ -812,7 +588,7 @@ class TcpTransport(Transport):
                 transfer.frame_id,
                 self._config.max_attempts,
                 self._ack_timeout,
-                transfer.payload,
+                transfer.frame,
             )
             try:
                 await link.send(load)
@@ -827,10 +603,7 @@ class TcpTransport(Transport):
             except asyncio.TimeoutError:  # pragma: no cover - hung/dead worker
                 pass
         if not transfer.delivered and not transfer.failed:
-            transfer.failed = True
-            transfer.resolved_at = self._elapsed()
-            self._timeout_count += 1
-            self._record("timeout", transfer)
+            self._mark_failed(self._elapsed(), transfer, transfer.attempts)
 
     # -- the byte-level fault proxy (loop thread, called from the pumps) ---------
 
@@ -845,17 +618,17 @@ class TcpTransport(Transport):
         bytes in the body while passing the original checksum through, so the
         receiver detects it exactly like the simulator's link-layer check.
         """
-        transfer = self._transfers.get(frame.frame_id)
+        transfer = self._transfers.get(frame.frame_id, _STRAY)
         direction = "downlink" if frame.direction == protocol.DOWNLINK else "uplink"
         size = len(frame.body)
         self._charge(direction, size)
         if frame.attempt > 1:
             self._retransmit_count += 1
-            self._record("retransmit", transfer, attempt=frame.attempt)
-        self._record("send", transfer, attempt=frame.attempt)
+            self._record(self._elapsed(), "retransmit", transfer, frame.attempt)
+        self._record(self._elapsed(), "send", transfer, frame.attempt)
         faults = self._injector.frame_faults(frame.frame_id, frame.attempt)
         in_blackout = False
-        if transfer is not None:
+        if transfer is not _STRAY:
             window = self._injector.blackout_window(transfer.station)
             if window is not None:
                 # Approximation of the simulator's virtual-time blackout: the
@@ -866,7 +639,7 @@ class TcpTransport(Transport):
         if faults.drop or in_blackout:
             self._frames_dropped += 1
             self._record(
-                "blackout" if in_blackout else "drop", transfer, attempt=frame.attempt
+                self._elapsed(), "blackout" if in_blackout else "drop", transfer, frame.attempt
             )
             if direction == "downlink":
                 # The center already counted this copy as outstanding when it
@@ -896,7 +669,7 @@ class TcpTransport(Transport):
             # A network-generated duplicate: a pristine second copy trailing
             # the original (even when the original copy was corrupted).
             self._charge(direction, size)
-            self._record("dup-send", transfer, attempt=frame.attempt)
+            self._record(self._elapsed(), "dup-send", transfer, frame.attempt)
             await out.send(
                 protocol.encode_data(
                     frame.frame_id,
@@ -912,44 +685,37 @@ class TcpTransport(Transport):
     async def _on_center_frame(
         self, station: str, frame: "protocol.TransportFrame"
     ) -> None:
-        transfer = self._transfers.get(frame.frame_id)
+        transfer = self._transfers.get(frame.frame_id, _STRAY)
         if frame.kind == protocol.ACK:
             # A worker's response to one downlink DATA copy.
             self._outstanding -= 1
-            if transfer is not None:
+            if transfer is not _STRAY:
                 if frame.duplicate or transfer.delivered or transfer.failed:
                     self._frames_duplicate += 1
-                    self._record("duplicate", transfer, attempt=frame.attempt)
+                    self._record(self._elapsed(), "duplicate", transfer, frame.attempt)
                     if transfer.delivered or transfer.failed:
                         transfer.resolved.set()
                 else:
-                    transfer.delivered = True
-                    transfer.resolved_at = self._elapsed()
-                    self._frames_delivered += 1
-                    self._payload_bytes_delivered += transfer.size
-                    self._record("deliver", transfer, attempt=frame.attempt)
+                    self._mark_delivered(self._elapsed(), transfer, frame.attempt)
                     transfer.resolved.set()
         elif frame.kind == protocol.CORRUPT:
             # A worker rejected one downlink DATA copy; the driver's timer
             # handles retransmission, exactly like the simulator's.
             self._outstanding -= 1
-            self._frames_corrupt += 1
-            if frame.caught_by == protocol.CAUGHT_BY_CODEC:
-                self._corrupt_caught_by_codec += 1
-            else:
-                self._corrupt_caught_by_checksum += 1
-            self._record("corrupt", transfer, attempt=frame.attempt)
+            self._count_corrupt(
+                self._elapsed(),
+                transfer,
+                frame.attempt,
+                frame.caught_by == protocol.CAUGHT_BY_CODEC,
+            )
         elif frame.kind == protocol.DATA:
             # One uplink DATA copy arriving at the center's ingress.
             self._outstanding -= 1
-            if transfer is not None:
+            if transfer is not _STRAY:
                 await self._on_uplink_data(station, transfer, frame)
         elif frame.kind == protocol.FAIL:
-            if transfer is not None and not transfer.delivered and not transfer.failed:
-                transfer.failed = True
-                transfer.resolved_at = self._elapsed()
-                self._timeout_count += 1
-                self._record("timeout", transfer, attempt=frame.attempt)
+            if transfer is not _STRAY and not transfer.delivered and not transfer.failed:
+                self._mark_failed(self._elapsed(), transfer, frame.attempt)
                 transfer.resolved.set()
         self._signal_quiet()
 
@@ -961,7 +727,7 @@ class TcpTransport(Transport):
             # A duplicate emission or a spurious retransmission landing after
             # the transfer was resolved.
             self._frames_duplicate += 1
-            self._record("duplicate", transfer, attempt=frame.attempt)
+            self._record(self._elapsed(), "duplicate", transfer, frame.attempt)
             if link is not None:
                 await link.send(
                     protocol.encode_ack(frame.frame_id, frame.attempt, duplicate=True)
@@ -971,20 +737,11 @@ class TcpTransport(Transport):
             # Real corruption detection at the ingress: the center still runs
             # the actual codec decode on the corrupt bytes to classify the
             # catch, then stays silent so the worker's timer retransmits.
-            try:
-                Message.from_wire(frame.body, backend=self._decode_backend)
-            except WireFormatError:
-                self._corrupt_caught_by_codec += 1
-            else:
-                self._corrupt_caught_by_checksum += 1
-            self._frames_corrupt += 1
-            self._record("corrupt", transfer, attempt=frame.attempt)
+            self._count_corrupt(
+                self._elapsed(), transfer, frame.attempt, self._caught_by_codec(frame.body)
+            )
             return
-        transfer.delivered = True
-        transfer.resolved_at = self._elapsed()
-        self._frames_delivered += 1
-        self._payload_bytes_delivered += transfer.size
-        self._record("deliver", transfer, attempt=frame.attempt)
+        self._mark_delivered(self._elapsed(), transfer, frame.attempt)
         if link is not None:
             await link.send(
                 protocol.encode_ack(frame.frame_id, frame.attempt, duplicate=False)
@@ -996,9 +753,6 @@ class TcpTransport(Transport):
         self._degraded = True
         for transfer in self._transfers.values():
             if transfer.station == station and not transfer.delivered and not transfer.failed:
-                transfer.failed = True
-                transfer.resolved_at = self._elapsed()
-                self._timeout_count += 1
-                self._record("timeout", transfer)
+                self._mark_failed(self._elapsed(), transfer, transfer.attempts)
                 transfer.resolved.set()
         self._signal_quiet()

@@ -164,49 +164,46 @@ class TestDeliveredWireBytes:
             for station_id in dataset.station_ids
         ]
         network = transport_factory()
-        try:
-            artifact = center.encode(protocol, batch)
-            network.broadcast(
-                [
-                    (
-                        Message(
-                            sender=center.node_id,
-                            recipient=station.node_id,
-                            kind=MessageKind.FILTER_DISSEMINATION,
-                            payload=artifact,
+        artifact = center.encode(protocol, batch)
+        network.broadcast(
+            [
+                (
+                    Message(
+                        sender=center.node_id,
+                        recipient=station.node_id,
+                        kind=MessageKind.FILTER_DISSEMINATION,
+                        payload=artifact,
+                    ),
+                    station,
+                )
+                for station in stations
+            ]
+        )
+        network.gather(
+            [
+                (
+                    Message(
+                        sender=station.node_id,
+                        recipient=center.node_id,
+                        kind=MessageKind.MATCH_REPORT,
+                        payload=protocol.station_match(
+                            station.node_id,
+                            station.patterns,
+                            station.latest_artifact(),
                         ),
-                        station,
-                    )
-                    for station in stations
-                ]
-            )
-            network.gather(
-                [
-                    (
-                        Message(
-                            sender=station.node_id,
-                            recipient=center.node_id,
-                            kind=MessageKind.MATCH_REPORT,
-                            payload=protocol.station_match(
-                                station.node_id,
-                                station.patterns,
-                                station.latest_artifact(),
-                            ),
-                        ),
-                        center,
-                    )
-                    for station in stations
-                ]
-            )
-            return {
-                "downlink": network.delivered_payloads("downlink"),
-                "uplink": network.delivered_payloads("uplink"),
-                "stats": network.frame_stats(),
-                "downlink_bytes": network.downlink_bytes,
-                "uplink_bytes": network.uplink_bytes,
-            }
-        finally:
-            network.close()
+                    ),
+                    center,
+                )
+                for station in stations
+            ]
+        )
+        return {
+            "downlink": network.delivered_payloads("downlink"),
+            "uplink": network.delivered_payloads("uplink"),
+            "stats": network.frame_stats(),
+            "downlink_bytes": network.downlink_bytes,
+            "uplink_bytes": network.uplink_bytes,
+        }
 
     def test_per_station_wire_bytes_are_byte_identical(self, dataset, batch_a):
         from repro.distributed.transport.tcp import TcpTransportManager
@@ -273,11 +270,8 @@ class TestUnencodablePayloads:
             ("sim", SimulatedNetwork(fault_plan="none", seed=5)),
             ("tcp", manager.create_transport(fault_plan="none", seed=5)),
         ):
-            try:
-                self._refuse(network, direction, shape)
-                ledgers[backend] = refused_phase_ledger(network)
-            finally:
-                network.close()
+            self._refuse(network, direction, shape)
+            ledgers[backend] = refused_phase_ledger(network)
         assert ledgers["tcp"] == ledgers["sim"]
         assert ledgers["tcp"]["message_count"] == SENDS_BEFORE
         assert ledgers["tcp"]["transcript"] == ()
@@ -288,24 +282,21 @@ class TestUnencodablePayloads:
             ("sim", SimulatedNetwork(fault_plan="none", seed=5)),
             ("tcp", manager.create_transport(fault_plan="none", seed=5)),
         ):
-            try:
-                self._refuse(network, "downlink", "dict")
-                sends = uplink_sends([])[SENDS_BEFORE + 1 :]
-                outcome = network.gather(sends)
-                seen[backend] = {
-                    "delivered_ids": outcome.delivered_ids,
-                    "inbox": sends[0][1].inbox,
-                    "rows": [
-                        (row.event, row.frame_id, row.size_bytes)
-                        for row in network.transcript
-                    ],
-                    "message_count": network.message_count,
-                    "uplink_bytes": network.uplink_bytes,
-                    "stats": network.frame_stats(),
-                    "delivered": network.delivered_payloads("uplink"),
-                }
-            finally:
-                network.close()
+            self._refuse(network, "downlink", "dict")
+            sends = uplink_sends([])[SENDS_BEFORE + 1 :]
+            outcome = network.gather(sends)
+            seen[backend] = {
+                "delivered_ids": outcome.delivered_ids,
+                "inbox": sends[0][1].inbox,
+                "rows": [
+                    (row.event, row.frame_id, row.size_bytes)
+                    for row in network.transcript
+                ],
+                "message_count": network.message_count,
+                "uplink_bytes": network.uplink_bytes,
+                "stats": network.frame_stats(),
+                "delivered": network.delivered_payloads("uplink"),
+            }
         assert seen["tcp"] == seen["sim"]
         assert seen["tcp"]["delivered_ids"] == (f"bs-{SENDS_BEFORE + 1}",)
 

@@ -58,16 +58,6 @@ class TestSimulatedNetwork:
     def test_transmission_time_empty(self):
         assert SimulatedNetwork().transmission_time_s() == 0.0
 
-    def test_reset(self):
-        network = SimulatedNetwork()
-        network.gather([(_message(), None)])
-        network.reset()
-        assert network.message_count == 0
-        assert network.uplink_bytes == 0
-        assert network.transmission_time_s() == 0.0
-        assert network.transcript == ()
-        assert network.frame_stats().frames_sent == 0
-
     def test_send_returns_transfer_time(self):
         network = SimulatedNetwork(NetworkConfig(latency_s=0.1))
         assert network.broadcast([(_message(), None)]).duration_s >= 0.1
@@ -260,5 +250,3 @@ class TestDeliveredPayloads:
             entries += sum(len(frames) for frames in got.values())
         # One entry per accepted frame: duplicates and corrupt copies add none.
         assert entries == stats.frames_delivered
-        network.reset()
-        assert network.delivered_payloads("downlink") == {}
