@@ -29,6 +29,7 @@ from repro.cluster import Cluster, ClusterSpec, ProtocolSpec
 from repro.core.config import DIMatchingConfig
 from repro.datagen.scale import build_scale_dataset, build_scale_queries
 from repro.topology import TopologySpec
+from repro.wire import WIRE_VERSION
 
 STATION_COUNT = 10_000
 #: 100 stations behind each aggregator — the trunk fan-in drops 100x.
@@ -109,7 +110,7 @@ def test_two_tier_cuts_center_ingress_at_10k_stations(benchmark):
         "trunk": {
             "uplink_bytes": trunk.uplink_bytes,
             "message_count": trunk.message_count,
-            "wire_version": trunk.wire_version,
+            "wire_version": WIRE_VERSION,
         },
         "regional_uplink_bytes": sum(
             tier.uplink_bytes for tier in tiered.costs.tiers[1:]

@@ -200,15 +200,6 @@ class BaseStationMatcher:
             self._probe_key = key
         return self._probe
 
-    def _candidate_rows(self, family: HashFamily) -> Iterator[list[list[int]]]:
-        """Each candidate's position rows under ``family`` as lists, in order."""
-        probe = self._probe_for(family)
-        offset = 0
-        for row_count in self._row_counts:
-            rows = probe[offset : offset + row_count]
-            yield rows if rows.__class__ is list else rows.tolist()
-            offset += row_count
-
     # -- weighted matching (Algorithm 2) --------------------------------------------
 
     def match_pattern(
@@ -224,11 +215,7 @@ class BaseStationMatcher:
         ambiguity during aggregation.
         """
         rows = wbf.hash_family.indices_batch(self._probe_items(pattern))
-        if wbf.MASK_INDEX_ENABLED:
-            common = wbf.weights_of_mask(_rows_mask(wbf.position_masks(), rows))
-        else:
-            common = _intersect_rows(wbf, rows)
-        return _grouped(common)
+        return _grouped(wbf.weights_of_mask(_rows_mask(wbf.position_masks(), rows)))
 
     def match_against(self, encoded: EncodedQueryBatch) -> list[MatchReport]:
         """Match every locally stored pattern against the received WBF.
@@ -268,10 +255,7 @@ def match_weighted(
     """Algorithm 2 at every matcher's station against one WBF; one report list each.
 
     A candidate's reports follow candidate order, then the query/weight
-    grouping of its common weight set (see :func:`_report_pairs`).  With
-    ``WeightedBloomFilter.MASK_INDEX_ENABLED`` off, each candidate instead
-    intersects its rows' weight sets one row at a time — the reference
-    path benchmarks switch to.
+    grouping of its common weight set (see :func:`_report_pairs`).
     """
     for matcher in matchers:
         if encoded.config.sample_count != matcher._config.sample_count:
@@ -282,13 +266,6 @@ def match_weighted(
             )
     wbf = encoded.wbf
     reports: list[list[MatchReport]] = [[] for _ in matchers]
-    if not wbf.MASK_INDEX_ENABLED:
-        for station_reports, matcher in zip(reports, matchers):
-            for candidate, rows in enumerate(matcher._candidate_rows(wbf.hash_family)):
-                common = _intersect_rows(wbf, rows)
-                if common:
-                    _report(station_reports, matcher, candidate, _report_pairs(common))
-        return reports
     probes = [matcher._probe_for(wbf.hash_family) for matcher in matchers]
     if _vectorized(probes):
         hits = _array_hits(matchers, probes, wbf.position_table())
@@ -394,19 +371,6 @@ def _rows_mask(table: Sequence[int], rows: Sequence[Sequence[int]]) -> int:
         if not acc:
             break
     return acc
-
-
-def _intersect_rows(wbf: WeightedBloomFilter, rows: Sequence[Sequence[int]]) -> set:
-    """Per-row weight-set intersection: the reference for the position-table AND."""
-    common = None
-    for row in rows:
-        weights = wbf.query_weights_at(row)
-        if not weights:
-            return set()
-        common = set(weights) if common is None else (common & weights)
-        if not common:
-            return set()
-    return common or set()
 
 
 def _grouped(common) -> dict[str, frozenset[Fraction]]:

@@ -295,11 +295,6 @@ class WeightedBloomFilter:
 
     # -- batched consistency probe (mask index, position table) --------------------
 
-    #: Class-level switch for the integer-mask probe index and the position
-    #: table built on it.  Benchmarks flip it off to measure the per-row
-    #: set-intersection path; results are identical either way.
-    MASK_INDEX_ENABLED = True
-
     def _weight_mask_index(
         self,
     ) -> tuple[int, tuple, list[int], dict[int, frozenset], object]:

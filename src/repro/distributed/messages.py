@@ -36,20 +36,12 @@ class MessageKind(str, Enum):
 
 @dataclass(frozen=True, init=False)
 class Message:
-    """A single message with explicit sender, recipient, kind and payload.
-
-    ``wire_version`` is the negotiated header revision the *payload frame* is
-    written at (the envelope layout never changes).  It defaults to the
-    codec's stable version, so every historical transcript keeps its bytes;
-    hierarchical deployments mid-upgrade set it per hop from
-    :func:`repro.wire.negotiate_wire_version`.
-    """
+    """A single message with explicit sender, recipient, kind and payload."""
 
     sender: str
     recipient: str
     kind: MessageKind
     payload: object | None = None
-    wire_version: int = 1
 
     #: Memo of :meth:`payload_wire` with the payload revision it was encoded
     #: at, set per instance on first use (not fields).  Plain attributes, not
@@ -64,17 +56,10 @@ class Message:
         recipient: str,
         kind: MessageKind,
         payload: object | None = None,
-        wire_version: int = 1,
     ) -> None:
         # One dict update instead of a frozen ``object.__setattr__`` per
-        # field: the TCP backend's replay decodes a message per delivery.
-        self.__dict__.update(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            wire_version=wire_version,
-        )
+        # field: ``Node.inbox`` builds a message per delivered frame.
+        self.__dict__.update(sender=sender, recipient=recipient, kind=kind, payload=payload)
 
     def to_wire(self, compress: bool = False) -> bytes:
         """The full binary encoding of this message (envelope plus payload).
@@ -107,9 +92,8 @@ class Message:
         The envelope encoder embeds exactly these bytes, so building the
         envelope and charging ``payload_bytes()`` in the same round encodes the
         payload once even for list payloads (which the codec's weak-ref cache
-        cannot hold).  Artifacts come from that cache, which keeps one
-        encoding per wire version, so a broadcast writes its payload once per
-        artifact at every negotiated hop version.  Raises
+        cannot hold).  Artifacts come from that cache, so a broadcast writes
+        its payload once per artifact.  Raises
         :class:`~repro.wire.errors.UnsupportedWireTypeError` for payloads
         outside the codec's vocabulary.
         """
@@ -117,7 +101,7 @@ class Message:
         cached = self._payload_wire_cache
         if cached is not None and self._payload_wire_revision == revision:
             return cached
-        data = encode_cached_at(self.payload, self.wire_version, revision)
+        data = encode_cached_at(self.payload, revision)
         object.__setattr__(self, "_payload_wire_cache", data)
         object.__setattr__(self, "_payload_wire_revision", revision)
         return data

@@ -27,8 +27,6 @@ class TierCost:
     message_count: int = 0
     retransmit_count: int = 0
     dropped_frame_count: int = 0
-    #: Negotiated DIMW header version of this hop's payload frames.
-    wire_version: int = 1
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ class Node:
     the real binary decode, so a corrupted frame surfaces as a typed
     :class:`~repro.wire.errors.WireFormatError` here, never as wrong data.
 
-    The inbox is kept as columns — sender, kind, decoded payload and wire
-    version per delivery — so a phase that delivers a frame to each of
-    10,000 nodes builds no :class:`Message`; :attr:`inbox` builds them when
-    it is read.
+    The inbox is kept as columns — sender, kind and decoded payload per
+    delivery — so a phase that delivers a frame to each of 10,000 nodes
+    builds no :class:`Message`; :attr:`inbox` builds them when it is read.
     """
 
     def __init__(self, node_id: str) -> None:
@@ -30,7 +29,6 @@ class Node:
         self._senders: list[str] = []
         self._kinds: list[MessageKind] = []
         self._payloads: list[object] = []
-        self._versions: list[int] = []
 
     @property
     def node_id(self) -> str:
@@ -42,15 +40,11 @@ class Node:
         """Messages received, in arrival order."""
         node_id = self._node_id
         return [
-            Message(sender, node_id, kind, payload, version)
-            for sender, kind, payload, version in zip(
-                self._senders, self._kinds, self._payloads, self._versions
-            )
+            Message(sender, node_id, kind, payload)
+            for sender, kind, payload in zip(self._senders, self._kinds, self._payloads)
         ]
 
-    def _deliver(
-        self, sender: str, recipient: str, kind: MessageKind, payload: object, version: int
-    ) -> None:
+    def _deliver(self, sender: str, recipient: str, kind: MessageKind, payload: object) -> None:
         if recipient != self._node_id:
             raise ValueError(
                 f"message addressed to {recipient!r} delivered to {self._node_id!r}"
@@ -58,17 +52,10 @@ class Node:
         self._senders.append(sender)
         self._kinds.append(kind)
         self._payloads.append(payload)
-        self._versions.append(version)
 
     def receive(self, message: Message) -> None:
         """Deliver an already-decoded ``message`` to this node."""
-        self._deliver(
-            message.sender,
-            message.recipient,
-            message.kind,
-            message.payload,
-            message.wire_version,
-        )
+        self._deliver(message.sender, message.recipient, message.kind, message.payload)
 
     def receive_wire(self, data: bytes, backend: str = "auto") -> Message:
         """Decode ``data`` through the wire codec and deliver the message.
@@ -115,7 +102,6 @@ class Node:
         self._senders.clear()
         self._kinds.clear()
         self._payloads.clear()
-        self._versions.clear()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self._node_id!r}, inbox={len(self._senders)})"

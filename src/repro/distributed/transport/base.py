@@ -58,20 +58,19 @@ _new_row = tuple.__new__
 class Frames:
     """One phase's frames as columns.
 
-    Per frame: a sender, a recipient, a kind, a wire version, a payload (the
-    frames of a broadcast repeat one object) and the node that receives it
-    (``None`` delivers to no node).  :meth:`blocks` encodes each payload
+    Per frame: a sender, a recipient, a kind, a payload (the frames of a
+    broadcast repeat one object) and the node that receives it (``None``
+    delivers to no node).  :meth:`blocks` encodes each payload
     once and keeps the blocks, so whoever built the frames reads the bytes
     that were sent.
     """
 
-    __slots__ = ("senders", "recipients", "kinds", "versions", "payloads", "receivers", "_blocks")
+    __slots__ = ("senders", "recipients", "kinds", "payloads", "receivers", "_blocks")
 
     def __init__(self) -> None:
         self.senders: list[str] = []
         self.recipients: list[str] = []
         self.kinds: list["MessageKind"] = []
-        self.versions: list[int] = []
         self.payloads: list[object] = []
         self.receivers: list["Node | None"] = []
         self._blocks: list[bytes] = []
@@ -83,14 +82,7 @@ class Frames:
             return sends
         frames = cls()
         for message, receiver in sends:
-            frames.add(
-                message.sender,
-                message.recipient,
-                message.kind,
-                message.payload,
-                receiver,
-                message.wire_version,
-            )
+            frames.add(message.sender, message.recipient, message.kind, message.payload, receiver)
         return frames
 
     def add(
@@ -100,13 +92,11 @@ class Frames:
         kind: "MessageKind",
         payload: object,
         receiver: "Node | None",
-        version: int = 1,
     ) -> None:
         """Append one frame."""
         self.senders.append(sender)
         self.recipients.append(recipient)
         self.kinds.append(kind)
-        self.versions.append(version)
         self.payloads.append(payload)
         self.receivers.append(receiver)
 
@@ -125,23 +115,21 @@ class Frames:
     def blocks(self) -> list[bytes]:
         """Each frame's payload block, in frame order.
 
-        A run of frames carrying one payload object at one version shares
-        one block, and an artifact's block comes from the codec's encode
-        cache, so a broadcast encodes its artifact once.  Raises
+        A run of frames carrying one payload object shares one block, and an
+        artifact's block comes from the codec's encode cache, so a broadcast
+        encodes its artifact once.  Raises
         :class:`~repro.wire.errors.UnsupportedWireTypeError` at the first
         frame whose payload the wire cannot carry; the blocks before it stay.
         """
         blocks = self._blocks
-        payloads, versions = self.payloads, self.versions
+        payloads = self.payloads
         shared = _NO_PAYLOAD
-        shared_version = block = None
+        block = None
         for index in range(len(blocks), len(payloads)):
             payload = payloads[index]
-            version = versions[index]
-            if payload is not shared or version != shared_version:
-                block = encode_cached(payload, version)
+            if payload is not shared:
+                block = encode_cached(payload)
                 shared = payload
-                shared_version = version
             blocks.append(block)
         return blocks
 

@@ -91,7 +91,6 @@ def _artifact_frames(
     sender: str,
     receivers: Sequence["DataCenterNode | BaseStationNode"],
     artifact: object | None,
-    wire_version: int,
 ) -> Frames:
     """One frame of ``artifact`` from ``sender`` to each receiver."""
     # The naive method distributes no artifact: stations receive only a tiny
@@ -101,7 +100,7 @@ def _artifact_frames(
     )
     frames = Frames()
     for receiver in receivers:
-        frames.add(sender, receiver.node_id, kind, artifact, receiver, wire_version)
+        frames.add(sender, receiver.node_id, kind, artifact, receiver)
     return frames
 
 
@@ -109,13 +108,12 @@ def _report_frames(
     senders: Sequence[str],
     payloads: Sequence[object],
     head: "DataCenterNode",
-    wire_version: int,
 ) -> Frames:
     """One report frame from each sender into ``head``."""
     frames = Frames()
     recipient = head.node_id
     for sender, payload in zip(senders, payloads):
-        frames.add(sender, recipient, MessageKind.MATCH_REPORT, payload, head, wire_version)
+        frames.add(sender, recipient, MessageKind.MATCH_REPORT, payload, head)
     return frames
 
 
@@ -175,7 +173,6 @@ def run_two_tier_round(
                 center.node_id,
                 [heads[region.name] for region in active_regions],
                 artifact,
-                tier_map.trunk_wire_version,
             )
         )
         trunk_down_s = trunk_down.duration_s
@@ -202,7 +199,7 @@ def run_two_tier_round(
         relayed = _relayed_artifact(head, artifact)
         members = by_region.get(region.name, [])
         outcome = regional_transports[region.name].broadcast(
-            _artifact_frames(head.node_id, members, relayed, region.wire_version)
+            _artifact_frames(head.node_id, members, relayed)
         )
         region_down_durations.append(outcome.duration_s)
         lost = set(outcome.failed_ids)
@@ -233,7 +230,6 @@ def run_two_tier_round(
             station_ids,
             [reports_by_station[station_id] for station_id in station_ids],
             heads[region.name],
-            region.wire_version,
         )
         if trunk_transport is None:
             center_frames = frames
@@ -256,7 +252,6 @@ def run_two_tier_round(
                 for region in served_regions
             ],
             center,
-            tier_map.trunk_wire_version,
         )
         if center_frames:
             trunk_up = trunk_transport.gather(center_frames)
@@ -280,9 +275,7 @@ def run_two_tier_round(
             center_payload_bytes += len(block)
             all_reports.extend(decoded)
 
-    tier_costs, totals = _tier_ledger(
-        tier_map, served_regions, trunk_transport, regional_transports
-    )
+    tier_costs, totals = _tier_ledger(served_regions, trunk_transport, regional_transports)
     transmission_time_s = (
         trunk_down_s
         + max(region_down_durations, default=0.0)
@@ -382,7 +375,6 @@ def ship_two_tier_deltas(
             station_ids,
             [deltas[station_id] for station_id in station_ids],
             heads[region.name],
-            region.wire_version,
         )
         try:
             outcome = regional_transports[region.name].gather(frames)
@@ -411,7 +403,6 @@ def ship_two_tier_deltas(
                 for region in summarized_regions
             ],
             center,
-            tier_map.trunk_wire_version,
         )
         if summary_frames:
             try:
@@ -448,9 +439,7 @@ def ship_two_tier_deltas(
                 reports_by_station[sender] = decoded.get(sender, [])
                 payload_bytes_by_station[sender] = len(block)
 
-    tier_costs, totals = _tier_ledger(
-        tier_map, regions, trunk_transport, regional_transports
-    )
+    tier_costs, totals = _tier_ledger(regions, trunk_transport, regional_transports)
     totals.pop("downlink_bytes")
     hops = [regional_transports[r.name] for r in regions]
     if trunk_transport is not None:
@@ -501,7 +490,6 @@ def _relayed_artifact(
 
 
 def _tier_ledger(
-    tier_map: TierMap,
     served_regions: Sequence[Region],
     trunk_transport: "Transport | None",
     regional_transports: Mapping[str, "Transport"],
@@ -512,12 +500,11 @@ def _tier_ledger(
     flat-star contract); its totals are its one transport's ledger.
     """
     tiers: list[TierCost] = []
-    transports: list[tuple[str, int, "Transport"]] = []
+    transports: list[tuple[str, "Transport"]] = []
     if trunk_transport is not None:
-        transports.append(("trunk", tier_map.trunk_wire_version, trunk_transport))
+        transports.append(("trunk", trunk_transport))
     transports.extend(
-        (region.name, region.wire_version, regional_transports[region.name])
-        for region in served_regions
+        (region.name, regional_transports[region.name]) for region in served_regions
     )
     payload_sent = payload_delivered = 0
     totals = dict(
@@ -529,7 +516,7 @@ def _tier_ledger(
         duplicate_frame_count=0,
         corrupt_frame_count=0,
     )
-    for tier_name, wire_version, transport in transports:
+    for tier_name, transport in transports:
         stats = transport.frame_stats()
         tiers.append(
             TierCost(
@@ -539,7 +526,6 @@ def _tier_ledger(
                 message_count=transport.message_count,
                 retransmit_count=stats.retransmit_count,
                 dropped_frame_count=stats.frames_dropped,
-                wire_version=wire_version,
             )
         )
         totals["downlink_bytes"] += transport.downlink_bytes

@@ -17,18 +17,12 @@ from dataclasses import dataclass, fields, replace
 
 from repro.core.config import FAULT_PROFILE_CHOICES
 from repro.core.exceptions import ConfigurationError
-from repro.wire import SUPPORTED_WIRE_VERSIONS
 
 #: Tier layouts the facade can deploy.
 TOPOLOGY_KINDS = ("star", "two-tier")
 
 #: Fields that only shape a regional tier; a star must leave them at default.
-_REGIONAL_FIELDS = (
-    "stations_per_region",
-    "legacy_regions",
-    "degraded_regions",
-    "wire_version",
-)
+_REGIONAL_FIELDS = ("stations_per_region", "degraded_regions")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -57,13 +51,8 @@ class TopologySpec:
     independent query streams share the deployment (the workload layer binds
     one :class:`~repro.workloads.spec.TenantSpec` per slot).
 
-    The wire-skew knobs model a rolling codec upgrade: ``wire_version`` is
-    the header revision upgraded components write, and every region named in
-    ``legacy_regions`` still runs pre-upgrade stations, so its hops negotiate
-    down to the lowest common version
-    (:func:`repro.wire.negotiate_wire_version`).  Regions named in
-    ``degraded_regions`` run their regional hop under ``degraded_profile``
-    instead of the deployment's fault plan.
+    Regions named in ``degraded_regions`` run their regional hop under
+    ``degraded_profile`` instead of the deployment's fault plan.
     """
 
     kind: str = "star"
@@ -71,10 +60,6 @@ class TopologySpec:
     #: Stations per region slice; ``None`` balances the station order evenly.
     stations_per_region: int | None = None
     tenant_count: int = 1
-    #: DIMW header revision the upgraded components write.
-    wire_version: int = 1
-    #: Regions whose stations still read only wire version 1.
-    legacy_regions: tuple[str, ...] = ()
     #: Regions whose regional hop runs a degraded fault profile.
     degraded_regions: tuple[str, ...] = ()
     degraded_profile: str = "none"
@@ -111,14 +96,6 @@ class TopologySpec:
             and self.tenant_count >= 1,
             f"tenant_count must be a positive integer, got {self.tenant_count!r}",
         )
-        _require(
-            self.wire_version in SUPPORTED_WIRE_VERSIONS,
-            f"wire_version must be one of {list(SUPPORTED_WIRE_VERSIONS)}, "
-            f"got {self.wire_version!r}",
-        )
-        object.__setattr__(
-            self, "legacy_regions", _str_tuple(self.legacy_regions, "legacy_regions")
-        )
         object.__setattr__(
             self,
             "degraded_regions",
@@ -130,15 +107,12 @@ class TopologySpec:
             f"got {self.degraded_profile!r}",
         )
         region_names = {self.region_name(index) for index in range(self.regions)}
-        for field_name in ("legacy_regions", "degraded_regions"):
-            unknown = [
-                name for name in getattr(self, field_name) if name not in region_names
-            ]
-            _require(
-                not unknown,
-                f"{field_name} names unknown region(s) {unknown!r}; this "
-                f"topology declares {sorted(region_names)}",
-            )
+        unknown = [name for name in self.degraded_regions if name not in region_names]
+        _require(
+            not unknown,
+            f"degraded_regions names unknown region(s) {unknown!r}; this "
+            f"topology declares {sorted(region_names)}",
+        )
         if self.kind == "star":
             regional = [
                 spec_field.name

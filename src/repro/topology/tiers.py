@@ -20,7 +20,6 @@ from typing import Collection, Sequence
 from repro.core.exceptions import ConfigurationError
 from repro.distributed.datacenter import DATA_CENTER_NODE_ID
 from repro.topology.spec import TopologySpec
-from repro.wire import WIRE_VERSION, negotiate_wire_version
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,6 @@ class Region:
     station_ids: tuple[str, ...]
     #: Fault profile of the regional hop; ``None`` inherits the cluster plan.
     fault_profile: str | None = None
-    #: Negotiated DIMW header version of the regional hop's payload frames.
-    wire_version: int = WIRE_VERSION
 
 
 @dataclass(frozen=True)
@@ -43,14 +40,9 @@ class TierMap:
     """The full routing table of a deployment."""
 
     regions: tuple[Region, ...]
-    #: Negotiated version of the aggregator↔center trunk hop; ``None`` for a
-    #: map without a trunk, the star's one region under the center.
-    trunk_wire_version: int | None = WIRE_VERSION
-
-    @property
-    def has_trunk(self) -> bool:
-        """Whether regional aggregators forward summaries to the center."""
-        return self.trunk_wire_version is not None
+    #: Whether regional aggregators forward summaries to the center over a
+    #: trunk hop; ``False`` for the star's one region under the center.
+    has_trunk: bool
 
     @cached_property
     def _region_by_station(self) -> dict[str, Region]:
@@ -119,10 +111,8 @@ def build_tier_map(
     """Partition ``station_order`` into the spec's tier map.
 
     A star is one region of every station under the center, with no trunk.
-    For a two-tier spec each region's hop version is negotiated between the
-    version the upgraded components write and what the region's stations can
-    read (legacy regions advertise only version 1); the trunk hop runs at the
-    upgraded version, since center and aggregators upgrade together.
+    A two-tier spec gives each region slice its own aggregator, and the
+    degraded regions their fault profile, under a trunk to the center.
     """
     order = [str(station_id) for station_id in station_order]
     if not spec.is_hierarchical:
@@ -131,13 +121,10 @@ def build_tier_map(
             aggregator_id=DATA_CENTER_NODE_ID,
             station_ids=tuple(order),
         )
-        return TierMap(regions=(region,), trunk_wire_version=None)
+        return TierMap(regions=(region,), has_trunk=False)
     regions = []
     for index, (start, stop) in enumerate(region_slices(len(order), spec)):
         name = spec.region_name(index)
-        advertised = [spec.wire_version]
-        if name in spec.legacy_regions:
-            advertised.append(WIRE_VERSION)
         regions.append(
             Region(
                 name=name,
@@ -146,7 +133,6 @@ def build_tier_map(
                 fault_profile=(
                     spec.degraded_profile if name in spec.degraded_regions else None
                 ),
-                wire_version=negotiate_wire_version(advertised),
             )
         )
-    return TierMap(regions=tuple(regions), trunk_wire_version=spec.wire_version)
+    return TierMap(regions=tuple(regions), has_trunk=True)

@@ -3,23 +3,21 @@
 The package turns every artifact the protocols exchange — Bloom and Weighted
 Bloom filters, encoded query batches, raw patterns and queries, match reports,
 and whole :class:`~repro.distributed.messages.Message` envelopes — into a
-versioned, self-describing, canonical byte encoding, and back.  The simulated
-environment charges *these* byte counts (not estimates) as its communication
-and storage cost model; see :mod:`repro.wire.codec` for the format.
+self-describing, canonical byte encoding with one header version, and back.
+The simulated environment charges *these* byte counts (not estimates) as its
+communication and storage cost model; see :mod:`repro.wire.codec` for the
+format.
 """
 
 from repro.wire.codec import (
     FLAG_ZLIB,
     MAGIC,
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
-    WIRE_VERSION_EXT,
     decode,
     encode,
     encode_cached,
     encoded_size,
     message_envelope_size,
-    negotiate_wire_version,
     object_revision,
 )
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
@@ -36,10 +34,7 @@ from repro.wire.stream import (
 __all__ = [
     "FLAG_ZLIB",
     "MAGIC",
-    "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
-    "WIRE_VERSION_EXT",
-    "negotiate_wire_version",
     "decode",
     "encode",
     "encode_cached",

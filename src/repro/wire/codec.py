@@ -1,9 +1,9 @@
-"""Versioned binary wire codec for every protocol artifact.
+"""Binary wire codec for every protocol artifact.
 
 Every encoding starts with a 7-byte header::
 
     offset 0  magic   b"DIMW"   (4 bytes)
-    offset 4  version u8        (currently 1)
+    offset 4  version u8        (always WIRE_VERSION, 1)
     offset 5  flags   u8        (bit 0: body is zlib-compressed)
     offset 6  type    u8        (artifact tag, see the TAG_* constants)
 
@@ -19,9 +19,11 @@ Runtime knobs never travel on the wire: ``DIMatchingConfig.bit_backend`` is
 a local materialization choice, so :func:`decode` accepts a ``backend``
 argument and restores the field to it.
 
-Decoding a malformed buffer — bad magic, unknown version or tag, truncation,
-out-of-range indices, corrupt zlib body, trailing bytes — always raises
-:class:`~repro.wire.errors.WireFormatError`.
+The version octet is the codec's alone: there is one header layout, every
+writer emits version 1, and a frame carrying any other version is refused.
+Decoding a malformed buffer — bad magic, a version other than 1, unknown
+flags or tag, truncation, out-of-range indices, corrupt zlib body, trailing
+bytes — always raises :class:`~repro.wire.errors.WireFormatError`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import weakref
 import zlib
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from repro.bloom.backend import iter_set_bits_in_bytes
 from repro.bloom.standard import BloomFilter
@@ -59,40 +61,8 @@ if TYPE_CHECKING:
 
 #: Magic bytes opening every encoded artifact ("DI-Matching Wire").
 MAGIC = b"DIMW"
-#: Default wire-format version: every writer emits it unless told otherwise,
-#: so all historical byte transcripts stay stable.
+#: The header version every frame carries; a frame with any other is refused.
 WIRE_VERSION = 1
-
-#: The forward-compatible header revision: identical to version 1 except that
-#: a uvarint-prefixed *extension block* sits between the 7-byte header and the
-#: (possibly compressed) body.  Current writers emit an empty block; readers
-#: skip whatever length the writer declared, which is what lets a future
-#: revision append header fields without breaking version-2 readers.
-WIRE_VERSION_EXT = 2
-
-#: Every version this build can read and write, ascending.
-SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION, WIRE_VERSION_EXT)
-
-
-def negotiate_wire_version(advertised: "Iterable[int]") -> int:
-    """Pick the wire version a mixed-build hop must speak: the lowest advertised.
-
-    During a rolling upgrade an aggregator writes frames that *every* station
-    in its region must decode, so the hop runs at the minimum of the versions
-    the parties advertise.  Raises :class:`WireFormatError` when the set is
-    empty or contains a version this build cannot speak (a peer advertising
-    an unknown version cannot be safely downgraded to).
-    """
-    versions = sorted(set(advertised))
-    if not versions:
-        raise WireFormatError("cannot negotiate a wire version from an empty set")
-    unknown = [v for v in versions if v not in SUPPORTED_WIRE_VERSIONS]
-    if unknown:
-        raise WireFormatError(
-            f"cannot negotiate with unsupported wire version(s) {unknown} "
-            f"(this build speaks {list(SUPPORTED_WIRE_VERSIONS)})"
-        )
-    return versions[0]
 
 #: Header flag: the body (everything after the 7-byte header) is zlib-compressed.
 FLAG_ZLIB = 0x01
@@ -522,8 +492,8 @@ def _read_report_columnar(reader: ByteReader) -> list:
     return reports
 
 
-#: The header of every envelope :meth:`Message.to_wire` writes: the stable
-#: version, no flags.  The payload block inside carries its own header.
+#: The header of every envelope :meth:`Message.to_wire` writes: no flags.
+#: The payload block inside carries its own header.
 _ENVELOPE_HEADER = MAGIC + bytes((WIRE_VERSION, 0, TAG_MESSAGE))
 
 
@@ -561,7 +531,7 @@ def _write_message_body(out: bytearray, message: "Message") -> None:
 
 
 def envelope_head(sender: str, recipient: str, kind: "MessageKind", payload_size: int) -> bytes:
-    """The uncompressed version-1 frame of an envelope up to its payload block.
+    """The uncompressed frame of an envelope up to its payload block.
 
     A frame is this head followed by the ``payload_size``-byte payload block,
     so a transport can keep the two apart — every frame of a broadcast then
@@ -580,8 +550,8 @@ def message_frame(message: "Message", payload: bytes) -> bytes:
 
 def read_frame(
     head: bytes, payload: bytes, backend: str = "auto"
-) -> "tuple[str, str, MessageKind, object, int] | None":
-    """A canonical frame's sender, recipient, kind, decoded payload and version.
+) -> "tuple[str, str, MessageKind, object] | None":
+    """A canonical frame's sender, recipient, kind and decoded payload.
 
     A canonical head is one :func:`envelope_head` writes: one-byte sender and
     recipient lengths, valid UTF-8, a known kind code, and the canonical
@@ -618,24 +588,7 @@ def read_frame(
         recipient,
         _KINDS_BY_CODE[head[recipient_end]],
         _decode_payload_cached(payload, backend),
-        # The hop's negotiated payload-frame version, as the sender built it.
-        payload[4] if len(payload) > 4 else WIRE_VERSION,
     )
-
-
-def decode_frame(head: bytes, payload: bytes, backend: str = "auto") -> "Message":
-    """``Message.from_wire(head + payload)``, without joining a canonical frame.
-
-    The message is built around :func:`read_frame`'s fields; any other pair
-    is joined and decoded in full, so it is accepted or rejected exactly as
-    the joined frame would be, with the same :class:`WireFormatError`
-    message.
-    """
-    message_type = _MESSAGE_TYPE or _bind_message_types()
-    fields = read_frame(head, payload, backend)
-    if fields is None:
-        return message_type.from_wire(head + payload, backend=backend)
-    return message_type(*fields)
 
 
 def _read_message_body(reader: ByteReader, backend: str) -> "Message":
@@ -653,9 +606,6 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
         recipient,
         _KINDS_BY_CODE[kind_code],
         _decode_payload_cached(payload_block, backend),
-        # Recover the hop's negotiated payload-frame version so a decoded
-        # message compares equal to the one the sender built.
-        payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
     )
 
 
@@ -679,17 +629,9 @@ _PAYLOAD_DECODE_CACHE_MAX = 8
 _PAYLOAD_DECODE_MIN_BYTES = 64
 _PAYLOAD_DECODE_TAGS = frozenset({TAG_WBF, TAG_ENCODED_BATCH, TAG_BLOOM_FILTER})
 
-#: Escape hatch for benchmarks measuring the unoptimized per-station decode
-#: path (and for callers that need every decode to build a fresh instance).
-PAYLOAD_DECODE_CACHE_ENABLED = True
-
 
 def _decode_payload_cached(block: "bytes | memoryview", backend: str) -> object:
-    if (
-        not PAYLOAD_DECODE_CACHE_ENABLED
-        or len(block) < _PAYLOAD_DECODE_MIN_BYTES
-        or block[6] not in _PAYLOAD_DECODE_TAGS
-    ):
+    if len(block) < _PAYLOAD_DECODE_MIN_BYTES or block[6] not in _PAYLOAD_DECODE_TAGS:
         return decode(block, backend=backend)
     # A view is copied; a ``bytes`` block is the key itself.
     data = bytes(block)
@@ -787,42 +729,19 @@ def _read_body(tag: int, reader: ByteReader, backend: str) -> object:
 # -- public API ------------------------------------------------------------------
 
 
-def encode(
-    obj: object,
-    *,
-    compress: bool = False,
-    version: int = WIRE_VERSION,
-    extension: bytes = b"",
-) -> bytes:
+def encode(obj: object, *, compress: bool = False) -> bytes:
     """Encode a protocol artifact into its canonical wire bytes.
 
     ``compress=True`` sets the zlib flag and deflates the body (the header
     stays uncompressed so the type remains readable without inflating).
-    ``version`` selects the header revision; the default keeps every
-    historical transcript byte-stable.  Version-2 frames carry an
-    ``extension`` block between header and body (uncompressed, so it stays
-    readable without inflating); readers skip unrecognized extension bytes.
     Raises :class:`UnsupportedWireTypeError` for objects outside the protocol
     vocabulary.
     """
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"cannot write wire version {version} "
-            f"(this build writes {list(SUPPORTED_WIRE_VERSIONS)})"
-        )
-    if extension and version < WIRE_VERSION_EXT:
-        raise WireFormatError(
-            f"wire version {version} has no extension block; use version "
-            f"{WIRE_VERSION_EXT} or later"
-        )
     tag, writer = _dispatch(obj)
     frame = bytearray(MAGIC)
-    frame.append(version)
+    frame.append(WIRE_VERSION)
     frame.append(FLAG_ZLIB if compress else 0)
     frame.append(tag)
-    if version >= WIRE_VERSION_EXT:
-        write_uvarint(frame, len(extension))
-        frame += extension
     if compress:
         body = bytearray()
         writer(body, obj)
@@ -833,21 +752,15 @@ def encode(
     return bytes(frame)
 
 
-def decode(
-    data: "bytes | bytearray | memoryview",
-    *,
-    backend: str = "auto",
-    max_version: int = SUPPORTED_WIRE_VERSIONS[-1],
-) -> object:
+def decode(data: "bytes | bytearray | memoryview", *, backend: str = "auto") -> object:
     """Decode wire bytes back into the artifact they describe.
 
     ``backend`` selects the local bit-storage backend decoded filters are
     materialized on (and is restored into ``DIMatchingConfig.bit_backend``);
-    it never affects which bytes are accepted.  ``max_version`` caps the
-    header revisions this call accepts — passing ``1`` makes the call behave
-    like a pre-upgrade build, which is how version-skew tests simulate old
-    readers.  The buffer may be any bytes-like object; the uncompressed body
-    is read through a zero-copy view rather than sliced out of the frame.
+    it never affects which bytes are accepted.  A version octet other than
+    :data:`WIRE_VERSION` is refused.  The buffer may be any bytes-like
+    object; the uncompressed body is read through a zero-copy view rather
+    than sliced out of the frame.
     """
     if len(data) < _HEADER_SIZE:
         raise WireFormatError(
@@ -856,10 +769,9 @@ def decode(
     if data[:4] != MAGIC:
         raise WireFormatError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
     version = data[4]
-    if version not in SUPPORTED_WIRE_VERSIONS or version > max_version:
-        readable = [v for v in SUPPORTED_WIRE_VERSIONS if v <= max_version]
+    if version != WIRE_VERSION:
         raise WireFormatError(
-            f"unsupported wire version {version} (this build reads {readable})"
+            f"unsupported wire version {version} (this build reads only {WIRE_VERSION})"
         )
     flags = data[5]
     if flags & ~_KNOWN_FLAGS:
@@ -867,11 +779,6 @@ def decode(
     tag = data[6]
     view = data if data.__class__ is memoryview else memoryview(data)
     body: "bytes | memoryview" = view[_HEADER_SIZE:]
-    if version >= WIRE_VERSION_EXT:
-        header_reader = ByteReader(body)
-        extension_size = header_reader.uvarint()
-        header_reader.raw(extension_size)  # opaque to this build: skip it
-        body = body[header_reader.offset :]
     if flags & FLAG_ZLIB:
         try:
             body = zlib.decompress(body)
@@ -883,17 +790,14 @@ def decode(
     return obj
 
 
-#: (id, wire version) -> (weakref, revision, encoded bytes).  Keyed by
-#: identity so unhashable artifacts (filters define ``__eq__`` without
-#: ``__hash__``) can still be cached; the weakref callback evicts entries
-#: when the artifact is garbage-collected, and the revision guards against
-#: post-encode mutation.
-_ENCODE_CACHE: dict[tuple[int, int], tuple[weakref.ref, object, bytes]] = {}
+#: id -> (weakref, revision, encoded bytes).  Keyed by identity so
+#: unhashable artifacts (filters define ``__eq__`` without ``__hash__``) can
+#: still be cached; the weakref callback evicts entries when the artifact is
+#: garbage-collected, and the revision guards against post-encode mutation.
+_ENCODE_CACHE: dict[int, tuple[weakref.ref, object, bytes]] = {}
 
-#: ``None`` cannot be weakly referenced, so its encodings are kept here.
-_NONE_ENCODINGS = {
-    version: encode(None, version=version) for version in SUPPORTED_WIRE_VERSIONS
-}
+#: ``None`` cannot be weakly referenced, so its encoding is kept here.
+_NONE_ENCODING = encode(None)
 
 
 def object_revision(obj: object) -> object:
@@ -907,33 +811,32 @@ def object_revision(obj: object) -> object:
     return getattr(obj, "revision", None)
 
 
-def encode_cached(obj: object, version: int = WIRE_VERSION) -> bytes:
-    """Encode with per-object, per-version memoization (uncompressed only).
+def encode_cached(obj: object) -> bytes:
+    """Encode with per-object memoization (uncompressed only).
 
     The broadcast phase encodes the *same* artifact object once per station;
-    this cache makes every send after the first O(1), at each wire version
-    a hop speaks.  Cached entries are invalidated when a filter's mutation
-    :func:`object_revision` changes, so encode → mutate → encode never
-    serves stale bytes.  Objects that cannot hold weak references (tuples,
-    lists) are encoded afresh each call.
+    this cache makes every send after the first O(1).  Cached entries are
+    invalidated when a filter's mutation :func:`object_revision` changes, so
+    encode → mutate → encode never serves stale bytes.  Objects that cannot
+    hold weak references (tuples, lists) are encoded afresh each call.
     """
-    return encode_cached_at(obj, version, object_revision(obj))
+    return encode_cached_at(obj, object_revision(obj))
 
 
-def encode_cached_at(obj: object, version: int, revision: object) -> bytes:
+def encode_cached_at(obj: object, revision: object) -> bytes:
     """:func:`encode_cached` for a caller that already read ``obj``'s revision."""
     if obj is None:
-        return _NONE_ENCODINGS.get(version) or encode(None, version=version)
+        return _NONE_ENCODING
     if obj.__class__ is list:
         # A list can never be weakly referenced, so it is never cached.
-        return encode(obj, version=version)
-    key = (id(obj), version)
+        return encode(obj)
+    key = id(obj)
     entry = _ENCODE_CACHE.get(key)
     if entry is not None:
         ref, cached_revision, data = entry
         if ref() is obj and cached_revision == revision:
             return data
-    data = encode(obj, version=version)
+    data = encode(obj)
     try:
         ref = weakref.ref(obj, lambda _ref, _key=key: _ENCODE_CACHE.pop(_key, None))
     except TypeError:

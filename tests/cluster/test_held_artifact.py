@@ -186,40 +186,33 @@ class TestEncodeCounts:
             assert counters.encodes == 2
 
 
-#: sha256 of one warm round's transcript, captured before rounds held their
-#: artifact; the round must not change by a byte.
-V2_WARM_DIGESTS = {
-    (): "dafa75e072b4601893fca24435e820638072d52393a0bc988ff959de6fd90e8e",
-    ("region-1",): "5cc0b2c7f6c927124ab4e26ec7a81177460a926ebe877d8fc30f82630d1fdd02",
-}
+#: sha256 of one warm two-tier round's transcript, captured before the wire
+#: header lost its version negotiation; the round must not change by a byte.
+TWO_TIER_WARM_DIGEST = "d7afc29ae93e7b0d1e4bfff442d95875377c2a455b7e3761c467068276103e72"
 
 
-class TestVersionTwoHops:
+class TestTwoTierWarmRound:
     @pytest.fixture(scope="class")
     def city(self):
         dataset = build_scale_dataset(200, users_per_station=2, seed=17)
         return dataset, build_scale_queries(dataset, 8, seed=17)
 
-    @pytest.mark.parametrize("legacy", sorted(V2_WARM_DIGESTS))
-    def test_a_warm_round_writes_no_filter_body(self, counters, city, legacy):
+    def test_a_warm_round_writes_no_filter_body(self, counters, city):
         dataset, queries = city
-        topology = TopologySpec(
-            kind="two-tier", regions=4, wire_version=2, legacy_regions=legacy
-        )
         config = DIMatchingConfig(epsilon=0, sample_count=8, hash_count=4)
         deployment = ClusterSpec(
-            name="v2-warm",
+            name="two-tier-warm",
             protocol=ProtocolSpec(method="wbf", config=config),
-            topology=topology,
+            topology=TopologySpec(kind="two-tier", regions=4),
         )
         with Cluster(deployment, dataset=dataset) as cluster:
             cluster.subscribe(queries)
             cluster.round(k=None)
             counters.bodies = 0
             warm = cluster.round(k=None)
-        # One write per artifact and version happened in the first round;
-        # a v2 hop used to write the body once per station message.
+        # The trunk and the regional fan-outs send the artifact the first
+        # round encoded, so the warm round writes no filter body at all.
         assert counters.bodies == 0
         assert counters.encodes == 1
         digest = hashlib.sha256(warm.transcript_bytes()).hexdigest()
-        assert digest == V2_WARM_DIGESTS[legacy]
+        assert digest == TWO_TIER_WARM_DIGEST

@@ -34,11 +34,9 @@ from repro.wire.codec import (
     _LIST_REPORT_COLUMNAR,
     FLAG_ZLIB,
     MAGIC,
-    SUPPORTED_WIRE_VERSIONS,
     TAG_MESSAGE,
     TAG_OBJECT_LIST,
     WIRE_VERSION,
-    WIRE_VERSION_EXT,
     _dispatch,
 )
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
@@ -130,14 +128,12 @@ def reference_write_list_body(out: bytearray, items: list) -> None:
         writer(out, item)
 
 
-def reference_payload_block(payload, version: int) -> bytes:
+def reference_payload_block(payload) -> bytes:
     """Lists through the reference writer; other payloads through the codec."""
     if type(payload) is not list:
-        return wire.encode(payload, version=version)
+        return wire.encode(payload)
     frame = bytearray(MAGIC)
-    frame += bytes((version, 0, TAG_OBJECT_LIST))
-    if version >= WIRE_VERSION_EXT:
-        write_uvarint(frame, 0)
+    frame += bytes((WIRE_VERSION, 0, TAG_OBJECT_LIST))
     reference_write_list_body(frame, payload)
     return bytes(frame)
 
@@ -146,7 +142,7 @@ def reference_write_message_body(out: bytearray, message: Message) -> None:
     write_str(out, message.sender)
     write_str(out, message.recipient)
     out.append(KINDS.index(message.kind))
-    write_bytes(out, reference_payload_block(message.payload, message.wire_version))
+    write_bytes(out, reference_payload_block(message.payload))
 
 
 def reference_encode(message: Message, compress: bool = False) -> bytes:
@@ -166,20 +162,13 @@ def reference_decode(data, backend: str = "auto"):
     if data[:4] != MAGIC:
         raise WireFormatError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
     version = data[4]
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"unsupported wire version {version} "
-            f"(this build reads {list(SUPPORTED_WIRE_VERSIONS)})"
-        )
+    if version != 1:
+        raise WireFormatError(f"unsupported wire version {version} (this build reads only 1)")
     flags = data[5]
     if flags & ~_KNOWN_FLAGS:
         raise WireFormatError(f"unknown header flags 0x{flags:02x}")
     tag = data[6]
     body = memoryview(data)[_HEADER_SIZE:]
-    if version >= WIRE_VERSION_EXT:
-        header_reader = ReferenceReader(body)
-        header_reader.raw(header_reader.uvarint())
-        body = body[header_reader.offset :]
     if flags & FLAG_ZLIB:
         try:
             body = zlib.decompress(body)
@@ -237,13 +226,7 @@ def reference_read_message_body(reader: ByteReader, backend: str) -> Message:
     if kind_code >= len(KINDS):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     payload_block = reader.bytes_()
-    return Message(
-        sender,
-        recipient,
-        KINDS[kind_code],
-        reference_decode(payload_block, backend),
-        payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
-    )
+    return Message(sender, recipient, KINDS[kind_code], reference_decode(payload_block, backend))
 
 
 # -- strategies ------------------------------------------------------------------
@@ -333,7 +316,6 @@ def _messages(payload_strategy, id_strategy=ids):
         recipient=id_strategy,
         kind=st.sampled_from(KINDS),
         payload=payload_strategy,
-        wire_version=st.sampled_from(SUPPORTED_WIRE_VERSIONS),
     )
 
 
@@ -369,8 +351,8 @@ def same(got, want) -> bool:
 class TestEnvelopeEncode:
     @given(message=messages)
     @settings(max_examples=200, deadline=None)
-    @example(message=Message("", "", MessageKind.CONTROL, None, 2))
-    @example(message=Message("s" * 128, "é" * 150, MessageKind.MATCH_REPORT, [], 1))
+    @example(message=Message("", "", MessageKind.CONTROL, None))
+    @example(message=Message("s" * 128, "é" * 150, MessageKind.MATCH_REPORT, []))
     def test_frames_match_the_reference_byte_for_byte(self, message):
         want = outcome(reference_encode, message)
         assert outcome(lambda m: m.to_wire(), message) == want
@@ -419,7 +401,9 @@ class TestEnvelopeDecode:
 class TestCorruptFrames:
     @given(message=small_messages, mask=st.integers(1, 255))
     @settings(max_examples=60, deadline=None)
-    @example(message=Message("bs", "c", MessageKind.MATCH_REPORT, [], 1), mask=0x80)
+    @example(message=Message("bs", "c", MessageKind.MATCH_REPORT, []), mask=0x80)
+    # Flips the version octets of envelope and payload block from 1 to 2.
+    @example(message=Message("dc", "bs", MessageKind.CONTROL, None), mask=0x03)
     @example(
         message=Message(
             "bs", "c", MessageKind.MATCH_REPORT, [MatchReport("u", "bs", Fraction(-1, 3), "q")]

@@ -10,8 +10,8 @@ pairs on :class:`~tests.property.test_phase_oracle.ReferenceNetwork`, the
 per-message engine the columns replaced.  All three must leave the same
 transcript bytes, ``frame_stats()``, delivered payloads in both directions,
 phase outcomes or raised errors, byte and message counts, and receivers'
-inboxes: over 0 to 1,000 frames of mixed kinds and wire versions, repeated
-links and absent receivers, on the fault-free one pass and under every fault
+inboxes: over 0 to 1,000 frames of mixed kinds, repeated links and absent
+receivers, on the fault-free one pass and under every fault
 profile.  A refused payload is compared between the two simulated paths (the
 reference predates refusals), on both engines.
 
@@ -55,10 +55,10 @@ def _reports(index: int) -> list:
 
 
 def _specs(direction: str, count: int, seed: int, bad: object = None, at: int = -1):
-    """``count`` frames of mixed kinds and versions, some on repeated links.
+    """``count`` frames of mixed kinds, some on repeated links.
 
-    Each spec is ``(sender, recipient, kind, payload, version, has_receiver)``;
-    the frame at ``at`` carries ``bad`` instead.
+    Each spec is ``(sender, recipient, kind, payload, has_receiver)``; the
+    frame at ``at`` carries ``bad`` instead.
     """
     rng = random.Random(seed)
     specs = []
@@ -74,9 +74,8 @@ def _specs(direction: str, count: int, seed: int, bad: object = None, at: int = 
             payload = None
         if index == at:
             payload = bad
-        version = 1 if (index // 3) % 3 else 2
         sender, recipient = ("dc", station) if direction == "downlink" else (station, "dc")
-        specs.append((sender, recipient, kind, payload, version, rng.random() < 0.9))
+        specs.append((sender, recipient, kind, payload, rng.random() < 0.9))
     return specs
 
 
@@ -84,12 +83,12 @@ def _build(specs, as_frames: bool):
     """Fresh receivers and the phase's sends, as ``Frames`` or as pairs."""
     nodes: dict[str, Node] = {}
     sends = Frames() if as_frames else []
-    for sender, recipient, kind, payload, version, has_receiver in specs:
+    for sender, recipient, kind, payload, has_receiver in specs:
         receiver = nodes.setdefault(recipient, Node(recipient)) if has_receiver else None
         if as_frames:
-            sends.add(sender, recipient, kind, payload, receiver, version)
+            sends.add(sender, recipient, kind, payload, receiver)
         else:
-            sends.append((Message(sender, recipient, kind, payload, version), receiver))
+            sends.append((Message(sender, recipient, kind, payload), receiver))
     return sends, nodes
 
 
@@ -191,7 +190,7 @@ def test_frames_of_pairs_are_the_same_columns():
     pairs, _ = _build(specs, False)
     adapted = Frames.of(pairs)
     assert Frames.of(frames) is frames
-    for column in ("senders", "recipients", "kinds", "versions", "payloads"):
+    for column in ("senders", "recipients", "kinds", "payloads"):
         assert getattr(adapted, column) == getattr(frames, column), column
     assert [r is None for r in adapted.receivers] == [r is None for r in frames.receivers]
     assert adapted.blocks() == frames.blocks() == [m.payload_wire() for m, _ in pairs]

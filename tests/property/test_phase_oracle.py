@@ -8,13 +8,14 @@ that all frames of a broadcast share, and runs a fault-free phase with the
 automatic retransmit timeout in one pass, with no transfer or event.  Both
 must leave the same transcript, ledger, byte and message counts, delivered
 frames, decoded inboxes, phase outcomes and raised errors, over station
-counts at and around the matching kernel's 128-row threshold, both wire
-versions, receivers that are absent or raise, two frames on one link, every
-fault profile and both partial modes.
+counts at and around the matching kernel's 128-row threshold, receivers
+that are absent or raise, two frames on one link, every fault profile and
+both partial modes.
 
-``decode_frame(head, payload)`` is checked against
-``Message.from_wire(head + payload)`` on intact, truncated, flipped,
-mis-sized and non-canonical heads: the same message or the same error.
+``Node.receive_frame(head, payload)`` is checked against the joined decode,
+``Node.receive_wire(head + payload)``, on intact, truncated, flipped,
+mis-sized and non-canonical heads, and on heads and payload blocks at a
+header version other than 1: the same inbox or the same error.
 
 Nothing here imports ``repro.datagen``, so the file runs without NumPy.
 """
@@ -33,7 +34,7 @@ from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import NetworkConfig, SimulatedNetwork
 from repro.distributed.node import Node
 from repro.distributed.transport.base import PhaseOutcome
-from repro.wire.codec import decode_frame, envelope_head
+from repro.wire.codec import envelope_head
 from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 from repro.wire.primitives import uvarint_bytes
 
@@ -295,25 +296,21 @@ def _reports(index: int) -> list:
     ]
 
 
-def _downlink(stations, version=1, payload=ARTIFACT, receivers=None):
+def _downlink(stations, payload=ARTIFACT, receivers=None):
     receivers = receivers or {}
     sends = []
     for station in stations:
         receiver = receivers[station] if station in receivers else Node(station)
-        message = Message(
-            "data-center", station, MessageKind.FILTER_DISSEMINATION, payload, version
-        )
+        message = Message("data-center", station, MessageKind.FILTER_DISSEMINATION, payload)
         sends.append((message, receiver))
     return sends
 
 
-def _uplink(stations, version=1):
+def _uplink(stations):
     center = Node("data-center")
     return [
         (
-            Message(
-                station, "data-center", MessageKind.MATCH_REPORT, _reports(index), version
-            ),
+            Message(station, "data-center", MessageKind.MATCH_REPORT, _reports(index)),
             center,
         )
         for index, station in enumerate(stations)
@@ -370,14 +367,13 @@ def _assert_same(phases, **network_args):
 
 
 class TestFaultFreePhases:
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("count", [0, 1, 2, 127, 128, 1000])
-    def test_both_directions_match_the_event_loop(self, count, version):
+    def test_both_directions_match_the_event_loop(self, count):
         stations = _station_ids(count)
         got = _assert_same(
             [
-                ("downlink", lambda: _downlink(stations, version)),
-                ("uplink", lambda: _uplink(stations, version)),
+                ("downlink", lambda: _downlink(stations)),
+                ("uplink", lambda: _uplink(stations)),
             ]
         )
         assert got["stats"].frames_delivered == 2 * count
@@ -477,17 +473,14 @@ class TestFaultFreePhases:
         assert error_type is ValueError and "delivered to" in error_text
         assert 0 < got["stats"].frames_delivered < len(stations)
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_the_decode_cache_switch(self, enabled, monkeypatch):
-        monkeypatch.setattr(codec, "PAYLOAD_DECODE_CACHE_ENABLED", enabled)
+    def test_a_broadcast_shares_one_decode(self):
         codec.clear_payload_decode_cache()
         stations = _station_ids(6)
         receivers = {station: Node(station) for station in stations}
         SimulatedNetwork().broadcast(_downlink(stations, receivers=receivers))
         artifacts = [receiver.inbox[0].payload for receiver in receivers.values()]
         assert all(artifact == ARTIFACT for artifact in artifacts)
-        # One decode shared by the broadcast, or one decode per frame.
-        assert len({id(artifact) for artifact in artifacts}) == (1 if enabled else 6)
+        assert len({id(artifact) for artifact in artifacts}) == 1
         codec.clear_payload_decode_cache()
 
 
@@ -507,7 +500,7 @@ def test_every_fault_profile_matches_the_reference(profile, seed, partial, attem
         [
             ("downlink", lambda: _downlink(twice)),
             ("uplink", lambda: _uplink(stations)),
-            ("downlink", lambda: _downlink(stations, version=2)),
+            ("downlink", lambda: _downlink(stations)),
         ],
         config=NetworkConfig(max_attempts=attempts),
         plan=FAULT_PROFILES[profile],
@@ -535,14 +528,26 @@ def test_the_fault_grid_exhausts_transfers():
     assert partial.failed_ids and partial.delivered_ids
 
 
-# -- decode_frame against the joined decode ---------------------------------------
+# -- receive_frame against the joined decode -------------------------------------
 
 
-def _decoded(decode):
+def _inbox_after(receive, recipient: str, head: bytes, payload: bytes):
+    """A fresh node's inbox after ``receive(node, head, payload)``, or what it raised."""
+    node = Node(recipient)
     try:
-        return "ok", decode()
+        receive(node, head, payload)
     except Exception as error:  # compared, type and all, across paths
         return "error", type(error), str(error)
+    return "ok", node.inbox
+
+
+def _joined(node: Node, head: bytes, payload: bytes) -> None:
+    """The reference: the frame joined and decoded whole."""
+    node.receive_wire(head + payload)
+
+
+def _split(node: Node, head: bytes, payload: bytes) -> None:
+    node.receive_frame(head, payload)
 
 
 def _frame_parts(message: Message) -> tuple[bytes, bytes]:
@@ -552,11 +557,11 @@ def _frame_parts(message: Message) -> tuple[bytes, bytes]:
 
 FRAME_MESSAGES = [
     Message("data-center", "bs-1", MessageKind.FILTER_DISSEMINATION, ARTIFACT),
-    Message("agg-east", "bs-12", MessageKind.FILTER_DISSEMINATION, ARTIFACT, 2),
+    Message("agg-east", "bs-12", MessageKind.FILTER_DISSEMINATION, ARTIFACT),
     Message("bs-3", "data-center", MessageKind.MATCH_REPORT, _reports(2)),
     Message("bs-4", "data-center", MessageKind.MATCH_REPORT, []),
     Message("dc", "é" * 3, MessageKind.CONTROL, None),
-    Message("", "", MessageKind.CONTROL, None, 2),
+    Message("", "", MessageKind.CONTROL, None),
     Message("s" * 200, "bs-1", MessageKind.MATCH_REPORT, _reports(5)),
     Message("bs-1", "r" * 127, MessageKind.MATCH_REPORT, _reports(1)),
 ]
@@ -589,31 +594,55 @@ def _variants(head: bytes, payload: bytes):
     yield "head and payload split early", head[:-2], head[-2:] + payload
 
 
+def _at_version(block: bytes, version: int) -> bytes:
+    return block[:4] + bytes((version,)) + block[5:]
+
+
 @pytest.mark.parametrize(
     "message", FRAME_MESSAGES, ids=lambda m: f"{m.kind.value}-{len(m.sender)}"
 )
-def test_decode_frame_matches_the_joined_decode(message):
+def test_receive_frame_matches_the_joined_decode(message):
     head, payload = _frame_parts(message)
     assert head + payload == message.to_wire()
-    assert decode_frame(head, payload) == message
+    assert _inbox_after(_split, message.recipient, head, payload) == ("ok", [message])
     for label, head_variant, payload_variant in _variants(head, payload):
-        want = _decoded(lambda: Message.from_wire(head_variant + payload_variant))
-        got = _decoded(lambda: decode_frame(head_variant, payload_variant))
+        want = _inbox_after(_joined, message.recipient, head_variant, payload_variant)
+        got = _inbox_after(_split, message.recipient, head_variant, payload_variant)
         assert got == want, label
 
 
-def test_decode_frame_finds_a_shared_payload_by_identity():
+@pytest.mark.parametrize("version", [0, 2, 255])
+@pytest.mark.parametrize("part", ["envelope", "payload"])
+def test_a_header_version_other_than_1_is_refused_on_both_paths(part, version):
+    message = FRAME_MESSAGES[0]
+    head, payload = _frame_parts(message)
+    if part == "envelope":
+        head = _at_version(head, version)
+    else:
+        payload = _at_version(payload, version)
+    want = _inbox_after(_joined, message.recipient, head, payload)
+    assert want == (
+        "error",
+        WireFormatError,
+        f"unsupported wire version {version} (this build reads only 1)",
+    )
+    assert _inbox_after(_split, message.recipient, head, payload) == want
+
+
+def test_receive_frame_finds_a_shared_payload_by_identity():
     codec.clear_payload_decode_cache()
     message = FRAME_MESSAGES[0]
     head, payload = _frame_parts(message)
-    first = decode_frame(head, payload)
+    first = Node(message.recipient)
+    first.receive_frame(head, payload)
     # A broadcast's later frames hand in the same payload object: no copy
     # of it becomes a cache key, and the decoded artifact is shared.
     keys = [key for key, _entry in codec._PAYLOAD_DECODE_CACHE.items()]
     assert [key[0] is payload for key in keys] == [True]
-    other = Message("dc", "bs-2", message.kind, ARTIFACT)
-    second = decode_frame(
-        envelope_head(other.sender, other.recipient, other.kind, len(payload)), payload
-    )
-    assert second.payload is first.payload
+    second = Node("bs-2")
+    second.receive_frame(envelope_head("dc", "bs-2", message.kind, len(payload)), payload)
+    assert second.inbox[0].payload is first.inbox[0].payload
+    joined = Node(message.recipient)
+    joined.receive_wire(head + payload)
+    assert joined.inbox == first.inbox == [message]
     codec.clear_payload_decode_cache()

@@ -5,8 +5,7 @@ sampled position up in the filter's position table and AND-reduces the
 entries per candidate.  The reference below is the station matcher as it
 stood before, kept whole: one bit row-test per station over its candidates'
 position rows, then, for each candidate whose bits all passed, the
-mask-index AND of its positions (or, with ``MASK_INDEX_ENABLED`` off, the
-per-row weight-set intersection), grouped into reports by query and weight.
+mask-index AND of its positions, grouped into reports by query and weight.
 
 Both must return equal report lists, element by element and in order, for
 every filter: built by Algorithm 1 on either bit backend, decoded off the
@@ -79,38 +78,13 @@ def reference_consistent_weights_over(wbf: WeightedBloomFilter, positions) -> fr
     return frozenset(members)
 
 
-def reference_row_weights(wbf: WeightedBloomFilter, row) -> frozenset:
-    """The weights attached at every position of ``row``, bits assumed set."""
-    common = None
-    for position in row:
-        attached = wbf._weights.get(position)
-        if attached is None:
-            return frozenset()
-        common = set(attached) if common is None else (common & attached)
-        if not common:
-            return frozenset()
-    return frozenset(common if common is not None else ())
-
-
 def reference_match_rows(rows, wbf: WeightedBloomFilter) -> dict:
     """One candidate whose bits all passed: ``query_id -> consistent weights``."""
-    if wbf.MASK_INDEX_ENABLED:
-        common = reference_consistent_weights_over(
-            wbf, (position for row in rows for position in row)
-        )
-        if not common:
-            return {}
-    else:
-        common = None
-        for row in rows:
-            weights = reference_row_weights(wbf, row)
-            if not weights:
-                return {}
-            common = set(weights) if common is None else (common & weights)
-            if not common:
-                return {}
-        if not common:
-            return {}
+    common = reference_consistent_weights_over(
+        wbf, (position for row in rows for position in row)
+    )
+    if not common:
+        return {}
     grouped: dict = {}
     for query_id, weight in common:
         grouped.setdefault(query_id, set()).add(weight)
@@ -192,20 +166,18 @@ def force(patch: pytest.MonkeyPatch, variant: str) -> None:
 
 
 def assert_matches_reference(protocol, config, stations, artifact) -> None:
-    """Every kernel variant, mask index on and off, returns the reference's lists."""
-    for mask_index in (True, False):
-        for variant in kernel_variants():
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(WeightedBloomFilter, "MASK_INDEX_ENABLED", mask_index)
-                force(patch, variant)
-                got = protocol.match_stations(stations, artifact)
-                want = reference(config, stations, artifact)
-                singles = [
-                    protocol.station_match(station_id, patterns, artifact)
-                    for station_id, patterns in stations
-                ]
-            assert got == want, (mask_index, variant)
-            assert singles == want, (mask_index, variant)
+    """Every kernel variant returns the reference's lists."""
+    for variant in kernel_variants():
+        with pytest.MonkeyPatch.context() as patch:
+            force(patch, variant)
+            got = protocol.match_stations(stations, artifact)
+            want = reference(config, stations, artifact)
+            singles = [
+                protocol.station_match(station_id, patterns, artifact)
+                for station_id, patterns in stations
+            ]
+        assert got == want, variant
+        assert singles == want, variant
 
 
 # -- strategies ------------------------------------------------------------------------

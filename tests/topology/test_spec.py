@@ -39,9 +39,7 @@ class TestValidation:
         "knob",
         [
             {"stations_per_region": 3},
-            {"legacy_regions": ("region-0",)},
             {"degraded_regions": ("region-0",), "degraded_profile": "chaos"},
-            {"wire_version": 2},
         ],
         ids=lambda knob: next(iter(knob)),
     )
@@ -65,10 +63,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="tenant_count"):
             TopologySpec(tenant_count=count)
 
-    def test_rejects_unknown_wire_version(self):
-        with pytest.raises(ConfigurationError, match="wire_version"):
-            TopologySpec(wire_version=7)
-
     def test_rejects_unknown_degraded_profile(self):
         with pytest.raises(ConfigurationError, match="degraded_profile"):
             TopologySpec(
@@ -76,15 +70,13 @@ class TestValidation:
                 degraded_regions=("region-0",), degraded_profile="thunderstorm",
             )
 
-    @pytest.mark.parametrize("field_name", ["legacy_regions", "degraded_regions"])
-    def test_rejects_unknown_region_names(self, field_name):
+    def test_rejects_unknown_region_names(self):
         with pytest.raises(ConfigurationError, match="unknown region"):
-            TopologySpec(kind="two-tier", regions=2, **{field_name: ("region-9",)})
+            TopologySpec(kind="two-tier", regions=2, degraded_regions=("region-9",))
 
-    @pytest.mark.parametrize("field_name", ["legacy_regions", "degraded_regions"])
-    def test_rejects_non_string_region_tuples(self, field_name):
+    def test_rejects_non_string_region_tuples(self):
         with pytest.raises(ConfigurationError, match="tuple of region names"):
-            TopologySpec(kind="two-tier", regions=2, **{field_name: (0,)})
+            TopologySpec(kind="two-tier", regions=2, degraded_regions=(0,))
 
     def test_with_updates_revalidates(self):
         spec = TopologySpec(kind="two-tier", regions=2)

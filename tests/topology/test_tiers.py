@@ -5,7 +5,6 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.distributed.datacenter import DATA_CENTER_NODE_ID
 from repro.topology import TopologySpec, build_tier_map, region_slices
-from repro.wire import WIRE_VERSION, WIRE_VERSION_EXT
 
 STATIONS = tuple(f"s{i}" for i in range(5))
 
@@ -64,7 +63,6 @@ class TestBuildTierMap:
         assert region.station_ids == STATIONS
         assert region.aggregator_id == DATA_CENTER_NODE_ID
         assert region.fault_profile is None
-        assert region.wire_version == WIRE_VERSION
         assert tier_map.region_of("s4") is region
         assert build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2)).has_trunk
 
@@ -78,20 +76,3 @@ class TestBuildTierMap:
         )
         assert tier_map.regions[0].fault_profile is None
         assert tier_map.regions[1].fault_profile == "lossy"
-
-    def test_legacy_region_negotiates_down_while_the_trunk_upgrades(self):
-        tier_map = build_tier_map(
-            STATIONS,
-            TopologySpec(
-                kind="two-tier", regions=2,
-                wire_version=WIRE_VERSION_EXT, legacy_regions=("region-0",),
-            ),
-        )
-        assert tier_map.trunk_wire_version == WIRE_VERSION_EXT
-        assert tier_map.regions[0].wire_version == WIRE_VERSION
-        assert tier_map.regions[1].wire_version == WIRE_VERSION_EXT
-
-    def test_uniform_deployments_speak_one_version(self):
-        tier_map = build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2))
-        assert tier_map.trunk_wire_version == WIRE_VERSION
-        assert all(r.wire_version == WIRE_VERSION for r in tier_map.regions)

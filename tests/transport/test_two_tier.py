@@ -37,7 +37,6 @@ def _tier_ledger(costs):
             tier.uplink_bytes,
             tier.message_count,
             tier.retransmit_count,
-            tier.wire_version,
         )
         for tier in costs.tiers
     ]

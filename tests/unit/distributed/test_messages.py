@@ -50,7 +50,7 @@ class TestMessage:
         message = Message("bs", "center", MessageKind.MATCH_REPORT, payload=[pattern])
         assert Message.from_wire(message.to_wire()) == message
 
-    def test_a_version_2_broadcast_encodes_its_payload_once(self):
+    def test_a_broadcast_encodes_its_payload_once(self):
         from fractions import Fraction
 
         from repro.core.wbf import WeightedBloomFilter
@@ -58,11 +58,10 @@ class TestMessage:
         wbf = WeightedBloomFilter(64, 3, seed=1, backend="python")
         wbf.add("item", ("q1", Fraction(1, 3)))
         messages = [
-            Message("agg", f"s{i}", MessageKind.FILTER_DISSEMINATION, wbf, wire_version=2)
-            for i in range(3)
+            Message("agg", f"s{i}", MessageKind.FILTER_DISSEMINATION, wbf) for i in range(3)
         ]
         payloads = [message.payload_wire() for message in messages]
-        assert payloads[0] == wire.encode(wbf, version=2)
+        assert payloads[0] == wire.encode(wbf)
         assert all(payload is payloads[0] for payload in payloads)
         for message in messages:
             assert message.size_bytes() == len(message.to_wire())
@@ -73,7 +72,7 @@ class TestMessage:
             Message.from_wire(wire.encode([LocalPattern("u", [1], "bs")]))
 
     def test_stays_a_frozen_hashable_dataclass(self):
-        message = Message("bs", "center", MessageKind.MATCH_REPORT, (1, 2, 3), 2)
+        message = Message("bs", "center", MessageKind.MATCH_REPORT, (1, 2, 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
             message.sender = "other"
         twin = Message(
@@ -81,17 +80,16 @@ class TestMessage:
             recipient="center",
             kind=MessageKind.MATCH_REPORT,
             payload=(1, 2, 3),
-            wire_version=2,
         )
         assert twin == message and hash(twin) == hash(message)
         assert Message("bs", "center", MessageKind.CONTROL) == Message(
-            "bs", "center", MessageKind.CONTROL, None, 1
+            "bs", "center", MessageKind.CONTROL, None
         )
         moved = dataclasses.replace(message, recipient="agg")
-        assert (moved.recipient, moved.sender, moved.wire_version) == ("agg", "bs", 2)
+        assert (moved.recipient, moved.sender, moved.payload) == ("agg", "bs", (1, 2, 3))
         assert moved != message
         assert [field.name for field in dataclasses.fields(Message)] == [
-            "sender", "recipient", "kind", "payload", "wire_version",
+            "sender", "recipient", "kind", "payload",
         ]
         message.size_bytes()  # memoizes the payload block on the instance
         restored = pickle.loads(pickle.dumps(message))

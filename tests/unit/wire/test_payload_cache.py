@@ -3,8 +3,8 @@
 A round broadcasts one artifact to N stations as N messages embedding the same
 payload bytes; the cache makes the N envelope decodes share one payload decode.
 These tests pin the guard rails: identical bytes hit, a mutated cached object
-is evicted (revision check), the escape hatch disables sharing, and list
-payloads (per-station reports) never share.
+is evicted (revision check), and list payloads (per-station reports) never
+share.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from fractions import Fraction
 def fresh_cache():
     codec.clear_payload_decode_cache()
     yield
-    codec.PAYLOAD_DECODE_CACHE_ENABLED = True
     codec.clear_payload_decode_cache()
 
 
@@ -58,14 +57,6 @@ class TestPayloadDecodeCache:
         again = Message.from_wire(message.to_wire())
         assert again.payload is not first.payload
         assert again.payload == message.payload
-
-    def test_escape_hatch_disables_sharing(self):
-        codec.PAYLOAD_DECODE_CACHE_ENABLED = False
-        message = _filter_message()
-        first = Message.from_wire(message.to_wire())
-        second = Message.from_wire(message.to_wire())
-        assert first.payload is not second.payload
-        assert first.payload == second.payload
 
     def test_report_lists_never_share(self):
         reports = [
