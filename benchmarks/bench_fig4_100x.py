@@ -8,7 +8,7 @@ and pins down two things:
 
 * the deterministic round outcome (byte counts, report count, ranking and
   transcript digests), which the perf-trajectory gate tracks and the parity
-  suites hold byte-identical across bit backends and executors;
+  suites hold byte-identical across executors;
 * the hot-path speedup: the same round is re-run on the plain paths the
   program's hot path replaced, kept below as reference code — every frame
   decodes its own payload block, and every candidate intersects its rows'
@@ -68,9 +68,9 @@ def _per_row_match_weighted(matchers, encoded):
     return reports
 
 
-def _uncached_payload_decode(block, backend):
+def _uncached_payload_decode(block):
     """Every frame decodes its own payload block: the plain path the decode cache replaced."""
-    return codec.decode(block, backend=backend)
+    return codec.decode(block)
 
 
 def _ranked_digest(results) -> str:

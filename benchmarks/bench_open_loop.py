@@ -13,7 +13,7 @@ the perf-trajectory gate (``repro.evaluation.trajectory``):
   here means service itself got slower, not just that we offered more load.
 
 Everything recorded is a deterministic function of the spec seed — the sweep
-replays bit-identically on every machine, executor and bit backend.
+replays bit-identically on every machine and executor.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_open_loop.py
 """

@@ -15,8 +15,8 @@ committed baseline pins the headline claims for the perf-trajectory gate
   means the soak quietly stopped being a million-user soak.
 
 Everything recorded is a deterministic function of the scenario seed: the
-run replays byte-identically across executors and bit backends, which this
-module asserts directly before writing the payload.
+run replays byte-identically across executors, which this module asserts
+directly before writing the payload.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_soak_1m.py
 """
@@ -30,8 +30,6 @@ from repro.workloads import get_scenario, run_workload
 
 #: Executors the soak is replayed under to pin transcript invariance.
 EXECUTORS = ("serial", "thread", "process")
-#: Bit-storage backends the soak is replayed under (same contract).
-BIT_BACKENDS = ("python", "numpy")
 
 
 @pytest.fixture(scope="session")
@@ -73,16 +71,12 @@ def test_million_user_soak_trajectory(soak_spec, soak_result):
         assert metrics.active_station_count <= spec_source.stations_per_round
 
     # The virtual clock, the source's derivations and the LRU schedule are
-    # all seed-determined: every executor and bit backend must replay the
-    # same bytes and the same residency accounting.
+    # all seed-determined: every executor must replay the same bytes and the
+    # same residency accounting.
     reference = soak_result.transcript_bytes()
     for executor in EXECUTORS[1:]:
         rerun = run_workload(soak_spec, drive="open", executor=executor)
         assert rerun.transcript_bytes() == reference, f"{executor} diverged"
-        assert rerun.source_stats == source
-    for backend in BIT_BACKENDS:
-        rerun = run_workload(soak_spec, drive="open", bit_backend=backend)
-        assert rerun.transcript_bytes() == reference, f"{backend} diverged"
         assert rerun.source_stats == source
 
     write_json_result("soak_1m", workload_payload(soak_result))

@@ -2,8 +2,7 @@
 
 Measures encode/decode throughput for the artifacts the simulated environment
 actually ships — the Figure-4-scale WBF dissemination batch and a station's
-match-report upload — parametrized over the available bit backends, plus the
-zlib-compressed variant.  The broadcast path additionally exercises
+match-report upload — plus the zlib-compressed variant.  The broadcast path additionally exercises
 ``encode_cached``: the simulator encodes one artifact per *round*, not per
 station, and this benchmark keeps that O(1) re-send property honest.
 
@@ -12,11 +11,9 @@ Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_wire_codec.py
 
 from fractions import Fraction
 
-import pytest
 from conftest import write_json_result
 
 from repro import wire
-from repro.bloom.backend import available_backends
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.protocol import MatchReport
@@ -24,15 +21,8 @@ from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import LocalPattern
 from repro.timeseries.query import QueryPattern
 
-BACKENDS = available_backends()
-
 QUERY_COUNT = 12
 REPORT_COUNT = 500
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
 
 
 def _queries() -> list[QueryPattern]:
@@ -52,8 +42,8 @@ def _queries() -> list[QueryPattern]:
     return queries
 
 
-def _batch(backend_name: str):
-    config = DIMatchingConfig(sample_count=12, epsilon=1, bit_backend=backend_name)
+def _batch():
+    config = DIMatchingConfig(sample_count=12, epsilon=1)
     return PatternEncoder(config).encode_batch(_queries())
 
 
@@ -69,30 +59,30 @@ def _reports() -> list[MatchReport]:
     ]
 
 
-def test_encode_dissemination_batch(benchmark, backend):
-    batch = _batch(backend)
+def test_encode_dissemination_batch(benchmark):
+    batch = _batch()
 
     data = benchmark(lambda: wire.encode(batch))
     assert data[:4] == wire.MAGIC
 
 
-def test_decode_dissemination_batch(benchmark, backend):
-    data = wire.encode(_batch(backend))
+def test_decode_dissemination_batch(benchmark):
+    data = wire.encode(_batch())
 
-    decoded = benchmark(lambda: wire.decode(data, backend=backend))
+    decoded = benchmark(lambda: wire.decode(data))
     assert decoded.query_count == QUERY_COUNT
 
 
-def test_encode_dissemination_batch_compressed(benchmark, backend):
-    batch = _batch(backend)
+def test_encode_dissemination_batch_compressed(benchmark):
+    batch = _batch()
 
     data = benchmark(lambda: wire.encode(batch, compress=True))
-    assert wire.decode(data, backend=backend) == batch
+    assert wire.decode(data) == batch
 
 
-def test_broadcast_reuses_cached_encoding(benchmark, backend):
+def test_broadcast_reuses_cached_encoding(benchmark):
     """One round's broadcast: N station messages sharing one encoded artifact."""
-    batch = _batch(backend)
+    batch = _batch()
     stations = [f"station-{index}" for index in range(64)]
     wire.encode_cached(batch)  # warm, as after the first send
 
@@ -123,7 +113,7 @@ def test_decode_report_upload(benchmark):
 
 def test_write_machine_readable_sizes(benchmark):
     """Persist the deterministic encoded sizes as BENCH_wire_codec.json."""
-    batch = _batch(BACKENDS[0])
+    batch = _batch()
     reports = _reports()
 
     plain = benchmark(lambda: wire.encode(batch))

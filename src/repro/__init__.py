@@ -49,8 +49,8 @@ from repro.timeseries import GlobalPattern, LocalPattern, Pattern
 
 try:
     # The synthetic-data, simulation and evaluation layers require NumPy; the
-    # matching core and Bloom substrate above do not (the bit backend falls back
-    # to its pure-Python implementation, see repro.bloom.backend).
+    # matching core and Bloom substrate above do not (their bits live in a
+    # plain bytearray, see repro.bloom.bitset).
     from repro.datagen import (
         DatasetSpec,
         DatasetStationSource,

@@ -7,33 +7,13 @@ same substrate.
 """
 
 from repro.bloom.analysis import expected_false_positive_rate, fill_ratio
-from repro.bloom.backend import (
-    BACKEND_CHOICES,
-    HAS_NUMPY,
-    BackendUnavailableError,
-    BitBackend,
-    BytearrayBackend,
-    NumpyBackend,
-    available_backends,
-    make_backend,
-    resolve_backend_class,
-)
 from repro.bloom.bitset import BitArray
 from repro.bloom.hashing import HashFamily
 from repro.bloom.standard import BloomFilter
 
 __all__ = [
-    "BACKEND_CHOICES",
-    "HAS_NUMPY",
-    "BackendUnavailableError",
     "BitArray",
-    "BitBackend",
     "BloomFilter",
-    "BytearrayBackend",
-    "NumpyBackend",
-    "available_backends",
-    "make_backend",
-    "resolve_backend_class",
     "HashFamily",
     "expected_false_positive_rate",
     "fill_ratio",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.utils.validation import require_positive
 
@@ -108,7 +108,7 @@ class HashFamily:
         the double-hashing expansion ``(h1 + i·h2) mod m`` — ``k`` multiplies,
         adds and mods per item — is vectorized over the whole ``n × k`` grid
         when NumPy is available.  Results are bit-for-bit identical to calling
-        :meth:`positions` per item, on every backend.
+        :meth:`positions` per item, with or without NumPy.
         """
         items = list(items)
         if _np is None or len(items) < _VECTORIZE_THRESHOLD:
@@ -121,14 +121,6 @@ class HashFamily:
         # scalar path exactly.
         grid = h1[:, None] + steps[None, :] * h2[:, None]
         return (grid % _np.uint64(self._range)).astype(_np.int64).tolist()
-
-    def positions_many(self, items: Iterable[object]) -> list[list[int]]:
-        """Return positions for each item in ``items`` (alias of indices_batch)."""
-        return self.indices_batch(list(items))
-
-    def with_range(self, value_range: int) -> "HashFamily":
-        """Return a family with the same ``k`` and seed but a different output range."""
-        return HashFamily(self._hash_count, value_range, seed=self._seed)
 
     def __repr__(self) -> str:
         return (

@@ -16,18 +16,12 @@ from repro.utils.validation import require_positive
 
 
 class BloomFilter:
-    """A fixed-size Bloom filter supporting ``add`` and membership queries.
+    """A fixed-size Bloom filter supporting ``add`` and membership queries."""
 
-    ``backend`` selects the bit-storage backend ("auto", "python" or "numpy",
-    see :mod:`repro.bloom.backend`); "auto" uses NumPy when available.
-    """
-
-    def __init__(
-        self, bit_count: int, hash_count: int, seed: int = 0, backend: str = "auto"
-    ) -> None:
+    def __init__(self, bit_count: int, hash_count: int, seed: int = 0) -> None:
         require_positive(bit_count, "bit_count")
         require_positive(hash_count, "hash_count")
-        self._bits = BitArray(bit_count, backend=backend)
+        self._bits = BitArray(bit_count)
         self._hashes = HashFamily(hash_count, bit_count, seed=seed)
         self._item_count = 0
         self._revision = 0
@@ -69,11 +63,6 @@ class BloomFilter:
         """The hash family used by this filter."""
         return self._hashes
 
-    @property
-    def backend_name(self) -> str:
-        """Name of the bit-storage backend in use."""
-        return self._bits.backend_name
-
     # -- construction from wire state ------------------------------------------
 
     @classmethod
@@ -84,20 +73,18 @@ class BloomFilter:
         seed: int,
         bits: bytes,
         item_count: int,
-        backend: str = "auto",
     ) -> "BloomFilter":
         """Reconstruct a filter from decoded wire state.
 
-        ``bits`` is the canonical serialization of the bit array; ``backend``
-        is the local storage choice and never travels on the wire.
+        ``bits`` is the canonical serialization of the bit array.
         """
-        bloom = cls(bit_count, hash_count, seed=seed, backend=backend)
-        bloom._bits = BitArray.from_bytes(bit_count, bits, backend=backend)
+        bloom = cls(bit_count, hash_count, seed=seed)
+        bloom._bits = BitArray.from_bytes(bit_count, bits)
         bloom._item_count = int(item_count)
         return bloom
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality: same parameters, same bits (backend-agnostic)."""
+        """Structural equality: same parameters, same bits."""
         if not isinstance(other, BloomFilter):
             return NotImplemented
         return (
@@ -120,10 +107,10 @@ class BloomFilter:
         self._revision += 1
 
     def add_many(self, items: Iterable[object]) -> None:
-        """Insert every item of ``items`` through the batched backend path.
+        """Insert every item of ``items`` through the batched path.
 
         All ``n × k`` bit positions are computed in one call and set in one
-        backend operation instead of ``n·k`` Python-level bit writes.
+        :meth:`~repro.bloom.bitset.BitArray.set_many` call.
         """
         items = list(items)
         rows = self._hashes.indices_batch(items)
@@ -163,12 +150,7 @@ class BloomFilter:
         incompatible and the union is meaningless.
         """
         self._check_compatible(other)
-        result = BloomFilter(
-            self.bit_count,
-            self.hash_count,
-            seed=self._hashes.seed,
-            backend=self._bits.backend_name,
-        )
+        result = BloomFilter(self.bit_count, self.hash_count, seed=self._hashes.seed)
         result._bits = self._bits | other._bits
         result._item_count = self._item_count + other._item_count
         return result

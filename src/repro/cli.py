@@ -125,10 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["naive", "local", "bf", "wbf"],
     )
     compare.add_argument(
-        "--bit-backend", default="auto", choices=["auto", "python", "numpy"],
-        help="Bit-storage backend for the BF/WBF filters (auto = NumPy when available).",
-    )
-    compare.add_argument(
         "--executor", default="serial", choices=list(EXECUTOR_CHOICES),
         help="Station-execution backend: serial (default), thread, or process "
         "(results are identical across executors; only wall-clock changes).",
@@ -253,10 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Station shards for the executor (0 = auto).",
     )
     run.add_argument(
-        "--bit-backend", default="auto", choices=["auto", "python", "numpy"],
-        help="Bit-storage backend for the filters (results are backend-invariant).",
-    )
-    run.add_argument(
         "--transport", default="sim", choices=list(TRANSPORT_CHOICES),
         help="Backhaul backend: sim = deterministic simulator, tcp = real "
         "localhost sockets with station worker processes (results and "
@@ -310,7 +302,6 @@ def _run_compare(args: argparse.Namespace) -> str:
     config = DIMatchingConfig(
         epsilon=args.epsilon,
         sample_count=args.sample_count,
-        bit_backend=args.bit_backend,
     )
     # The executor and fault profile are deployment knobs: they apply
     # uniformly to every method's round (the protocol config carries none).
@@ -611,7 +602,6 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         drive=drive,
         executor=args.executor,
         shard_count=args.shards,
-        bit_backend=args.bit_backend,
         transport=args.transport,
     )
 

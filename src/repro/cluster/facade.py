@@ -440,7 +440,6 @@ class Cluster:
         plan: FaultPlan,
         net_seed: int,
         *,
-        decode_backend: str,
         force_sim: bool = False,
     ) -> Transport:
         """One transport on the deployment's backend (``force_sim`` overrides).
@@ -466,7 +465,6 @@ class Cluster:
             return self._tcp_manager.create_transport(
                 fault_plan=plan,
                 seed=net_seed,
-                decode_backend=decode_backend,
                 allow_partial=self._allow_partial,
                 ack_timeout_s=self._transport_spec.tcp_ack_timeout_s,
                 delay_scale=self._transport_spec.tcp_delay_scale,
@@ -475,12 +473,11 @@ class Cluster:
             self._network_config,
             fault_plan=plan,
             seed=net_seed,
-            decode_backend=decode_backend,
             allow_partial=self._allow_partial,
         )
 
     def _tier_transports(
-        self, protocol: MatchingProtocol, net_seed: int | None
+        self, net_seed: int | None
     ) -> tuple[Transport | None, dict[str, Transport], int]:
         """Fresh per-round transports for every tier of the tier map.
 
@@ -495,16 +492,10 @@ class Cluster:
         plan = self._fault_plan
         if net_seed is None:
             net_seed = self._net_seed
-        decode_backend = getattr(
-            getattr(protocol, "config", None), "bit_backend", "auto"
-        )
         trunk = None
         if self._tier_map.has_trunk:
             trunk = self._build_transport(
-                plan,
-                derive_seed(net_seed, TRUNK_SEED_LABEL),
-                decode_backend=decode_backend,
-                force_sim=True,
+                plan, derive_seed(net_seed, TRUNK_SEED_LABEL), force_sim=True
             )
         regional: dict[str, Transport] = {}
         for region in self._tier_map.regions:
@@ -520,7 +511,6 @@ class Cluster:
                     if trunk is None
                     else derive_seed(net_seed, REGION_SEED_LABEL, region.name)
                 ),
-                decode_backend=decode_backend,
             )
         return trunk, regional, net_seed
 
@@ -648,7 +638,7 @@ class Cluster:
         """One wire round of ``protocol`` on the artifact ``encode()`` returns."""
         participants = self._participants(options.station_ids)
         self._last_participant_count = len(participants)
-        trunk, regional, net_seed = self._tier_transports(protocol, options.net_seed)
+        trunk, regional, net_seed = self._tier_transports(options.net_seed)
         self._center.clear_inbox()
         for station in self._nodes.values():
             station.clear_inbox()
@@ -1045,7 +1035,6 @@ class ClusterSession:
             )
         inner = self._ensure_inner()
         cluster = self._cluster
-        protocol = cluster._require_protocol()
         # Downlink is charged when the artifact changed (rotation: every
         # active station re-downloads it) and for stations that joined since
         # the last step (they receive the current artifact before matching).
@@ -1054,7 +1043,7 @@ class ClusterSession:
             affected
         )
 
-        trunk, regional, _net_seed = cluster._tier_transports(protocol, options.net_seed)
+        trunk, regional, _net_seed = cluster._tier_transports(options.net_seed)
         shipped = ship_two_tier_deltas(
             center=self._center,
             tier_map=cluster._tier_map,

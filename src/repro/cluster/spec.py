@@ -313,7 +313,6 @@ class ClusterSpec:
         *,
         executor: str = "serial",
         shard_count: int = 0,
-        bit_backend: str = "auto",
         network_config: NetworkConfig | None = None,
         transport: str = "sim",
     ) -> "ClusterSpec":
@@ -347,7 +346,7 @@ class ClusterSpec:
                 noise_level=shape.noise_level,
                 seed=shape.seed if shape.seed is not None else derived_seed,
             )
-        config = DIMatchingConfig(epsilon=workload.epsilon, bit_backend=bit_backend)
+        config = DIMatchingConfig(epsilon=workload.epsilon)
         return cls(
             name=workload.name,
             dataset=dataset,

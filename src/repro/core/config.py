@@ -62,7 +62,13 @@ WORKLOAD_DRIVE_CHOICES = ("simulation", "session", "open")
 
 @dataclass(frozen=True)
 class DIMatchingConfig:
-    """Immutable configuration shared by the encoder, matcher and aggregator."""
+    """Immutable configuration shared by the encoder, matcher and aggregator.
+
+    Every field travels on the wire inside an encoded query batch, so a
+    station matches under exactly the configuration the center encoded with.
+    Deployment knobs (executor, shard count, transport, fault profile) live
+    on :class:`~repro.cluster.spec.ClusterSpec`, never here.
+    """
 
     #: ``b`` — sampled points per pattern (the paper converges at 5, is stable at 12).
     sample_count: int = 12
@@ -81,11 +87,6 @@ class DIMatchingConfig:
     min_bit_count: int = 1024
     #: Seed for the filter hash family (must be shared by center and stations).
     seed: int = 0
-    #: Bit-storage backend for the distributed filters: "auto" (NumPy when
-    #: available, pure Python otherwise), "python" or "numpy".  Only affects
-    #: throughput — filters are bit-identical and wire-compatible across
-    #: backends, so center and stations may even disagree on it.
-    bit_backend: str = "auto"
     #: Hash ``(time index, accumulated value)`` tuples rather than bare values.  The
     #: accumulation transform already embeds order, but including the index removes
     #: residual cross-position collisions; the paper hashes values only, so this is
@@ -125,11 +126,6 @@ class DIMatchingConfig:
             raise ConfigurationError(str(error)) from error
         if not isinstance(self.epsilon, int):
             raise ConfigurationError(f"epsilon must be an integer, got {self.epsilon!r}")
-        if self.bit_backend not in ("auto", "python", "numpy"):
-            raise ConfigurationError(
-                "bit_backend must be 'auto', 'python' or 'numpy', "
-                f"got {self.bit_backend!r}"
-            )
         if self.epsilon_tolerance_mode not in ("interval", "accumulated"):
             raise ConfigurationError(
                 "epsilon_tolerance_mode must be 'interval' or 'accumulated', "

@@ -223,7 +223,6 @@ class PatternEncoder:
             bit_count=bit_count,
             hash_count=self._config.hash_count,
             seed=self._config.seed,
-            backend=self._config.bit_backend,
         )
         by_weight: dict[tuple[str, Fraction], list[object]] = {}
         for item, weight in insertions:
@@ -247,7 +246,6 @@ class PatternEncoder:
             bit_count=bit_count,
             hash_count=self._config.hash_count,
             seed=self._config.seed,
-            backend=self._config.bit_backend,
         )
         bloom.add_many([item for item, _weight in insertions])
         return bloom

@@ -178,10 +178,10 @@ class BaseStationMatcher:
         """All candidates' position rows under ``family``, in order, packed.
 
         With NumPy the rows pack as one rows × k index array (int32 while
-        positions fit), whatever the filter's bit backend; without it they
-        stay lists.  Built once per hash family ``(m, k, seed)`` and reused
-        by every later round.  Only the packed form and the row counts are
-        kept — not the probe items, nor their rows as lists.
+        positions fit); without it they stay lists.  Built once per hash
+        family ``(m, k, seed)`` and reused by every later round.  Only the
+        packed form and the row counts are kept — not the probe items, nor
+        their rows as lists.
         """
         key = (family.value_range, family.hash_count, family.seed, _np is not None)
         if self._probe_key != key:

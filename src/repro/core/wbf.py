@@ -28,18 +28,14 @@ from repro.utils.validation import require_positive
 class WeightedBloomFilter:
     """Bloom filter whose set bits carry the weights of the values that set them.
 
-    ``backend`` selects the bit-storage backend ("auto", "python" or "numpy",
-    see :mod:`repro.bloom.backend`); "auto" uses NumPy when available.  The
-    weight map is a sparse Python dict on every backend — only the bit array and
-    the position arithmetic are vectorized.
+    The bits live in a :class:`~repro.bloom.bitset.BitArray`; the weight map
+    is a sparse Python dict beside it.
     """
 
-    def __init__(
-        self, bit_count: int, hash_count: int, seed: int = 0, backend: str = "auto"
-    ) -> None:
+    def __init__(self, bit_count: int, hash_count: int, seed: int = 0) -> None:
         require_positive(bit_count, "bit_count")
         require_positive(hash_count, "hash_count")
-        self._bits = BitArray(bit_count, backend=backend)
+        self._bits = BitArray(bit_count)
         self._hashes = HashFamily(hash_count, bit_count, seed=seed)
         # Sparse map: bit index -> weights attached to that bit.  Values are
         # plain sets when built by insertion; filters decoded from the wire
@@ -81,11 +77,6 @@ class WeightedBloomFilter:
         return self._hashes
 
     @property
-    def backend_name(self) -> str:
-        """Name of the bit-storage backend in use."""
-        return self._bits.backend_name
-
-    @property
     def revision(self) -> int:
         """Mutation counter, bumped by every insertion.
 
@@ -105,16 +96,14 @@ class WeightedBloomFilter:
         bits: bytes,
         weights: dict[int, frozenset],
         item_count: int,
-        backend: str = "auto",
     ) -> "WeightedBloomFilter":
         """Reconstruct a filter from decoded wire state.
 
         ``bits`` is the canonical bit-array serialization and ``weights`` maps
-        bit positions to the weight sets attached there; ``backend`` is the
-        local storage choice and never travels on the wire.
+        bit positions to the weight sets attached there.
         """
-        wbf = cls(bit_count, hash_count, seed=seed, backend=backend)
-        wbf._bits = BitArray.from_bytes(bit_count, bits, backend=backend)
+        wbf = cls(bit_count, hash_count, seed=seed)
+        wbf._bits = BitArray.from_bytes(bit_count, bits)
         # Keep decoded frozensets by reference: the codec interns one frozenset
         # per distinct index combination, so positions sharing a weight set
         # share one object instead of each copying it into a fresh set.
@@ -131,7 +120,7 @@ class WeightedBloomFilter:
 
         This is the canonical iteration order the wire codec serializes, so two
         filters holding the same weights produce identical bytes regardless of
-        insertion order or bit backend.
+        insertion order.
         """
         return [
             (position, frozenset(self._weights[position]))
@@ -139,7 +128,7 @@ class WeightedBloomFilter:
         ]
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality: parameters, bits and weight map (backend-agnostic)."""
+        """Structural equality: parameters, bits and weight map."""
         if not isinstance(other, WeightedBloomFilter):
             return NotImplemented
         return (
@@ -191,9 +180,10 @@ class WeightedBloomFilter:
 
         The ``n × k`` positions are computed in a single
         :meth:`~repro.bloom.hashing.HashFamily.indices_batch` call and the bits
-        set in one backend operation; the weight map is updated over the
-        deduplicated position set (many items share bits, so this does far fewer
-        dict operations than per-item insertion).
+        set in one :meth:`~repro.bloom.bitset.BitArray.set_many` call; the
+        weight map is updated over the deduplicated position set (many items
+        share bits, so this does far fewer dict operations than per-item
+        insertion).
         """
         try:
             hash(weight)
@@ -267,8 +257,8 @@ class WeightedBloomFilter:
         """Batched weighted query: one weight set per item, in order.
 
         The bit-membership test for all ``n × k`` positions runs as a single
-        vectorized backend row-test; the (sparse, Python-side) weight
-        intersection runs only for the items whose bits all passed.
+        :meth:`~repro.bloom.bitset.BitArray.all_set_rows` call; the sparse
+        weight intersection runs only for the items whose bits all passed.
         """
         items = list(items)
         rows = self._hashes.indices_batch(items)

@@ -95,14 +95,6 @@ class SharedArtifactToken:
     name: str
     size: int
     crc: int
-    backend: str
-
-
-def _artifact_bit_backend(artifact: object) -> str:
-    """Bit-storage backend the decoded worker copy should use."""
-    wbf = getattr(artifact, "wbf", None)
-    backend = getattr(wbf if wbf is not None else artifact, "backend_name", None)
-    return backend if isinstance(backend, str) else "auto"
 
 
 def export_shared_artifact(
@@ -124,7 +116,6 @@ def export_shared_artifact(
         name=segment.name,
         size=len(data),
         crc=zlib.crc32(data),
-        backend=_artifact_bit_backend(artifact),
     )
     return token, segment
 
@@ -157,10 +148,10 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
 
 
-#: Worker-side single-entry decode cache: ``(size, crc, backend) -> artifact``.
+#: Worker-side single-entry decode cache: ``(size, crc) -> artifact``.
 #: One entry suffices — a round broadcasts one artifact, and consecutive
 #: rounds of a sweep reuse the entry when the artifact did not change.
-_shared_artifact_cache: "tuple[tuple[int, int, str], object] | None" = None
+_shared_artifact_cache: "tuple[tuple[int, int], object] | None" = None
 
 
 def _load_shared_artifact(token: SharedArtifactToken) -> object:
@@ -168,7 +159,7 @@ def _load_shared_artifact(token: SharedArtifactToken) -> object:
     global _shared_artifact_cache
     from repro import wire
 
-    key = (token.size, token.crc, token.backend)
+    key = (token.size, token.crc)
     cached = _shared_artifact_cache
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -183,7 +174,7 @@ def _load_shared_artifact(token: SharedArtifactToken) -> object:
         # The wire layer reads straight from the shared buffer; decoded
         # objects materialize their own bytes, so nothing references the
         # segment once decode returns.
-        artifact = wire.decode(view, backend=token.backend)
+        artifact = wire.decode(view)
     finally:
         del view
         try:

@@ -73,13 +73,13 @@ class Message:
         return message_frame(self, self.payload_wire())
 
     @classmethod
-    def from_wire(cls, data: bytes, backend: str = "auto") -> "Message":
+    def from_wire(cls, data: bytes) -> "Message":
         """Decode a message from its binary encoding.
 
         Raises :class:`~repro.wire.errors.WireFormatError` when ``data`` is not
         a message encoding.
         """
-        decoded = decode(data, backend=backend)
+        decoded = decode(data)
         if not isinstance(decoded, cls):
             raise WireFormatError(
                 f"buffer holds a {type(decoded).__name__}, not a Message"

@@ -125,12 +125,9 @@ class SimulatedNetwork(Transport):
         config: NetworkConfig | None = None,
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
-        decode_backend: str = "auto",
         allow_partial: bool = False,
     ) -> None:
-        super().__init__(
-            config or NetworkConfig(), fault_plan, seed, decode_backend, allow_partial
-        )
+        super().__init__(config or NetworkConfig(), fault_plan, seed, allow_partial)
         self._fault_free = self._plan.is_fault_free
         self._loop = EventLoop()
         self._link_free: dict[str, float] = {}
@@ -232,7 +229,6 @@ class SimulatedNetwork(Transport):
         else:
             self._uplink_bytes += sent_bytes
 
-        backend = self._decode_backend
         record = self._delivered.record
         append = transcript.append
         stations = recipients if downlink else senders
@@ -242,7 +238,7 @@ class SimulatedNetwork(Transport):
             head = heads[index]
             payload = payloads[index]
             if receiver is not None:
-                receiver.receive_frame(head, payload, backend)
+                receiver.receive_frame(head, payload)
             self._frames_delivered += 1
             self._payload_bytes_delivered += size
             record(direction, stations[index], head, payload)

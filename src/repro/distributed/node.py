@@ -57,7 +57,7 @@ class Node:
         """Deliver an already-decoded ``message`` to this node."""
         self._deliver(message.sender, message.recipient, message.kind, message.payload)
 
-    def receive_wire(self, data: bytes, backend: str = "auto") -> Message:
+    def receive_wire(self, data: bytes) -> Message:
         """Decode ``data`` through the wire codec and deliver the message.
 
         Raises :class:`~repro.wire.errors.WireFormatError` when the bytes are
@@ -65,11 +65,11 @@ class Node:
         and retransmits) and :class:`ValueError` when the decoded message is
         addressed to another node.  Returns the decoded message.
         """
-        message = Message.from_wire(data, backend=backend)
+        message = Message.from_wire(data)
         self.receive(message)
         return message
 
-    def receive_frame(self, head: bytes, payload: bytes, backend: str = "auto") -> None:
+    def receive_frame(self, head: bytes, payload: bytes) -> None:
         """:meth:`receive_wire` of ``head + payload``, without joining them.
 
         A canonical head is parsed straight into the inbox's columns, and the
@@ -77,9 +77,9 @@ class Node:
         finds its artifact by (:func:`repro.wire.codec.read_frame`).  Raises
         exactly what :meth:`receive_wire` raises for the joined frame.
         """
-        fields = read_frame(head, payload, backend)
+        fields = read_frame(head, payload)
         if fields is None:
-            self.receive_wire(head + payload, backend)
+            self.receive_wire(head + payload)
         else:
             self._deliver(*fields)
 

@@ -155,8 +155,8 @@ class DeliveredFrames:
         self._heads: list[bytes] = []
         self._payloads: list[bytes] = []
 
-    def record(self, direction: str, station: str, head: bytes, payload: bytes = b"") -> None:
-        """Append one accepted frame: ``head + payload`` (a whole frame by default)."""
+    def record(self, direction: str, station: str, head: bytes, payload: bytes) -> None:
+        """Append one accepted frame: ``head + payload``."""
         self._directions.append(direction)
         self._stations.append(station)
         self._heads.append(head)
@@ -338,13 +338,11 @@ class Transport(abc.ABC):
         config: "NetworkConfig",
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
-        decode_backend: str = "auto",
         allow_partial: bool = False,
     ) -> None:
         self._config = config
         self._plan = resolve_fault_plan(fault_plan)
         self._injector = FaultInjector(self._plan, seed)
-        self._decode_backend = decode_backend
         self._allow_partial = bool(allow_partial)
         self._downlink_bytes = 0
         self._uplink_bytes = 0
@@ -527,7 +525,7 @@ class Transport(abc.ABC):
         corruptions the codec cannot see: a corrupt frame is never accepted.
         """
         try:
-            Message.from_wire(data, backend=self._decode_backend)
+            Message.from_wire(data)
         except WireFormatError:
             return True
         return False
@@ -562,7 +560,7 @@ class Transport(abc.ABC):
         """Give an intact frame to its node and add it to the delivered frames."""
         receiver = transfer.receiver
         if receiver is not None:
-            receiver.receive_frame(transfer.head, transfer.payload, self._decode_backend)
+            receiver.receive_frame(transfer.head, transfer.payload)
         self._delivered.record(
             transfer.direction, transfer.station, transfer.head, transfer.payload
         )

@@ -144,12 +144,10 @@ class TcpTransportManager:
         self,
         config: NetworkConfig | None = None,
         *,
-        decode_backend: str = "auto",
         connect_timeout_s: float = 20.0,
         host: str = "127.0.0.1",
     ) -> None:
         self.config = config or NetworkConfig()
-        self._decode_backend = decode_backend
         self._connect_timeout_s = float(connect_timeout_s)
         self._host = host
         self._links: dict[str, _FrameWriter] = {}
@@ -173,7 +171,6 @@ class TcpTransportManager:
         self,
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
-        decode_backend: str = "auto",
         allow_partial: bool = False,
         ack_timeout_s: float | None = None,
         delay_scale: float = 1.0,
@@ -183,7 +180,6 @@ class TcpTransportManager:
             self,
             fault_plan=fault_plan,
             seed=seed,
-            decode_backend=decode_backend,
             allow_partial=allow_partial,
             ack_timeout_s=ack_timeout_s,
             delay_scale=delay_scale,
@@ -304,8 +300,6 @@ class TcpTransportManager:
                 str(self.proxy_port),
                 "--station-id",
                 station_id,
-                "--decode-backend",
-                self._decode_backend,
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -442,12 +436,11 @@ class TcpTransport(Transport):
         *,
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
-        decode_backend: str = "auto",
         allow_partial: bool = False,
         ack_timeout_s: float | None = None,
         delay_scale: float = 1.0,
     ) -> None:
-        super().__init__(manager.config, fault_plan, seed, decode_backend, allow_partial)
+        super().__init__(manager.config, fault_plan, seed, allow_partial)
         self._manager = manager
         self._delay_scale = float(delay_scale)
         base_timeout = (

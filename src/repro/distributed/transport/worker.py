@@ -44,11 +44,10 @@ READ_CHUNK = 65536
 class StationWorker:
     """One station's transport agent: connect, identify, speak the protocol."""
 
-    def __init__(self, host: str, port: int, station_id: str, decode_backend: str) -> None:
+    def __init__(self, host: str, port: int, station_id: str) -> None:
         self._host = host
         self._port = port
         self._station_id = station_id
-        self._decode_backend = decode_backend
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._write_lock = asyncio.Lock()
@@ -117,7 +116,7 @@ class StationWorker:
             return
         checksum_ok = zlib.crc32(frame.body) == frame.crc
         try:
-            message = Message.from_wire(frame.body, backend=self._decode_backend)
+            message = Message.from_wire(frame.body)
         except WireFormatError:
             message = None
         if not checksum_ok or message is None:
@@ -155,9 +154,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--station-id", required=True)
-    parser.add_argument("--decode-backend", default="auto")
     args = parser.parse_args(argv)
-    worker = StationWorker(args.host, args.port, args.station_id, args.decode_backend)
+    worker = StationWorker(args.host, args.port, args.station_id)
     try:
         return asyncio.run(worker.run())
     except (ConnectionError, WireFormatError) as error:

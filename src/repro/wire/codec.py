@@ -9,15 +9,9 @@ Every encoding starts with a 7-byte header::
 
 followed by a type-specific body of varint/fixed-width fields (see
 :mod:`repro.wire.primitives`).  The format is canonical: a given artifact has
-exactly one encoding, independent of the bit backend it was built on and of
-dict/set iteration order (the WBF weight table is sorted by encoded value
-bytes, sparse positions ascend).  That property is what lets the test battery
-assert byte-identical output across the NumPy and bytearray backends, and what
-makes the golden fixtures stable.
-
-Runtime knobs never travel on the wire: ``DIMatchingConfig.bit_backend`` is
-a local materialization choice, so :func:`decode` accepts a ``backend``
-argument and restores the field to it.
+exactly one encoding, independent of insertion and dict/set iteration order
+(the WBF weight table is sorted by encoded value bytes, sparse positions
+ascend).  That property is what makes the golden fixtures stable.
 
 The version octet is the codec's alone: there is one header layout, every
 writer emits version 1, and a frame carrying any other version is refused.
@@ -33,7 +27,7 @@ import zlib
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from repro.bloom.backend import iter_set_bits_in_bytes
+from repro.bloom.bitset import iter_set_bits_in_bytes
 from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch
@@ -137,7 +131,7 @@ def _check_bit_padding(bits: bytes, bit_count: int) -> None:
         )
 
 
-def _read_bloom_body(reader: ByteReader, backend: str) -> BloomFilter:
+def _read_bloom_body(reader: ByteReader) -> BloomFilter:
     bit_count = reader.uvarint()
     hash_count = reader.uvarint()
     seed = reader.svarint()
@@ -146,7 +140,7 @@ def _read_bloom_body(reader: ByteReader, backend: str) -> BloomFilter:
         raise WireFormatError("Bloom filter with zero bit or hash count")
     bits = reader.raw((bit_count + 7) // 8)
     _check_bit_padding(bits, bit_count)
-    return BloomFilter.from_state(bit_count, hash_count, seed, bits, item_count, backend=backend)
+    return BloomFilter.from_state(bit_count, hash_count, seed, bits, item_count)
 
 
 def _write_wbf_body(out: bytearray, wbf: WeightedBloomFilter) -> None:
@@ -162,7 +156,7 @@ def _write_wbf_body(out: bytearray, wbf: WeightedBloomFilter) -> None:
     # written: the weight lists ride along the set bits of the bit array, in
     # ascending bit order.  Distinct weights are stored once in a table sorted
     # by their canonical encoding; each set bit references table indices.  Both
-    # orders make the bytes independent of insertion order and backend.
+    # orders make the bytes independent of insertion order.
     if [position for position, _ in entries] != list(
         iter_set_bits_in_bytes(bits, wbf.bit_count)
     ):
@@ -203,7 +197,7 @@ def _write_wbf_body(out: bytearray, wbf: WeightedBloomFilter) -> None:
         out += blocks[weights]
 
 
-def _read_wbf_body(reader: ByteReader, backend: str) -> WeightedBloomFilter:
+def _read_wbf_body(reader: ByteReader) -> WeightedBloomFilter:
     bit_count = reader.uvarint()
     hash_count = reader.uvarint()
     seed = reader.svarint()
@@ -242,14 +236,10 @@ def _read_wbf_body(reader: ByteReader, backend: str) -> WeightedBloomFilter:
             attached = frozenset(table[index] for index in key)
             combos[key] = attached
         weights[position] = attached
-    return WeightedBloomFilter.from_state(
-        bit_count, hash_count, seed, bits, weights, item_count, backend=backend
-    )
+    return WeightedBloomFilter.from_state(bit_count, hash_count, seed, bits, weights, item_count)
 
 
-#: ``DIMatchingConfig`` fields serialized on the wire, in order.  The runtime
-#: knob ``bit_backend`` is deliberately absent: it describes how a node runs
-#: locally, not what the filter means.
+#: ``DIMatchingConfig`` fields serialized on the wire, in order: all of them.
 _CONFIG_WIRE_FIELDS = (
     "sample_count",
     "hash_count",
@@ -273,10 +263,10 @@ def _write_config_block(out: bytearray, config: DIMatchingConfig) -> None:
         write_value(out, getattr(config, name))
 
 
-def _read_config_block(reader: ByteReader, backend: str) -> DIMatchingConfig:
+def _read_config_block(reader: ByteReader) -> DIMatchingConfig:
     fields = {name: read_value(reader) for name in _CONFIG_WIRE_FIELDS}
     try:
-        return DIMatchingConfig(bit_backend=backend, **fields)
+        return DIMatchingConfig(**fields)
     except (ConfigurationError, TypeError) as error:
         raise WireFormatError(f"decoded configuration is invalid: {error}") from error
 
@@ -290,13 +280,13 @@ def _write_batch_body(out: bytearray, batch: EncodedQueryBatch) -> None:
     _write_wbf_body(out, batch.wbf)
 
 
-def _read_batch_body(reader: ByteReader, backend: str) -> EncodedQueryBatch:
-    config = _read_config_block(reader, backend)
+def _read_batch_body(reader: ByteReader) -> EncodedQueryBatch:
+    config = _read_config_block(reader)
     pattern_length = reader.uvarint()
     query_count = reader.uvarint()
     combined_pattern_count = reader.uvarint()
     inserted_item_count = reader.uvarint()
-    wbf = _read_wbf_body(reader, backend)
+    wbf = _read_wbf_body(reader)
     return EncodedQueryBatch(
         wbf=wbf,
         config=config,
@@ -330,7 +320,7 @@ def _write_report_body(out: bytearray, report: MatchReport) -> None:
     _write_optional_weight(out, report.weight)
 
 
-def _read_report_body(reader: ByteReader, backend: str) -> MatchReport:
+def _read_report_body(reader: ByteReader) -> MatchReport:
     user_id = reader.str_()
     station_id = reader.str_()
     query_id = reader.str_()
@@ -361,7 +351,7 @@ def _write_pattern_body(out: bytearray, pattern: Pattern) -> None:
     _write_values_seq(out, pattern.values)
 
 
-def _read_pattern_body(reader: ByteReader, backend: str) -> Pattern:
+def _read_pattern_body(reader: ByteReader) -> Pattern:
     user_id = reader.str_()
     return Pattern(user_id, _read_values_seq(reader))
 
@@ -372,7 +362,7 @@ def _write_local_pattern_body(out: bytearray, pattern: LocalPattern) -> None:
     _write_values_seq(out, pattern.values)
 
 
-def _read_local_pattern_body(reader: ByteReader, backend: str) -> LocalPattern:
+def _read_local_pattern_body(reader: ByteReader) -> LocalPattern:
     user_id = reader.str_()
     station_id = reader.str_()
     return LocalPattern(user_id, _read_values_seq(reader), station_id=station_id)
@@ -385,12 +375,12 @@ def _write_query_body(out: bytearray, query: QueryPattern) -> None:
         _write_local_pattern_body(out, local)
 
 
-def _read_query_body(reader: ByteReader, backend: str) -> QueryPattern:
+def _read_query_body(reader: ByteReader) -> QueryPattern:
     query_id = reader.str_()
     count = reader.uvarint()
     if count == 0:
         raise WireFormatError(f"query {query_id!r} has no local patterns")
-    locals_ = [_read_local_pattern_body(reader, backend) for _ in range(count)]
+    locals_ = [_read_local_pattern_body(reader) for _ in range(count)]
     try:
         return QueryPattern(query_id, locals_)
     except (ValueError, TypeError) as error:
@@ -405,9 +395,9 @@ def _write_query_batch_body(out: bytearray, queries: tuple) -> None:
         _write_query_body(out, query)
 
 
-def _read_query_batch_body(reader: ByteReader, backend: str) -> tuple:
+def _read_query_batch_body(reader: ByteReader) -> tuple:
     count = reader.uvarint()
-    return tuple(_read_query_body(reader, backend) for _ in range(count))
+    return tuple(_read_query_body(reader) for _ in range(count))
 
 
 #: Object-list layouts: generic tagged items, or the string-interned columnar
@@ -455,7 +445,7 @@ def _write_report_columnar(out: bytearray, reports: list) -> None:
         )
 
 
-def _read_object_list_body(reader: ByteReader, backend: str) -> list:
+def _read_object_list_body(reader: ByteReader) -> list:
     layout = reader.u8()
     if layout == _LIST_REPORT_COLUMNAR:
         return _read_report_columnar(reader)
@@ -465,7 +455,7 @@ def _read_object_list_body(reader: ByteReader, backend: str) -> list:
     items = []
     for _ in range(count):
         tag = reader.u8()
-        items.append(_read_body(tag, reader, backend))
+        items.append(_read_body(tag, reader))
     return items
 
 
@@ -548,9 +538,7 @@ def message_frame(message: "Message", payload: bytes) -> bytes:
     return envelope_head(message.sender, message.recipient, message.kind, len(payload)) + payload
 
 
-def read_frame(
-    head: bytes, payload: bytes, backend: str = "auto"
-) -> "tuple[str, str, MessageKind, object] | None":
+def read_frame(head: bytes, payload: bytes) -> "tuple[str, str, MessageKind, object] | None":
     """A canonical frame's sender, recipient, kind and decoded payload.
 
     A canonical head is one :func:`envelope_head` writes: one-byte sender and
@@ -587,11 +575,11 @@ def read_frame(
         sender,
         recipient,
         _KINDS_BY_CODE[head[recipient_end]],
-        _decode_payload_cached(payload, backend),
+        _decode_payload_cached(payload),
     )
 
 
-def _read_message_body(reader: ByteReader, backend: str) -> "Message":
+def _read_message_body(reader: ByteReader) -> "Message":
     message_type = _MESSAGE_TYPE or _bind_message_types()
     sender = reader.str_()
     recipient = reader.str_()
@@ -605,15 +593,15 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
         sender,
         recipient,
         _KINDS_BY_CODE[kind_code],
-        _decode_payload_cached(payload_block, backend),
+        _decode_payload_cached(payload_block),
     )
 
 
 #: Payload-decode memoization for the broadcast hot path: a round's downlink
 #: sends the *same* artifact bytes inside N per-station envelopes, and decoding
 #: the filter body N times used to dominate round cost (it scaled with cluster
-#: size, not with the data).  The cache maps exact payload-block bytes (plus
-#: the backend) to the decoded artifact, so a broadcast decodes once and every
+#: size, not with the data).  The cache maps exact payload-block bytes to the
+#: decoded artifact, so a broadcast decodes once and every
 #: further station reuses the instance — sharing that the round engine already
 #: sanctions by matching all shards against one decoded artifact.  A frame
 #: read by :func:`read_frame` hands in the sender's own ``bytes`` object
@@ -624,29 +612,28 @@ def _read_message_body(reader: ByteReader, backend: str) -> "Message":
 #: unique; tiny payloads are cheaper to decode than to hash), and each hit is
 #: revalidated against the artifact's mutation revision so an instance mutated
 #: after decode is evicted instead of served.
-_PAYLOAD_DECODE_CACHE: dict[tuple[bytes, str], tuple[object, object]] = {}
+_PAYLOAD_DECODE_CACHE: dict[bytes, tuple[object, object]] = {}
 _PAYLOAD_DECODE_CACHE_MAX = 8
 _PAYLOAD_DECODE_MIN_BYTES = 64
 _PAYLOAD_DECODE_TAGS = frozenset({TAG_WBF, TAG_ENCODED_BATCH, TAG_BLOOM_FILTER})
 
 
-def _decode_payload_cached(block: "bytes | memoryview", backend: str) -> object:
+def _decode_payload_cached(block: "bytes | memoryview") -> object:
     if len(block) < _PAYLOAD_DECODE_MIN_BYTES or block[6] not in _PAYLOAD_DECODE_TAGS:
-        return decode(block, backend=backend)
+        return decode(block)
     # A view is copied; a ``bytes`` block is the key itself.
     data = bytes(block)
-    key = (data, backend)
-    entry = _PAYLOAD_DECODE_CACHE.get(key)
+    entry = _PAYLOAD_DECODE_CACHE.get(data)
     if entry is not None:
         obj, revision = entry
         if object_revision(obj) == revision:
             return obj
-        del _PAYLOAD_DECODE_CACHE[key]
-    obj = decode(data, backend=backend)
+        del _PAYLOAD_DECODE_CACHE[data]
+    obj = decode(data)
     if len(_PAYLOAD_DECODE_CACHE) >= _PAYLOAD_DECODE_CACHE_MAX:
         # Drop the oldest entry (plain dicts preserve insertion order).
         _PAYLOAD_DECODE_CACHE.pop(next(iter(_PAYLOAD_DECODE_CACHE)))
-    _PAYLOAD_DECODE_CACHE[key] = (obj, object_revision(obj))
+    _PAYLOAD_DECODE_CACHE[data] = (obj, object_revision(obj))
     return obj
 
 
@@ -659,11 +646,7 @@ def _write_value_body(out: bytearray, value: object) -> None:
     write_value(out, value)
 
 
-def _read_value_body(reader: ByteReader, backend: str) -> object:
-    return read_value(reader)
-
-
-_READERS: dict[int, Callable[[ByteReader, str], object]] = {
+_READERS: dict[int, Callable[[ByteReader], object]] = {
     TAG_BLOOM_FILTER: _read_bloom_body,
     TAG_WBF: _read_wbf_body,
     TAG_ENCODED_BATCH: _read_batch_body,
@@ -674,7 +657,7 @@ _READERS: dict[int, Callable[[ByteReader, str], object]] = {
     TAG_QUERY_BATCH: _read_query_batch_body,
     TAG_OBJECT_LIST: _read_object_list_body,
     TAG_MESSAGE: _read_message_body,
-    TAG_VALUE: _read_value_body,
+    TAG_VALUE: read_value,
 }
 
 
@@ -717,13 +700,13 @@ def _dispatch(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
     raise UnsupportedWireTypeError(f"no wire encoding for objects of type {type_name}")
 
 
-def _read_body(tag: int, reader: ByteReader, backend: str) -> object:
+def _read_body(tag: int, reader: ByteReader) -> object:
     if tag == TAG_NONE:
         return None
     read = _READERS.get(tag)
     if read is None:
         raise WireFormatError(f"unknown wire type tag 0x{tag:02x}")
-    return read(reader, backend)
+    return read(reader)
 
 
 # -- public API ------------------------------------------------------------------
@@ -752,15 +735,12 @@ def encode(obj: object, *, compress: bool = False) -> bytes:
     return bytes(frame)
 
 
-def decode(data: "bytes | bytearray | memoryview", *, backend: str = "auto") -> object:
+def decode(data: "bytes | bytearray | memoryview") -> object:
     """Decode wire bytes back into the artifact they describe.
 
-    ``backend`` selects the local bit-storage backend decoded filters are
-    materialized on (and is restored into ``DIMatchingConfig.bit_backend``);
-    it never affects which bytes are accepted.  A version octet other than
-    :data:`WIRE_VERSION` is refused.  The buffer may be any bytes-like
-    object; the uncompressed body is read through a zero-copy view rather
-    than sliced out of the frame.
+    A version octet other than :data:`WIRE_VERSION` is refused.  The buffer
+    may be any bytes-like object; the uncompressed body is read through a
+    zero-copy view rather than sliced out of the frame.
     """
     if len(data) < _HEADER_SIZE:
         raise WireFormatError(
@@ -785,7 +765,7 @@ def decode(data: "bytes | bytearray | memoryview", *, backend: str = "auto") -> 
         except zlib.error as error:
             raise WireFormatError(f"corrupt compressed body: {error}") from error
     reader = ByteReader(body)
-    obj = _read_body(tag, reader, backend)
+    obj = _read_body(tag, reader)
     reader.expect_eof()
     return obj
 

@@ -9,8 +9,8 @@ tag-specific body; tuples nest.
 
 The byte encoding of a value is canonical (no two encodings for the same
 value), which lets the WBF codec sort its weight table by encoded bytes and
-produce identical output regardless of the insertion order or bit backend the
-filter was built with.
+produce identical output regardless of the insertion order the filter was
+built with.
 """
 
 from __future__ import annotations

@@ -283,13 +283,12 @@ def run_workload(
     drive: str = "simulation",
     executor: str = "serial",
     shard_count: int = 0,
-    bit_backend: str = "auto",
     network_config: NetworkConfig | None = None,
     transport: str = "sim",
 ) -> WorkloadResult:
     """Compile ``spec`` into a multi-round facade drive and run it to completion.
 
-    ``executor`` / ``shard_count`` / ``bit_backend`` are local scale knobs:
+    ``executor`` / ``shard_count`` are local scale knobs:
     like everywhere else in the system they change wall-clock only, never the
     results, byte counts or the replayed transcript.  ``transport`` selects
     the backhaul backend (``repro.core.config.TRANSPORT_CHOICES``): ``"sim"``
@@ -317,7 +316,6 @@ def run_workload(
         spec,
         executor=executor,
         shard_count=shard_count,
-        bit_backend=bit_backend,
         network_config=network_config,
         transport=transport,
     )

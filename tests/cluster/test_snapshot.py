@@ -2,8 +2,8 @@
 
 The contract under test: ``snapshot() → mutate (extra rounds, rotated
 subscriptions, republished/retired stations) → restore()`` leaves the cluster
-continuing **byte-identically** to a twin that never mutated — across bit
-backends, and across seeded mutation schedules (a Hypothesis property).
+continuing **byte-identically** to a twin that never mutated — also across
+seeded mutation schedules (a Hypothesis property).
 """
 
 import hashlib
@@ -44,14 +44,14 @@ BATCH_A = list(build_query_workload(DATASET, query_count=3, epsilon=0, seed=1).q
 BATCH_B = list(build_query_workload(DATASET, query_count=2, epsilon=0, seed=2).queries)
 
 
-def _cluster(bit_backend: str) -> Cluster:
+def _cluster() -> Cluster:
     return Cluster(
         ClusterSpec(
             name="snap",
             protocol=ProtocolSpec(
                 method="wbf",
                 epsilon=0,
-                config=DIMatchingConfig(epsilon=0, bit_backend=bit_backend),
+                config=DIMatchingConfig(epsilon=0),
             ),
         ),
         dataset=DATASET,
@@ -66,7 +66,7 @@ def _run_tail(cluster: Cluster, rounds: int = 3) -> str:
 
 class TestSnapshotBasics:
     def test_snapshot_captures_the_current_state(self):
-        with _cluster("auto") as cluster:
+        with _cluster() as cluster:
             cluster.subscribe(BATCH_A)
             cluster.round(RoundOptions(net_seed=1))
             snapshot = cluster.snapshot()
@@ -76,12 +76,12 @@ class TestSnapshotBasics:
         assert 0 < snapshot.station_count <= len(DATASET.station_ids)
 
     def test_restore_rejects_foreign_objects(self):
-        with _cluster("auto") as cluster:
+        with _cluster() as cluster:
             with pytest.raises(TypeError, match="ClusterSnapshot"):
                 cluster.restore({"round_index": 0})
 
     def test_snapshot_refused_while_a_delta_session_is_open(self):
-        with _cluster("auto") as cluster:
+        with _cluster() as cluster:
             cluster.subscribe(BATCH_A)
             session = cluster.open_session(mode="deltas")
             session.publish(
@@ -92,7 +92,7 @@ class TestSnapshotBasics:
                 cluster.snapshot()
 
     def test_restore_rewinds_the_round_counter_and_transcripts(self):
-        with _cluster("auto") as cluster:
+        with _cluster() as cluster:
             cluster.subscribe(BATCH_A)
             first = cluster.round(RoundOptions(net_seed=1))
             snapshot = cluster.snapshot()
@@ -105,10 +105,9 @@ class TestSnapshotBasics:
             assert cluster.transcript_digest() == hashlib.sha256(replay).hexdigest()
 
 
-@pytest.mark.parametrize("bit_backend", ["python", "numpy"])
 class TestSnapshotRoundTrip:
-    def test_restore_erases_extra_rounds_and_rotations(self, bit_backend):
-        with _cluster(bit_backend) as mutated, _cluster(bit_backend) as pristine:
+    def test_restore_erases_extra_rounds_and_rotations(self):
+        with _cluster() as mutated, _cluster() as pristine:
             for cluster in (mutated, pristine):
                 cluster.subscribe(BATCH_A)
                 cluster.round(RoundOptions(net_seed=7))
@@ -123,8 +122,8 @@ class TestSnapshotRoundTrip:
             mutated.restore(snapshot)
             assert _run_tail(mutated) == _run_tail(pristine)
 
-    def test_restore_erases_pattern_republications(self, bit_backend):
-        with _cluster(bit_backend) as mutated, _cluster(bit_backend) as pristine:
+    def test_restore_erases_pattern_republications(self):
+        with _cluster() as mutated, _cluster() as pristine:
             for cluster in (mutated, pristine):
                 cluster.subscribe(BATCH_A)
             snapshot = mutated.snapshot()
@@ -150,11 +149,10 @@ if HAS_HYPOTHESIS:
             min_size=1,
             max_size=6,
         ),
-        bit_backend=st.sampled_from(["python", "numpy"]),
     )
-    def test_any_mutation_schedule_restores_byte_identically(mutations, bit_backend):
+    def test_any_mutation_schedule_restores_byte_identically(mutations):
         """Property: no mutation sequence survives a restore."""
-        with _cluster(bit_backend) as mutated, _cluster(bit_backend) as pristine:
+        with _cluster() as mutated, _cluster() as pristine:
             for cluster in (mutated, pristine):
                 cluster.subscribe(BATCH_A)
                 cluster.round(RoundOptions(net_seed=11))

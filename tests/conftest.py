@@ -21,7 +21,7 @@ from repro.core.config import DIMatchingConfig  # noqa: E402
 
 # The datagen layer (and therefore the dataset fixtures below) requires NumPy;
 # it is imported lazily so the substrate/core tests still collect and run on
-# interpreters without NumPy (the pure-Python bit-backend fallback leg).
+# interpreters without NumPy (the no-NumPy CI leg).
 
 
 def _datagen():

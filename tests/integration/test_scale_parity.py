@@ -1,4 +1,4 @@
-"""Byte-identity of a 10,000-station round across bit backends and executors.
+"""Byte-identity of a 10,000-station round across executors.
 
 The hot-path work (payload-decode memoization, mask-index probing,
 shared-memory artifact handoff) is only admissible because the round outcome
@@ -49,12 +49,9 @@ def scale_inputs():
 
 @pytest.fixture(scope="module")
 def reference(scale_inputs):
-    """Serial executor with the numpy bit backend: the benchmarked baseline."""
+    """Serial executor: the benchmarked baseline."""
     dataset, queries = scale_inputs
-    pytest.importorskip("numpy")
-    protocol = DIMatchingProtocol(
-        DIMatchingConfig(epsilon=0, sample_count=6, hash_count=4, bit_backend="numpy")
-    )
+    protocol = DIMatchingProtocol(DIMatchingConfig(epsilon=0, sample_count=6, hash_count=4))
     with Cluster.adopt(dataset) as cluster:
         outcome = cluster.drive(protocol, queries, k=None)
     assert outcome.costs.report_count > 0
@@ -63,25 +60,9 @@ def reference(scale_inputs):
 
 @pytest.mark.slow
 class TestScaleParity:
-    def test_python_bit_backend_matches_numpy(self, scale_inputs, reference):
-        dataset, queries = scale_inputs
-        protocol = DIMatchingProtocol(
-            DIMatchingConfig(
-                epsilon=0, sample_count=6, hash_count=4, bit_backend="python"
-            )
-        )
-        with Cluster.adopt(dataset) as cluster:
-            outcome = cluster.drive(protocol, queries, k=None)
-        assert _digests(outcome) == reference
-
     def test_process_executor_matches_serial(self, scale_inputs, reference):
         dataset, queries = scale_inputs
-        pytest.importorskip("numpy")
-        protocol = DIMatchingProtocol(
-            DIMatchingConfig(
-                epsilon=0, sample_count=6, hash_count=4, bit_backend="numpy"
-            )
-        )
+        protocol = DIMatchingProtocol(DIMatchingConfig(epsilon=0, sample_count=6, hash_count=4))
         with Cluster.adopt(dataset, executor="process") as cluster:
             outcome = cluster.drive(protocol, queries, k=None)
         assert _digests(outcome) == reference

@@ -78,9 +78,7 @@ class TestBloomFilterProperties:
     def test_state_round_trip_preserves_membership(self, items):
         bloom = BloomFilter(700, 4, seed=3)
         bloom.add_many(items)
-        rebuilt = BloomFilter.from_state(
-            700, 4, 3, bloom.bits.to_bytes(), bloom.item_count, backend="python"
-        )
+        rebuilt = BloomFilter.from_state(700, 4, 3, bloom.bits.to_bytes(), bloom.item_count)
         assert rebuilt == bloom
         probes = items + list(range(50))
         assert rebuilt.contains_many(probes) == bloom.contains_many(probes)

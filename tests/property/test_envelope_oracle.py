@@ -154,7 +154,7 @@ def reference_encode(message: Message, compress: bool = False) -> bytes:
     return bytes(frame)
 
 
-def reference_decode(data, backend: str = "auto"):
+def reference_decode(data):
     if len(data) < _HEADER_SIZE:
         raise WireFormatError(
             f"buffer of {len(data)} bytes is shorter than the {_HEADER_SIZE}-byte header"
@@ -175,27 +175,27 @@ def reference_decode(data, backend: str = "auto"):
         except zlib.error as error:
             raise WireFormatError(f"corrupt compressed body: {error}") from error
     reader = ReferenceReader(body)
-    obj = reference_read_body(tag, reader, backend)
+    obj = reference_read_body(tag, reader)
     reader.expect_eof()
     return obj
 
 
-def reference_read_body(tag: int, reader: ByteReader, backend: str):
+def reference_read_body(tag: int, reader: ByteReader):
     if tag == TAG_MESSAGE:
-        return reference_read_message_body(reader, backend)
+        return reference_read_message_body(reader)
     if tag == TAG_OBJECT_LIST:
-        return reference_read_list_body(reader, backend)
-    return codec._read_body(tag, reader, backend)
+        return reference_read_list_body(reader)
+    return codec._read_body(tag, reader)
 
 
-def reference_read_list_body(reader: ByteReader, backend: str) -> list:
+def reference_read_list_body(reader: ByteReader) -> list:
     layout = reader.u8()
     if layout == _LIST_REPORT_COLUMNAR:
         return reference_read_report_columnar(reader)
     if layout != _LIST_GENERIC:
         raise WireFormatError(f"unknown object-list layout {layout}")
     count = reader.uvarint()
-    return [reference_read_body(reader.u8(), reader, backend) for _ in range(count)]
+    return [reference_read_body(reader.u8(), reader) for _ in range(count)]
 
 
 def reference_read_report_columnar(reader: ByteReader) -> list:
@@ -219,14 +219,14 @@ def reference_read_report_columnar(reader: ByteReader) -> list:
     return reports
 
 
-def reference_read_message_body(reader: ByteReader, backend: str) -> Message:
+def reference_read_message_body(reader: ByteReader) -> Message:
     sender = reader.str_()
     recipient = reader.str_()
     kind_code = reader.u8()
     if kind_code >= len(KINDS):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     payload_block = reader.bytes_()
-    return Message(sender, recipient, KINDS[kind_code], reference_decode(payload_block, backend))
+    return Message(sender, recipient, KINDS[kind_code], reference_decode(payload_block))
 
 
 # -- strategies ------------------------------------------------------------------

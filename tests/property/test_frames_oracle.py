@@ -37,7 +37,7 @@ from ..unit.distributed.test_unencodable_payloads import UNENCODABLE
 
 
 def _artifact(seed: int, items: int) -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(256, 3, seed=seed, backend="python")
+    wbf = WeightedBloomFilter(256, 3, seed=seed)
     for item in range(items):
         wbf.add(item, (f"q{item % 3}", Fraction(1, 1 + item % 4)))
     return wbf

@@ -246,7 +246,7 @@ class ReferenceNetwork(SimulatedNetwork):
             return
         if data is not transfer.payload and zlib.crc32(data) != zlib.crc32(transfer.payload):
             try:
-                Message.from_wire(data, backend=self._decode_backend)
+                Message.from_wire(data)
             except WireFormatError:
                 self._corrupt_caught_by_codec += 1
             else:
@@ -256,7 +256,7 @@ class ReferenceNetwork(SimulatedNetwork):
             return
         if transfer.receiver is not None:
             if data is not None:
-                transfer.receiver.receive_wire(data, backend=self._decode_backend)
+                transfer.receiver.receive_wire(data)
             else:
                 transfer.receiver.receive(transfer.message)
         transfer.delivered = True
@@ -264,7 +264,7 @@ class ReferenceNetwork(SimulatedNetwork):
         self._frames_delivered += 1
         self._payload_bytes_delivered += transfer.size
         if transfer.payload is not None:
-            self._delivered.record(transfer.direction, transfer.station, transfer.payload)
+            self._delivered.record(transfer.direction, transfer.station, transfer.payload, b"")
         self._record(time_s, "deliver", transfer, transfer.attempts)
 
 
@@ -272,7 +272,7 @@ class ReferenceNetwork(SimulatedNetwork):
 
 
 def _artifact() -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(512, 4, seed=3, backend="python")
+    wbf = WeightedBloomFilter(512, 4, seed=3)
     for item in range(40):
         wbf.add(item, (f"q{item % 3}", Fraction(1, 1 + item % 5)))
     return wbf
@@ -415,7 +415,7 @@ class TestFaultFreePhases:
 
     def test_two_frames_on_one_link(self):
         stations = ["bs-1", "bs-2", "bs-1", "bs-3", "bs-2"]
-        other = WeightedBloomFilter(64, 2, seed=9, backend="python")
+        other = WeightedBloomFilter(64, 2, seed=9)
         other.add("x", ("q", Fraction(1, 2)))
 
         def downlink():
@@ -637,8 +637,7 @@ def test_receive_frame_finds_a_shared_payload_by_identity():
     first.receive_frame(head, payload)
     # A broadcast's later frames hand in the same payload object: no copy
     # of it becomes a cache key, and the decoded artifact is shared.
-    keys = [key for key, _entry in codec._PAYLOAD_DECODE_CACHE.items()]
-    assert [key[0] is payload for key in keys] == [True]
+    assert [key is payload for key in codec._PAYLOAD_DECODE_CACHE] == [True]
     second = Node("bs-2")
     second.receive_frame(envelope_head("dc", "bs-2", message.kind, len(payload)), payload)
     assert second.inbox[0].payload is first.inbox[0].payload

@@ -8,8 +8,7 @@ position rows, then, for each candidate whose bits all passed, the
 mask-index AND of its positions, grouped into reports by query and weight.
 
 Both must return equal report lists, element by element and in order, for
-every filter: built by Algorithm 1 on either bit backend, decoded off the
-wire, mutated after its position table was built, or rebuilt by
+every filter: built by Algorithm 1, decoded off the wire, mutated after its position table was built, or rebuilt by
 ``from_state`` with weights on clear bits and set bits without weights.  The
 pure-Python kernel, the only one that runs without NumPy, is forced in the
 NumPy leg by clearing the kernel module's ``_np``; the NumPy pass, which
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 import repro.core.matcher as kernel
 from repro import wire
 from repro.baselines.bf_matching import BloomFilterProtocol
-from repro.bloom.backend import HAS_NUMPY, available_backends
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
 from repro.core.encoder import EncodedQueryBatch
@@ -39,7 +37,7 @@ from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
 
-BACKENDS = available_backends()
+HAS_NUMPY = kernel._np is not None
 LENGTH = 6
 
 
@@ -243,33 +241,25 @@ def scenarios(draw, locals_per_query=st.integers(1, 3), spread=False):
     return config, queries, stations
 
 
-def with_backend(config: DIMatchingConfig, backend: str) -> DIMatchingConfig:
-    return config.with_updates(bit_backend=backend)
-
-
 # -- properties ------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("decoded", [False, True], ids=["built", "decoded"])
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(scenario=scenarios())
 @settings(max_examples=30, deadline=None)
-def test_weighted_kernel_matches_reference(backend, decoded, scenario):
+def test_weighted_kernel_matches_reference(decoded, scenario):
     config, queries, stations = scenario
-    config = with_backend(config, backend)
     protocol = DIMatchingProtocol(config)
     batch = protocol.encode(queries)
     if decoded:
-        batch = wire.decode(wire.encode(batch), backend=backend)
+        batch = wire.decode(wire.encode(batch))
     assert_matches_reference(protocol, config, stations, batch)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(scenario=scenarios(locals_per_query=st.just(7), spread=True))
 @settings(max_examples=10, deadline=None)
-def test_masks_spanning_several_words(backend, scenario):
+def test_masks_spanning_several_words(scenario):
     config, queries, stations = scenario
-    config = with_backend(config, backend)
     protocol = DIMatchingProtocol(config)
     batch = protocol.encode(queries)
     weights = len(batch.wbf.distinct_weights())
@@ -280,7 +270,6 @@ def test_masks_spanning_several_words(backend, scenario):
     assert_matches_reference(protocol, config, stations, batch)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     scenario=scenarios(),
     insertions=st.lists(
@@ -293,9 +282,8 @@ def test_masks_spanning_several_words(backend, scenario):
     ),
 )
 @settings(max_examples=30, deadline=None)
-def test_filter_mutated_after_its_table_was_built(backend, scenario, insertions):
+def test_filter_mutated_after_its_table_was_built(scenario, insertions):
     config, queries, stations = scenario
-    config = with_backend(config, backend)
     protocol = DIMatchingProtocol(config)
     batch = protocol.encode(queries)
     protocol.match_stations(stations, batch)
@@ -316,7 +304,6 @@ position_weights = st.sampled_from(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     scenario=scenarios(),
     positions=st.lists(
@@ -326,14 +313,12 @@ position_weights = st.sampled_from(
     ),
 )
 @settings(max_examples=40, deadline=None)
-def test_from_state_filters(backend, scenario, positions):
+def test_from_state_filters(scenario, positions):
     # Weights may sit on clear bits, and set bits may carry no weights: a
     # position matches only when its bit is set *and* it carries weights.
     config, _queries, stations = scenario
     # Few probed positions per candidate, so matches and near misses are common.
-    config = with_backend(config, backend).with_updates(
-        sample_count=2, hash_count=min(config.hash_count, 2)
-    )
+    config = config.with_updates(sample_count=2, hash_count=min(config.hash_count, 2))
     bits = bytearray(8)
     weights = {}
     for position, (is_set, attached) in enumerate(positions):
@@ -342,7 +327,7 @@ def test_from_state_filters(backend, scenario, positions):
         if attached is not None:
             weights[position] = attached
     wbf = WeightedBloomFilter.from_state(
-        64, config.hash_count, config.seed, bytes(bits), weights, 0, backend=backend
+        64, config.hash_count, config.seed, bytes(bits), weights, 0
     )
     batch = EncodedQueryBatch(
         wbf=wbf,
@@ -356,16 +341,14 @@ def test_from_state_filters(backend, scenario, positions):
 
 
 @pytest.mark.parametrize("decoded", [False, True], ids=["built", "decoded"])
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(scenario=scenarios())
 @settings(max_examples=30, deadline=None)
-def test_plain_kernel_matches_reference(backend, decoded, scenario):
+def test_plain_kernel_matches_reference(decoded, scenario):
     config, queries, stations = scenario
-    config = with_backend(config, backend)
     protocol = BloomFilterProtocol(config)
     bloom = protocol.encode(queries)
     if decoded:
-        bloom = wire.decode(wire.encode(bloom), backend=backend)
+        bloom = wire.decode(wire.encode(bloom))
     for variant in kernel_variants():
         with pytest.MonkeyPatch.context() as patch:
             force(patch, variant)

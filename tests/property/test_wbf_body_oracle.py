@@ -17,13 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import wire
-from repro.bloom.backend import available_backends, iter_set_bits_in_bytes
+from repro.bloom.bitset import iter_set_bits_in_bytes
 from repro.core.wbf import WeightedBloomFilter
 from repro.wire.codec import _write_wbf_body
 from repro.wire.primitives import write_svarint, write_uvarint
 from repro.wire.values import encode_value
-
-BACKENDS = available_backends()
 
 
 def reference_wbf_body(out: bytearray, wbf: WeightedBloomFilter) -> None:
@@ -75,8 +73,8 @@ filters = st.tuples(
 )
 
 
-def build(bit_count, hash_count, seed, insertions, backend):
-    wbf = WeightedBloomFilter(bit_count, hash_count, seed=seed, backend=backend)
+def build(bit_count, hash_count, seed, insertions):
+    wbf = WeightedBloomFilter(bit_count, hash_count, seed=seed)
     for item, weight in insertions:
         wbf.add(item, weight)
     return wbf
@@ -97,25 +95,24 @@ class TestWbfBodyMatchesTheReference:
     @example(params=(8, 1, 0, [(0, 1), (1, Fraction(1)), (2, True)], []))
     @example(params=(8, 1, 0, [(2, True), (1, Fraction(1)), (0, 1)], []))
     @example(params=(16, 2, 3, [(5, ("q0", 1)), (9, ("q0", Fraction(1)))], [(5, 2)]))
-    def test_inserted_and_decoded_filters_on_every_backend(self, params):
+    def test_inserted_and_decoded_filters(self, params):
         bit_count, hash_count, seed, insertions, later = params
-        for backend in BACKENDS:
-            wbf = build(bit_count, hash_count, seed, insertions, backend)
-            got, want = bodies(wbf)
-            assert got == want
-            # Decoded off the wire: positions share one frozenset per
-            # distinct weight set.
-            decoded = wire.decode(wire.encode(wbf), backend=backend)
-            got, want = bodies(decoded)
-            assert got == want
-            # Insertions after decode mix shared frozensets with private sets.
-            for item, weight in later:
-                decoded.add(item, weight)
-            got, want = bodies(decoded)
-            assert got == want
+        wbf = build(bit_count, hash_count, seed, insertions)
+        got, want = bodies(wbf)
+        assert got == want
+        # Decoded off the wire: positions share one frozenset per distinct
+        # weight set.
+        decoded = wire.decode(wire.encode(wbf))
+        got, want = bodies(decoded)
+        assert got == want
+        # Insertions after decode mix shared frozensets with private sets.
+        for item, weight in later:
+            decoded.add(item, weight)
+        got, want = bodies(decoded)
+        assert got == want
 
     def test_the_highest_bit_spells_a_shared_table_entry(self):
-        wbf = WeightedBloomFilter(64, 1, seed=0, backend="python")
+        wbf = WeightedBloomFilter(64, 1, seed=0)
         wbf.add("low", 1)
         wbf.add("high", Fraction(1))
         positions = [position for position, _ in wbf.weight_entries()]
@@ -131,7 +128,7 @@ class TestWbfBodyMatchesTheReference:
         assert type(weight) is (Fraction if highest == "high" else int)
 
     def test_a_bit_without_weights_is_still_refused(self):
-        wbf = WeightedBloomFilter(32, 2, seed=1, backend="python")
+        wbf = WeightedBloomFilter(32, 2, seed=1)
         wbf.add("x", Fraction(1, 2))
         wbf._bits.set(next(p for p in range(32) if p not in wbf._weights))
         for writer in (_write_wbf_body, reference_wbf_body):

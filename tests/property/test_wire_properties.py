@@ -3,9 +3,8 @@
 Three invariants, over randomized artifacts:
 
 1. ``decode(encode(x)) == x`` for every protocol artifact type;
-2. encodings are *canonical*: the same logical filter built on the pure-Python
-   and NumPy bit backends (or with weights inserted in any order) encodes to
-   byte-identical output;
+2. encodings are *canonical*: the same logical filter built with weights
+   inserted in any order encodes to byte-identical output;
 3. compression never changes the decoded artifact.
 """
 
@@ -16,16 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import wire
-from repro.bloom.backend import available_backends
 from repro.bloom.standard import BloomFilter
 from repro.core.protocol import MatchReport
 from repro.core.wbf import WeightedBloomFilter
 from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import LocalPattern
 from repro.timeseries.query import QueryPattern
-
-BACKENDS = available_backends()
-HAS_NUMPY_BACKEND = "numpy" in BACKENDS
 
 identifiers = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=12
@@ -59,9 +54,9 @@ wbf_params = st.tuples(
 )
 
 
-def build_wbf(params, backend: str) -> WeightedBloomFilter:
+def build_wbf(params) -> WeightedBloomFilter:
     bit_count, hash_count, seed, entries = params
-    wbf = WeightedBloomFilter(bit_count, hash_count, seed=seed, backend=backend)
+    wbf = WeightedBloomFilter(bit_count, hash_count, seed=seed)
     for item, weight in entries:
         wbf.add(item, weight)
     return wbf
@@ -70,28 +65,16 @@ def build_wbf(params, backend: str) -> WeightedBloomFilter:
 class TestFilterRoundTrips:
     @given(params=wbf_params)
     @settings(max_examples=40, deadline=None)
-    def test_wbf_round_trip_all_backends(self, params):
-        for backend in BACKENDS:
-            wbf = build_wbf(params, backend)
-            decoded = wire.decode(wire.encode(wbf), backend=backend)
-            assert decoded == wbf
-            assert decoded.backend_name == wbf.backend_name
-
-    @given(params=wbf_params)
-    @settings(max_examples=40, deadline=None)
-    def test_wbf_bytes_identical_across_backends(self, params):
-        if not HAS_NUMPY_BACKEND:
-            pytest.skip("NumPy backend unavailable")
-        assert wire.encode(build_wbf(params, "python")) == wire.encode(
-            build_wbf(params, "numpy")
-        )
+    def test_wbf_round_trip(self, params):
+        wbf = build_wbf(params)
+        assert wire.decode(wire.encode(wbf)) == wbf
 
     @given(params=wbf_params)
     @settings(max_examples=25, deadline=None)
     def test_wbf_bytes_independent_of_insertion_order(self, params):
         bit_count, hash_count, seed, entries = params
-        forward = build_wbf(params, "python")
-        backward = build_wbf((bit_count, hash_count, seed, list(reversed(entries))), "python")
+        forward = build_wbf(params)
+        backward = build_wbf((bit_count, hash_count, seed, list(reversed(entries))))
         assert wire.encode(forward) == wire.encode(backward)
 
     @given(
@@ -101,21 +84,16 @@ class TestFilterRoundTrips:
         entries=st.lists(items, max_size=60),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bloom_round_trip_and_backend_identity(self, bit_count, hash_count, seed, entries):
-        encodings = []
-        for backend in BACKENDS:
-            bloom = BloomFilter(bit_count, hash_count, seed=seed, backend=backend)
-            for item in entries:
-                bloom.add(item)
-            data = wire.encode(bloom)
-            encodings.append(data)
-            assert wire.decode(data, backend=backend) == bloom
-        assert len(set(encodings)) == 1
+    def test_bloom_round_trip(self, bit_count, hash_count, seed, entries):
+        bloom = BloomFilter(bit_count, hash_count, seed=seed)
+        for item in entries:
+            bloom.add(item)
+        assert wire.decode(wire.encode(bloom)) == bloom
 
     @given(params=wbf_params)
     @settings(max_examples=25, deadline=None)
     def test_compression_is_lossless(self, params):
-        wbf = build_wbf(params, "python")
+        wbf = build_wbf(params)
         assert wire.decode(wire.encode(wbf, compress=True)) == wbf
 
 
@@ -197,7 +175,7 @@ class TestDecoderRobustness:
     @given(params=wbf_params, cut=st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
     def test_truncation_never_escapes_typed_error(self, params, cut):
-        data = wire.encode(build_wbf(params, "python"))
+        data = wire.encode(build_wbf(params))
         truncated = data[: min(cut, len(data) - 1)]
         with pytest.raises(wire.WireFormatError):
             wire.decode(truncated)
@@ -216,7 +194,7 @@ class TestDecoderRobustness:
         # Values beyond the wire's 64-bit numeric range must surface as the
         # typed unsupported error (so size accounting can fall back), never as
         # a bare ValueError.
-        wbf = WeightedBloomFilter(32, 1, backend="python")
+        wbf = WeightedBloomFilter(32, 1)
         wbf.add(1, Fraction(1, 2**exponent))
         with pytest.raises(wire.UnsupportedWireTypeError):
             wire.encode(wbf)

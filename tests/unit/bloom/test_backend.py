@@ -1,250 +1,154 @@
-"""Backend-equivalence suite for the pluggable bit substrate.
+"""One bit store: every filter keeps its bits in a ``BitArray``.
 
-Property-style tests over randomized inserts asserting that every available
-backend produces identical bits, counts, unions, serializations and query
-verdicts.  The suite is the contract that makes ``bit_backend`` a pure
-throughput knob: center and stations may disagree on it and still interoperate.
+There is no bit-storage choice anywhere: no configuration field, no
+``backend`` parameter on a filter, a codec reader, a message, a node, a
+transport, a worker, the facade or the workload engine, and no command-line
+flag.  ``repro.bloom.backend`` keeps one function, read by the system
+benchmark's machine fingerprint; it names the one store.
+
+The cluster, workload and command-line surfaces need NumPy and are skipped
+without it; everything else here runs without NumPy.
 """
 
-from __future__ import annotations
-
-import random
-from fractions import Fraction
+import dataclasses
+import inspect
 
 import pytest
 
-from repro import wire
-from repro.bloom.backend import (
-    BACKEND_CHOICES,
-    HAS_NUMPY,
-    BackendUnavailableError,
-    BytearrayBackend,
-    available_backends,
-    make_backend,
-    resolve_backend_class,
-)
+import repro.bloom
+import repro.bloom.backend as backend_module
+from repro.bloom.backend import resolve_backend_class
 from repro.bloom.bitset import BitArray
 from repro.bloom.standard import BloomFilter
+from repro.core.config import DIMatchingConfig
 from repro.core.wbf import WeightedBloomFilter
+from repro.distributed.executor import SharedArtifactToken
+from repro.distributed.transport import worker
 
-BACKENDS = available_backends()
-LENGTHS = (1, 7, 64, 65, 1000)
+#: Every call the bit-storage knob used to reach, as ``module:qualname``.
+FORMER_KNOB_CALLS = [
+    "repro.bloom.bitset:BitArray.__init__",
+    "repro.bloom.bitset:BitArray.from_indices",
+    "repro.bloom.bitset:BitArray.from_bytes",
+    "repro.bloom.standard:BloomFilter.__init__",
+    "repro.bloom.standard:BloomFilter.from_state",
+    "repro.core.wbf:WeightedBloomFilter.__init__",
+    "repro.core.wbf:WeightedBloomFilter.from_state",
+    "repro.wire.codec:decode",
+    "repro.wire.codec:read_frame",
+    "repro.wire.codec:_decode_payload_cached",
+    "repro.wire.codec:_read_config_block",
+    "repro.wire.codec:_read_bloom_body",
+    "repro.wire.codec:_read_wbf_body",
+    "repro.wire.codec:_read_batch_body",
+    "repro.wire.codec:_read_report_body",
+    "repro.wire.codec:_read_pattern_body",
+    "repro.wire.codec:_read_local_pattern_body",
+    "repro.wire.codec:_read_query_body",
+    "repro.wire.codec:_read_query_batch_body",
+    "repro.wire.codec:_read_object_list_body",
+    "repro.wire.codec:_read_message_body",
+    "repro.distributed.messages:Message.from_wire",
+    "repro.distributed.node:Node.receive_wire",
+    "repro.distributed.node:Node.receive_frame",
+    "repro.distributed.transport.base:Transport.__init__",
+    "repro.distributed.network:SimulatedNetwork.__init__",
+    "repro.distributed.transport.tcp:TcpTransportManager.__init__",
+    "repro.distributed.transport.tcp:TcpTransportManager.create_transport",
+    "repro.distributed.transport.tcp:TcpTransport.__init__",
+    "repro.distributed.transport.worker:StationWorker.__init__",
+    "repro.cluster.facade:Cluster._build_transport",
+    "repro.cluster.spec:ClusterSpec.from_workload",
+    "repro.workloads.engine:run_workload",
+]
 
-
-def random_items(rng: random.Random, count: int) -> list[object]:
-    items: list[object] = []
-    for _ in range(count):
-        kind = rng.randrange(4)
-        if kind == 0:
-            items.append(rng.randrange(10**6))
-        elif kind == 1:
-            items.append(f"user-{rng.randrange(1000)}")
-        elif kind == 2:
-            items.append((rng.randrange(48), rng.randrange(500)))
-        else:
-            items.append(bytes([rng.randrange(256)]))
-    return items
-
-
-class TestBackendSelection:
-    def test_available_backends_always_include_python(self):
-        assert "python" in BACKENDS
-
-    def test_auto_resolves_to_an_available_backend(self):
-        cls = resolve_backend_class("auto")
-        assert cls(8).name in BACKENDS
-
-    def test_explicit_python_backend(self):
-        assert resolve_backend_class("python") is BytearrayBackend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown bit backend"):
-            resolve_backend_class("bitarray")
-
-    @pytest.mark.skipif(HAS_NUMPY, reason="only meaningful without NumPy")
-    def test_numpy_backend_unavailable_raises(self):
-        with pytest.raises(BackendUnavailableError):
-            resolve_backend_class("numpy")
-
-    def test_backend_choices_cover_config_values(self):
-        assert set(BACKEND_CHOICES) == {"auto", "python", "numpy"}
-
-    def test_make_backend_passthrough_checks_length(self):
-        backend = make_backend(64, "python")
-        assert make_backend(64, backend) is backend
-        with pytest.raises(ValueError, match="64 bits"):
-            make_backend(128, backend)
+KNOB_NAMES = {"backend", "decode_backend", "bit_backend"}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestSingleBackendBehaviour:
-    def test_set_get_clear_roundtrip(self, backend):
-        rng = random.Random(101)
-        bits = BitArray(257, backend=backend)
-        chosen = sorted(rng.sample(range(257), 40))
-        for index in chosen:
-            assert bits.set(index) is True
-            assert bits.set(index) is False
-        assert [i for i in range(257) if bits.get(i)] == chosen
-        assert bits.count() == len(chosen)
-        for index in chosen[::2]:
-            bits.clear(index)
-        assert bits.count() == len(chosen) - len(chosen[::2])
+def resolve(target: str):
+    """The object ``module:qualname`` names; skipped when its module needs NumPy."""
+    module_name, _, qualname = target.partition(":")
+    obj = pytest.importorskip(module_name, exc_type=ImportError)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
 
-    def test_out_of_range_indices_rejected(self, backend):
-        bits = BitArray(32, backend=backend)
-        with pytest.raises(IndexError):
-            bits.get(32)
-        with pytest.raises(IndexError):
-            bits.set(-1)
-        with pytest.raises(IndexError):
-            bits.set_many([0, 5, 32])
 
-    def test_set_many_matches_scalar_sets(self, backend):
-        rng = random.Random(7)
-        indices = [rng.randrange(500) for _ in range(200)]
-        batched = BitArray(500, backend=backend)
-        batched.set_many(indices)
-        scalar = BitArray(500, backend=backend)
-        for index in indices:
-            scalar.set(index)
-        assert batched == scalar
-        assert batched.get_many(indices) == [True] * len(indices)
+class TestOneBitStore:
+    @pytest.mark.parametrize("target", FORMER_KNOB_CALLS)
+    def test_no_call_takes_a_bit_store_choice(self, target):
+        parameters = inspect.signature(resolve(target)).parameters
+        assert not KNOB_NAMES & set(parameters)
 
-    def test_all_set_rows(self, backend):
-        bits = BitArray(100, backend=backend)
-        bits.set_many([1, 2, 3, 10, 11])
-        assert bits.all_set_rows([[1, 2, 3], [1, 10, 11], [1, 2, 4]]) == [
-            True,
-            True,
-            False,
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BitArray(8), lambda: BloomFilter(8, 1), lambda: WeightedBloomFilter(8, 1)],
+        ids=["BitArray", "BloomFilter", "WeightedBloomFilter"],
+    )
+    def test_no_store_names_a_backend(self, build):
+        assert [name for name in dir(build()) if "backend" in name] == []
+
+    def test_the_shared_artifact_token_names_only_its_segment(self):
+        names = [field.name for field in dataclasses.fields(SharedArtifactToken)]
+        assert names == ["name", "size", "crc"]
+
+    def test_the_bloom_package_exports_no_backend_name(self):
+        assert sorted(repro.bloom.__all__) == [
+            "BitArray",
+            "BloomFilter",
+            "HashFamily",
+            "expected_false_positive_rate",
+            "fill_ratio",
         ]
-        assert bits.all_set_rows([]) == []
+        for name in (
+            "BACKEND_CHOICES",
+            "HAS_NUMPY",
+            "BackendUnavailableError",
+            "BitBackend",
+            "BytearrayBackend",
+            "NumpyBackend",
+            "available_backends",
+            "make_backend",
+            "resolve_backend_class",
+        ):
+            assert not hasattr(repro.bloom, name), name
 
-    def test_all_set_rows_ragged_rows(self, backend):
-        bits = BitArray(100, backend=backend)
-        bits.set_many([1, 2, 3])
-        # Ragged rows can't be vectorized as a matrix; every backend must still
-        # answer them (generic fallback) with identical verdicts.
-        assert bits.all_set_rows([[1, 2], [3], [1, 4, 2]]) == [True, True, False]
+    def test_the_backend_module_defines_only_the_fingerprint_function(self):
+        defined = [
+            name
+            for name, value in vars(backend_module).items()
+            if getattr(value, "__module__", None) == backend_module.__name__
+        ]
+        assert defined == ["resolve_backend_class"]
 
-    def test_iter_set_bits_and_size(self, backend):
-        bits = BitArray(77, backend=backend)
-        bits.set_many([0, 8, 63, 64, 76])
-        assert list(bits.iter_set_bits()) == [0, 8, 63, 64, 76]
-        assert len(bits.to_bytes()) == 10  # ceil(77 / 8), identical on every backend
+    def test_the_fingerprint_names_the_one_store(self):
+        # benchmarks/system/run.py records this name as "bit_backend".
+        assert resolve_backend_class("auto") is BitArray
+        assert resolve_backend_class("auto").name == "python"
 
+    def test_the_config_refuses_a_bit_backend(self):
+        with pytest.raises(TypeError, match="bit_backend"):
+            DIMatchingConfig(bit_backend="python")
+        with pytest.raises(TypeError, match="bit_backend"):
+            DIMatchingConfig().with_updates(bit_backend="python")
 
-@pytest.mark.parametrize("length", LENGTHS)
-def test_backends_produce_identical_bits(length):
-    rng = random.Random(length)
-    indices = [rng.randrange(length) for _ in range(max(1, length // 2))]
-    arrays = {name: BitArray(length, backend=name) for name in BACKENDS}
-    for bits in arrays.values():
-        bits.set_many(indices)
-    reference = arrays["python"]
-    for name, bits in arrays.items():
-        assert bits.to_bytes() == reference.to_bytes(), name
-        assert bits.count() == reference.count(), name
-        assert bits == reference, name
+    def test_the_worker_refuses_a_decode_backend_flag(self, monkeypatch):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was built")
 
+        monkeypatch.setattr(worker, "StationWorker", no_worker)
+        argv = ["--port", "1", "--station-id", "bs-0", "--decode-backend", "auto"]
+        with pytest.raises(SystemExit) as exited:
+            worker.main(argv)
+        assert exited.value.code == 2
 
-@pytest.mark.parametrize("length", LENGTHS)
-def test_union_and_intersection_agree_across_backends(length):
-    rng = random.Random(1000 + length)
-    left = [rng.randrange(length) for _ in range(max(1, length // 3))]
-    right = [rng.randrange(length) for _ in range(max(1, length // 3))]
-    results = {}
-    for name in BACKENDS:
-        a = BitArray.from_indices(length, left, backend=name)
-        b = BitArray.from_indices(length, right, backend=name)
-        results[name] = ((a | b).to_bytes(), (a & b).to_bytes(), (a | b).count())
-    reference = results["python"]
-    for name, result in results.items():
-        assert result == reference, name
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="needs both backends")
-def test_cross_backend_union_and_equality():
-    numpy_bits = BitArray.from_indices(200, [1, 50, 199], backend="numpy")
-    python_bits = BitArray.from_indices(200, [1, 64, 128], backend="python")
-    assert numpy_bits != python_bits
-    union = numpy_bits | python_bits
-    assert sorted(union.iter_set_bits()) == [1, 50, 64, 128, 199]
-    assert BitArray.from_indices(200, [1, 50, 199], backend="python") == numpy_bits
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="needs NumPy")
-def test_numpy_row_test_keeps_the_bounds_check():
-    bits = BitArray(32, backend="numpy")
-    bits.set_many([0, 31])
-    assert bits.all_set_rows([[0, 31], [31, 0]]) == [True, True]
-    with pytest.raises(IndexError):
-        bits.all_set_rows([[0, 32]])
-    with pytest.raises(IndexError):
-        bits.all_set_rows([[-1, 0]])
-    # An index past int32 range is reported, never wrapped into range.
-    with pytest.raises(IndexError):
-        bits.all_set_rows([[0, 2**32]])
-
-
-@pytest.mark.parametrize("trial", range(5))
-def test_bloom_filters_equivalent_across_backends(trial):
-    rng = random.Random(40 + trial)
-    inserted = random_items(rng, 150)
-    probes = inserted + random_items(rng, 150)
-    filters = {
-        name: BloomFilter(bit_count=2048, hash_count=4, seed=trial, backend=name)
-        for name in BACKENDS
-    }
-    for bloom in filters.values():
-        bloom.add_many(inserted)
-    reference = filters["python"]
-    for name, bloom in filters.items():
-        assert bloom.bits.to_bytes() == reference.bits.to_bytes(), name
-        assert bloom.fill_ratio() == reference.fill_ratio(), name
-        assert bloom.contains_many(probes) == reference.contains_many(probes), name
-        # scalar and batched probes agree on every backend
-        assert bloom.contains_many(probes) == [item in bloom for item in probes], name
-
-
-@pytest.mark.parametrize("trial", range(5))
-def test_weighted_bloom_filters_equivalent_across_backends(trial):
-    rng = random.Random(70 + trial)
-    groups = {
-        ("q1", Fraction(1, 3)): random_items(rng, 60),
-        ("q1", Fraction(2, 3)): random_items(rng, 60),
-        ("q2", Fraction(1, 2)): random_items(rng, 60),
-    }
-    probes = [item for items in groups.values() for item in items] + random_items(rng, 100)
-    filters = {
-        name: WeightedBloomFilter(bit_count=4096, hash_count=4, seed=trial, backend=name)
-        for name in BACKENDS
-    }
-    for wbf in filters.values():
-        for weight, items in groups.items():
-            wbf.insert_many(items, weight)
-    reference = filters["python"]
-    for name, wbf in filters.items():
-        assert wbf.item_count == reference.item_count, name
-        assert wbf.fill_ratio() == reference.fill_ratio(), name
-        assert wbf.distinct_weights() == reference.distinct_weights(), name
-        assert wire.encode(wbf) == wire.encode(reference), name
-        assert wbf.query_many(probes) == reference.query_many(probes), name
-        # batched and scalar weighted queries agree on every backend
-        assert wbf.query_many(probes) == [wbf.query_weights(item) for item in probes], name
-
-
-def test_insert_many_matches_scalar_add():
-    rng = random.Random(5)
-    items = random_items(rng, 120)
-    weight = ("q", Fraction(1, 4))
-    for name in BACKENDS:
-        batched = WeightedBloomFilter(bit_count=2048, hash_count=4, backend=name)
-        batched.insert_many(items, weight)
-        scalar = WeightedBloomFilter(bit_count=2048, hash_count=4, backend=name)
-        for item in items:
-            scalar.add(item, weight)
-        assert batched.item_count == scalar.item_count
-        assert batched.query_many(items) == scalar.query_many(items)
-        assert wire.encode(batched) == wire.encode(scalar)
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare"], ["workload", "run", "steady-state"]],
+        ids=["compare", "workload-run"],
+    )
+    def test_the_cli_refuses_a_bit_backend_flag(self, argv):
+        main = resolve("repro.cli:main")
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--bit-backend", "python"])
+        assert exited.value.code == 2

@@ -59,6 +59,12 @@ class TestBitOperations:
         with pytest.raises(IndexError):
             bits.set(-1)
 
+    def test_set_many_rejects_an_out_of_range_index(self):
+        bits = BitArray(32)
+        for bad in (32, -1):
+            with pytest.raises(IndexError):
+                bits.set_many([0, 5, bad])
+
     def test_non_integer_index_rejected(self):
         bits = BitArray(8)
         with pytest.raises(TypeError):

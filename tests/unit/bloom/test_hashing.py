@@ -68,19 +68,6 @@ class TestHashFamily:
         family = HashFamily(4, 1 << 20)
         assert family.positions("a") != family.positions("b")
 
-    def test_positions_many(self):
-        family = HashFamily(2, 64)
-        results = family.positions_many(["a", "b"])
-        assert len(results) == 2
-        assert results[0] == family.positions("a")
-
-    def test_with_range_preserves_k_and_seed(self):
-        family = HashFamily(3, 64, seed=7)
-        resized = family.with_range(128)
-        assert resized.hash_count == 3
-        assert resized.seed == 7
-        assert resized.value_range == 128
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             HashFamily(0, 10)

@@ -1,5 +1,7 @@
 """Unit tests for the classic Bloom filter."""
 
+import random
+
 import pytest
 
 from repro.bloom.standard import BloomFilter
@@ -76,12 +78,17 @@ class TestStateAndEquality:
     def test_from_state_rebuilds_an_equal_filter(self):
         bloom = BloomFilter(300, 3, seed=7)
         bloom.add_many(range(25))
-        rebuilt = BloomFilter.from_state(
-            300, 3, 7, bloom.bits.to_bytes(), bloom.item_count, backend="python"
-        )
+        rebuilt = BloomFilter.from_state(300, 3, 7, bloom.bits.to_bytes(), bloom.item_count)
         assert rebuilt == bloom
-        assert rebuilt.backend_name == "python"
         assert all(value in rebuilt for value in range(25))
+
+    def test_from_state_refuses_set_padding_bits(self):
+        # 300 bits leave 4 padding bits in the last byte; a set one would
+        # count towards the fill ratio without being a filter bit.
+        bits = bytearray(BloomFilter(300, 3).bits.to_bytes())
+        bits[-1] |= 0x10
+        with pytest.raises(ValueError, match="padding"):
+            BloomFilter.from_state(300, 3, 7, bytes(bits), 0)
 
     def test_equality_compares_seed_item_count_and_bits(self):
         def build(seed=1, items=("a", "b")):
@@ -139,13 +146,38 @@ class TestUnion:
         with pytest.raises(TypeError):
             BloomFilter(64, 2).union(object())
 
-    def test_union_keeps_the_backend_and_leaves_operands_unchanged(self):
-        a = BloomFilter(256, 3, seed=4, backend="python")
-        b = BloomFilter(256, 3, seed=4, backend="python")
+    def test_union_leaves_operands_unchanged(self):
+        a = BloomFilter(256, 3, seed=4)
+        b = BloomFilter(256, 3, seed=4)
         a.add_many(range(5))
         b.add_many(range(5, 10))
         a_bytes, b_bytes = a.bits.to_bytes(), b.bits.to_bytes()
         merged = a.union(b)
-        assert merged.backend_name == "python"
+        assert merged.bits == a.bits | b.bits
         assert (a.bits.to_bytes(), b.bits.to_bytes()) == (a_bytes, b_bytes)
         assert (a.item_count, b.item_count) == (5, 5)
+
+
+def random_items(rng: random.Random, count: int) -> list[object]:
+    """Items of every kind the filters hash: ints, strings, tuples, bytes."""
+    kinds = (
+        lambda: rng.randrange(10**6),
+        lambda: f"user-{rng.randrange(1000)}",
+        lambda: (rng.randrange(48), rng.randrange(500)),
+        lambda: bytes([rng.randrange(256)]),
+    )
+    return [rng.choice(kinds)() for _ in range(count)]
+
+
+class TestBatchedPaths:
+    @pytest.mark.parametrize("trial", range(5))
+    def test_batched_and_scalar_probes_agree(self, trial):
+        # contains_many reads HashFamily.indices_batch (vectorized with
+        # NumPy), contains the scalar positions of each item.
+        rng = random.Random(40 + trial)
+        inserted = random_items(rng, 150)
+        probes = inserted + random_items(rng, 150)
+        bloom = BloomFilter(bit_count=2048, hash_count=4, seed=trial)
+        bloom.add_many(inserted)
+        assert bloom.contains_many(probes) == [item in bloom for item in probes]
+        assert all(bloom.contains_many(inserted))

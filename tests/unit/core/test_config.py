@@ -78,13 +78,13 @@ class TestWithUpdates:
 
 
 class TestConfigBoundary:
-    def test_holds_only_the_wire_fields_and_the_bit_backend(self):
+    def test_holds_only_the_wire_fields(self):
         # Deployment knobs (executor, shards, fault profile, net seed) live on
         # the cluster specs; the protocol config is what the filter means.
         from repro.wire.codec import _CONFIG_WIRE_FIELDS
 
         names = {field.name for field in fields(DIMatchingConfig)}
-        assert names == set(_CONFIG_WIRE_FIELDS) | {"bit_backend"}
+        assert names == set(_CONFIG_WIRE_FIELDS)
 
     @pytest.mark.parametrize("knob", ["executor", "shard_count", "fault_profile", "net_seed"])
     def test_deployment_knobs_are_refused(self, knob):

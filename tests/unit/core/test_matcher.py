@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bloom.backend import HAS_NUMPY
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.exceptions import MatchingError
@@ -36,7 +35,7 @@ class TestPackedProbe:
     @pytest.mark.parametrize("row_count", [0, 1, 1600])
     @pytest.mark.parametrize("dtype_name", ["int32", "int64"])
     def test_packed_rows_equal_the_nested_conversion(self, row_count, dtype_name):
-        np = pytest.importorskip("numpy")
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         dtype = getattr(np, dtype_name)
         rows = [[(7 * row + column) % 997 for column in range(4)] for row in range(row_count)]
         packed = _packed_rows(rows, 4, dtype)
@@ -49,7 +48,7 @@ class TestPackedProbe:
         assert packed.flags["C_CONTIGUOUS"]
 
     def test_a_station_probe_is_packed_on_both_dtypes(self):
-        np = pytest.importorskip("numpy")
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         from repro.bloom.hashing import HashFamily
 
         patterns = PatternSet(
@@ -153,13 +152,12 @@ class TestMatchAgainst:
         assert {r.user_id for r in second} == {"bob"}
 
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both bit backends")
-    def test_probe_is_shared_across_backends_and_rebuilt_per_family(self, config):
+    def test_probe_is_reused_and_rebuilt_per_family(self, config):
         from repro import wire
 
         batch = PatternEncoder(config).encode_batch([_query()])
-        on_python = wire.decode(wire.encode(batch), backend="python")
-        on_numpy = wire.decode(wire.encode(batch), backend="numpy")
+        first = wire.decode(wire.encode(batch))
+        second = wire.decode(wire.encode(batch))
         other_family = PatternEncoder(config.with_updates(bits_per_element=64)).encode_batch(
             [_query()]
         )
@@ -170,15 +168,15 @@ class TestMatchAgainst:
             ]
         )
         matcher = BaseStationMatcher(config, "bs-9", patterns)
-        expected = matcher.match_against(on_numpy)
+        expected = matcher.match_against(first)
         assert [r.user_id for r in expected] == ["match-global"]
         probe = matcher._probe
-        # The probe is reused across bit backends, rebuilt only for another
-        # hash family, and rebuilt again on the way back: every round
-        # answers the same.
-        assert matcher.match_against(on_python) == expected
+        # The probe is reused by another filter of the same hash family,
+        # rebuilt only for another family, and rebuilt again on the way
+        # back: every round answers the same.
+        assert matcher.match_against(second) == expected
         assert matcher._probe is probe
-        for encoded in (other_family, on_numpy, on_python):
+        for encoded in (other_family, first, second):
             assert matcher.match_against(encoded) == expected
         assert matcher._probe is not probe
 

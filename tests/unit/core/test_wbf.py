@@ -1,11 +1,15 @@
 """Unit tests for the Weighted Bloom Filter."""
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+from repro import wire
 from repro.core.wbf import WeightedBloomFilter
+
+from ..bloom.test_standard import random_items
 
 
 class TestInsertionAndMembership:
@@ -133,8 +137,8 @@ class TestIntrospection:
 
 
 class TestStateAndEquality:
-    def _filled(self, backend="auto"):
-        wbf = WeightedBloomFilter(512, 3, seed=11, backend=backend)
+    def _filled(self):
+        wbf = WeightedBloomFilter(512, 3, seed=11)
         wbf.add_many(range(12), ("q1", Fraction(1, 3)))
         wbf.add_many(range(8, 20), ("q1", Fraction(2, 3)))
         return wbf
@@ -159,14 +163,16 @@ class TestStateAndEquality:
             wbf._bits.to_bytes(),
             dict(wbf.weight_entries()),
             wbf.item_count,
-            backend="python",
         )
         assert rebuilt == wbf
-        assert rebuilt.backend_name == "python"
         assert rebuilt.query_many(range(20)) == wbf.query_many(range(20))
 
-    def test_equality_ignores_the_backend(self):
-        assert self._filled("python") == self._filled("auto")
+    def test_from_state_refuses_set_padding_bits(self):
+        # 500 bits leave 4 padding bits in the last of their 63 bytes.
+        bits = bytearray(63)
+        bits[-1] = 0x10
+        with pytest.raises(ValueError, match="padding"):
+            WeightedBloomFilter.from_state(500, 3, 11, bytes(bits), {}, 0)
 
     def test_equality_compares_weights_not_only_bits(self):
         a = WeightedBloomFilter(256, 3)
@@ -195,3 +201,32 @@ class TestStateAndEquality:
         masks = wbf.position_masks()
         assert len(masks) == wbf.bit_count
         assert {p for p, mask in enumerate(masks) if mask} == set_bits
+
+
+class TestBatchedPaths:
+    @pytest.mark.parametrize("trial", range(5))
+    def test_batched_and_scalar_queries_agree(self, trial):
+        rng = random.Random(70 + trial)
+        groups = {
+            ("q1", Fraction(1, 3)): random_items(rng, 60),
+            ("q1", Fraction(2, 3)): random_items(rng, 60),
+            ("q2", Fraction(1, 2)): random_items(rng, 60),
+        }
+        probes = [item for items in groups.values() for item in items]
+        probes += random_items(rng, 100)
+        wbf = WeightedBloomFilter(bit_count=4096, hash_count=4, seed=trial)
+        for weight, items in groups.items():
+            wbf.insert_many(items, weight)
+        assert wbf.query_many(probes) == [wbf.query_weights(item) for item in probes]
+
+    def test_insert_many_matches_scalar_add(self):
+        items = random_items(random.Random(5), 120)
+        weight = ("q", Fraction(1, 4))
+        batched = WeightedBloomFilter(bit_count=2048, hash_count=4)
+        batched.insert_many(items, weight)
+        scalar = WeightedBloomFilter(bit_count=2048, hash_count=4)
+        for item in items:
+            scalar.add(item, weight)
+        assert batched.item_count == scalar.item_count
+        assert batched.query_many(items) == scalar.query_many(items)
+        assert wire.encode(batched) == wire.encode(scalar)

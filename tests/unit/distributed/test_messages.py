@@ -55,7 +55,7 @@ class TestMessage:
 
         from repro.core.wbf import WeightedBloomFilter
 
-        wbf = WeightedBloomFilter(64, 3, seed=1, backend="python")
+        wbf = WeightedBloomFilter(64, 3, seed=1)
         wbf.add("item", ("q1", Fraction(1, 3)))
         messages = [
             Message("agg", f"s{i}", MessageKind.FILTER_DISSEMINATION, wbf) for i in range(3)

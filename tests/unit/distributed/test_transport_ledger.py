@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro.distributed.network import SimulatedNetwork
-from repro.distributed.transport.base import Transport
+from repro.distributed.transport.base import DeliveredFrames, Transport
 from repro.distributed.transport.tcp import TcpTransport
 
 #: The members only :class:`Transport` may define.
@@ -63,6 +63,16 @@ def test_a_backend_defines_no_ledger_member(backend):
 def test_a_backend_defines_its_own_phase_verbs(backend):
     assert "broadcast" in vars(backend)
     assert "gather" in vars(backend)
+
+
+def test_a_delivered_frame_is_recorded_as_its_head_and_payload_block():
+    frames = DeliveredFrames()
+    with pytest.raises(TypeError):
+        frames.record("downlink", "bs-0", b"head")
+    frames.record("downlink", "bs-0", b"head", b"-block")
+    frames.record("uplink", "bs-0", b"report", b"")
+    assert frames.grouped("downlink") == {"bs-0": (b"head-block",)}
+    assert frames.grouped("uplink") == {"bs-0": (b"report",)}
 
 
 def test_importing_the_tcp_backend_starts_nothing_and_needs_no_numpy():

@@ -47,7 +47,7 @@ SENDS_BEFORE = 2
 
 
 def _artifact() -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(64, 2, seed=5, backend="python")
+    wbf = WeightedBloomFilter(64, 2, seed=5)
     wbf.add("x", ("q", Fraction(1, 2)))
     return wbf
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from repro import wire
-from repro.bloom.backend import available_backends
 from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
@@ -15,11 +14,8 @@ from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import GlobalPattern, LocalPattern, Pattern
 from repro.timeseries.query import QueryPattern
 
-BACKENDS = available_backends()
-
-
-def make_wbf(backend: str = "python") -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(256, 4, seed=3, backend=backend)
+def make_wbf() -> WeightedBloomFilter:
+    wbf = WeightedBloomFilter(256, 4, seed=3)
     wbf.add(10, ("q1", Fraction(1, 3)))
     wbf.add_many([11, 12, "a", (0, 7)], ("q1", Fraction(2, 3)))
     wbf.add(5, Fraction(1, 2))
@@ -37,36 +33,25 @@ def make_queries() -> tuple[QueryPattern, ...]:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bloom_filter(self, backend):
-        bloom = BloomFilter(200, 3, seed=9, backend=backend)
+    def test_bloom_filter(self):
+        bloom = BloomFilter(200, 3, seed=9)
         bloom.add_many([1, "x", (2, "y"), 3.5])
-        decoded = wire.decode(wire.encode(bloom), backend=backend)
+        decoded = wire.decode(wire.encode(bloom))
         assert decoded == bloom
         assert decoded.contains("x") and decoded.contains(1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_weighted_bloom_filter(self, backend):
-        wbf = make_wbf(backend)
-        decoded = wire.decode(wire.encode(wbf), backend=backend)
+    def test_weighted_bloom_filter(self):
+        wbf = make_wbf()
+        decoded = wire.decode(wire.encode(wbf))
         assert decoded == wbf
         assert decoded.query_weights(10) == wbf.query_weights(10)
         assert decoded.query_weights(5) == wbf.query_weights(5)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_encoded_query_batch(self, backend):
-        config = DIMatchingConfig(sample_count=4, epsilon=1, bit_backend=backend)
+    def test_encoded_query_batch(self):
+        config = DIMatchingConfig(sample_count=4, epsilon=1)
         batch = PatternEncoder(config).encode_batch(list(make_queries()))
-        decoded = wire.decode(wire.encode(batch), backend=backend)
+        decoded = wire.decode(wire.encode(batch))
         assert decoded == batch
-
-    def test_decode_backend_is_a_local_choice(self):
-        if "numpy" not in BACKENDS:
-            pytest.skip("NumPy backend unavailable")
-        wbf = make_wbf("python")
-        decoded = wire.decode(wire.encode(wbf), backend="numpy")
-        assert decoded.backend_name == "numpy"
-        assert decoded == wbf
 
     def test_match_reports_and_lists(self):
         reports = [
@@ -184,21 +169,6 @@ class TestRoundTrips:
         assert Message.from_wire(fresh).payload == batch
 
 
-class TestBackendIdenticalBytes:
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="NumPy backend unavailable")
-    def test_wbf_bytes_identical_across_backends(self):
-        assert wire.encode(make_wbf("python")) == wire.encode(make_wbf("numpy"))
-
-    @pytest.mark.skipif("numpy" not in BACKENDS, reason="NumPy backend unavailable")
-    def test_batch_bytes_identical_across_backends(self):
-        queries = list(make_queries())
-        encodings = []
-        for backend in ("python", "numpy"):
-            config = DIMatchingConfig(sample_count=4, epsilon=1, bit_backend=backend)
-            encodings.append(wire.encode(PatternEncoder(config).encode_batch(queries)))
-        assert encodings[0] == encodings[1]
-
-
 class TestErrorHandling:
     def test_unsupported_payload_raises_typed_error(self):
         class Opaque:
@@ -254,7 +224,7 @@ class TestErrorHandling:
         # A filter whose bit count is not a multiple of 8 leaves padding bits
         # in the final byte; a buffer with any of them set is non-canonical and
         # must be rejected, not decoded into a filter with a wrong popcount.
-        bloom = BloomFilter(4, 1, backend="python")
+        bloom = BloomFilter(4, 1)
         data = bytearray(wire.encode(bloom))
         data[-1] = 0xF0  # only padding bits set
         with pytest.raises(wire.WireFormatError):
@@ -294,7 +264,7 @@ class TestErrorHandling:
             wire.decode(data)
 
     def test_inconsistent_weight_map_cannot_encode(self):
-        wbf = WeightedBloomFilter(64, 2, backend="python")
+        wbf = WeightedBloomFilter(64, 2)
         wbf.add(1, Fraction(1, 2))
         # Attach a weight to a clear bit behind the API's back.
         wbf._weights[63] = {Fraction(1, 3)}

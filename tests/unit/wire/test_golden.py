@@ -43,13 +43,13 @@ GOLDEN_WBF_COMPRESSED = (
 
 
 def golden_bloom() -> BloomFilter:
-    bloom = BloomFilter(64, 2, seed=1, backend="python")
+    bloom = BloomFilter(64, 2, seed=1)
     bloom.add_many([1, 2, "x"])
     return bloom
 
 
 def golden_wbf() -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(64, 2, seed=1, backend="python")
+    wbf = WeightedBloomFilter(64, 2, seed=1)
     wbf.add(1, ("q1", Fraction(1, 3)))
     wbf.add(2, ("q1", Fraction(2, 3)))
     wbf.add(1, Fraction(1, 2))

@@ -75,6 +75,13 @@ class TestPayloadDecodeCache:
         assert first.payload == second.payload
         assert first.payload is not second.payload
 
+    def test_the_cache_keys_on_the_block_bytes_alone(self):
+        block = _filter_message().payload_wire()
+        from_view = codec._decode_payload_cached(memoryview(block))
+        assert codec._decode_payload_cached(block) is from_view
+        (key,) = codec._PAYLOAD_DECODE_CACHE
+        assert type(key) is bytes and key == block
+
     def test_cache_is_bounded(self):
         for index in range(codec._PAYLOAD_DECODE_CACHE_MAX + 4):
             wbf = WeightedBloomFilter(512, 4, seed=index)

@@ -58,14 +58,14 @@ def golden_reports() -> list[MatchReport]:
 
 
 def v2_filter() -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(256, 3, seed=5, backend="python")
+    wbf = WeightedBloomFilter(256, 3, seed=5)
     for item in range(12):
         wbf.add(item, ("q1", Fraction(1, 1 + item % 3)))
     return wbf
 
 
 def small_wbf() -> WeightedBloomFilter:
-    wbf = WeightedBloomFilter(64, 3, seed=5, backend="python")
+    wbf = WeightedBloomFilter(64, 3, seed=5)
     wbf.add("item", ("q1", Fraction(1, 2)))
     return wbf
 
@@ -125,7 +125,7 @@ class TestOneFormat:
         "function, parameters",
         [
             (wire.encode, ["obj", "compress"]),
-            (wire.decode, ["data", "backend"]),
+            (wire.decode, ["data"]),
             (wire.encode_cached, ["obj"]),
             (codec.encode_cached_at, ["obj", "revision"]),
         ],
