@@ -29,7 +29,7 @@ from repro.utils.asciiplot import render_table
 from repro.workloads import get_scenario, run_workload
 
 #: Executors the soak is replayed under to pin transcript invariance.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @pytest.fixture(scope="session")

@@ -110,7 +110,11 @@ class BitArray:
             buffer[index >> 3] |= 1 << (index & 7)
 
     def get_many(self, indices: Sequence[int]) -> list[bool]:
-        """Return the value of every bit in ``indices``, in order."""
+        """Return the value of every bit in ``indices``, in order.
+
+        An index outside ``[0, length)`` raises :class:`IndexError`.
+        """
+        self._check_indices(indices)
         buffer = self._buffer
         return [bool(buffer[index >> 3] & (1 << (index & 7))) for index in indices]
 
@@ -118,8 +122,12 @@ class BitArray:
         """For each row of indices, True iff every bit of the row is set.
 
         This is the membership-probe primitive: a Bloom probe of ``n`` items
-        with ``k`` hashes is one ``n × k`` row test.
+        with ``k`` hashes is one ``n × k`` row test.  An index outside
+        ``[0, length)`` raises :class:`IndexError`, even past a row's first
+        clear bit.
         """
+        for row in rows:
+            self._check_indices(row)
         buffer = self._buffer
         return [
             all(buffer[index >> 3] & (1 << (index & 7)) for index in row) for row in rows
@@ -195,6 +203,17 @@ class BitArray:
         if index < 0 or index >= self._length:
             raise IndexError(f"bit index {index} out of range [0, {self._length})")
         return index
+
+    def _check_indices(self, indices: Sequence[int]) -> None:
+        """Raise like :meth:`_check_index` unless every index is in range.
+
+        A negative index would wrap through the ``bytearray`` and one past
+        ``length`` inside the last byte would read a padding bit.
+        """
+        length = self._length
+        for index in indices:
+            if index < 0 or index >= length:
+                self._check_index(index)
 
     def _check_compatible(self, other: "BitArray") -> None:
         if not isinstance(other, BitArray):

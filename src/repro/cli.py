@@ -58,14 +58,6 @@ from repro.workloads import (
 )
 
 
-def _non_negative_int(text: str) -> int:
-    """Argparse type for counts where 0 means "auto"."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = auto), got {value}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     """Argparse type for counts that must be at least 1."""
     value = int(text)
@@ -126,13 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument(
         "--executor", default="serial", choices=list(EXECUTOR_CHOICES),
-        help="Station-execution backend: serial (default), thread, or process "
+        help="Station-execution backend: serial (default) or process "
         "(results are identical across executors; only wall-clock changes).",
-    )
-    compare.add_argument(
-        "--shards", type=_non_negative_int, default=0,
-        help="Number of station shards for the executor (0 = auto: one per "
-        "station when serial, one per worker otherwise).",
     )
     compare.add_argument(
         "--fault-profile", default="none", choices=list(FAULT_PROFILE_CHOICES),
@@ -245,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "executor-invariant).",
     )
     run.add_argument(
-        "--shards", type=_non_negative_int, default=0,
-        help="Station shards for the executor (0 = auto).",
-    )
-    run.add_argument(
         "--transport", default="sim", choices=list(TRANSPORT_CHOICES),
         help="Backhaul backend: sim = deterministic simulator, tcp = real "
         "localhost sockets with station worker processes (results and "
@@ -311,7 +294,6 @@ def _run_compare(args: argparse.Namespace) -> str:
         config,
         methods=tuple(args.methods),
         executor=args.executor,
-        shard_count=args.shards,
         fault_plan=args.fault_profile,
         net_seed=args.net_seed,
         allow_partial=args.allow_partial,
@@ -450,10 +432,10 @@ def _run_workload_run(args: argparse.Namespace) -> str:
             "workload run: --arrival-rate/--ramp/--arrival-process/"
             "--max-arrivals apply only to --drive open"
         )
-    if drive == "session" and (args.executor != "serial" or args.shards):
+    if drive == "session" and args.executor != "serial":
         raise SystemExit(
-            "workload run: --executor/--shards apply only to the simulation "
-            "and open drives (the session drive matches in-process)"
+            "workload run: --executor applies only to the simulation and "
+            "open drives (the session drive matches in-process)"
         )
     spec = get_scenario(args.scenario)
     overrides: dict[str, object] = {}
@@ -601,7 +583,6 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         spec,
         drive=drive,
         executor=args.executor,
-        shard_count=args.shards,
         transport=args.transport,
     )
 

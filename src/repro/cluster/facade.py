@@ -153,8 +153,6 @@ class Cluster:
         dataset: "DistributedDataset | None" = None,
         network_config: NetworkConfig | None = None,
         executor: str = "serial",
-        shard_count: int = 0,
-        max_workers: int | None = None,
         fault_plan: FaultPlan | str = "none",
         net_seed: int = 0,
         allow_partial: bool = False,
@@ -184,9 +182,7 @@ class Cluster:
         cluster._setup(
             source if source is not None else DatasetStationSource(dataset),
             transport_spec=TransportSpec.from_network_config(network_config),
-            executor=ExecutorSpec(
-                kind=executor, shard_count=shard_count, max_workers=max_workers
-            ),
+            executor=ExecutorSpec(kind=executor),
             fault_plan=fault_plan,
             net_seed=net_seed,
             allow_partial=allow_partial,
@@ -229,11 +225,7 @@ class Cluster:
         self._tcp_manager: "TcpTransportManager | None" = None
         # One runner for the cluster's lifetime, so a sweep of many rounds
         # reuses one worker pool instead of re-spawning workers per round.
-        self._runner = ShardedStationRunner(
-            executor=executor.kind,
-            shard_count=executor.shard_count,
-            max_workers=executor.max_workers,
-        )
+        self._runner = ShardedStationRunner(executor=executor.kind)
         self._fault_plan = resolve_fault_plan(fault_plan)
         self._net_seed = net_seed
         self._allow_partial = bool(allow_partial)
@@ -466,8 +458,6 @@ class Cluster:
                 fault_plan=plan,
                 seed=net_seed,
                 allow_partial=self._allow_partial,
-                ack_timeout_s=self._transport_spec.tcp_ack_timeout_s,
-                delay_scale=self._transport_spec.tcp_delay_scale,
             )
         return SimulatedNetwork(
             self._network_config,

@@ -109,7 +109,8 @@ class TransportSpec:
     speaking the same ``DIMW`` wire frames over asyncio sockets, with a
     byte-level fault proxy driven by the same seeded fault plan
     (:mod:`repro.distributed.transport.tcp`).  The link parameters feed both
-    backends; the ``tcp_*`` knobs only apply to the real-socket backend.
+    backends; ``tcp_connect_timeout_s`` only applies to the real-socket
+    backend.
     """
 
     bandwidth_bytes_per_s: float = 2_000_000.0
@@ -120,11 +121,6 @@ class TransportSpec:
     transport: str = "sim"
     #: TCP only: how long to wait for a spawned station worker to register.
     tcp_connect_timeout_s: float = 20.0
-    #: TCP only: stop-and-wait ack timeout; ``None`` uses the backend default
-    #: (``retransmit_timeout_s`` takes precedence when set).
-    tcp_ack_timeout_s: float | None = None
-    #: TCP only: scale factor for real fault delays (jitter, reorder, blackout).
-    tcp_delay_scale: float = 1.0
 
     def __post_init__(self) -> None:
         _require(
@@ -136,21 +132,6 @@ class TransportSpec:
             and not isinstance(self.tcp_connect_timeout_s, bool)
             and float(self.tcp_connect_timeout_s) > 0.0,
             f"tcp_connect_timeout_s must be > 0, got {self.tcp_connect_timeout_s!r}",
-        )
-        _require(
-            self.tcp_ack_timeout_s is None
-            or (
-                isinstance(self.tcp_ack_timeout_s, (int, float))
-                and not isinstance(self.tcp_ack_timeout_s, bool)
-                and float(self.tcp_ack_timeout_s) > 0.0
-            ),
-            f"tcp_ack_timeout_s must be > 0 or None, got {self.tcp_ack_timeout_s!r}",
-        )
-        _require(
-            isinstance(self.tcp_delay_scale, (int, float))
-            and not isinstance(self.tcp_delay_scale, bool)
-            and float(self.tcp_delay_scale) >= 0.0,
-            f"tcp_delay_scale must be >= 0, got {self.tcp_delay_scale!r}",
         )
         try:
             # NetworkConfig owns the link invariants; building one surfaces
@@ -188,30 +169,17 @@ class TransportSpec:
 class ExecutorSpec:
     """Station-execution backend of the matching phase.
 
-    ``kind`` is ``"serial"`` (one in-process shard per station), ``"thread"``
-    or ``"process"``; ``shard_count=0`` (auto) means one shard per station
-    when serial, one per worker otherwise; ``max_workers=None`` means the CPU
-    count.  Results and byte counts never depend on these knobs.
+    ``kind`` is ``"serial"`` (one in-process call, one shard per station) or
+    ``"process"`` (a process pool, one shard per CPU this process may run
+    on).  Results and byte counts never depend on it.
     """
 
     kind: str = "serial"
-    shard_count: int = 0
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         _require(
             self.kind in EXECUTOR_CHOICES,
             f"executor kind must be one of {EXECUTOR_CHOICES}, got {self.kind!r}",
-        )
-        _require(
-            isinstance(self.shard_count, int) and self.shard_count >= 0,
-            f"shard_count must be a non-negative integer (0 = auto), "
-            f"got {self.shard_count!r}",
-        )
-        _require(
-            self.max_workers is None
-            or (isinstance(self.max_workers, int) and self.max_workers >= 1),
-            f"max_workers must be a positive integer or None, got {self.max_workers!r}",
         )
 
 
@@ -312,7 +280,6 @@ class ClusterSpec:
         workload: "WorkloadSpec",
         *,
         executor: str = "serial",
-        shard_count: int = 0,
         network_config: NetworkConfig | None = None,
         transport: str = "sim",
     ) -> "ClusterSpec":
@@ -355,7 +322,7 @@ class ClusterSpec:
                 method=workload.method, epsilon=float(workload.epsilon), config=config
             ),
             transport=TransportSpec.from_network_config(network_config, transport=transport),
-            executor=ExecutorSpec(kind=executor, shard_count=shard_count),
+            executor=ExecutorSpec(kind=executor),
             faults=FaultSpec(
                 profile=workload.fault_profile, allow_partial=workload.allow_partial
             ),

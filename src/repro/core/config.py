@@ -20,7 +20,7 @@ from repro.utils.validation import require_non_negative, require_positive
 
 #: Station-execution backends accepted by ``ExecutorSpec.kind``,
 #: ``Cluster.adopt`` and the CLI (see :mod:`repro.distributed.executor`).
-EXECUTOR_CHOICES = ("serial", "thread", "process")
+EXECUTOR_CHOICES = ("serial", "process")
 
 #: Named fault profiles accepted by ``FaultSpec.profile``, ``Cluster.adopt``,
 #: ``WorkloadSpec.fault_profile`` and the CLI.  The plans themselves live in

@@ -4,21 +4,19 @@ The paper models base stations as running their matching phase concurrently
 (one thread per station), so the phase's wall time is the maximum over
 stations.  This module makes that model executable: stations are partitioned
 into *shards*, each shard is one unit of sequential work, and shards execute
-through a pluggable backend —
+through one of two backends —
 
 * ``"serial"`` — in-process.  The whole round is one
   :meth:`~repro.core.protocol.MatchingProtocol.match_stations` call, so the
   filter-based protocols match every station in one vectorized pass.  Each
-  shard (one per station by default) is charged that call's wall time in
-  proportion to its station count, so the latency model's per-shard times
-  are the concurrent-stations share of the work actually done;
-* ``"thread"`` — :class:`concurrent.futures.ThreadPoolExecutor`, one
-  ``match_stations`` call per shard; effective when matching releases the
-  GIL (NumPy) or stations are I/O-bound;
-* ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`, one call
-  per shard; true parallelism for CPU-bound pure-Python matching.
-  Protocols, pattern sets and artifacts are pickled to the workers, so
-  matcher caches are rebuilt there.
+  station is its own shard, charged its share of that call's wall time, so
+  the latency model's per-shard times are the concurrent-stations share of
+  the work actually done;
+* ``"process"`` — :class:`concurrent.futures.ProcessPoolExecutor`, one shard
+  and one call per worker; true parallelism for CPU-bound pure-Python
+  matching.  Protocols and pattern sets are pickled to the workers, so
+  matcher caches are rebuilt there; the artifact travels through shared
+  memory.
 
 Results are returned keyed by station id and are *identical* across executors
 (matching is deterministic and aggregation happens in station order at the
@@ -33,7 +31,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Sequence
@@ -199,7 +197,7 @@ def _match_shard_shared(
 class ShardedStationRunner:
     """Partitions stations into shards and runs them on the selected executor.
 
-    Pool executors are created lazily on first use and **reused across
+    The process pool is created lazily on first use and **reused across
     :meth:`run` calls** (a Figure-4 sweep drives many rounds; re-forking a
     process pool per round would eat the parallelism gains), so call
     :meth:`close` — or use the runner as a context manager — when done.  An
@@ -207,49 +205,36 @@ class ShardedStationRunner:
     ``concurrent.futures``' atexit handling.
     """
 
-    def __init__(
-        self,
-        executor: str = "serial",
-        shard_count: int = 0,
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, executor: str = "serial") -> None:
         if executor not in EXECUTOR_CHOICES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_CHOICES}, got {executor!r}"
             )
-        if shard_count < 0:
-            raise ValueError(f"shard_count must be >= 0 (0 = auto), got {shard_count}")
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
         self._executor = executor
-        self._shard_count = shard_count
-        self._max_workers = max_workers
-        self._pool: Executor | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
     @property
     def executor(self) -> str:
         """The configured executor backend name."""
         return self._executor
 
-    def resolve_worker_count(self) -> int:
-        """Number of concurrent workers the pool executors will use."""
-        if self._max_workers is not None:
-            return self._max_workers
-        return os.cpu_count() or 1
+    @staticmethod
+    def resolve_worker_count() -> int:
+        """Number of process workers: the CPUs this process may run on."""
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+            return os.cpu_count() or 1
 
     def resolve_shard_count(self, station_count: int) -> int:
         """Effective shard count for ``station_count`` stations.
 
-        ``shard_count == 0`` (auto) means one shard per station under the
-        serial executor — the paper's one-thread-per-station latency model,
-        each station charged an equal share of the round's one call — and
-        one shard per worker under the pool executors, so each worker
-        receives one contiguous stream of work.
+        One shard per station under the serial executor — the paper's
+        one-thread-per-station latency model, each station charged an equal
+        share of the round's one call — and one shard per worker under the
+        process executor, so each worker receives one contiguous stream of
+        work.
         """
-        if station_count == 0:
-            return 0
-        if self._shard_count:
-            return min(self._shard_count, station_count)
         if self._executor == "serial":
             return station_count
         return min(self.resolve_worker_count(), station_count)
@@ -264,25 +249,17 @@ class ShardedStationRunner:
         count = len(stations)
         if not count:
             return MatchingOutcome({}, [])
-        shard_count = self.resolve_shard_count(count)
         payload = [(station.node_id, station.patterns) for station in stations]
         station_ids = [station_id for station_id, _patterns in payload]
         if self._executor == "serial":
-            # The shards run back to back in-process, so they are one call:
-            # each is charged the call's wall time in proportion to its
-            # round-robin share of the stations.
+            # The stations run back to back in-process, so they are one call:
+            # each is charged an equal share of the call's wall time.
             reports, elapsed = _match_shard(protocol, payload, artifact)
-            return MatchingOutcome(
-                dict(zip(station_ids, reports)),
-                [
-                    elapsed * len(range(index, count, shard_count)) / count
-                    for index in range(shard_count)
-                ],
-            )
-        shards = partition_round_robin(count, shard_count)
+            return MatchingOutcome(dict(zip(station_ids, reports)), [elapsed / count] * count)
+        shards = partition_round_robin(count, self.resolve_shard_count(count))
         jobs = [[payload[index] for index in indices] for indices in shards]
         pool = self._ensure_pool()
-        if self._executor == "process" and artifact is not None:
+        if artifact is not None:
             # Shared-memory handoff: one encode of the artifact total, a tiny
             # token per shard, instead of pickling the artifact per submission.
             token, segment = export_shared_artifact(artifact)
@@ -307,13 +284,9 @@ class ShardedStationRunner:
             dict(zip(station_ids, ordered)), [elapsed for _reports, elapsed in results]
         )
 
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            workers = self.resolve_worker_count()
-            if self._executor == "thread":
-                self._pool = ThreadPoolExecutor(max_workers=workers)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool = ProcessPoolExecutor(self.resolve_worker_count())
         return self._pool
 
     def close(self) -> None:

@@ -172,17 +172,10 @@ class TcpTransportManager:
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
         allow_partial: bool = False,
-        ack_timeout_s: float | None = None,
-        delay_scale: float = 1.0,
     ) -> "TcpTransport":
         """A fresh per-round transport carried by this manager's sockets."""
         return TcpTransport(
-            self,
-            fault_plan=fault_plan,
-            seed=seed,
-            allow_partial=allow_partial,
-            ack_timeout_s=ack_timeout_s,
-            delay_scale=delay_scale,
+            self, fault_plan=fault_plan, seed=seed, allow_partial=allow_partial
         )
 
     # -- servers (loop thread) ---------------------------------------------------
@@ -437,18 +430,13 @@ class TcpTransport(Transport):
         fault_plan: FaultPlan | str | None = None,
         seed: int = 0,
         allow_partial: bool = False,
-        ack_timeout_s: float | None = None,
-        delay_scale: float = 1.0,
     ) -> None:
         super().__init__(manager.config, fault_plan, seed, allow_partial)
         self._manager = manager
-        self._delay_scale = float(delay_scale)
-        base_timeout = (
-            ack_timeout_s
-            if ack_timeout_s is not None
-            else (self._config.retransmit_timeout_s or DEFAULT_ACK_TIMEOUT_S)
+        self._ack_timeout = (
+            float(self._config.retransmit_timeout_s or DEFAULT_ACK_TIMEOUT_S)
+            * deadline_multiplier()
         )
-        self._ack_timeout = float(base_timeout) * deadline_multiplier()
         self._transfers: dict[int, _TcpTransfer] = {}
         self._outstanding = 0
         self._quiet: asyncio.Event | None = None
@@ -626,9 +614,7 @@ class TcpTransport(Transport):
             if window is not None:
                 # Approximation of the simulator's virtual-time blackout: the
                 # window is measured on the wall clock from the phase start.
-                elapsed = self._elapsed()
-                scale = self._delay_scale
-                in_blackout = window[0] * scale <= elapsed < window[1] * scale
+                in_blackout = window[0] <= self._elapsed() < window[1]
         if faults.drop or in_blackout:
             self._frames_dropped += 1
             self._record(
@@ -650,7 +636,7 @@ class TcpTransport(Transport):
         body = frame.body
         if faults.corrupt:
             body = self._injector.corrupt_bytes(body, frame.frame_id, frame.attempt)
-        delay = (faults.jitter_s + faults.reorder_delay_s) * self._delay_scale
+        delay = faults.jitter_s + faults.reorder_delay_s
         if delay > 0.0:
             await asyncio.sleep(delay)
         await out.send(

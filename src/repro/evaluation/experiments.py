@@ -125,7 +125,6 @@ def run_comparison(
     k: int | None = None,
     network_config: NetworkConfig | None = None,
     executor: str = "serial",
-    shard_count: int = 0,
     fault_plan: FaultPlan | str = "none",
     net_seed: int = 0,
     allow_partial: bool = False,
@@ -134,8 +133,8 @@ def run_comparison(
 
     When ``k`` is None the cutoff is set to the ground-truth size, i.e. every method
     is asked for exactly as many users as are truly relevant (precision@|truth|).
-    ``executor`` / ``shard_count`` select the station-execution backend for *all*
-    methods (results and byte counts are executor-invariant); ``fault_plan`` /
+    ``executor`` selects the station-execution backend for *all* methods
+    (results and byte counts are executor-invariant); ``fault_plan`` /
     ``net_seed`` select the seeded transport faults every method's round is
     exposed to (a surviving round's results are fault-invariant — faults change
     costs, never answers).
@@ -151,7 +150,6 @@ def run_comparison(
         dataset,
         network_config,
         executor=executor,
-        shard_count=shard_count,
         fault_plan=fault_plan,
         net_seed=net_seed,
         allow_partial=allow_partial,
@@ -182,7 +180,6 @@ def sweep_query_counts(
     seed: int = 11,
     network_config: NetworkConfig | None = None,
     executor: str = "serial",
-    shard_count: int = 0,
     fault_plan: FaultPlan | str = "none",
     net_seed: int = 0,
     allow_partial: bool = False,
@@ -201,7 +198,6 @@ def sweep_query_counts(
                 methods=methods,
                 network_config=network_config,
                 executor=executor,
-                shard_count=shard_count,
                 fault_plan=fault_plan,
                 net_seed=net_seed,
                 allow_partial=allow_partial,

@@ -282,15 +282,14 @@ def run_workload(
     *,
     drive: str = "simulation",
     executor: str = "serial",
-    shard_count: int = 0,
     network_config: NetworkConfig | None = None,
     transport: str = "sim",
 ) -> WorkloadResult:
     """Compile ``spec`` into a multi-round facade drive and run it to completion.
 
-    ``executor`` / ``shard_count`` are local scale knobs:
-    like everywhere else in the system they change wall-clock only, never the
-    results, byte counts or the replayed transcript.  ``transport`` selects
+    ``executor`` is a local scale knob: like everywhere else in the system
+    it changes wall-clock only, never the results, byte counts or the
+    replayed transcript.  ``transport`` selects
     the backhaul backend (``repro.core.config.TRANSPORT_CHOICES``): ``"sim"``
     replays on the deterministic simulator, ``"tcp"`` drives the same rounds
     over real localhost sockets with station worker processes.  Fault-free
@@ -315,7 +314,6 @@ def run_workload(
     cluster_spec = ClusterSpec.from_workload(
         spec,
         executor=executor,
-        shard_count=shard_count,
         network_config=network_config,
         transport=transport,
     )

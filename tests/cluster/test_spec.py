@@ -63,24 +63,14 @@ class TestTransportSpec:
 
 
 class TestExecutorSpec:
-    def test_defaults_are_serial_and_auto_sharded(self):
-        spec = ExecutorSpec()
-        assert (spec.kind, spec.shard_count, spec.max_workers) == ("serial", 0, None)
-        assert ExecutorSpec(kind="process", shard_count=3).shard_count == 3
+    def test_default_is_serial(self):
+        assert ExecutorSpec().kind == "serial"
+        assert ExecutorSpec(kind="process").kind == "process"
 
-    @pytest.mark.parametrize("kind", ["gpu", None])
+    @pytest.mark.parametrize("kind", ["gpu", "thread", None])
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ConfigurationError, match="executor kind"):
             ExecutorSpec(kind=kind)
-
-    @pytest.mark.parametrize("shard_count", [-1, None])
-    def test_negative_shards_rejected(self, shard_count):
-        with pytest.raises(ConfigurationError, match="shard_count"):
-            ExecutorSpec(shard_count=shard_count)
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_workers"):
-            ExecutorSpec(max_workers=0)
 
 
 class TestFaultSpec:

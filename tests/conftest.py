@@ -3,6 +3,10 @@
 The fixtures build small but structurally complete synthetic datasets so tests run
 fast while still exercising the distributed / incomplete-pattern structure the paper
 relies on (multiple stations, split users, decoys, cliques).
+
+Every module is also checked for shared-memory leaks
+(:func:`no_shared_memory_leaks`): a module that leaves one of the process
+executor's ``/dev/shm/psm_*`` artifact segments behind fails.
 """
 
 from __future__ import annotations
@@ -18,6 +22,26 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core.config import DIMatchingConfig  # noqa: E402
+
+#: Where POSIX shared memory lives; ``multiprocessing.shared_memory`` names
+#: its segments ``psm_*``.
+_SHM = Path("/dev/shm")
+
+
+def shared_segments() -> set[str]:
+    """The names of the ``psm_*`` shared-memory segments that exist now."""
+    return {path.name for path in _SHM.glob("psm_*")}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_shared_memory_leaks():
+    """Fail a module that leaves a new ``/dev/shm/psm_*`` segment behind."""
+    if not _SHM.is_dir():
+        yield
+        return
+    before = shared_segments()
+    yield
+    assert shared_segments() - before == set(), "the module left shared-memory segments"
 
 # The datagen layer (and therefore the dataset fixtures below) requires NumPy;
 # it is imported lazily so the substrate/core tests still collect and run on

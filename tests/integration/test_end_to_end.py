@@ -6,6 +6,7 @@ from repro.cluster import Cluster
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol, run_dimatching
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
+from repro.distributed.executor import ShardedStationRunner
 from repro.evaluation.experiments import ground_truth_users, run_comparison
 
 
@@ -104,17 +105,17 @@ class TestMethodComparisonEndToEnd:
 
 
 class TestExecutorParity:
-    """serial / thread / process executors are interchangeable for results.
+    """serial / process executors are interchangeable for results.
 
     Shard layout and executor choice may only change wall-clock: ranked
     results, report counts and every real byte count must be identical on the
     same seeded dataset.
     """
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pool_executors_match_serial_exactly(
-        self, small_dataset, small_workload, exact_config, executor
+    def test_process_executor_matches_serial_exactly(
+        self, small_dataset, small_workload, exact_config
     ):
+        executor = "process"
         outcomes = {}
         for name in ("serial", executor):
             result = run_comparison(
@@ -135,31 +136,16 @@ class TestExecutorParity:
             assert pooled.costs.report_count == serial.costs.report_count
             assert pooled.costs.executor == executor
 
-    def test_shard_count_does_not_change_results(self, small_dataset, small_workload, exact_config):
-        reference = None
-        for shard_count in (1, 2, 7):
-            result = run_comparison(
-                small_dataset,
-                small_workload,
-                exact_config,
-                methods=("wbf",),
-                executor="serial",
-                shard_count=shard_count,
-            )
-            outcome = result.outcome("wbf")
-            snapshot = (outcome.retrieved, outcome.costs.communication_bytes)
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference
-
     def test_executor_from_the_deployment(self, small_dataset, small_workload, exact_config):
-        with Cluster.adopt(small_dataset, executor="thread", shard_count=2) as cluster:
+        with Cluster.adopt(small_dataset, executor="process") as cluster:
+            participants = len(cluster.stations)
             simulated = cluster.drive(
                 DIMatchingProtocol(exact_config), list(small_workload.queries)
             )
-        assert simulated.costs.executor == "thread"
-        assert simulated.costs.shard_count == 2
+        assert simulated.costs.executor == "process"
+        assert simulated.costs.shard_count == min(
+            ShardedStationRunner.resolve_worker_count(), participants
+        )
 
 
 class TestScalesAndSeeds:

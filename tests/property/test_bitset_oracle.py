@@ -118,3 +118,43 @@ def test_from_bytes_refuses_wrong_lengths_and_set_padding_bits(length, data):
             BitArray.from_bytes(length, buffer)
     else:
         assert BitArray.from_bytes(length, buffer).to_bytes() == buffer
+
+
+def outside(length: int) -> list[int]:
+    """Indices no reading may accept: wrapping negatives, the end, a padding bit."""
+    indices = [-1, -length, length, length + 100]
+    if length & 7:
+        indices.append((length + 7) // 8 * 8 - 1)
+    return indices
+
+
+@lengths
+def test_every_operation_refuses_an_index_outside_the_length(length):
+    full = BitArray.from_indices(length, range(length))
+    empty = BitArray(length)
+    for index in outside(length):
+        for call in (
+            lambda: full.get(index),
+            lambda: full.set(index),
+            lambda: full.clear(index),
+            lambda: full.set_many([index]),
+            lambda: full.get_many([index]),
+            lambda: full.get_many([0, index]),
+            lambda: full.all_set_rows([[index]]),
+            lambda: full.all_set_rows([[0], [index]]),
+            # Bit 0 is clear, so the row fails before its last index is read.
+            lambda: empty.all_set_rows([[0, index]]),
+        ):
+            with pytest.raises(IndexError, match="out of range"):
+                call()
+    assert full.to_bytes() == model_bytes(set(range(length)), length)
+
+
+def test_row_readings_neither_wrap_nor_read_padding():
+    last = BitArray.from_indices(64, [63])
+    with pytest.raises(IndexError):
+        last.all_set_rows([[-1]])
+    with pytest.raises(IndexError):
+        last.get_many([-1])
+    with pytest.raises(IndexError):
+        BitArray(60).all_set_rows([[62]])

@@ -40,17 +40,17 @@ class TestSeedReplay:
         assert first.costs.transmission_time_s == second.costs.transmission_time_s
         assert first.costs.retransmit_count == second.costs.retransmit_count
 
-    def test_serial_and_thread_executors_share_one_transcript(
+    def test_serial_and_process_executors_share_one_transcript(
         self, dataset_seed, net_seed, profile
     ):
         serial = run_round(dataset_seed, net_seed, profile, executor="serial")
-        threaded = run_round(dataset_seed, net_seed, profile, executor="thread")
-        assert serial.transcript_bytes() == threaded.transcript_bytes()
-        assert serial.results == threaded.results
-        assert serial.costs.communication_bytes == threaded.costs.communication_bytes
+        pooled = run_round(dataset_seed, net_seed, profile, executor="process")
+        assert serial.transcript_bytes() == pooled.transcript_bytes()
+        assert serial.results == pooled.results
+        assert serial.costs.communication_bytes == pooled.costs.communication_bytes
         # The virtual-clock quantities are bit-identical too: only measured
         # wall-clock may differ between executors.
-        assert serial.costs.transmission_time_s == threaded.costs.transmission_time_s
+        assert serial.costs.transmission_time_s == pooled.costs.transmission_time_s
 
 
 def test_different_net_seeds_explore_different_schedules():

@@ -1,16 +1,28 @@
 """Unit tests for the sharded station executor."""
 
+import dataclasses
+import inspect
+import os
 import pickle
 from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cli import main
+from repro.cluster import Cluster, ClusterSpec
+from repro.cluster.spec import ExecutorSpec, TransportSpec
+from repro.core.config import EXECUTOR_CHOICES
 from repro.core.dimatching import DIMatchingProtocol
+from repro.core.exceptions import ConfigurationError
 from repro.distributed.executor import (
     ShardedStationRunner,
     partition_round_robin,
 )
+from repro.distributed.transport.tcp import TcpTransport, TcpTransportManager
+from repro.evaluation.experiments import run_comparison, sweep_query_counts
+from repro.workloads import run_workload
+
+from ...conftest import shared_segments
 
 
 class TestPartitioning:
@@ -43,39 +55,44 @@ class TestRunnerConfiguration:
         with pytest.raises(ValueError):
             ShardedStationRunner(executor="gpu")
 
-    def test_rejects_negative_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedStationRunner(shard_count=-1)
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError):
-            ShardedStationRunner(max_workers=0)
-
-    def test_serial_auto_shards_one_per_station(self):
+    def test_serial_shards_one_per_station(self):
         runner = ShardedStationRunner(executor="serial")
         assert runner.resolve_shard_count(7) == 7
 
-    def test_pool_auto_shards_one_per_worker(self):
-        runner = ShardedStationRunner(executor="thread", max_workers=3)
+    def test_process_shards_one_per_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        runner = ShardedStationRunner(executor="process")
         assert runner.resolve_shard_count(10) == 3
         assert runner.resolve_shard_count(2) == 2
 
-    def test_explicit_shard_count_capped_by_stations(self):
-        runner = ShardedStationRunner(executor="serial", shard_count=16)
-        assert runner.resolve_shard_count(5) == 5
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_zero_stations_zero_shards(self, executor):
+        assert ShardedStationRunner(executor).resolve_shard_count(0) == 0
 
-    def test_zero_stations_zero_shards(self):
-        assert ShardedStationRunner().resolve_shard_count(0) == 0
+    def test_workers_are_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # A process pinned to one CPU of many starts one worker, not one per CPU.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ShardedStationRunner.resolve_worker_count() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert ShardedStationRunner("process").resolve_worker_count() == 3
+
+    def test_workers_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert ShardedStationRunner.resolve_worker_count() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ShardedStationRunner.resolve_worker_count() == 1
 
 
 class TestRunnerExecution:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_outcomes_cover_every_station(self, small_dataset, exact_config, executor, small_workload):
         stations = Cluster.adopt(small_dataset).stations
         protocol = DIMatchingProtocol(exact_config)
         artifact = protocol.encode(list(small_workload.queries))
-        runner = ShardedStationRunner(executor=executor, max_workers=2)
-        outcome = runner.run(protocol, stations, artifact)
+        with ShardedStationRunner(executor=executor) as runner:
+            outcome = runner.run(protocol, stations, artifact)
         assert list(outcome.reports) == [s.node_id for s in stations]
         assert all(elapsed >= 0 for elapsed in outcome.shard_times)
 
@@ -98,40 +115,44 @@ class CountingProtocol(DIMatchingProtocol):
         return super().match_stations(stations, artifact)
 
 
-class TestRoundAccounting:
-    """One ``match_stations`` call per unit of sequential work, same shard counts."""
+class FailingProtocol(DIMatchingProtocol):
+    """Raises inside whichever worker matches its stations."""
 
-    @pytest.mark.parametrize(
-        "executor, shard_count, max_workers, expected",
-        [
-            ("serial", 0, None, None),  # auto: one shard per participant
-            ("serial", 3, None, 3),
-            ("serial", 99, None, None),  # capped at the participant count
-            ("thread", 0, 2, 2),  # auto: one shard per worker
-            ("thread", 3, 2, 3),
-        ],
-    )
-    def test_shard_count_is_unchanged(
-        self, small_dataset, small_workload, exact_config,
-        executor, shard_count, max_workers, expected,
+    def match_stations(self, stations, artifact):
+        raise RuntimeError("shard failed")
+
+
+class TestRoundAccounting:
+    """One ``match_stations`` call per unit of sequential work."""
+
+    def test_serial_runs_one_call_with_one_shard_per_station(
+        self, small_dataset, small_workload, exact_config
     ):
         protocol = CountingProtocol(exact_config)
-        with Cluster.adopt(
-            small_dataset, executor=executor, shard_count=shard_count, max_workers=max_workers
-        ) as cluster:
+        with Cluster.adopt(small_dataset, executor="serial") as cluster:
             participants = len(cluster.stations)
             outcome = cluster.drive(protocol, list(small_workload.queries))
-        shards = participants if expected is None else expected
-        assert outcome.costs.shard_count == shards
-        if executor == "serial":
-            assert protocol.calls == [participants]
-        else:
-            sizes = [len(shard) for shard in partition_round_robin(participants, shards)]
-            assert sorted(protocol.calls) == sorted(sizes)
+        assert outcome.costs.shard_count == participants
+        assert protocol.calls == [participants]
 
-    @pytest.mark.parametrize("shard_count", [0, 3])
-    def test_serial_shards_share_the_one_call_by_station_count(
-        self, small_dataset, small_workload, exact_config, monkeypatch, shard_count
+    def test_process_runs_one_shard_per_worker(
+        self, small_dataset, small_workload, exact_config
+    ):
+        # A worker's calls are not visible here, so the partition shows in the
+        # shard times the workers return and the shard count the round reports.
+        protocol = DIMatchingProtocol(exact_config)
+        stations = Cluster.adopt(small_dataset).stations
+        shards = min(ShardedStationRunner.resolve_worker_count(), len(stations))
+        with ShardedStationRunner(executor="process") as runner:
+            outcome = runner.run(protocol, stations, protocol.encode(list(small_workload.queries)))
+        assert len(outcome.shard_times) == shards
+        with Cluster.adopt(small_dataset, executor="process") as cluster:
+            report = cluster.drive(protocol, list(small_workload.queries))
+        assert report.costs.shard_count == shards
+        assert report.costs.executor == "process"
+
+    def test_serial_shards_share_the_one_call_equally(
+        self, small_dataset, small_workload, exact_config, monkeypatch
     ):
         import repro.distributed.executor as executor_module
 
@@ -141,14 +162,10 @@ class TestRoundAccounting:
         )
         protocol = CountingProtocol(exact_config)
         stations = Cluster.adopt(small_dataset).stations
-        runner = ShardedStationRunner(executor="serial", shard_count=shard_count)
+        runner = ShardedStationRunner(executor="serial")
         outcome = runner.run(protocol, stations, protocol.encode(list(small_workload.queries)))
         assert protocol.calls == [len(stations)]
-        assert sum(outcome.shard_times) == pytest.approx(2.5)
-        sizes = [len(shard) for shard in partition_round_robin(
-            len(stations), runner.resolve_shard_count(len(stations))
-        )]
-        assert outcome.shard_times == pytest.approx([2.5 * size / len(stations) for size in sizes])
+        assert outcome.shard_times == pytest.approx([2.5 / len(stations)] * len(stations))
 
     def test_serial_station_time_is_the_largest_share(
         self, small_dataset, small_workload, exact_config, monkeypatch
@@ -245,6 +262,72 @@ class TestSharedArtifactHandoff:
         artifact = protocol.encode(list(small_workload.queries))
         stations = Cluster.adopt(small_dataset).stations
         serial = ShardedStationRunner(executor="serial").run(protocol, stations, artifact)
-        with ShardedStationRunner(executor="process", max_workers=2) as runner:
+        with ShardedStationRunner(executor="process") as runner:
             shared = runner.run(protocol, stations, artifact)
         assert shared.reports == serial.reports
+
+    def test_a_failing_shard_reraises_and_unlinks_the_segment(
+        self, small_dataset, small_workload, exact_config
+    ):
+        protocol = FailingProtocol(exact_config)
+        artifact = protocol.encode(list(small_workload.queries))
+        stations = Cluster.adopt(small_dataset).stations
+        before = shared_segments()
+        with ShardedStationRunner(executor="process") as runner:
+            with pytest.raises(RuntimeError, match="shard failed"):
+                runner.run(protocol, stations, artifact)
+        assert shared_segments() - before == set()
+
+
+#: Every call a removed executor or TCP setting used to reach, with the
+#: keywords it no longer takes.
+FORMER_KNOBS = [
+    (ShardedStationRunner, ("shard_count", "max_workers")),
+    (Cluster.adopt, ("shard_count", "max_workers")),
+    (ClusterSpec.from_workload, ("shard_count",)),
+    (run_workload, ("shard_count",)),
+    (run_comparison, ("shard_count",)),
+    (sweep_query_counts, ("shard_count",)),
+    (TcpTransportManager.create_transport, ("ack_timeout_s", "delay_scale")),
+    (TcpTransport, ("ack_timeout_s", "delay_scale")),
+]
+
+
+class TestTwoExecutorsAndNoUnturnedKnobs:
+    def test_the_executors_are_serial_and_process(self):
+        assert EXECUTOR_CHOICES == ("serial", "process")
+
+    def test_the_executor_spec_holds_only_its_kind(self):
+        assert [field.name for field in dataclasses.fields(ExecutorSpec)] == ["kind"]
+        with pytest.raises(ConfigurationError, match="executor kind"):
+            ExecutorSpec(kind="thread")
+
+    def test_the_transport_spec_has_no_ack_timeout_or_delay_scale(self):
+        names = {field.name for field in dataclasses.fields(TransportSpec)}
+        assert not {"tcp_ack_timeout_s", "tcp_delay_scale"} & names
+        assert "tcp_connect_timeout_s" in names
+
+    @pytest.mark.parametrize(
+        "target, keywords", FORMER_KNOBS, ids=[target.__qualname__ for target, _ in FORMER_KNOBS]
+    )
+    def test_no_call_takes_a_removed_keyword(self, target, keywords):
+        for keyword in keywords:
+            assert keyword not in inspect.signature(target).parameters
+            # The keyword is refused while the arguments bind, before any
+            # body runs, so no cluster, pool or socket is built here.
+            with pytest.raises(TypeError, match=keyword):
+                target(**{keyword: 2})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--shards", "2"],
+            ["compare", "--executor", "thread"],
+            ["workload", "run", "steady-state", "--shards", "2"],
+        ],
+        ids=["compare-shards", "compare-thread", "workload-run-shards"],
+    )
+    def test_the_cli_refuses_a_removed_flag(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2

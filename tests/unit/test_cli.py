@@ -126,9 +126,6 @@ class TestCompareErrorPaths:
         with pytest.raises(SystemExit):
             main(["compare", "--executor", "gpu"])
 
-    def test_rejects_negative_shards(self):
-        with pytest.raises(SystemExit):
-            main(["compare", "--shards", "-1"])
 
 
 class TestWorkloadCommand:
@@ -291,11 +288,6 @@ class TestWorkloadCommand:
             main(
                 ["workload", "run", "steady-state", *self.TINY,
                  "--drive", "session", "--executor", "process"]
-            )
-        with pytest.raises(SystemExit, match="session drive"):
-            main(
-                ["workload", "run", "steady-state", *self.TINY,
-                 "--drive", "session", "--shards", "4"]
             )
 
 

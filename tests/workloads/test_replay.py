@@ -76,12 +76,12 @@ class TestScenarioReplay:
         assert first.to_payload() == second.to_payload()
         assert first.cumulative == second.cumulative
 
-    def test_serial_and_thread_executors_share_one_transcript(self, scenario):
+    def test_serial_and_process_executors_share_one_transcript(self, scenario):
         serial = run_tiny(scenario, executor="serial")
-        threaded = run_tiny(scenario, executor="thread")
-        assert serial.transcript_bytes() == threaded.transcript_bytes()
+        pooled = run_tiny(scenario, executor="process")
+        assert serial.transcript_bytes() == pooled.transcript_bytes()
         # Everything except measured wall-clock is executor-invariant.
-        for left, right in zip(serial.rounds, threaded.rounds):
+        for left, right in zip(serial.rounds, pooled.rounds):
             assert left.total_bytes == right.total_bytes
             assert left.latency_s == right.latency_s
             assert left.precision == right.precision
