@@ -7,13 +7,13 @@ The committed ``BENCH_open_loop.json`` baseline pins two headline claims for
 the perf-trajectory gate (``repro.evaluation.trajectory``):
 
 * ``max_sustainable_qps`` — the highest swept rate the cluster absorbs with
-  negligible queueing, reported per executor (and asserted identical across
-  them: the virtual clock is executor-invariant);
+  negligible queueing, keyed by the one executor (``serial``);
 * ``below_saturation_p99_s`` — the flat part of the latency curve; growth
   here means service itself got slower, not just that we offered more load.
 
 Everything recorded is a deterministic function of the spec seed — the sweep
-replays bit-identically on every machine and executor.
+replays bit-identically on every machine, which the probe point's rerun
+checks.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_open_loop.py
 """
@@ -30,8 +30,6 @@ SWEEP_MULTIPLIERS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 SUSTAINABLE_BELOW = 0.75
 #: Arrivals per sweep point (enough for stable p99 at nearest-rank).
 ARRIVALS_PER_POINT = 32
-#: Executors the probe point is replayed under to pin invariance.
-EXECUTORS = ("serial", "process")
 
 
 def _sweep_spec(offered: OfferedLoad) -> WorkloadSpec:
@@ -69,7 +67,7 @@ def calibration():
 
 @pytest.fixture(scope="session")
 def sweep(calibration):
-    """One open run per multiplier, serial executor."""
+    """One open run per multiplier."""
     points = []
     for multiplier in SWEEP_MULTIPLIERS:
         rate = multiplier * calibration["capacity_qps"]
@@ -133,25 +131,17 @@ def test_graceful_saturation_trajectory(calibration, sweep):
     assert sustainable, "no swept rate was sustainable — calibration is off"
     max_sustainable = max(sustainable)
 
-    # The virtual clock is executor-invariant: replay the saturated point
-    # under every executor and require byte-identical transcripts, then
-    # report the (identical) per-executor capacity the gate tracks.
-    probe_rate = saturated["offered_qps"]
-    transcripts = {}
-    for executor in EXECUTORS:
-        result = run_workload(
-            _sweep_spec(_point_load(probe_rate)), drive="open", executor=executor
-        )
-        transcripts[executor] = result.transcript_bytes()
-    assert transcripts["process"] == transcripts["serial"]
-    assert transcripts["serial"] == saturated["transcript"]
+    # The virtual clock is seed-determined: a rerun of the saturated point
+    # must replay the sweep's transcript byte for byte.
+    rerun = run_workload(_sweep_spec(_point_load(saturated["offered_qps"])), drive="open")
+    assert rerun.transcript_bytes() == saturated["transcript"]
 
     payload = {
         "scenario": "open-loop-sweep",
         "seed": 1211,
         "service_time_s": service,
         "capacity_qps": calibration["capacity_qps"],
-        "max_sustainable_qps": {executor: max_sustainable for executor in EXECUTORS},
+        "max_sustainable_qps": {"serial": max_sustainable},
         "below_saturation_p99_s": below_saturation[-1]["latency_p99_s"],
         "sweep": [
             {key: value for key, value in point.items() if key != "transcript"}

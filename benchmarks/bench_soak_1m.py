@@ -14,9 +14,9 @@ committed baseline pins the headline claims for the perf-trajectory gate
 * ``source.declared_users`` — the census the run claims to cover; shrinkage
   means the soak quietly stopped being a million-user soak.
 
-Everything recorded is a deterministic function of the scenario seed: the
-run replays byte-identically across executors, which this module asserts
-directly before writing the payload.
+Everything recorded is a deterministic function of the scenario seed: a
+rerun replays byte-identically, which this module asserts directly before
+writing the payload.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_soak_1m.py
 """
@@ -28,9 +28,6 @@ from repro.evaluation.benchjson import workload_payload
 from repro.utils.asciiplot import render_table
 from repro.workloads import get_scenario, run_workload
 
-#: Executors the soak is replayed under to pin transcript invariance.
-EXECUTORS = ("serial", "process")
-
 
 @pytest.fixture(scope="session")
 def soak_spec():
@@ -40,7 +37,7 @@ def soak_spec():
 
 @pytest.fixture(scope="session")
 def soak_result(soak_spec):
-    """One serial reference run shared by the assertions and the payload."""
+    """One reference run shared by the assertions and the payload."""
     return run_workload(soak_spec, drive="open")
 
 
@@ -71,13 +68,11 @@ def test_million_user_soak_trajectory(soak_spec, soak_result):
         assert metrics.active_station_count <= spec_source.stations_per_round
 
     # The virtual clock, the source's derivations and the LRU schedule are
-    # all seed-determined: every executor must replay the same bytes and the
-    # same residency accounting.
-    reference = soak_result.transcript_bytes()
-    for executor in EXECUTORS[1:]:
-        rerun = run_workload(soak_spec, drive="open", executor=executor)
-        assert rerun.transcript_bytes() == reference, f"{executor} diverged"
-        assert rerun.source_stats == source
+    # all seed-determined: a rerun must replay the same bytes and the same
+    # residency accounting.
+    rerun = run_workload(soak_spec, drive="open")
+    assert rerun.transcript_bytes() == soak_result.transcript_bytes()
+    assert rerun.source_stats == source
 
     write_json_result("soak_1m", workload_payload(soak_result))
 

@@ -2,7 +2,7 @@
 
 The ``repro.cluster.Cluster`` facade is the one public entry point to the
 distributed matching system: a validated :class:`ClusterSpec` describes the
-deployment (synthetic city, protocol, transport, executor, faults), and the
+deployment (synthetic city, protocol, transport, faults), and the
 facade's verbs drive it — ``subscribe()`` registers the query batch,
 ``round()`` executes one full wire round and returns a typed report.
 

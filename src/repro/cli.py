@@ -24,7 +24,6 @@ from typing import Sequence
 
 from repro.core.config import (
     DIMatchingConfig,
-    EXECUTOR_CHOICES,
     FAULT_PROFILE_CHOICES,
     TRANSPORT_CHOICES,
     WORKLOAD_DRIVE_CHOICES,
@@ -66,6 +65,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """Argparse type for tolerances and noise levels that must be at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """Argparse type for rates that must be > 0."""
     value = float(text)
@@ -103,23 +110,18 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare", help="Compare naive / local / BF / WBF on a synthetic workload."
     )
-    compare.add_argument("--users-per-category", type=int, default=30)
-    compare.add_argument("--stations", type=int, default=6)
-    compare.add_argument("--days", type=int, default=1)
-    compare.add_argument("--intervals-per-day", type=int, default=24)
-    compare.add_argument("--queries", type=int, default=12)
-    compare.add_argument("--epsilon", type=int, default=0)
-    compare.add_argument("--noise", type=int, default=0)
-    compare.add_argument("--sample-count", type=int, default=12)
+    compare.add_argument("--users-per-category", type=_positive_int, default=30)
+    compare.add_argument("--stations", type=_positive_int, default=6)
+    compare.add_argument("--days", type=_positive_int, default=1)
+    compare.add_argument("--intervals-per-day", type=_positive_int, default=24)
+    compare.add_argument("--queries", type=_positive_int, default=12)
+    compare.add_argument("--epsilon", type=_non_negative_int, default=0)
+    compare.add_argument("--noise", type=_non_negative_int, default=0)
+    compare.add_argument("--sample-count", type=_positive_int, default=12)
     compare.add_argument("--seed", type=int, default=7)
     compare.add_argument(
         "--methods", nargs="+", default=["naive", "bf", "wbf"],
         choices=["naive", "local", "bf", "wbf"],
-    )
-    compare.add_argument(
-        "--executor", default="serial", choices=list(EXECUTOR_CHOICES),
-        help="Station-execution backend: serial (default) or process "
-        "(results are identical across executors; only wall-clock changes).",
     )
     compare.add_argument(
         "--fault-profile", default="none", choices=list(FAULT_PROFILE_CHOICES),
@@ -139,16 +141,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     table2 = subparsers.add_parser("table2", help="Reproduce Table II (effectiveness).")
-    table2.add_argument("--days", type=int, default=4)
-    table2.add_argument("--cohort-size", type=int, default=310)
-    table2.add_argument("--epsilon", type=int, default=2)
+    table2.add_argument("--days", type=_positive_int, default=4)
+    table2.add_argument("--cohort-size", type=_positive_int, default=310)
+    table2.add_argument("--epsilon", type=_non_negative_int, default=2)
     table2.add_argument("--seed", type=int, default=2009)
 
     convergence = subparsers.add_parser(
         "convergence", help="Reproduce the sample-count convergence study (Section V-B)."
     )
-    convergence.add_argument("--samples", type=int, nargs="+", default=[1, 2, 3, 5, 8, 12, 16])
-    convergence.add_argument("--groups", type=int, default=4)
+    convergence.add_argument(
+        "--samples", type=_positive_int, nargs="+", default=[1, 2, 3, 5, 8, 12, 16]
+    )
+    convergence.add_argument("--groups", type=_positive_int, default=4)
     convergence.add_argument("--seed", type=int, default=97)
 
     figure = subparsers.add_parser("figure", help="Reproduce a descriptive figure.")
@@ -227,11 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Cap on admitted arrivals across the whole open-system run.",
     )
     run.add_argument(
-        "--executor", default="serial", choices=list(EXECUTOR_CHOICES),
-        help="Station-execution backend (wall-clock only; the transcript is "
-        "executor-invariant).",
-    )
-    run.add_argument(
         "--transport", default="sim", choices=list(TRANSPORT_CHOICES),
         help="Backhaul backend: sim = deterministic simulator, tcp = real "
         "localhost sockets with station worker processes (results and "
@@ -286,14 +285,13 @@ def _run_compare(args: argparse.Namespace) -> str:
         epsilon=args.epsilon,
         sample_count=args.sample_count,
     )
-    # The executor and fault profile are deployment knobs: they apply
-    # uniformly to every method's round (the protocol config carries none).
+    # The fault profile is a deployment knob: it applies uniformly to every
+    # method's round (the protocol config carries none).
     result = run_comparison(
         dataset,
         workload,
         config,
         methods=tuple(args.methods),
-        executor=args.executor,
         fault_plan=args.fault_profile,
         net_seed=args.net_seed,
         allow_partial=args.allow_partial,
@@ -431,11 +429,6 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         raise SystemExit(
             "workload run: --arrival-rate/--ramp/--arrival-process/"
             "--max-arrivals apply only to --drive open"
-        )
-    if drive == "session" and args.executor != "serial":
-        raise SystemExit(
-            "workload run: --executor applies only to the simulation and "
-            "open drives (the session drive matches in-process)"
         )
     spec = get_scenario(args.scenario)
     overrides: dict[str, object] = {}
@@ -579,12 +572,7 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         except ConfigurationError as error:
             raise SystemExit(f"workload run: {error}")
 
-    result = run_workload(
-        spec,
-        drive=drive,
-        executor=args.executor,
-        transport=args.transport,
-    )
+    result = run_workload(spec, drive=drive, transport=args.transport)
 
     faulty = spec.fault_profile != "none"
     open_run = drive == "open"

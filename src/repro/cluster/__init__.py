@@ -17,9 +17,9 @@ through the :class:`Cluster` facade's verbs::
 
 Every round enters through this surface: the method-comparison harness
 (``Cluster.adopt(...).drive(...)``), the workload engine's drive modes and
-both CLI drive paths.  Deployment knobs (executor, fault profile, net seed)
-are set on :class:`ExecutorSpec` / :class:`FaultSpec` or ``Cluster.adopt``
-and nowhere else; see ``docs/api.md`` for the verb table and migration notes.
+both CLI drive paths.  Deployment knobs (fault profile, net seed) are set on
+:class:`FaultSpec` or ``Cluster.adopt`` and nowhere else; see ``docs/api.md``
+for the verb table and migration notes.
 """
 
 from repro.cluster.facade import (

@@ -3,9 +3,9 @@
 This module drives the round engine: the data center encodes the query
 batch, :func:`repro.topology.router.run_two_tier_round` broadcasts the
 artifact to every participating base station (downlink), runs their matching
-phase through a pluggable sharded executor and carries their reports back
-(uplink) over the deployment's tier map — the star is its trunkless
-one-level case — and the center aggregates them into the ranked top-K.  All
+phase as one in-process call and carries their reports back (uplink) over
+the deployment's tier map — the star is its trunkless one-level case — and
+the center aggregates them into the ranked top-K.  All
 traffic moves as *encoded wire bytes* exposed to the round's seeded fault
 plan, so a surviving round is always exactly correct and byte counts are
 real encoded lengths.
@@ -32,9 +32,8 @@ surface:
   arbitrary protocol through one round (what the method-comparison harness
   uses).
 
-Executor choice never changes results, byte counts or the network transcript
-— only measured wall-clock; the fault plan and network seed never change what
-a *surviving* round computes, only what it costs.
+The fault plan and network seed never change what a *surviving* round
+computes, only what it costs.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.report import ClusterSnapshot, RoundReport
-from repro.cluster.spec import ClusterSpec, ExecutorSpec, TransportSpec
+from repro.cluster.spec import ClusterSpec, TransportSpec
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import MatchingProtocol, StationRanking
 from repro.core.streaming import ContinuousMatchingSession
@@ -96,14 +95,14 @@ class Cluster:
     adopt an existing :class:`~repro.datagen.workload.DistributedDataset`
     (``dataset=``) or a live :class:`~repro.datagen.source.StationSource`
     (``source=``) — the spec's remaining sub-specs still govern protocol,
-    transport, executor and faults.  A source with a resident cap
+    transport and faults.  A source with a resident cap
     (``resident_cap`` not ``None``, e.g.
     :class:`~repro.datagen.streaming.StreamingStationSource`) is served
     *lazily*: station batches are pulled on demand as rounds touch them and
     released back to the source's LRU afterwards, so the resident set stays
     bounded no matter how many users the source declares.  The cluster is a
-    context manager; leaving the ``with`` block shuts down any executor
-    worker pools.
+    context manager; leaving the ``with`` block shuts down any TCP
+    transport's workers and sockets.
     """
 
     def __init__(
@@ -140,7 +139,6 @@ class Cluster:
         self._setup(
             source,
             transport_spec=spec.transport,
-            executor=spec.executor,
             fault_plan=spec.faults.profile,
             net_seed=spec.faults.net_seed,
             allow_partial=spec.faults.allow_partial,
@@ -152,7 +150,6 @@ class Cluster:
         cls,
         dataset: "DistributedDataset | None" = None,
         network_config: NetworkConfig | None = None,
-        executor: str = "serial",
         fault_plan: FaultPlan | str = "none",
         net_seed: int = 0,
         allow_partial: bool = False,
@@ -161,11 +158,10 @@ class Cluster:
     ) -> "Cluster":
         """Wrap a pre-built dataset (or station source) without a spec.
 
-        The knobs mean what their :class:`ExecutorSpec` /
-        :class:`~repro.cluster.spec.FaultSpec` namesakes mean, except that
-        ``fault_plan`` may also be a custom
-        :class:`~repro.distributed.faults.FaultPlan`; a bad executor or
-        profile fails here.  ``Cluster.adopt(source=...)`` adopts a live
+        The knobs mean what their :class:`~repro.cluster.spec.FaultSpec`
+        namesakes mean, except that ``fault_plan`` may also be a custom
+        :class:`~repro.distributed.faults.FaultPlan`; a bad profile fails
+        here.  ``Cluster.adopt(source=...)`` adopts a live
         :class:`~repro.datagen.source.StationSource` instead — a capped
         source is served lazily, batch by batch, exactly as under a
         spec-built cluster.  No protocol is bound, so only :meth:`drive` is
@@ -182,7 +178,6 @@ class Cluster:
         cluster._setup(
             source if source is not None else DatasetStationSource(dataset),
             transport_spec=TransportSpec.from_network_config(network_config),
-            executor=ExecutorSpec(kind=executor),
             fault_plan=fault_plan,
             net_seed=net_seed,
             allow_partial=allow_partial,
@@ -194,7 +189,6 @@ class Cluster:
         source: StationSource,
         *,
         transport_spec: TransportSpec,
-        executor: ExecutorSpec,
         fault_plan: FaultPlan | str,
         net_seed: int,
         allow_partial: bool,
@@ -223,9 +217,7 @@ class Cluster:
         self._transport_spec = transport_spec
         self._network_config = transport_spec.network_config()
         self._tcp_manager: "TcpTransportManager | None" = None
-        # One runner for the cluster's lifetime, so a sweep of many rounds
-        # reuses one worker pool instead of re-spawning workers per round.
-        self._runner = ShardedStationRunner(executor=executor.kind)
+        self._runner = ShardedStationRunner()
         self._fault_plan = resolve_fault_plan(fault_plan)
         self._net_seed = net_seed
         self._allow_partial = bool(allow_partial)
@@ -635,8 +627,8 @@ class Cluster:
 
         # Phase 1: encoding at the data center.  The router then runs the
         # rest of the round over the tier map: dissemination (every station
-        # decodes the artifact from the wire bytes it received), sharded
-        # matching, and the uplink to the center.
+        # decodes the artifact from the wire bytes it received), matching,
+        # and the uplink to the center.
         encode_start = time.perf_counter()
         artifact = encode()
         encode_time = time.perf_counter() - encode_start
@@ -670,13 +662,10 @@ class Cluster:
             storage_center_bytes=artifact_bytes + routed.center_payload_bytes,
             storage_station_bytes=artifact_bytes * len(routed.active_stations),
             encode_time_s=encode_time,
-            # Shards run concurrently, a shard sequentially.
-            station_time_s=max(routed.shard_times) if routed.shard_times else 0.0,
+            station_time_s=routed.station_time_s,
             aggregate_time_s=aggregate_time,
             transmission_time_s=routed.transmission_time_s,
             report_count=len(routed.all_reports),
-            executor=self._runner.executor,
-            shard_count=routed.shard_count,
             fault_profile=self._fault_plan.name,
             net_seed=net_seed,
             retransmit_count=routed.retransmit_count,
@@ -848,8 +837,7 @@ class Cluster:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down worker pools and sockets, detach any open session handle."""
-        self._runner.close()
+        """Shut down TCP workers and sockets, detach any open session handle."""
         if self._tcp_manager is not None:
             self._tcp_manager.shutdown()
             self._tcp_manager = None

@@ -5,13 +5,14 @@ matching system behind one :class:`~repro.cluster.facade.Cluster` facade: the
 synthetic city to serve (:class:`~repro.datagen.workload.DatasetSpec`), the
 matching protocol the data center runs (:class:`ProtocolSpec`), the simulated
 backhaul (:class:`TransportSpec`), the station-execution backend
-(:class:`ExecutorSpec`) and the seeded fault environment (:class:`FaultSpec`).
+(:class:`ExecutorSpec`, always ``"serial"``) and the seeded fault environment
+(:class:`FaultSpec`).
 Like :class:`~repro.workloads.spec.WorkloadSpec` every field is validated at
 construction with :class:`~repro.core.exceptions.ConfigurationError`, so a
 mis-built deployment fails before any traffic moves.
 
-The executor and fault knobs are set here (or through the same-named
-``Cluster.adopt`` keywords) and nowhere else: the protocol's
+The fault knobs are set here (or through the same-named ``Cluster.adopt``
+keywords) and nowhere else: the protocol's
 :class:`~repro.core.config.DIMatchingConfig` says what the filter means, the
 deployment says how the round runs.
 """
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import (
     DIMatchingConfig,
-    EXECUTOR_CHOICES,
     FAULT_PROFILE_CHOICES,
     TRANSPORT_CHOICES,
 )
@@ -169,17 +169,16 @@ class TransportSpec:
 class ExecutorSpec:
     """Station-execution backend of the matching phase.
 
-    ``kind`` is ``"serial"`` (one in-process call, one shard per station) or
-    ``"process"`` (a process pool, one shard per CPU this process may run
-    on).  Results and byte counts never depend on it.
+    ``kind`` is ``"serial"``, the only backend: every station of a round is
+    matched in one in-process call, each charged an equal share of its time.
     """
 
     kind: str = "serial"
 
     def __post_init__(self) -> None:
         _require(
-            self.kind in EXECUTOR_CHOICES,
-            f"executor kind must be one of {EXECUTOR_CHOICES}, got {self.kind!r}",
+            self.kind == "serial",
+            f"executor kind must be 'serial', got {self.kind!r}",
         )
 
 
@@ -279,7 +278,6 @@ class ClusterSpec:
         cls,
         workload: "WorkloadSpec",
         *,
-        executor: str = "serial",
         network_config: NetworkConfig | None = None,
         transport: str = "sim",
     ) -> "ClusterSpec":
@@ -322,7 +320,6 @@ class ClusterSpec:
                 method=workload.method, epsilon=float(workload.epsilon), config=config
             ),
             transport=TransportSpec.from_network_config(network_config, transport=transport),
-            executor=ExecutorSpec(kind=executor),
             faults=FaultSpec(
                 profile=workload.fault_profile, allow_partial=workload.allow_partial
             ),

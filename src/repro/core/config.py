@@ -18,10 +18,6 @@ from dataclasses import dataclass, replace
 from repro.core.exceptions import ConfigurationError
 from repro.utils.validation import require_non_negative, require_positive
 
-#: Station-execution backends accepted by ``ExecutorSpec.kind``,
-#: ``Cluster.adopt`` and the CLI (see :mod:`repro.distributed.executor`).
-EXECUTOR_CHOICES = ("serial", "process")
-
 #: Named fault profiles accepted by ``FaultSpec.profile``, ``Cluster.adopt``,
 #: ``WorkloadSpec.fault_profile`` and the CLI.  The plans themselves live in
 #: :data:`repro.distributed.faults.FAULT_PROFILES` (which asserts its keys
@@ -66,8 +62,8 @@ class DIMatchingConfig:
 
     Every field travels on the wire inside an encoded query batch, so a
     station matches under exactly the configuration the center encoded with.
-    Deployment knobs (executor, shard count, transport, fault profile) live
-    on :class:`~repro.cluster.spec.ClusterSpec`, never here.
+    Deployment knobs (transport, fault profile) live on
+    :class:`~repro.cluster.spec.ClusterSpec`, never here.
     """
 
     #: ``b`` — sampled points per pattern (the paper converges at 5, is stable at 12).

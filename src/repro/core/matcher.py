@@ -104,15 +104,6 @@ class StationMatcherCache:
 
         self._forget = forget
 
-    def __getstate__(self) -> dict:
-        # Cached matchers are keyed by PatternSet identity, which does not
-        # survive pickling (process-executor workers receive copies), so only
-        # the configuration travels; workers rebuild matchers on demand.
-        return {"_config": self._config}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["_config"])
-
     def matcher_for(self, station_id: str, patterns: PatternSet) -> "BaseStationMatcher":
         entry = self._matchers.get(station_id)
         if entry is not None and entry() is patterns and entry.length == len(patterns):

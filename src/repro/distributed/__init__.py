@@ -19,11 +19,7 @@ from repro.distributed.events import (
     TransportError,
     transcript_to_bytes,
 )
-from repro.distributed.executor import (
-    MatchingOutcome,
-    ShardedStationRunner,
-    partition_round_robin,
-)
+from repro.distributed.executor import MatchingOutcome, ShardedStationRunner
 from repro.distributed.faults import (
     FAULT_PROFILES,
     FaultInjector,
@@ -51,7 +47,6 @@ __all__ = [
     "transcript_to_bytes",
     "MatchingOutcome",
     "ShardedStationRunner",
-    "partition_round_robin",
     "FAULT_PROFILES",
     "FaultInjector",
     "FaultPlan",

@@ -8,8 +8,8 @@ arguments in the entry spares the transport a closure per scheduled frame.
 Everything the loop does is recorded by the transport as
 :class:`TranscriptEntry` rows; the canonical byte rendering of a transcript
 (:func:`transcript_to_bytes`) is what the seed-replay harness compares across
-runs and executors — two runs are "the same" exactly when their transcripts
-are byte-identical.
+runs and interpreters — two runs are "the same" exactly when their
+transcripts are byte-identical.
 """
 
 from __future__ import annotations

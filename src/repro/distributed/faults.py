@@ -214,8 +214,8 @@ class FaultInjector:
 
     Every decision is drawn from an RNG seeded purely by ``(seed, frame id,
     attempt)`` (frames) or ``(seed, crc32(station id))`` (stations), so the
-    outcome is independent of call order, event interleaving and the executor
-    running the station phase — the replay guarantee the transcript tests pin.
+    outcome is independent of call order and event interleaving — the replay
+    guarantee the transcript tests pin.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:

@@ -44,10 +44,6 @@ class CostReport:
     aggregate_time_s: float = 0.0
     transmission_time_s: float = 0.0
     report_count: int = 0
-    #: Station-execution backend the run used ("serial" or "process").
-    executor: str = "serial"
-    #: Number of station shards the matching phase was partitioned into.
-    shard_count: int = 0
     #: Fault profile the round's transport ran under ("none" = fault-free).
     fault_profile: str = "none"
     #: Seed of the network fault injector for this round.

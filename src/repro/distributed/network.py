@@ -47,7 +47,7 @@ phase is sent.
 Every frame event is recorded as a
 :class:`~repro.distributed.events.TranscriptEntry`; the canonical transcript
 bytes are the replay token the seed-replay tests compare across runs and
-executors.  The ledger, the transcript and the failure rule are
+interpreters.  The ledger, the transcript and the failure rule are
 :class:`~repro.distributed.transport.base.Transport`'s, shared with the TCP
 backend; this module supplies the link model, the fault draws and the event
 loop.

@@ -76,7 +76,9 @@ class RoundOptions:
             not isinstance(self.net_seed, int) or isinstance(self.net_seed, bool)
         ):
             raise ValueError(f"net_seed must be an integer or None, got {self.net_seed!r}")
-        if self.k is not None and (not isinstance(self.k, int) or self.k < 0):
+        if self.k is not None and (
+            not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0
+        ):
             raise ValueError(f"k must be a non-negative integer or None, got {self.k!r}")
 
     @classmethod

@@ -32,9 +32,9 @@ For fault-free plans the delivered wire bytes, match results and frame counts
 are identical across backends (the conformance suite pins this); wall-clock
 timings are measured, not modeled, so transcripts and durations differ.
 
-Station *matching* stays in the driving process behind the executor seam:
-after a phase's socket traffic resolves, each delivered frame reaches its
-in-process :class:`~repro.distributed.node.Node` through
+Station *matching* stays in the driving process: after a phase's socket
+traffic resolves, each delivered frame reaches its in-process
+:class:`~repro.distributed.node.Node` through
 :meth:`~repro.distributed.node.Node.receive_frame`, as its envelope head plus
 its payload block, on the caller thread and in send order — the simulator's
 delivery call, which keeps results deterministic and byte-identical to it.

@@ -19,10 +19,10 @@ worker is the station's *network agent*: it speaks the transport's framed
   when :attr:`~repro.distributed.network.NetworkConfig.max_attempts` is
   exhausted.
 
-The matching computation itself stays in the driving process (the executor
-seam of PR 2 already parallelizes it); what this process proves is the
-*protocol*: the same frames, checksums, retransmissions and duplicate
-suppression the simulator models, exercised over real sockets.
+The matching computation itself stays in the driving process; what this
+process proves is the *protocol*: the same frames, checksums,
+retransmissions and duplicate suppression the simulator models, exercised
+over real sockets.
 """
 
 from __future__ import annotations

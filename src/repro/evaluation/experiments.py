@@ -124,7 +124,6 @@ def run_comparison(
     methods: Sequence[str] = DEFAULT_METHODS,
     k: int | None = None,
     network_config: NetworkConfig | None = None,
-    executor: str = "serial",
     fault_plan: FaultPlan | str = "none",
     net_seed: int = 0,
     allow_partial: bool = False,
@@ -133,11 +132,9 @@ def run_comparison(
 
     When ``k`` is None the cutoff is set to the ground-truth size, i.e. every method
     is asked for exactly as many users as are truly relevant (precision@|truth|).
-    ``executor`` selects the station-execution backend for *all* methods
-    (results and byte counts are executor-invariant); ``fault_plan`` /
-    ``net_seed`` select the seeded transport faults every method's round is
-    exposed to (a surviving round's results are fault-invariant — faults change
-    costs, never answers).
+    ``fault_plan`` / ``net_seed`` select the seeded transport faults every
+    method's round is exposed to (a surviving round's results are
+    fault-invariant — faults change costs, never answers).
     """
     config = config or DIMatchingConfig(epsilon=int(workload.epsilon))
     queries = list(workload.queries)
@@ -145,11 +142,10 @@ def run_comparison(
     cutoff = k if k is not None else len(truth)
     outcomes: dict[str, MethodOutcome] = {}
     # Every method's round runs through the same adopted cluster, so all
-    # methods share one deployment: executor, fault plan and net seed.
+    # methods share one deployment: fault plan and net seed.
     with Cluster.adopt(
         dataset,
         network_config,
-        executor=executor,
         fault_plan=fault_plan,
         net_seed=net_seed,
         allow_partial=allow_partial,
@@ -179,7 +175,6 @@ def sweep_query_counts(
     methods: Sequence[str] = DEFAULT_METHODS,
     seed: int = 11,
     network_config: NetworkConfig | None = None,
-    executor: str = "serial",
     fault_plan: FaultPlan | str = "none",
     net_seed: int = 0,
     allow_partial: bool = False,
@@ -197,7 +192,6 @@ def sweep_query_counts(
                 config=config,
                 methods=methods,
                 network_config=network_config,
-                executor=executor,
                 fault_plan=fault_plan,
                 net_seed=net_seed,
                 allow_partial=allow_partial,

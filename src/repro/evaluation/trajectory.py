@@ -114,8 +114,8 @@ def headline_metrics(document: dict) -> list[HeadlineMetric]:
     if "max_sustainable_qps" in payload:  # open-loop saturation sweep
         sustainable = payload["max_sustainable_qps"]
         if isinstance(sustainable, dict):
-            # Per-executor entries; the sweep itself asserts they are equal
-            # (virtual capacity is executor-invariant), the gate tracks each.
+            # One entry per executor the sweep ran under (``serial``); the
+            # gate tracks each.
             for executor in sorted(sustainable):
                 metrics.append(
                     HeadlineMetric(

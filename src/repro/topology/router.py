@@ -14,7 +14,7 @@ Phase order (the reverse tree of the paper's two phases)::
 
     trunk downlink   center      → aggregators   (artifact, once per region)
     regional downlink aggregator → stations      (artifact fan-out)
-    matching          sharded station runner, global station order
+    matching          station runner, global station order
     regional uplink   stations   → aggregator    (per-station reports)
     trunk uplink      aggregator → center        (one deduplicated summary)
 
@@ -37,7 +37,7 @@ trunk uplink) is the headline quantity the hierarchy exists to shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.distributed.events import RoundTimeoutError
@@ -83,8 +83,8 @@ class TwoTierRoundResult:
     #: Decoded payload bytes that landed at the center (storage): the
     #: trunk summaries, or the station reports of a star.
     center_payload_bytes: int
-    shard_times: list[float] = field(default_factory=list)
-    shard_count: int = 0
+    #: Each matched station's share of the matching call's wall time.
+    station_time_s: float
 
 
 def _artifact_frames(
@@ -209,11 +209,11 @@ def run_two_tier_round(
         ]
         active_stations.extend(survivors[region.name])
 
-    # Phase 2: sharded matching against one decoded artifact instance, over
-    # the concatenation of the regions' survivors — which, because regions
-    # are contiguous slices, is the global station order.  All surviving
-    # copies are equal by the transport's integrity guarantee, so one
-    # decoded instance is shared across shards.
+    # Phase 2: matching against one decoded artifact instance, over the
+    # concatenation of the regions' survivors — which, because regions are
+    # contiguous slices, is the global station order.  All surviving copies
+    # are equal by the transport's integrity guarantee, so one decoded
+    # instance serves every station.
     matching_artifact = (
         active_stations[0].latest_artifact() if active_stations else artifact
     )
@@ -292,8 +292,7 @@ def run_two_tier_round(
             trunk_transport, [regional_transports[r.name] for r in served_regions]
         ),
         center_payload_bytes=center_payload_bytes,
-        shard_times=matched.shard_times,
-        shard_count=len(matched.shard_times),
+        station_time_s=matched.station_time_s,
         **totals,
     )
 

@@ -603,7 +603,7 @@ def _read_message_body(reader: ByteReader) -> "Message":
 #: size, not with the data).  The cache maps exact payload-block bytes to the
 #: decoded artifact, so a broadcast decodes once and every
 #: further station reuses the instance — sharing that the round engine already
-#: sanctions by matching all shards against one decoded artifact.  A frame
+#: sanctions by matching every station against one decoded artifact.  A frame
 #: read by :func:`read_frame` hands in the sender's own ``bytes`` object
 #: as the key: its hash is computed once and cached by the object, and a dict
 #: lookup compares identity before content, so a broadcast's stations find

@@ -13,7 +13,7 @@ session mode and in where the ticks come from:
 
 * ``simulation`` — ``spec.rounds`` ticks over a ``mode="rounds"`` session:
   every step is a full wire round (encode → broadcast to the round's
-  *active* stations → sharded matching → reliable uplink), churn expressed
+  *active* stations → station matching → reliable uplink), churn expressed
   as per-step ``RoundOptions.station_ids`` subsets.  Costs are the real
   per-round wire bytes.
 * ``session`` — ``spec.rounds`` ticks over a ``mode="deltas"`` session: one
@@ -37,7 +37,7 @@ round's query sample, the churn draws and the transport's fault schedule —
 derives from ``(spec.name, spec.seed)`` via :func:`repro.utils.rng.derive_seed`
 with a distinct label per process and round.  The resulting
 :meth:`~repro.workloads.result.WorkloadResult.transcript_bytes` is therefore
-byte-identical across runs and across station executors; the replay suite
+byte-identical across runs and interpreters; the replay suite
 under ``tests/workloads/`` pins this for every registered scenario, and pins
 it against the pre-facade engine through committed golden digests.
 """
@@ -71,7 +71,7 @@ class _ChurnState:
 
     Stations are iterated in sorted order and every draw comes from a
     per-round RNG derived from the workload identity, so the membership
-    schedule is independent of dict ordering, executors and call timing.
+    schedule is independent of dict ordering and call timing.
     """
 
     def __init__(self, spec: WorkloadSpec, station_ids: Sequence[str]) -> None:
@@ -281,18 +281,15 @@ def run_workload(
     spec: WorkloadSpec,
     *,
     drive: str = "simulation",
-    executor: str = "serial",
     network_config: NetworkConfig | None = None,
     transport: str = "sim",
 ) -> WorkloadResult:
     """Compile ``spec`` into a multi-round facade drive and run it to completion.
 
-    ``executor`` is a local scale knob: like everywhere else in the system
-    it changes wall-clock only, never the results, byte counts or the
-    replayed transcript.  ``transport`` selects
-    the backhaul backend (``repro.core.config.TRANSPORT_CHOICES``): ``"sim"``
-    replays on the deterministic simulator, ``"tcp"`` drives the same rounds
-    over real localhost sockets with station worker processes.  Fault-free
+    ``transport`` selects the backhaul backend
+    (``repro.core.config.TRANSPORT_CHOICES``): ``"sim"`` replays on the
+    deterministic simulator, ``"tcp"`` drives the same rounds over real
+    localhost sockets with station worker processes.  Fault-free
     runs produce identical results and byte counts on both; wire latencies
     become wall-clock measurements on ``"tcp"``.
     """
@@ -313,7 +310,6 @@ def run_workload(
         )
     cluster_spec = ClusterSpec.from_workload(
         spec,
-        executor=executor,
         network_config=network_config,
         transport=transport,
     )
@@ -345,9 +341,6 @@ def run_workload(
         drive=drive,
         method=spec.method,
         fault_profile=spec.fault_profile,
-        # The session drive matches in-process and never constructs an
-        # executor runner; recording the knob there would misstate the run.
-        executor=executor if drive != "session" else "serial",
     )
     if drive == "open":
         ticks: Iterable[_Tick] = _arrivals(spec, aggregator)

@@ -278,7 +278,6 @@ class WorkloadResult:
     drive: str
     method: str
     fault_profile: str
-    executor: str
     rounds: tuple[RoundMetrics, ...]
     cumulative: dict[str, StatSummary]
     transcripts: tuple[bytes, ...] = field(repr=False, default=())
@@ -313,8 +312,7 @@ class WorkloadResult:
         Each round's canonical event transcript
         (:func:`repro.distributed.events.transcript_to_bytes`) is prefixed
         with a round header; two workload runs are "the same" exactly when
-        these bytes are identical — across repeated runs and across station
-        executors.
+        these bytes are identical.
         """
         parts: list[bytes] = []
         for index, transcript in enumerate(self.transcripts):
@@ -335,7 +333,9 @@ class WorkloadResult:
             "drive": self.drive,
             "method": self.method,
             "fault_profile": self.fault_profile,
-            "executor": self.executor,
+            # Every committed payload and baseline holds this key; matching
+            # has one backend, so its value never varies.
+            "executor": "serial",
             "round_count": self.round_count,
             "totals": {
                 "bytes": self.total_bytes,
@@ -376,14 +376,12 @@ class WorkloadAggregator:
         drive: str,
         method: str,
         fault_profile: str,
-        executor: str,
     ) -> None:
         self._scenario = scenario
         self._seed = seed
         self._drive = drive
         self._method = method
         self._fault_profile = fault_profile
-        self._executor = executor
         self._rounds: list[RoundMetrics] = []
         self._transcripts: list[bytes] = []
         self._streams = {name: StreamingStat() for name in _STREAMED_QUANTITIES}
@@ -523,7 +521,6 @@ class WorkloadAggregator:
             drive=self._drive,
             method=self._method,
             fault_profile=self._fault_profile,
-            executor=self._executor,
             rounds=tuple(self._rounds),
             cumulative=self.snapshot(),
             transcripts=tuple(self._transcripts),

@@ -87,8 +87,6 @@ class TestClusterConstruction:
             assert station.stored_pattern_count > 0
 
     def test_adopt_rejects_bad_knobs_before_any_round(self, small_dataset):
-        with pytest.raises(ConfigurationError, match="executor kind"):
-            Cluster.adopt(small_dataset, executor="gpu")
         with pytest.raises(ValueError, match="unknown fault profile"):
             Cluster.adopt(small_dataset, fault_plan="meteor-strike")
 

@@ -6,7 +6,6 @@ from repro.cluster import Cluster
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol, run_dimatching
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
-from repro.distributed.executor import ShardedStationRunner
 from repro.evaluation.experiments import ground_truth_users, run_comparison
 
 
@@ -101,50 +100,6 @@ class TestMethodComparisonEndToEnd:
         assert (
             result.outcome("local").metrics.recall
             < result.outcome("naive").metrics.recall
-        )
-
-
-class TestExecutorParity:
-    """serial / process executors are interchangeable for results.
-
-    Shard layout and executor choice may only change wall-clock: ranked
-    results, report counts and every real byte count must be identical on the
-    same seeded dataset.
-    """
-
-    def test_process_executor_matches_serial_exactly(
-        self, small_dataset, small_workload, exact_config
-    ):
-        executor = "process"
-        outcomes = {}
-        for name in ("serial", executor):
-            result = run_comparison(
-                small_dataset,
-                small_workload,
-                exact_config,
-                methods=("naive", "bf", "wbf"),
-                executor=name,
-            )
-            outcomes[name] = result
-        for method in ("naive", "bf", "wbf"):
-            serial = outcomes["serial"].outcome(method)
-            pooled = outcomes[executor].outcome(method)
-            assert pooled.retrieved == serial.retrieved
-            assert pooled.costs.downlink_bytes == serial.costs.downlink_bytes
-            assert pooled.costs.uplink_bytes == serial.costs.uplink_bytes
-            assert pooled.costs.message_count == serial.costs.message_count
-            assert pooled.costs.report_count == serial.costs.report_count
-            assert pooled.costs.executor == executor
-
-    def test_executor_from_the_deployment(self, small_dataset, small_workload, exact_config):
-        with Cluster.adopt(small_dataset, executor="process") as cluster:
-            participants = len(cluster.stations)
-            simulated = cluster.drive(
-                DIMatchingProtocol(exact_config), list(small_workload.queries)
-            )
-        assert simulated.costs.executor == "process"
-        assert simulated.costs.shard_count == min(
-            ShardedStationRunner.resolve_worker_count(), participants
         )
 
 

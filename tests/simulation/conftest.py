@@ -64,14 +64,12 @@ def run_round(
     dataset_seed: int,
     net_seed: int,
     profile: "str | FaultPlan",
-    executor: str = "serial",
     allow_partial: bool = False,
 ) -> SimulationOutcome:
     """Run one full DI-matching round under the given deterministic triple."""
     env = environment_for(dataset_seed)
     with Cluster.adopt(
         env.dataset,
-        executor=executor,
         fault_plan=profile,
         net_seed=net_seed,
         allow_partial=allow_partial,

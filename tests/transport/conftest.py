@@ -5,86 +5,20 @@ every test stands its deployments up from :func:`make_spec`, so a sim/tcp
 pair differs in exactly one field — ``TransportSpec.transport`` — and any
 result divergence is attributable to the backend alone.  TCP deployments get
 their worker-connect deadline stretched through :func:`tests.transport.util.generous`.
-
-Every module here is also checked for leaks (:func:`no_leaks`): a module
-that leaves a worker process running, a socket open or a worker's stderr
-file behind fails.
+Like every module of the suite, each module here fails if it leaves a worker
+process, a socket or a worker's stderr file behind (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import tempfile
-
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, ProtocolSpec
-from repro.cluster.spec import ExecutorSpec, FaultSpec, TransportSpec
+from repro.cluster.spec import FaultSpec, TransportSpec
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
 
-from .util import generous, wait_until
+from .util import generous
 
-
-def _children() -> set[int]:
-    """This process's child pids, over all of its threads."""
-    pids: set[int] = set()
-    for path in glob.glob("/proc/self/task/*/children"):
-        try:
-            with open(path) as handle:
-                pids.update(int(pid) for pid in handle.read().split())
-        except OSError:  # the thread ended meanwhile
-            pass
-    return pids
-
-
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` runs (an exited child waiting to be reaped does not)."""
-    try:
-        with open(f"/proc/{pid}/stat") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
-def _sockets() -> set[str]:
-    """This process's open sockets, as ``socket:[inode]``."""
-    sockets = set()
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            target = os.readlink(f"/proc/self/fd/{fd}")
-        except OSError:  # closed meanwhile
-            continue
-        if target.startswith("socket:"):
-            sockets.add(target)
-    return sockets
-
-
-def _worker_logs() -> set[str]:
-    """The TCP workers' stderr files in the temp directory."""
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-tcp-worker-*")))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def no_leaks():
-    """Fail a module that leaves a child process, a socket or a worker log behind."""
-    if not os.path.isdir("/proc/self/task"):
-        yield
-        return
-    children, sockets, logs = _children(), _sockets(), _worker_logs()
-    yield
-
-    def running() -> set[int]:
-        return {pid for pid in _children() - children if _alive(pid)}
-
-    wait_until(
-        lambda: not running(),
-        timeout_s=10.0,
-        what="the module's child processes to exit",
-        describe=running,
-    )
-    assert _sockets() - sockets == set(), "the module left sockets open"
-    assert _worker_logs() - logs == set(), "the module left worker stderr files"
 
 #: Small enough that a TCP round completes in well under a second, large
 #: enough that every station stores patterns and ships a non-empty report.
@@ -132,7 +66,6 @@ def make_spec(
             max_attempts=max_attempts,
             tcp_connect_timeout_s=generous(30.0),
         ),
-        executor=ExecutorSpec(),
         faults=FaultSpec(
             profile=profile, net_seed=net_seed, allow_partial=allow_partial
         ),

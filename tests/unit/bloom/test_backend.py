@@ -10,7 +10,6 @@ The cluster, workload and command-line surfaces need NumPy and are skipped
 without it; everything else here runs without NumPy.
 """
 
-import dataclasses
 import inspect
 
 import pytest
@@ -22,7 +21,6 @@ from repro.bloom.bitset import BitArray
 from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.wbf import WeightedBloomFilter
-from repro.distributed.executor import SharedArtifactToken
 from repro.distributed.transport import worker
 
 #: Every call the bit-storage knob used to reach, as ``module:qualname``.
@@ -87,10 +85,6 @@ class TestOneBitStore:
     )
     def test_no_store_names_a_backend(self, build):
         assert [name for name in dir(build()) if "backend" in name] == []
-
-    def test_the_shared_artifact_token_names_only_its_segment(self):
-        names = [field.name for field in dataclasses.fields(SharedArtifactToken)]
-        assert names == ["name", "size", "crc"]
 
     def test_the_bloom_package_exports_no_backend_name(self):
         assert sorted(repro.bloom.__all__) == [

@@ -184,6 +184,17 @@ class TestPerRoundOverrides:
                 options=RoundOptions(station_ids=["bs-on-the-moon"]),
             )
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"k": True}, {"k": False}, {"net_seed": True}],
+        ids=["k-true", "k-false", "net-seed-true"],
+    )
+    def test_a_bool_is_neither_a_cutoff_nor_a_seed(self, override):
+        # bool is an int subclass: k=True would otherwise cut at the top 1.
+        (name,) = override
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            RoundOptions(**override)
+
     def test_per_round_net_seed_overrides_the_construction_seed(
         self, small_dataset, small_workload, exact_config
     ):

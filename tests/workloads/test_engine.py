@@ -139,8 +139,8 @@ class TestSessionDrive:
             )
 
     def test_session_runs_record_the_serial_executor(self):
-        result = run_tiny("steady-state", drive="session", executor="process")
-        assert result.executor == "serial"
+        result = run_tiny("steady-state", drive="session")
+        assert result.to_payload()["executor"] == "serial"
 
     def test_session_drive_survives_chaos(self):
         result = run_tiny("degraded-network", drive="session")

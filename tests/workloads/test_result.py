@@ -187,7 +187,6 @@ class TestWorkloadAggregator:
             drive="simulation",
             method="wbf",
             fault_profile="none",
-            executor="serial",
         )
 
     def test_streams_fold_round_by_round(self):
