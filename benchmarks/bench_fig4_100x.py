@@ -11,7 +11,8 @@ and pins down two things:
 * the hot-path speedup: the same round is re-run on the plain paths the
   program's hot path replaced, kept below as reference code — every frame
   decodes its own payload block, and every candidate intersects its rows'
-  weight sets one row at a time — and must come out at least 3x slower,
+  weight sets one row at a time and reports as ``MatchReport`` objects —
+  and must come out at least 3x slower,
   locking in that round cost scales with deltas, not cluster size.
 
 Wall-clock numbers are recorded in the JSON as informational context only;
@@ -29,6 +30,7 @@ import repro.wire.codec as codec
 from repro.cluster import Cluster
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
+from repro.core.protocol import MatchReport
 from repro.datagen.scale import build_scale_dataset, build_scale_queries
 from repro.distributed.events import transcript_to_bytes
 
@@ -51,6 +53,7 @@ def _per_row_match_weighted(matchers, encoded):
     wbf = encoded.wbf
     reports = [[] for _ in matchers]
     for station_reports, matcher in zip(reports, matchers):
+        station_id = matcher.station_id
         probe = matcher._probe_for(wbf.hash_family)
         offset = 0
         for candidate, row_count in enumerate(matcher._row_counts):
@@ -63,7 +66,11 @@ def _per_row_match_weighted(matchers, encoded):
                 if not common:
                     break
             if common:
-                kernel._report(station_reports, matcher, candidate, kernel._report_pairs(common))
+                user_id = matcher._candidates[candidate].user_id
+                station_reports.extend(
+                    MatchReport(user_id, station_id, weight, query_id)
+                    for query_id, weight in kernel._report_pairs(common)
+                )
     return reports
 
 

@@ -10,6 +10,7 @@ result, which is what degrades precision as the number of patterns grows.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from repro.bloom.standard import BloomFilter
@@ -17,7 +18,8 @@ from repro.core.config import DIMatchingConfig
 from repro.core.encoder import PatternEncoder
 from repro.core.exceptions import MatchingError
 from repro.core.matcher import StationMatcherCache, match_plain
-from repro.core.protocol import MatchingProtocol, MatchReport, RankedResults, RankedUser
+from repro.core.protocol import MatchingProtocol, RankedResults, RankedUser
+from repro.core.reports import ReportColumns
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
 
@@ -48,13 +50,13 @@ class BloomFilterProtocol(MatchingProtocol):
 
     def station_match(
         self, station_id: str, patterns: PatternSet, artifact: object | None
-    ) -> list[MatchReport]:
+    ) -> ReportColumns:
         """Report every user whose sampled values are all present in the filter."""
         return self.match_stations([(station_id, patterns)], artifact)[0]
 
     def match_stations(
         self, stations: Sequence[tuple[str, PatternSet]], artifact: object | None
-    ) -> list[list[MatchReport]]:
+    ) -> list[ReportColumns]:
         """The membership-only Algorithm 2 at every station, in one pass over their probes."""
         if not stations:
             return []
@@ -71,14 +73,12 @@ class BloomFilterProtocol(MatchingProtocol):
 
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Rank users by how many stations reported them (no weights available)."""
-        counts: dict[str, int] = {}
-        for report in reports:
-            if not isinstance(report, MatchReport):
-                raise MatchingError("BF aggregation received non-MatchReport entries")
-            counts[report.user_id] = counts.get(report.user_id, 0) + 1
+        columns = ReportColumns.from_reports(reports)
+        if columns is None:
+            raise MatchingError("BF aggregation received non-MatchReport entries")
         ranked = [
-            RankedUser(user_id=user_id, score=float(count))
-            for user_id, count in counts.items()
+            RankedUser(user_id=columns.table[user], score=float(count))
+            for user, count in Counter(columns.users).items()
         ]
         ranked.sort(key=lambda entry: (-entry.score, entry.user_id))
         results = RankedResults(tuple(ranked))

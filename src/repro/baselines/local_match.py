@@ -11,10 +11,12 @@ and for the ablation benchmarks.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 from repro.core.exceptions import MatchingError
-from repro.core.protocol import MatchingProtocol, MatchReport, RankedResults, RankedUser
+from repro.core.protocol import MatchingProtocol, RankedResults, RankedUser
+from repro.core.reports import ReportColumns
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
 from repro.timeseries.similarity import pattern_epsilon_similar
@@ -46,7 +48,7 @@ class LocalOnlyProtocol(MatchingProtocol):
 
     def station_match(
         self, station_id: str, patterns: PatternSet, artifact: object | None
-    ) -> list[MatchReport]:
+    ) -> ReportColumns:
         """Report users whose local fragment matches some query's global pattern."""
         if not isinstance(artifact, tuple) or not all(
             isinstance(query, QueryPattern) for query in artifact
@@ -55,27 +57,26 @@ class LocalOnlyProtocol(MatchingProtocol):
                 f"station {station_id!r} expected a tuple of QueryPattern, "
                 f"got {type(artifact).__name__}"
             )
-        reports: list[MatchReport] = []
-        for pattern in patterns:
-            if any(
-                pattern_epsilon_similar(pattern, query.global_pattern, self._epsilon)
-                for query in artifact
-            ):
-                reports.append(
-                    MatchReport(user_id=pattern.user_id, station_id=station_id, weight=None)
+        return ReportColumns.weightless(
+            station_id,
+            [
+                pattern.user_id
+                for pattern in patterns
+                if any(
+                    pattern_epsilon_similar(pattern, query.global_pattern, self._epsilon)
+                    for query in artifact
                 )
-        return reports
+            ],
+        )
 
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Union the station-level matches, ranked by report count."""
-        counts: dict[str, int] = {}
-        for report in reports:
-            if not isinstance(report, MatchReport):
-                raise MatchingError("local-only aggregation received non-MatchReport entries")
-            counts[report.user_id] = counts.get(report.user_id, 0) + 1
+        columns = ReportColumns.from_reports(reports)
+        if columns is None:
+            raise MatchingError("local-only aggregation received non-MatchReport entries")
         ranked = [
-            RankedUser(user_id=user_id, score=float(count))
-            for user_id, count in counts.items()
+            RankedUser(user_id=columns.table[user], score=float(count))
+            for user, count in Counter(columns.users).items()
         ]
         ranked.sort(key=lambda entry: (-entry.score, entry.user_id))
         results = RankedResults(tuple(ranked))

@@ -19,6 +19,7 @@ from repro.core.protocol import (
     RankedResults,
     RankedUser,
 )
+from repro.core.reports import ReportColumns
 from repro.core.streaming import ContinuousMatchingSession
 from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.query import QueryPattern
@@ -37,6 +38,7 @@ __all__ = [
     "BaseStationMatcher",
     "MatchingProtocol",
     "MatchReport",
+    "ReportColumns",
     "RankedResults",
     "RankedUser",
     "ContinuousMatchingSession",

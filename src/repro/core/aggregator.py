@@ -24,17 +24,28 @@ extends it one station at a time, dropping a partial sum as soon as even the lea
 option of every later station would carry it past the bound.  Nothing is truncated
 or enumerated, and the set never outgrows either the assignment count or the
 integers between the least possible sum and the bound.
+
+Reports arrive as :class:`~repro.core.reports.ReportColumns` (a list of
+:class:`MatchReport` is read into them): groups are keyed on the columns'
+integer codes, their weights summed as integer terms, and a ``Fraction`` and a
+``float`` built once per distinct score.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
-from typing import Mapping, Sequence
+from itertools import chain
+from math import gcd, lcm
+from operator import add
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.core.exceptions import MatchingError
 from repro.core.protocol import MatchReport, RankedResults, RankedUser
+from repro.core.reports import ReportColumns
+
+#: Lowest terms ``(numerator, denominator)`` of a weight or a weight sum.
+Terms = tuple[int, int]
 
 
 class SimilarityRanker:
@@ -48,6 +59,7 @@ class SimilarityRanker:
         if max_weight_sum <= 0:
             raise ValueError(f"max_weight_sum must be positive, got {max_weight_sum}")
         self._max_weight_sum = max_weight_sum
+        self._bound = (max_weight_sum.numerator, max_weight_sum.denominator)
 
     @property
     def max_weight_sum(self) -> Fraction:
@@ -58,15 +70,14 @@ class SimilarityRanker:
         self, reports: Sequence[MatchReport]
     ) -> dict[tuple[str, str], dict[str, set[Fraction]]]:
         """Group reports into ``(user, query) -> station -> candidate weights``."""
+        columns = _weighted_columns(reports)
+        table, weight_of = columns.table, columns.weight_of
         options: dict[tuple[str, str], dict[str, set[Fraction]]] = {}
-        for report in reports:
-            if report.weight is None:
-                raise MatchingError(
-                    f"report for user {report.user_id!r} carries no weight; "
-                    "SimilarityRanker requires weighted reports"
-                )
-            per_station = options.setdefault((report.user_id, report.query_id), {})
-            per_station.setdefault(report.station_id, set()).add(report.weight)
+        for user, station, query, numerator, denominator in _rows(columns):
+            per_station = options.setdefault((table[user], table[query]), {})
+            per_station.setdefault(table[station], set()).add(
+                weight_of(numerator, denominator)
+            )
         return options
 
     def best_weight_sum(
@@ -79,31 +90,14 @@ class SimilarityRanker:
         maximised subject to the bound.  ``None`` means every assignment exceeds the
         bound — the over-matching case Algorithm 3 deletes.
         """
-        bound = self._max_weight_sum
-        scale = bound.denominator
-        for weights in options_by_station.values():
-            for weight in weights:
-                if scale % weight.denominator:
-                    scale = lcm(scale, weight.denominator)
-        # Each station's options as sorted integers over ``scale``.  ``rest`` is
-        # the least the stations not yet added can contribute: a partial sum
-        # that it would carry past ``cap`` can never finish under it, whatever
-        # the signs of the weights.
-        scaled: list[list[int]] = []
-        rest = 0
-        for weights in options_by_station.values():
-            steps = sorted([w.numerator * (scale // w.denominator) for w in weights])
-            rest += steps[0]
-            scaled.append(steps)
-        cap = bound.numerator * (scale // bound.denominator)
-        sums = {0}
-        for steps in scaled:
-            rest -= steps[0]
-            room = cap - rest
-            sums = {total + step for total in sums for step in steps if total + step <= room}
-            if not sums:
-                return None
-        return Fraction(max(sums), scale)
+        terms = _best_terms(
+            self._bound,
+            [
+                [(weight.numerator, weight.denominator) for weight in weights]
+                for weights in options_by_station.values()
+            ],
+        )
+        return None if terms is None else Fraction(*terms)
 
     def user_scores(self, reports: Sequence[MatchReport]) -> dict[str, Fraction]:
         """Best surviving per-query weight sum for every reported user.
@@ -111,15 +105,31 @@ class SimilarityRanker:
         Per-query sums above :attr:`max_weight_sum` are deleted (over-matching); a
         user with no surviving sum is dropped entirely.
         """
-        best: dict[str, Fraction] = {}
-        for (user_id, _query_id), per_station in self.weight_options(reports).items():
-            weight_sum = self.best_weight_sum(per_station)
-            if weight_sum is None:
+        columns = _weighted_columns(reports)
+        width = len(columns.table)
+        # ``(user, query)`` code -> its rows: station code and weight terms.
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for key, row in zip(
+            map(add, map(width.__mul__, columns.users), columns.queries),
+            zip(columns.stations, columns.numerators, columns.denominators),
+        ):
+            groups.setdefault(key, []).append(row)
+        bound = self._bound
+        best: dict[int, Terms] = {}
+        for key, rows in groups.items():
+            terms = _best_terms(bound, _options(rows))
+            if terms is None:
                 continue
-            current = best.get(user_id)
-            if current is None or weight_sum > current:
-                best[user_id] = weight_sum
-        return best
+            user = key // width
+            current = best.get(user)
+            if current is None or (
+                terms != current and terms[0] * current[1] > current[0] * terms[1]
+            ):
+                best[user] = terms
+        # One Fraction per distinct score, shared by the users holding it.
+        fractions = {terms: Fraction(*terms) for terms in set(best.values())}
+        table = columns.table
+        return {table[user]: fractions[terms] for user, terms in best.items()}
 
     def aggregate(
         self, reports: Sequence[MatchReport], k: int | None = None
@@ -129,20 +139,24 @@ class SimilarityRanker:
         ``k=None`` returns every surviving user (sorted); otherwise the first ``k``.
         Ties are broken by user id so results are deterministic.
         """
-        scores = self.user_scores(reports)
-        # Sorting users on (-score, user_id) compares Fractions at every tie,
-        # yet a round's distinct scores are few (star-10k ranks thousands of
-        # users on two).  The same order: each distinct score sorted once,
-        # descending, then the ids sharing it as plain strings.
-        by_score: dict[Fraction, list[str]] = {}
-        for user_id, weight_sum in scores.items():
-            by_score.setdefault(weight_sum, []).append(user_id)
+        # A round's distinct scores are few (star-10k ranks thousands of
+        # users on two): users are grouped on their score's terms, each
+        # distinct score is sorted once, descending, then the ids sharing it
+        # as plain strings.
+        by_score: dict[Terms, list[str]] = {}
+        values: dict[Terms, Fraction] = {}
+        for user_id, weight_sum in self.user_scores(reports).items():
+            terms = weight_sum.numerator, weight_sum.denominator
+            users = by_score.get(terms)
+            if users is None:
+                users = by_score[terms] = []
+                values[terms] = weight_sum
+            users.append(user_id)
         ranked: list[RankedUser] = []
-        for weight_sum in sorted(by_score, reverse=True):
-            score = float(weight_sum)
+        for terms in sorted(by_score, key=values.__getitem__, reverse=True):
+            score = terms[0] / terms[1]
             ranked.extend(
-                RankedUser(user_id=user_id, score=score)
-                for user_id in sorted(by_score[weight_sum])
+                RankedUser(user_id=user_id, score=score) for user_id in sorted(by_score[terms])
             )
         results = RankedResults(tuple(ranked))
         if k is None:
@@ -156,6 +170,86 @@ class SimilarityRanker:
         return IncrementalRanking(self)
 
 
+def _best_terms(bound: Terms, options_by_station: Iterable[Collection[Terms]]) -> Terms | None:
+    """:meth:`SimilarityRanker.best_weight_sum` on lowest terms.
+
+    ``options_by_station`` holds each reporting station's candidate weights
+    and ``bound`` is the largest sum kept.
+    """
+    options_by_station = list(options_by_station)
+    if max(map(len, options_by_station), default=1) == 1:
+        # One option per station (star-10k's every group): one assignment,
+        # summed over the LCM of its denominators.
+        scale = 1
+        total = 0
+        for ((numerator, denominator),) in options_by_station:
+            if scale % denominator:
+                multiple = lcm(scale, denominator)
+                total *= multiple // scale
+                scale = multiple
+            total += numerator * (scale // denominator)
+        if total * bound[1] > bound[0] * scale:
+            return None
+        divisor = gcd(total, scale)
+        return total // divisor, scale // divisor
+    scale = bound[1]
+    for options in options_by_station:
+        for _numerator, denominator in options:
+            if scale % denominator:
+                scale = lcm(scale, denominator)
+    # Each station's options as sorted integers over ``scale``.  ``rest`` is
+    # the least the stations not yet added can contribute: a partial sum
+    # that it would carry past ``cap`` can never finish under it, whatever
+    # the signs of the weights.
+    scaled: list[list[int]] = []
+    rest = 0
+    for options in options_by_station:
+        steps = sorted([numerator * (scale // denominator) for numerator, denominator in options])
+        rest += steps[0]
+        scaled.append(steps)
+    cap = bound[0] * (scale // bound[1])
+    sums = {0}
+    for steps in scaled:
+        rest -= steps[0]
+        room = cap - rest
+        sums = {total + step for total in sums for step in steps if total + step <= room}
+        if not sums:
+            return None
+    total = max(sums)
+    divisor = gcd(total, scale)
+    return total // divisor, scale // divisor
+
+
+def _weighted_columns(reports: Sequence[object]) -> ReportColumns:
+    """``reports`` as columns of weighted reports.
+
+    Raises :class:`MatchingError` at the first entry that is not a
+    :class:`MatchReport` or carries no weight.
+    """
+    columns = ReportColumns.from_reports(reports)
+    if columns is None or 0 in columns.denominators:
+        for report in reports:
+            if not isinstance(report, MatchReport):
+                raise MatchingError("ranking received non-MatchReport entries")
+            if report.weight is None:
+                raise MatchingError(
+                    f"report for user {report.user_id!r} carries no weight; "
+                    "SimilarityRanker requires weighted reports"
+                )
+    return columns
+
+
+def _rows(columns: ReportColumns):
+    """Each report's user, station and query codes and weight terms."""
+    return zip(
+        columns.users,
+        columns.stations,
+        columns.queries,
+        columns.numerators,
+        columns.denominators,
+    )
+
+
 class IncrementalRanking:
     """Algorithm 3 kept up to date as stations replace their reports.
 
@@ -167,25 +261,30 @@ class IncrementalRanking:
     Untouched groups, users and cached :class:`RankedUser` entries are reused,
     and so is the previous :class:`RankedResults` when no score moved.
 
-    Work is deferred to :meth:`results`, so a station removed and re-added
-    with the same reports between two reads moves nothing.
+    Groups keep their string keys and integer weights, so nothing interned
+    outlives the reports that use it.  Work is deferred to :meth:`results`,
+    so a station removed and re-added with the same reports between two
+    reads moves nothing.
     """
 
     def __init__(self, ranker: SimilarityRanker) -> None:
-        self._ranker = ranker
-        #: ``(user, query) -> sending station -> {(report station, weight)}``.
-        self._groups: dict[tuple[str, str], dict[str, set[tuple[str, Fraction]]]] = {}
+        self._bound = ranker._bound
+        #: ``(user, query) -> sending station -> {(report station, numerator, denominator)}``.
+        self._groups: dict[tuple[str, str], dict[str, set[tuple[str, int, int]]]] = {}
         #: The groups each sending station currently contributes to.
         self._station_groups: dict[str, tuple[tuple[str, str], ...]] = {}
         self._user_queries: dict[str, set[str]] = {}
         #: Best weight sum per group (``None``: every assignment over-matches).
-        self._sums: dict[tuple[str, str], Fraction | None] = {}
-        self._scores: dict[str, Fraction] = {}
+        self._sums: dict[tuple[str, str], Terms | None] = {}
+        self._scores: dict[str, Terms] = {}
         #: ``(-float(score), -score, user_id)`` ascending, i.e. rank order; the
         #: float decides most comparisons and never contradicts the exact one.
         self._keys: list[tuple[float, Fraction, str]] = []
         #: The :class:`RankedUser` of every key, at the same index.
         self._entries: list[RankedUser] = []
+        #: Per score some user holds: the ``(-float, -Fraction)`` its keys
+        #: share (so equal scores compare by identity) and its holder count.
+        self._held: dict[Terms, list] = {}
         self._touched: set[tuple[str, str]] = set()
         self._results: RankedResults | None = RankedResults(())
 
@@ -195,17 +294,12 @@ class IncrementalRanking:
         Raises :class:`MatchingError` — leaving the ranking untouched — on a
         non-:class:`MatchReport` entry or a report without a weight.
         """
-        grouped: dict[tuple[str, str], set[tuple[str, Fraction]]] = {}
-        for report in reports:
-            if not isinstance(report, MatchReport):
-                raise MatchingError("ranking received non-MatchReport entries")
-            if report.weight is None:
-                raise MatchingError(
-                    f"report for user {report.user_id!r} carries no weight; "
-                    "SimilarityRanker requires weighted reports"
-                )
-            grouped.setdefault((report.user_id, report.query_id), set()).add(
-                (report.station_id, report.weight)
+        columns = _weighted_columns(reports)
+        table = columns.table
+        grouped: dict[tuple[str, str], set[tuple[str, int, int]]] = {}
+        for user, station, query, numerator, denominator in _rows(columns):
+            grouped.setdefault((table[user], table[query]), set()).add(
+                (table[station], numerator, denominator)
             )
         self.remove(station_id)
         for key, options in grouped.items():
@@ -241,6 +335,22 @@ class IncrementalRanking:
             self._results = RankedResults(tuple(self._entries))
         return self._results if k is None else self._results.top(k)
 
+    def _hold(self, terms: Terms) -> tuple[float, Fraction]:
+        """The key prefix of a user now scoring ``terms``."""
+        held = self._held.get(terms)
+        if held is None:
+            held = self._held[terms] = [(-(terms[0] / terms[1]), -Fraction(*terms)), 0]
+        held[1] += 1
+        return held[0]
+
+    def _release(self, terms: Terms) -> tuple[float, Fraction]:
+        """The key prefix of a user no longer scoring ``terms``."""
+        held = self._held[terms]
+        held[1] -= 1
+        if not held[1]:
+            del self._held[terms]
+        return held[0]
+
     def _settle(self) -> None:
         """Re-decide the touched groups and re-place every user whose score moved."""
         touched, self._touched = self._touched, set()
@@ -250,15 +360,19 @@ class IncrementalRanking:
             if group is None:
                 self._sums.pop(key, None)
             else:
-                self._sums[key] = self._ranker.best_weight_sum(_options(group))
+                self._sums[key] = _best_terms(
+                    self._bound, _options(chain.from_iterable(group.values()))
+                )
             users.add(key[0])
-        moved: list[tuple[str, Fraction | None, Fraction | None]] = []
+        moved: list[tuple[str, Terms | None, Terms | None]] = []
         for user_id in users:
-            best: Fraction | None = None
+            best: Terms | None = None
             for query_id in self._user_queries.get(user_id, ()):
-                weight_sum = self._sums[(user_id, query_id)]
-                if weight_sum is not None and (best is None or weight_sum > best):
-                    best = weight_sum
+                terms = self._sums[(user_id, query_id)]
+                if terms is not None and (
+                    best is None or terms[0] * best[1] > best[0] * terms[1]
+                ):
+                    best = terms
             old = self._scores.get(user_id)
             if best != old:
                 moved.append((user_id, old, best))
@@ -269,39 +383,42 @@ class IncrementalRanking:
         if 2 * len(moved) > len(keys):
             # Most of the ranking moved (a rotation): one sort beats bisection.
             ranked = dict(zip((key[2] for key in keys), entries))
-            for user_id, _old, new in moved:
+            for user_id, old, new in moved:
                 ranked.pop(user_id, None)
+                if old is not None:
+                    self._release(old)
                 if new is None:
                     del scores[user_id]
                 else:
                     scores[user_id] = new
-                    ranked[user_id] = RankedUser(user_id=user_id, score=float(new))
-            keys[:] = sorted(
-                (-ranked[user_id].score, -score, user_id)
-                for user_id, score in scores.items()
-            )
+                    prefix = self._hold(new)
+                    ranked[user_id] = RankedUser(user_id=user_id, score=-prefix[0])
+            held = self._held
+            keys[:] = sorted((*held[score][0], user_id) for user_id, score in scores.items())
             entries[:] = [ranked[key[2]] for key in keys]
             return
         for user_id, old, new in moved:
             if old is not None:
-                index = bisect_left(keys, (-float(old), -old, user_id))
+                index = bisect_left(keys, (*self._release(old), user_id))
                 del keys[index]
                 del entries[index]
             if new is None:
                 del scores[user_id]
                 continue
             scores[user_id] = new
-            entry = RankedUser(user_id=user_id, score=float(new))
-            key = (-entry.score, -new, user_id)
+            prefix = self._hold(new)
+            key = (*prefix, user_id)
             index = bisect_left(keys, key)
             keys.insert(index, key)
-            entries.insert(index, entry)
+            entries.insert(index, RankedUser(user_id=user_id, score=-prefix[0]))
 
 
-def _options(group: Mapping[str, set[tuple[str, Fraction]]]) -> dict[str, set[Fraction]]:
-    """One group's candidate weights per *reporting* station, across senders."""
-    options: dict[str, set[Fraction]] = {}
-    for pairs in group.values():
-        for station_id, weight in pairs:
-            options.setdefault(station_id, set()).add(weight)
-    return options
+def _options(rows: Iterable[tuple[object, int, int]]) -> list[set[Terms]]:
+    """One group's candidate weights per reporting station.
+
+    ``rows`` are the group's ``(reporting station, numerator, denominator)``.
+    """
+    options: dict[object, set[Terms]] = {}
+    for station, numerator, denominator in rows:
+        options.setdefault(station, set()).add((numerator, denominator))
+    return list(options.values())

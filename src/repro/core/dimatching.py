@@ -16,7 +16,8 @@ from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
 from repro.core.matcher import StationMatcherCache, match_weighted
-from repro.core.protocol import MatchingProtocol, MatchReport, RankedResults
+from repro.core.protocol import MatchingProtocol, RankedResults
+from repro.core.reports import ReportColumns, concat_reports
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
 
@@ -55,13 +56,13 @@ class DIMatchingProtocol(MatchingProtocol):
 
     def station_match(
         self, station_id: str, patterns: PatternSet, artifact: object | None
-    ) -> list[MatchReport]:
+    ) -> ReportColumns:
         """Algorithm 2 at one base station: the one-station case of :meth:`match_stations`."""
         return self.match_stations([(station_id, patterns)], artifact)[0]
 
     def match_stations(
         self, stations: Sequence[tuple[str, PatternSet]], artifact: object | None
-    ) -> list[list[MatchReport]]:
+    ) -> list[ReportColumns]:
         """Algorithm 2 at every station, in one pass over their probes."""
         if not stations:
             return []
@@ -78,10 +79,10 @@ class DIMatchingProtocol(MatchingProtocol):
 
     def aggregate(self, reports: Sequence[object], k: int | None) -> RankedResults:
         """Algorithm 3 at the data center."""
-        typed_reports = [r for r in reports if isinstance(r, MatchReport)]
-        if len(typed_reports) != len(reports):
+        columns = ReportColumns.from_reports(reports)
+        if columns is None:
             raise MatchingError("DI-matching aggregation received non-MatchReport entries")
-        return self._ranker.aggregate(typed_reports, k)
+        return self._ranker.aggregate(columns, k)
 
     def open_ranking(self) -> IncrementalRanking:
         """Algorithm 3 maintained incrementally under per-station updates."""
@@ -107,9 +108,4 @@ def run_dimatching(
         for station_id in dataset.station_ids
         if len(patterns := dataset.local_patterns_at(station_id))
     ]
-    reports = [
-        report
-        for station_reports in protocol.match_stations(stations, artifact)
-        for report in station_reports
-    ]
-    return protocol.aggregate(reports, k)
+    return protocol.aggregate(concat_reports(protocol.match_stations(stations, artifact)), k)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.bloom.hashing import HashFamily
@@ -33,7 +35,7 @@ from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
-from repro.core.protocol import MatchReport
+from repro.core.reports import NO_REPORTS, ReportColumns
 from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.pattern import Pattern, PatternSet
 
@@ -208,7 +210,7 @@ class BaseStationMatcher:
         rows = wbf.hash_family.indices_batch(self._probe_items(pattern))
         return _grouped(wbf.weights_of_mask(_rows_mask(wbf.position_masks(), rows)))
 
-    def match_against(self, encoded: EncodedQueryBatch) -> list[MatchReport]:
+    def match_against(self, encoded: EncodedQueryBatch) -> ReportColumns:
         """Match every locally stored pattern against the received WBF.
 
         The one-station case of :func:`match_weighted`.  One report is
@@ -219,7 +221,7 @@ class BaseStationMatcher:
 
     # -- membership-only matching (plain BF baseline) ---------------------------------
 
-    def match_against_plain(self, bloom: BloomFilter) -> list[MatchReport]:
+    def match_against_plain(self, bloom: BloomFilter) -> ReportColumns:
         """Match every locally stored pattern against a plain Bloom filter.
 
         Used by the BF baseline: a pattern is reported when all its sampled values
@@ -242,7 +244,7 @@ _VECTORIZE_ROWS = 128
 
 def match_weighted(
     matchers: Sequence[BaseStationMatcher], encoded: EncodedQueryBatch
-) -> list[list[MatchReport]]:
+) -> list[ReportColumns]:
     """Algorithm 2 at every matcher's station against one WBF; one report list each.
 
     A candidate's reports follow candidate order, then the query/weight
@@ -256,24 +258,42 @@ def match_weighted(
                 "center and stations must share the configuration"
             )
     wbf = encoded.wbf
-    reports: list[list[MatchReport]] = [[] for _ in matchers]
     probes = [matcher._probe_for(wbf.hash_family) for matcher in matchers]
     if _vectorized(probes):
         hits = _array_hits(matchers, probes, wbf.position_table())
     else:
         hits = _list_hits(matchers, probes, wbf.position_masks())
-    pairs_by_mask: dict[int, list[tuple[str, Fraction]]] = {}
-    for station, candidate, mask in hits:
-        pairs = pairs_by_mask.get(mask)
-        if pairs is None:
-            pairs = pairs_by_mask[mask] = _report_pairs(wbf.weights_of_mask(mask))
-        _report(reports[station], matchers[station], candidate, pairs)
+    terms_by_mask: dict[int, tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]] = {}
+    reports = [NO_REPORTS] * len(matchers)
+    # Hits arrive in station order; each station's run becomes its columns.
+    for station, run in groupby(hits, itemgetter(0)):
+        candidates = matchers[station]._candidates
+        users: list[str] = []
+        queries: list[str] = []
+        numerators: list[int] = []
+        denominators: list[int] = []
+        for _station, candidate, mask in run:
+            terms = terms_by_mask.get(mask)
+            if terms is None:
+                pairs = _report_pairs(wbf.weights_of_mask(mask))
+                terms = terms_by_mask[mask] = (
+                    tuple(query_id for query_id, _ in pairs),
+                    tuple(weight.numerator for _, weight in pairs),
+                    tuple(weight.denominator for _, weight in pairs),
+                )
+            users += [candidates[candidate].user_id] * len(terms[0])
+            queries += terms[0]
+            numerators += terms[1]
+            denominators += terms[2]
+        reports[station] = _station_columns(
+            matchers[station]._station_id, users, queries, numerators, denominators
+        )
     return reports
 
 
 def match_plain(
     matchers: Sequence[BaseStationMatcher], bloom: BloomFilter
-) -> list[list[MatchReport]]:
+) -> list[ReportColumns]:
     """Membership-only Algorithm 2 against one plain Bloom filter; one report list each.
 
     The position table holds only the bit, so a candidate passes iff all
@@ -286,11 +306,12 @@ def match_plain(
         hits = _array_hits(matchers, probes, table.reshape(-1, 1))
     else:
         hits = _list_hits(matchers, probes, bloom.bits)
-    reports: list[list[MatchReport]] = [[] for _ in matchers]
-    for station, candidate, _mask in hits:
+    reports = [NO_REPORTS] * len(matchers)
+    for station, run in groupby(hits, itemgetter(0)):
         matcher = matchers[station]
-        reports[station].append(
-            MatchReport(matcher._candidates[candidate].user_id, matcher._station_id, None)
+        candidates = matcher._candidates
+        reports[station] = ReportColumns.weightless(
+            matcher._station_id, [candidates[candidate].user_id for _, candidate, _ in run]
         )
     return reports
 
@@ -381,13 +402,24 @@ def _report_pairs(common) -> list[tuple[str, Fraction]]:
     ]
 
 
-def _report(
-    reports: list[MatchReport],
-    matcher: BaseStationMatcher,
-    candidate: int,
-    pairs: Sequence[tuple[str, Fraction]],
-) -> None:
-    user_id = matcher._candidates[candidate].user_id
-    station_id = matcher._station_id
-    for query_id, weight in pairs:
-        reports.append(MatchReport(user_id, station_id, weight, query_id))
+def _station_columns(
+    station_id: str,
+    users: list[str],
+    queries: list[str],
+    numerators: list[int],
+    denominators: list[int],
+) -> ReportColumns:
+    """One station's reports: user ``users[i]`` for query ``queries[i]`` with weight terms ``i``."""
+    table = tuple(sorted({station_id, *users, *queries}))
+    # A station's table holds a few ids: a scan beats building a dict.
+    code = table.index if len(table) <= 8 else dict(zip(table, range(len(table)))).__getitem__
+    # Tuples of ints: the collector stops tracking them once they survive
+    # a collection.
+    return ReportColumns(
+        table,
+        tuple(map(code, users)),
+        (code(station_id),) * len(users),
+        tuple(map(code, queries)),
+        tuple(numerators),
+        tuple(denominators),
+    )

@@ -140,15 +140,17 @@ class ReportRanking:
 
     def __init__(self, protocol: MatchingProtocol) -> None:
         self._protocol = protocol
-        self._reports: dict[str, list[object]] = {}
+        self._reports: dict[str, Sequence[object]] = {}
 
     def replace(self, station_id: str, reports: Sequence[object]) -> None:
-        self._reports[station_id] = list(reports)
+        from repro.core.reports import own_reports
+
+        self._reports[station_id] = own_reports(reports)
 
     def remove(self, station_id: str) -> None:
         self._reports.pop(station_id, None)
 
     def results(self, k: int | None = None) -> RankedResults:
-        return self._protocol.aggregate(
-            [report for reports in self._reports.values() for report in reports], k
-        )
+        from repro.core.reports import concat_reports
+
+        return self._protocol.aggregate(concat_reports(self._reports.values()), k)

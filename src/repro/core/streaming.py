@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.protocol import MatchingProtocol, RankedResults
+from repro.core.reports import concat_reports, own_reports
 from repro.timeseries.pattern import PatternSet
 from repro.timeseries.query import QueryPattern
 from repro.utils.validation import require_non_empty
@@ -48,7 +49,7 @@ class ContinuousMatchingSession:
         self._protocol = protocol
         self._queries = tuple(queries)
         self._artifact = protocol.encode(list(queries))
-        self._reports_by_station: dict[str, list[object]] = {}
+        self._reports_by_station: dict[str, Sequence[object]] = {}
         # The last pattern set each station reported, kept so a query-batch
         # rotation (replace_queries) can re-match every station in place.
         self._patterns_by_station: dict[str, PatternSet] = {}
@@ -118,7 +119,7 @@ class ContinuousMatchingSession:
             raise TypeError(f"patterns must be a PatternSet, got {type(patterns).__name__}")
         reports = self._protocol.station_match(station_id, patterns, self._artifact)
         key = str(station_id)
-        self._reports_by_station[key] = list(reports)
+        self._reports_by_station[key] = own_reports(reports)
         self._patterns_by_station[key] = patterns
         self._update_count += 1
         self._matching_runs += 1
@@ -151,7 +152,7 @@ class ContinuousMatchingSession:
         stations = list(self._patterns_by_station.items())
         matched = self._protocol.match_stations(stations, self._artifact)
         for (key, _patterns), reports in zip(stations, matched):
-            self._reports_by_station[key] = list(reports)
+            self._reports_by_station[key] = own_reports(reports)
             self._dirty[key] = None
         self._matching_runs += len(stations)
 
@@ -167,9 +168,9 @@ class ContinuousMatchingSession:
         """Total payload wire bytes shipped or marked delivered so far."""
         return self._delta_bytes_shipped
 
-    def reports_for(self, station_id: str) -> list[object]:
-        """A copy of one station's currently cached report list."""
-        return list(self._reports_by_station.get(str(station_id), []))
+    def reports_for(self, station_id: str) -> Sequence[object]:
+        """One station's currently cached report list, for the caller to keep."""
+        return own_reports(self._reports_by_station.get(str(station_id), []))
 
     def mark_delivered(self, delivered: Mapping[str, int]) -> None:
         """Mark stations clean after an *external* transport shipped their deltas.
@@ -210,7 +211,7 @@ class ContinuousMatchingSession:
                 station_id,
                 center.node_id,
                 MessageKind.MATCH_REPORT,
-                list(self._reports_by_station.get(station_id, [])),
+                own_reports(self._reports_by_station.get(station_id, [])),
                 center,
             )
         try:
@@ -236,13 +237,9 @@ class ContinuousMatchingSession:
 
     # -- queries ----------------------------------------------------------------
 
-    def pending_reports(self) -> list[object]:
+    def pending_reports(self) -> Sequence[object]:
         """All cached reports across stations, in station-update order."""
-        return [
-            report
-            for reports in self._reports_by_station.values()
-            for report in reports
-        ]
+        return concat_reports(self._reports_by_station.values())
 
     def current_results(self, k: int | None = None) -> RankedResults:
         """Aggregate the cached reports into the current ranked top-K."""

@@ -185,6 +185,12 @@ class DistributedDataset:
         """Ground-truth category name of ``user_id``."""
         return self.profile(user_id).category_name
 
+    def query_categories(self) -> list[str]:
+        """Sorted names of the categories a query can sample: those with a non-decoy user."""
+        return sorted(
+            {profile.category_name for profile in self._users.values() if not profile.is_decoy}
+        )
+
     def users_in_category(self, category_name: str) -> list[str]:
         """All users whose ground-truth category is ``category_name``."""
         return [
@@ -413,7 +419,8 @@ def build_query_workload(
 ) -> QueryWorkload:
     """Build a query workload by sampling existing users as "preferred customers".
 
-    Queries are drawn round-robin across categories so that every category is
+    Queries are drawn round-robin across categories (by default every category
+    with a non-decoy user, as decoys are never exemplars) so that every category is
     represented, matching the paper's service-provider scenario where each campaign
     targets one communication profile.  Within a category, users whose pattern is
     split across the most base stations are preferred as exemplars: the service
@@ -423,9 +430,7 @@ def build_query_workload(
     require_positive(query_count, "query_count")
     require_non_negative(epsilon, "epsilon")
     category_names = (
-        list(categories)
-        if categories is not None
-        else sorted({profile.category_name for profile in (dataset.profile(u) for u in dataset.user_ids)})
+        list(categories) if categories is not None else dataset.query_categories()
     )
     require_non_empty(category_names, "categories")
     rng = make_rng(seed, "query-workload")

@@ -84,6 +84,11 @@ class EventLoop:
         self._now = time_s
 
 
+#: One transcript row's rendering, applied to the row tuple itself: ``%r`` of
+#: the time is its exact ``repr``, ``%s`` of every other field its ``str``.
+_ROW_FORMAT = "%s t=%r %s frame=%s attempt=%s %s->%s kind=%s bytes=%s"
+
+
 class TranscriptEntry(NamedTuple):
     """One row of the deterministic event transcript.
 
@@ -107,11 +112,7 @@ class TranscriptEntry(NamedTuple):
 
     def render(self) -> str:
         """The canonical single-line rendering used for byte-level comparison."""
-        return (
-            f"{self.sequence} t={self.time_s!r} {self.event} "
-            f"frame={self.frame_id} attempt={self.attempt} "
-            f"{self.sender}->{self.recipient} kind={self.kind} bytes={self.size_bytes}"
-        )
+        return _ROW_FORMAT % self
 
 
 #: Event types a transcript may contain, in no particular order.
@@ -136,4 +137,4 @@ def transcript_to_bytes(entries: "tuple[TranscriptEntry, ...] | list[TranscriptE
     builds, so two transcripts are byte-identical iff every event happened at
     the same virtual time, in the same order, with the same routing and sizes.
     """
-    return "\n".join(entry.render() for entry in entries).encode("utf-8")
+    return "\n".join([_ROW_FORMAT % entry for entry in entries]).encode("utf-8")

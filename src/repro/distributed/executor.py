@@ -29,7 +29,7 @@ class MatchingOutcome:
     """Every station's reports and each station's charged time for one matching phase."""
 
     #: ``station_id -> reports``, in station order.
-    reports: dict[str, list[object]]
+    reports: dict[str, Sequence[object]]
     #: Each station's equal share of the one call's wall time (``0.0`` for no
     #: stations): the max-over-stations latency model's station phase.
     station_time_s: float

@@ -266,8 +266,7 @@ def effectiveness_study(
             day_index, cohort_size=cohort_size, noise_level=noise_level, seed=seed
         )
         dataset = cohort.dataset
-        category_names = sorted({dataset.category_of(u) for u in dataset.user_ids})
-        query_count = queries_per_category * len(category_names)
+        query_count = queries_per_category * len(dataset.query_categories())
         workload = build_query_workload(
             dataset, query_count, epsilon, seed=seed + day_index
         )

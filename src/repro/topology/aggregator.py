@@ -22,33 +22,25 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.protocol import MatchReport
+from repro.core.reports import ReportColumns, concat_reports
 from repro.distributed.datacenter import DataCenterNode
 from repro.topology.tiers import Region
 
 
-def dedupe_weighted_reports(reports: list[object]) -> list[object]:
+def dedupe_weighted_reports(reports: Sequence[object]) -> Sequence[object]:
     """Collapse exact duplicates, only when every report is weighted.
 
     Order-preserving (first occurrence wins), so the surviving sequence is a
     subsequence of the input and the ranker's insertion-order tie-breaking is
     untouched.  Any unweighted or non-``MatchReport`` entry disables
     deduplication for the whole batch — mixed batches are forwarded verbatim
-    rather than partially collapsed.
+    rather than partially collapsed.  Weights compare by value, so 2/4
+    collapses into 1/2.
     """
-    if not all(
-        isinstance(report, MatchReport) and report.weight is not None
-        for report in reports
-    ):
+    columns = ReportColumns.from_reports(reports)
+    if columns is None or not columns.weighted:
         return reports
-    seen: set[MatchReport] = set()
-    unique: list[object] = []
-    for report in reports:
-        if report in seen:
-            continue
-        seen.add(report)
-        unique.append(report)
-    return unique
+    return columns.deduplicated()
 
 
 class RegionalAggregator(DataCenterNode):
@@ -58,7 +50,7 @@ class RegionalAggregator(DataCenterNode):
         super().__init__(region.aggregator_id)
         self.region = region
 
-    def summarize(self, sender_order: Sequence[str]) -> list[object]:
+    def summarize(self, sender_order: Sequence[str]) -> Sequence[object]:
         """Union the inbox's decoded reports into one upstream payload.
 
         ``sender_order`` is the canonical station order of this region's
@@ -68,7 +60,8 @@ class RegionalAggregator(DataCenterNode):
         network reordering, exactly like a star's uplink consumption.
         """
         grouped = self.reports_by_sender()
-        merged: list[object] = []
-        for station_id in sender_order:
-            merged.extend(grouped.get(station_id, ()))
-        return dedupe_weighted_reports(merged)
+        return dedupe_weighted_reports(
+            concat_reports(
+                grouped[station_id] for station_id in sender_order if station_id in grouped
+            )
+        )

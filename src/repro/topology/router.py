@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.core.reports import concat_reports
 from repro.distributed.events import RoundTimeoutError
 from repro.distributed.messages import MessageKind
 from repro.distributed.metrics import TierCost
@@ -66,7 +67,8 @@ REGION_SEED_LABEL = "topology-region"
 class TwoTierRoundResult:
     """Everything the facade needs to account one routed round."""
 
-    all_reports: list[object]
+    #: The reports the center decoded, concatenated in canonical send order.
+    all_reports: Sequence[object]
     active_stations: list["BaseStationNode"]
     lost_station_count: int
     tier_costs: tuple[TierCost, ...]
@@ -267,13 +269,13 @@ def run_two_tier_round(
     # Aggregation input: what the center decoded, in canonical send order,
     # charged at the payload blocks that were sent.
     decoded_by_sender = center.reports_by_sender()
-    all_reports: list[object] = []
+    received: list[Sequence[object]] = []
     center_payload_bytes = 0
     for sender, block in zip(center_frames.senders, center_frames.blocks()):
         decoded = decoded_by_sender.get(sender)
         if decoded is not None:
             center_payload_bytes += len(block)
-            all_reports.extend(decoded)
+            received.append(decoded)
 
     tier_costs, totals = _tier_ledger(served_regions, trunk_transport, regional_transports)
     transmission_time_s = (
@@ -283,7 +285,7 @@ def run_two_tier_round(
         + trunk_up_s
     )
     return TwoTierRoundResult(
-        all_reports=all_reports,
+        all_reports=concat_reports(received),
         active_stations=active_stations,
         lost_station_count=lost_station_count,
         tier_costs=tier_costs,
@@ -307,7 +309,7 @@ class TwoTierDeltaResult:
     delivered_station_ids: tuple[str, ...]
     #: Per delivered station, the reports decoded off the regional wire — the
     #: center-side state attribution for those stations.
-    reports_by_station: dict[str, list[object]]
+    reports_by_station: dict[str, Sequence[object]]
     #: Per delivered station, the payload wire bytes its delta occupied on
     #: the regional hop — what the session's shipped-bytes ledger records.
     payload_bytes_by_station: dict[str, int]
@@ -331,7 +333,7 @@ def ship_two_tier_deltas(
     *,
     center: "DataCenterNode",
     tier_map: TierMap,
-    deltas: Mapping[str, list[object]],
+    deltas: Mapping[str, Sequence[object]],
     trunk_transport: "Transport | None",
     regional_transports: Mapping[str, "Transport"],
 ) -> TwoTierDeltaResult:
@@ -424,7 +426,7 @@ def ship_two_tier_deltas(
                     tuple(sid for ids in landed.values() for sid in ids),
                 )
 
-    reports_by_station: dict[str, list[object]] = {}
+    reports_by_station: dict[str, Sequence[object]] = {}
     payload_bytes_by_station: dict[str, int] = {}
     for region in regions:
         delivered = set(landed.get(region.name, ()))

@@ -33,6 +33,7 @@ from repro.core.config import DIMatchingConfig
 from repro.core.encoder import EncodedQueryBatch
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import MatchReport
+from repro.core.reports import NO_REPORTS, ReportColumns
 from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.pattern import LocalPattern, Pattern
 from repro.timeseries.query import QueryPattern
@@ -42,7 +43,7 @@ from repro.wire.primitives import (
     uvarint_bytes,
     uvarint_size,
     write_bool,
-    write_fraction,
+    write_fraction_terms,
     write_str,
     write_svarint,
     write_u8,
@@ -297,18 +298,6 @@ def _read_batch_body(reader: ByteReader) -> EncodedQueryBatch:
     )
 
 
-def _write_optional_weight(out: bytearray, weight: Fraction | None) -> None:
-    """Presence flag plus fraction — shared by both report layouts."""
-    write_bool(out, weight is not None)
-    if weight is not None:
-        try:
-            write_fraction(out, weight)
-        except ValueError as error:
-            raise UnsupportedWireTypeError(
-                f"match-report weight outside the wire's 64-bit numeric range: {error}"
-            ) from error
-
-
 def _read_optional_weight(reader: ByteReader) -> Fraction | None:
     return reader.fraction() if reader.bool_() else None
 
@@ -317,7 +306,11 @@ def _write_report_body(out: bytearray, report: MatchReport) -> None:
     write_str(out, report.user_id)
     write_str(out, report.station_id)
     write_str(out, report.query_id)
-    _write_optional_weight(out, report.weight)
+    weight = report.weight
+    if weight is None:
+        _write_weight_terms(out, 0, 0)
+    else:
+        _write_weight_terms(out, weight.numerator, weight.denominator)
 
 
 def _read_report_body(reader: ByteReader) -> MatchReport:
@@ -407,10 +400,14 @@ def _read_query_batch_body(reader: ByteReader) -> tuple:
 _LIST_GENERIC = 0
 _LIST_REPORT_COLUMNAR = 1
 
+#: An empty list's body: the generic layout with no items.  Every empty
+#: report list travels as it.
+_EMPTY_LIST_BODY = bytes((_LIST_GENERIC, 0))
+
 
 def _write_object_list_body(out: bytearray, items: list) -> None:
     if items and all(isinstance(item, MatchReport) for item in items):
-        _write_report_columnar(out, items)
+        _write_report_list_body(out, ReportColumns.from_reports(items))
         return
     write_u8(out, _LIST_GENERIC)
     write_uvarint(out, len(items))
@@ -420,35 +417,53 @@ def _write_object_list_body(out: bytearray, items: list) -> None:
         writer(out, item)
 
 
-def _write_report_columnar(out: bytearray, reports: list) -> None:
+def _write_report_list_body(out: bytearray, columns: ReportColumns) -> None:
+    """A report list: the empty list's body, or the columnar layout."""
+    table = columns.table
+    users, stations, queries = columns.users, columns.stations, columns.queries
+    numerators, denominators = columns.numerators, columns.denominators
+    if not denominators:
+        out += _EMPTY_LIST_BODY
+        return
     write_u8(out, _LIST_REPORT_COLUMNAR)
-    write_uvarint(out, len(reports))
-    table = sorted(
-        {text for r in reports for text in (r.user_id, r.station_id, r.query_id)}
-    )
+    write_uvarint(out, len(denominators))
     write_uvarint(out, len(table))
     for value in table:
         write_str(out, value)
-    # Every table index and every distinct weight object is encoded once, so
-    # a report costs one append of its four pre-encoded fields.
-    index = {value: uvarint_bytes(position) for position, value in enumerate(table)}
-    weights: dict[int, bytes] = {}
-    for report in reports:
-        weight = report.weight
-        block = weights.get(id(weight))
+    # Every table index and every distinct weight is encoded once, so a
+    # report costs one append of its four pre-encoded fields.
+    index = list(map(uvarint_bytes, range(len(table))))
+    weights: dict[tuple[int, int], bytes] = {}
+    for user, station, query, numerator, denominator in zip(
+        users, stations, queries, numerators, denominators
+    ):
+        block = weights.get((numerator, denominator))
         if block is None:
             encoded = bytearray()
-            _write_optional_weight(encoded, weight)
-            block = weights[id(weight)] = bytes(encoded)
-        out += b"".join(
-            (index[report.user_id], index[report.station_id], index[report.query_id], block)
-        )
+            _write_weight_terms(encoded, numerator, denominator)
+            block = weights[numerator, denominator] = bytes(encoded)
+        out += b"".join((index[user], index[station], index[query], block))
 
 
-def _read_object_list_body(reader: ByteReader) -> list:
+def _write_weight_terms(out: bytearray, numerator: int, denominator: int) -> None:
+    """A report's weight: presence flag, then the fraction (denominator 0: no weight).
+
+    Shared by both report layouts.
+    """
+    write_bool(out, denominator != 0)
+    if denominator:
+        try:
+            write_fraction_terms(out, numerator, denominator)
+        except ValueError as error:
+            raise UnsupportedWireTypeError(
+                f"match-report weight outside the wire's 64-bit numeric range: {error}"
+            ) from error
+
+
+def _read_object_list_body(reader: ByteReader) -> object:
     layout = reader.u8()
     if layout == _LIST_REPORT_COLUMNAR:
-        return _read_report_columnar(reader)
+        return _read_report_columns(reader)
     if layout != _LIST_GENERIC:
         raise WireFormatError(f"unknown object-list layout {layout}")
     count = reader.uvarint()
@@ -459,27 +474,40 @@ def _read_object_list_body(reader: ByteReader) -> list:
     return items
 
 
-def _read_report_columnar(reader: ByteReader) -> list:
+def _read_report_columns(reader: ByteReader) -> ReportColumns:
+    """The columnar layout, into columns: the one report-list reader."""
     count = reader.uvarint()
     table_count = reader.uvarint()
     table = [reader.str_() for _ in range(table_count)]
+    if not count:
+        return NO_REPORTS
     uvarint, bool_, fraction_terms = reader.uvarint, reader.bool_, reader.fraction_terms
-    # Reports with equal weight terms share one Fraction (it is immutable),
-    # built once per list.
-    weights: dict[tuple[int, int], Fraction] = {}
-    reports = []
+    users: list[int] = []
+    stations: list[int] = []
+    queries: list[int] = []
+    numerators: list[int] = []
+    denominators: list[int] = []
     for _ in range(count):
         user, station, query = uvarint(), uvarint(), uvarint()
         if user >= table_count or station >= table_count or query >= table_count:
             raise WireFormatError("report string-table index out of range")
-        weight = None
-        if bool_():
-            terms = fraction_terms()
-            weight = weights.get(terms)
-            if weight is None:
-                weight = weights[terms] = Fraction(*terms)
-        reports.append(MatchReport(table[user], table[station], weight, table[query]))
-    return reports
+        users.append(user)
+        stations.append(station)
+        queries.append(query)
+        numerator, denominator = fraction_terms() if bool_() else (0, 0)
+        numerators.append(numerator)
+        denominators.append(denominator)
+    # Tuples of ints, as the station kernel's: the collector stops tracking
+    # them once they survive a collection, while the columns wait for the
+    # round's ranking.
+    return ReportColumns.normalized(
+        tuple(table),
+        tuple(users),
+        tuple(stations),
+        tuple(queries),
+        tuple(numerators),
+        tuple(denominators),
+    )
 
 
 #: The header of every envelope :meth:`Message.to_wire` writes: no flags.
@@ -620,7 +648,9 @@ _PAYLOAD_DECODE_TAGS = frozenset({TAG_WBF, TAG_ENCODED_BATCH, TAG_BLOOM_FILTER})
 
 def _decode_payload_cached(block: "bytes | memoryview") -> object:
     if len(block) < _PAYLOAD_DECODE_MIN_BYTES or block[6] not in _PAYLOAD_DECODE_TAGS:
-        return decode(block)
+        # An empty list — most stations' report list — is one shared,
+        # read-only value: no list per frame.
+        return NO_REPORTS if block == _EMPTY_LIST_ENCODING else decode(block)
     # A view is copied; a ``bytes`` block is the key itself.
     data = bytes(block)
     entry = _PAYLOAD_DECODE_CACHE.get(data)
@@ -676,6 +706,7 @@ _WRITERS_BY_TYPE: dict[type, tuple[int, Callable[[bytearray, object], None]]] = 
     BloomFilter: (TAG_BLOOM_FILTER, _write_bloom_body),
     EncodedQueryBatch: (TAG_ENCODED_BATCH, _write_batch_body),
     MatchReport: (TAG_MATCH_REPORT, _write_report_body),
+    ReportColumns: (TAG_OBJECT_LIST, _write_report_list_body),
     LocalPattern: (TAG_LOCAL_PATTERN, _write_local_pattern_body),
     Pattern: (TAG_PATTERN, _write_pattern_body),
     QueryPattern: (TAG_QUERY_PATTERN, _write_query_body),
@@ -779,6 +810,21 @@ _ENCODE_CACHE: dict[int, tuple[weakref.ref, object, bytes]] = {}
 #: ``None`` cannot be weakly referenced, so its encoding is kept here.
 _NONE_ENCODING = encode(None)
 
+#: Every empty list, report lists included, encodes to these bytes.
+_EMPTY_LIST_ENCODING = encode([])
+
+#: The header of every report list's encoding.
+_REPORT_LIST_HEADER = MAGIC + bytes((WIRE_VERSION, 0, TAG_OBJECT_LIST))
+
+
+def _encode_report_list(columns: ReportColumns) -> bytes:
+    """``encode(columns)``."""
+    if not columns.denominators:
+        return _EMPTY_LIST_ENCODING
+    frame = bytearray(_REPORT_LIST_HEADER)
+    _write_report_list_body(frame, columns)
+    return bytes(frame)
+
 
 def object_revision(obj: object) -> object:
     """Mutation revision of an artifact, or None when it has no counter.
@@ -798,8 +844,11 @@ def encode_cached(obj: object) -> bytes:
     this cache makes every send after the first O(1).  Cached entries are
     invalidated when a filter's mutation :func:`object_revision` changes, so
     encode → mutate → encode never serves stale bytes.  Objects that cannot
-    hold weak references (tuples, lists) are encoded afresh each call.
+    hold weak references (tuples, lists) are encoded afresh each call, and
+    so are report columns: each is one station's value for one round.
     """
+    if obj.__class__ is ReportColumns:
+        return _encode_report_list(obj)
     return encode_cached_at(obj, object_revision(obj))
 
 
@@ -807,6 +856,8 @@ def encode_cached_at(obj: object, revision: object) -> bytes:
     """:func:`encode_cached` for a caller that already read ``obj``'s revision."""
     if obj is None:
         return _NONE_ENCODING
+    if obj.__class__ is ReportColumns:
+        return _encode_report_list(obj)
     if obj.__class__ is list:
         # A list can never be weakly referenced, so it is never cached.
         return encode(obj)

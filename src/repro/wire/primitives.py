@@ -83,13 +83,24 @@ def write_bool(out: bytearray, value: bool) -> None:
 def write_fraction(out: bytearray, fraction: Fraction) -> None:
     """Append an exact fraction as signed numerator + unsigned denominator.
 
-    The single definition of the fraction wire layout — weight values, match
-    reports and anything else carrying a :class:`fractions.Fraction` must go
-    through here so the encodings cannot diverge.  Raises :class:`ValueError`
-    when either component exceeds the wire's 64-bit numeric range.
+    Weight values, match reports and anything else carrying a
+    :class:`fractions.Fraction` go through here or through
+    :func:`write_fraction_terms`, so the encodings cannot diverge.  Raises
+    :class:`ValueError` when either component exceeds the wire's 64-bit
+    numeric range.
     """
-    write_svarint(out, fraction.numerator)
-    write_uvarint(out, fraction.denominator)
+    write_fraction_terms(out, fraction.numerator, fraction.denominator)
+
+
+def write_fraction_terms(out: bytearray, numerator: int, denominator: int) -> None:
+    """Append ``numerator / denominator``, already in lowest terms, as a fraction.
+
+    The single definition of the fraction wire layout, read back by
+    :meth:`ByteReader.fraction_terms`.  Raises :class:`ValueError` when either
+    term exceeds the wire's 64-bit numeric range.
+    """
+    write_svarint(out, numerator)
+    write_uvarint(out, denominator)
 
 
 #: Every one-byte uvarint, pre-built: lengths and table indices are almost
@@ -268,7 +279,7 @@ class ByteReader:
         return bool(value)
 
     def fraction_terms(self) -> tuple[int, int]:
-        """Read a :func:`write_fraction` pair as ``(numerator, denominator)``.
+        """Read a :func:`write_fraction_terms` pair as ``(numerator, denominator)``.
 
         Zero denominators are corrupt.
         """

@@ -1,5 +1,6 @@
 """Unit tests for the base-station matcher (Algorithm 2)."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,25 @@ class TestMatchAgainst:
         for encoded in (other_family, first, second):
             assert matcher.match_against(encoded) == expected
         assert matcher._probe is not probe
+
+    def test_a_station_builds_its_columns_in_linear_time(self, encoded, config):
+        # Every stored pattern matches, so the station's report count is its
+        # pattern count.  Eight times the hits must cost about eight times
+        # the time (growing the columns by copying would cost about 64x).
+        def best_time(count: int) -> float:
+            patterns = PatternSet(
+                [LocalPattern(f"u{index:05d}", [2, 4, 5, 3], "bs-9") for index in range(count)]
+            )
+            matcher = BaseStationMatcher(config, "bs-9", patterns)
+            assert len(matcher.match_against(encoded)) == count
+            best = float("inf")
+            for _ in range(7):
+                start = time.perf_counter()
+                matcher.match_against(encoded)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert best_time(16_000) < 24 * best_time(2_000)
 
 
 class TestPlainMatching:

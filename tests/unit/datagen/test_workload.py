@@ -3,9 +3,11 @@
 import pytest
 
 from repro import wire
+from repro.datagen.mobility import UserMobility
 from repro.datagen.workload import (
     DatasetSpec,
     DistributedDataset,
+    UserProfile,
     build_dataset,
     build_query_workload,
 )
@@ -282,3 +284,23 @@ class TestBuildQueryWorkload:
     def test_unknown_category_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             build_query_workload(small_dataset, 2, epsilon=0, categories=["astronaut"])
+
+    def test_a_category_of_decoys_only_is_not_sampled(self):
+        # Decoys are never exemplars, so their category cannot be queried.
+        users = {
+            "alice": UserProfile("alice", "student", UserMobility("alice", "bs-0", "bs-0", "bs-0")),
+            "decoy": UserProfile(
+                "decoy", "service_worker", UserMobility("decoy", "bs-1", "bs-1", "bs-1"),
+                is_decoy=True,
+            ),
+        }
+        local = {
+            "bs-0": {"alice": LocalPattern("alice", [1, 2], "bs-0")},
+            "bs-1": {"decoy": LocalPattern("decoy", [3, 4], "bs-1")},
+        }
+        dataset = DistributedDataset(["bs-0", "bs-1"], users, local, 2, 24)
+        assert dataset.query_categories() == ["student"]
+        workload = build_query_workload(dataset, 3, epsilon=0)
+        assert [query.local_patterns[0].user_id for query in workload] == ["alice"] * 3
+        with pytest.raises(ValueError, match="service_worker"):
+            build_query_workload(dataset, 2, epsilon=0, categories=["service_worker"])

@@ -1,6 +1,8 @@
-"""Unit tests for the virtual-clock event loop behind the simulated network."""
+"""Unit tests for the virtual-clock event loop and the transcript rendering."""
 
-from repro.distributed.events import EventLoop
+import pytest
+
+from repro.distributed.events import EventLoop, TranscriptEntry, transcript_to_bytes
 
 
 def _recorder():
@@ -93,3 +95,37 @@ class TestEventLoop:
         loop.schedule(0.25, record)
         assert loop.run() == 0.75
         assert loop.now == 0.75
+
+
+def reference_render(entry: TranscriptEntry) -> str:
+    """A row's rendering as an f-string: what the format string replaced."""
+    return (
+        f"{entry.sequence} t={entry.time_s!r} {entry.event} "
+        f"frame={entry.frame_id} attempt={entry.attempt} "
+        f"{entry.sender}->{entry.recipient} kind={entry.kind} bytes={entry.size_bytes}"
+    )
+
+
+ROWS = [
+    TranscriptEntry(0, 0.0, "phase", 0, 0, "data-center", "*", "uplink", 0),
+    TranscriptEntry(1, -0.0, "send", 1, 1, "bs-0", "data-center", "match_report", 9),
+    TranscriptEntry(2, 1e300, "deliver", 2, 3, "bs-ü", "région-7", "control", 10**19),
+    TranscriptEntry(3, 5e-324, "drop", 12345678901234567890, 2, "站-1", "ß", "x", 1),
+    TranscriptEntry(4, 0.1 + 0.2, "retransmit", 7, 99, "a b", "c->d", "k=v", -1),
+    TranscriptEntry(
+        98765432109876543210, 123456.789e10, "timeout", 3, 1, "", "", "", 2**70
+    ),
+    TranscriptEntry(5, float("inf"), "corrupt", 4, 1, "s", "r", "k", 0),
+]
+
+
+class TestTranscriptRendering:
+    @pytest.mark.parametrize("row", ROWS, ids=[str(row.sequence) for row in ROWS])
+    def test_a_row_renders_as_the_f_string_did(self, row):
+        assert row.render() == reference_render(row)
+
+    def test_a_transcript_is_its_rows_joined(self):
+        expected = "\n".join(reference_render(row) for row in ROWS).encode("utf-8")
+        assert transcript_to_bytes(ROWS) == expected
+        assert transcript_to_bytes(tuple(ROWS)) == expected
+        assert transcript_to_bytes([]) == b""

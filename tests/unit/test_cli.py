@@ -87,6 +87,12 @@ class TestTable2Command:
         assert "March 28th, 2009" in captured
         assert "Precision" in captured
 
+    def test_a_small_cohort_runs(self, capsys):
+        # Five users leave some category with decoys only; no query samples it.
+        exit_code = main(["table2", "--days", "1", "--cohort-size", "5"])
+        assert exit_code == 0
+        assert "March 28th, 2009" in capsys.readouterr().out
+
 
 class TestConvergenceCommand:
     def test_runs_small_study(self, capsys):
