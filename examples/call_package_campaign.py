@@ -64,15 +64,13 @@ def main() -> None:
     # the protocol sub-spec, so WBF vs naive is a one-field change.
     spec = ClusterSpec(
         name="call-package",
-        protocol=ProtocolSpec(
-            method="wbf", epsilon=2, config=DIMatchingConfig(epsilon=2, sample_count=12)
-        ),
+        protocol=ProtocolSpec(method="wbf", config=DIMatchingConfig(epsilon=2, sample_count=12)),
         transport=TransportSpec(bandwidth_bytes_per_s=1_000_000, latency_s=0.02),
     )
     outcomes = {}
     for method in ("wbf", "naive"):
         method_spec = spec.with_updates(
-            protocol=ProtocolSpec(method=method, epsilon=2, config=spec.protocol.config)
+            protocol=ProtocolSpec(method=method, config=spec.protocol.config)
         )
         with Cluster(method_spec, dataset=dataset) as cluster:
             cluster.subscribe(queries)

@@ -39,7 +39,6 @@ def main() -> None:
         ),
         protocol=ProtocolSpec(
             method="wbf",
-            epsilon=0,
             config=DIMatchingConfig(epsilon=0, sample_count=12),
         ),
     )

@@ -43,7 +43,6 @@ def main() -> None:
         ),
         protocol=ProtocolSpec(
             method="wbf",
-            epsilon=0,
             config=DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4),
         ),
     )

@@ -18,7 +18,7 @@ The typed ``repro.cluster`` facade is the one public entry point (see
 >>> spec = ClusterSpec(
 ...     name="quickstart",
 ...     dataset=DatasetSpec(users_per_category=5, station_count=4),
-...     protocol=ProtocolSpec(method="wbf", epsilon=0),
+...     protocol=ProtocolSpec(method="wbf"),
 ... )
 >>> with Cluster(spec) as cluster:
 ...     workload = build_query_workload(cluster.dataset, query_count=3, epsilon=0)

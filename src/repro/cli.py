@@ -528,44 +528,21 @@ def _run_workload_run(args: argparse.Namespace) -> str:
         overrides["tenants"] = tuple(
             TenantSpec(f"tenant-{index}", spec.mix) for index in range(args.tenants)
         )
-    if (
-        args.topology is not None
-        or args.regions is not None
-        or args.tenants is not None
-    ):
-        base_topology = spec.topology
-        kind = args.topology or (
-            base_topology.kind
-            if base_topology is not None
-            else ("two-tier" if args.regions is not None else "star")
-        )
-        stream_count = max(
-            1, len(overrides.get("tenants", spec.tenants))  # type: ignore[arg-type]
-        )
-        try:
-            if kind == "star":
-                overrides["topology"] = (
-                    None
-                    if stream_count == 1
-                    else TopologySpec(kind="star", tenant_count=stream_count)
-                )
-            else:
-                overrides["topology"] = TopologySpec(
-                    kind="two-tier",
-                    regions=(
-                        args.regions
-                        if args.regions is not None
-                        else (
-                            base_topology.regions
-                            if base_topology is not None
-                            and base_topology.is_hierarchical
-                            else 2
-                        )
-                    ),
-                    tenant_count=stream_count,
-                )
-        except ConfigurationError as error:
-            raise SystemExit(f"workload run: {error}")
+    if args.topology == "star":
+        # A star has no regional tier, so nothing regional carries over.
+        overrides["topology"] = None
+    elif args.topology is not None or args.regions is not None:
+        # A two-tier override updates the scenario's own regional tier, so
+        # its degraded regions survive a new region count.
+        topology = spec.topology
+        if topology is None or not topology.is_hierarchical:
+            topology = TopologySpec(kind="two-tier", regions=2)
+        if args.regions is not None:
+            try:
+                topology = topology.with_updates(regions=args.regions)
+            except ConfigurationError as error:
+                raise SystemExit(f"workload run: {error}")
+        overrides["topology"] = topology
     if overrides:
         try:
             spec = spec.with_updates(**overrides)

@@ -9,7 +9,7 @@ through the :class:`Cluster` facade's verbs::
     spec = ClusterSpec(
         name="demo",
         dataset=DatasetSpec(users_per_category=5, station_count=4),
-        protocol=ProtocolSpec(method="wbf", epsilon=0),
+        protocol=ProtocolSpec(method="wbf"),
     )
     with Cluster(spec) as cluster:
         cluster.subscribe(queries)

@@ -591,9 +591,7 @@ class Cluster:
         options = RoundOptions.merge(options, k=k)
         if protocol is self._protocol:
             self._held_artifact = None
-        return self._run(
-            protocol, options, lambda: self._center.encode(protocol, queries)
-        )
+        return self._run(protocol, options, lambda: protocol.encode(queries))
 
     def _subscribed_artifact(self) -> object | None:
         """The subscribed batch's artifact, encoded once and then reused.
@@ -607,7 +605,7 @@ class Cluster:
         held = self._held_artifact
         if held is not None and object_revision(held[0]) == held[1]:
             return held[0]
-        artifact = self._center.encode(self._require_protocol(), self._queries)
+        artifact = self._require_protocol().encode(self._queries)
         self._held_artifact = (artifact, object_revision(artifact))
         return artifact
 
@@ -647,7 +645,7 @@ class Cluster:
         # Phase 3: aggregation over the reports the center actually decoded,
         # in canonical order, so delivery reordering never changes the ranking.
         aggregate_start = time.perf_counter()
-        results = self._center.aggregate(protocol, routed.all_reports, options.k)
+        results = protocol.aggregate(routed.all_reports, options.k)
         aggregate_time = time.perf_counter() - aggregate_start
 
         artifact_bytes = _artifact_size_bytes(artifact)

@@ -50,14 +50,12 @@ def _require(condition: bool, message: str) -> None:
 class ProtocolSpec:
     """Which matching protocol the deployment's data center runs.
 
-    ``config`` carries the full :class:`DIMatchingConfig` for the filter-based
-    methods; when ``None`` a default configuration with ``int(epsilon)`` is
-    built.  The baselines (``naive`` / ``local``) only consume ``epsilon``.
+    ``config`` is the :class:`DIMatchingConfig` of the filter-based methods;
+    the baselines (``naive`` / ``local``) read only its ``epsilon``.
     """
 
     method: str = "wbf"
-    epsilon: float = 0.0
-    config: DIMatchingConfig | None = None
+    config: DIMatchingConfig = field(default_factory=DIMatchingConfig)
 
     def __post_init__(self) -> None:
         _require(
@@ -65,19 +63,9 @@ class ProtocolSpec:
             f"method must be one of {PROTOCOL_METHODS}, got {self.method!r}",
         )
         _require(
-            isinstance(self.epsilon, (int, float))
-            and not isinstance(self.epsilon, bool)
-            and float(self.epsilon) >= 0.0,
-            f"epsilon must be >= 0, got {self.epsilon!r}",
+            isinstance(self.config, DIMatchingConfig),
+            f"config must be a DIMatchingConfig, got {type(self.config).__name__}",
         )
-        _require(
-            self.config is None or isinstance(self.config, DIMatchingConfig),
-            f"config must be a DIMatchingConfig or None, got {type(self.config).__name__}",
-        )
-
-    def resolved_config(self) -> DIMatchingConfig:
-        """The effective protocol configuration."""
-        return self.config or DIMatchingConfig(epsilon=int(self.epsilon))
 
     def build(self) -> "MatchingProtocol":
         """Instantiate the configured protocol."""
@@ -91,12 +79,12 @@ class ProtocolSpec:
         from repro.core.dimatching import DIMatchingProtocol
 
         if self.method == "naive":
-            return NaiveProtocol(epsilon=float(self.epsilon))
+            return NaiveProtocol(epsilon=float(self.config.epsilon))
         if self.method == "local":
-            return LocalOnlyProtocol(epsilon=float(self.epsilon))
+            return LocalOnlyProtocol(epsilon=float(self.config.epsilon))
         if self.method == "bf":
-            return BloomFilterProtocol(self.resolved_config())
-        return DIMatchingProtocol(self.resolved_config())
+            return BloomFilterProtocol(self.config)
+        return DIMatchingProtocol(self.config)
 
 
 @dataclass(frozen=True)
@@ -311,13 +299,12 @@ class ClusterSpec:
                 noise_level=shape.noise_level,
                 seed=shape.seed if shape.seed is not None else derived_seed,
             )
-        config = DIMatchingConfig(epsilon=workload.epsilon)
         return cls(
             name=workload.name,
             dataset=dataset,
             source=source,
             protocol=ProtocolSpec(
-                method=workload.method, epsilon=float(workload.epsilon), config=config
+                method=workload.method, config=DIMatchingConfig(epsilon=workload.epsilon)
             ),
             transport=TransportSpec.from_network_config(network_config, transport=transport),
             faults=FaultSpec(

@@ -4,11 +4,13 @@ The parameters mirror the paper's Table I notation where applicable:
 
 * ``sample_count`` — ``b``, the number of uniformly sampled points per pattern;
 * ``hash_count`` — ``k``, the number of hash functions;
-* ``bit_count`` / ``bits_per_element`` — ``m``, the filter length (fixed or auto-sized);
 * ``epsilon`` — ``ε``, the user-specified approximation parameter of Eq. (2).
 
-Extra switches control implementation choices the paper leaves open; each has an
-ablation benchmark (see DESIGN.md §5).
+The filter length ``m`` is not a setting: the encoder sizes every filter from
+what it holds (:mod:`repro.core.encoder`).  Two switches select implementation
+choices the paper leaves open; each has an ablation benchmark
+(``benchmarks/bench_ablation_sample_index.py`` and
+``benchmarks/bench_ablation_accumulation.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.exceptions import ConfigurationError
-from repro.utils.validation import require_non_negative, require_positive
 
 #: Named fault profiles accepted by ``FaultSpec.profile``, ``Cluster.adopt``,
 #: ``WorkloadSpec.fault_profile`` and the CLI.  The plans themselves live in
@@ -56,6 +57,16 @@ TRANSPORT_CHOICES = ("sim", "tcp")
 WORKLOAD_DRIVE_CHOICES = ("simulation", "session", "open")
 
 
+def _require_count(value: object, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _require_switch(value: object, name: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DIMatchingConfig:
     """Immutable configuration shared by the encoder, matcher and aggregator.
@@ -73,16 +84,6 @@ class DIMatchingConfig:
     #: ``ε`` — per-interval matching tolerance of Eq. (2); integer, as the paper
     #: restricts values to natural numbers.
     epsilon: int = 0
-    #: Explicit filter length ``m`` in bits, used when ``auto_size`` is False.
-    bit_count: int = 16384
-    #: When True the encoder sizes the filter as ``bits_per_element × inserted items``.
-    auto_size: bool = True
-    #: Bits allocated per inserted item when auto-sizing.
-    bits_per_element: int = 12
-    #: Lower bound on the auto-sized filter length.
-    min_bit_count: int = 1024
-    #: Seed for the filter hash family (must be shared by center and stations).
-    seed: int = 0
     #: Hash ``(time index, accumulated value)`` tuples rather than bare values.  The
     #: accumulation transform already embeds order, but including the index removes
     #: residual cross-position collisions; the paper hashes values only, so this is
@@ -92,47 +93,16 @@ class DIMatchingConfig:
     #: this off hashes raw interval values instead — the ablation for the paper's
     #: claim that accumulation is what distinguishes reordered time series.
     use_accumulation: bool = True
-    #: Insert the ε-neighbourhood of every sampled value at encode time ("hash all
-    #: the possible approximate values into WBF", Section IV-B).
-    expand_epsilon: bool = True
-    #: Width of the inserted ε-neighbourhood around each sampled accumulated value:
-    #: "interval" inserts ``±ε`` (the default — candidates whose deviations are
-    #: timing-like and largely cancel in accumulated form are matched without
-    #: sacrificing discrimination), "accumulated" inserts ``±ε·(index+1)`` (the fully
-    #: conservative band that can never miss an Eq.-2-similar candidate, at the cost
-    #: of very wide bands at late time indices).
-    epsilon_tolerance_mode: str = "interval"
-    #: Drop duplicate combined patterns, keeping the one with the larger weight
-    #: (duplicates arise when a query local fragment is all zeros).
-    deduplicate_combinations: bool = True
-    #: Upper bound on the number of local fragments per query; the combination count
-    #: is ``2^l − 1`` (Eq. 4), so this caps encoder blow-up.
-    max_local_patterns: int = 12
 
     def __post_init__(self) -> None:
-        try:
-            require_positive(self.sample_count, "sample_count")
-            require_positive(self.hash_count, "hash_count")
-            require_non_negative(self.epsilon, "epsilon")
-            require_positive(self.bit_count, "bit_count")
-            require_positive(self.bits_per_element, "bits_per_element")
-            require_positive(self.min_bit_count, "min_bit_count")
-            require_positive(self.max_local_patterns, "max_local_patterns")
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(str(error)) from error
-        if not isinstance(self.epsilon, int):
+        _require_count(self.sample_count, "sample_count")
+        _require_count(self.hash_count, "hash_count")
+        if not isinstance(self.epsilon, int) or isinstance(self.epsilon, bool):
             raise ConfigurationError(f"epsilon must be an integer, got {self.epsilon!r}")
-        if self.epsilon_tolerance_mode not in ("interval", "accumulated"):
-            raise ConfigurationError(
-                "epsilon_tolerance_mode must be 'interval' or 'accumulated', "
-                f"got {self.epsilon_tolerance_mode!r}"
-            )
-
-    def filter_bit_count(self, item_count: int) -> int:
-        """Filter length to use for ``item_count`` inserted items."""
-        if not self.auto_size:
-            return self.bit_count
-        return max(self.min_bit_count, int(item_count) * self.bits_per_element)
+        if self.epsilon < 0:
+            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        _require_switch(self.include_sample_index, "include_sample_index")
+        _require_switch(self.use_accumulation, "use_accumulation")
 
     def with_updates(self, **changes: object) -> "DIMatchingConfig":
         """Return a copy of this configuration with the given fields replaced."""

@@ -39,6 +39,21 @@ from repro.timeseries.sampling import uniform_sample_indices
 from repro.timeseries.transform import accumulate
 from repro.utils.validation import require_non_empty
 
+#: Every filter, the WBF and the BF baseline's alike, holds
+#: ``BITS_PER_ITEM × inserted items`` bits, and never fewer than ``MIN_BIT_COUNT``.
+BITS_PER_ITEM = 12
+MIN_BIT_COUNT = 1024
+#: Filters hash with this seed, shared by the center and every station.
+HASH_SEED = 0
+#: Most local fragments a query may have: the combination count is ``2^l − 1``
+#: (Eq. 4), so this caps encoder blow-up.
+MAX_LOCAL_PATTERNS = 12
+
+
+def bits_for_items(item_count: int) -> int:
+    """Filter length for ``item_count`` inserted items."""
+    return max(MIN_BIT_COUNT, item_count * BITS_PER_ITEM)
+
 
 @dataclass(frozen=True)
 class CombinedQueryPattern:
@@ -88,10 +103,10 @@ class PatternEncoder:
 
     def combined_patterns(self, query: QueryPattern) -> list[CombinedQueryPattern]:
         """Enumerate, accumulate and weight the combinations of one query (steps 1-3)."""
-        if query.station_count > self._config.max_local_patterns:
+        if query.station_count > MAX_LOCAL_PATTERNS:
             raise EncodingError(
                 f"query {query.query_id!r} has {query.station_count} local fragments; "
-                f"the configured maximum is {self._config.max_local_patterns} "
+                f"the maximum is {MAX_LOCAL_PATTERNS} "
                 f"(the combination count 2^l - 1 would be too large)"
             )
         global_total = sum(query.global_pattern.values)
@@ -100,7 +115,7 @@ class PatternEncoder:
                 f"query {query.query_id!r} has an all-zero global pattern and cannot be encoded"
             )
         combos = enumerate_pattern_combinations(list(query.local_patterns))
-        results: list[CombinedQueryPattern] = []
+        # Duplicate shapes arise when a fragment is all zeros; the larger weight wins.
         best_by_shape: dict[tuple[int, ...], CombinedQueryPattern] = {}
         for combo in combos:
             accumulated = (
@@ -113,17 +128,12 @@ class PatternEncoder:
                 # An all-zero combination (a fragment with no activity) carries no
                 # information and would attach weight 0 to the zero-prefix bits.
                 continue
-            candidate = CombinedQueryPattern(
-                query_id=query.query_id, accumulated=accumulated, weight=weight
-            )
-            if self._config.deduplicate_combinations:
-                existing = best_by_shape.get(accumulated)
-                if existing is None or candidate.weight > existing.weight:
-                    best_by_shape[accumulated] = candidate
-            else:
-                results.append(candidate)
-        if self._config.deduplicate_combinations:
-            results = list(best_by_shape.values())
+            existing = best_by_shape.get(accumulated)
+            if existing is None or weight > existing.weight:
+                best_by_shape[accumulated] = CombinedQueryPattern(
+                    query_id=query.query_id, accumulated=accumulated, weight=weight
+                )
+        results = list(best_by_shape.values())
         if not results:
             raise EncodingError(
                 f"query {query.query_id!r} produced no non-zero combined patterns"
@@ -160,18 +170,11 @@ class PatternEncoder:
         qualified_weight = (combined.query_id, combined.weight)
         for index in self.sample_indices(len(combined.accumulated)):
             value = combined.accumulated[index]
-            if self._config.expand_epsilon and epsilon > 0:
-                # "Hash all the possible approximate values into WBF" (Section IV-B):
-                # the tolerance band around the sampled accumulated value is ±ε in the
-                # default "interval" mode, or the fully conservative ±ε·(index+1) in
-                # "accumulated" mode (see DIMatchingConfig.epsilon_tolerance_mode).
-                if self._config.epsilon_tolerance_mode == "accumulated":
-                    tolerance = epsilon * (index + 1)
-                else:
-                    tolerance = epsilon
-                values = range(max(0, value - tolerance), value + tolerance + 1)
-            else:
-                values = (value,)
+            # "Hash all the possible approximate values into WBF" (Section IV-B):
+            # the ±ε band around the sampled accumulated value.
+            values = (
+                range(max(0, value - epsilon), value + epsilon + 1) if epsilon else (value,)
+            )
             for candidate_value in values:
                 item = (
                     (index, candidate_value)
@@ -218,11 +221,10 @@ class PatternEncoder:
         vectorized call instead of item-by-item.
         """
         insertions, pattern_length, combined_count = self.enumerate_insertions(queries)
-        bit_count = self._config.filter_bit_count(len(insertions))
         wbf = WeightedBloomFilter(
-            bit_count=bit_count,
+            bit_count=bits_for_items(len(insertions)),
             hash_count=self._config.hash_count,
-            seed=self._config.seed,
+            seed=HASH_SEED,
         )
         by_weight: dict[tuple[str, Fraction], list[object]] = {}
         for item, weight in insertions:
@@ -241,11 +243,10 @@ class PatternEncoder:
     def encode_batch_plain(self, queries: Sequence[QueryPattern]) -> BloomFilter:
         """Encode the same insertions into a plain Bloom filter (the BF baseline)."""
         insertions, _, _ = self.enumerate_insertions(queries)
-        bit_count = self._config.filter_bit_count(len(insertions))
         bloom = BloomFilter(
-            bit_count=bit_count,
+            bit_count=bits_for_items(len(insertions)),
             hash_count=self._config.hash_count,
-            seed=self._config.seed,
+            seed=HASH_SEED,
         )
         bloom.add_many([item for item, _weight in insertions])
         return bloom

@@ -277,12 +277,6 @@ class ReportColumns(Sequence):
 
     __hash__ = None  # type: ignore[assignment]  # like the list it stands for
 
-    def __add__(self, other: object) -> Sequence[object]:
-        # ``station_match`` returned a list, which callers extend with ``+=``.
-        if isinstance(other, (ReportColumns, list)):
-            return concat_reports((self, other))
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"ReportColumns({list(self)!r})"
 

@@ -1,33 +1,21 @@
-"""Data-center node: encodes query batches and aggregates station reports."""
+"""Data-center node: the inbox that collects the stations' match reports."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.protocol import MatchingProtocol, RankedResults
 from repro.core.reports import ReportColumns, concat_reports
 from repro.distributed.node import Node
-from repro.timeseries.query import QueryPattern
 
 #: The paper denotes the data center as node ``N0``.
 DATA_CENTER_NODE_ID = "data-center"
 
 
 class DataCenterNode(Node):
-    """The central node that owns queries, distributes filters and ranks results."""
+    """The central node, whose inbox gathers every station's match reports."""
 
     def __init__(self, node_id: str = DATA_CENTER_NODE_ID) -> None:
         super().__init__(node_id)
-
-    def encode(self, protocol: MatchingProtocol, queries: Sequence[QueryPattern]) -> object | None:
-        """Run the protocol's encoding phase."""
-        return protocol.encode(queries)
-
-    def aggregate(
-        self, protocol: MatchingProtocol, reports: Sequence[object], k: int | None
-    ) -> RankedResults:
-        """Run the protocol's aggregation phase over all collected reports."""
-        return protocol.aggregate(reports, k)
 
     def reports_by_sender(self) -> dict[str, Sequence[object]]:
         """Decoded match-report payloads in the inbox, grouped by station.

@@ -89,10 +89,11 @@ def ground_truth_users(
 
 def make_protocols(
     config: DIMatchingConfig,
-    epsilon: float,
     methods: Sequence[str] = DEFAULT_METHODS,
 ) -> list[MatchingProtocol]:
     """Instantiate the protocols named in ``methods`` with a shared configuration.
+
+    The baselines match with ``config.epsilon``, the tolerance the filters encode.
 
     The method-to-protocol mapping itself lives in
     :meth:`repro.cluster.spec.ProtocolSpec.build` — this helper only adds the
@@ -103,9 +104,7 @@ def make_protocols(
     for method in methods:
         if method not in PROTOCOL_METHODS:
             raise ValueError(f"unknown method {method!r}; expected naive/local/bf/wbf")
-        protocols.append(
-            ProtocolSpec(method=method, epsilon=float(epsilon), config=config).build()
-        )
+        protocols.append(ProtocolSpec(method=method, config=config).build())
     return protocols
 
 
@@ -150,7 +149,7 @@ def run_comparison(
         net_seed=net_seed,
         allow_partial=allow_partial,
     ) as cluster:
-        for protocol in make_protocols(config, workload.epsilon, methods):
+        for protocol in make_protocols(config, methods):
             outcome = cluster.drive(protocol, queries, cutoff)
             retrieved = tuple(outcome.retrieved_user_ids)
             outcomes[protocol.name] = MethodOutcome(

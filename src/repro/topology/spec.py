@@ -13,16 +13,13 @@ state — the concrete station partition is computed against a station order by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.core.config import FAULT_PROFILE_CHOICES
 from repro.core.exceptions import ConfigurationError
 
 #: Tier layouts the facade can deploy.
 TOPOLOGY_KINDS = ("star", "two-tier")
-
-#: Fields that only shape a regional tier; a star must leave them at default.
-_REGIONAL_FIELDS = ("stations_per_region", "degraded_regions")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -46,10 +43,8 @@ class TopologySpec:
     ``kind="star"`` is the paper's flat layout and the default everywhere —
     a star deployment behaves byte-identically to a spec with no topology at
     all, and rejects every regional knob.  ``kind="two-tier"`` partitions
-    the station order into ``regions`` contiguous slices (balanced, or
-    ``stations_per_region`` wide), each served by a regional aggregator.  ``tenant_count`` declares how many
-    independent query streams share the deployment (the workload layer binds
-    one :class:`~repro.workloads.spec.TenantSpec` per slot).
+    the station order into ``regions`` balanced contiguous slices, each
+    served by a regional aggregator.
 
     Regions named in ``degraded_regions`` run their regional hop under
     ``degraded_profile`` instead of the deployment's fault plan.
@@ -57,9 +52,6 @@ class TopologySpec:
 
     kind: str = "star"
     regions: int = 1
-    #: Stations per region slice; ``None`` balances the station order evenly.
-    stations_per_region: int | None = None
-    tenant_count: int = 1
     #: Regions whose regional hop runs a degraded fault profile.
     degraded_regions: tuple[str, ...] = ()
     degraded_profile: str = "none"
@@ -80,22 +72,6 @@ class TopologySpec:
             f"a star topology has no regional tier; regions must be 1, "
             f"got {self.regions!r}",
         )
-        _require(
-            self.stations_per_region is None
-            or (
-                isinstance(self.stations_per_region, int)
-                and not isinstance(self.stations_per_region, bool)
-                and self.stations_per_region >= 1
-            ),
-            f"stations_per_region must be a positive integer or None, "
-            f"got {self.stations_per_region!r}",
-        )
-        _require(
-            isinstance(self.tenant_count, int)
-            and not isinstance(self.tenant_count, bool)
-            and self.tenant_count >= 1,
-            f"tenant_count must be a positive integer, got {self.tenant_count!r}",
-        )
         object.__setattr__(
             self,
             "degraded_regions",
@@ -113,18 +89,10 @@ class TopologySpec:
             f"degraded_regions names unknown region(s) {unknown!r}; this "
             f"topology declares {sorted(region_names)}",
         )
-        if self.kind == "star":
-            regional = [
-                spec_field.name
-                for spec_field in fields(self)
-                if spec_field.name in _REGIONAL_FIELDS
-                and getattr(self, spec_field.name) != spec_field.default
-            ]
-            _require(
-                not regional,
-                f"a star topology has no regional tier; {', '.join(regional)} "
-                f"must keep the default",
-            )
+        _require(
+            self.kind != "star" or not self.degraded_regions,
+            "a star topology has no regional tier; degraded_regions must keep the default",
+        )
 
     @property
     def is_hierarchical(self) -> bool:

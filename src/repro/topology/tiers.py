@@ -75,11 +75,9 @@ class TierMap:
 def region_slices(station_count: int, spec: TopologySpec) -> list[tuple[int, int]]:
     """The ``[start, stop)`` slice of each region over ``station_count`` stations.
 
-    Balanced mode spreads the remainder over the leading regions (sizes
-    differ by at most one); explicit ``stations_per_region`` cuts fixed-width
-    slices, with the last region taking the remainder.  Raises
-    :class:`ConfigurationError` when the partition cannot cover the station
-    order with the declared region count.
+    The remainder spreads over the leading regions, so sizes differ by at
+    most one.  Raises :class:`ConfigurationError` when the deployment has
+    fewer stations than the declared region count.
     """
     regions = spec.regions
     if regions > station_count:
@@ -87,21 +85,10 @@ def region_slices(station_count: int, spec: TopologySpec) -> list[tuple[int, int
             f"topology declares {regions} regions but the deployment has only "
             f"{station_count} stations; regions must not exceed stations"
         )
-    width = spec.stations_per_region
-    if width is not None:
-        if (regions - 1) * width >= station_count or regions * width < station_count:
-            raise ConfigurationError(
-                f"{regions} regions of {width} stations cannot cover "
-                f"{station_count} stations exactly; adjust regions or "
-                f"stations_per_region"
-            )
-        bounds = [min(index * width, station_count) for index in range(regions + 1)]
-        bounds[-1] = station_count
-    else:
-        base, remainder = divmod(station_count, regions)
-        bounds = [0]
-        for index in range(regions):
-            bounds.append(bounds[-1] + base + (1 if index < remainder else 0))
+    base, remainder = divmod(station_count, regions)
+    bounds = [0]
+    for index in range(regions):
+        bounds.append(bounds[-1] + base + (1 if index < remainder else 0))
     return [(bounds[index], bounds[index + 1]) for index in range(regions)]
 
 

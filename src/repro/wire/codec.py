@@ -240,35 +240,50 @@ def _read_wbf_body(reader: ByteReader) -> WeightedBloomFilter:
     return WeightedBloomFilter.from_state(bit_count, hash_count, seed, bits, weights, item_count)
 
 
-#: ``DIMatchingConfig`` fields serialized on the wire, in order: all of them.
-_CONFIG_WIRE_FIELDS = (
+#: The config block's 14 slots, in wire order.  A string names a live
+#: ``DIMatchingConfig`` field; a ``(name, value)`` pair is a retired slot,
+#: always written as that value, and a block holding anything else there
+#: (another value, or another type) is refused.  The retired values are the
+#: codec's own constants: they keep every encoded batch byte-identical, and a
+#: change to how the encoder sizes or hashes its filters moves no byte here.
+_CONFIG_SLOTS: tuple[str | tuple[str, object], ...] = (
     "sample_count",
     "hash_count",
     "epsilon",
-    "bit_count",
-    "auto_size",
-    "bits_per_element",
-    "min_bit_count",
-    "seed",
+    ("bit_count", 16384),
+    ("auto_size", True),
+    ("bits_per_element", 12),
+    ("min_bit_count", 1024),
+    ("seed", 0),
     "include_sample_index",
     "use_accumulation",
-    "expand_epsilon",
-    "epsilon_tolerance_mode",
-    "deduplicate_combinations",
-    "max_local_patterns",
+    ("expand_epsilon", True),
+    ("epsilon_tolerance_mode", "interval"),
+    ("deduplicate_combinations", True),
+    ("max_local_patterns", 12),
 )
 
 
 def _write_config_block(out: bytearray, config: DIMatchingConfig) -> None:
-    for name in _CONFIG_WIRE_FIELDS:
-        write_value(out, getattr(config, name))
+    for slot in _CONFIG_SLOTS:
+        write_value(out, getattr(config, slot) if slot.__class__ is str else slot[1])
 
 
 def _read_config_block(reader: ByteReader) -> DIMatchingConfig:
-    fields = {name: read_value(reader) for name in _CONFIG_WIRE_FIELDS}
+    fields: dict[str, object] = {}
+    for slot in _CONFIG_SLOTS:
+        value = read_value(reader)
+        if slot.__class__ is str:
+            fields[slot] = value
+            continue
+        name, fixed = slot
+        if value.__class__ is not fixed.__class__ or value != fixed:
+            raise WireFormatError(
+                f"config slot {name!r} is retired and must hold {fixed!r}, got {value!r}"
+            )
     try:
         return DIMatchingConfig(**fields)
-    except (ConfigurationError, TypeError) as error:
+    except ConfigurationError as error:
         raise WireFormatError(f"decoded configuration is invalid: {error}") from error
 
 

@@ -256,7 +256,7 @@ register_scenario(
             TenantSpec("hot", QueryMix(zipf_s=1.5)),
             TenantSpec("broad", QueryMix()),
         ),
-        topology=TopologySpec(kind="two-tier", regions=2, tenant_count=2),
+        topology=TopologySpec(kind="two-tier", regions=2),
         seed=1215,
     )
 )

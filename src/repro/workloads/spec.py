@@ -446,13 +446,6 @@ class WorkloadSpec:
                 f"topology regions ({self.topology.regions}) must not exceed "
                 f"stations ({self.effective_station_count})",
             )
-            declared_streams = max(1, len(self.tenants))
-            _require(
-                self.topology.tenant_count == declared_streams,
-                f"tenant/mix mismatch: topology declares "
-                f"{self.topology.tenant_count} tenant(s) but the workload "
-                f"provides {declared_streams} query-mix stream(s)",
-            )
 
     def effective_source(self) -> SourceSpec:
         """The city declaration: ``source`` or the legacy fields lifted into one."""

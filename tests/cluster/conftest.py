@@ -32,7 +32,6 @@ def wbf_spec(tiny_dataset_spec) -> ClusterSpec:
         dataset=tiny_dataset_spec,
         protocol=ProtocolSpec(
             method="wbf",
-            epsilon=0,
             config=DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4),
         ),
     )

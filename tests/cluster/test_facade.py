@@ -38,7 +38,6 @@ def _streaming_cluster() -> Cluster:
             name="lazy",
             protocol=ProtocolSpec(
                 method="wbf",
-                epsilon=0,
                 config=DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4),
             ),
             source=spec,
@@ -433,7 +432,7 @@ class TestNoDeprecationWarnings:
     ):
         spec = ClusterSpec(
             name="no-warn",
-            protocol=ProtocolSpec(method="wbf", epsilon=0, config=exact_config),
+            protocol=ProtocolSpec(method="wbf", config=exact_config),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -460,7 +459,7 @@ class TestDeltaStepParityWithDirectSession:
 
         spec = ClusterSpec(
             name="parity",
-            protocol=ProtocolSpec(method="wbf", epsilon=0, config=exact_config),
+            protocol=ProtocolSpec(method="wbf", config=exact_config),
         )
         with Cluster(spec, dataset=small_dataset) as deployed:
             session = deployed.open_session(mode="deltas")

@@ -29,7 +29,7 @@ CONFIG = DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4)
 def spec(method: str = "wbf") -> ClusterSpec:
     return ClusterSpec(
         name=f"held-{method}",
-        protocol=ProtocolSpec(method=method, epsilon=0, config=CONFIG),
+        protocol=ProtocolSpec(method=method, config=CONFIG),
     )
 
 

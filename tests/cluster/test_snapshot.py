@@ -50,7 +50,6 @@ def _cluster() -> Cluster:
             name="snap",
             protocol=ProtocolSpec(
                 method="wbf",
-                epsilon=0,
                 config=DIMatchingConfig(epsilon=0),
             ),
         ),

@@ -41,7 +41,6 @@ STREAM_SPEC = SourceSpec(
 def _protocol() -> ProtocolSpec:
     return ProtocolSpec(
         method="wbf",
-        epsilon=0,
         config=DIMatchingConfig(epsilon=0, sample_count=12, hash_count=4),
     )
 

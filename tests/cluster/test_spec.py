@@ -1,5 +1,7 @@
 """Validation of the typed cluster specification."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import (
@@ -23,7 +25,7 @@ class TestProtocolSpec:
 
     @pytest.mark.parametrize("method", ["naive", "local", "bf", "wbf"])
     def test_every_method_builds(self, method):
-        protocol = ProtocolSpec(method=method, epsilon=2).build()
+        protocol = ProtocolSpec(method=method, config=DIMatchingConfig(epsilon=2)).build()
         assert protocol.name == method
 
     def test_unknown_method_rejected(self):
@@ -32,15 +34,30 @@ class TestProtocolSpec:
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
-            ProtocolSpec(epsilon=-1)
+            ProtocolSpec(config=DIMatchingConfig(epsilon=-1))
 
     def test_config_passed_through(self):
         config = DIMatchingConfig(epsilon=2, sample_count=5)
-        assert ProtocolSpec(method="wbf", epsilon=2, config=config).resolved_config() is config
+        assert ProtocolSpec(method="wbf", config=config).config is config
 
     def test_wrong_config_type_rejected(self):
         with pytest.raises(ConfigurationError, match="config"):
             ProtocolSpec(config={"sample_count": 5})
+
+    def test_config_defaults_and_is_never_none(self):
+        assert ProtocolSpec().config == DIMatchingConfig()
+        with pytest.raises(ConfigurationError, match="config must be a DIMatchingConfig"):
+            ProtocolSpec(config=None)
+
+    @pytest.mark.parametrize("method", ["naive", "local"])
+    def test_the_baselines_match_with_the_configs_epsilon(self, method):
+        protocol = ProtocolSpec(method=method, config=DIMatchingConfig(epsilon=3)).build()
+        assert protocol.epsilon == 3.0
+
+    def test_epsilon_is_spelled_once(self):
+        assert [spec_field.name for spec_field in fields(ProtocolSpec)] == ["method", "config"]
+        with pytest.raises(TypeError, match="epsilon"):
+            ProtocolSpec(method="naive", epsilon=2)
 
 
 class TestTransportSpec:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol, run_dimatching
 from repro.datagen.workload import DatasetSpec, build_dataset, build_query_workload
 from repro.evaluation.experiments import ground_truth_users, run_comparison
@@ -48,13 +47,6 @@ class TestApproximateMatchingEndToEnd:
         )
         assert recall >= 0.85
         assert precision >= 0.85
-
-    def test_accumulated_tolerance_mode_runs(self, noisy_dataset, noisy_workload):
-        config = DIMatchingConfig(
-            epsilon=2, sample_count=6, epsilon_tolerance_mode="accumulated"
-        )
-        results = run_dimatching(noisy_dataset, list(noisy_workload.queries)[:2], config, k=5)
-        assert len(results) <= 5
 
 
 class TestMethodComparisonEndToEnd:

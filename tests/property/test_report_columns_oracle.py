@@ -36,9 +36,11 @@ from repro import wire
 from repro.core.aggregator import SimilarityRanker
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
+from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
 from repro.core.protocol import MatchReport, RankedResults, RankedUser
 from repro.core.reports import ReportColumns, concat_reports
+from repro.core.wbf import WeightedBloomFilter
 from repro.distributed.messages import MessageKind
 from repro.topology.aggregator import RegionalAggregator
 from repro.topology.tiers import Region
@@ -489,7 +491,7 @@ def outcome(function, *args):
 
 def _kernel_scenario(draw_lists):
     """A query batch and stations whose candidates reuse its fragments."""
-    config = DIMatchingConfig(sample_count=4, hash_count=3, auto_size=False, bit_count=256)
+    config = DIMatchingConfig(sample_count=4, hash_count=3)
     queries = [
         QueryPattern(
             f"q{index}",
@@ -514,6 +516,22 @@ def _kernel_scenario(draw_lists):
     return config, queries, stations
 
 
+def _encode_in_256_bits(config, queries) -> EncodedQueryBatch:
+    """Algorithm 1's insertions in a 256-bit filter, so candidates collide often."""
+    insertions, length, combined = PatternEncoder(config).enumerate_insertions(queries)
+    wbf = WeightedBloomFilter(256, config.hash_count)
+    for item, weight in insertions:
+        wbf.add(item, weight)
+    return EncodedQueryBatch(
+        wbf=wbf,
+        config=config,
+        pattern_length=length,
+        query_count=len(queries),
+        combined_pattern_count=combined,
+        inserted_item_count=len(insertions),
+    )
+
+
 fragment_values = st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any)
 
 
@@ -530,8 +548,7 @@ class TestStationKernel:
     @settings(max_examples=40, deadline=None)
     def test_stations_emit_the_reference_reports(self, fragments, variant):
         config, queries, stations = _kernel_scenario(fragments)
-        protocol = DIMatchingProtocol(config)
-        batch = protocol.encode(queries)
+        batch = _encode_in_256_bits(config, queries)
         matchers = [kernel.BaseStationMatcher(config, sid, patterns) for sid, patterns in stations]
         want = reference_match_weighted(matchers, batch)
         with pytest.MonkeyPatch.context() as patch:

@@ -9,7 +9,10 @@ mask-index AND of its positions, grouped into reports by query and weight.
 
 Both must return equal report lists, element by element and in order, for
 every filter: built by Algorithm 1, decoded off the wire, mutated after its position table was built, or rebuilt by
-``from_state`` with weights on clear bits and set bits without weights.  The
+``from_state`` with weights on clear bits and set bits without weights.
+Algorithm 1 sizes and seeds its filters by fixed rules, so the drawn filters
+take its insertions into a filter of a drawn size (16–512 bits) and hash
+seed (0–3); one property also runs the encoder's own filter.  The
 pure-Python kernel, the only one that runs without NumPy, is forced in the
 NumPy leg by clearing the kernel module's ``_np``; the NumPy pass, which
 otherwise takes only calls of ``_VECTORIZE_ROWS`` rows or more, is forced by
@@ -27,9 +30,10 @@ from hypothesis import strategies as st
 import repro.core.matcher as kernel
 from repro import wire
 from repro.baselines.bf_matching import BloomFilterProtocol
+from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
 from repro.core.dimatching import DIMatchingProtocol
-from repro.core.encoder import EncodedQueryBatch
+from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
 from repro.core.matcher import BaseStationMatcher
 from repro.core.protocol import MatchReport
@@ -187,7 +191,8 @@ query_values = small_values.filter(any)
 
 @st.composite
 def scenarios(draw, locals_per_query=st.integers(1, 3), spread=False):
-    """A config, a query batch and stations whose candidates often match it.
+    """A config, a query batch, stations whose candidates often match it,
+    and the ``(bit count, hash seed)`` of the filter to encode it into.
 
     With ``spread``, fragment ``j`` of a query is ``2**j`` times one drawn
     series, so the fragments of every combination sum to their own total and
@@ -196,10 +201,8 @@ def scenarios(draw, locals_per_query=st.integers(1, 3), spread=False):
     config = DIMatchingConfig(
         sample_count=draw(st.integers(2, 6)),
         hash_count=draw(st.integers(1, 4)),
-        auto_size=False,
-        bit_count=draw(st.integers(16, 512)),
-        seed=draw(st.integers(0, 3)),
     )
+    shape = (draw(st.integers(16, 512)), draw(st.integers(0, 3)))
     queries = []
     for index in range(draw(st.integers(1, 3))):
         base = draw(query_values) if spread else None
@@ -238,7 +241,36 @@ def scenarios(draw, locals_per_query=st.integers(1, 3), spread=False):
             for _ in range(count)
         )
         stations.append((station_id, patterns))
-    return config, queries, stations
+    return config, queries, stations, shape
+
+
+def encode_weighted(config, queries, shape) -> EncodedQueryBatch:
+    """Algorithm 1's insertions for ``queries`` in a WBF of the drawn shape."""
+    bit_count, seed = shape
+    insertions, length, combined = PatternEncoder(config).enumerate_insertions(queries)
+    wbf = WeightedBloomFilter(bit_count, config.hash_count, seed=seed)
+    by_weight: dict = {}
+    for item, weight in insertions:
+        by_weight.setdefault(weight, []).append(item)
+    for weight, items in by_weight.items():
+        wbf.insert_many(items, weight)
+    return EncodedQueryBatch(
+        wbf=wbf,
+        config=config,
+        pattern_length=length,
+        query_count=len(queries),
+        combined_pattern_count=combined,
+        inserted_item_count=len(insertions),
+    )
+
+
+def encode_plain(config, queries, shape) -> BloomFilter:
+    """The same insertions in a plain Bloom filter of the drawn shape."""
+    bit_count, seed = shape
+    insertions, _, _ = PatternEncoder(config).enumerate_insertions(queries)
+    bloom = BloomFilter(bit_count, config.hash_count, seed=seed)
+    bloom.add_many([item for item, _weight in insertions])
+    return bloom
 
 
 # -- properties ------------------------------------------------------------------------
@@ -248,20 +280,30 @@ def scenarios(draw, locals_per_query=st.integers(1, 3), spread=False):
 @given(scenario=scenarios())
 @settings(max_examples=30, deadline=None)
 def test_weighted_kernel_matches_reference(decoded, scenario):
-    config, queries, stations = scenario
+    config, queries, stations, shape = scenario
     protocol = DIMatchingProtocol(config)
-    batch = protocol.encode(queries)
+    batch = encode_weighted(config, queries, shape)
     if decoded:
         batch = wire.decode(wire.encode(batch))
+    assert_matches_reference(protocol, config, stations, batch)
+
+
+@given(scenario=scenarios())
+@settings(max_examples=20, deadline=None)
+def test_weighted_kernel_on_the_encoders_own_filter(scenario):
+    config, queries, stations, _shape = scenario
+    protocol = DIMatchingProtocol(config)
+    batch = protocol.encode(queries)
+    assert (batch.wbf.seed, batch.wbf.bit_count) == (0, max(1024, 12 * batch.wbf.item_count))
     assert_matches_reference(protocol, config, stations, batch)
 
 
 @given(scenario=scenarios(locals_per_query=st.just(7), spread=True))
 @settings(max_examples=10, deadline=None)
 def test_masks_spanning_several_words(scenario):
-    config, queries, stations = scenario
+    config, queries, stations, shape = scenario
     protocol = DIMatchingProtocol(config)
-    batch = protocol.encode(queries)
+    batch = encode_weighted(config, queries, shape)
     weights = len(batch.wbf.distinct_weights())
     assert weights > 64
     if HAS_NUMPY:
@@ -283,9 +325,9 @@ def test_masks_spanning_several_words(scenario):
 )
 @settings(max_examples=30, deadline=None)
 def test_filter_mutated_after_its_table_was_built(scenario, insertions):
-    config, queries, stations = scenario
+    config, queries, stations, shape = scenario
     protocol = DIMatchingProtocol(config)
-    batch = protocol.encode(queries)
+    batch = encode_weighted(config, queries, shape)
     protocol.match_stations(stations, batch)
     if HAS_NUMPY:
         batch.wbf.position_table()
@@ -316,7 +358,7 @@ position_weights = st.sampled_from(
 def test_from_state_filters(scenario, positions):
     # Weights may sit on clear bits, and set bits may carry no weights: a
     # position matches only when its bit is set *and* it carries weights.
-    config, _queries, stations = scenario
+    config, _queries, stations, (_bit_count, seed) = scenario
     # Few probed positions per candidate, so matches and near misses are common.
     config = config.with_updates(sample_count=2, hash_count=min(config.hash_count, 2))
     bits = bytearray(8)
@@ -327,7 +369,7 @@ def test_from_state_filters(scenario, positions):
         if attached is not None:
             weights[position] = attached
     wbf = WeightedBloomFilter.from_state(
-        64, config.hash_count, config.seed, bytes(bits), weights, 0
+        64, config.hash_count, seed, bytes(bits), weights, 0
     )
     batch = EncodedQueryBatch(
         wbf=wbf,
@@ -344,9 +386,9 @@ def test_from_state_filters(scenario, positions):
 @given(scenario=scenarios())
 @settings(max_examples=30, deadline=None)
 def test_plain_kernel_matches_reference(decoded, scenario):
-    config, queries, stations = scenario
+    config, queries, stations, shape = scenario
     protocol = BloomFilterProtocol(config)
-    bloom = protocol.encode(queries)
+    bloom = encode_plain(config, queries, shape)
     if decoded:
         bloom = wire.decode(wire.encode(bloom))
     for variant in kernel_variants():

@@ -21,23 +21,19 @@ class TestRegionSlices:
         assert slices[0][0] == 0 and slices[-1][1] == 7
         assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
 
-    def test_fixed_width_split(self):
-        spec = TopologySpec(kind="two-tier", regions=3, stations_per_region=2)
-        assert region_slices(6, spec) == [(0, 2), (2, 4), (4, 6)]
-
-    def test_fixed_width_last_region_takes_the_remainder(self):
-        spec = TopologySpec(kind="two-tier", regions=2, stations_per_region=3)
-        assert region_slices(5, spec) == [(0, 3), (3, 5)]
+    @pytest.mark.parametrize("station_count", [1, 2, 7, 100, 101])
+    def test_balanced_sizes_differ_by_at_most_one(self, station_count):
+        for regions in range(1, station_count + 1):
+            slices = region_slices(station_count, TopologySpec(kind="two-tier", regions=regions))
+            sizes = [stop - start for start, stop in slices]
+            assert slices[0][0] == 0 and sum(sizes) == station_count
+            assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] - sizes[-1] <= 1
 
     def test_rejects_more_regions_than_stations(self):
         spec = TopologySpec(kind="two-tier", regions=6)
         with pytest.raises(ConfigurationError, match="must not exceed stations"):
-            region_slices(5, spec)
-
-    @pytest.mark.parametrize("width", [1, 5])
-    def test_rejects_widths_that_cannot_cover(self, width):
-        spec = TopologySpec(kind="two-tier", regions=2, stations_per_region=width)
-        with pytest.raises(ConfigurationError, match="cannot cover"):
             region_slices(5, spec)
 
 

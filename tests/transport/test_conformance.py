@@ -164,7 +164,7 @@ class TestDeliveredWireBytes:
             for station_id in dataset.station_ids
         ]
         network = transport_factory()
-        artifact = center.encode(protocol, batch)
+        artifact = protocol.encode(batch)
         network.broadcast(
             [
                 (

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.local_match import LocalOnlyProtocol
 from repro.core.exceptions import MatchingError
+from repro.core.reports import concat_reports
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
 
@@ -59,8 +60,10 @@ class TestLocalOnlyProtocol:
         protocol = LocalOnlyProtocol()
         artifact = protocol.encode([_query()])
         patterns = PatternSet([LocalPattern("match", [3, 4, 5], "bs-1")])
-        reports = protocol.station_match("bs-1", patterns, artifact)
-        reports += protocol.station_match("bs-2", patterns, artifact)
+        reports = concat_reports(
+            protocol.station_match(station_id, patterns, artifact)
+            for station_id in ("bs-1", "bs-2")
+        )
         results = protocol.aggregate(reports, k=None)
         assert results.user_ids() == ["match"]
         assert results.users[0].score == 2.0

@@ -28,10 +28,6 @@ class TestValidation:
             {"sample_count": 0},
             {"hash_count": 0},
             {"epsilon": -1},
-            {"bit_count": 0},
-            {"bits_per_element": 0},
-            {"min_bit_count": 0},
-            {"max_local_patterns": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -42,27 +38,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DIMatchingConfig(epsilon=1.5)
 
-    def test_invalid_tolerance_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DIMatchingConfig(epsilon_tolerance_mode="weird")
 
-    def test_valid_tolerance_modes(self):
-        assert DIMatchingConfig(epsilon_tolerance_mode="interval")
-        assert DIMatchingConfig(epsilon_tolerance_mode="accumulated")
+class TestFieldTypes:
+    """Counts are integers and switches are bools, so the wire says what runs."""
 
+    @pytest.mark.parametrize("name", ["sample_count", "hash_count"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+    def test_counts_must_be_integers(self, name, value):
+        # hash_count=2.5 once built a 2-function filter under a config (and
+        # wire bytes) saying 2.5; sample_count=2.5 failed late with a TypeError.
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            DIMatchingConfig(**{name: value})
 
-class TestFilterSizing:
-    def test_auto_size_scales_with_items(self):
-        config = DIMatchingConfig(auto_size=True, bits_per_element=10, min_bit_count=64)
-        assert config.filter_bit_count(1000) == 10_000
+    @pytest.mark.parametrize("name", ["include_sample_index", "use_accumulation"])
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_switches_must_be_bools(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be a bool"):
+            DIMatchingConfig(**{name: value})
 
-    def test_auto_size_respects_minimum(self):
-        config = DIMatchingConfig(auto_size=True, bits_per_element=10, min_bit_count=4096)
-        assert config.filter_bit_count(10) == 4096
+    @pytest.mark.parametrize("value", [True, False])
+    def test_epsilon_must_not_be_a_bool(self, value):
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            DIMatchingConfig(epsilon=value)
 
-    def test_fixed_size(self):
-        config = DIMatchingConfig(auto_size=False, bit_count=8192)
-        assert config.filter_bit_count(10_000) == 8192
+    def test_well_typed_values_are_kept(self):
+        config = DIMatchingConfig(
+            sample_count=3, hash_count=2, epsilon=1,
+            include_sample_index=False, use_accumulation=False,
+        )
+        assert (config.sample_count, config.hash_count, config.epsilon) == (3, 2, 1)
+        assert config.include_sample_index is False
+        assert config.use_accumulation is False
 
 
 class TestWithUpdates:
@@ -81,10 +87,14 @@ class TestConfigBoundary:
     def test_holds_only_the_wire_fields(self):
         # Deployment knobs (executor, shards, fault profile, net seed) live on
         # the cluster specs; the protocol config is what the filter means.
-        from repro.wire.codec import _CONFIG_WIRE_FIELDS
+        # The codec's other slots are retired and carry fixed values.
+        from repro.wire.codec import _CONFIG_SLOTS
 
-        names = {field.name for field in fields(DIMatchingConfig)}
-        assert names == set(_CONFIG_WIRE_FIELDS)
+        names = [field.name for field in fields(DIMatchingConfig)]
+        assert names == [slot for slot in _CONFIG_SLOTS if isinstance(slot, str)]
+        assert names == [
+            "sample_count", "hash_count", "epsilon", "include_sample_index", "use_accumulation",
+        ]
 
     @pytest.mark.parametrize("knob", ["executor", "shard_count", "fault_profile", "net_seed"])
     def test_deployment_knobs_are_refused(self, knob):
@@ -94,3 +104,20 @@ class TestConfigBoundary:
             DIMatchingConfig(**{knob: 1})
         with pytest.raises(TypeError, match=knob):
             DIMatchingConfig().with_updates(**{knob: 1})
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "bit_count", "auto_size", "bits_per_element", "min_bit_count", "seed",
+            "expand_epsilon", "epsilon_tolerance_mode", "deduplicate_combinations",
+            "max_local_patterns",
+        ],
+    )
+    def test_retired_settings_are_refused(self, knob):
+        # Filter sizing, the hash seed and the Algorithm-1 variants are the
+        # encoder's constants now; spelling one is an error, not a no-op.
+        with pytest.raises(TypeError, match=knob):
+            DIMatchingConfig(**{knob: 1})
+        with pytest.raises(TypeError, match=knob):
+            DIMatchingConfig().with_updates(**{knob: 1})
+        assert not hasattr(DIMatchingConfig, "filter_bit_count")

@@ -6,7 +6,14 @@ import pytest
 
 from repro.bloom.standard import BloomFilter
 from repro.core.config import DIMatchingConfig
-from repro.core.encoder import EncodedQueryBatch, PatternEncoder
+from repro.core.encoder import (
+    BITS_PER_ITEM,
+    MAX_LOCAL_PATTERNS,
+    MIN_BIT_COUNT,
+    EncodedQueryBatch,
+    PatternEncoder,
+    bits_for_items,
+)
 from repro.core.exceptions import EncodingError
 from repro.timeseries.pattern import LocalPattern
 from repro.timeseries.query import QueryPattern
@@ -77,7 +84,7 @@ class TestCombinedPatterns:
             LocalPattern("u", [0, 0], "a"),
             LocalPattern("u", [1, 2], "b"),
         ]
-        encoder = PatternEncoder(DIMatchingConfig(deduplicate_combinations=True))
+        encoder = PatternEncoder(DIMatchingConfig())
         combos = encoder.combined_patterns(QueryPattern("q", locals_))
         shapes = [c.accumulated for c in combos]
         assert len(shapes) == len(set(shapes))
@@ -90,10 +97,18 @@ class TestCombinedPatterns:
             encoder.combined_patterns(QueryPattern("q", locals_))
 
     def test_too_many_local_patterns_rejected(self):
-        locals_ = [LocalPattern("u", [1, 1], f"bs-{i}") for i in range(5)]
-        encoder = PatternEncoder(DIMatchingConfig(max_local_patterns=3))
-        with pytest.raises(EncodingError, match="local fragments"):
+        # 2^13 - 1 combinations is past the encoder's limit of 12 fragments.
+        locals_ = [LocalPattern("u", [1, 1], f"bs-{i}") for i in range(MAX_LOCAL_PATTERNS + 1)]
+        encoder = PatternEncoder(DIMatchingConfig())
+        with pytest.raises(EncodingError, match="13 local fragments; the maximum is 12"):
             encoder.combined_patterns(QueryPattern("q", locals_))
+
+    def test_the_fragment_limit_itself_is_accepted(self):
+        locals_ = [
+            LocalPattern("u", [2**i, 0], f"bs-{i}") for i in range(MAX_LOCAL_PATTERNS)
+        ]
+        combos = PatternEncoder(DIMatchingConfig()).combined_patterns(QueryPattern("q", locals_))
+        assert len(combos) == 2**MAX_LOCAL_PATTERNS - 1
 
 
 class TestItemEnumeration:
@@ -121,7 +136,7 @@ class TestItemEnumeration:
         assert all(isinstance(item, int) for item in items)
 
     def test_insertions_include_epsilon_band(self):
-        config = DIMatchingConfig(sample_count=2, epsilon=1, expand_epsilon=True)
+        config = DIMatchingConfig(sample_count=2, epsilon=1)
         encoder = PatternEncoder(config)
         insertions, _, _ = encoder.enumerate_insertions([_query()])
         items = {item for item, _ in insertions}
@@ -130,16 +145,23 @@ class TestItemEnumeration:
         last_index = 3
         assert (last_index, 9) in items and (last_index, 10) in items and (last_index, 11) in items
 
-    def test_accumulated_tolerance_mode_widens_band(self):
-        narrow = PatternEncoder(
-            DIMatchingConfig(sample_count=2, epsilon=1, epsilon_tolerance_mode="interval")
-        )
-        wide = PatternEncoder(
-            DIMatchingConfig(sample_count=2, epsilon=1, epsilon_tolerance_mode="accumulated")
-        )
-        narrow_items, _, _ = narrow.enumerate_insertions([_query()])
-        wide_items, _, _ = wide.enumerate_insertions([_query()])
-        assert len(wide_items) > len(narrow_items)
+    def test_the_epsilon_band_is_plus_or_minus_epsilon_at_every_index(self):
+        # The band does not widen with the time index: ±ε at index 0 and at 3.
+        encoder = PatternEncoder(DIMatchingConfig(sample_count=2, epsilon=1))
+        insertions, _, _ = encoder.enumerate_insertions([_query()])
+        by_index: dict[int, set[int]] = {}
+        for (index, value), _weight in insertions:
+            by_index.setdefault(index, set()).add(value)
+        assert sorted(by_index) == [0, 3]
+        # Index 0 holds 0 and 1 (the band clipped at 0); index 3 holds the
+        # accumulated totals 3, 4, 6, 7 and 10, each with its ±1 neighbours.
+        assert by_index[0] == {0, 1, 2}
+        assert by_index[3] == {2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+
+    def test_epsilon_zero_inserts_only_the_sampled_values(self):
+        encoder = PatternEncoder(DIMatchingConfig(sample_count=2, epsilon=0))
+        insertions, _, combined = encoder.enumerate_insertions([_query()])
+        assert len(insertions) == 2 * combined
 
     def test_insertions_carry_query_qualified_weights(self):
         encoder = PatternEncoder(DIMatchingConfig(sample_count=2))
@@ -174,16 +196,28 @@ class TestEncodeBatch:
         assert batch.pattern_length == 4
         assert batch.inserted_item_count == batch.wbf.item_count
 
-    def test_filter_sized_from_insertions(self):
-        config = DIMatchingConfig(bits_per_element=16, min_bit_count=1)
-        encoder = PatternEncoder(config)
-        batch = encoder.encode_batch([_query()])
-        assert batch.wbf.bit_count == config.filter_bit_count(batch.inserted_item_count)
+    def test_a_small_batch_gets_the_floor_size(self):
+        # 7 combined patterns x 4 sampled indices = 28 items; 28 x 12 bits
+        # is under the 1,024-bit floor.
+        batch = PatternEncoder(DIMatchingConfig()).encode_batch([_query()])
+        assert batch.inserted_item_count == 28
+        assert batch.wbf.bit_count == MIN_BIT_COUNT == 1024
+        assert bits_for_items(85) == 1024
+        assert bits_for_items(86) == 1032
 
-    def test_fixed_filter_size(self):
-        config = DIMatchingConfig(auto_size=False, bit_count=2048)
-        batch = PatternEncoder(config).encode_batch([_query()])
-        assert batch.wbf.bit_count == 2048
+    def test_a_large_batch_gets_twelve_bits_per_item(self):
+        encoder = PatternEncoder(DIMatchingConfig(epsilon=2))
+        batch = encoder.encode_batch([_query("a"), _query("b")])
+        items = batch.inserted_item_count
+        assert items * BITS_PER_ITEM > MIN_BIT_COUNT
+        assert batch.wbf.bit_count == 12 * items
+        bloom = encoder.encode_batch_plain([_query("a"), _query("b")])
+        assert bloom.bit_count == batch.wbf.bit_count
+
+    def test_filters_hash_with_seed_zero(self):
+        encoder = PatternEncoder(DIMatchingConfig())
+        assert encoder.encode_batch([_query()]).wbf.seed == 0
+        assert encoder.encode_batch_plain([_query()]).hash_family.seed == 0
 
     def test_encode_batch_plain_matches_item_enumeration(self):
         encoder = PatternEncoder(DIMatchingConfig())

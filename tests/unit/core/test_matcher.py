@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from repro.core.config import DIMatchingConfig
-from repro.core.encoder import PatternEncoder
+from repro.core.encoder import EncodedQueryBatch, PatternEncoder
 from repro.core.exceptions import MatchingError
 from repro.core.matcher import BaseStationMatcher, _packed_rows
+from repro.core.wbf import WeightedBloomFilter
 from repro.timeseries.pattern import LocalPattern, PatternSet
 from repro.timeseries.query import QueryPattern
 
@@ -25,6 +26,23 @@ def _query():
 @pytest.fixture()
 def encoded():
     return PatternEncoder(DIMatchingConfig(sample_count=4)).encode_batch([_query()])
+
+
+def _encoded_in(config, bit_count, seed=0):
+    """``_query()``'s Algorithm-1 insertions in a filter of the given size and seed."""
+    encoder = PatternEncoder(config)
+    insertions, length, combined = encoder.enumerate_insertions([_query()])
+    wbf = WeightedBloomFilter(bit_count, config.hash_count, seed=seed)
+    for item, weight in insertions:
+        wbf.add(item, weight)
+    return EncodedQueryBatch(
+        wbf=wbf,
+        config=config,
+        pattern_length=length,
+        query_count=1,
+        combined_pattern_count=combined,
+        inserted_item_count=len(insertions),
+    )
 
 
 @pytest.fixture()
@@ -143,8 +161,9 @@ class TestMatchAgainst:
 
     def test_position_cache_reset_between_filters(self, config):
         # Two filters with different sizes must not share cached positions.
-        small = PatternEncoder(config.with_updates(bits_per_element=8)).encode_batch([_query()])
-        large = PatternEncoder(config.with_updates(bits_per_element=64)).encode_batch([_query()])
+        small = PatternEncoder(config).encode_batch([_query()])
+        large = _encoded_in(config, bit_count=4 * small.wbf.bit_count)
+        assert large.wbf.bit_count != small.wbf.bit_count
         fragment = LocalPattern("bob", [2, 4, 5, 3], "bs-9")
         matcher = BaseStationMatcher(config, "bs-9", PatternSet([fragment]))
         first = matcher.match_against(small)
@@ -159,7 +178,7 @@ class TestMatchAgainst:
         batch = PatternEncoder(config).encode_batch([_query()])
         first = wire.decode(wire.encode(batch))
         second = wire.decode(wire.encode(batch))
-        other_family = PatternEncoder(config.with_updates(bits_per_element=64)).encode_batch(
+        other_family = PatternEncoder(config.with_updates(hash_count=3)).encode_batch(
             [_query()]
         )
         patterns = PatternSet(

@@ -62,14 +62,13 @@ class TestDataCenterNode:
     def test_default_id(self):
         assert DataCenterNode().node_id == DATA_CENTER_NODE_ID
 
-    def test_encode_and_aggregate_delegate_to_protocol(self):
+    def test_the_protocol_runs_encode_and_aggregate(self):
+        # The center node is an inbox; callers run both phases on the protocol.
         center = DataCenterNode()
+        assert not hasattr(center, "encode") and not hasattr(center, "aggregate")
         protocol = NaiveProtocol(epsilon=0)
-        artifact = center.encode(protocol, [_query()])
-        assert artifact is None
-        results = center.aggregate(
-            protocol, [LocalPattern("alice", [1, 2, 3, 4], "bs-1")], k=None
-        )
+        assert protocol.encode([_query()]) is None
+        results = protocol.aggregate([LocalPattern("alice", [1, 2, 3, 4], "bs-1")], k=None)
         assert results.user_ids() == ["alice"]
 
     def test_reports_grouped_by_sender_in_arrival_order(self):

@@ -34,20 +34,25 @@ class TestGroundTruth:
 
 class TestMakeProtocols:
     def test_default_methods(self, exact_config):
-        protocols = make_protocols(exact_config, epsilon=0)
+        protocols = make_protocols(exact_config)
         assert [p.name for p in protocols] == ["naive", "bf", "wbf"]
 
     def test_local_method(self, exact_config):
-        protocols = make_protocols(exact_config, epsilon=0, methods=("local",))
+        protocols = make_protocols(exact_config, methods=("local",))
         assert protocols[0].name == "local"
 
     def test_unknown_method_rejected(self, exact_config):
         with pytest.raises(ValueError):
-            make_protocols(exact_config, epsilon=0, methods=("magic",))
+            make_protocols(exact_config, methods=("magic",))
 
     def test_empty_methods_rejected(self, exact_config):
         with pytest.raises(ValueError):
-            make_protocols(exact_config, epsilon=0, methods=())
+            make_protocols(exact_config, methods=())
+
+    def test_baselines_take_the_configs_epsilon(self, approx_config):
+        protocols = make_protocols(approx_config, methods=("naive", "local", "wbf"))
+        assert [p.epsilon for p in protocols[:2]] == [2.0, 2.0]
+        assert protocols[2].config is approx_config
 
 
 class TestRunComparison:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -343,6 +345,21 @@ class TestWorkloadTopologyFlags:
         assert exit_code == 0
         assert "tenant hot:" in captured
         assert "tenant broad:" in captured
+
+    def test_regions_override_keeps_the_scenarios_degraded_region(self, capsys):
+        # hier-degraded-region runs region-1 under "lossy"; restating its own
+        # region count must change nothing, the lossy hop included.
+        run = ["workload", "run", "hier-degraded-region", "--rounds", "3"]
+        assert main(run) == 0
+        plain = capsys.readouterr().out
+        assert main([*run, "--regions", "2"]) == 0
+        assert capsys.readouterr().out == plain
+        goodput = re.search(r"goodput: mean (\S+)", plain)
+        assert goodput is not None and float(goodput.group(1)) < 1
+
+    def test_regions_override_that_drops_a_degraded_region_exits(self):
+        with pytest.raises(SystemExit, match=r"^workload run: .*'region-1'"):
+            main(["workload", "run", "hier-degraded-region", "--rounds", "3", "--regions", "1"])
 
     def test_rejects_unknown_topology_kind(self):
         with pytest.raises(SystemExit):

@@ -13,6 +13,9 @@ from repro.core.wbf import WeightedBloomFilter
 from repro.distributed.messages import Message, MessageKind
 from repro.timeseries.pattern import GlobalPattern, LocalPattern, Pattern
 from repro.timeseries.query import QueryPattern
+from repro.wire import codec
+from repro.wire.values import write_value
+
 
 def make_wbf() -> WeightedBloomFilter:
     wbf = WeightedBloomFilter(256, 4, seed=3)
@@ -270,3 +273,75 @@ class TestErrorHandling:
         wbf._weights[63] = {Fraction(1, 3)}
         with pytest.raises(ValueError):
             wire.encode(wbf)
+
+
+def forged_batch(slot_name: str, value: object) -> bytes:
+    """An encoded batch whose config block holds ``value`` in slot ``slot_name``."""
+    batch = PatternEncoder(DIMatchingConfig(sample_count=4)).encode_batch(list(make_queries()))
+    data = wire.encode(batch)
+    block = bytearray()
+    codec._write_config_block(block, batch.config)
+    start = 7  # the header
+    assert data[start : start + len(block)] == block
+    forged = bytearray()
+    for slot in codec._CONFIG_SLOTS:
+        name, written = (slot, getattr(batch.config, slot)) if isinstance(slot, str) else slot
+        write_value(forged, value if name == slot_name else written)
+    return data[:start] + bytes(forged) + data[start + len(block) :]
+
+
+RETIRED_SLOTS = [slot for slot in codec._CONFIG_SLOTS if not isinstance(slot, str)]
+
+
+def other_values(fixed: object) -> list[object]:
+    """Values a retired slot must refuse: another value, or the same value typed otherwise."""
+    if isinstance(fixed, bool):
+        return [not fixed, int(fixed), None]
+    if isinstance(fixed, int):
+        equal_bool = [False] if fixed == 0 else []
+        return [fixed + 1, float(fixed), Fraction(fixed), str(fixed), None, *equal_bool]
+    return ["accumulated", fixed.encode(), None]
+
+
+class TestConfigBlock:
+    """The block keeps all 14 slots; the 9 retired ones carry fixed values."""
+
+    def test_fourteen_slots_in_their_wire_order(self):
+        names = [slot if isinstance(slot, str) else slot[0] for slot in codec._CONFIG_SLOTS]
+        assert names == [
+            "sample_count", "hash_count", "epsilon",
+            "bit_count", "auto_size", "bits_per_element", "min_bit_count", "seed",
+            "include_sample_index", "use_accumulation",
+            "expand_epsilon", "epsilon_tolerance_mode", "deduplicate_combinations",
+            "max_local_patterns",
+        ]
+        assert [fixed for _name, fixed in RETIRED_SLOTS] == [
+            16384, True, 12, 1024, 0, True, "interval", True, 12,
+        ]
+
+    def test_the_codec_writes_the_fixed_values(self):
+        batch = PatternEncoder(DIMatchingConfig(sample_count=4)).encode_batch(list(make_queries()))
+        assert forged_batch("seed", 0) == wire.encode(batch)
+        assert wire.decode(forged_batch("seed", 0)) == batch
+
+    @pytest.mark.parametrize("name,fixed", RETIRED_SLOTS, ids=[name for name, _ in RETIRED_SLOTS])
+    def test_a_retired_slot_holding_anything_else_is_refused(self, name, fixed):
+        for value in other_values(fixed):
+            with pytest.raises(wire.WireFormatError, match=f"slot '{name}' is retired"):
+                wire.decode(forged_batch(name, value))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("use_accumulation", 0),
+            ("include_sample_index", "no"),
+            ("sample_count", 2.5),
+            ("hash_count", 2.5),
+            ("hash_count", True),
+            ("epsilon", 1.0),
+        ],
+    )
+    def test_a_live_slot_of_the_wrong_type_is_refused(self, name, value):
+        with pytest.raises(wire.WireFormatError, match=f"configuration is invalid: {name}"):
+            wire.decode(forged_batch(name, value))
+

@@ -56,15 +56,6 @@ class TestSpecValidation:
             WorkloadSpec(
                 name="dup",
                 tenants=(TenantSpec("a"), TenantSpec("a")),
-                topology=TopologySpec(tenant_count=2),
-            )
-
-    def test_tenant_mix_mismatch_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="tenant/mix mismatch"):
-            WorkloadSpec(
-                name="mismatch",
-                tenants=TENANTS,
-                topology=TopologySpec(tenant_count=3),
             )
 
     def test_single_stream_workloads_need_no_tenant_declarations(self):
@@ -86,7 +77,6 @@ class TestSpecValidation:
             WorkloadSpec(
                 name="streamed-tenants",
                 tenants=TENANTS,
-                topology=TopologySpec(tenant_count=2),
                 source=SourceSpec(kind="eager", station_count=3, users_per_station=4),
             )
 
@@ -185,7 +175,6 @@ class TestSingleTenant:
         """
         spec = tiny_spec("long-session", rounds=4, churn=ChurnProcess()).with_updates(
             tenants=(TenantSpec("only", QueryMix()),),
-            topology=TopologySpec(tenant_count=1),
         )
         result = run_workload(spec, drive="session")
         assert result.rounds[0].total_bytes > 0
